@@ -13,14 +13,13 @@
 //! Results land in `BENCH_graph_fusion.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use exa_bench::write_root_json;
+use exa_bench::{time_median, write_root_json};
 use exa_hal::{
     ApiSurface, DType, Device, FusionPolicy, GraphCapture, KernelProfile, LaunchConfig, Stream,
 };
 use exa_machine::GpuModel;
 use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 const N: usize = 1 << 22;
 const N_KERNELS: usize = 8;
@@ -47,22 +46,6 @@ fn capture_chain() -> GraphCapture {
         });
     }
     cap
-}
-
-/// Median wall-clock seconds of `f` over `reps` runs after `warmup` runs.
-fn time_median<F: FnMut()>(warmup: usize, reps: usize, mut f: F) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
 }
 
 #[derive(Serialize)]

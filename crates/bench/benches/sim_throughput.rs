@@ -24,7 +24,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use exa_apps::gests_exec::{executed_dns_step, DnsStep};
 use exa_apps::pele_exec::{chemistry_campaign, ChemCampaign, ChemKernel};
-use exa_bench::write_root_json;
+use exa_bench::{median, write_root_json};
 use exa_mpi::RankScheduler;
 use serde::Serialize;
 use std::hint::black_box;
@@ -60,11 +60,6 @@ struct Record {
     bit_identical: bool,
     dist_fft: DistFftMilestone,
     pass: bool,
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
 }
 
 fn time_campaign(sched: &RankScheduler, kernel: ChemKernel, cfg: &ChemCampaign) -> f64 {

@@ -14,7 +14,7 @@
 //! Results land in `BENCH_telemetry_overhead.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use exa_bench::write_root_json;
+use exa_bench::{time_median, write_root_json};
 use exa_hal::{
     exec, ApiSurface, DType, Device, KernelProfile, LaunchConfig, Stream, TelemetryCollector,
 };
@@ -57,22 +57,6 @@ fn capture_on(s: &mut Stream) -> exa_hal::KernelGraph {
         s.launch_modeled(&k);
     }
     s.end_capture()
-}
-
-/// Median wall-clock seconds of `f` over `reps` runs after `warmup` runs.
-fn time_median<F: FnMut()>(warmup: usize, reps: usize, mut f: F) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
 }
 
 /// One measurement pass: (disabled_s, enabled_s) medians for a rep of

@@ -8,6 +8,7 @@
 use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Where experiment JSON records land.
 pub fn experiments_dir() -> PathBuf {
@@ -90,6 +91,27 @@ pub fn iso8601_utc(unix: u64) -> String {
     )
 }
 
+/// Median of `xs` (the upper median for even lengths); sorts in place.
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.total_cmp(b));
+    xs[xs.len() / 2]
+}
+
+/// Median wall-clock seconds of `f` over `reps` runs after `warmup` runs.
+pub fn time_median<F: FnMut()>(warmup: usize, reps: usize, mut f: F) -> f64 {
+    for _ in 0..warmup {
+        f();
+    }
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    median(&mut samples)
+}
+
 /// Print a section header.
 pub fn header(title: &str) {
     let bar = "=".repeat(title.len() + 8);
@@ -115,6 +137,13 @@ mod tests {
     fn vs_paper_formats_error() {
         let s = vs_paper(5.0, 4.0);
         assert!(s.contains("25.0% off"), "{s}");
+    }
+
+    #[test]
+    fn median_picks_the_middle_sample() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert!(time_median(1, 3, || {}) >= 0.0);
     }
 
     #[test]

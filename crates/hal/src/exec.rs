@@ -14,16 +14,13 @@
 //! arbitrary interleaving.
 //!
 //! Tuning knobs:
-//! * [`PAR_THRESHOLD`] — compile-time default for the sequential cutoff;
-//!   override per process with the `EXA_PAR_THRESHOLD` env var (bench sweeps).
+//! * [`PAR_THRESHOLD`] — the sequential cutoff.
 //! * `EXA_THREADS` — total execution lanes; `0` (or unset) auto-detects.
-//!   The legacy `EXA_NUM_THREADS` spelling is honored as a fallback.
 //! * The `*_with_min_len` variants bound task granularity, the equivalent of
 //!   rayon's `with_min_len`: no task receives fewer than `min_len` items,
 //!   which caps fork/join overhead for cheap per-element closures.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 use workpool::ThreadPool;
 
 /// Below this many elements a sequential loop beats fork/join overhead.
@@ -33,20 +30,8 @@ pub const PAR_THRESHOLD: usize = 1 << 14;
 /// `*_with_min_len` variants override it.
 pub const DEFAULT_MIN_LEN: usize = 1 << 12;
 
-/// The active sequential cutoff: `EXA_PAR_THRESHOLD` if set, else
-/// [`PAR_THRESHOLD`]. Read once per process.
-pub fn par_threshold() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("EXA_PAR_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(PAR_THRESHOLD)
-    })
-}
-
-/// Execution-lane count: `EXA_THREADS` (0 ⇒ auto-detect), else the legacy
-/// `EXA_NUM_THREADS`, else available parallelism — the sizing of the
+/// Execution-lane count: `EXA_THREADS` (0 ⇒ auto-detect), else available
+/// parallelism — the sizing of the
 /// process-wide [`workpool`] pool. Read once per process.
 pub fn num_threads() -> usize {
     workpool::default_threads()
@@ -81,43 +66,26 @@ pub fn unobserve_global_pool() {
 /// while the per-block closure cost stays amortized by `min_len`.
 const MAX_BLOCKS: usize = 64;
 
-/// Block clamp for *map* decompositions (`exec.max_blocks` knob, frozen
-/// at [`MAX_BLOCKS`]). Only elementwise paths ([`par_map_inplace`],
-/// [`par_fill`], [`par_chunks_mut`]) read it — each element's result is
-/// positional, so the clamp can move without touching any bits.
-/// Reduction paths ([`par_reduce`], [`par_sum_f64`], [`block_ranges`])
-/// stay on the frozen constant: their block count fixes the partial
-/// fold order, which is a frozen bit-contract. Resolved per call (not
-/// cached) so tuned-vs-frozen comparisons can flip the env override
-/// within one process.
-fn map_max_blocks() -> usize {
-    exa_tune::knob("exec.max_blocks", MAX_BLOCKS).max(1)
-}
-
 /// The deterministic block decomposition [`par_scatter_blocks`] uses for a
 /// given `(n, min_len)` — public so multi-phase algorithms (histogram →
 /// offsets → scatter, the radix-sort shape) can precompute per-block state
 /// that lines up exactly with the scatter's blocks. Returns a single
-/// `0..n` block when `n` is below [`par_threshold`], matching the scatter's
+/// `0..n` block when `n` is below [`PAR_THRESHOLD`], matching the scatter's
 /// serial fallback. Depends only on `(n, min_len)`, never on the thread
 /// count — see the module-level determinism contract.
 pub fn block_ranges(n: usize, min_len: usize) -> Vec<Range<usize>> {
-    if n < par_threshold() {
+    if n < PAR_THRESHOLD {
         return std::iter::once(0..n).collect();
     }
     blocks(n, min_len)
 }
 
 /// Split `0..n` into at most [`MAX_BLOCKS`] ranges of at least `min_len`
-/// items each. Thread-count-independent by construction.
+/// items each. Thread-count-independent by construction; map and
+/// reduction paths share this one decomposition.
 fn blocks(n: usize, min_len: usize) -> Vec<Range<usize>> {
-    blocks_capped(n, min_len, MAX_BLOCKS)
-}
-
-/// [`blocks`] with an explicit block-count clamp.
-fn blocks_capped(n: usize, min_len: usize, max_blocks: usize) -> Vec<Range<usize>> {
     let min_len = min_len.max(1);
-    let nblocks = (n / min_len).clamp(1, max_blocks);
+    let nblocks = (n / min_len).clamp(1, MAX_BLOCKS);
     let base = n / nblocks;
     let extra = n % nblocks;
     let mut out = Vec::with_capacity(nblocks);
@@ -137,7 +105,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let ranges = blocks_capped(data.len(), min_len, map_max_blocks());
+    let ranges = blocks(data.len(), min_len);
     if ranges.len() <= 1 {
         f(0, data);
         return;
@@ -173,7 +141,7 @@ where
     T: Send + Copy,
     F: Fn(usize, T) -> T + Sync,
 {
-    if data.len() < par_threshold() {
+    if data.len() < PAR_THRESHOLD {
         for (i, x) in data.iter_mut().enumerate() {
             *x = f(i, *x);
         }
@@ -192,7 +160,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if out.len() < par_threshold() {
+    if out.len() < PAR_THRESHOLD {
         for (i, x) in out.iter_mut().enumerate() {
             *x = f(i);
         }
@@ -222,7 +190,7 @@ where
     F: Fn(usize) -> T + Sync,
     R: Fn(T, T) -> T + Sync + Send,
 {
-    if n < par_threshold() {
+    if n < PAR_THRESHOLD {
         return (0..n).fold(identity, |acc, i| reduce(acc, f(i)));
     }
     let ranges = blocks(n, min_len);
@@ -267,7 +235,7 @@ fn sum_lanes4(x: &[f64]) -> f64 {
 /// loop-carried serial add chain), block partials folded in block order.
 /// Bit-identical at any thread count.
 pub fn par_sum_f64(data: &[f64]) -> f64 {
-    if data.len() < par_threshold() {
+    if data.len() < PAR_THRESHOLD {
         return sum_lanes4(data);
     }
     let ranges = blocks(data.len(), DEFAULT_MIN_LEN);
@@ -292,14 +260,14 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk > 0, "chunk size must be positive");
-    if data.len() < par_threshold() {
+    if data.len() < PAR_THRESHOLD {
         for (i, c) in data.chunks_mut(chunk).enumerate() {
             f(i, c);
         }
         return;
     }
     let nchunks = data.len().div_ceil(chunk);
-    let ranges = blocks_capped(nchunks, 1, map_max_blocks());
+    let ranges = blocks(nchunks, 1);
     if ranges.len() <= 1 {
         for (i, c) in data.chunks_mut(chunk).enumerate() {
             f(i, c);
@@ -332,7 +300,7 @@ where
 
 /// Parallel map into a fresh `Vec`: `out[i] = f(i)`. Meant for coarse-grained
 /// batched work (each item a whole matrix factorization, say), so it
-/// parallelizes for any `n > 1` instead of gating on [`par_threshold`].
+/// parallelizes for any `n > 1` instead of gating on [`PAR_THRESHOLD`].
 pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -375,7 +343,7 @@ where
     F: Fn(usize, Range<usize>, &mut dyn FnMut(usize, T)) + Sync,
 {
     let len = dst.len();
-    if n < par_threshold() {
+    if n < PAR_THRESHOLD {
         let mut emit = |pos: usize, val: T| {
             assert!(pos < len, "scatter position {pos} out of bounds ({len})");
             dst[pos] = val;
@@ -539,8 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn threshold_and_threads_are_positive() {
-        assert!(par_threshold() > 0);
+    fn threads_are_positive() {
         assert!(num_threads() > 0);
     }
 
@@ -585,7 +552,7 @@ mod tests {
                 .collect();
             let got = par_sum_f64(&data);
             let mut expect = 0.0f64;
-            if data.len() >= par_threshold() && block_ranges(n, DEFAULT_MIN_LEN).len() > 1 {
+            if data.len() >= PAR_THRESHOLD && block_ranges(n, DEFAULT_MIN_LEN).len() > 1 {
                 for r in block_ranges(n, DEFAULT_MIN_LEN) {
                     expect += sum_lanes4(&data[r]);
                 }

@@ -60,6 +60,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -164,12 +165,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.b[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // step. Both delimiters are ASCII, so the run ends on
+                    // a char boundary of the source `&str`.
+                    let end = self.b[self.pos..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .map_or(self.b.len(), |k| self.pos + k);
+                    out.push_str(&self.s[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -228,6 +232,7 @@ impl<'a> Parser<'a> {
 /// Parse a complete JSON document.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        s,
         b: s.as_bytes(),
         pos: 0,
     };
@@ -812,6 +817,7 @@ pub fn validate_hotspot_csv(s: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exa_machine::SimTime;
 
     #[test]
     fn parses_scalars_strings_and_nesting() {
@@ -821,6 +827,62 @@ mod tests {
         assert_eq!(a[1].as_f64(), Some(-2500.0));
         assert_eq!(a[4].as_str(), Some("x\n\"y\""));
         assert_eq!(v.get("b"), Some(&JsonValue::Obj(BTreeMap::new())));
+    }
+
+    #[test]
+    fn strings_round_trip_multibyte_and_unicode_escapes() {
+        let v = parse_json(r#"["π·é 🚀 tail", "éA\u0001", "a\"é\\b"]"#).unwrap();
+        let a = v.as_array().unwrap();
+        assert_eq!(a[0].as_str(), Some("π·é 🚀 tail"));
+        assert_eq!(a[1].as_str(), Some("éA\u{1}"));
+        assert_eq!(a[2].as_str(), Some("a\"é\\b"));
+        assert!(parse_json(r#"["\u00"]"#).is_err());
+        assert!(parse_json(r#"["open"#).is_err());
+
+        // What the trace writer escapes, the parser gives back intact.
+        let name = "lane/é\"q\\\u{1}\t🚀";
+        let c = crate::TelemetryCollector::new();
+        let t = c.track(name, crate::TrackKind::Host);
+        c.complete(
+            t,
+            name,
+            crate::SpanCat::Phase,
+            SimTime::ZERO,
+            SimTime::from_secs(1e-6),
+        );
+        let doc = parse_json(&c.chrome_trace()).unwrap();
+        let names: Vec<&str> = doc
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter_map(|e| e.get("name")?.as_str())
+            .collect();
+        assert!(names.contains(&name), "{names:?}");
+    }
+
+    #[test]
+    fn large_traces_validate_in_linear_time() {
+        // ~50k spans, the size of an executed DNS step trace; the string
+        // scan used to be quadratic in the document length.
+        let c = crate::TelemetryCollector::new();
+        let tracks: Vec<_> = (0..8)
+            .map(|r| c.track(&format!("rank{r}"), crate::TrackKind::Host))
+            .collect();
+        let spans = 50_000;
+        for i in 0..spans {
+            let start = SimTime::from_secs((i / 8) as f64 * 1e-6);
+            let end = SimTime::from_secs((i / 8) as f64 * 1e-6 + 5e-7);
+            c.complete(
+                tracks[i % 8],
+                format!("fft/pass {i} é"),
+                crate::SpanCat::Phase,
+                start,
+                end,
+            );
+        }
+        let summary = validate_chrome_trace(&c.chrome_trace()).expect("valid trace");
+        assert_eq!(summary.events, spans);
+        assert_eq!(summary.tracks, 8);
     }
 
     #[test]

@@ -5,32 +5,24 @@
 //! for every device generation (Ginkgo's HIP port and CRK-HACC's SYCL
 //! port both report work-group re-tuning as a central porting cost).
 //! This crate is that search, reproduced for the simulator's own knobs —
-//! every hard-coded performance constant that accumulated across PRs:
+//! the three that a search actually moves:
 //!
 //! | knob key             | frozen | consumer                              |
 //! |----------------------|--------|---------------------------------------|
 //! | `fft.gather`         | 0      | executed FFT repartition strategy     |
 //! | `fft.line_batch`     | 1      | executed FFT lines per butterfly batch|
 //! | `fft.overlap_k`      | 4      | `DistFft3d` pipeline depth            |
-//! | `linalg.gemm_kblock` | 64     | GEMM k-dimension cache block          |
-//! | `linalg.gemm_jpanel` | 8      | GEMM column panel per task            |
-//! | `linalg.gemm_mb`     | 256    | GEMM row block                        |
-//! | `hal.max_fuse`       | 8      | default fusion group size             |
-//! | `exec.max_blocks`    | 64     | map-path block-count clamp            |
-//! | `sched.task_chunks`  | 64     | rank-scheduler steal granularity      |
-//! | `serve.shards`       | 0 (auto) | `ShardedLru` shard count            |
 //!
-//! The tuner pipeline is **enumerate → cost-prune → executed-confirm →
-//! persist** (DESIGN.md §14):
+//! The tuner pipeline is **enumerate → cost-select → persist**
+//! (DESIGN.md §14):
 //!
-//! 1. *enumerate* the candidate values per (app, machine) pair;
-//! 2. *cost-prune* with a deterministic cost model (virtual time from the
-//!    machine model, or a counted host-operation model);
-//! 3. *confirm* survivors with short executed micro-runs — median-of-N
-//!    wall clock is recorded, but the **winner is selected only by the
-//!    deterministic metric**, so the same seed yields a byte-identical
-//!    [`TunedTable`] at any `EXA_THREADS`;
-//! 4. *persist* winners to `TUNED.json`, which consumers read at
+//! 1. *enumerate* the candidate values per knob, always including the
+//!    frozen constant;
+//! 2. *cost-select* the cheapest under a deterministic cost model (virtual
+//!    time from the machine model, or a counted host-operation model) —
+//!    ties go to the frozen value, so the same specs yield a
+//!    byte-identical [`TunedTable`] at any `EXA_THREADS`;
+//! 3. *persist* winners to `TUNED.json`, which consumers read at
 //!    construction time — env-overridable per knob
 //!    (`EXA_TUNE_FFT_GATHER=1`), falling back to the frozen constants
 //!    when absent.
@@ -38,10 +30,10 @@
 //! Every consumer keeps its frozen constant as the fallback, and every
 //! tuned code path is bit-identical to its frozen twin on all physics
 //! outputs — the knobs only reorder *independent* work (gather order,
-//! block shapes, task granularity), never a floating-point reduction.
+//! line batching, pipeline depth), never a floating-point reduction.
 
 mod table;
 mod tuner;
 
 pub use table::{knob, knob_i64, tuned, TunedTable, TUNED_FILE};
-pub use tuner::{ConfirmOutcome, KnobReport, KnobSpec, Probe, TuneReport, Tuner};
+pub use tuner::{KnobReport, KnobSpec, Probe, TuneReport, Tuner};

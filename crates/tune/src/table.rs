@@ -149,12 +149,23 @@ mod tests {
     fn json_round_trips_byte_identically() {
         let mut t = TunedTable::new(42, "frontier");
         t.set("fft.gather", 1);
-        t.set("linalg.gemm_kblock", 64);
-        t.set("exec.max_blocks", 64);
+        t.set("fft.line_batch", 8);
+        t.set("fft.overlap_k", 8);
         let json = t.to_json();
         let back = TunedTable::from_json(&json).expect("parses");
         assert_eq!(back, t);
         assert_eq!(back.to_json(), json, "round trip must be byte-identical");
+    }
+
+    #[test]
+    fn retired_keys_still_parse() {
+        // Tables written before a knob became a constant keep its key;
+        // loading them must not fail, and the live keys must resolve.
+        let old = "{\n  \"version\": 1,\n  \"seed\": 1,\n  \"machine\": \"frontier\",\n  \
+                   \"knobs\": {\n    \"fft.gather\": 1,\n    \"sched.task_chunks\": 64\n  }\n}\n";
+        let table = TunedTable::from_json(old).expect("parses");
+        assert_eq!(table.get("fft.gather"), Some(1));
+        assert_eq!(table.get("sched.task_chunks"), Some(64));
     }
 
     #[test]
