@@ -23,8 +23,8 @@ use exa_telemetry::{digest64, FomKind, FomRecord, SpanCat, TelemetryCollector};
 /// One executed DNS step configuration.
 #[derive(Debug, Clone)]
 pub struct DnsStep {
-    /// Grid size N (N³ points). Power of two keeps every line on the
-    /// radix-2 path.
+    /// Grid size N (N³ points). A power of two keeps every line off the
+    /// Bluestein path.
     pub n: usize,
     /// Simulated MPI ranks (`≤ N²`, the Pencils bound).
     pub ranks: usize,
@@ -227,16 +227,26 @@ pub fn dns_step_window(
     let split_base = (n * n) / cfg.ranks;
     let split_rem = (n * n) % cfg.ranks;
     let (dt, nu) = (cfg.dt, cfg.viscosity);
+    // `k0² + k1² + k2²` is an exact integer no larger than `3·⌊n/2⌋²`, so
+    // each decay factor is read from a table indexed by it — the same
+    // `exp` of the same argument, evaluated once per distinct value.
+    let ksq: Vec<usize> = (0..n)
+        .map(|i| {
+            let k = wavenumber(i, n);
+            (k * k) as usize
+        })
+        .collect();
+    let decay: Vec<f64> = (0..=3 * (n / 2) * (n / 2))
+        .map(|k2sum| (-nu * k2sum as f64 * dt).exp())
+        .collect();
     sched.compute_phase(comm, grid_parts(grid), |ctx, part| {
         let r = ctx.rank();
         let start = r * split_base + r.min(split_rem);
         for (li, line) in part.chunks_mut(n).enumerate() {
             let gl = start + li;
-            let (k1, k2) = (wavenumber(gl / n, n), wavenumber(gl % n, n));
-            for (i0, z) in line.iter_mut().enumerate() {
-                let k0 = wavenumber(i0, n);
-                let k2sum = k0 * k0 + k1 * k1 + k2 * k2;
-                *z = z.scale((-nu * k2sum * dt).exp());
+            let k12 = ksq[gl / n] + ksq[gl % n];
+            for (z, &k0sq) in line.iter_mut().zip(&ksq) {
+                *z = z.scale(decay[k0sq + k12]);
             }
         }
         ctx.span("spectral_advance", SpanCat::Kernel, decay_time);
@@ -288,6 +298,68 @@ mod tests {
             assert_eq!(f1.value.to_bits(), fn_.value.to_bits());
             assert_eq!(f1.wall_s.to_bits(), fn_.wall_s.to_bits());
             assert_eq!(f1.identity(), fn_.identity());
+        }
+    }
+
+    /// The window with the advance the decay table replaced: one `exp`
+    /// per spectral point.
+    fn per_point_exp_window(
+        sched: &RankScheduler,
+        comm: &mut Comm,
+        gpu: &GpuModel,
+        plan: &ExecutedFft3d,
+        cfg: &DnsStep,
+        grid: &mut DistGrid,
+    ) {
+        plan.forward(sched, comm, gpu, grid);
+        let n = cfg.n;
+        let split_base = (n * n) / cfg.ranks;
+        let split_rem = (n * n) % cfg.ranks;
+        let (dt, nu) = (cfg.dt, cfg.viscosity);
+        sched.compute_phase(comm, grid_parts(grid), |ctx, part| {
+            let r = ctx.rank();
+            let start = r * split_base + r.min(split_rem);
+            for (li, line) in part.chunks_mut(n).enumerate() {
+                let gl = start + li;
+                let (k1, k2) = (wavenumber(gl / n, n), wavenumber(gl % n, n));
+                for (i0, z) in line.iter_mut().enumerate() {
+                    let k0 = wavenumber(i0, n);
+                    let k2sum = k0 * k0 + k1 * k1 + k2 * k2;
+                    *z = z.scale((-nu * k2sum * dt).exp());
+                }
+            }
+        });
+        plan.inverse(sched, comm, gpu, grid);
+    }
+
+    #[test]
+    fn decay_table_is_bitwise_the_per_point_exp() {
+        // n = 9 runs its lines through Bluestein and has an odd ⌊n/2⌋
+        // bound on the table.
+        let sched = RankScheduler::new();
+        let machine = MachineModel::frontier();
+        let gpu = machine.node.gpu().clone();
+        for n in [8, 9, 16] {
+            let cfg = DnsStep {
+                n,
+                ranks: 12,
+                dt: 1e-2,
+                viscosity: 0.5,
+            };
+            let plan = ExecutedFft3d::new(n);
+            let run = |window: &dyn Fn(&mut Comm, &mut DistGrid)| {
+                let mut comm = Comm::new(cfg.ranks, Network::from_machine(&machine));
+                let mut grid = DistGrid::from_global(n, cfg.ranks, &initial_field(n));
+                window(&mut comm, &mut grid);
+                field_digest(&grid.gather_global())
+            };
+            let table = run(&|comm, grid| {
+                dns_step_window(&sched, comm, &gpu, &plan, &cfg, grid);
+            });
+            let per_point = run(&|comm, grid| {
+                per_point_exp_window(&sched, comm, &gpu, &plan, &cfg, grid);
+            });
+            assert_eq!(table, per_point, "decay table differs at n = {n}");
         }
     }
 

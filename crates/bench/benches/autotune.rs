@@ -115,20 +115,17 @@ impl Probe for GatherProbe {
     }
 }
 
-/// `fft.line_batch` — lines per batched butterfly group. Batching shares
-/// one twiddle-table walk across the group, so the deterministic metric
-/// is the table-fetch count per pass sweep: `log2(n) · ⌈lines/batch⌉ ·
-/// n/2` fetches.
+/// `fft.line_batch` — lines handed to the line-FFT kernel per call. Each
+/// call pays one cached-plan lookup and dispatch, so the deterministic
+/// metric is the call count per pass sweep over `n²` lines:
+/// `⌈n²/batch⌉`.
 struct LineBatchProbe {
     n: usize,
 }
 
 impl Probe for LineBatchProbe {
     fn cost(&mut self, batch: i64) -> f64 {
-        let n = self.n;
-        let stages = n.trailing_zeros() as f64;
-        let groups = (n * n).div_ceil(batch.max(1) as usize) as f64;
-        stages * groups * (n / 2) as f64
+        (self.n * self.n).div_ceil(batch.max(1) as usize) as f64
     }
 }
 

@@ -13,10 +13,11 @@
 //! the scheduler's virtual-time merge orders clocks and spans by rank, so
 //! results, traces and timings are bit-identical at any thread count. The
 //! transform itself is bitwise identical to [`crate::fft3d::fft3d`] on the
-//! gathered global array (same per-line [`fft`] on the same values, axes
-//! in the same order) — a property the tests assert with `to_bits`.
+//! gathered global array (same per-line [`fft`](crate::fft1d::fft) on the
+//! same values, axes in the same order) — a property the tests assert with
+//! `to_bits`.
 
-use crate::fft1d::{fft, fft_batch, fft_flops, ifft, ifft_batch};
+use crate::fft1d::{fft_batch, fft_flops, ifft_batch};
 use exa_linalg::C64;
 use exa_machine::{GpuModel, SimTime};
 use exa_mpi::{Comm, RankScheduler};
@@ -209,8 +210,8 @@ pub struct ExecutedFft3d {
     pub compute_eff: f64,
     /// Repartition gather strategy (`fft.gather`).
     gather: GatherStrategy,
-    /// Lines per batched butterfly group (`fft.line_batch`); 1 = the
-    /// frozen per-line loop.
+    /// Lines handed to the line-FFT kernel per call (`fft.line_batch`);
+    /// 1 = one line per call, the frozen value.
     line_batch: usize,
 }
 
@@ -267,25 +268,14 @@ impl ExecutedFft3d {
             (LineAxis::Axis1, true) => "ifft_lines_axis1",
             (LineAxis::Axis0, true) => "ifft_lines_axis0",
         };
-        let batch = self.line_batch;
+        let group = n * self.line_batch;
         sched.compute_phase(comm, &mut grid.parts, |ctx, part| {
-            if batch > 1 {
-                // Batched butterflies share the twiddle walk across
-                // `batch` lines; bit-identical to the per-line loop.
-                for group in part.chunks_mut(n * batch) {
-                    if inverse {
-                        ifft_batch(group, n);
-                    } else {
-                        fft_batch(group, n);
-                    }
-                }
-            } else {
-                for line in part.chunks_mut(n) {
-                    if inverse {
-                        ifft(line);
-                    } else {
-                        fft(line);
-                    }
+            // Bit-identical to per-line transforms at any batch size.
+            for lines in part.chunks_mut(group) {
+                if inverse {
+                    ifft_batch(lines, n);
+                } else {
+                    fft_batch(lines, n);
                 }
             }
             ctx.span(span, SpanCat::Kernel, self.pass_time(gpu, part.len() / n));

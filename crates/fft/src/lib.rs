@@ -5,7 +5,7 @@
 //! SHOC suite (Figure 1) contains an FFT microbenchmark. This crate is the
 //! cuFFT/rocFFT stand-in they all share:
 //!
-//! * [`fft1d`] — iterative radix-2 Cooley–Tukey for powers of two and a
+//! * [`fft1d`] — a radix-2² Cooley–Tukey kernel for powers of two and a
 //!   Bluestein chirp-z fallback for general lengths, with inverse and
 //!   real-input helpers;
 //! * [`mod@fft3d`] — in-memory 3-D transforms, thread-parallel over lines;

@@ -501,8 +501,8 @@ mod tests {
                 emit(n - 1 - i, src[i]);
             }
         });
-        for i in 0..n {
-            assert_eq!(dst[i], (n - 1 - i) as u64);
+        for (i, &d) in dst.iter().enumerate() {
+            assert_eq!(d, (n - 1 - i) as u64);
         }
     }
 

@@ -216,7 +216,7 @@ mod tests {
         assert!(close(z + w, C64::new(2.0, -2.0)));
         assert!(close(
             z * w,
-            C64::new(3.0 * -1.0 - (-4.0) * 2.0, 3.0 * 2.0 + (-4.0) * -1.0)
+            C64::new(-3.0 - (-4.0) * 2.0, 3.0 * 2.0 + (-4.0) * -1.0)
         ));
         assert!(close(z * C64::ONE, z));
         assert!(close(z + C64::ZERO, z));

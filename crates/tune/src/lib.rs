@@ -10,7 +10,7 @@
 //! | knob key             | frozen | consumer                              |
 //! |----------------------|--------|---------------------------------------|
 //! | `fft.gather`         | 0      | executed FFT repartition strategy     |
-//! | `fft.line_batch`     | 1      | executed FFT lines per butterfly batch|
+//! | `fft.line_batch`     | 1      | executed FFT lines per kernel call    |
 //! | `fft.overlap_k`      | 4      | `DistFft3d` pipeline depth            |
 //!
 //! The tuner pipeline is **enumerate → cost-select → persist**

@@ -2,7 +2,8 @@
 # Tier-1 verification flow.
 #
 #   1. release build of the whole workspace, then `cargo clippy -D warnings`
-#      (the workspace is lint-clean; keep it that way);
+#      over every target — libs, bins, tests, benches, examples (the
+#      workspace is lint-clean; keep it that way);
 #   2. full test suite (unit + integration + property);
 #   3. telemetry export: `profile_export` re-drives the instrumented Pele /
 #      E3SM / GESTS paths and schema-checks its own output (non-empty spans,
@@ -58,7 +59,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo clippy --workspace --release -- -D warnings
+cargo clippy --workspace --release --all-targets -- -D warnings
 cargo fmt --all -- --check
 for threads in 1 4; do
     EXA_THREADS=$threads cargo test -q
