@@ -203,7 +203,7 @@ fn grid_parts(grid: &mut DistGrid) -> &mut [Vec<C64>] {
 
 /// The step's transform window — forward transform, spectral viscous
 /// advance, inverse transform — on an explicit FFT plan. Public so the
-/// autotune bench can time exactly this window under the frozen and the
+/// `autotune` experiment can time exactly this window under the frozen and the
 /// tuned plan; [`executed_dns_step`] wraps it with setup, energy
 /// accounting and telemetry. Returns the window's virtual elapsed time.
 pub fn dns_step_window(

@@ -12,7 +12,7 @@ use exa_fft::{DistGrid, ExecutedFft3d, C64};
 use exa_machine::MachineModel;
 use exa_mpi::{Comm, Network, RankScheduler};
 
-/// The winners the autotune bench persists (`BENCH_autotune.json`
+/// The winners the `autotune` experiment persists (`BENCH_autotune.json`
 /// `moved`).
 const WINNERS: &[(&str, &str)] = &[
     ("EXA_TUNE_FFT_GATHER", "1"),

@@ -1,0 +1,80 @@
+//! Figure 2 — PeleC time per cell per timestep, Sep 2018 → Mar 2023.
+//!
+//! Regenerates the single-node series across NERSC Cori, ANL Theta, NREL
+//! Eagle, OLCF Summit, and OLCF Frontier, plus the 4,096-node series on
+//! Summit and Frontier, across the project's code states.
+
+use crate::{Gate, header, write_json};
+use exa_apps::pele::{
+    time_per_cell_step, time_per_cell_step_at_scale, weak_scaling_efficiency, CodeState,
+};
+use exa_machine::MachineModel;
+use serde::Serialize;
+
+#[derive(Serialize)]
+struct Fig2Point {
+    code_state: String,
+    machine: String,
+    nodes: u32,
+    time_per_cell_step_s: f64,
+}
+
+/// The (code state, machine) pairs along the Figure 2 x-axis.
+fn timeline() -> Vec<(CodeState, MachineModel)> {
+    vec![
+        (CodeState::Baseline2018, MachineModel::cori()),
+        (CodeState::Baseline2018, MachineModel::theta()),
+        (CodeState::Baseline2018, MachineModel::eagle()),
+        (CodeState::GpuPort2020, MachineModel::summit()),
+        (CodeState::Cvode2021, MachineModel::summit()),
+        (CodeState::Fused2022, MachineModel::summit()),
+        (CodeState::Fused2022, MachineModel::frontier()),
+        (CodeState::Async2023, MachineModel::frontier()),
+    ]
+}
+
+pub fn run() -> Gate {
+    header("Figure 2: PeleC time per cell per timestep (single node + 4096 nodes)");
+    let mut points = Vec::new();
+
+    println!(
+        "{:<16} {:<10} {:>16} {:>16}",
+        "code state", "machine", "1 node [s]", "4096 nodes [s]"
+    );
+    for (state, machine) in timeline() {
+        let t1 = time_per_cell_step(&machine, state);
+        let t4096 = time_per_cell_step_at_scale(&machine, state, 4096);
+        println!(
+            "{:<16} {:<10} {:>16.3e} {:>16.3e}",
+            format!("{state:?}"),
+            machine.name,
+            t1.secs(),
+            t4096.secs()
+        );
+        points.push(Fig2Point {
+            code_state: format!("{state:?}"),
+            machine: machine.name.clone(),
+            nodes: 1,
+            time_per_cell_step_s: t1.secs(),
+        });
+        points.push(Fig2Point {
+            code_state: format!("{state:?}"),
+            machine: machine.name.clone(),
+            nodes: 4096,
+            time_per_cell_step_s: t4096.secs(),
+        });
+    }
+
+    let start = time_per_cell_step(&MachineModel::cori(), CodeState::Baseline2018);
+    let end = time_per_cell_step(&MachineModel::frontier(), CodeState::Async2023);
+    println!(
+        "\ncumulative project speed-up (Cori 2018 -> Frontier 2023): {:.1}x  [paper: ~75x]",
+        start / end
+    );
+    println!(
+        "weak scaling to 4096 Frontier nodes at the 2023 state: {:.1}%  [paper: >80%]",
+        weak_scaling_efficiency(&MachineModel::frontier(), CodeState::Async2023, 4096) * 100.0
+    );
+    write_json("fig2_pele", &points);
+    Ok(())
+}

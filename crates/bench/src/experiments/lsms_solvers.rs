@@ -1,0 +1,97 @@
+//! §3.2 — LSMS: zblock_lu vs rocSOLVER LU, and the index-rearrangement fix.
+
+use crate::{header, vs_paper, write_json, Gate};
+use exa_apps::lsms::{
+    build_kkr_matrix, charge_assembly, solve_tau00, IndexOrdering, Lsms, TauSolver, BLOCK,
+};
+use exa_core::Application;
+use exa_hal::{ApiSurface, Device, Stream};
+use exa_linalg::block_inv::block_lu_flops;
+use exa_linalg::device::DeviceBlas;
+use exa_linalg::lu::{getrf_flops, getrs_flops};
+use exa_linalg::C64;
+use exa_machine::GpuModel;
+use serde::Serialize;
+
+#[derive(Serialize)]
+struct LsmsRecord {
+    matrix_order: usize,
+    zblock_flops: f64,
+    lu_route_flops: f64,
+    zblock_time_us: f64,
+    lu_time_us: f64,
+    assembly_speedup: f64,
+    table2_speedup: f64,
+}
+
+fn hip_stream() -> Stream {
+    Stream::new(Device::new(GpuModel::mi250x_gcd(), 0), ApiSurface::Hip).expect("hip on cdna2")
+}
+
+pub fn run() -> Gate {
+    header("LSMS (§3.2): LIZ tau-matrix solver study on an MI250X GCD");
+    let lib = DeviceBlas::default();
+
+    // Real correctness demonstration at mini scale.
+    let liz = 12;
+    let kkr = build_kkr_matrix(liz, 0.05, 7);
+    let n = kkr.rows();
+    let mut s1 = hip_stream();
+    let (tau_lu, t_lu) = solve_tau00(&mut s1, &lib, &kkr, TauSolver::RocsolverLu);
+    let mut s2 = hip_stream();
+    let (tau_blk, t_blk) = solve_tau00(&mut s2, &lib, &kkr, TauSolver::ZBlockLu);
+    println!(
+        "tau00 agreement (order {n}): max |Δ| = {:.2e}",
+        tau_lu.max_abs_diff(&tau_blk)
+    );
+
+    let zb_flops = block_lu_flops::<C64>(n, BLOCK);
+    let lu_flops = getrf_flops::<C64>(n) + getrs_flops::<C64>(n, BLOCK);
+    println!("\nFLOP counts:  zblock_lu {zb_flops:.3e}   LU route {lu_flops:.3e}");
+    println!("device times: zblock_lu {t_blk}   LU route {t_lu}");
+    let reproduced = zb_flops < lu_flops && t_lu < t_blk;
+    println!(
+        "-> \"the zblock_lu algorithm has a slightly lower total floating point operation \
+         count, [but] we observe better performance for the direct solution\" : {}",
+        if reproduced {
+            "reproduced"
+        } else {
+            "NOT reproduced"
+        }
+    );
+
+    // Index-rearrangement ablation on the assembly kernels.
+    let mut s3 = hip_stream();
+    let t_naive = charge_assembly(&mut s3, 64, IndexOrdering::Interleaved);
+    let mut s4 = hip_stream();
+    let t_fixed = charge_assembly(&mut s4, 64, IndexOrdering::Rearranged);
+    println!(
+        "\nKKR assembly kernels: interleaved indices {t_naive} vs rearranged {t_fixed} \
+         ({:.2}x — \"rearranging these operations achieved significantly improved performance\")",
+        t_naive / t_fixed
+    );
+
+    let speedup = Lsms::default().measure_speedup();
+    println!(
+        "\nper-GPU FePt speed-up Summit -> Frontier: {}",
+        vs_paper(speedup, 7.5)
+    );
+
+    write_json(
+        "lsms_solvers",
+        &LsmsRecord {
+            matrix_order: n,
+            zblock_flops: zb_flops,
+            lu_route_flops: lu_flops,
+            zblock_time_us: t_blk.micros(),
+            lu_time_us: t_lu.micros(),
+            assembly_speedup: t_naive / t_fixed,
+            table2_speedup: speedup,
+        },
+    );
+    if reproduced {
+        Ok(())
+    } else {
+        Err(vec!["zblock_lu vs LU-route crossover not reproduced".into()])
+    }
+}

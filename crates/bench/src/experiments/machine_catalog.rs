@@ -1,0 +1,51 @@
+//! Print the hardware catalog — every machine model in the simulator with
+//! its public-spec parameters (the §4 early-access timeline included).
+
+use crate::{Gate, header, write_json};
+use exa_machine::MachineModel;
+
+pub fn run() -> Gate {
+    header("Machine catalog (public-spec parameters)");
+    let machines = vec![
+        MachineModel::cori(),
+        MachineModel::theta(),
+        MachineModel::eagle(),
+        MachineModel::summit(),
+        MachineModel::poplar(),
+        MachineModel::tulip(),
+        MachineModel::spock(),
+        MachineModel::birch(),
+        MachineModel::crusher(),
+        MachineModel::frontier(),
+    ];
+    println!(
+        "{:<10} {:>5} {:>7} {:<28} {:>5} {:>10} {:>10} {:<26}",
+        "machine", "year", "nodes", "gpu", "gpus", "FP64/GPU", "peak", "fabric"
+    );
+    for m in &machines {
+        let (gpu_name, gpus, tf) = if m.node.has_gpus() {
+            let g = m.node.gpu();
+            (g.name.clone(), m.node.gpus_per_node, g.peak_f64 / 1e12)
+        } else {
+            ("-".into(), 0, 0.0)
+        };
+        println!(
+            "{:<10} {:>5} {:>7} {:<28} {:>5} {:>8.1}TF {:>8.1}PF {:<26}",
+            m.name,
+            m.year,
+            m.nodes,
+            gpu_name,
+            gpus,
+            tf,
+            m.machine_peak_f64() / 1e15,
+            m.interconnect.name
+        );
+    }
+    println!(
+        "\nFrontier FP64 peak {:.2} EF (exascale); Summit {:.0} PF — the OLCF-5 -> OLCF-6 step.",
+        MachineModel::frontier().machine_peak_f64() / 1e18,
+        MachineModel::summit().machine_peak_f64() / 1e15
+    );
+    write_json("machine_catalog", &machines);
+    Ok(())
+}

@@ -1,28 +1,62 @@
 //! # exa-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index), plus criterion microbenchmarks in `benches/`. Every binary
-//! prints the paper's rows/series next to the measured values and writes a
-//! machine-readable JSON record under `target/experiments/`.
+//! Every table, figure and gate of the reproduction is one experiment in
+//! [`experiments`], run through the single `reproduce` binary
+//! (`reproduce list` names them; DESIGN.md §4 maps them to the paper).
+//! Each experiment prints the paper's rows/series next to the measured
+//! values, writes a machine-readable JSON record under
+//! `target/experiments/` (gates also write `BENCH_*.json` at the repo
+//! root), and returns its gate verdict instead of exiting.
 
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+pub mod experiments;
+
+/// What an experiment returns: `Ok` when every gate it checks passed,
+/// else one message per failed check.
+pub type Gate = Result<(), Vec<String>>;
+
+/// `Ok` iff `failures` is empty.
+pub fn gate(failures: Vec<String>) -> Gate {
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures)
+    }
+}
+
+/// The repository root, where the `BENCH_*`/`PROFILE_*` artifacts live.
+pub fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
 
 /// Where experiment JSON records land.
 pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+    let dir = repo_root().join("target/experiments");
     fs::create_dir_all(&dir).expect("can create target/experiments");
     dir
 }
 
+/// Write an artifact and report its path.
+pub fn write_file(path: &Path, contents: &str) {
+    fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("\n[wrote {}]", path.display());
+}
+
+/// Pretty-printed JSON of a record.
+pub fn pretty_json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string_pretty(value).expect("serializable record")
+}
+
 /// Serialize an experiment record to `target/experiments/<name>.json`.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = experiments_dir().join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serializable record");
-    fs::write(&path, json).expect("can write experiment record");
-    println!("\n[wrote {}]", path.display());
+    write_file(
+        &experiments_dir().join(format!("{name}.json")),
+        &pretty_json(value),
+    );
 }
 
 /// Serialize a headline record to `<repo root>/<name>.json`. Used for the
@@ -32,14 +66,14 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 /// queryable across PRs even though each `BENCH_*.json` only shows the
 /// latest run.
 pub fn write_root_json<T: Serialize>(name: &str, value: &T) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serializable record");
-    fs::write(&path, json).expect("can write root record");
+    write_file(
+        &repo_root().join(format!("{name}.json")),
+        &pretty_json(value),
+    );
     append_history(
         name,
         &serde_json::to_string(value).expect("serializable record"),
     );
-    println!("\n[wrote {}]", path.display());
 }
 
 /// The append-only gate trajectory at the repo root: one JSON object per
@@ -58,7 +92,7 @@ fn append_history(name: &str, compact_record: &str) {
         "{{\"ts\": {ts}, \"date\": \"{}\", \"artifact\": \"{name}\", \"record\": {compact_record}}}\n",
         iso8601_utc(ts)
     );
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../{HISTORY_FILE}"));
+    let path = repo_root().join(HISTORY_FILE);
     fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -97,19 +131,89 @@ pub fn median(xs: &mut [f64]) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// Wall-clock seconds of one call of `f` (its result is kept opaque to
+/// the optimizer, then dropped).
+pub fn wall_s<T>(f: impl FnOnce() -> T) -> f64 {
+    let t0 = Instant::now();
+    std::hint::black_box(f());
+    t0.elapsed().as_secs_f64()
+}
+
 /// Median wall-clock seconds of `f` over `reps` runs after `warmup` runs.
-pub fn time_median<F: FnMut()>(warmup: usize, reps: usize, mut f: F) -> f64 {
+pub fn time_median<T>(warmup: usize, reps: usize, mut f: impl FnMut() -> T) -> f64 {
     for _ in 0..warmup {
         f();
     }
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
+    let mut samples: Vec<f64> = (0..reps).map(|_| wall_s(&mut f)).collect();
     median(&mut samples)
+}
+
+/// One row of an ablation table (the `applications` and `substrates`
+/// experiments).
+#[derive(Serialize)]
+pub struct Case {
+    pub name: String,
+    pub median_s: f64,
+}
+
+/// Time one ablation case — [`time_median`] over 10 runs after one
+/// warmup — print it as a table row, and append it to `cases`.
+pub fn time_case<T>(cases: &mut Vec<Case>, name: impl Into<String>, f: impl FnMut() -> T) {
+    let case = Case {
+        name: name.into(),
+        median_s: time_median(1, 10, f),
+    };
+    println!("{:<48} {:>12.2} us", case.name, case.median_s * 1e6);
+    cases.push(case);
+}
+
+/// Outcome of an order-fair A/B comparison ([`time_pairs`]).
+#[derive(Clone, Copy, Debug)]
+pub struct PairTiming {
+    /// Median seconds of side A over the pairs.
+    pub a_s: f64,
+    /// Median seconds of side B over the pairs.
+    pub b_s: f64,
+    /// Median of the per-pair `a / b` ratios.
+    pub ratio: f64,
+}
+
+/// The one A/B timer: `pairs` interleaved pairs of `a` and `b`, each
+/// closure running one sample and returning its own wall seconds (so it
+/// can keep setup out of the timed window). The order alternates per
+/// pair (A first on even pairs, B first on odd) so slow drift — cache
+/// state, background load — cancels instead of biasing one side, and each
+/// side takes the min of 2 runs inside its pair: contention spikes on a
+/// shared host only ever inflate a sample. The ratio is the median of
+/// per-pair ratios, each comparing samples that saw the same drift.
+/// Callers warm both sides first.
+pub fn time_pairs(
+    pairs: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> PairTiming {
+    fn best2(f: &mut impl FnMut() -> f64) -> f64 {
+        let first = f();
+        f().min(first)
+    }
+    let (mut ratios, mut ta, mut tb) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (x, y) = if pair % 2 == 0 {
+            let x = best2(&mut a);
+            (x, best2(&mut b))
+        } else {
+            let y = best2(&mut b);
+            (best2(&mut a), y)
+        };
+        ratios.push(x / y);
+        ta.push(x);
+        tb.push(y);
+    }
+    PairTiming {
+        a_s: median(&mut ta),
+        b_s: median(&mut tb),
+        ratio: median(&mut ratios),
+    }
 }
 
 /// Print a section header.
@@ -144,6 +248,24 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
         assert!(time_median(1, 3, || {}) >= 0.0);
+    }
+
+    #[test]
+    fn time_pairs_alternates_order_and_takes_the_median_ratio() {
+        let order = std::cell::RefCell::new(String::new());
+        let t = time_pairs(
+            3,
+            || {
+                order.borrow_mut().push('a');
+                4.0
+            },
+            || {
+                order.borrow_mut().push('b');
+                2.0
+            },
+        );
+        assert_eq!(order.into_inner(), "aabbbbaaaabb");
+        assert_eq!((t.a_s, t.b_s, t.ratio), (4.0, 2.0, 2.0));
     }
 
     #[test]

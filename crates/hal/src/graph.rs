@@ -16,7 +16,8 @@
 //! one pass over the data where [`Stream::launch_eager`] makes one full
 //! sweep per original kernel — a measurable memory-bandwidth win on the
 //! host, mirroring the HBM-traffic win the fused profile models on the
-//! simulated device (see `crates/bench/benches/graph_fusion.rs`).
+//! simulated device (see the `graph_fusion` experiment,
+//! `crates/bench/src/experiments/graph_fusion.rs`).
 //!
 //! [`Stream::replay_on`]: crate::stream::Stream::replay_on
 //! [`Stream::launch_eager`]: crate::stream::Stream::launch_eager

@@ -17,7 +17,7 @@
 //!   identical at any `EXA_THREADS`), and per-app epoch histograms that
 //!   feed the SLO sentinel (`exa_telemetry::check_slo`).
 //!
-//! The `campaign_load` bin in `exa-bench` replays a zipf-distributed
+//! The `campaign_load` experiment in `exa-bench` replays a zipf-distributed
 //! million-query mix through this engine and gates on p99 latency,
 //! throughput, and cache hit-ratio.
 

@@ -2,9 +2,17 @@
 # Tier-1 verification flow.
 #
 #   1. release build of the whole workspace, then `cargo clippy -D warnings`
-#      over every target — libs, bins, tests, benches, examples (the
-#      workspace is lint-clean; keep it that way);
+#      over every target — libs, bins, tests, examples (the workspace is
+#      lint-clean; keep it that way);
 #   2. full test suite (unit + integration + property);
+#
+# Steps 3-11 are experiments of the one `reproduce` binary (exa-bench),
+# run in two invocations: `reproduce paper` (the eleven paper artifacts —
+# Figure 1, Tables 1-2, Figure 2, the §3 studies; Figure 1 gates its
+# 0.90..=1.05 band) plus the default-thread gates, then the four gates
+# pinned to EXA_THREADS=4. An experiment that fails its gate makes
+# `reproduce` exit non-zero.
+#
 #   3. telemetry export: `profile_export` re-drives the instrumented Pele /
 #      E3SM / GESTS paths and schema-checks its own output (non-empty spans,
 #      totals > 0, counters consistent, Chrome-trace invariants) before
@@ -12,20 +20,20 @@
 #      keeping a per-PR telemetry trajectory next to BENCH_graph_fusion.json;
 #   4. FOM ledger: `fom_ledger` runs the Table-2 campaign, appends to
 #      FOM_LEDGER.json, gates on the regression sentinel, and proves the
-#      sentinel detects an injected 2x slowdown (exit 1 on any failure);
-#   5. overlap bench: the `comm_overlap` bench gates >=1.3x on its own
+#      sentinel detects an injected 2x slowdown;
+#   5. overlap: the `comm_overlap` experiment gates >=1.3x on its own
 #      comm-bound configuration and bit-identical FFT output;
 #   6. parallel substrate: the full test suite re-runs under EXA_THREADS=1
 #      and EXA_THREADS=4 (the scheduler's determinism contract says the
-#      results cannot differ), and the `sim_throughput` bench gates >=4x
+#      results cannot differ), and the `sim_throughput` experiment gates >=4x
 #      on the 256-rank executed Pele step plus the executed 1024-rank
 #      distributed FFT inside its wall budget;
 #   7. substrate observability: `obs_export` re-drives the 256-rank
 #      executed Pele campaign on 4 lanes with the pool/scheduler observer
 #      attached, gates worker occupancy within 10% of wall x lanes, and
 #      validates its own Prometheus + folded + Chrome-trace artifacts;
-#      the `telemetry_overhead` bench re-gates < 5% overhead with the
-#      pool observer and histograms enabled;
+#      the `telemetry_overhead` experiment re-gates < 5% overhead with the
+#      pool observer and histograms enabled (order-fair pair timer);
 #   8. fault scenarios: `fault_scenarios` sweeps checkpoint intervals
 #      against MTBF per Table-2 app (gating the optimum against Young/Daly),
 #      runs the 256-rank Pele campaign under an MTBF failure schedule with
@@ -35,7 +43,7 @@
 #      on a contended fabric with the overlap engine;
 #   9. formatting: `cargo fmt --all -- --check` keeps the workspace
 #      byte-stable under rustfmt, next to the clippy wall;
-#  10. autotuner: the `autotune` bench runs the exa-tune pipeline
+#  10. autotuner: the `autotune` experiment runs the exa-tune pipeline
 #      (enumerate -> cost-select -> persist) over the three fft.* knobs,
 #      proves TUNED.json is byte-identical across two tuner runs, gates
 #      >= 1.25x measured wall on the 1024-rank 128^3 executed FFT round
@@ -50,8 +58,8 @@
 #      that flips exactly the drilled query class from pass to fail. It
 #      rewrites METRICS.prom with the serve + pool metric surface.
 #
-# Every artifact the bins write is then re-checked here through
-# `check_artifact <file> <validator>` — the bins gate themselves, but
+# Every artifact the experiments write is then re-checked here through
+# `check_artifact <file> <validator>` — the experiments gate themselves, but
 # absence or schema drift of the written record is a hard failure too.
 #
 # Any step failing fails the flow.
@@ -64,15 +72,8 @@ cargo fmt --all -- --check
 for threads in 1 4; do
     EXA_THREADS=$threads cargo test -q
 done
-cargo run --release -q -p exa-bench --bin profile_export
-cargo run --release -q -p exa-bench --bin fom_ledger
-cargo bench -q -p exa-bench --bench comm_overlap
-cargo bench -q -p exa-bench --bench sim_throughput
-cargo bench -q -p exa-bench --bench autotune
-EXA_THREADS=4 cargo run --release -q -p exa-bench --bin obs_export
-EXA_THREADS=4 cargo bench -q -p exa-bench --bench telemetry_overhead
-EXA_THREADS=4 cargo run --release -q -p exa-bench --bin fault_scenarios
-EXA_THREADS=4 cargo run --release -q -p exa-bench --bin campaign_load
+cargo run --release -q -p exa-bench --bin reproduce -- paper profile_export fom_ledger comm_overlap sim_throughput autotune
+EXA_THREADS=4 cargo run --release -q -p exa-bench --bin reproduce -- obs_export telemetry_overhead fault_scenarios campaign_load
 
 # --- Artifact schema validators --------------------------------------------
 # Each validator takes the artifact path, prints its own diagnostic, and
@@ -253,4 +254,4 @@ check_artifact BENCH_autotune.json          check_autotune
 check_artifact TUNED.json                   check_tuned_table
 check_artifact BENCH_HISTORY.jsonl          check_bench_history
 
-echo "tier1: build + clippy + fmt + tests (EXA_THREADS=1,4) + telemetry export + fom ledger + overlap + substrate benches + autotune + observability export + fault scenarios + campaign service all green"
+echo "tier1: build + clippy + fmt + tests (EXA_THREADS=1,4) + paper experiments + telemetry export + fom ledger + overlap + substrate benches + autotune + observability export + fault scenarios + campaign service all green"
