@@ -256,13 +256,12 @@ impl Gests {
     /// The Frontier FOM configuration (§3.3: N = 32,768³, 4,096 nodes,
     /// 32,768 ranks — pencils, since 32,768 ranks ≤ N here slabs would also
     /// fit, but the production choice at this memory footprint is pencils).
-    /// The production schedule pipelines the transposes over `fft.overlap_k`
-    /// chunks (frozen at 4) so the Slingshot all-to-alls hide behind the
-    /// FFT stages; the autotuner searches the depth against the costed
-    /// transform's virtual time.
+    /// The production schedule pipelines the transposes over 8 chunks so
+    /// the Slingshot all-to-alls hide behind the FFT stages; the costed
+    /// transform time never rises with depth, so 8 is never beaten by 2 or
+    /// 4 (`overlap_knob_never_slows_a_step`).
     pub fn frontier_target() -> PsdnsRun {
-        PsdnsRun::new(32_768, cal::FRONTIER_NODES as usize * 8, Decomp::Pencils)
-            .with_overlap(exa_tune::knob("fft.overlap_k", 4).max(1))
+        PsdnsRun::new(32_768, cal::FRONTIER_NODES as usize * 8, Decomp::Pencils).with_overlap(8)
     }
 }
 
@@ -459,6 +458,48 @@ mod tests {
         let mut plain = target.clone();
         plain.overlap_chunks = None;
         assert!(target.step_time(&m) <= plain.step_time(&m));
+
+        // Depth 8 is never beaten by blocking, 2 or 4 on the configurations
+        // `Gests::run` places on each GPU machine model.
+        let machines = [
+            MachineModel::summit(),
+            MachineModel::frontier(),
+            MachineModel::cori(),
+            MachineModel::theta(),
+            MachineModel::eagle(),
+        ]
+        .into_iter()
+        .chain(MachineModel::early_access_timeline())
+        .filter(|m| m.node.has_gpus());
+        for m in machines {
+            let scaled_down = PsdnsRun::new(
+                4_096,
+                (m.nodes as usize * m.node.gpus_per_node as usize).min(4_096),
+                Decomp::Slabs,
+            );
+            for base in [
+                Gests::summit_reference(),
+                Gests::frontier_target(),
+                scaled_down,
+            ] {
+                let at = |depth: Option<usize>| {
+                    let mut run = base.clone();
+                    run.overlap_chunks = depth;
+                    run.step_time(&m)
+                };
+                let t8 = at(Some(8));
+                for depth in [None, Some(2), Some(4)] {
+                    assert!(
+                        t8 <= at(depth),
+                        "{} N={} p={}: depth 8 {t8} > {depth:?} {}",
+                        m.name,
+                        base.n,
+                        base.ranks,
+                        at(depth)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

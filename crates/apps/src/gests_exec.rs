@@ -155,8 +155,8 @@ pub fn executed_dns_step(sched: &RankScheduler, cfg: &DnsStep) -> (DnsStepResult
     let mut comm = Comm::new(cfg.ranks, Network::from_machine(&machine));
     comm.attach_telemetry(&collector, "gests_dns");
 
-    // Plan on the persisted knob table; bit-identical to the frozen plan
-    // for every physics output, span, and virtual clock.
+    // The production plan; bit-identical to the reference plan for every
+    // physics output, span, and virtual clock.
     let plan = ExecutedFft3d::tuned(cfg.n);
     let mut grid = DistGrid::from_global(cfg.n, cfg.ranks, &initial_field(cfg.n));
     let energy_before = energy(&mut comm, &grid);
@@ -203,9 +203,9 @@ fn grid_parts(grid: &mut DistGrid) -> &mut [Vec<C64>] {
 
 /// The step's transform window — forward transform, spectral viscous
 /// advance, inverse transform — on an explicit FFT plan. Public so the
-/// `autotune` experiment can time exactly this window under the frozen and the
-/// tuned plan; [`executed_dns_step`] wraps it with setup, energy
-/// accounting and telemetry. Returns the window's virtual elapsed time.
+/// `autotune` experiment can time exactly this window under the reference
+/// and the production plan; [`executed_dns_step`] wraps it with setup,
+/// energy accounting and telemetry. Returns the window's virtual elapsed time.
 pub fn dns_step_window(
     sched: &RankScheduler,
     comm: &mut Comm,

@@ -57,7 +57,7 @@ registry! {
     fom_ledger: gates "FOM ledger + regression sentinel -> FOM_LEDGER.json (gated)",
     comm_overlap: gates "comm/compute overlap >= 1.3x -> BENCH_comm_overlap.json",
     sim_throughput: gates "substrate >= 4x Pele step + executed FFT -> BENCH_sim_throughput.json",
-    autotune: gates "exa-tune -> TUNED.json, >= 1.25x executed FFT -> BENCH_autotune.json",
+    autotune: gates "production vs reference FFT plan, >= 1.25x bit-identical -> BENCH_autotune.json",
     graph_fusion: extra "fused graph replay >= 1.5x eager -> BENCH_graph_fusion.json",
     obs_export: gates "pool occupancy export -> PROFILE_substrate.json, METRICS.prom (gated)",
     telemetry_overhead: gates "collector + pool observer < 5% -> BENCH_telemetry_overhead.json",

@@ -23,15 +23,14 @@ use exa_machine::{GpuModel, SimTime};
 use exa_mpi::{Comm, RankScheduler};
 use exa_telemetry::SpanCat;
 
-/// How a repartition gathers each destination rank's lines
-/// (`fft.gather` knob). Both strategies move the *same elements to the
-/// same places* — the gather is a pure permutation — so they are
-/// interchangeable bit for bit; they differ only in address-computation
-/// cost.
+/// How a repartition gathers each destination rank's lines. Both
+/// strategies move the *same elements to the same places* — the gather is
+/// a pure permutation — so they are interchangeable bit for bit; they
+/// differ only in address-computation cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatherStrategy {
-    /// The frozen baseline: recompute the full coordinate map and owner
-    /// lookup per element.
+enum GatherStrategy {
+    /// The reference: recompute the full coordinate map and owner lookup
+    /// per element.
     Element,
     /// Run-hoisted: for a fixed destination line, the source line index
     /// is affine in the destination offset (`sl = sl0 + off·step`,
@@ -40,18 +39,6 @@ pub enum GatherStrategy {
     /// the previous repartition's buffers as scratch (every element is
     /// overwritten, so no zeroing is needed).
     Run,
-}
-
-impl GatherStrategy {
-    /// Decode the `fft.gather` knob value (0 = element, 1 = run;
-    /// anything else falls back to the frozen strategy).
-    pub fn from_knob(v: i64) -> Self {
-        if v == 1 {
-            GatherStrategy::Run
-        } else {
-            GatherStrategy::Element
-        }
-    }
 }
 
 /// Which axis the distributed lines run along. The layout names follow
@@ -208,40 +195,31 @@ pub struct ExecutedFft3d {
     /// Fraction of vector-FP64 peak the line FFTs achieve (matches the
     /// costed plan's strided-pass efficiency).
     pub compute_eff: f64,
-    /// Repartition gather strategy (`fft.gather`).
+    /// Repartition gather strategy.
     gather: GatherStrategy,
-    /// Lines handed to the line-FFT kernel per call (`fft.line_batch`);
-    /// 1 = one line per call, the frozen value.
-    line_batch: usize,
 }
 
 impl ExecutedFft3d {
-    /// Plan for an `n³` grid on the frozen constants (element gather,
-    /// per-line passes) — the untuned baseline.
+    /// The reference plan for an `n³` grid: the per-element gather into
+    /// fresh buffers. Tests and benchmarks compare the production plan
+    /// against it.
     pub fn new(n: usize) -> Self {
-        Self::with_tuning(n, GatherStrategy::Element, 1)
+        Self::with_gather(n, GatherStrategy::Element)
     }
 
-    /// Plan on the persisted knob table: `fft.gather` and
-    /// `fft.line_batch` from `TUNED.json` (env-overridable), falling
-    /// back to the frozen constants when untuned.
+    /// The production plan: the run-hoisted gather with scratch reuse.
+    /// Bit-identical to [`ExecutedFft3d::new`] on every output, virtual
+    /// clock and communication tally.
     pub fn tuned(n: usize) -> Self {
-        Self::with_tuning(
-            n,
-            GatherStrategy::from_knob(exa_tune::knob_i64("fft.gather", 0)),
-            exa_tune::knob("fft.line_batch", 1).max(1),
-        )
+        Self::with_gather(n, GatherStrategy::Run)
     }
 
-    /// Plan with explicit knob values — what the autotuner's micro-runs
-    /// and the bench baselines use.
-    pub fn with_tuning(n: usize, gather: GatherStrategy, line_batch: usize) -> Self {
+    fn with_gather(n: usize, gather: GatherStrategy) -> Self {
         assert!(n >= 2);
         ExecutedFft3d {
             n,
             compute_eff: 0.10,
             gather,
-            line_batch: line_batch.max(1),
         }
     }
 
@@ -268,15 +246,13 @@ impl ExecutedFft3d {
             (LineAxis::Axis1, true) => "ifft_lines_axis1",
             (LineAxis::Axis0, true) => "ifft_lines_axis0",
         };
-        let group = n * self.line_batch;
         sched.compute_phase(comm, &mut grid.parts, |ctx, part| {
-            // Bit-identical to per-line transforms at any batch size.
-            for lines in part.chunks_mut(group) {
-                if inverse {
-                    ifft_batch(lines, n);
-                } else {
-                    fft_batch(lines, n);
-                }
+            // One batched call over the rank's whole slice: bit-identical
+            // to per-line transforms.
+            if inverse {
+                ifft_batch(part, n);
+            } else {
+                fft_batch(part, n);
             }
             ctx.span(span, SpanCat::Kernel, self.pass_time(gpu, part.len() / n));
         });
@@ -299,11 +275,11 @@ impl ExecutedFft3d {
         let from = grid.axis;
         let src = std::mem::take(&mut grid.parts);
         let mut dst: Vec<Vec<C64>> = match self.gather {
-            // Frozen baseline: fresh zeroed buffers every repartition.
+            // Reference: fresh zeroed buffers every repartition.
             GatherStrategy::Element => (0..ranks)
                 .map(|r| vec![C64::ZERO; split.count(r) * n])
                 .collect(),
-            // Tuned: reuse the previous repartition's retired buffers —
+            // Production: reuse the previous repartition's retired buffers —
             // shapes depend only on (n², ranks), and the gather writes
             // every element, so neither zeroing nor reallocation is
             // needed after the first use.
@@ -398,8 +374,8 @@ impl ExecutedFft3d {
     /// (all-to-all) phase of the transform with the butterfly passes
     /// skipped: initial → axis 1 → axis 0 → axis 1 → initial. Every hop
     /// is a pure permutation, so the grid returns to its starting layout
-    /// bit-for-bit; what remains is exactly the data movement the
-    /// `fft.gather` knob governs, the way the transpose benchmarks of
+    /// bit-for-bit; what remains is exactly the data movement the gather
+    /// strategy governs, the way the transpose benchmarks of
     /// production FFT libraries isolate their all-to-all phase. Returns
     /// the virtual time the cycle took.
     pub fn transpose_cycle(
@@ -712,7 +688,7 @@ mod tests {
             let mut ge = DistGrid::from_global(n, ranks, &orig);
             let mut gr = DistGrid::from_global(n, ranks, &orig);
             let elem = ExecutedFft3d::new(n);
-            let run = ExecutedFft3d::with_tuning(n, GatherStrategy::Run, 1);
+            let run = ExecutedFft3d::tuned(n);
             // Forward and inverse transitions: A2->A1->A0->A1->A2.
             for to in [
                 LineAxis::Axis1,
@@ -737,10 +713,7 @@ mod tests {
         let n = 8;
         let orig = signal(n, 41);
         for ranks in [1, 7, 13, 64] {
-            for plan in [
-                ExecutedFft3d::new(n),
-                ExecutedFft3d::with_tuning(n, GatherStrategy::Run, 1),
-            ] {
+            for plan in [ExecutedFft3d::new(n), ExecutedFft3d::tuned(n)] {
                 let sched = RankScheduler::sequential();
                 let (mut comm, _) = setup(ranks);
                 let mut grid = DistGrid::from_global(n, ranks, &orig);
@@ -778,7 +751,7 @@ mod tests {
                 )
             };
             let frozen = run_plan(ExecutedFft3d::new(n));
-            let tuned = run_plan(ExecutedFft3d::with_tuning(n, GatherStrategy::Run, 4));
+            let tuned = run_plan(ExecutedFft3d::tuned(n));
             assert_eq!(
                 frozen, tuned,
                 "tuned transform must match frozen bit for bit at {ranks} ranks"

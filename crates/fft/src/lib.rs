@@ -26,7 +26,7 @@ pub mod real;
 
 pub use dist3d::{Decomp, DistFft3d};
 pub use exa_linalg::C64;
-pub use executed::{DistGrid, ExecutedFft3d, GatherStrategy, LineAxis};
+pub use executed::{DistGrid, ExecutedFft3d, LineAxis};
 pub use fft1d::{dft_naive, fft, ifft};
 pub use fft3d::{fft3d, ifft3d};
 pub use real::{irfft, rfft};

@@ -163,7 +163,8 @@ impl Tracer {
         &self.events
     }
 
-    /// Aggregate statistics, hottest kernel first. A kernel's reported
+    /// Aggregate statistics, hottest kernel first, equal times in name
+    /// order. A kernel's reported
     /// `bound` is the **time-weighted dominant** classification across its
     /// launches — a kernel that is Latency-bound once but Memory-bound for
     /// the bulk of its device time reports `Memory`.
@@ -223,7 +224,11 @@ impl Tracer {
                 }
             })
             .collect();
-        out.sort_by_key(|k| std::cmp::Reverse(k.total_time));
+        out.sort_by(|a, b| {
+            b.total_time
+                .cmp(&a.total_time)
+                .then_with(|| a.name.cmp(&b.name))
+        });
         out
     }
 
@@ -339,6 +344,22 @@ mod tests {
         let share_sum: f64 = stats.iter().map(|k| k.time_share).sum();
         assert!((share_sum - 1.0).abs() < 1e-12);
         assert!(stats[0].time_share > 0.99);
+    }
+
+    #[test]
+    fn equal_time_hotspots_come_out_in_name_order() {
+        let (mut tracer, _) = setup();
+        // Equal durations, recorded out of name order.
+        for (i, name) in ["zeta", "alpha", "mu", "beta", "omega"]
+            .into_iter()
+            .enumerate()
+        {
+            let k = KernelProfile::new(name, big()).flops(1e9, DType::F64);
+            tracer.record(&k, SimTime::from_secs(i as f64), SimTime::from_secs(1.0));
+        }
+        let stats = tracer.hotspots();
+        let names: Vec<&str> = stats.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(names, ["alpha", "beta", "mu", "omega", "zeta"]);
     }
 
     #[test]

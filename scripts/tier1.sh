@@ -43,14 +43,14 @@
 #      on a contended fabric with the overlap engine;
 #   9. formatting: `cargo fmt --all -- --check` keeps the workspace
 #      byte-stable under rustfmt, next to the clippy wall;
-#  10. autotuner: the `autotune` experiment runs the exa-tune pipeline
-#      (enumerate -> cost-select -> persist) over the three fft.* knobs,
-#      proves TUNED.json is byte-identical across two tuner runs, gates
-#      >= 1.25x measured wall on the 1024-rank 128^3 executed FFT round
-#      trip and its repartition (transpose) cycle, and >= 1.05x on the
-#      4096-rank DNS window, all three bit-identical to frozen; every
-#      BENCH_* write also appends a timestamped line to
-#      BENCH_HISTORY.jsonl, schema-checked below;
+#  10. FFT plans: the `autotune` experiment times the production executed
+#      FFT plan (run-hoisted gather, one batched line-FFT call per rank)
+#      against the reference plan (per-element gather) and gates >= 1.25x
+#      measured wall on the 1024-rank 128^3 round trip and its
+#      repartition (transpose) cycle, and >= 1.05x on the 4096-rank DNS
+#      window, all three bit-identical to the reference; every BENCH_*
+#      write also appends a timestamped line to BENCH_HISTORY.jsonl,
+#      schema-checked below;
 #  11. campaign service: `campaign_load` replays a zipf mix of 1M queries
 #      over the eight Table-2 apps through the memoized `exa-serve` engine,
 #      gating on >= 1M replayed queries, hit-ratio >= 0.9, p99 <= 50 ms,
@@ -178,25 +178,14 @@ check_fault_scenarios() {
 check_autotune() {
     local fft transpose dns bits
     grep -q '"pass": true' "$1" || fail "$1 did not pass its own gate" || return 1
-    grep -q '"table_identical": true' "$1" \
-        || fail "TUNED.json differed across two tuner runs" || return 1
     fft=$(json_num "$1" speedup_fft)
-    num_ok "$fft" '>=' 1.25 || fail "autotuned FFT speedup $fft < 1.25" || return 1
+    num_ok "$fft" '>=' 1.25 || fail "production FFT plan speedup $fft < 1.25" || return 1
     transpose=$(json_num "$1" speedup_transpose)
-    num_ok "$transpose" '>=' 1.25 || fail "autotuned transpose speedup $transpose < 1.25" || return 1
+    num_ok "$transpose" '>=' 1.25 || fail "production transpose speedup $transpose < 1.25" || return 1
     dns=$(json_num "$1" speedup_dns)
-    num_ok "$dns" '>=' 1.05 || fail "autotuned DNS window ratio $dns < 1.05" || return 1
+    num_ok "$dns" '>=' 1.05 || fail "production DNS window ratio $dns < 1.05" || return 1
     bits=$(grep -c '"bit_identical": true' "$1")
     [ "$bits" -ge 3 ] || fail "only $bits bit-identical paths in $1 (need 3)" || return 1
-}
-
-check_tuned_table() {
-    local key
-    grep -q '"knobs"' "$1" || fail "$1 carries no knob table" || return 1
-    for key in fft.gather fft.line_batch fft.overlap_k; do
-        grep -q "\"$key\":" "$1" || fail "$1 is missing the $key knob" || return 1
-    done
-    [ "$(grep -c '^    "' "$1")" -eq 3 ] || fail "$1 must carry exactly the three fft.* knobs" || return 1
 }
 
 check_bench_history() {
@@ -251,7 +240,6 @@ check_artifact BENCH_telemetry_overhead.json check_telemetry_overhead
 check_artifact BENCH_fault_scenarios.json   check_fault_scenarios
 check_artifact BENCH_campaign_service.json  check_campaign_service
 check_artifact BENCH_autotune.json          check_autotune
-check_artifact TUNED.json                   check_tuned_table
 check_artifact BENCH_HISTORY.jsonl          check_bench_history
 
 echo "tier1: build + clippy + fmt + tests (EXA_THREADS=1,4) + paper experiments + telemetry export + fom ledger + overlap + substrate benches + autotune + observability export + fault scenarios + campaign service all green"

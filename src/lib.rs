@@ -30,5 +30,4 @@ pub use exa_mpi as mpi;
 pub use exa_serve as serve;
 pub use exa_shoc as shoc;
 pub use exa_telemetry as telemetry;
-pub use exa_tune as tune;
 pub use workpool;
