@@ -714,14 +714,9 @@ mod interop_tests {
 // interpolation and Weighted Essentially Non-Oscillatory (WENO) limiting.
 // This improvement in arithmetic intensity is better suited to GPUs."
 //
-// Below: a real WENO5 reconstruction (Jiang–Shu weights), the low-order
-// upwind alternative, and the kernel profiles showing why the higher-order
+// Below: a real WENO5 reconstruction (Jiang–Shu weights) and the kernel
+// profiles against a low-order upwind pass, showing why the higher-order
 // scheme maps better onto flop-rich accelerators.
-
-/// First-order upwind face reconstruction: `u_{i+1/2} = u_i`.
-pub fn upwind_faces(u: &[f64]) -> Vec<f64> {
-    u.to_vec()
-}
 
 /// Fifth-order WENO (Jiang–Shu) left-biased face values `u_{i+1/2}` on a
 /// periodic grid.

@@ -45,6 +45,8 @@ const CAMPAIGN_WORK_S: f64 = 24.0 * 3600.0;
 const SWEEP_POINTS: usize = 65;
 /// How far the sweep optimum may sit from Young's τ = √(2δM).
 const YOUNG_TOL: f64 = 0.25;
+/// Fewest sweep points the record must carry, over all apps.
+const MIN_SWEEP_POINTS: usize = 8;
 
 #[derive(Serialize)]
 struct AppSweepRow {
@@ -441,6 +443,19 @@ pub fn run() -> Gate {
     };
 
     // --- Artifact + verdict ------------------------------------------------
+    let total_points: usize = apps.iter().map(|row| row.sweep.len()).sum();
+    must(
+        total_points >= MIN_SWEEP_POINTS,
+        format!("fault sweep has only {total_points} points (need >= {MIN_SWEEP_POINTS})"),
+    );
+    let scenarios = apps.iter().map(|row| &row.scenario).chain([
+        &pele_campaign.scenario,
+        &sentinel_drill.scenario,
+        &degraded_gests.scenario,
+    ]);
+    for scenario in scenarios {
+        must(!scenario.is_empty(), "a record row carries an empty scenario tag".into());
+    }
     let pass = failures_list.is_empty();
     let record = FaultScenariosRecord {
         campaign_work_s: CAMPAIGN_WORK_S,

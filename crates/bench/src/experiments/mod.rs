@@ -51,8 +51,6 @@ registry! {
     user_guide: extra "§5 user guide from the lessons registry",
     campaign_reports: extra "§6 readiness reports over the early-access timeline",
     machine_catalog: extra "§4 machine catalog",
-    applications: extra "mini-app numerics and ablations, wall clock (ungated)",
-    substrates: extra "substrate numerics, wall clock (ungated)",
     profile_export: gates "telemetry export -> PROFILE_pele.json + .trace.json (gated)",
     fom_ledger: gates "FOM ledger + regression sentinel -> FOM_LEDGER.json (gated)",
     comm_overlap: gates "comm/compute overlap >= 1.3x -> BENCH_comm_overlap.json",
@@ -89,7 +87,7 @@ mod tests {
     #[test]
     fn groups_have_their_documented_sizes() {
         let size = |g: &str| ALL.iter().filter(|e| e.group == g).count();
-        assert_eq!((size("paper"), size("gates"), ALL.len()), (11, 9, 28));
+        assert_eq!((size("paper"), size("gates"), ALL.len()), (11, 9, 26));
     }
 
     #[test]

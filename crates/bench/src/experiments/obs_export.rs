@@ -20,14 +20,17 @@
 //!
 //! * `PROFILE_substrate.json` — occupancy summary, pool counters,
 //!   histogram quantiles, and the full [`TelemetrySnapshot`];
-//! * `METRICS.prom` — the snapshot rendered as Prometheus text exposition;
 //! * `PROFILE_pele.folded` — collapsed stacks of the unified timeline
 //!   (feed to `flamegraph.pl` or paste into speedscope.app).
 //!
+//! The snapshot is also rendered as Prometheus text and validated in
+//! memory; the repo-root `METRICS.prom` is `campaign_load`'s alone.
+//!
 //! The experiment is its own acceptance gate: the Chrome trace, Prometheus
-//! text, and folded stacks must all re-validate; worker tracks must be
-//! non-empty; and per-worker busy time must sum to within 10% of the
-//! fan-out wall time × lane count (a poorly packed pool fails the run).
+//! text, and folded stacks must all re-validate, and the folded stacks
+//! must carry `;task ` worker frames; worker tracks must be non-empty; and
+//! per-worker busy time must sum to within 10% of the fan-out wall time ×
+//! lane count (a poorly packed pool fails the run).
 
 use crate::{gate, header, pretty_json, repo_root, write_file, Gate};
 use exa_apps::pele_exec::{chemistry_campaign_observed, ChemCampaign, ChemKernel};
@@ -237,6 +240,10 @@ pub fn run() -> Gate {
         Err(e) => must(false, format!("folded stacks invalid: {e}")),
     }
     must(
+        folded.contains(";task "),
+        "folded stacks carry no `;task ` worker frames".into(),
+    );
+    must(
         result.newton_total > 0,
         "campaign did no Newton iterations".into(),
     );
@@ -265,7 +272,6 @@ pub fn run() -> Gate {
 
     let root = repo_root();
     write_file(&root.join("PROFILE_substrate.json"), &pretty_json(&record));
-    write_file(&root.join("METRICS.prom"), &prom);
     // Feed to flamegraph.pl or paste into speedscope.app.
     write_file(&root.join("PROFILE_pele.folded"), &folded);
 

@@ -17,8 +17,7 @@
 //!
 //! Both paths must be bit-identical to the 1-thread schedule — the pool
 //! buys wall-clock only, never different answers. Results land in
-//! `BENCH_sim_throughput.json` at the repo root; the tier-1 harness
-//! schema-checks that file.
+//! `BENCH_sim_throughput.json` at the repo root.
 
 use crate::{median, wall_s, write_root_json, Gate};
 use exa_apps::gests_exec::{executed_dns_step, DnsStep};
@@ -110,10 +109,9 @@ pub fn run() -> Gate {
         bit_identical: fft_identical,
     };
 
-    let pass = speedup_vs_gmres >= SPEEDUP_REQUIRED
-        && bit_identical
-        && fft_identical
-        && fft_wall <= FFT_BUDGET_S;
+    let fft_in_budget = fft_wall > 0.0 && fft_wall <= FFT_BUDGET_S;
+    let pass =
+        speedup_vs_gmres >= SPEEDUP_REQUIRED && bit_identical && fft_identical && fft_in_budget;
     let record = Record {
         config: format!(
             "ranks={} cells/rank={} substeps={} dt={}",
@@ -156,9 +154,9 @@ pub fn run() -> Gate {
             "substrate must clear {SPEEDUP_REQUIRED}x on the 256-rank Pele step: {speedup_vs_gmres:.2}x"
         ));
     }
-    if fft_wall > FFT_BUDGET_S {
+    if !fft_in_budget {
         failures.push(format!(
-            "executed FFT milestone took {fft_wall:.2} s, over its {FFT_BUDGET_S} s budget"
+            "executed FFT milestone took {fft_wall:.2} s, outside its (0, {FFT_BUDGET_S}] s budget"
         ));
     }
     crate::gate(failures)

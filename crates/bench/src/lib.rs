@@ -82,16 +82,22 @@ pub fn write_root_json<T: Serialize>(name: &str, value: &T) {
 /// [`write_root_json`] call.
 pub const HISTORY_FILE: &str = "BENCH_HISTORY.jsonl";
 
+/// One [`HISTORY_FILE`] line (newline-terminated) for the artifact `name`
+/// written at unix second `ts`.
+fn history_line(ts: u64, name: &str, compact_record: &str) -> String {
+    format!(
+        "{{\"ts\": {ts}, \"date\": \"{}\", \"artifact\": \"{name}\", \"record\": {compact_record}}}\n",
+        iso8601_utc(ts)
+    )
+}
+
 fn append_history(name: &str, compact_record: &str) {
     use std::io::Write;
     let ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let line = format!(
-        "{{\"ts\": {ts}, \"date\": \"{}\", \"artifact\": \"{name}\", \"record\": {compact_record}}}\n",
-        iso8601_utc(ts)
-    );
+    let line = history_line(ts, name, compact_record);
     let path = repo_root().join(HISTORY_FILE);
     fs::OpenOptions::new()
         .create(true)
@@ -146,25 +152,6 @@ pub fn time_median<T>(warmup: usize, reps: usize, mut f: impl FnMut() -> T) -> f
     }
     let mut samples: Vec<f64> = (0..reps).map(|_| wall_s(&mut f)).collect();
     median(&mut samples)
-}
-
-/// One row of an ablation table (the `applications` and `substrates`
-/// experiments).
-#[derive(Serialize)]
-pub struct Case {
-    pub name: String,
-    pub median_s: f64,
-}
-
-/// Time one ablation case — [`time_median`] over 10 runs after one
-/// warmup — print it as a table row, and append it to `cases`.
-pub fn time_case<T>(cases: &mut Vec<Case>, name: impl Into<String>, f: impl FnMut() -> T) {
-    let case = Case {
-        name: name.into(),
-        median_s: time_median(1, 10, f),
-    };
-    println!("{:<48} {:>12.2} us", case.name, case.median_s * 1e6);
-    cases.push(case);
 }
 
 /// Outcome of an order-fair A/B comparison ([`time_pairs`]).
@@ -266,6 +253,29 @@ mod tests {
         );
         assert_eq!(order.into_inner(), "aabbbbaaaabb");
         assert_eq!((t.a_s, t.b_s, t.ratio), (4.0, 2.0, 2.0));
+    }
+
+    #[test]
+    fn history_line_matches_the_history_schema_and_round_trips() {
+        let ts = 1_754_524_800 + 3_661;
+        let line = history_line(ts, "BENCH_autotune", r#"{"speedup":1.5,"pass":true}"#);
+        let body = line.strip_suffix('\n').expect("newline-terminated");
+        assert!(!body.contains('\n'), "one line per record: {line}");
+        assert!(
+            body.starts_with(&format!(
+                "{{\"ts\": {ts}, \"date\": \"2025-08-07T01:01:01Z\", \
+                 \"artifact\": \"BENCH_autotune\", \"record\": {{"
+            )),
+            "{body}"
+        );
+        let doc = exa_telemetry::parse_json(body).expect("valid JSON");
+        assert_eq!(doc.get("ts").and_then(|v| v.as_u64()), Some(ts));
+        assert_eq!(
+            doc.get("artifact").and_then(|v| v.as_str()),
+            Some("BENCH_autotune")
+        );
+        let rec = doc.get("record").expect("record object");
+        assert_eq!(rec.get("speedup").and_then(|v| v.as_f64()), Some(1.5));
     }
 
     #[test]
