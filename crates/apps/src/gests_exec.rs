@@ -14,8 +14,10 @@
 //! time, snapshot and trace digests, the ledger record — is bit-identical
 //! at any thread count: per-rank math is interleaving-free and the
 //! scheduler merges clocks and spans deterministically.
+//! Its virtual time equals [`costed_dns_step`], the costed price of the
+//! same plan, bit for bit.
 
-use exa_fft::{DistGrid, ExecutedFft3d, C64};
+use exa_fft::{Decomp, DistFft3d, DistGrid, ExecutedFft3d, TransposePlan, C64};
 use exa_machine::{GpuModel, MachineModel, SimTime};
 use exa_mpi::{Comm, Network, RankScheduler};
 use exa_telemetry::{digest64, FomKind, FomRecord, SpanCat, TelemetryCollector};
@@ -144,6 +146,29 @@ fn energy(comm: &mut Comm, grid: &DistGrid) -> f64 {
     partials[0][0]
 }
 
+/// Per-rank virtual time of the spectral advance: ~10 flops per point.
+fn advance_time(cfg: &DnsStep, gpu: &GpuModel) -> SimTime {
+    let n = cfg.n;
+    SimTime::from_secs(10.0 * (n * n * n) as f64 / (cfg.ranks as f64 * gpu.peak_f64 * 0.2))
+}
+
+/// The virtual time [`executed_dns_step`] reports, priced instead of
+/// executed: the costed transform charges the same line plan.
+pub fn costed_dns_step(cfg: &DnsStep) -> SimTime {
+    let machine = MachineModel::frontier();
+    let gpu = machine.node.gpu();
+    let mut comm = Comm::new(cfg.ranks, Network::from_machine(&machine));
+    // `energy` reduces one f64 per rank before the window opens.
+    comm.allreduce(8);
+    let cost = DistFft3d::new(cfg.n, Decomp::Pencils);
+    let plan = TransposePlan::lines(cfg.n, cfg.ranks);
+    let t0 = comm.elapsed();
+    cost.charge_plan(&mut comm, gpu, &plan);
+    comm.advance_all(advance_time(cfg, gpu));
+    cost.charge_plan(&mut comm, gpu, &plan.reversed());
+    comm.elapsed() - t0
+}
+
 /// Run one executed PSDNS step; returns the result and its FOM record.
 ///
 /// Schedule: forward transform → spectral advance (`û *= e^{-ν k² dt}`,
@@ -195,12 +220,6 @@ pub fn executed_dns_step(sched: &RankScheduler, cfg: &DnsStep) -> (DnsStepResult
     )
 }
 
-/// Borrow the grid's per-rank parts mutably (the spectral advance runs in
-/// place on whatever layout the grid is in).
-fn grid_parts(grid: &mut DistGrid) -> &mut [Vec<C64>] {
-    grid.parts_mut()
-}
-
 /// The step's transform window — forward transform, spectral viscous
 /// advance, inverse transform — on an explicit FFT plan. Public so the
 /// `autotune` experiment can time exactly this window under the reference
@@ -220,10 +239,9 @@ pub fn dns_step_window(
     // Spectral advance in the post-forward layout: lines run along axis 0,
     // line index is i1·n + i2 — so one pass over each rank's lines sees
     // every (k0, k1, k2) it owns. Integrating-factor advance is exact for
-    // the viscous term. ~10 flops/point against the GPU's vector peak.
+    // the viscous term.
     let n = cfg.n;
-    let decay_time =
-        SimTime::from_secs(10.0 * (n * n * n) as f64 / (cfg.ranks as f64 * gpu.peak_f64 * 0.2));
+    let decay_time = advance_time(cfg, gpu);
     let split_base = (n * n) / cfg.ranks;
     let split_rem = (n * n) % cfg.ranks;
     let (dt, nu) = (cfg.dt, cfg.viscosity);
@@ -239,7 +257,7 @@ pub fn dns_step_window(
     let decay: Vec<f64> = (0..=3 * (n / 2) * (n / 2))
         .map(|k2sum| (-nu * k2sum as f64 * dt).exp())
         .collect();
-    sched.compute_phase(comm, grid_parts(grid), |ctx, part| {
+    sched.compute_phase(comm, grid.parts_mut(), |ctx, part| {
         let r = ctx.rank();
         let start = r * split_base + r.min(split_rem);
         for (li, line) in part.chunks_mut(n).enumerate() {
@@ -316,7 +334,7 @@ mod tests {
         let split_base = (n * n) / cfg.ranks;
         let split_rem = (n * n) % cfg.ranks;
         let (dt, nu) = (cfg.dt, cfg.viscosity);
-        sched.compute_phase(comm, grid_parts(grid), |ctx, part| {
+        sched.compute_phase(comm, grid.parts_mut(), |ctx, part| {
             let r = ctx.rank();
             let start = r * split_base + r.min(split_rem);
             for (li, line) in part.chunks_mut(n).enumerate() {
@@ -360,6 +378,20 @@ mod tests {
                 per_point_exp_window(&sched, comm, &gpu, &plan, &cfg, grid);
             });
             assert_eq!(table, per_point, "decay table differs at n = {n}");
+        }
+    }
+
+    #[test]
+    fn executed_step_takes_the_costed_price_of_its_plan() {
+        let sched = RankScheduler::new();
+        for ranks in [1, 12, 61, 64] {
+            let cfg = DnsStep { ranks, ..small() };
+            let (res, _) = executed_dns_step(&sched, &cfg);
+            assert_eq!(
+                res.elapsed.secs().to_bits(),
+                costed_dns_step(&cfg).secs().to_bits(),
+                "{ranks} ranks"
+            );
         }
     }
 

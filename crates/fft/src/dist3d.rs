@@ -9,12 +9,16 @@
 //! ranks."
 //!
 //! The math is performed once on the global array (numerically identical to
-//! a local [`crate::fft3d::fft3d`]); *time* is charged per the chosen
-//! decomposition: local FFT stages on each rank's device plus the transpose
-//! all-to-alls on the communicator.
+//! a local [`crate::fft3d::fft3d`]); *time* is the price of the
+//! decomposition's [`TransposePlan`]: local FFT stages on each rank's device
+//! plus the transpose all-to-alls on the communicator. [`DistFft3d::plan`]
+//! builds the plan in closed form, and [`DistFft3d::charge_plan`] prices
+//! any plan — including the line plan the executed transform runs, whose
+//! virtual time it reproduces bit for bit.
 
 use crate::fft1d::fft_flops;
 use crate::fft3d::{fft3d, ifft3d};
+use crate::plan::{Split, Transpose, TransposePlan};
 use exa_linalg::C64;
 use exa_machine::{DType, GpuModel, KernelProfile, LaunchConfig, SimTime};
 use exa_mpi::{Comm, Overlap};
@@ -30,14 +34,6 @@ pub enum Decomp {
 }
 
 impl Decomp {
-    /// Transposes per (forward or inverse) transform.
-    pub fn transposes(self) -> usize {
-        match self {
-            Decomp::Slabs => 1,
-            Decomp::Pencils => 2,
-        }
-    }
-
     /// Maximum usable MPI ranks for an `n³` grid.
     pub fn max_ranks(self, n: usize) -> usize {
         match self {
@@ -46,6 +42,9 @@ impl Decomp {
         }
     }
 }
+
+/// Fraction of compute peak FFT butterflies achieve.
+const COMPUTE_EFF: f64 = 0.18;
 
 /// A distributed 3-D FFT plan.
 #[derive(Debug, Clone)]
@@ -57,21 +56,10 @@ pub struct DistFft3d {
     /// Fraction of GPU memory bandwidth an FFT stage achieves (strided
     /// passes keep this below STREAM).
     pub mem_eff: f64,
-    /// Fraction of compute peak FFT butterflies achieve.
-    pub compute_eff: f64,
     /// Pipeline the transposes over this many chunks, overlapping each
     /// chunk's collective with the neighbouring FFT stages' compute
     /// (`None` = blocking transposes, the BSP schedule).
     pub overlap_chunks: Option<usize>,
-}
-
-/// `split_bytes(total, parts, idx)`: the `idx`-th share of `total` bytes
-/// split into `parts` near-equal pieces, remainder spread over the leading
-/// pieces — so the shares always sum back to `total` exactly.
-fn split_bytes(total: u64, parts: usize, idx: usize) -> u64 {
-    debug_assert!(idx < parts);
-    let parts = parts as u64;
-    total / parts + u64::from((idx as u64) < total % parts)
 }
 
 impl DistFft3d {
@@ -82,13 +70,12 @@ impl DistFft3d {
             n,
             decomp,
             mem_eff: 0.70,
-            compute_eff: 0.18,
             overlap_chunks: None,
         }
     }
 
-    /// Pipeline the transposes over `chunks` chunks (clamped internally so
-    /// per-chunk latency can never make the pipeline slower than blocking).
+    /// Pipeline the transposes over `chunks` chunks (at most one per remote
+    /// partner of each transpose).
     pub fn with_overlap(mut self, chunks: usize) -> Self {
         assert!(chunks >= 1);
         self.overlap_chunks = Some(chunks);
@@ -121,8 +108,15 @@ impl DistFft3d {
             .flops(flops, DType::C64)
             .bytes(bytes, bytes / 2.0)
             .regs(64)
-            .compute_eff(self.compute_eff)
+            .compute_eff(COMPUTE_EFF)
             .mem_eff(self.mem_eff)
+    }
+
+    /// Virtual time one rank spends on its local FFT passes of a whole
+    /// transform over `ranks` ranks: the kernel plus one launch. A plan's
+    /// pass `i` takes `passes[i]` of it.
+    pub(crate) fn local_time(&self, gpu: &GpuModel, ranks: usize) -> SimTime {
+        gpu.kernel_time(&self.local_profile(ranks)) + gpu.launch_latency
     }
 
     /// Per-partner payloads of one transpose as seen by `rank`: the rank's
@@ -133,10 +127,9 @@ impl DistFft3d {
     /// — no rounding loss (see the conservation test).
     pub fn transpose_pair_bytes(&self, ranks: usize, group: usize, rank: usize) -> Vec<u64> {
         assert!(group >= 1 && rank < ranks);
-        let local_bytes = split_bytes(self.total_points() * 16, ranks, rank);
-        (0..group)
-            .map(|g| split_bytes(local_bytes, group, g))
-            .collect()
+        let local_bytes = Split::new(self.total_points() as usize * 16, ranks).count(rank);
+        let shares = Split::new(local_bytes, group);
+        (0..group).map(|g| shares.count(g) as u64).collect()
     }
 
     /// The transpose group size for `ranks` ranks: everyone for slabs, a
@@ -151,15 +144,20 @@ impl DistFft3d {
         }
     }
 
-    /// Chunk `i` of the remote partner list: a contiguous run of exchange
-    /// rounds. Chunking by *partner* (not by slicing every payload) keeps
-    /// the pipeline's total latency at the blocking schedule's `(group−1)·α`
-    /// — a volume slice would re-pay every round's α per chunk and eat the
-    /// overlap gain at scale.
-    fn chunk_pairs(remote: &[u64], chunks: usize, i: usize) -> &[u64] {
-        let lo = i * remote.len() / chunks;
-        let hi = (i + 1) * remote.len() / chunks;
-        &remote[lo..hi]
+    /// The closed-form plan of this decomposition on `ranks` ranks. Slabs:
+    /// a 2-D FFT stage (2/3 of the work), one global transpose, a 1-D
+    /// stage. Pencils: three 1-D stages with two transposes inside
+    /// √p-sized row/column groups. Rank 0 carries the remainder shares, so
+    /// its schedule paces every transpose.
+    pub fn plan(&self, ranks: usize) -> TransposePlan {
+        let group = self.transpose_group(ranks);
+        let pairs = self.transpose_pair_bytes(ranks, group, 0);
+        let t = Transpose::new(group, pairs.into_iter().skip(1));
+        let (passes, transposes) = match self.decomp {
+            Decomp::Slabs => (vec![2.0 / 3.0, 1.0 / 3.0], vec![t]),
+            Decomp::Pencils => (vec![1.0 / 3.0; 3], vec![t.clone(), t]),
+        };
+        TransposePlan { passes, transposes }
     }
 
     /// Charge one forward (or inverse — same cost) transform on `comm`,
@@ -173,68 +171,46 @@ impl DistFft3d {
             self.decomp.max_ranks(self.n),
             self.n
         );
+        self.charge_plan(comm, gpu, &self.plan(ranks))
+    }
+
+    /// Price one transform that runs `plan` on `comm`, with local stages
+    /// executing on `gpu`. Returns the elapsed span.
+    ///
+    /// Overlapped, each transpose is one pipeline over contiguous runs of
+    /// its partners (chunking by partner keeps the blocking schedule's
+    /// rounds·α; slicing every payload would re-pay α per chunk). Its
+    /// exchanges fly while the pass after it consumes the previous chunk,
+    /// and the first transpose also overlaps the pass before it, which
+    /// produces its payload chunk by chunk; a later transpose's payload
+    /// already exists when its pipeline starts.
+    pub fn charge_plan(&self, comm: &mut Comm, gpu: &GpuModel, plan: &TransposePlan) -> SimTime {
         let start = comm.elapsed();
-        let local = gpu.kernel_time(&self.local_profile(ranks)) + gpu.launch_latency;
-        let group = self.transpose_group(ranks);
-        // Rank 0 carries the remainder shares, so its schedule paces the
-        // transpose.
-        let pairs = self.transpose_pair_bytes(ranks, group, 0);
-        let remote = &pairs[1..];
-        match (self.decomp, self.overlap_chunks) {
-            (Decomp::Slabs, None) => {
-                // 2-D FFT stage (2/3 of work), global transpose, 1-D stage.
-                comm.advance_all(local * (2.0 / 3.0));
-                comm.alltoallv(remote);
-                comm.advance_all(local * (1.0 / 3.0));
+        let local = self.local_time(gpu, comm.size());
+        let Some(k) = self.overlap_chunks else {
+            comm.advance_all(local * plan.passes[0]);
+            for (t, &pass) in plan.transposes.iter().zip(&plan.passes[1..]) {
+                comm.alltoallv(t.group, &t.peers);
+                comm.advance_all(local * pass);
             }
-            (Decomp::Pencils, None) => {
-                // Three 1-D stages with two transposes inside √p-sized
-                // row/column groups.
-                comm.advance_all(local * (1.0 / 3.0));
-                comm.alltoallv_grouped(group, remote);
-                comm.advance_all(local * (1.0 / 3.0));
-                comm.alltoallv_grouped(group, remote);
-                comm.advance_all(local * (1.0 / 3.0));
-            }
-            (Decomp::Slabs, Some(k)) => {
-                // One pipeline: each chunk's partner exchanges fly while the
-                // 2-D stage produces the next chunk and the 1-D stage
-                // consumes the previous one.
-                let k = k.min(remote.len()).max(1);
-                let (produce, consume) = (
-                    local * (2.0 / 3.0) / k as f64,
-                    local * (1.0 / 3.0) / k as f64,
-                );
-                Overlap::pipeline(
-                    comm,
-                    k,
-                    |c, _| c.advance_all(produce),
-                    |c, i| c.ialltoallv(Self::chunk_pairs(remote, k, i)),
-                    |c, _| c.advance_all(consume),
-                );
-            }
-            (Decomp::Pencils, Some(k)) => {
-                // First transpose overlaps stages 1 and 2; by the time the
-                // second pipeline starts every chunk of its payload already
-                // exists, so it only overlaps stage 3 on the consume side.
-                let stage = local * (1.0 / 3.0);
-                let k = k.min(remote.len()).max(1);
-                let per_chunk = stage / k as f64;
-                Overlap::pipeline(
-                    comm,
-                    k,
-                    |c, _| c.advance_all(per_chunk),
-                    |c, i| c.ialltoallv_grouped(group, Self::chunk_pairs(remote, k, i)),
-                    |c, _| c.advance_all(per_chunk),
-                );
-                Overlap::pipeline(
-                    comm,
-                    k,
-                    |_, _| {},
-                    |c, i| c.ialltoallv_grouped(group, Self::chunk_pairs(remote, k, i)),
-                    |c, _| c.advance_all(per_chunk),
-                );
-            }
+            return comm.elapsed() - start;
+        };
+        for (i, (t, &pass)) in plan.transposes.iter().zip(&plan.passes[1..]).enumerate() {
+            let m = t.peers.len();
+            let k = k.min(m).max(1);
+            let produce = if i == 0 {
+                local * plan.passes[0] / k as f64
+            } else {
+                SimTime::ZERO
+            };
+            let consume = local * pass / k as f64;
+            Overlap::pipeline(
+                comm,
+                k,
+                |c, _| c.advance_all(produce),
+                |c, j| c.ialltoallv(t.group, &t.peers[j * m / k..(j + 1) * m / k]),
+                |c, _| c.advance_all(consume),
+            );
         }
         comm.elapsed() - start
     }
@@ -274,9 +250,10 @@ mod tests {
         let n = 64;
         assert_eq!(Decomp::Slabs.max_ranks(n), 64);
         assert_eq!(Decomp::Pencils.max_ranks(n), 4096);
-        assert_eq!(Decomp::Slabs.transposes(), 1);
-        assert_eq!(Decomp::Pencils.transposes(), 2);
         let plan = DistFft3d::new(n, Decomp::Slabs);
+        assert_eq!(plan.plan(64).transposes.len(), 1);
+        let pencils = DistFft3d::new(n, Decomp::Pencils);
+        assert_eq!(pencils.plan(4096).transposes.len(), 2);
         assert!(plan.supports_ranks(64));
         assert!(!plan.supports_ranks(65));
     }

@@ -9,6 +9,15 @@
 //! `p ≤ N²` ranks this executes the *Pencils*-style schedule of §3.3 —
 //! every pass transforms complete lines that are local to one rank.
 //!
+//! Virtual time: the grid carries its [`TransposePlan::lines`] plan, built
+//! once from rank 0's reads. Every rank's pass is charged the costed
+//! transform's per-rank pass time (the `local_profile` kernel plus one
+//! launch, split by the plan's pass shares), and every repartition as the
+//! plan's transpose, through the same all-to-all call
+//! [`DistFft3d::charge_plan`] makes. So `forward` takes exactly the costed
+//! price of the grid's plan and `inverse` that of the reversed plan, bit for
+//! bit and with equal [`exa_mpi::CommStats`], as the tests assert.
+//!
 //! Determinism: per-rank work is a pure function of the rank's slice, and
 //! the scheduler's virtual-time merge orders clocks and spans by rank, so
 //! results, traces and timings are bit-identical at any thread count. The
@@ -17,7 +26,9 @@
 //! same values, axes in the same order) — a property the tests assert with
 //! `to_bits`.
 
-use crate::fft1d::{fft_batch, fft_flops, ifft_batch};
+use crate::dist3d::{Decomp, DistFft3d};
+use crate::fft1d::{fft_batch, ifft_batch};
+use crate::plan::{Split, TransposePlan};
 use exa_linalg::C64;
 use exa_machine::{GpuModel, SimTime};
 use exa_mpi::{Comm, RankScheduler};
@@ -57,7 +68,7 @@ pub enum LineAxis {
 
 impl LineAxis {
     /// `(line, offset)` of global element `(i0, i1, i2)` in this layout.
-    fn index(self, n: usize, i0: usize, i1: usize, i2: usize) -> (usize, usize) {
+    pub(crate) fn index(self, n: usize, i0: usize, i1: usize, i2: usize) -> (usize, usize) {
         match self {
             LineAxis::Axis2 => (i0 * n + i1, i2),
             LineAxis::Axis1 => (i0 * n + i2, i1),
@@ -66,45 +77,11 @@ impl LineAxis {
     }
 
     /// Global element `(i0, i1, i2)` at `(line, offset)` of this layout.
-    fn coords(self, n: usize, line: usize, off: usize) -> (usize, usize, usize) {
+    pub(crate) fn coords(self, n: usize, line: usize, off: usize) -> (usize, usize, usize) {
         match self {
             LineAxis::Axis2 => (line / n, line % n, off),
             LineAxis::Axis1 => (line / n, off, line % n),
             LineAxis::Axis0 => (off, line / n, line % n),
-        }
-    }
-}
-
-/// Contiguous near-equal split of `total` lines over `ranks`: the first
-/// `total % ranks` ranks get one extra line.
-#[derive(Debug, Clone, Copy)]
-struct LineSplit {
-    base: usize,
-    rem: usize,
-}
-
-impl LineSplit {
-    fn new(total: usize, ranks: usize) -> Self {
-        LineSplit {
-            base: total / ranks,
-            rem: total % ranks,
-        }
-    }
-
-    fn start(&self, rank: usize) -> usize {
-        rank * self.base + rank.min(self.rem)
-    }
-
-    fn count(&self, rank: usize) -> usize {
-        self.base + usize::from(rank < self.rem)
-    }
-
-    fn owner(&self, line: usize) -> usize {
-        let fat = self.rem * (self.base + 1);
-        if line < fat {
-            line / (self.base + 1)
-        } else {
-            self.rem + (line - fat) / self.base
         }
     }
 }
@@ -122,16 +99,18 @@ pub struct DistGrid {
     /// the gather overwrites every element, so stale contents are
     /// harmless. Never read as data.
     scratch: Vec<Vec<C64>>,
+    /// The transform's plan over this layout.
+    plan: TransposePlan,
 }
 
 impl DistGrid {
     /// Scatter a canonical-order (`data[(i0·n + i1)·n + i2]`) global array
     /// into the initial [`LineAxis::Axis2`] layout over `ranks` ranks.
-    /// Requires `2 ≤ ranks ≤ n²` so every pass keeps whole lines local.
+    /// Requires `1 ≤ ranks ≤ n²` so every pass keeps whole lines local.
     pub fn from_global(n: usize, ranks: usize, data: &[C64]) -> Self {
         assert_eq!(data.len(), n * n * n, "global array must be n^3");
-        assert!(ranks >= 1 && ranks <= n * n, "need 1 <= ranks <= n^2");
-        let split = LineSplit::new(n * n, ranks);
+        let plan = TransposePlan::lines(n, ranks);
+        let split = Split::new(n * n, ranks);
         let parts = (0..ranks)
             .map(|r| {
                 let (s, c) = (split.start(r), split.count(r));
@@ -143,6 +122,7 @@ impl DistGrid {
             axis: LineAxis::Axis2,
             parts,
             scratch: Vec::new(),
+            plan,
         }
     }
 
@@ -172,7 +152,7 @@ impl DistGrid {
     /// layout the grid is currently in.
     pub fn gather_global(&self) -> Vec<C64> {
         let n = self.n;
-        let split = LineSplit::new(n * n, self.parts.len());
+        let split = Split::new(n * n, self.parts.len());
         let mut out = vec![C64::ZERO; n * n * n];
         for (r, part) in self.parts.iter().enumerate() {
             let start = split.start(r);
@@ -192,9 +172,8 @@ impl DistGrid {
 pub struct ExecutedFft3d {
     /// Grid size per dimension.
     pub n: usize,
-    /// Fraction of vector-FP64 peak the line FFTs achieve (matches the
-    /// costed plan's strided-pass efficiency).
-    pub compute_eff: f64,
+    /// The costed transform whose pass times this plan charges.
+    cost: DistFft3d,
     /// Repartition gather strategy.
     gather: GatherStrategy,
 }
@@ -215,27 +194,33 @@ impl ExecutedFft3d {
     }
 
     fn with_gather(n: usize, gather: GatherStrategy) -> Self {
-        assert!(n >= 2);
         ExecutedFft3d {
             n,
-            compute_eff: 0.10,
+            cost: DistFft3d::new(n, Decomp::Pencils),
             gather,
         }
     }
 
-    /// Virtual time one rank spends transforming `lines` local lines.
-    fn pass_time(&self, gpu: &GpuModel, lines: usize) -> SimTime {
-        SimTime::from_secs(lines as f64 * fft_flops(self.n) / (gpu.peak_f64 * self.compute_eff))
+    /// Check that `grid` matches this plan and `comm`, and starts in `axis`.
+    fn check(&self, comm: &Comm, grid: &DistGrid, axis: LineAxis) {
+        assert_eq!(grid.n, self.n);
+        assert_eq!(
+            grid.ranks(),
+            comm.size(),
+            "one communicator rank per grid rank"
+        );
+        assert_eq!(grid.axis, axis, "the grid starts in the wrong layout");
     }
 
-    /// One line-FFT pass over the layout the grid is currently in.
+    /// One line-FFT pass over the layout the grid is currently in; every
+    /// rank is charged `dt`.
     fn fft_pass(
         &self,
         sched: &RankScheduler,
         comm: &mut Comm,
-        gpu: &GpuModel,
         grid: &mut DistGrid,
         inverse: bool,
+        dt: SimTime,
     ) {
         let n = self.n;
         let span = match (grid.axis, inverse) {
@@ -254,14 +239,17 @@ impl ExecutedFft3d {
             } else {
                 fft_batch(part, n);
             }
-            ctx.span(span, SpanCat::Kernel, self.pass_time(gpu, part.len() / n));
+            ctx.span(span, SpanCat::Kernel, dt);
         });
     }
 
     /// Repartition the grid into `to`-layout lines: every destination rank
     /// gathers its lines positionally from the source layout (a pure
-    /// permutation — no arithmetic touches the values), and the transpose
-    /// is charged as the all-to-all its actual per-peer volumes imply.
+    /// permutation — no arithmetic touches the values), and the hop is
+    /// charged as the grid plan's transpose between the two layouts. A
+    /// hop and its reverse move the same volumes (swap the two axes they
+    /// exchange), so the inverse and the cycle reuse the forward
+    /// transposes.
     fn repartition(
         &self,
         sched: &RankScheduler,
@@ -271,8 +259,13 @@ impl ExecutedFft3d {
     ) {
         let n = self.n;
         let ranks = grid.ranks();
-        let split = LineSplit::new(n * n, ranks);
+        let split = Split::new(n * n, ranks);
         let from = grid.axis;
+        let hop = match (from, to) {
+            (LineAxis::Axis2, LineAxis::Axis1) | (LineAxis::Axis1, LineAxis::Axis2) => 0,
+            (LineAxis::Axis1, LineAxis::Axis0) | (LineAxis::Axis0, LineAxis::Axis1) => 1,
+            _ => panic!("no line-plan transpose from {from:?} to {to:?}"),
+        };
         let src = std::mem::take(&mut grid.parts);
         let mut dst: Vec<Vec<C64>> = match self.gather {
             // Reference: fresh zeroed buffers every repartition.
@@ -318,20 +311,8 @@ impl ExecutedFft3d {
                 GatherStrategy::Run => gather_runs(n, &split, from, to, src_ref, d, buf),
             }
         });
-        // Per-peer transpose volume, measured on rank 0's actual reads
-        // (the split is near-uniform, so rank 0 is representative).
-        let mut peer_bytes = vec![0u64; ranks - 1];
-        for li in 0..split.count(0) {
-            for off in 0..n {
-                let (i0, i1, i2) = to.coords(n, li, off);
-                let (sl, _) = from.index(n, i0, i1, i2);
-                let s = split.owner(sl);
-                if s != 0 {
-                    peer_bytes[s - 1] += std::mem::size_of::<C64>() as u64;
-                }
-            }
-        }
-        comm.alltoallv(&peer_bytes);
+        let t = &grid.plan.transposes[hop];
+        comm.alltoallv(t.group, &t.peers);
         if self.gather == GatherStrategy::Run {
             grid.scratch = src;
         }
@@ -342,7 +323,8 @@ impl ExecutedFft3d {
     /// Forward transform in place: three line passes (axes 2, 1, 0 — the
     /// same order as [`crate::fft3d::fft3d`]) with a repartition between
     /// passes. The grid must be in the initial layout; it finishes in
-    /// [`LineAxis::Axis0`]. Returns the virtual time the transform took.
+    /// [`LineAxis::Axis0`]. Returns the virtual time the transform took:
+    /// the costed price of the grid's [`TransposePlan::lines`] plan.
     pub fn forward(
         &self,
         sched: &RankScheduler,
@@ -350,23 +332,51 @@ impl ExecutedFft3d {
         gpu: &GpuModel,
         grid: &mut DistGrid,
     ) -> SimTime {
-        assert_eq!(grid.n, self.n);
-        assert_eq!(
-            grid.ranks(),
-            comm.size(),
-            "one communicator rank per grid rank"
-        );
-        assert_eq!(
-            grid.axis,
-            LineAxis::Axis2,
-            "forward starts from the initial layout"
-        );
+        self.transform(sched, comm, gpu, grid, false)
+    }
+
+    /// Inverse transform in place, unwinding the forward schedule (axis 0
+    /// first, back to the initial layout). `inverse(forward(x)) = x` up to
+    /// rounding. Returns the virtual time the transform took: the costed
+    /// price of the reversed plan.
+    pub fn inverse(
+        &self,
+        sched: &RankScheduler,
+        comm: &mut Comm,
+        gpu: &GpuModel,
+        grid: &mut DistGrid,
+    ) -> SimTime {
+        self.transform(sched, comm, gpu, grid, true)
+    }
+
+    /// The grid plan's passes, reversed for the inverse, with a
+    /// repartition between each two; every rank is charged each pass's
+    /// share of the costed local transform.
+    fn transform(
+        &self,
+        sched: &RankScheduler,
+        comm: &mut Comm,
+        gpu: &GpuModel,
+        grid: &mut DistGrid,
+        inverse: bool,
+    ) -> SimTime {
+        let (from, path) = if inverse {
+            (LineAxis::Axis0, [LineAxis::Axis1, LineAxis::Axis2])
+        } else {
+            (LineAxis::Axis2, [LineAxis::Axis1, LineAxis::Axis0])
+        };
+        self.check(comm, grid, from);
+        let local = self.cost.local_time(gpu, grid.ranks());
+        let mut passes = grid.plan.passes.clone();
+        if inverse {
+            passes.reverse();
+        }
         let t0 = comm.elapsed();
-        self.fft_pass(sched, comm, gpu, grid, false);
-        self.repartition(sched, comm, grid, LineAxis::Axis1);
-        self.fft_pass(sched, comm, gpu, grid, false);
-        self.repartition(sched, comm, grid, LineAxis::Axis0);
-        self.fft_pass(sched, comm, gpu, grid, false);
+        self.fft_pass(sched, comm, grid, inverse, local * passes[0]);
+        for (to, &pass) in path.into_iter().zip(&passes[1..]) {
+            self.repartition(sched, comm, grid, to);
+            self.fft_pass(sched, comm, grid, inverse, local * pass);
+        }
         comm.elapsed() - t0
     }
 
@@ -384,52 +394,12 @@ impl ExecutedFft3d {
         comm: &mut Comm,
         grid: &mut DistGrid,
     ) -> SimTime {
-        assert_eq!(grid.n, self.n);
-        assert_eq!(
-            grid.ranks(),
-            comm.size(),
-            "one communicator rank per grid rank"
-        );
-        assert_eq!(
-            grid.axis,
-            LineAxis::Axis2,
-            "the cycle starts from the initial layout"
-        );
+        self.check(comm, grid, LineAxis::Axis2);
         let t0 = comm.elapsed();
         self.repartition(sched, comm, grid, LineAxis::Axis1);
         self.repartition(sched, comm, grid, LineAxis::Axis0);
         self.repartition(sched, comm, grid, LineAxis::Axis1);
         self.repartition(sched, comm, grid, LineAxis::Axis2);
-        comm.elapsed() - t0
-    }
-
-    /// Inverse transform in place, unwinding the forward schedule (axis 0
-    /// first, back to the initial layout). `inverse(forward(x)) = x` up to
-    /// rounding. Returns the virtual time the transform took.
-    pub fn inverse(
-        &self,
-        sched: &RankScheduler,
-        comm: &mut Comm,
-        gpu: &GpuModel,
-        grid: &mut DistGrid,
-    ) -> SimTime {
-        assert_eq!(grid.n, self.n);
-        assert_eq!(
-            grid.ranks(),
-            comm.size(),
-            "one communicator rank per grid rank"
-        );
-        assert_eq!(
-            grid.axis,
-            LineAxis::Axis0,
-            "inverse starts where forward finished"
-        );
-        let t0 = comm.elapsed();
-        self.fft_pass(sched, comm, gpu, grid, true);
-        self.repartition(sched, comm, grid, LineAxis::Axis1);
-        self.fft_pass(sched, comm, gpu, grid, true);
-        self.repartition(sched, comm, grid, LineAxis::Axis2);
-        self.fft_pass(sched, comm, gpu, grid, true);
         comm.elapsed() - t0
     }
 }
@@ -443,7 +413,7 @@ impl ExecutedFft3d {
 /// strided copy per owner run.
 fn gather_runs(
     n: usize,
-    split: &LineSplit,
+    split: &Split,
     from: LineAxis,
     to: LineAxis,
     src: &[Vec<C64>],
@@ -756,6 +726,47 @@ mod tests {
                 frozen, tuned,
                 "tuned transform must match frozen bit for bit at {ranks} ranks"
             );
+        }
+    }
+
+    #[test]
+    fn executed_time_is_the_costed_price_of_the_line_plan() {
+        // Every (n, ranks) the tests above use, plus the 64³/1024 milestone.
+        let configs = [1, 3, 5, 7, 12, 13, 16, 32, 61, 64]
+            .map(|ranks| (8, ranks))
+            .into_iter()
+            .chain([(64, 1024)]);
+        for (n, ranks) in configs {
+            let orig = signal(n, 7);
+            let plan = TransposePlan::lines(n, ranks);
+            let costed = |plan: &TransposePlan| {
+                let (mut comm, gpu) = setup(ranks);
+                let dt = DistFft3d::new(n, Decomp::Pencils).charge_plan(&mut comm, &gpu, plan);
+                (dt.secs().to_bits(), comm.stats())
+            };
+            // The cycle hops out and back through both transposes, with no
+            // pass between them.
+            let cycle = TransposePlan {
+                passes: vec![0.0; 5],
+                transposes: [0, 1, 1, 0].map(|i| plan.transposes[i].clone()).to_vec(),
+            };
+            let want = [costed(&plan), costed(&plan.reversed()), costed(&cycle)];
+            for exec in [ExecutedFft3d::new(n), ExecutedFft3d::tuned(n)] {
+                let sched = RankScheduler::sequential();
+                let mut grid = DistGrid::from_global(n, ranks, &orig);
+                assert_eq!(grid.plan, plan);
+                let mut got = Vec::new();
+                let (mut comm, gpu) = setup(ranks);
+                let dt = exec.forward(&sched, &mut comm, &gpu, &mut grid);
+                got.push((dt.secs().to_bits(), comm.stats()));
+                let (mut comm, gpu) = setup(ranks);
+                let dt = exec.inverse(&sched, &mut comm, &gpu, &mut grid);
+                got.push((dt.secs().to_bits(), comm.stats()));
+                let (mut comm, _) = setup(ranks);
+                let dt = exec.transpose_cycle(&sched, &mut comm, &mut grid);
+                got.push((dt.secs().to_bits(), comm.stats()));
+                assert_eq!(got, want, "n={n} ranks={ranks} {:?}", exec.gather);
+            }
         }
     }
 

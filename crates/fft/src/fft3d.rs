@@ -64,12 +64,6 @@ fn transform3d(data: &mut [C64], n0: usize, n1: usize, n2: usize, inverse: bool)
     });
 }
 
-/// FLOPs of a complex 3-D FFT on an `n³` grid: `5 N log₂ N` with `N = n³`.
-pub fn fft3d_flops(n: usize) -> f64 {
-    let total = (n * n * n) as f64;
-    5.0 * total * total.log2()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,12 +16,15 @@
 //! * [`executed`] — the *executed* distributed transform: ranks really own
 //!   line slices, FFT passes run concurrently on the work-stealing rank
 //!   scheduler, and transposes really repartition the data — bit-identical
-//!   to [`fft3d`](fft3d()) on the gathered array at any thread count.
+//!   to [`fft3d`](fft3d()) on the gathered array at any thread count;
+//! * [`plan`] — the one [`TransposePlan`] both distributed transforms
+//!   price, so the executed virtual time equals the costed price.
 
 pub mod dist3d;
 pub mod executed;
 pub mod fft1d;
 pub mod fft3d;
+pub mod plan;
 pub mod real;
 
 pub use dist3d::{Decomp, DistFft3d};
@@ -29,4 +32,5 @@ pub use exa_linalg::C64;
 pub use executed::{DistGrid, ExecutedFft3d, LineAxis};
 pub use fft1d::{dft_naive, fft, ifft};
 pub use fft3d::{fft3d, ifft3d};
+pub use plan::TransposePlan;
 pub use real::{irfft, rfft};

@@ -432,48 +432,36 @@ impl Comm {
         self.collective("bcast_grouped", cost, bytes * groups)
     }
 
-    /// All-to-all happening concurrently inside disjoint groups of
-    /// `group` ranks (the row/column communicators of a 2-D pencil
-    /// decomposition, §3.3). All groups proceed in parallel, so the charge
-    /// is one group's cost.
-    pub fn alltoall_grouped(&mut self, group: usize, bytes_per_pair: u64) -> SimTime {
-        assert!(group >= 1 && group <= self.size());
-        let cost = coll::alltoall_time(&self.net, group, bytes_per_pair);
-        let groups = (self.size() / group.max(1)) as u64;
-        self.collective(
-            "alltoall_grouped",
-            cost,
-            bytes_per_pair * group as u64 * (group as u64 - 1) * groups,
-        )
+    /// Cost-only all-to-all with variable per-pair payloads, running
+    /// concurrently inside disjoint groups of `group` ranks: the whole
+    /// communicator (`group == size`), or the row/column communicators of a
+    /// 2-D pencil grid. `pair_bytes[r]` is what one rank exchanges with its
+    /// `r`-th remote peer (exclude the resident share). Every rank runs the
+    /// same schedule and all groups proceed in parallel, so the charge is
+    /// one rank's sum of rounds and the volume is `Σ pair_bytes × size`.
+    pub fn alltoallv(&mut self, group: usize, pair_bytes: &[u64]) -> SimTime {
+        let names = ["alltoallv", "alltoallv_grouped"];
+        let (name, cost, vol) = self.alltoallv_parts(names, group, pair_bytes);
+        self.collective(name, cost, vol)
     }
 
-    /// Cost-only all-to-all with variable per-pair payloads as seen by one
-    /// rank: `pair_bytes[r]` is what this rank exchanges with its `r`-th
-    /// remote peer (exclude the resident share). Every rank is assumed to
-    /// run the same schedule, so the charge is one rank's sum of rounds and
-    /// the volume is `Σ pair_bytes × size`.
-    pub fn alltoallv(&mut self, pair_bytes: &[u64]) -> SimTime {
-        assert!(
-            pair_bytes.len() < self.size(),
-            "more peers than remote ranks"
-        );
-        let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol: u64 = pair_bytes.iter().sum::<u64>() * self.size() as u64;
-        self.collective("alltoallv", cost, vol)
-    }
-
-    /// [`Comm::alltoallv`] running concurrently inside disjoint groups of
-    /// `group` ranks (row/column communicators of a 2-D pencil grid). All
-    /// groups proceed in parallel, so the charge is one group's cost.
-    pub fn alltoallv_grouped(&mut self, group: usize, pair_bytes: &[u64]) -> SimTime {
+    /// Span name (`names[0]` for the whole communicator, `names[1]` for
+    /// groups), cost and volume of [`Comm::alltoallv`] and its split-phase
+    /// twin.
+    pub(crate) fn alltoallv_parts(
+        &self,
+        names: [&'static str; 2],
+        group: usize,
+        pair_bytes: &[u64],
+    ) -> (&'static str, SimTime, u64) {
         assert!(group >= 1 && group <= self.size());
         assert!(
             pair_bytes.len() < group,
             "more peers than remote group members"
         );
         let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol: u64 = pair_bytes.iter().sum::<u64>() * self.size() as u64;
-        self.collective("alltoallv_grouped", cost, vol)
+        let vol = pair_bytes.iter().sum::<u64>() * self.size() as u64;
+        (names[usize::from(group < self.size())], cost, vol)
     }
 
     /// Nearest-neighbour halo exchange performed by every rank at once.
@@ -637,8 +625,8 @@ mod tests {
     fn grouped_alltoall_cheaper_than_global() {
         let mut a = comm(64);
         let mut b = comm(64);
-        a.alltoall(1 << 16);
-        b.alltoall_grouped(8, 1 << 16);
+        a.alltoallv(64, &[1 << 16; 63]);
+        b.alltoallv(8, &[1 << 16; 7]);
         assert!(b.elapsed() < a.elapsed());
     }
 

@@ -27,7 +27,7 @@ pub mod sched;
 
 pub use comm::{Comm, CommStats};
 pub use network::Network;
-pub use nonblocking::{Overlap, Participants, Request, RequestSet};
+pub use nonblocking::{Overlap, Participants, Request};
 pub use sched::{RankCtx, RankScheduler};
 
 pub use exa_machine::SimTime;

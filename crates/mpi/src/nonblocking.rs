@@ -70,45 +70,6 @@ impl Request {
     }
 }
 
-/// A batch of outstanding requests (the preposted-irecv idiom).
-#[derive(Debug, Default)]
-pub struct RequestSet {
-    reqs: Vec<Request>,
-}
-
-impl RequestSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add an outstanding request.
-    pub fn push(&mut self, req: Request) {
-        self.reqs.push(req);
-    }
-
-    /// Outstanding requests.
-    pub fn len(&self) -> usize {
-        self.reqs.len()
-    }
-
-    /// Whether no requests are outstanding.
-    pub fn is_empty(&self) -> bool {
-        self.reqs.is_empty()
-    }
-
-    /// Complete every outstanding request (in post order — completion order
-    /// cannot matter because `wait` only ever moves clocks forward). Returns
-    /// the latest finish time, or the comm's elapsed time when empty.
-    pub fn wait_all(&mut self, comm: &mut Comm) -> SimTime {
-        let mut last = SimTime::ZERO;
-        for req in self.reqs.drain(..) {
-            last = last.max(req.wait(comm));
-        }
-        last.max(comm.elapsed())
-    }
-}
-
 impl Comm {
     /// Post a split-phase operation: reserve the injection pipe from the
     /// latest participant clock (posting itself is free) and return the
@@ -210,36 +171,11 @@ impl Comm {
         self.post("ialltoall", Participants::All, cost, vol)
     }
 
-    /// Split-phase all-to-all inside disjoint groups of `group` ranks.
-    pub fn ialltoall_grouped(&mut self, group: usize, bytes_per_pair: u64) -> Request {
-        assert!(group >= 1 && group <= self.size());
-        let cost = coll::alltoall_time(&self.net, group, bytes_per_pair);
-        let groups = (self.size() / group.max(1)) as u64;
-        let vol = bytes_per_pair * group as u64 * (group as u64 - 1) * groups;
-        self.post("ialltoall_grouped", Participants::All, cost, vol)
-    }
-
     /// Split-phase variable-size all-to-all ([`Comm::alltoallv`]).
-    pub fn ialltoallv(&mut self, pair_bytes: &[u64]) -> Request {
-        assert!(
-            pair_bytes.len() < self.size(),
-            "more peers than remote ranks"
-        );
-        let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol = pair_bytes.iter().sum::<u64>() * self.size() as u64;
-        self.post("ialltoallv", Participants::All, cost, vol)
-    }
-
-    /// Split-phase grouped variable-size all-to-all.
-    pub fn ialltoallv_grouped(&mut self, group: usize, pair_bytes: &[u64]) -> Request {
-        assert!(group >= 1 && group <= self.size());
-        assert!(
-            pair_bytes.len() < group,
-            "more peers than remote group members"
-        );
-        let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol = pair_bytes.iter().sum::<u64>() * self.size() as u64;
-        self.post("ialltoallv_grouped", Participants::All, cost, vol)
+    pub fn ialltoallv(&mut self, group: usize, pair_bytes: &[u64]) -> Request {
+        let names = ["ialltoallv", "ialltoallv_grouped"];
+        let (name, cost, vol) = self.alltoallv_parts(names, group, pair_bytes);
+        self.post(name, Participants::All, cost, vol)
     }
 
     /// Preposted halo exchange: every rank's `neighbors` partner messages of
@@ -296,24 +232,6 @@ impl Overlap {
         pending.wait(comm);
         consume(comm, chunks - 1);
         comm.elapsed()
-    }
-
-    /// Cap the chunk count so per-chunk latency can never make the pipeline
-    /// slower than the blocking schedule: with `rounds` α-charges per posted
-    /// chunk, overlapped ≤ blocking holds whenever
-    /// `rounds · α ≤ compute_window / K`. Always returns at least 1.
-    pub fn clamp_chunks(
-        chunks: usize,
-        compute_window: SimTime,
-        rounds: usize,
-        alpha: SimTime,
-    ) -> usize {
-        let latency = alpha * rounds as f64;
-        if latency.is_zero() {
-            return chunks.max(1);
-        }
-        let cap = (compute_window / latency).floor() as usize;
-        chunks.min(cap).max(1)
     }
 }
 
@@ -378,13 +296,8 @@ mod tests {
         let r1 = c.ialltoall(1 << 18);
         let r2 = c.ialltoall(1 << 18);
         assert_eq!(r2.start(), r1.finish(), "one injection pipe");
-        let mut set = RequestSet::new();
-        assert!(set.is_empty());
-        set.push(r1);
-        set.push(r2);
-        assert_eq!(set.len(), 2);
-        let done = set.wait_all(&mut c);
-        assert!(set.is_empty());
+        r1.wait(&mut c);
+        let done = r2.wait(&mut c);
         assert_eq!(done, c.elapsed());
     }
 
@@ -448,17 +361,6 @@ mod tests {
         b.allreduce(1 << 16);
         b.advance_all(work);
         assert_eq!(t, b.elapsed());
-    }
-
-    #[test]
-    fn clamp_caps_latency_bound_chunking() {
-        let alpha = SimTime::from_micros(2.0);
-        let window = SimTime::from_micros(100.0);
-        // 10 rounds × 2 µs = 20 µs per chunk: at most 5 chunks fit.
-        assert_eq!(Overlap::clamp_chunks(32, window, 10, alpha), 5);
-        assert_eq!(Overlap::clamp_chunks(3, window, 10, alpha), 3);
-        assert_eq!(Overlap::clamp_chunks(32, SimTime::ZERO, 10, alpha), 1);
-        assert_eq!(Overlap::clamp_chunks(32, window, 0, SimTime::ZERO), 32);
     }
 
     #[test]

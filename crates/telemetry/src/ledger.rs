@@ -508,6 +508,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_ledger_is_an_error() {
+        let doc = format!(r#"{{"version": 1, "records": {}"#, "[".repeat(100_000));
+        assert!(FomLedger::parse(&doc).is_err());
+    }
+
+    #[test]
     fn load_missing_file_is_empty() {
         let l = FomLedger::load(Path::new("/nonexistent/FOM_LEDGER.json")).unwrap();
         assert!(l.is_empty());

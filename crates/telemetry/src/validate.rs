@@ -59,10 +59,16 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts, so a hostile
+/// document cannot overflow the stack (committed artifacts nest ≤ 6 deep).
+const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     s: &'a str,
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -92,8 +98,9 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => self.err("nesting too deep"),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.lit("true", JsonValue::Bool(true)),
             Some(b'f') => self.lit("false", JsonValue::Bool(false)),
@@ -101,6 +108,17 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => self.err("expected a JSON value"),
         }
+    }
+
+    /// Parse an array or object one level deeper.
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn lit(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
@@ -229,12 +247,14 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parse a complete JSON document.
+/// Parse a complete JSON document. A document that nests arrays and
+/// objects more than 128 deep is an error.
 pub fn parse_json(s: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         s,
         b: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -827,6 +847,15 @@ mod tests {
         assert_eq!(a[1].as_f64(), Some(-2500.0));
         assert_eq!(a[4].as_str(), Some("x\n\"y\""));
         assert_eq!(v.get("b"), Some(&JsonValue::Obj(BTreeMap::new())));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&nest(MAX_JSON_DEPTH + 1)).is_err());
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        assert!(parse_json(&r#"{"a":"#.repeat(100_000)).is_err());
     }
 
     #[test]

@@ -5,8 +5,10 @@
 #   2. clippy -D warnings over every target (libs, bins, tests, examples);
 #   3. rustfmt check of the whole workspace;
 #   4. every workspace test, at EXA_THREADS=1 and at EXA_THREADS=4;
-#   5. `reproduce paper` (the eleven paper artifacts) and five gates;
-#   6. the four gates that pin EXA_THREADS=4.
+#   5. the benchmark's own tests (exabench/), so an API change the benchmark
+#      imports fails here rather than in a benchmark run;
+#   6. `reproduce paper` (the eleven paper artifacts) and five gates;
+#   7. the four gates that pin EXA_THREADS=4.
 #
 # Each experiment checks the artifacts it writes and makes `reproduce` exit
 # non-zero on a failed check; `reproduce list` names what each one gates.
@@ -19,7 +21,8 @@ cargo fmt --all -- --check
 for threads in 1 4; do
     EXA_THREADS=$threads cargo test --workspace -q
 done
+cargo test --offline -q --manifest-path exabench/Cargo.toml
 cargo run --release -q -p exa-bench --bin reproduce -- paper profile_export fom_ledger comm_overlap sim_throughput autotune
 EXA_THREADS=4 cargo run --release -q -p exa-bench --bin reproduce -- obs_export telemetry_overhead fault_scenarios campaign_load
 
-echo "tier1: build + clippy + fmt + workspace tests (EXA_THREADS=1,4) + paper experiments + gates all green"
+echo "tier1: build + clippy + fmt + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates all green"
