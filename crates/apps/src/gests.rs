@@ -138,9 +138,10 @@ impl PsdnsRun {
                 .map(|inj| inj.factor)
                 .product()
         };
+        let transpose_plan = plan.plan(self.ranks);
         for _ in 0..TRANSFORMS_PER_STEP {
             let start = comm.elapsed();
-            plan.charge_transform(&mut comm, gpu);
+            plan.charge_plan(&mut comm, gpu, &transpose_plan);
             let extra = stretch("transform") - 1.0;
             if extra > 0.0 {
                 comm.advance_all((comm.elapsed() - start) * extra);
@@ -301,7 +302,8 @@ impl Application for Gests {
                 Decomp::Slabs,
             ),
         };
-        let fom = run.fom(machine);
+        let wall = run.step_time(machine);
+        let fom = (run.n as f64).powi(3) / wall.secs();
         let overlap = match run.overlap_chunks {
             Some(k) => format!(" overlap={k}"),
             None => String::new(),
@@ -310,7 +312,7 @@ impl Application for Gests {
             machine.name.clone(),
             format!("N={} p={} {:?}{overlap}", run.n, run.ranks, run.decomp),
             fom,
-            run.step_time(machine),
+            wall,
         )
     }
 

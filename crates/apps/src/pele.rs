@@ -591,6 +591,11 @@ impl Application for Pele {
         FigureOfMerit::time("time per cell per timestep", "s/cell/step")
     }
 
+    /// PeleC ran its 2018 baseline on CPU-only nodes.
+    fn needs_gpus(&self) -> bool {
+        false
+    }
+
     fn run(&self, machine: &MachineModel) -> FomMeasurement {
         let state = if machine.node.has_gpus() {
             CodeState::Async2023

@@ -88,7 +88,9 @@ pub struct QueryAnswer {
 /// Evaluate one query cold: build the app and machine, apply the node
 /// override (0 keeps the model's full scale) and knob injections, run the
 /// profiled challenge problem under a scratch collector, and return the
-/// answer. `None` when the app or machine name is unknown.
+/// answer. `None` when the app or machine name is unknown, or when the app
+/// needs GPUs and the machine has none (every app but Pele on Cori, Theta
+/// and Eagle).
 pub fn evaluate_query(
     app_name: &str,
     machine_name: &str,
@@ -98,6 +100,9 @@ pub fn evaluate_query(
 ) -> Option<QueryAnswer> {
     let app = app_by_name(app_name)?;
     let mut machine = machine_by_name(machine_name)?;
+    if app.needs_gpus() && !machine.node.has_gpus() {
+        return None;
+    }
     if nodes > 0 {
         machine.nodes = nodes;
     }
@@ -167,6 +172,131 @@ mod tests {
         assert!(a.spans > 0, "profiled run must record spans");
         let half = evaluate_query("CoMet", "Frontier", 4704, &[], "").expect("valid query");
         assert_eq!(half.nodes, 4704);
+    }
+
+    /// `(fom_value bits, wall_s bits)` of every Table-2 app on
+    /// [`GOLDEN_SHAPES`] under `knob:transform=1.5` — the shapes of a cold
+    /// campaign batch.
+    const GOLDEN: [(&str, [(u64, u64); 6]); 8] = [
+        (
+            "GAMESS",
+            [
+                (0x40cf4b3d9b4321cf, 0x3f105c6b3f0e3e19),
+                (0x40cf4b3d9b4321cf, 0x3f105c6b3f0e3e19),
+                (0x40cf4b3d9b4321cf, 0x3f105c6b3f0e3e19),
+                (0x40a8d7a76b5a91e2, 0x3f349c2421a68f32),
+                (0x40a8d7a76b5a91e2, 0x3f349c2421a68f32),
+                (0x40a8d7a76b5a91e2, 0x3f349c2421a68f32),
+            ],
+        ),
+        (
+            "LSMS",
+            [
+                (0x408d6c95628663c3, 0x3f5166924e6465dd),
+                (0x408d6c95628663c3, 0x3f5166924e6465dd),
+                (0x408d6c95628663c3, 0x3f5166924e6465dd),
+                (0x405ff9e16529a780, 0x3f80030fe35381ff),
+                (0x405ff9e16529a780, 0x3f80030fe35381ff),
+                (0x405ff9e16529a780, 0x3f80030fe35381ff),
+            ],
+        ),
+        (
+            "GESTS",
+            [
+                (0x4261f6ec600c7a26, 0x404c802642539097),
+                (0x423c399086b211b7, 0x3fe223d9638ab83b),
+                (0x4220ba850e1d12bc, 0x3ffe9b35308283d6),
+                (0x4233b3d3b6518f12, 0x4052800f9929ebc9),
+                (0x4233b3d3b6518f12, 0x4052800f9929ebc9),
+                (0x4233b3d3b6518f12, 0x4052800f9929ebc9),
+            ],
+        ),
+        (
+            "ExaSky",
+            [
+                (0x42d3cbc357c01176, 0x3ffdb3fad52e590c),
+                (0x42a3cbc357c01176, 0x3ff9dd2709bc626f),
+                (0x4273cbc357c01176, 0x3ff9dd2709bc626f),
+                (0x42b27650e1283172, 0x40076631ce9862a5),
+                (0x4290692b72ce64d8, 0x40076631ce9862a3),
+                (0x4260692b72ce64d8, 0x40076631ce9862a3),
+            ],
+        ),
+        (
+            "CoMet",
+            [
+                (0x41bff5c340000001, 0x3fe7df270dd877ee),
+                (0x41bff5c340000001, 0x3fe7df270dd877ee),
+                (0x41bff5c340000001, 0x3fe7df270dd877ee),
+                (0x4198964020000000, 0x400f07c1f07c1f08),
+                (0x4198964020000000, 0x400f07c1f07c1f08),
+                (0x4198964020000000, 0x400f07c1f07c1f08),
+            ],
+        ),
+        (
+            "NuCCOR",
+            [
+                (0x406e7ecfbd43ffff, 0x3f70ca18cc854d07),
+                (0x406e7ecfbd43ffff, 0x3f70ca18cc854d07),
+                (0x406e7ecfbd43ffff, 0x3f70ca18cc854d07),
+                (0x4043dd0571200001, 0x3f99c6ae471eb3c9),
+                (0x4043dd0571200001, 0x3f99c6ae471eb3c9),
+                (0x4043dd0571200001, 0x3f99c6ae471eb3c9),
+            ],
+        ),
+        (
+            "Pele",
+            [
+                (0x3e346bc3632e518a, 0x3e346bc3632e518a),
+                (0x3e346bc3632e518a, 0x3e346bc3632e518a),
+                (0x3e346bc3632e518a, 0x3e346bc3632e518a),
+                (0x3e5575525a3914ab, 0x3e5575525a3914ab),
+                (0x3e5575525a3914ab, 0x3e5575525a3914ab),
+                (0x3e5575525a3914ab, 0x3e5575525a3914ab),
+            ],
+        ),
+        (
+            "COAST",
+            [
+                (0x408e93999a1373cd, 0x3ff0000000000000),
+                (0x405a9fde909c4201, 0x3ff0000000000000),
+                (0x402a9fde909c4201, 0x3ff0000000000000),
+                (0x406064ff86dae33a, 0x3ff0000000000000),
+                (0x403d25547df6e94c, 0x3ff0000000000000),
+                (0x400d25547df6e94c, 0x3ff0000000000000),
+            ],
+        ),
+    ];
+    const GOLDEN_SHAPES: [(&str, u32); 6] = [
+        ("Frontier", 0),
+        ("Frontier", 1024),
+        ("Frontier", 128),
+        ("Summit", 0),
+        ("Summit", 1024),
+        ("Summit", 128),
+    ];
+
+    #[test]
+    fn table2_answers_keep_their_bits() {
+        let knobs = vec![("transform".to_string(), 1.5)];
+        for (app, bits) in GOLDEN {
+            for ((machine, nodes), want) in GOLDEN_SHAPES.into_iter().zip(bits) {
+                let a = evaluate_query(app, machine, nodes, &knobs, "").expect("valid query");
+                assert_eq!(
+                    (a.fom_value.to_bits(), a.wall_s.to_bits()),
+                    want,
+                    "{app} on {machine} at {nodes} nodes: fom {} wall {}",
+                    a.fom_value,
+                    a.wall_s
+                );
+            }
+        }
+        let table2: Vec<_> = crate::table2_applications()
+            .iter()
+            .map(|a| a.name())
+            .collect();
+        let golden: Vec<_> = GOLDEN.iter().map(|g| g.0).collect();
+        assert_eq!(golden, table2, "one golden row per Table-2 app");
     }
 
     #[test]

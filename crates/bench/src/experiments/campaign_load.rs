@@ -49,8 +49,8 @@ const BASELINE_EPOCHS: usize = 6;
 /// Cache-busting evaluations per app per epoch: enough that an epoch's
 /// p99 is its third-largest sample, so one or two host stalls cannot set
 /// it. A class stops early, after at least `MIN_EPOCH_REPS`, once its
-/// evaluations have spent `EPOCH_BUDGET_S` (GESTS takes ~0.1 s each,
-/// where a stall is small against the evaluation).
+/// evaluations have spent `EPOCH_BUDGET_S` (for a class whose
+/// evaluations are slow, a stall is small against the evaluation).
 const EPOCH_REPS: usize = 256;
 const MIN_EPOCH_REPS: usize = 4;
 const EPOCH_BUDGET_S: f64 = 0.02;

@@ -35,6 +35,12 @@ pub trait Application {
     /// appears there (LAMMPS and E3SM are discussed but not tabulated).
     fn paper_speedup(&self) -> Option<f64>;
 
+    /// Whether the challenge problem needs GPU nodes (the default); such an
+    /// app's [`Application::run`] may panic on a CPU-only machine.
+    fn needs_gpus(&self) -> bool {
+        true
+    }
+
     /// Measured Summit→Frontier speed-up under this application's FOM.
     fn measure_speedup(&self) -> f64 {
         let summit = self.run(&MachineModel::summit());

@@ -2,7 +2,7 @@
 
 use crate::collectives as coll;
 use crate::network::Network;
-use exa_machine::{Clock, SimTime};
+use exa_machine::SimTime;
 use exa_telemetry::{
     MetricSource, MetricsRegistry, SpanCat, TelemetryCollector, TrackId, TrackKind,
 };
@@ -25,7 +25,9 @@ pub struct CommStats {
     /// Nonblocking (split-phase) operations completed via `wait`.
     pub nonblocking: u64,
     /// Total in-flight time of nonblocking operations (cost × participating
-    /// ranks, like `wait` a per-rank sum).
+    /// ranks, like `wait` a per-rank sum). A split-phase collective
+    /// completed in lockstep (every rank on one clock) adds `value × ranks`
+    /// to `wait`, `hidden` and `inflight`; otherwise each rank adds its own.
     pub inflight: SimTime,
     /// The portion of `inflight` that ranks spent computing instead of
     /// blocked — the communication the overlap engine actually hid.
@@ -68,14 +70,14 @@ struct Jitter {
     seq: u64,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
 }
 
-fn unit(h: u64) -> f64 {
+pub(crate) fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -87,6 +89,75 @@ pub(crate) struct CommTelemetry {
     pub(crate) tracks: Vec<TrackId>,
 }
 
+/// One [`SimTime`] per rank, stored as a single value while every rank
+/// holds the same one ("lockstep") and per rank only once an operation
+/// charges ranks differently. A costed run never leaves lockstep, so its
+/// collectives cost O(1) whatever the rank count.
+#[derive(Debug)]
+pub(crate) enum RankTimes {
+    /// Every rank holds this value.
+    Lockstep(SimTime),
+    /// Rank `r` holds entry `r`.
+    PerRank(Vec<SimTime>),
+}
+
+impl RankTimes {
+    pub(crate) fn get(&self, rank: usize) -> SimTime {
+        match self {
+            RankTimes::Lockstep(t) => *t,
+            RankTimes::PerRank(v) => v[rank],
+        }
+    }
+
+    pub(crate) fn max(&self) -> SimTime {
+        match self {
+            RankTimes::Lockstep(t) => *t,
+            RankTimes::PerRank(v) => v.iter().copied().max().unwrap_or(SimTime::ZERO),
+        }
+    }
+
+    /// The value every rank holds, if they all hold the same one.
+    pub(crate) fn uniform(&self) -> Option<SimTime> {
+        match self {
+            RankTimes::Lockstep(t) => Some(*t),
+            RankTimes::PerRank(v) => v.iter().all(|&x| x == v[0]).then(|| v[0]),
+        }
+    }
+
+    /// The per-rank values of `size` ranks, leaving lockstep if needed.
+    pub(crate) fn per_rank(&mut self, size: usize) -> &mut [SimTime] {
+        if let RankTimes::Lockstep(t) = *self {
+            *self = RankTimes::PerRank(vec![t; size]);
+        }
+        match self {
+            RankTimes::PerRank(v) => v,
+            RankTimes::Lockstep(_) => unreachable!("just left lockstep"),
+        }
+    }
+
+    /// Add `dt` to one rank (adding zero keeps lockstep).
+    pub(crate) fn add(&mut self, rank: usize, dt: SimTime, size: usize) {
+        if !dt.is_zero() {
+            self.per_rank(size)[rank] += dt;
+        }
+    }
+
+    /// Add `dt` to every rank.
+    pub(crate) fn add_all(&mut self, dt: SimTime) {
+        match self {
+            RankTimes::Lockstep(t) => *t += dt,
+            RankTimes::PerRank(v) => v.iter_mut().for_each(|x| *x += dt),
+        }
+    }
+
+    /// Set one rank's value (setting the lockstep value keeps lockstep).
+    pub(crate) fn set(&mut self, rank: usize, t: SimTime, size: usize) {
+        if self.get(rank) != t {
+            self.per_rank(size)[rank] = t;
+        }
+    }
+}
+
 /// A simulated communicator over `size` ranks.
 ///
 /// Every rank owns a virtual clock. Local compute is charged with
@@ -95,12 +166,19 @@ pub(crate) struct CommTelemetry {
 /// [`crate::collectives`]. Data-carrying variants also perform the real data
 /// movement on host memory, so numerical code built on top (the distributed
 /// FFT, the APSP solver, QEq CG) is exactly testable.
+///
+/// Clocks and waits are `RankTimes`: one value while the ranks are in
+/// lockstep, so balanced phases, blocking collectives and split-phase
+/// operations on all ranks cost O(1); a per-rank vector only after
+/// [`Comm::advance`], a send or skew charges ranks differently. Every
+/// blocking collective returns the clocks to lockstep.
 #[derive(Debug)]
 pub struct Comm {
     pub(crate) net: Network,
-    pub(crate) clocks: Vec<Clock>,
+    size: usize,
+    pub(crate) clocks: RankTimes,
     pub(crate) stats: CommStats,
-    pub(crate) waits: Vec<SimTime>,
+    pub(crate) waits: RankTimes,
     pub(crate) telemetry: Option<CommTelemetry>,
     /// The time the fabric finishes its last accepted operation: in-flight
     /// nonblocking traffic serialises here, and later operations cannot
@@ -120,9 +198,10 @@ impl Comm {
         assert!(size >= 1, "communicator needs at least one rank");
         Comm {
             net,
-            clocks: vec![Clock::new(); size],
+            size,
+            clocks: RankTimes::Lockstep(SimTime::ZERO),
             stats: CommStats::default(),
-            waits: vec![SimTime::ZERO; size],
+            waits: RankTimes::Lockstep(SimTime::ZERO),
             telemetry: None,
             net_free: SimTime::ZERO,
             jitter: None,
@@ -201,7 +280,7 @@ impl Comm {
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.clocks.len()
+        self.size
     }
 
     /// The network view.
@@ -216,50 +295,51 @@ impl Comm {
 
     /// Current virtual time of `rank`.
     pub fn now(&self, rank: usize) -> SimTime {
-        self.clocks[rank].now()
+        assert!(rank < self.size, "rank {rank} out of {}", self.size);
+        self.clocks.get(rank)
     }
 
     /// Latest clock across ranks — the job's wall time.
     pub fn elapsed(&self) -> SimTime {
-        self.clocks
-            .iter()
-            .map(|c| c.now())
-            .max()
-            .unwrap_or(SimTime::ZERO)
+        self.clocks.max()
     }
 
     /// Charge local (compute) time to one rank.
     pub fn advance(&mut self, rank: usize, dt: SimTime) {
-        self.clocks[rank].advance(dt);
+        assert!(rank < self.size, "rank {rank} out of {}", self.size);
+        self.clocks.add(rank, dt, self.size);
     }
 
     /// Charge the same local time to every rank (perfectly balanced phase).
     pub fn advance_all(&mut self, dt: SimTime) {
-        for c in &mut self.clocks {
-            c.advance(dt);
-        }
+        self.clocks.add_all(dt);
     }
 
     /// Time `rank` has spent blocked waiting for peers so far.
     pub fn wait(&self, rank: usize) -> SimTime {
-        self.waits[rank]
+        assert!(rank < self.size, "rank {rank} out of {}", self.size);
+        self.waits.get(rank)
     }
 
     /// The worst per-rank wait — the straggler's victims.
     pub fn max_wait(&self) -> SimTime {
-        self.waits.iter().copied().max().unwrap_or(SimTime::ZERO)
+        self.waits.max()
     }
 
+    /// Bring every rank to the latest clock, charging each its wait, and
+    /// return to lockstep.
     fn sync_all(&mut self) -> SimTime {
         let t = self.elapsed();
-        let mut total = SimTime::ZERO;
-        for (c, w) in self.clocks.iter_mut().zip(self.waits.iter_mut()) {
-            let dt = t - c.now();
-            *w += dt;
-            total += dt;
-            c.sync_to(t);
+        if let RankTimes::PerRank(clocks) = &self.clocks {
+            let mut total = SimTime::ZERO;
+            for (r, &c) in clocks.iter().enumerate() {
+                let dt = t - c;
+                self.waits.add(r, dt, self.size);
+                total += dt;
+            }
+            self.stats.wait += total;
+            self.clocks = RankTimes::Lockstep(t);
         }
-        self.stats.wait += total;
         t
     }
 
@@ -267,17 +347,18 @@ impl Comm {
         let cost = self.perturb(cost);
         // Straggler attribution: the ranks already at the collective wait
         // for the last arrival — record that wait per early rank before the
-        // clocks are synchronised away.
+        // clocks are synchronised away. Ranks in lockstep never wait.
         if self.straggler_spans {
-            if let Some(tel) = self.telemetry.as_ref() {
+            if let (Some(tel), RankTimes::PerRank(clocks)) = (self.telemetry.as_ref(), &self.clocks)
+            {
                 let last = self.elapsed();
-                for (r, c) in self.clocks.iter().enumerate() {
-                    if c.now() < last {
+                for (r, &c) in clocks.iter().enumerate() {
+                    if c < last {
                         tel.collector.complete(
                             tel.tracks[r],
                             format!("straggler-wait/{name}"),
                             SpanCat::Fault,
-                            c.now(),
+                            c,
                             last,
                         );
                     }
@@ -290,16 +371,11 @@ impl Comm {
         let start = arrived.max(self.net_free);
         if start > arrived {
             let dt = start - arrived;
-            for (c, w) in self.clocks.iter_mut().zip(self.waits.iter_mut()) {
-                *w += dt;
-                c.sync_to(start);
-            }
-            self.stats.wait += dt * self.clocks.len() as f64;
+            self.waits.add_all(dt);
+            self.stats.wait += dt * self.size as f64;
         }
         let t = start + cost;
-        for c in &mut self.clocks {
-            c.sync_to(t);
-        }
+        self.clocks = RankTimes::Lockstep(t);
         self.stats.collectives += 1;
         self.stats.bytes += bytes;
         if let Some(tel) = self.telemetry.as_ref() {
@@ -315,17 +391,17 @@ impl Comm {
     /// Point-to-point message of `bytes` from `src` to `dst`.
     pub fn send(&mut self, src: usize, dst: usize, bytes: u64) -> SimTime {
         assert!(src != dst, "self-sends are local copies, not messages");
-        let start = self.clocks[src].now().max(self.clocks[dst].now());
+        let start = self.now(src).max(self.now(dst));
         // The endpoint that arrived first blocks until the rendezvous.
         for r in [src, dst] {
-            let dt = start - self.clocks[r].now();
-            self.waits[r] += dt;
+            let dt = start - self.clocks.get(r);
+            self.waits.add(r, dt, self.size);
             self.stats.wait += dt;
         }
         let p2p = self.net.p2p(bytes);
         let done = start + self.perturb(p2p);
-        self.clocks[src].sync_to(done);
-        self.clocks[dst].sync_to(done);
+        self.clocks.set(src, done, self.size);
+        self.clocks.set(dst, done, self.size);
         self.stats.messages += 1;
         self.stats.bytes += bytes;
         if let Some(tel) = self.telemetry.as_ref() {
@@ -539,12 +615,8 @@ impl Comm {
 
     /// Reset all clocks and statistics (between experiment repetitions).
     pub fn reset(&mut self) {
-        for c in &mut self.clocks {
-            c.reset();
-        }
-        for w in &mut self.waits {
-            *w = SimTime::ZERO;
-        }
+        self.clocks = RankTimes::Lockstep(SimTime::ZERO);
+        self.waits = RankTimes::Lockstep(SimTime::ZERO);
         self.stats = CommStats::default();
         self.net_free = SimTime::ZERO;
         // Restart the jitter draw sequence so repetitions replay the same

@@ -21,6 +21,8 @@
 
 pub mod collectives;
 pub mod comm;
+#[cfg(test)]
+mod lockstep_tests;
 pub mod network;
 pub mod nonblocking;
 pub mod sched;

@@ -16,9 +16,11 @@
 //!   — the *remaining* in-flight time — into the per-rank wait attribution,
 //!   and books the hidden portion into [`crate::CommStats`]`::hidden` so
 //!   `overlap_efficiency()` reports how much communication compute absorbed.
+//!   A split-phase collective completed in lockstep charges its one
+//!   residue `× ranks`, so it costs O(1).
 
 use crate::collectives as coll;
-use crate::comm::Comm;
+use crate::comm::{Comm, RankTimes};
 use exa_machine::SimTime;
 use exa_telemetry::SpanCat;
 
@@ -86,7 +88,7 @@ impl Comm {
             Participants::All => self.elapsed(),
             Participants::Pair(a, b) => {
                 assert!(a != b, "self-sends are local copies, not messages");
-                self.clocks[a].now().max(self.clocks[b].now())
+                self.now(a).max(self.now(b))
             }
         };
         let start = issue.max(self.net_free);
@@ -110,33 +112,54 @@ impl Comm {
     /// the in-flight window, attribute the hidden remainder, and record the
     /// operation's span on the participant tracks.
     pub(crate) fn complete_request(&mut self, req: &Request) {
-        let ranks: Vec<usize> = match req.participants {
-            Participants::All => (0..self.size()).collect(),
-            Participants::Pair(a, b) => vec![a, b],
-        };
-        for &r in &ranks {
-            let now = self.clocks[r].now();
-            let residue = if req.finish > now {
+        let residue = |now: SimTime| {
+            if req.finish > now {
                 req.finish - now
             } else {
                 SimTime::ZERO
-            };
-            self.waits[r] += residue;
-            self.stats.wait += residue;
-            self.stats.hidden += req.cost - residue.min(req.cost);
-            self.stats.inflight += req.cost;
-            self.clocks[r].sync_to(now.max(req.finish));
+            }
+        };
+        let size = self.size();
+        let charge = |comm: &mut Comm, r: usize| {
+            let now = comm.clocks.get(r);
+            let res = residue(now);
+            comm.waits.add(r, res, size);
+            comm.stats.wait += res;
+            comm.stats.hidden += req.cost - res.min(req.cost);
+            comm.stats.inflight += req.cost;
+            comm.clocks.set(r, now.max(req.finish), size);
+        };
+        match (req.participants, self.clocks.uniform()) {
+            // Lockstep: one residue for every rank, charged `× ranks`.
+            (Participants::All, Some(now)) => {
+                let (res, n) = (residue(now), size as f64);
+                self.stats.wait += res * n;
+                self.stats.hidden += (req.cost - res.min(req.cost)) * n;
+                self.stats.inflight += req.cost * n;
+                self.waits.add_all(res);
+                self.clocks = RankTimes::Lockstep(now.max(req.finish));
+            }
+            (Participants::All, None) => {
+                (0..size).for_each(|r| charge(self, r));
+                if let Some(t) = self.clocks.uniform() {
+                    self.clocks = RankTimes::Lockstep(t);
+                }
+            }
+            (Participants::Pair(a, b), _) => [a, b].into_iter().for_each(|r| charge(self, r)),
         }
         self.stats.nonblocking += 1;
         if let Some(tel) = self.telemetry.as_ref() {
             if !req.cost.is_zero() {
-                let cat = match req.participants {
-                    Participants::All => SpanCat::Collective,
-                    Participants::Pair(..) => SpanCat::Message,
+                let pair;
+                let (tracks, cat): (&[_], _) = match req.participants {
+                    Participants::All => (&tel.tracks, SpanCat::Collective),
+                    Participants::Pair(a, b) => {
+                        pair = [tel.tracks[a], tel.tracks[b]];
+                        (&pair, SpanCat::Message)
+                    }
                 };
-                let tracks: Vec<_> = ranks.iter().map(|&r| tel.tracks[r]).collect();
                 tel.collector
-                    .complete_on_tracks(&tracks, req.name, cat, req.start, req.finish);
+                    .complete_on_tracks(tracks, req.name, cat, req.start, req.finish);
             }
         }
     }

@@ -67,8 +67,9 @@ pub struct ServeConfig {
     /// construction and independent of `threads`, so traces do not vary
     /// with pool size.
     pub lanes: usize,
-    /// Trace every `trace_sample`-th query (1 = all). Sampling is by
-    /// query sequence number, hence deterministic.
+    /// Trace every `trace_sample`-th query (1 = all), up to
+    /// [`MAX_TRACED_QUERIES`] span trees. Sampling is by query sequence
+    /// number, hence deterministic.
     pub trace_sample: u64,
     /// Active latency drill, if any.
     pub drill: Option<SloDrill>,
@@ -180,18 +181,28 @@ struct EvalOut {
 /// (the answer's simulated wall) dominates the picture.
 const STEP_S: f64 = 1e-6;
 
+/// Sampled span trees a service lands over its lifetime; later queries
+/// are not traced, so a long-running service's trace stays bounded. A
+/// 2²⁰-query campaign sampled 1 in 4 096 lands 256.
+pub const MAX_TRACED_QUERIES: u64 = 1024;
+
 /// The memoized, concurrent campaign query engine.
 pub struct CampaignService {
     config: ServeConfig,
     pool: ThreadPool,
     pool_obs: Arc<PoolTelemetry>,
     collector: Arc<TelemetryCollector>,
-    cache: ShardedLru<QueryAnswer>,
+    /// Answers sit behind an `Arc`: each shard's hash table keeps up to
+    /// twice its capacity in buckets, and pointer-sized values keep the
+    /// empty ones small (about 25% less memory per entry).
+    cache: ShardedLru<Arc<QueryAnswer>>,
     lane_tracks: Vec<TrackId>,
     /// Virtual-time cursor per lane, seconds.
     lane_cursor_s: Vec<f64>,
     /// Global query sequence number (drives lane choice and sampling).
     seq: u64,
+    /// Span trees landed so far (at most [`MAX_TRACED_QUERIES`]).
+    traced: u64,
     stats: ServeStats,
     /// Per-app wall-clock latency for the current epoch.
     epoch: BTreeMap<String, Histogram>,
@@ -229,6 +240,7 @@ impl CampaignService {
             lane_tracks,
             lane_cursor_s: vec![0.0; lanes],
             seq: 0,
+            traced: 0,
             stats: ServeStats::default(),
             epoch: BTreeMap::new(),
         }
@@ -288,7 +300,10 @@ impl CampaignService {
                 Ok(query) => {
                     let key = query.key();
                     if let Some(answer) = self.cache.get(&key) {
-                        Disposition::Hit { query, answer }
+                        Disposition::Hit {
+                            query,
+                            answer: QueryAnswer::clone(&answer),
+                        }
                     } else if let Some(&job) = pending.get(&key) {
                         Disposition::Coalesced(job)
                     } else {
@@ -352,7 +367,7 @@ impl CampaignService {
                             out.eval_wall_s,
                         ),
                         Some(a) => {
-                            self.cache.insert(&job.key, a.clone());
+                            self.cache.insert(&job.key, Arc::new(a.clone()));
                             (
                                 CacheStatus::Miss,
                                 Some(job.query.clone()),
@@ -443,7 +458,10 @@ impl CampaignService {
             }
 
             // Virtual-time span tree, deterministically sampled.
-            if seq.is_multiple_of(self.config.trace_sample.max(1)) {
+            if seq.is_multiple_of(self.config.trace_sample.max(1))
+                && self.traced < MAX_TRACED_QUERIES
+            {
+                self.traced += 1;
                 let lane = (seq % self.lane_tracks.len() as u64) as usize;
                 let mut t = self.lane_cursor_s[lane];
                 let start = t;

@@ -3,7 +3,8 @@
 //! correctness against cold evaluation for every Table-2 app, in-batch
 //! coalescing, RED accounting, and the SLO drill.
 
-use exa_serve::{CacheStatus, CampaignService, ServeConfig, SloDrill};
+use exa_apps::query::{APP_NAMES, MACHINE_NAMES};
+use exa_serve::{CacheStatus, CampaignService, Query, ServeConfig, SloDrill, MAX_TRACED_QUERIES};
 use exa_telemetry::{check_slo, SloConfig, Verdict};
 
 /// A workload that exercises every disposition: misses, repeats (hits),
@@ -262,4 +263,54 @@ fn trace_sampling_thins_spans_deterministically() {
     let sampled = mk(4);
     assert!(full.matches("serve LSMS").count() > sampled.matches("serve LSMS").count());
     assert_eq!(sampled, mk(4), "sampling is deterministic");
+}
+
+#[test]
+fn traced_span_trees_stop_at_the_cap() {
+    let mut svc = CampaignService::new(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    });
+    let batch = vec!["app=CoMet machine=Frontier".to_string(); MAX_TRACED_QUERIES as usize];
+    svc.run_batch(&batch);
+    let trees = |svc: &CampaignService| svc.chrome_trace().matches("serve CoMet").count();
+    assert_eq!(trees(&svc), MAX_TRACED_QUERIES as usize);
+    svc.run_batch(&batch[..100]);
+    assert_eq!(trees(&svc), MAX_TRACED_QUERIES as usize);
+    assert_eq!(
+        svc.stats().requests,
+        MAX_TRACED_QUERIES + 100,
+        "counters stay exact"
+    );
+}
+
+#[test]
+fn every_app_machine_pair_is_answered_or_rejected() {
+    let queries: Vec<String> = APP_NAMES
+        .iter()
+        .flat_map(|app| {
+            MACHINE_NAMES
+                .iter()
+                .map(move |m| Query::new(app, m).render())
+        })
+        .collect();
+    assert_eq!(queries.len(), 100);
+    let mut svc = CampaignService::new(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let outcomes = svc.run_batch(&queries);
+    let mut rejected = Vec::new();
+    for (q, o) in queries.iter().zip(&outcomes) {
+        match o.status {
+            CacheStatus::Miss => assert!(o.answer.is_some(), "{q}"),
+            CacheStatus::Error => rejected.push(q.as_str()),
+            other => panic!("{q}: unexpected {other:?}"),
+        }
+    }
+    // Every app but Pele needs GPUs: nine apps on the three CPU-only machines.
+    assert_eq!(rejected.len(), 27, "{rejected:?}");
+    assert!(rejected.iter().all(
+        |q| !q.contains("app=Pele") && ["Cori", "Theta", "Eagle"].iter().any(|m| q.contains(m))
+    ));
 }

@@ -49,7 +49,7 @@ pub use ledger::{digest64, FomKind, FomLedger, FomRecord, LEDGER_FILE, LEDGER_VE
 pub use metrics::{
     Counter, Histogram, MetricSource, MetricsRegistry, TelemetrySnapshot, TrackSummary,
 };
-pub use pool_obs::PoolTelemetry;
+pub use pool_obs::{PoolTelemetry, MAX_LANE_INTERVALS};
 pub use sentinel::{
     check_slo, run_sentinel, run_sentinel_all, SentinelConfig, SentinelReport, SloConfig,
     SloReport, Verdict,

@@ -22,9 +22,15 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use workpool::{PoolObserver, CALLER_LANE};
 
+/// Task intervals a lane keeps between lands (the earliest ones), so an
+/// observer that is never landed stays bounded. Task counts, busy time and
+/// the histograms stay exact past the cap.
+pub const MAX_LANE_INTERVALS: usize = 1024;
+
 #[derive(Debug, Default)]
 struct LaneLog {
-    /// Closed task intervals: `(start_ns, end_ns, stolen)`.
+    /// Closed task intervals: `(start_ns, end_ns, stolen)`, at most
+    /// [`MAX_LANE_INTERVALS`].
     intervals: Vec<(u64, u64, bool)>,
     busy_ns: u64,
     stolen: u64,
@@ -97,7 +103,8 @@ impl PoolTelemetry {
     /// * one `TrackKind::Worker` track per active lane —
     ///   `{ns}/worker{lane}` for pool workers, `{ns}/caller` for the
     ///   helping caller — carrying a `SpanCat::Task` span per executed
-    ///   task (stolen ones named `task:stolen`), interval-sorted so track
+    ///   task up to [`MAX_LANE_INTERVALS`] per lane (stolen ones named
+    ///   `task:stolen`), interval-sorted so track
     ///   timestamps are monotone even when a lane's events arrived from
     ///   several threads (nested-scope callers);
     /// * `pool.*` counters (tasks, stolen tasks, steals, stolen jobs,
@@ -163,7 +170,9 @@ impl PoolObserver for PoolTelemetry {
         g.task_run_s
             .record(end_ns.saturating_sub(start_ns) as f64 / 1e9);
         let log = g.lanes.entry(lane).or_default();
-        log.intervals.push((start_ns, end_ns, stolen));
+        if log.intervals.len() < MAX_LANE_INTERVALS {
+            log.intervals.push((start_ns, end_ns, stolen));
+        }
         log.busy_ns += end_ns.saturating_sub(start_ns);
         if stolen {
             log.stolen += 1;
@@ -257,6 +266,30 @@ mod tests {
             32,
             "no double count"
         );
+    }
+
+    #[test]
+    fn intervals_are_capped_while_counts_stay_exact() {
+        let obs = PoolTelemetry::new();
+        let tasks = 100_000u64;
+        for i in 0..tasks {
+            obs.task_run((i % 2) as usize, 10 * i, 10 * i + 3, i % 7 == 0);
+        }
+        assert_eq!(obs.tasks(), tasks);
+        assert_eq!(obs.busy_ns(), 3 * tasks);
+        let collector = TelemetryCollector::new();
+        assert_eq!(obs.land(&collector, "pool"), 3 * tasks);
+        let snap = collector.snapshot();
+        assert_eq!(snap.counter("pool.tasks"), tasks);
+        assert_eq!(
+            snap.hist("pool.task_run_s").expect("histogram").count(),
+            tasks
+        );
+        assert_eq!(snap.tracks.len(), 2);
+        assert!(snap
+            .tracks
+            .iter()
+            .all(|t| t.spans == MAX_LANE_INTERVALS as u64));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 #   5. the benchmark's own tests (exabench/), so an API change the benchmark
 #      imports fails here rather than in a benchmark run;
 #   6. `reproduce paper` (the eleven paper artifacts) and five gates;
-#   7. the four gates that pin EXA_THREADS=4.
+#   7. the four gates that pin EXA_THREADS=4;
+#   8. every BENCHMARK.json workload for 1 s, untraced: the benchmark's own
+#      answer check must report `"correct": true` and `"failed": 0`.
 #
 # Each experiment checks the artifacts it writes and makes `reproduce` exit
 # non-zero on a failed check; `reproduce list` names what each one gates.
@@ -24,5 +26,13 @@ done
 cargo test --offline -q --manifest-path exabench/Cargo.toml
 cargo run --release -q -p exa-bench --bin reproduce -- paper profile_export fom_ledger comm_overlap sim_throughput autotune
 EXA_THREADS=4 cargo run --release -q -p exa-bench --bin reproduce -- obs_export telemetry_overhead fault_scenarios campaign_load
+for workload in $(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do
+    last=$(cargo run --release --offline -q --manifest-path exabench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    if [[ $last != *'"correct": true'* || $last != *'"failed": 0,'* ]]; then
+        echo "tier1: exabench $workload failed its answer check: $last" >&2
+        exit 1
+    fi
+done
 
-echo "tier1: build + clippy + fmt + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates all green"
+echo "tier1: build + clippy + fmt + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"
