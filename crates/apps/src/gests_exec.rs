@@ -242,8 +242,7 @@ pub fn dns_step_window(
     // the viscous term.
     let n = cfg.n;
     let decay_time = advance_time(cfg, gpu);
-    let split_base = (n * n) / cfg.ranks;
-    let split_rem = (n * n) % cfg.ranks;
+    let split = grid.line_split();
     let (dt, nu) = (cfg.dt, cfg.viscosity);
     // `k0² + k1² + k2²` is an exact integer no larger than `3·⌊n/2⌋²`, so
     // each decay factor is read from a table indexed by it — the same
@@ -258,8 +257,7 @@ pub fn dns_step_window(
         .map(|k2sum| (-nu * k2sum as f64 * dt).exp())
         .collect();
     sched.compute_phase(comm, grid.parts_mut(), |ctx, part| {
-        let r = ctx.rank();
-        let start = r * split_base + r.min(split_rem);
+        let start = split.start(ctx.rank());
         for (li, line) in part.chunks_mut(n).enumerate() {
             let gl = start + li;
             let k12 = ksq[gl / n] + ksq[gl % n];
@@ -331,12 +329,10 @@ mod tests {
     ) {
         plan.forward(sched, comm, gpu, grid);
         let n = cfg.n;
-        let split_base = (n * n) / cfg.ranks;
-        let split_rem = (n * n) % cfg.ranks;
+        let split = grid.line_split();
         let (dt, nu) = (cfg.dt, cfg.viscosity);
         sched.compute_phase(comm, grid.parts_mut(), |ctx, part| {
-            let r = ctx.rank();
-            let start = r * split_base + r.min(split_rem);
+            let start = split.start(ctx.rank());
             for (li, line) in part.chunks_mut(n).enumerate() {
                 let gl = start + li;
                 let (k1, k2) = (wavenumber(gl / n, n), wavenumber(gl % n, n));

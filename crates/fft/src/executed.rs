@@ -141,6 +141,12 @@ impl DistGrid {
         self.axis
     }
 
+    /// How the `n²` lines are split over the ranks: rank `r`'s first line
+    /// of the current layout is `line_split().start(r)`.
+    pub fn line_split(&self) -> Split {
+        Split::new(self.n * self.n, self.parts.len())
+    }
+
     /// Mutable access to the per-rank line slices, for executed kernels
     /// (e.g. a spectral advance) that transform the distributed data in
     /// place between FFT passes.
@@ -152,7 +158,7 @@ impl DistGrid {
     /// layout the grid is currently in.
     pub fn gather_global(&self) -> Vec<C64> {
         let n = self.n;
-        let split = Split::new(n * n, self.parts.len());
+        let split = self.line_split();
         let mut out = vec![C64::ZERO; n * n * n];
         for (r, part) in self.parts.iter().enumerate() {
             let start = split.start(r);
@@ -259,7 +265,7 @@ impl ExecutedFft3d {
     ) {
         let n = self.n;
         let ranks = grid.ranks();
-        let split = Split::new(n * n, ranks);
+        let split = grid.line_split();
         let from = grid.axis;
         let hop = match (from, to) {
             (LineAxis::Axis2, LineAxis::Axis1) | (LineAxis::Axis1, LineAxis::Axis2) => 0,

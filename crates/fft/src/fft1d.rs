@@ -1,18 +1,32 @@
 //! One-dimensional complex FFTs.
 //!
-//! Powers of two run one in-place Cooley–Tukey kernel over any number of
-//! whole lines; other lengths fall back to Bluestein's chirp-z algorithm,
-//! whose three inner power-of-two transforms run on that same kernel.
+//! Powers of two run one Cooley–Tukey kernel over any number of whole
+//! lines; other lengths fall back to Bluestein's chirp-z algorithm, whose
+//! three inner power-of-two transforms run on that same kernel.
 //!
-//! The kernel reads a per-thread cached `Plan` for `(n, inverse)`: the
-//! bit-reversal swap pairs and, per radix-2 stage, one contiguous twiddle
-//! slice. It runs the stages two at a time (radix-2² sweeps: four loads,
-//! stage `s`'s two butterflies, stage `s+1`'s two, four stores) and ends
-//! with one radix-2 sweep when `log₂ n` is odd. Every element sees exactly
-//! the floating-point operations, operands and order of the textbook
-//! stage-by-stage radix-2 loop — only independent operations are
+//! The kernel transforms `L` lines at once in structure-of-arrays form:
+//! point `i` of the `L` lines is one `Lanes` value, `re: [f64; L]` and
+//! `im: [f64; L]`, held in a per-thread scratch. It runs the radix-2
+//! stages two at a time (radix-2² sweeps: stage `s`'s two butterflies,
+//! then stage `s+1`'s two, on each quartet of points), closing with a
+//! radix-2 sweep when `log₂ n` is odd. The first sweep reads its quartets
+//! from the lines in bit-reversed order, so there is no separate swap
+//! pass, and the closing sweep writes the lines back, scaled by `1/n` for
+//! an inverse. Twiddles come from a per-thread cached `Plan` for
+//! `(n, inverse)`.
+//!
+//! Every lane does exactly the floating-point operations, operands and
+//! order of the textbook stage-by-stage radix-2 loop (plain `*`, `+`, `-`,
+//! which LLVM never contracts into FMAs) — only independent operations are
 //! reordered — so results are bitwise equal to it, signed zeros and
-//! non-finite values included.
+//! non-finite values included, whatever `L` and whatever instruction set.
+//!
+//! Batches run groups of four lines through `L = 4`, and leftover lines
+//! (and so per-line calls and Bluestein's inner transforms) through
+//! `L = 1`. The `L = 4` body is one generic function compiled twice:
+//! portable, and inside an AVX2 `target_feature` wrapper that x86-64
+//! hosts with AVX2 select at run time ([`LineIsa::host`]), where each
+//! lane array becomes one 256-bit vector.
 
 use exa_linalg::C64;
 use std::cell::RefCell;
@@ -31,7 +45,7 @@ pub fn ifft(data: &mut [C64]) {
 
 /// Forward DFT of `lines.len() / n` contiguous length-`n` lines, bit-for-bit
 /// identical to calling [`fft`] per line (lines are independent; batching
-/// only sets how many lines one call hands the kernel).
+/// only sets how many lines the kernel runs side by side).
 pub fn fft_batch(lines: &mut [C64], n: usize) {
     transform(lines, n, false);
 }
@@ -41,17 +55,51 @@ pub fn ifft_batch(lines: &mut [C64], n: usize) {
     transform(lines, n, true);
 }
 
-/// Dispatch on length. Inverse transforms come back normalised by `1/n`.
+/// Dispatch on length, on the host's kernel instantiation. Inverse
+/// transforms come back normalised by `1/n`.
 fn transform(lines: &mut [C64], n: usize, inverse: bool) {
+    transform_on(LineIsa::host(), lines, n, inverse);
+}
+
+/// [`transform`] on the `isa` instantiation of the four-lane kernel.
+fn transform_on(isa: LineIsa, lines: &mut [C64], n: usize, inverse: bool) {
     assert_eq!(lines.len() % n.max(1), 0, "batch must hold whole lines");
     if n <= 1 {
         return;
     }
     if n.is_power_of_two() {
-        pow2_lines(lines, n, inverse);
+        pow2_lines(isa, lines, n, inverse);
     } else {
         for line in lines.chunks_exact_mut(n) {
-            bluestein(line, inverse);
+            bluestein(isa, line, inverse);
+        }
+    }
+}
+
+/// The instruction set the four-line kernel instantiation runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineIsa {
+    /// The generic body as the target's baseline compiles it.
+    Portable,
+    /// The same body compiled with AVX2 enabled (x86-64 only).
+    Avx2,
+}
+
+impl LineIsa {
+    /// The instantiation this host runs: AVX2 where the CPU reports it.
+    pub fn host() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return LineIsa::Avx2;
+        }
+        LineIsa::Portable
+    }
+
+    /// Lower-case name, as recorded in benchmark artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
+            LineIsa::Portable => "portable",
+            LineIsa::Avx2 => "avx2",
         }
     }
 }
@@ -59,8 +107,9 @@ fn transform(lines: &mut [C64], n: usize, inverse: bool) {
 /// Everything a power-of-two transform reads besides its data; a pure
 /// function of `(n, inverse)`.
 struct Plan {
-    /// Bit-reversal permutation as swap pairs `(i, j)`, `i < j`.
-    swaps: Vec<(usize, usize)>,
+    /// Bit-reversal permutation: point `i` of the transform is input
+    /// point `rev[i]`.
+    rev: Vec<usize>,
     /// `stage_tw[s][k] = tw[k·n/2^{s+1}]` for `k < 2^s`, where
     /// `tw[k] = e^{sign·2πi k/n}` is the half-length table: the strided
     /// walk stage `s` makes over `tw`, stored contiguously.
@@ -70,9 +119,8 @@ struct Plan {
 impl Plan {
     fn new(n: usize, inverse: bool) -> Self {
         let bits = n.trailing_zeros();
-        let swaps = (0..n)
-            .map(|i| (i, (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1)))
-            .filter(|&(i, j)| j > i)
+        let rev = (0..n)
+            .map(|i| (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1))
             .collect();
         let sign = if inverse { 1.0 } else { -1.0 };
         let tw: Vec<C64> = (0..n / 2)
@@ -84,7 +132,7 @@ impl Plan {
                 (0..1usize << s).map(|k| tw[k * stride]).collect()
             })
             .collect();
-        Plan { swaps, stage_tw }
+        Plan { rev, stage_tw }
     }
 
     /// The plan for `(n, inverse)`, cached per thread: the distributed 3-D
@@ -110,51 +158,176 @@ impl Plan {
     }
 }
 
-/// The power-of-two kernel: transforms every length-`n` line of `lines`
-/// in place (`n ≥ 2` a power of two). Inverse lines are scaled by `1/n`
-/// in the last sweep — the same multiply on the same value as a separate
-/// pass.
-fn pow2_lines(lines: &mut [C64], n: usize, inverse: bool) {
-    debug_assert!(n >= 2 && n.is_power_of_two() && lines.len().is_multiple_of(n));
-    let plan = Plan::cached(n, inverse);
-    let stages = plan.stage_tw.as_slice();
-    let scale = if inverse { Some(1.0 / n as f64) } else { None };
-    for line in lines.chunks_exact_mut(n) {
-        for &(i, j) in &plan.swaps {
-            line.swap(i, j);
-        }
-        let mut s = 0;
-        while s + 2 <= stages.len() {
-            let (t1, t2) = (&stages[s], &stages[s + 1]);
-            s += 2;
-            match scale {
-                Some(f) if s == stages.len() => sweep2::<true>(line, t1, t2, f),
-                _ => sweep2::<false>(line, t1, t2, 1.0),
-            }
-        }
-        if let Some(t) = stages.get(s) {
-            match scale {
-                Some(f) => sweep1::<true>(line, t, f),
-                None => sweep1::<false>(line, t, 1.0),
-            }
+/// Point `i` of `L` lines side by side.
+#[derive(Debug, Clone, Copy)]
+struct Lanes<const L: usize> {
+    re: [f64; L],
+    im: [f64; L],
+}
+
+impl<const L: usize> Lanes<L> {
+    const ZERO: Self = Lanes {
+        re: [0.0; L],
+        im: [0.0; L],
+    };
+
+    /// Lane `l`, times `f` if `SCALE`.
+    #[inline(always)]
+    fn lane<const SCALE: bool>(&self, l: usize, f: f64) -> C64 {
+        if SCALE {
+            C64::new(self.re[l] * f, self.im[l] * f)
+        } else {
+            C64::new(self.re[l], self.im[l])
         }
     }
 }
 
-/// One radix-2 stage with half-width `h = t.len()`: butterfly `(k, k+h)`
-/// of every `2h` block with twiddle `t[k]`; outputs times `f` if `SCALE`.
-fn sweep1<const SCALE: bool>(line: &mut [C64], t: &[C64], f: f64) {
-    let h = t.len();
-    for block in line.chunks_exact_mut(2 * h) {
-        let (lo, hi) = block.split_at_mut(h);
-        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(t) {
-            let v = *b * w;
-            let (x, y) = (*a + v, *a - v);
-            (*a, *b) = if SCALE {
-                (x.scale(f), y.scale(f))
-            } else {
-                (x, y)
-            };
+thread_local! {
+    /// Per-thread working storage of the kernel, one per lane width; grows
+    /// to the longest line seen and is reused by every later call.
+    static SCRATCH1: RefCell<Vec<Lanes<1>>> = const { RefCell::new(Vec::new()) };
+    static SCRATCH4: RefCell<Vec<Lanes<4>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The first `n` points of a thread's scratch, grown if needed.
+fn with_scratch<const L: usize, R>(
+    key: &'static std::thread::LocalKey<RefCell<Vec<Lanes<L>>>>,
+    n: usize,
+    f: impl FnOnce(&mut [Lanes<L>]) -> R,
+) -> R {
+    key.with(|s| {
+        let mut s = s.borrow_mut();
+        if s.len() < n {
+            s.resize(n, Lanes::ZERO);
+        }
+        f(&mut s[..n])
+    })
+}
+
+/// The power-of-two kernel: transforms every length-`n` line of `lines`
+/// in place (`n ≥ 2` a power of two), whole groups of four lines on the
+/// `isa` instantiation of the four-lane body, the rest one lane at a time.
+/// Inverse lines come back scaled by `1/n`.
+fn pow2_lines(isa: LineIsa, lines: &mut [C64], n: usize, inverse: bool) {
+    let plan = Plan::cached(n, inverse);
+    if inverse {
+        pow2_lines_scaled::<true>(isa, lines, &plan, 1.0 / n as f64);
+    } else {
+        pow2_lines_scaled::<false>(isa, lines, &plan, 1.0);
+    }
+}
+
+/// [`pow2_lines`] with outputs times `f` if `SCALE`. The flag is a const
+/// so the forward instantiation has no multiply at all: from a run-time
+/// `Option<f64>`, LLVM multiplied by the `None` payload and selected, which
+/// made per-line transforms up to 4× slower.
+fn pow2_lines_scaled<const SCALE: bool>(isa: LineIsa, lines: &mut [C64], plan: &Plan, f: f64) {
+    let n = plan.rev.len();
+    debug_assert!(n >= 2 && n.is_power_of_two() && lines.len().is_multiple_of(n));
+    let (quads, rest) = lines.split_at_mut(lines.len() & !(4 * n - 1));
+    if !quads.is_empty() {
+        with_scratch(&SCRATCH4, n, |buf| match isa {
+            #[cfg(target_arch = "x86_64")]
+            LineIsa::Avx2 => {
+                assert!(
+                    std::arch::is_x86_feature_detected!("avx2"),
+                    "AVX2 line kernel on a CPU without AVX2"
+                );
+                // SAFETY: `lanes_avx2`'s only requirement is that the CPU
+                // supports AVX2, which the assertion above just checked.
+                unsafe { lanes_avx2::<SCALE>(quads, plan, buf, f) }
+            }
+            _ => lanes::<4, SCALE>(quads, plan, buf, f),
+        });
+    }
+    if !rest.is_empty() {
+        with_scratch(&SCRATCH1, n, |buf| lanes::<1, SCALE>(rest, plan, buf, f));
+    }
+}
+
+/// The four-lane body compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lanes_avx2<const SCALE: bool>(lines: &mut [C64], plan: &Plan, buf: &mut [Lanes<4>], f: f64) {
+    lanes::<4, SCALE>(lines, plan, buf, f);
+}
+
+/// The kernel body: transforms `lines` (a whole number of groups of `L`
+/// length-`n` lines, `n = buf.len()`) group by group through `buf`,
+/// outputs times `f` if `SCALE` — the same multiply on the same value as
+/// a separate pass. The first sweep reads the lines and the last one
+/// writes them, so each point is loaded and stored once.
+#[inline(always)]
+fn lanes<const L: usize, const SCALE: bool>(
+    lines: &mut [C64],
+    plan: &Plan,
+    buf: &mut [Lanes<L>],
+    f: f64,
+) {
+    let n = buf.len();
+    let stages = plan.stage_tw.as_slice();
+    // Stages `..last` run as radix-2² sweeps in `buf`, the first of them
+    // reading the lines (lines of two or four points are just gathered);
+    // the one or two stages from `last` on make the closing sweep, one
+    // block over the whole line, which writes the lines back.
+    let last = (stages.len() - 1) & !1;
+    for group in lines.chunks_exact_mut(L * n) {
+        let mut rows = group.chunks_exact_mut(n);
+        let mut rows: [&mut [C64]; L] = std::array::from_fn(|_| rows.next().expect("L lines"));
+        let point = |j: usize| {
+            let mut p = Lanes::ZERO;
+            for (l, row) in rows.iter().enumerate() {
+                (p.re[l], p.im[l]) = (row[j].re, row[j].im);
+            }
+            p
+        };
+        if last == 0 {
+            for (p, &j) in buf.iter_mut().zip(&plan.rev) {
+                *p = point(j);
+            }
+        } else {
+            // The first sweep (h = 1) reads its quartets straight from the
+            // lines: bit-reversed quartet `rev[j]..rev[j] + 4` is input
+            // points `j, j + n/2, j + n/4, j + 3n/4` (`j < n/4`), so walking
+            // `j` upwards reads four sequential streams per line.
+            let (w1, w2, w3) = (stages[0][0], stages[1][0], stages[1][1]);
+            let q = n / 4;
+            let (quads, _) = buf.as_chunks_mut::<4>();
+            for (j, &r) in plan.rev[..q].iter().enumerate() {
+                let x = [point(j), point(j + 2 * q), point(j + q), point(j + 3 * q)];
+                quads[r / 4] = quartet(x, w1, w2, w3);
+            }
+        }
+        for pair in stages[2.min(last)..last].chunks_exact(2) {
+            radix4_sweep(buf, &pair[0], &pair[1]);
+        }
+        let mut put = |i: usize, p: Lanes<L>| {
+            for (l, row) in rows.iter_mut().enumerate() {
+                row[i] = p.lane::<SCALE>(l, f);
+            }
+        };
+        match &stages[last..] {
+            [t] => {
+                let (lo, hi) = buf.split_at(t.len());
+                for (k, ((&a, &b), &w)) in lo.iter().zip(hi).zip(t).enumerate() {
+                    let (mut a, mut b) = (a, b);
+                    butterfly(&mut a, &mut b, w);
+                    put(k, a);
+                    put(k + t.len(), b);
+                }
+            }
+            [t1, t2] => {
+                let h = t1.len();
+                for k in 0..h {
+                    let x = [buf[k], buf[k + h], buf[k + 2 * h], buf[k + 3 * h]];
+                    let [a, b, c, d] = quartet(x, t1[k], t2[k], t2[k + h]);
+                    put(k, a);
+                    put(k + h, b);
+                    put(k + 2 * h, c);
+                    put(k + 3 * h, d);
+                }
+            }
+            _ => unreachable!("the closing sweep covers one or two stages"),
         }
     }
 }
@@ -163,55 +336,52 @@ fn sweep1<const SCALE: bool>(line: &mut [C64], t: &[C64], f: f64) {
 /// `t2.len() = 2h`): per `4h` block and `k < h`, the quartet
 /// `k, k+h, k+2h, k+3h` goes through [`quartet`] with twiddles `t1[k]`,
 /// `t2[k]`, `t2[k+h]`.
-fn sweep2<const SCALE: bool>(line: &mut [C64], t1: &[C64], t2: &[C64], f: f64) {
+#[inline(always)]
+fn radix4_sweep<const L: usize>(buf: &mut [Lanes<L>], t1: &[C64], t2: &[C64]) {
     let h = t1.len();
-    if h == 1 {
-        // First sweep: one quartet per block, twiddles hoisted.
-        let (w1, w2, w3) = (t1[0], t2[0], t2[1]);
-        for q in line.chunks_exact_mut(4) {
-            let r = quartet::<SCALE>([q[0], q[1], q[2], q[3]], w1, w2, w3, f);
-            q.copy_from_slice(&r);
-        }
-        return;
-    }
     let (t2lo, t2hi) = t2.split_at(h);
-    for block in line.chunks_exact_mut(4 * h) {
+    for block in buf.chunks_exact_mut(4 * h) {
         let (q01, q23) = block.split_at_mut(2 * h);
         let (q0, q1) = q01.split_at_mut(h);
         let (q2, q3) = q23.split_at_mut(h);
         for k in 0..h {
-            let r = quartet::<SCALE>([q0[k], q1[k], q2[k], q3[k]], t1[k], t2lo[k], t2hi[k], f);
+            let r = quartet([q0[k], q1[k], q2[k], q3[k]], t1[k], t2lo[k], t2hi[k]);
             (q0[k], q1[k], q2[k], q3[k]) = (r[0], r[1], r[2], r[3]);
         }
     }
 }
 
-/// Two radix-2 stages on one quartet `[a, b, c, d]` (elements `k`, `k+h`,
+/// Two radix-2 stages on one quartet `[a, b, c, d]` (points `k`, `k+h`,
 /// `k+2h`, `k+3h`): stage `s` butterflies `(a, b)` and `(c, d)` with
 /// `w1`, then stage `s+1` butterflies `(a, c)` with `w2` and `(b, d)`
-/// with `w3` — each element's exact radix-2 operations, in stage order.
-/// Outputs are multiplied by `f` if `SCALE`.
+/// with `w3` — each point's exact radix-2 operations, in stage order.
 #[inline(always)]
-fn quartet<const SCALE: bool>(x: [C64; 4], w1: C64, w2: C64, w3: C64, f: f64) -> [C64; 4] {
-    let [a, b, c, d] = x;
-    let v = b * w1;
-    let (a, b) = (a + v, a - v);
-    let v = d * w1;
-    let (c, d) = (c + v, c - v);
-    let v = c * w2;
-    let (a, c) = (a + v, a - v);
-    let v = d * w3;
-    let (b, d) = (b + v, b - v);
-    if SCALE {
-        [a.scale(f), b.scale(f), c.scale(f), d.scale(f)]
-    } else {
-        [a, b, c, d]
+fn quartet<const L: usize>(x: [Lanes<L>; 4], w1: C64, w2: C64, w3: C64) -> [Lanes<L>; 4] {
+    let [mut a, mut b, mut c, mut d] = x;
+    butterfly(&mut a, &mut b, w1);
+    butterfly(&mut c, &mut d, w1);
+    butterfly(&mut a, &mut c, w2);
+    butterfly(&mut b, &mut d, w3);
+    [a, b, c, d]
+}
+
+/// The radix-2 butterfly on every lane: `v = b·w`, `a ← a + v`,
+/// `b ← a − v`, with [`C64`]'s multiply, add and subtract, operand for
+/// operand.
+#[inline(always)]
+fn butterfly<const L: usize>(a: &mut Lanes<L>, b: &mut Lanes<L>, w: C64) {
+    for l in 0..L {
+        let vr = b.re[l] * w.re - b.im[l] * w.im;
+        let vi = b.re[l] * w.im + b.im[l] * w.re;
+        let (ar, ai) = (a.re[l], a.im[l]);
+        (a.re[l], a.im[l]) = (ar + vr, ai + vi);
+        (b.re[l], b.im[l]) = (ar - vr, ai - vi);
     }
 }
 
 /// Bluestein's algorithm: any-length DFT via a power-of-two convolution.
 /// The inverse comes back normalised by `1/n`.
-fn bluestein(data: &mut [C64], inverse: bool) {
+fn bluestein(isa: LineIsa, data: &mut [C64], inverse: bool) {
     let n = data.len();
     let sign = if inverse { 1.0 } else { -1.0 };
     // Chirp: w[j] = e^{sign·πi j²/n}. Use j² mod 2n to stay accurate.
@@ -232,13 +402,13 @@ fn bluestein(data: &mut [C64], inverse: bool) {
     for j in 1..n {
         b[m - j] = chirp[j].conj();
     }
-    pow2_lines(&mut a, m, false);
-    pow2_lines(&mut b, m, false);
+    pow2_lines(isa, &mut a, m, false);
+    pow2_lines(isa, &mut b, m, false);
     for (x, y) in a.iter_mut().zip(&b) {
         *x *= *y;
     }
     // The inverse kernel already applies the convolution's `1/m`.
-    pow2_lines(&mut a, m, true);
+    pow2_lines(isa, &mut a, m, true);
     let scale = 1.0 / n as f64;
     for ((d, &x), &c) in data.iter_mut().zip(&a).zip(&chirp) {
         let z = x * c;
@@ -528,9 +698,21 @@ mod tests {
                 .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
     }
 
-    /// `fft`, `ifft`, `fft_batch` and `ifft_batch` against the frozen
-    /// reference, bit for bit, on one batch of `n`-lines.
+    /// Every kernel instantiation this host can run: the portable one
+    /// always, AVX2 where the CPU has it.
+    fn isas() -> Vec<LineIsa> {
+        let mut isas = vec![LineIsa::Portable];
+        if LineIsa::host() != LineIsa::Portable {
+            isas.push(LineIsa::host());
+        }
+        isas
+    }
+
+    /// `fft`, `ifft`, `fft_batch`, `ifft_batch` and the batch on every
+    /// instantiation in [`isas`] against the frozen reference, bit for bit,
+    /// on one batch of `n`-lines.
     fn assert_matches_reference(orig: &[C64], n: usize, what: &str) {
+        let lines = orig.len() / n;
         for inverse in [false, true] {
             let mut want = orig.to_vec();
             for line in want.chunks_mut(n) {
@@ -544,24 +726,35 @@ mod tests {
                     fft(line);
                 }
             }
+            assert!(
+                same_bits(&per_line, &want),
+                "per-line (inverse={inverse}) differs from the reference: n={n} lines={lines} {what}"
+            );
             let mut batched = orig.to_vec();
             if inverse {
                 ifft_batch(&mut batched, n);
             } else {
                 fft_batch(&mut batched, n);
             }
-            let lines = orig.len() / n;
-            assert!(
-                same_bits(&per_line, &want),
-                "per-line (inverse={inverse}) differs from the reference: n={n} lines={lines} {what}"
-            );
             assert!(
                 same_bits(&batched, &want),
                 "batched (inverse={inverse}) differs from the reference: n={n} lines={lines} {what}"
             );
+            for isa in isas() {
+                let mut got = orig.to_vec();
+                transform_on(isa, &mut got, n, inverse);
+                assert!(
+                    same_bits(&got, &want),
+                    "{isa:?} batch (inverse={inverse}) differs from the reference: \
+                     n={n} lines={lines} {what}"
+                );
+            }
         }
     }
 
+    /// Lengths 2¹…2¹² and four Bluestein lengths, 1–9 lines (so whole
+    /// four-line groups, remainders and both), random, signed-zero /
+    /// subnormal and infinite inputs, on every instantiation.
     #[test]
     fn kernel_is_bitwise_the_frozen_radix2_loop() {
         let lengths = (1..=12).map(|b| 1usize << b).chain([3, 12, 100, 243]);

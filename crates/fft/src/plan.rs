@@ -8,7 +8,7 @@ use crate::executed::LineAxis;
 /// `total % parts` parts get one extra item, so the shares always sum back
 /// to `total` exactly.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Split {
+pub struct Split {
     pub(crate) base: usize,
     pub(crate) rem: usize,
 }
@@ -21,7 +21,8 @@ impl Split {
         }
     }
 
-    pub(crate) fn start(&self, part: usize) -> usize {
+    /// First item of `part`.
+    pub fn start(&self, part: usize) -> usize {
         part * self.base + part.min(self.rem)
     }
 
