@@ -11,13 +11,13 @@
 
 use crate::calibration::gests as cal;
 use exa_core::{
-    perturb_measurement, Application, FigureOfMerit, FomMeasurement, Injection, Motif,
-    NetworkScenario, RunContext,
+    perturb_measurement, Application, FigureOfMerit, FomMeasurement, Motif, RunContext,
+    ScenarioSpec,
 };
 use exa_fft::{fft3d, ifft3d, Decomp, DistFft3d};
 use exa_linalg::C64;
 use exa_machine::{GpuArch, MachineModel, SimTime};
-use exa_mpi::{Comm, Network};
+use exa_mpi::Network;
 use exa_telemetry::{SpanCat, TelemetryCollector, TrackKind};
 use std::sync::Arc;
 
@@ -37,11 +37,6 @@ pub struct PsdnsRun {
     /// Pipeline the transposes over this many chunks, hiding them behind
     /// the neighbouring FFT stages (`None` = the blocking BSP schedule).
     pub overlap_chunks: Option<usize>,
-    /// Degraded-fabric scenario: contention factors applied to the α–β
-    /// network view plus seeded per-operation jitter (`None` = calm
-    /// fabric). The fault-scenario drills run GESTS under this to exercise
-    /// the overlap engine on a congested Slingshot.
-    pub net_scenario: Option<NetworkScenario>,
 }
 
 impl PsdnsRun {
@@ -54,7 +49,6 @@ impl PsdnsRun {
             ranks,
             decomp,
             overlap_chunks: None,
-            net_scenario: None,
         }
     }
 
@@ -62,12 +56,6 @@ impl PsdnsRun {
     pub fn with_overlap(mut self, chunks: usize) -> Self {
         assert!(chunks >= 1);
         self.overlap_chunks = Some(chunks);
-        self
-    }
-
-    /// Run on a degraded fabric (contention + seeded jitter).
-    pub fn with_network_scenario(mut self, scenario: NetworkScenario) -> Self {
-        self.net_scenario = Some(scenario);
         self
     }
 
@@ -86,20 +74,21 @@ impl PsdnsRun {
         machine: &MachineModel,
         telemetry: Option<&Arc<TelemetryCollector>>,
     ) -> SimTime {
-        self.step_time_observed(machine, telemetry, &[])
+        self.step_time_observed(machine, telemetry, &ScenarioSpec::clean())
     }
 
-    /// [`PsdnsRun::step_time_profiled`] with synthetic fault injections:
-    /// phases whose name contains an injection's needle run `factor`×
+    /// [`PsdnsRun::step_time_profiled`] under `scenario`: phases whose
+    /// name contains an injection's needle run [`ScenarioSpec::stretch`]×
     /// longer (the extra time charged to every rank, so the recorded spans
-    /// and the returned wall time stretch together; matching factors
-    /// compose multiplicatively). Used by the regression-sentinel drill in
-    /// `fom_ledger` and the scenario engine.
+    /// and the returned wall time stretch together), and the communicator
+    /// runs on the fabric the scenario degrades ([`ScenarioSpec::comm`]).
+    /// Used by the regression-sentinel drills in `fom_ledger` and
+    /// `fault_scenarios`, and by the latter's degraded-fabric run.
     pub fn step_time_observed(
         &self,
         machine: &MachineModel,
         telemetry: Option<&Arc<TelemetryCollector>>,
-        injections: &[Injection],
+        scenario: &ScenarioSpec,
     ) -> SimTime {
         let mut plan = DistFft3d::new(self.n, self.decomp);
         plan.overlap_chunks = self.overlap_chunks;
@@ -114,35 +103,20 @@ impl PsdnsRun {
         // offloading was used to ... enable GPU-Direct MPI communications");
         // the 2019 CUDA reference staged transposes through host memory.
         let gpu_aware = !matches!(machine.node.gpu().arch, GpuArch::Volta);
-        let mut net = Network::from_machine(machine)
+        let net = Network::from_machine(machine)
             .with_ranks_per_node(ranks_per_node)
             .with_gpu_aware(gpu_aware);
-        if let Some(ns) = self.net_scenario {
-            net = net.with_contention(ns.alpha_factor, ns.beta_factor);
-        }
-        let mut comm = Comm::new(self.ranks, net);
-        if let Some(ns) = self.net_scenario {
-            if ns.jitter_amp > 0.0 {
-                comm.set_jitter(ns.jitter_amp, ns.jitter_seed);
-            }
-        }
+        let mut comm = scenario.comm(self.ranks, net);
         let host = telemetry.map(|c| {
             comm.attach_telemetry(c, "gests/comm");
             c.track("gests/host", TrackKind::Host)
         });
         let gpu = machine.node.gpu();
-        let stretch = |name: &str| -> f64 {
-            injections
-                .iter()
-                .filter(|inj| name.contains(inj.needle.as_str()))
-                .map(|inj| inj.factor)
-                .product()
-        };
         let transpose_plan = plan.plan(self.ranks);
         for _ in 0..TRANSFORMS_PER_STEP {
             let start = comm.elapsed();
             plan.charge_plan(&mut comm, gpu, &transpose_plan);
-            let extra = stretch("transform") - 1.0;
+            let extra = scenario.stretch("transform") - 1.0;
             if extra > 0.0 {
                 comm.advance_all((comm.elapsed() - start) * extra);
             }
@@ -153,7 +127,7 @@ impl PsdnsRun {
         // Spectral advance + dealiasing: one streaming pass over local data.
         let pass = SimTime::from_secs(
             (self.n as f64).powi(3) * 16.0 / (self.ranks as f64) / (gpu.mem_bw * plan.mem_eff)
-                * stretch("spectral_advance"),
+                * scenario.stretch("spectral_advance"),
         );
         let advance_start = comm.elapsed();
         comm.advance_all(pass);
@@ -327,7 +301,7 @@ impl Application for Gests {
     fn run_profiled(&self, machine: &MachineModel, ctx: &RunContext<'_>) -> FomMeasurement {
         let rep = PsdnsRun::new(128, 8, Decomp::Slabs).with_overlap(4);
         let t_clean = rep.step_time(machine);
-        let t_observed = rep.step_time_observed(machine, Some(ctx.telemetry), &ctx.injections);
+        let t_observed = rep.step_time_observed(machine, Some(ctx.telemetry), ctx.scenario);
         let ratio = if t_clean.is_zero() {
             1.0
         } else {
@@ -375,7 +349,8 @@ mod tests {
         let clean_c = TelemetryCollector::shared();
         let clean = app.run_profiled(&m, &RunContext::new(&clean_c));
         let hurt_c = TelemetryCollector::shared();
-        let hurt = app.run_profiled(&m, &RunContext::with_injection(&hurt_c, "transform", 2.0));
+        let drill = ScenarioSpec::clean().with_injection("transform", 2.0);
+        let hurt = app.run_profiled(&m, &RunContext::for_scenario(&hurt_c, &drill));
         assert!(
             hurt.value < clean.value * 0.75,
             "2x transform injection must visibly hurt the FOM: {} vs {}",

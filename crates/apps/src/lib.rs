@@ -28,7 +28,6 @@ pub mod coast;
 pub mod comet;
 pub mod e3sm;
 pub mod exasky;
-pub mod fault;
 pub mod gamess;
 pub mod gests;
 pub mod gests_exec;

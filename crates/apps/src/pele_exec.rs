@@ -17,16 +17,41 @@
 //!   iteration instead of six), and **zero heap allocation** on the hot
 //!   path. It reproduces `bdf1_step(..., BatchedLu)` bit for bit — same
 //!   pivoting, same operation order — so the speedup is free.
+//!
+//! One campaign loop, [`chemistry_campaign_under`], runs every campaign
+//! under a [`ScenarioSpec`]: MTBF-driven rank failures with
+//! checkpoint/restart, straggler ranks, a degraded fabric and span-stretch
+//! injections. [`chemistry_campaign`] is that loop under
+//! [`ScenarioSpec::clean`]. The campaign stays *deterministic*: the
+//! failure schedule is drawn from the scenario seed (no wall clock, no OS
+//! entropy), stragglers only skew virtual clocks (rank state is
+//! bit-identical to the clean run), and restart replays re-execute the
+//! same substeps on the same states — so the physics (`checksum`,
+//! `temp_sum`, `newton_total`) of a faulted run equals the clean run,
+//! while the virtual wall time carries the full price of lost work,
+//! checkpoint I/O, and restart penalties.
+//!
+//! Every second lost to the scenario lands in a span the critical-path
+//! analyzer's `fault_attribution` can bill:
+//!
+//! | span prefix        | what it covers                                  |
+//! |--------------------|-------------------------------------------------|
+//! | `checkpoint/`      | defensive snapshot I/O (α–β file-system model)  |
+//! | `fault/`           | failure detection + job-relaunch penalty        |
+//! | `restart/`         | snapshot reload I/O and replayed compute        |
+//! | `straggler-wait/`  | healthy ranks idling at collectives (per rank)  |
 
 use crate::pele::{bdf1_step, ChemLinearSolver, Mechanism, NSPEC};
-use exa_machine::SimTime;
-use exa_mpi::{Comm, Network, RankCtx, RankScheduler};
-use exa_telemetry::{digest64, SpanCat, TelemetryCollector};
+use exa_core::scenario::{splitmix64, unit};
+use exa_core::ScenarioSpec;
+use exa_machine::{MachineModel, SimTime};
+use exa_mpi::{Network, RankCtx, RankScheduler};
+use exa_telemetry::{digest64, SpanCat, TelemetryCollector, TrackKind};
 use std::sync::Arc;
 
 /// Nominal device time charged per cell·Newton-iteration (one fused
 /// rates+Jacobian+solve inner body on an MI250X GCD).
-pub(crate) const NEWTON_ITER_COST: f64 = 20e-9;
+const NEWTON_ITER_COST: f64 = 20e-9;
 
 /// One backward-Euler step with the fused, allocation-free Newton kernel.
 /// Numerically identical (bitwise) to
@@ -242,7 +267,7 @@ impl ChemKernel {
         }
     }
 
-    pub(crate) fn step(self, mech: &Mechanism, u: &[f64; NSPEC], dt: f64) -> ([f64; NSPEC], usize) {
+    fn step(self, mech: &Mechanism, u: &[f64; NSPEC], dt: f64) -> ([f64; NSPEC], usize) {
         match self {
             ChemKernel::BatchedLu => bdf1_step(mech, u, dt, ChemLinearSolver::BatchedLu),
             ChemKernel::MatrixFreeGmres => {
@@ -282,37 +307,39 @@ impl ChemCampaign {
 }
 
 /// Deterministic outcome of one campaign — every field must be
-/// bit-identical for any `EXA_THREADS`.
+/// bit-identical for any `EXA_THREADS` and for repeated runs of the same
+/// scenario seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChemCampaignResult {
     /// Global species-mass checksum (data-carrying allreduce, rank order).
     pub checksum: f64,
     /// Global final-temperature sum.
     pub temp_sum: f64,
-    /// Total Newton iterations across all ranks and substeps.
+    /// Total committed Newton iterations across all ranks and substeps
+    /// (replays do not double-count: restore rewinds the counters, replay
+    /// re-earns them).
     pub newton_total: u64,
-    /// Virtual wall time of the campaign (max rank clock).
+    /// Virtual wall time of the campaign (max rank clock), including
+    /// checkpoints, faults and replays.
     pub elapsed: SimTime,
     /// FNV digest of the telemetry snapshot JSON.
     pub snapshot_digest: String,
     /// FNV digest of the Chrome trace.
     pub trace_digest: String,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    /// Rank failures injected by the MTBF schedule.
+    pub failures: u32,
+    /// Restarts performed (one per failure).
+    pub restarts: u32,
+    /// Defensive checkpoints written.
+    pub checkpoints: u32,
+    /// Largest number of substeps any single failure rolled back — the
+    /// lost-work bound property: never more than one checkpoint interval.
+    pub max_lost_steps: usize,
 }
 
 /// Deterministic initial cell state: mostly-cold fuel with a hot-spot
 /// fraction that triggers the stiff ignition transient.
-pub(crate) fn init_cell(rank: usize, cell: usize) -> [f64; NSPEC] {
+fn init_cell(rank: usize, cell: usize) -> [f64; NSPEC] {
     let h = splitmix64((rank as u64) << 32 | cell as u64);
     let hot = h.is_multiple_of(8);
     let t = if hot {
@@ -346,17 +373,45 @@ pub fn chemistry_campaign_observed(
     cfg: &ChemCampaign,
     collector: &Arc<TelemetryCollector>,
 ) -> ChemCampaignResult {
-    let mut comm = Comm::new(
-        cfg.ranks,
-        Network::from_machine(&exa_machine::MachineModel::frontier()),
-    );
+    chemistry_campaign_under(sched, kernel, cfg, &ScenarioSpec::clean(), collector)
+}
+
+#[derive(Clone)]
+struct RankState {
+    cells: Vec<[f64; NSPEC]>,
+    newton: u64,
+}
+
+/// Generous virtual horizon for drawing the failure schedule: far beyond
+/// any campaign, so the schedule is bounded by `ScenarioSpec::max_failures`
+/// and the campaign's own end, never by this constant.
+const FAILURE_HORIZON_S: f64 = 1.0e9;
+
+/// Run one chemistry campaign under `scenario` on `sched`, recording into
+/// `collector`. The communicator is Frontier Slingshot 11 as the scenario
+/// degrades it ([`ScenarioSpec::comm`]); its ranks record on
+/// `pele_chem/rank<r>` tracks. Only a scenario with an MTBF or a
+/// checkpoint policy keeps a recovery snapshot of the rank states and a
+/// `pele_chem/host` track for its `fault/`, `restart/reload` and
+/// `checkpoint/` spans, so a clean run allocates and records nothing for
+/// recovery.
+pub fn chemistry_campaign_under(
+    sched: &RankScheduler,
+    kernel: ChemKernel,
+    cfg: &ChemCampaign,
+    scenario: &ScenarioSpec,
+    collector: &Arc<TelemetryCollector>,
+) -> ChemCampaignResult {
+    let mut comm = scenario.comm(cfg.ranks, Network::from_machine(&MachineModel::frontier()));
     comm.attach_telemetry(collector, "pele_chem");
+    let recovers = scenario.mtbf_s.is_some() || scenario.checkpoint.is_some();
+    let host = recovers.then(|| collector.track("pele_chem/host", TrackKind::Host));
+    let skew = scenario.skew_table(cfg.ranks);
+    // Injections matching `chem_substep` stretch every substep's compute,
+    // replays included.
+    let stretch = scenario.stretch("chem_substep");
     let mech = Mechanism::ignition();
 
-    struct RankState {
-        cells: Vec<[f64; NSPEC]>,
-        newton: u64,
-    }
     let mut states: Vec<RankState> = (0..cfg.ranks)
         .map(|r| RankState {
             cells: (0..cfg.cells_per_rank).map(|c| init_cell(r, c)).collect(),
@@ -364,10 +419,34 @@ pub fn chemistry_campaign_observed(
         })
         .collect();
 
-    for _sub in 0..cfg.substeps {
-        sched.compute_phase(
+    // The recovery line: state as of the last checkpoint (initially the
+    // initial condition — a failure before the first checkpoint replays
+    // from step 0).
+    let mut snapshot: Vec<RankState> = if recovers { states.clone() } else { Vec::new() };
+    let mut last_ckpt_step = 0usize;
+
+    let failure_events =
+        scenario.failure_schedule(cfg.ranks, SimTime::from_secs(FAILURE_HORIZON_S));
+    let mut next_failure = 0usize;
+
+    let mut failures = 0u32;
+    let mut checkpoints = 0u32;
+    let mut max_lost_steps = 0usize;
+
+    let mut step = 0usize;
+    // `replay_until`: substeps below this index are re-execution of work a
+    // failure rolled back; their compute lands in `restart/replay` spans.
+    let mut replay_until = 0usize;
+    while step < cfg.substeps {
+        let (span_name, span_cat) = if step < replay_until {
+            ("restart/replay", SpanCat::Fault)
+        } else {
+            ("chem_substep", SpanCat::Kernel)
+        };
+        sched.compute_phase_skewed(
             &mut comm,
             &mut states,
+            skew.as_deref(),
             |ctx: &mut RankCtx, st: &mut RankState| {
                 let mut newton_here = 0u64;
                 for u in st.cells.iter_mut() {
@@ -377,14 +456,65 @@ pub fn chemistry_campaign_observed(
                 }
                 st.newton += newton_here;
                 ctx.span(
-                    "chem_substep",
-                    SpanCat::Kernel,
-                    SimTime::from_secs(newton_here as f64 * NEWTON_ITER_COST),
+                    span_name,
+                    span_cat,
+                    SimTime::from_secs(newton_here as f64 * NEWTON_ITER_COST * stretch),
                 );
             },
         );
         // Ghost-cell/reduction sync between substeps (cost-only).
         comm.allreduce((NSPEC * 8) as u64);
+        step += 1;
+
+        // MTBF failure check: has virtual time crossed the next scheduled
+        // failure? Detection happens at the substep boundary (the sync
+        // point where a real job notices a dead rank).
+        if next_failure < failure_events.len() && comm.elapsed() >= failure_events[next_failure].at
+        {
+            let ev = &failure_events[next_failure];
+            next_failure += 1;
+            failures += 1;
+            max_lost_steps = max_lost_steps.max(step - last_ckpt_step);
+
+            // Failure detection + relaunch penalty, then reload the
+            // snapshot through the same α–β I/O model that wrote it.
+            if let (Some(ck), Some(host)) = (&scenario.checkpoint, host) {
+                let t0 = comm.elapsed();
+                comm.advance_all(ck.restart_penalty());
+                collector.complete(
+                    host,
+                    format!("fault/rank{}", ev.rank),
+                    SpanCat::Fault,
+                    t0,
+                    comm.elapsed(),
+                );
+                let t1 = comm.elapsed();
+                comm.advance_all(ck.read_time());
+                collector.complete(host, "restart/reload", SpanCat::Fault, t1, comm.elapsed());
+            }
+
+            // Roll state back to the recovery line; the main loop replays
+            // the lost substeps (virtual time never rewinds).
+            for (st, snap) in states.iter_mut().zip(snapshot.iter()) {
+                st.cells.copy_from_slice(&snap.cells);
+                st.newton = snap.newton;
+            }
+            replay_until = step.max(replay_until);
+            step = last_ckpt_step;
+            continue;
+        }
+
+        // Defensive checkpoint every `interval_steps` committed substeps.
+        if let (Some(ck), Some(host)) = (&scenario.checkpoint, host) {
+            if step.is_multiple_of(ck.interval_steps) && step < cfg.substeps {
+                snapshot.clone_from(&states);
+                last_ckpt_step = step;
+                checkpoints += 1;
+                let t0 = comm.elapsed();
+                comm.advance_all(ck.write_time());
+                collector.complete(host, "checkpoint/write", SpanCat::Fault, t0, comm.elapsed());
+            }
+        }
     }
 
     // Data-carrying global reduction: [species mass, temperature sum],
@@ -400,21 +530,24 @@ pub fn chemistry_campaign_observed(
     comm.allreduce_sum_f64(&mut per_rank);
     comm.absorb_telemetry();
 
-    let newton_total = states.iter().map(|s| s.newton).sum();
-    let snapshot = collector.snapshot();
     ChemCampaignResult {
         checksum: per_rank[0][0],
         temp_sum: per_rank[0][1],
-        newton_total,
+        newton_total: states.iter().map(|s| s.newton).sum(),
         elapsed: comm.elapsed(),
-        snapshot_digest: digest64(&snapshot.to_json()),
+        snapshot_digest: digest64(&collector.snapshot().to_json()),
         trace_digest: digest64(&collector.chrome_trace()),
+        failures,
+        restarts: failures,
+        checkpoints,
+        max_lost_steps,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exa_core::{CheckpointSpec, NetworkScenario};
 
     #[test]
     fn fused_step_is_bit_identical_to_batched_lu() {
@@ -491,5 +624,105 @@ mod tests {
             gmres.checksum,
             fused.checksum
         );
+    }
+
+    fn small_cfg() -> ChemCampaign {
+        ChemCampaign {
+            ranks: 16,
+            cells_per_rank: 4,
+            substeps: 8,
+            dt: 0.4,
+        }
+    }
+
+    fn under(sched: &RankScheduler, cfg: &ChemCampaign, scen: &ScenarioSpec) -> ChemCampaignResult {
+        chemistry_campaign_under(
+            sched,
+            ChemKernel::FusedLu,
+            cfg,
+            scen,
+            &TelemetryCollector::shared(),
+        )
+    }
+
+    /// The clean 256-rank campaign, every field as a build before the
+    /// clean and faulted loops were merged produced it: the merge moved no
+    /// bit, no span and no track.
+    #[test]
+    fn clean_campaign_keeps_its_golden_bits() {
+        let r = chemistry_campaign(
+            &RankScheduler::sequential(),
+            ChemKernel::FusedLu,
+            &ChemCampaign::pele_step_256(),
+        );
+        assert_eq!(r.checksum.to_bits(), 0x40b7491ea148e762);
+        assert_eq!(r.temp_sum.to_bits(), 0x40b0f19525d66012);
+        assert_eq!(r.elapsed.secs().to_bits(), 0x3f1d3a7e7a302722);
+        assert_eq!(r.newton_total, 29944);
+        assert_eq!(r.snapshot_digest, "078ec8cb37393fca");
+        assert_eq!(r.trace_digest, "59ba8029729b51d2");
+        assert_eq!(
+            (r.failures, r.restarts, r.checkpoints, r.max_lost_steps),
+            (0, 0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn mtbf_failures_restart_and_preserve_physics() {
+        let sched = RankScheduler::sequential();
+        let cfg = small_cfg();
+        let clean = chemistry_campaign(&sched, ChemKernel::FusedLu, &cfg);
+        // Size MTBF to a fraction of the clean wall so failures land.
+        let mtbf = SimTime::from_secs(clean.elapsed.secs() / 3.0);
+        let scen = ScenarioSpec::named("mtbf-drill", 0xfa11)
+            .with_mtbf(mtbf)
+            .with_checkpoint(CheckpointSpec::orion(2, 1 << 16));
+        let faulted = under(&sched, &cfg, &scen);
+        assert!(faulted.failures >= 1, "MTBF {mtbf:?} injected no failures");
+        assert_eq!(faulted.restarts, faulted.failures);
+        assert!(faulted.checkpoints >= 1);
+        assert!(
+            faulted.max_lost_steps <= 2,
+            "lost {} > interval 2",
+            faulted.max_lost_steps
+        );
+        assert!(
+            faulted.elapsed > clean.elapsed,
+            "faults must cost wall time"
+        );
+        // Physics is unchanged by checkpoint/restart.
+        assert_eq!(faulted.checksum.to_bits(), clean.checksum.to_bits());
+        assert_eq!(faulted.newton_total, clean.newton_total);
+    }
+
+    #[test]
+    fn faulted_campaign_is_deterministic_across_thread_counts() {
+        let cfg = small_cfg();
+        let scen = ScenarioSpec::named("det-drill", 7)
+            .with_mtbf(SimTime::from_micros(40.0))
+            .with_checkpoint(CheckpointSpec::orion(3, 1 << 14))
+            .with_straggler(3, 1.7)
+            .with_network(NetworkScenario::contended(1.5, 2.0, 0.2, 99));
+        let seq = under(&RankScheduler::sequential(), &cfg, &scen);
+        for threads in [2, 4] {
+            let par = under(&RankScheduler::with_threads(threads), &cfg, &scen);
+            assert_eq!(seq, par, "faulted campaign diverges at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn stragglers_and_injections_stretch_wall_time_but_not_physics() {
+        let sched = RankScheduler::sequential();
+        let cfg = small_cfg();
+        let clean = chemistry_campaign(&sched, ChemKernel::FusedLu, &cfg);
+        for scen in [
+            ScenarioSpec::named("slow-rank", 1).with_straggler(2, 2.5),
+            ScenarioSpec::named("slow-chem", 1).with_injection("chem", 2.0),
+        ] {
+            let slowed = under(&sched, &cfg, &scen);
+            assert!(slowed.elapsed > clean.elapsed, "{}", scen.tag);
+            assert_eq!(slowed.checksum.to_bits(), clean.checksum.to_bits());
+            assert_eq!(slowed.newton_total, clean.newton_total);
+        }
     }
 }

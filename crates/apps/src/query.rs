@@ -9,7 +9,7 @@
 //! service's answers cacheable and its cached answers provably
 //! bit-identical to cold evaluations.
 
-use exa_core::{Application, Injection, RunContext};
+use exa_core::{Application, Injection, RunContext, ScenarioSpec};
 use exa_machine::MachineModel;
 use exa_telemetry::TelemetryCollector;
 use serde::Serialize;
@@ -86,11 +86,11 @@ pub struct QueryAnswer {
 }
 
 /// Evaluate one query cold: build the app and machine, apply the node
-/// override (0 keeps the model's full scale) and knob injections, run the
-/// profiled challenge problem under a scratch collector, and return the
-/// answer. `None` when the app or machine name is unknown, or when the app
-/// needs GPUs and the machine has none (every app but Pele on Cori, Theta
-/// and Eagle).
+/// override (0 keeps the model's full scale), run the profiled challenge
+/// problem under a scratch collector and the scenario the knobs and tag
+/// describe (one injection per knob), and return the answer. `None` when
+/// the app or machine name is unknown, or when the app needs GPUs and the
+/// machine has none (every app but Pele on Cori, Theta and Eagle).
 pub fn evaluate_query(
     app_name: &str,
     machine_name: &str,
@@ -107,13 +107,15 @@ pub fn evaluate_query(
         machine.nodes = nodes;
     }
     let collector = TelemetryCollector::shared();
-    let injections: Vec<Injection> = knobs
-        .iter()
-        .map(|(needle, factor)| Injection::new(needle.clone(), *factor))
-        .collect();
-    let mut ctx = RunContext::with_injections(&collector, injections);
-    ctx.scenario = scenario.to_string();
-    let measurement = app.run_profiled(&machine, &ctx);
+    let spec = ScenarioSpec {
+        tag: scenario.to_string(),
+        injections: knobs
+            .iter()
+            .map(|(needle, factor)| Injection::new(needle.clone(), *factor))
+            .collect(),
+        ..ScenarioSpec::clean()
+    };
+    let measurement = app.run_profiled(&machine, &RunContext::for_scenario(&collector, &spec));
     let fom = app.fom();
     Some(QueryAnswer {
         app: app.name().to_string(),

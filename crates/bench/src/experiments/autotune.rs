@@ -23,7 +23,7 @@
 //! calls, which run the one-lane kernel, and one `fft_batch`/`ifft_batch`
 //! call, which runs four lines per vector — with the instruction set the
 //! host selected. Where that is AVX2, the batch must clear
-//! [`LINE_BATCH_FLOOR`] over per-line calls; both routes must agree bitwise.
+//! `LINE_BATCH_FLOOR` over per-line calls; both routes must agree bitwise.
 //!
 //! The name and the `BENCH_autotune.json` record date from when a knob
 //! search picked the production plan; they stay so that

@@ -21,9 +21,8 @@
 //!    must still hide transpose time behind compute on a bad fabric.
 
 use crate::{gate, header, write_root_json, Gate};
-use exa_apps::fault::chemistry_campaign_faulted;
 use exa_apps::gests::PsdnsRun;
-use exa_apps::pele_exec::{chemistry_campaign, ChemCampaign, ChemKernel};
+use exa_apps::pele_exec::{chemistry_campaign, chemistry_campaign_under, ChemCampaign, ChemKernel};
 use exa_apps::table2_applications;
 use exa_core::{
     best_interval, daly_interval, expected_wall, measure_record, sweep_intervals, young_interval,
@@ -237,8 +236,8 @@ pub fn run() -> Gate {
         .with_checkpoint(ckpt)
         .with_straggler(7, 1.5);
     let collector = TelemetryCollector::shared();
-    let faulted = chemistry_campaign_faulted(&sched, ChemKernel::FusedLu, &cfg, &scen, &collector);
-    let redo = chemistry_campaign_faulted(
+    let faulted = chemistry_campaign_under(&sched, ChemKernel::FusedLu, &cfg, &scen, &collector);
+    let redo = chemistry_campaign_under(
         &RankScheduler::sequential(),
         ChemKernel::FusedLu,
         &cfg,
@@ -339,6 +338,7 @@ pub fn run() -> Gate {
         .find(|a| a.name() == "GESTS")
         .expect("GESTS is in Table 2");
     let drill_scen = ScenarioSpec::named("gests-chaos-drill", 7).with_injection("transform", 2.0);
+    let untagged_scen = ScenarioSpec::clean().with_injection("transform", 2.0);
 
     let mut untagged = FomLedger::new();
     let mut tagged = FomLedger::new();
@@ -352,7 +352,7 @@ pub fn run() -> Gate {
     untagged.append(measure_record(
         gests.as_ref(),
         &frontier,
-        &RunContext::with_injection(&c1, "transform", 2.0),
+        &RunContext::for_scenario(&c1, &untagged_scen),
         "regressed",
     ));
     let c2 = TelemetryCollector::shared();
@@ -398,13 +398,14 @@ pub fn run() -> Gate {
     // --- 4. Degraded-fabric GESTS: overlap must still hide transposes -----
     println!("\n-- degraded-fabric GESTS (contended + jittery Slingshot) --");
     let net = NetworkScenario::contended(2.0, 3.0, 0.15, 42);
-    let rep = PsdnsRun::new(128, 8, Decomp::Slabs).with_network_scenario(net);
+    let fabric = ScenarioSpec::named("slingshot-contended", 42).with_network(net);
+    let rep = PsdnsRun::new(128, 8, Decomp::Slabs);
     let cb = TelemetryCollector::shared();
-    let t_block = rep.clone().step_time_observed(&frontier, Some(&cb), &[]);
+    let t_block = rep.step_time_observed(&frontier, Some(&cb), &fabric);
     let co = TelemetryCollector::shared();
     let t_over = rep
         .with_overlap(4)
-        .step_time_observed(&frontier, Some(&co), &[]);
+        .step_time_observed(&frontier, Some(&co), &fabric);
     let snap = co.snapshot();
     let hidden_s = snap.times_s.get("mpi.hidden").copied().unwrap_or(0.0);
     let overlap_eff = snap
@@ -432,7 +433,7 @@ pub fn run() -> Gate {
         "mpi.overlap_efficiency gauge missing or zero".into(),
     );
     let degraded_gests = DegradedGestsRecord {
-        scenario: "slingshot-contended".to_string(),
+        scenario: fabric.tag.clone(),
         alpha_factor: net.alpha_factor,
         beta_factor: net.beta_factor,
         jitter_amp: net.jitter_amp,

@@ -6,7 +6,7 @@
 //!
 //! 1. runs every Table-2 application's profiled challenge problem on the
 //!    Frontier model under a fresh [`TelemetryCollector`], producing one
-//!    [`FomRecord`] per app (value, units, wall, run tag, snapshot digest,
+//!    [`FomRecord`](exa_telemetry::FomRecord) per app (value, units, wall, run tag, snapshot digest,
 //!    top-span profile);
 //! 2. appends the records to the repo-root `FOM_LEDGER.json` (append-only
 //!    with identity dedup), compacts each series to the last 32 entries,
@@ -22,7 +22,7 @@
 
 use crate::{gate, header, repo_root, Gate};
 use exa_apps::table2_applications;
-use exa_core::{measure_record, RunContext};
+use exa_core::{measure_record, RunContext, ScenarioSpec};
 use exa_machine::MachineModel;
 use exa_telemetry::{
     run_sentinel, run_sentinel_all, FomLedger, SentinelConfig, TelemetryCollector, Verdict,
@@ -142,7 +142,8 @@ pub fn run() -> Gate {
         .find(|a| a.name() == "GESTS")
         .expect("GESTS is in Table 2");
     let collector = TelemetryCollector::shared();
-    let ctx = RunContext::with_injection(&collector, "transform", 2.0);
+    let injected = ScenarioSpec::clean().with_injection("transform", 2.0);
+    let ctx = RunContext::for_scenario(&collector, &injected);
     let hurt = measure_record(gests.as_ref(), &frontier, &ctx, &format!("{tag}-injected"));
     let kind = hurt.kind;
     drill.append(hurt);

@@ -3,7 +3,8 @@
 //!
 //! Where `profile_export` captures the **virtual-time** story (rank tracks,
 //! device queues in simulated seconds), this experiment captures the
-//! **wall-clock substrate** underneath it: a [`PoolTelemetry`] observer on
+//! **wall-clock substrate** underneath it: a
+//! [`PoolTelemetry`](exa_telemetry::PoolTelemetry) observer on
 //! the rank scheduler's work-stealing pool records per-worker occupancy
 //! intervals, steal events, and queue depths while the 256-rank Pele
 //! chemistry campaign executes on 4 lanes; the scheduler lands fan-out /

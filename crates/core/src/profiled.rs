@@ -4,18 +4,18 @@
 //! The paper's methodology (§6) is that every team runs its challenge
 //! problem, records the FOM, and keeps the history; `exa-telemetry`'s
 //! ledger holds that history. This module supplies the run side: a
-//! [`RunContext`] carrying the collector (plus optional synthetic fault
-//! injection for sentinel drills), a [`Phase`] weight table describing how
-//! an application's challenge wall time decomposes, and
-//! [`Application::run_profiled`], which replays the decomposition onto a
-//! host track and returns the (possibly perturbed) measurement. Apps with
-//! real instrumentation (GESTS, Pele) override `run_profiled`; the rest
-//! override [`Application::profile_phases`] with their paper-derived
-//! breakdown.
+//! [`RunContext`] carrying the collector and the [`ScenarioSpec`] the run
+//! is perturbed by (clean, or a sentinel drill's injections), a [`Phase`]
+//! weight table describing how an application's challenge wall time
+//! decomposes, and [`Application::run_profiled`], which replays the
+//! decomposition onto a host track and returns the (possibly perturbed)
+//! measurement. Apps with real instrumentation (GESTS, Pele) override
+//! `run_profiled`; the rest override [`Application::profile_phases`] with
+//! their paper-derived breakdown.
 
 use crate::app::Application;
 use crate::fom::FomMeasurement;
-use crate::scenario::{Injection, ScenarioSpec};
+use crate::scenario::ScenarioSpec;
 use exa_machine::{MachineModel, SimTime};
 use exa_telemetry::ledger::{digest64, FomKind, FomRecord};
 use exa_telemetry::{span_profile, SpanCat, TelemetryCollector, TrackKind};
@@ -24,74 +24,35 @@ use std::sync::Arc;
 /// How many span names a ledger record's profile keeps.
 pub const SPAN_PROFILE_TOP: usize = 16;
 
+/// The scenario of a clean run, borrowed by [`RunContext::new`].
+static CLEAN: ScenarioSpec = ScenarioSpec::clean();
+
 /// Everything a profiled run needs beyond the machine model. Carries the
 /// collector as an `Arc` reference so instrumented apps can attach it to
 /// communicators and streams.
 pub struct RunContext<'a> {
     /// Collector the run records into.
     pub telemetry: &'a Arc<TelemetryCollector>,
-    /// Synthetic fault injections for regression-sentinel drills and
-    /// scenario runs: spans whose name contains an injection's needle run
-    /// `factor`× longer. Matching factors compose multiplicatively.
-    pub injections: Vec<Injection>,
-    /// Scenario tag stamped onto the ledger record (empty = clean run);
-    /// the sentinel uses it to separate "unlucky run" from "regression".
-    pub scenario: String,
+    /// The scenario the run is perturbed by. Every app honours its
+    /// injections ([`ScenarioSpec::stretch`]) and its tag is stamped onto
+    /// the ledger record (empty = clean run), so the sentinel can separate
+    /// "unlucky run" from "regression". Fault, straggler and network
+    /// dynamics are applied by the instrumented apps themselves.
+    pub scenario: &'a ScenarioSpec,
 }
 
 impl<'a> RunContext<'a> {
     /// A clean profiled run.
     pub fn new(telemetry: &'a Arc<TelemetryCollector>) -> Self {
+        Self::for_scenario(telemetry, &CLEAN)
+    }
+
+    /// A run under `spec`.
+    pub fn for_scenario(telemetry: &'a Arc<TelemetryCollector>, spec: &'a ScenarioSpec) -> Self {
         RunContext {
             telemetry,
-            injections: Vec::new(),
-            scenario: String::new(),
+            scenario: spec,
         }
-    }
-
-    /// A drill run: stretch spans matching `needle` by `factor`. Shim over
-    /// [`RunContext::with_injections`] kept so the original single-knob
-    /// sentinel drills read unchanged.
-    pub fn with_injection(
-        telemetry: &'a Arc<TelemetryCollector>,
-        needle: &str,
-        factor: f64,
-    ) -> Self {
-        Self::with_injections(telemetry, vec![Injection::new(needle, factor)])
-    }
-
-    /// A drill run with a list of span-stretch injections.
-    pub fn with_injections(
-        telemetry: &'a Arc<TelemetryCollector>,
-        injections: Vec<Injection>,
-    ) -> Self {
-        RunContext {
-            telemetry,
-            injections,
-            scenario: String::new(),
-        }
-    }
-
-    /// A run under a full [`ScenarioSpec`]: takes the spec's injections
-    /// and stamps its tag. Fault/straggler/network dynamics are applied by
-    /// the instrumented apps themselves; this carries the parts every app
-    /// shares.
-    pub fn for_scenario(telemetry: &'a Arc<TelemetryCollector>, spec: &ScenarioSpec) -> Self {
-        RunContext {
-            telemetry,
-            injections: spec.injections.clone(),
-            scenario: spec.tag.clone(),
-        }
-    }
-
-    /// Stretch factor for a span name: the product of all matching
-    /// injection factors (1.0 when none match).
-    pub fn stretch(&self, span_name: &str) -> f64 {
-        self.injections
-            .iter()
-            .filter(|inj| span_name.contains(inj.needle.as_str()))
-            .map(|inj| inj.factor)
-            .product()
     }
 }
 
@@ -154,7 +115,7 @@ pub fn record_phases(
     let mut cursor = SimTime::ZERO;
     for p in phases {
         let clean = SimTime::from_secs(wall.secs() * p.weight / total_weight);
-        let observed = SimTime::from_secs(clean.secs() * ctx.stretch(p.name));
+        let observed = SimTime::from_secs(clean.secs() * ctx.scenario.stretch(p.name));
         let end = cursor + observed;
         ctx.telemetry
             .complete(track, p.name.to_string(), p.cat, cursor, end);
@@ -187,7 +148,7 @@ pub fn measure_record(
         units: fom.units,
         wall_s: measurement.wall.secs(),
         run_tag: run_tag.to_string(),
-        scenario: ctx.scenario.clone(),
+        scenario: ctx.scenario.tag.clone(),
         snapshot_digest: digest64(&snapshot.to_json()),
         span_profile: profile,
     }
@@ -274,7 +235,8 @@ mod tests {
     #[test]
     fn injection_stretches_the_named_phase_and_degrades_the_fom() {
         let c = TelemetryCollector::shared();
-        let ctx = RunContext::with_injection(&c, "fma", 2.0);
+        let spec = ScenarioSpec::clean().with_injection("fma", 2.0);
+        let ctx = RunContext::for_scenario(&c, &spec);
         let m = ToyApp.run_profiled(&MachineModel::frontier(), &ctx);
         // 8s -> 16s, total 10 -> 18: ratio 1.8.
         assert!(
@@ -306,30 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn injection_list_composes_multiplicatively() {
-        let c = TelemetryCollector::shared();
-        let ctx = RunContext::with_injections(
-            &c,
-            vec![
-                Injection::new("fma", 2.0),
-                Injection::new("fm", 1.5),
-                Injection::new("x", 9.0),
-            ],
-        );
-        assert!(
-            (ctx.stretch("fma") - 3.0).abs() < 1e-12,
-            "both needles match fma"
-        );
-        assert!((ctx.stretch("allreduce") - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn scenario_context_stamps_the_ledger_record() {
         let c = TelemetryCollector::shared();
-        let spec = crate::scenario::ScenarioSpec::named("mtbf-drill", 7).with_injection("fma", 2.0);
+        let spec = ScenarioSpec::named("mtbf-drill", 7).with_injection("fma", 2.0);
         let ctx = RunContext::for_scenario(&c, &spec);
-        assert_eq!(ctx.scenario, "mtbf-drill");
-        assert!((ctx.stretch("fma") - 2.0).abs() < 1e-12);
         let r = measure_record(&ToyApp, &MachineModel::frontier(), &ctx, "v1-test");
         assert_eq!(r.scenario, "mtbf-drill");
         // A clean context leaves the tag empty.

@@ -7,15 +7,17 @@
 //! of it. A [`ScenarioSpec`] composes, from one deterministic seed:
 //!
 //! * **span-stretch injections** ([`Injection`]) — the original sentinel
-//!   drill knob, now a list;
+//!   drill knob, now a list, priced by [`ScenarioSpec::stretch`];
 //! * **rank failures with checkpoint/restart** — an MTBF-driven
-//!   [`FailureSchedule`] of exponential inter-arrival draws, paired with a
-//!   [`CheckpointSpec`] whose write/read costs come from an α–β I/O model
-//!   (latency + bytes/bandwidth, exactly like the interconnect charges);
+//!   [`ScenarioSpec::failure_schedule`] of exponential inter-arrival draws,
+//!   paired with a [`CheckpointSpec`] whose write/read costs come from an
+//!   α–β I/O model (latency + bytes/bandwidth, exactly like the
+//!   interconnect charges);
 //! * **stragglers** — per-rank clock-skew multipliers applied by
 //!   `exa_mpi::RankScheduler`'s deterministic merge;
 //! * **network contention & jitter** ([`NetworkScenario`]) — multiplicative
-//!   degradation of the fabric's α/β plus seeded per-operation jitter.
+//!   degradation of the fabric's α/β plus seeded per-operation jitter,
+//!   applied with the straggler-span switch by [`ScenarioSpec::comm`].
 //!
 //! Nothing here reads a wall clock or an OS RNG: every draw is a
 //! `splitmix64` hash of the scenario seed, so the same spec replays the
@@ -27,6 +29,7 @@
 //! sweep intervals against failure rates.
 
 use exa_machine::SimTime;
+use exa_mpi::{Comm, Network};
 use serde::Serialize;
 
 /// One span-stretch injection: spans whose name contains `needle` run
@@ -168,7 +171,7 @@ pub struct FailureEvent {
 /// derived deterministically from `seed`; the `tag` travels into
 /// `FomRecord.scenario` so the regression sentinel can tell an unlucky run
 /// from a code regression.
-#[derive(Debug, Clone, PartialEq, Serialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioSpec {
     /// Scenario tag stamped on ledger records (empty = clean run).
     pub tag: String,
@@ -190,8 +193,17 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// The happy path: no injections, no faults, calm fabric, empty tag.
-    pub fn clean() -> Self {
-        ScenarioSpec::default()
+    pub const fn clean() -> Self {
+        ScenarioSpec {
+            tag: String::new(),
+            seed: 0,
+            injections: Vec::new(),
+            mtbf_s: None,
+            max_failures: 0,
+            checkpoint: None,
+            stragglers: Vec::new(),
+            network: None,
+        }
     }
 
     /// A named scenario seeded with `seed`.
@@ -200,7 +212,7 @@ impl ScenarioSpec {
             tag: tag.into(),
             seed,
             max_failures: 16,
-            ..ScenarioSpec::default()
+            ..ScenarioSpec::clean()
         }
     }
 
@@ -247,6 +259,35 @@ impl ScenarioSpec {
             && self.mtbf_s.is_none()
             && self.stragglers.is_empty()
             && self.network.is_none()
+    }
+
+    /// Stretch factor for a span name: the product of every injection
+    /// whose needle the name contains (1.0 when none match).
+    pub fn stretch(&self, span_name: &str) -> f64 {
+        self.injections
+            .iter()
+            .filter(|inj| span_name.contains(inj.needle.as_str()))
+            .map(|inj| inj.factor)
+            .product()
+    }
+
+    /// A communicator of `ranks` ranks over `net` as this scenario degrades
+    /// it: the fabric's α/β scaled by the [`NetworkScenario`] contention,
+    /// its seeded jitter switched on, and `straggler-wait/` spans recorded
+    /// when the scenario has stragglers. A clean spec returns exactly
+    /// `Comm::new(ranks, net)`.
+    pub fn comm(&self, ranks: usize, net: Network) -> Comm {
+        let mut comm = match self.network {
+            Some(ns) => {
+                let mut comm =
+                    Comm::new(ranks, net.with_contention(ns.alpha_factor, ns.beta_factor));
+                comm.set_jitter(ns.jitter_amp, ns.jitter_seed);
+                comm
+            }
+            None => Comm::new(ranks, net),
+        };
+        comm.record_straggler_spans(!self.stragglers.is_empty());
+        comm
     }
 
     /// The per-rank clock-skew table for `ranks` ranks (1.0 = nominal),
@@ -430,6 +471,16 @@ mod tests {
             .failure_schedule(64, SimTime::from_secs(1e6))
             .is_empty());
         assert!(spec.skew_table(64).is_none());
+    }
+
+    #[test]
+    fn injection_list_composes_multiplicatively() {
+        let spec = ScenarioSpec::clean()
+            .with_injection("fma", 2.0)
+            .with_injection("fm", 1.5)
+            .with_injection("x", 9.0);
+        assert_eq!(spec.stretch("fma"), 3.0, "both needles match fma");
+        assert_eq!(spec.stretch("allreduce"), 1.0);
     }
 
     #[test]

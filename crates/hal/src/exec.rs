@@ -231,7 +231,7 @@ fn sum_lanes4(x: &[f64]) -> f64 {
 }
 
 /// Parallel sum of an `f64` slice with a vectorization-friendly inner
-/// loop: each block is summed by [`sum_lanes4`] (four-lane unrolled, no
+/// loop: each block is summed by `sum_lanes4` (four-lane unrolled, no
 /// loop-carried serial add chain), block partials folded in block order.
 /// Bit-identical at any thread count.
 pub fn par_sum_f64(data: &[f64]) -> f64 {

@@ -68,7 +68,10 @@ impl Query {
 
     /// The canonical cache key. Knob factors are rendered as the hex of
     /// their IEEE-754 bits so that keys are exact — no two distinct
-    /// factors ever collide through decimal formatting.
+    /// factors ever collide through decimal formatting. Fields are joined
+    /// by `|`, which [`Query::parse`] rejects inside any value, so the
+    /// separator count fixes the knob count and no scenario tag can spell
+    /// a knob: two distinct parsed queries never share a key.
     pub fn key(&self) -> String {
         let mut key = format!("{}|{}|{}", self.app, self.machine, self.nodes);
         for (needle, factor) in &self.knobs {
@@ -100,7 +103,8 @@ impl Query {
     }
 
     /// Parse the textual form. Returns a human-readable error naming the
-    /// offending token.
+    /// offending token; a `|` anywhere in a token is an error, because
+    /// it separates the fields of the cache key.
     pub fn parse(text: &str) -> Result<Query, String> {
         let mut app: Option<String> = None;
         let mut machine: Option<String> = None;
@@ -113,6 +117,11 @@ impl Query {
                 .ok_or_else(|| format!("token '{token}' is not key=value"))?;
             if value.is_empty() {
                 return Err(format!("token '{token}' has an empty value"));
+            }
+            if token.contains('|') {
+                return Err(format!(
+                    "token '{token}' contains '|', the cache-key separator"
+                ));
             }
             match field {
                 "app" => set_once(&mut app, value, "app")?,
@@ -233,6 +242,8 @@ mod tests {
             ("app=Pele machine=Aurora", "unknown machine 'Aurora'"),
             ("app=Pele machine=Frontier naked", "not key=value"),
             ("app=Pele machine=", "empty value"),
+            ("app=Pele machine=Frontier knob:a|b=2", "contains '|'"),
+            ("app=Pele machine=Frontier scenario=x|y", "contains '|'"),
         ] {
             let err = Query::parse(text).expect_err(text);
             assert!(
@@ -240,5 +251,17 @@ mod tests {
                 "{text}: got '{err}', wanted '{needle}'"
             );
         }
+    }
+
+    /// A tag spelling `<needle>=<factor bits>|` would give a clean query
+    /// the key of a knobbed one, whose answer differs, so whichever came
+    /// first would answer for both.
+    #[test]
+    fn a_scenario_tag_cannot_forge_a_knob_key() {
+        let knob = Query::parse("app=GESTS machine=Frontier knob:transform=2").unwrap();
+        assert_eq!(knob.key(), "GESTS|Frontier|0|transform=4000000000000000|");
+        let forged = "app=GESTS machine=Frontier scenario=transform=4000000000000000|";
+        let err = Query::parse(forged).expect_err(forged);
+        assert!(err.contains("contains '|'"), "{err}");
     }
 }

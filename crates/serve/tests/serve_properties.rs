@@ -89,4 +89,65 @@ proptest! {
         prop_assert_eq!(&parsed, &q);
         prop_assert_eq!(parsed.key(), q.key());
     }
+
+    /// Distinct parsed queries have distinct cache keys, over knob needles
+    /// drawn with the key's `|` separator and scenario tags drawn with `|`
+    /// and `=` (a needle cannot hold `=`: it ends the token's key). Half
+    /// the pairs are a query and its forgery: the same query with its
+    /// last knob spelled into the scenario tag in key form.
+    #[test]
+    fn distinct_queries_have_distinct_keys(
+        a in query_text(),
+        b in query_text(),
+        forge in 0u8..2,
+    ) {
+        let b = if forge == 1 { forged(&a).unwrap_or(b) } else { b };
+        if let (Ok(qa), Ok(qb)) = (Query::parse(&a), Query::parse(&b)) {
+            if qa != qb {
+                prop_assert!(qa.key() != qb.key(), "'{}' and '{}' share key {}", a, b, qa.key());
+            }
+        }
+    }
+}
+
+/// Query text whose knob needles and scenario tag are drawn from
+/// alphabets that include the cache key's separators.
+fn query_text() -> impl Strategy<Value = String> {
+    let word = prop::collection::vec(0usize..4, 1..5).prop_map(|cs| {
+        cs.into_iter()
+            .map(|c| ['a', 'b', '|', '='][c])
+            .collect::<String>()
+    });
+    let knob = (
+        prop::collection::vec(0usize..4, 1..4).prop_map(|cs| {
+            cs.into_iter()
+                .map(|c| ['a', 'b', '|', 'c'][c])
+                .collect::<String>()
+        }),
+        1u32..4,
+    );
+    (prop::collection::vec(knob, 0..3), word, 0u8..2).prop_map(|(knobs, tag, tagged)| {
+        let mut text = "app=LSMS machine=Summit".to_string();
+        for (needle, factor) in knobs {
+            text.push_str(&format!(" knob:{needle}={factor}"));
+        }
+        if tagged == 1 {
+            text.push_str(&format!(" scenario={tag}"));
+        }
+        text
+    })
+}
+
+/// `text` with its last knob moved into the scenario tag as the key spells
+/// it (`<needle>=<factor bits>|<tag>`); `None` when `text` has no knob or
+/// does not parse.
+fn forged(text: &str) -> Option<String> {
+    let q = Query::parse(text).ok()?;
+    let (needle, factor) = q.knobs.last()?;
+    let mut forged = Query::new(&q.app, &q.machine);
+    for (n, f) in &q.knobs[..q.knobs.len() - 1] {
+        forged = forged.with_knob(n, *f);
+    }
+    let tag = format!("{needle}={:016x}|{}", factor.to_bits(), q.scenario);
+    Some(forged.with_scenario(&tag).render())
 }

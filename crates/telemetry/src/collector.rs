@@ -16,7 +16,7 @@ struct Inner {
 }
 
 /// One profiling session. Share it as `Arc<TelemetryCollector>` and attach
-/// it to streams ([`exa-hal`]'s `Stream::attach_telemetry`) and
+/// it to streams (`exa-hal`'s `Stream::attach_telemetry`) and
 /// communicators (`Comm::attach_telemetry`); drivers add host-phase spans
 /// through [`TelemetryCollector::span`] RAII guards.
 #[derive(Debug, Default)]

@@ -4,12 +4,14 @@
 #   1. release build of the workspace;
 #   2. clippy -D warnings over every target (libs, bins, tests, examples);
 #   3. rustfmt check of the whole workspace;
-#   4. every workspace test, at EXA_THREADS=1 and at EXA_THREADS=4;
-#   5. the benchmark's own tests (exabench/), so an API change the benchmark
+#   4. rustdoc of the workspace with warnings as errors, so a moved or
+#      deleted item cannot leave a dangling doc link;
+#   5. every workspace test, at EXA_THREADS=1 and at EXA_THREADS=4;
+#   6. the benchmark's own tests (exabench/), so an API change the benchmark
 #      imports fails here rather than in a benchmark run;
-#   6. `reproduce paper` (the eleven paper artifacts) and five gates;
-#   7. the four gates that pin EXA_THREADS=4;
-#   8. every BENCHMARK.json workload for 1 s, untraced: the benchmark's own
+#   7. `reproduce paper` (the eleven paper artifacts) and five gates;
+#   8. the four gates that pin EXA_THREADS=4;
+#   9. every BENCHMARK.json workload for 1 s, untraced: the benchmark's own
 #      answer check must report `"correct": true` and `"failed": 0`.
 #
 # Each experiment checks the artifacts it writes and makes `reproduce` exit
@@ -20,6 +22,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo clippy --workspace --release --all-targets -- -D warnings
 cargo fmt --all -- --check
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 for threads in 1 4; do
     EXA_THREADS=$threads cargo test --workspace -q
 done
@@ -35,4 +38,4 @@ for workload in $(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\([^"]*\)".*/
     fi
 done
 
-echo "tier1: build + clippy + fmt + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"
+echo "tier1: build + clippy + fmt + rustdoc + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"

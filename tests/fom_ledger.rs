@@ -5,7 +5,7 @@
 //! real Table-2 application with the correct culprit span.
 
 use exaready::apps::table2_applications;
-use exaready::core::{measure_record, RunContext};
+use exaready::core::{measure_record, RunContext, ScenarioSpec};
 use exaready::machine::MachineModel;
 use exaready::telemetry::{
     run_sentinel, FomKind, FomLedger, FomRecord, SentinelConfig, TelemetryCollector, Verdict,
@@ -153,7 +153,8 @@ fn sentinel_catches_injected_gests_regression() {
     ledger.append(clean);
 
     let hurt_c = TelemetryCollector::shared();
-    let ctx = RunContext::with_injection(&hurt_c, "transform", 2.0);
+    let injected = ScenarioSpec::clean().with_injection("transform", 2.0);
+    let ctx = RunContext::for_scenario(&hurt_c, &injected);
     ledger.append(measure_record(gests.as_ref(), &frontier, &ctx, "regressed"));
 
     let report = run_sentinel(
