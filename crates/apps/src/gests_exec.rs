@@ -391,6 +391,65 @@ mod tests {
         }
     }
 
+    /// The executed step's virtual time, final energy and Chrome trace,
+    /// pinned at the exabench grid (128³ on 4 096 ranks) and the
+    /// 1 024-rank milestone, at every thread count.
+    #[test]
+    fn executed_step_keeps_its_golden_bits() {
+        for (n, ranks, elapsed, energy, trace) in [
+            (
+                64,
+                1024,
+                0x3f3600461f6b2a10,
+                0x412b97f6b15c1fe1,
+                "58b073dcf3c147db",
+            ),
+            (
+                128,
+                4096,
+                0x3f43fac22545995c,
+                0x415b92e231e49d04,
+                "9501dbf31043d255",
+            ),
+        ] {
+            let cfg = DnsStep {
+                n,
+                ranks,
+                ..DnsStep::step_1024()
+            };
+            for threads in [1, 2, 4] {
+                let (res, _) = executed_dns_step(&RankScheduler::with_threads(threads), &cfg);
+                let got = (
+                    res.elapsed.secs().to_bits(),
+                    res.energy_after.to_bits(),
+                    res.trace_digest.as_str(),
+                );
+                assert_eq!(
+                    got,
+                    (elapsed, energy, trace),
+                    "{n}³ on {ranks} ranks at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_is_seven_compute_phases() {
+        let cfg = small();
+        let machine = MachineModel::frontier();
+        let gpu = machine.node.gpu().clone();
+        let mut comm = Comm::new(cfg.ranks, Network::from_machine(&machine));
+        let mut grid = DistGrid::from_global(cfg.n, cfg.ranks, &initial_field(cfg.n));
+        let mut sched = RankScheduler::with_threads(2);
+        sched.attach_observer(&TelemetryCollector::shared(), "pool");
+        let plan = ExecutedFft3d::tuned(cfg.n);
+        dns_step_window(&sched, &mut comm, &gpu, &plan, &cfg, &mut grid);
+        let landing = sched.land_observer().expect("observer attached");
+        // Three per transform (a pass, then two repartitions each fused
+        // into the pass after it) and the spectral advance.
+        assert_eq!(landing.phases, 7);
+    }
+
     #[test]
     fn milestone_configuration_is_executable_at_scale() {
         // The 1024-rank milestone really runs (the bench times it against

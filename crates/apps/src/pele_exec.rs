@@ -695,6 +695,23 @@ mod tests {
         assert_eq!(faulted.newton_total, clean.newton_total);
     }
 
+    /// An MTBF on the clean spec draws failures too: the failure cap is
+    /// not left at the clean spec's zero.
+    #[test]
+    fn mtbf_on_the_clean_spec_injects_failures() {
+        let sched = RankScheduler::sequential();
+        let cfg = small_cfg();
+        let clean = chemistry_campaign(&sched, ChemKernel::FusedLu, &cfg);
+        let mtbf = SimTime::from_secs(clean.elapsed.secs() / 3.0);
+        let scen = ScenarioSpec::clean()
+            .with_mtbf(mtbf)
+            .with_checkpoint(CheckpointSpec::orion(2, 1 << 16));
+        let faulted = under(&sched, &cfg, &scen);
+        assert!(faulted.failures >= 1, "MTBF {mtbf:?} injected no failures");
+        assert_eq!(faulted.restarts, faulted.failures);
+        assert_eq!(faulted.checksum.to_bits(), clean.checksum.to_bits());
+    }
+
     #[test]
     fn faulted_campaign_is_deterministic_across_thread_counts() {
         let cfg = small_cfg();

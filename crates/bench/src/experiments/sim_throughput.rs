@@ -29,7 +29,10 @@ use std::time::Instant;
 
 const REPS: usize = 5;
 const SPEEDUP_REQUIRED: f64 = 4.0;
-const FFT_BUDGET_S: f64 = 60.0;
+/// Wall budget of the executed 1024-rank FFT milestone (one cold
+/// `executed_dns_step` at 4 threads). Five runs on a 2-vCPU AVX2 host
+/// took 0.106–0.115 s; the budget is about 9× the slowest of them.
+const FFT_BUDGET_S: f64 = 1.0;
 
 #[derive(Serialize)]
 struct DistFftMilestone {
@@ -132,7 +135,7 @@ pub fn run() -> Gate {
     }
     if !fft_in_budget {
         failures.push(format!(
-            "executed FFT milestone took {fft_wall:.2} s, outside its (0, {FFT_BUDGET_S}] s budget"
+            "executed FFT milestone took {fft_wall:.3} s, outside its (0, {FFT_BUDGET_S}] s budget"
         ));
     }
     let record = Record {
@@ -154,7 +157,7 @@ pub fn run() -> Gate {
     };
     println!(
         "\nsim throughput: gmres {:.1} ms, batched-lu {:.1} ms, fused {:.1} ms -> {:.2}x \
-         (vs lu {:.2}x); 1024-rank executed FFT {:.2} s wall (budget {:.0} s), bit-identical {}",
+         (vs lu {:.2}x); 1024-rank executed FFT {:.3} s wall (budget {:.1} s), bit-identical {}",
         gmres_s * 1e3,
         lu_s * 1e3,
         fused_s * 1e3,

@@ -167,6 +167,10 @@ pub struct FailureEvent {
     pub rank: usize,
 }
 
+/// The failure cap of a named scenario, and of any spec that enables an
+/// MTBF without setting one.
+const DEFAULT_MAX_FAILURES: usize = 16;
+
 /// A composable fault/contention/elasticity scenario. Everything is
 /// derived deterministically from `seed`; the `tag` travels into
 /// `FomRecord.scenario` so the regression sentinel can tell an unlucky run
@@ -211,7 +215,7 @@ impl ScenarioSpec {
         ScenarioSpec {
             tag: tag.into(),
             seed,
-            max_failures: 16,
+            max_failures: DEFAULT_MAX_FAILURES,
             ..ScenarioSpec::clean()
         }
     }
@@ -222,10 +226,15 @@ impl ScenarioSpec {
         self
     }
 
-    /// Enable MTBF-driven rank failures.
+    /// Enable MTBF-driven rank failures. A spec with no failure cap (one
+    /// built from [`ScenarioSpec::clean`]) gets the named scenarios' cap,
+    /// so the MTBF actually draws failures.
     pub fn with_mtbf(mut self, mtbf: SimTime) -> Self {
         assert!(mtbf > SimTime::ZERO, "MTBF must be positive");
         self.mtbf_s = Some(mtbf.secs());
+        if self.max_failures == 0 {
+            self.max_failures = DEFAULT_MAX_FAILURES;
+        }
         self
     }
 

@@ -31,7 +31,7 @@ use crate::fft1d::{fft_batch, ifft_batch};
 use crate::plan::{Split, TransposePlan};
 use exa_linalg::C64;
 use exa_machine::{GpuModel, SimTime};
-use exa_mpi::{Comm, RankScheduler};
+use exa_mpi::{Comm, RankCtx, RankScheduler};
 use exa_telemetry::SpanCat;
 
 /// How a repartition gathers each destination rank's lines. Both
@@ -50,6 +50,40 @@ enum GatherStrategy {
     /// the previous repartition's buffers as scratch (every element is
     /// overwritten, so no zeroing is needed).
     Run,
+}
+
+/// One line-FFT pass: its direction and the virtual time every rank is
+/// charged for it.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    inverse: bool,
+    dt: SimTime,
+}
+
+impl Pass {
+    /// The span a pass over `axis`-layout lines records.
+    fn span(self, axis: LineAxis) -> &'static str {
+        match (axis, self.inverse) {
+            (LineAxis::Axis2, false) => "fft_lines_axis2",
+            (LineAxis::Axis1, false) => "fft_lines_axis1",
+            (LineAxis::Axis0, false) => "fft_lines_axis0",
+            (LineAxis::Axis2, true) => "ifft_lines_axis2",
+            (LineAxis::Axis1, true) => "ifft_lines_axis1",
+            (LineAxis::Axis0, true) => "ifft_lines_axis0",
+        }
+    }
+
+    /// Transform one rank's slice of `axis`-layout lines and charge the
+    /// pass. One batched call over the whole slice: bit-identical to
+    /// per-line transforms.
+    fn run(self, ctx: &mut RankCtx, part: &mut [C64], n: usize, axis: LineAxis) {
+        if self.inverse {
+            ifft_batch(part, n);
+        } else {
+            fft_batch(part, n);
+        }
+        ctx.span(self.span(axis), SpanCat::Kernel, self.dt);
+    }
 }
 
 /// Which axis the distributed lines run along. The layout names follow
@@ -101,6 +135,13 @@ pub struct DistGrid {
     scratch: Vec<Vec<C64>>,
     /// The transform's plan over this layout.
     plan: TransposePlan,
+    /// The order destination ranks are packed into pool tasks for the
+    /// `i1 ↔ i0` repartition (the plan's transpose 1): by `(first_line %
+    /// n, first_line / n)`. Ranks whose first lines agree mod `n` hold the
+    /// same `i2` range, so they read the same source slices; listed
+    /// together, a pool task's reads stay within a few slices instead of
+    /// striding over all of them.
+    hop1_order: Vec<usize>,
 }
 
 impl DistGrid {
@@ -117,12 +158,18 @@ impl DistGrid {
                 data[s * n..(s + c) * n].to_vec()
             })
             .collect();
+        let mut hop1_order: Vec<usize> = (0..ranks).collect();
+        hop1_order.sort_by_key(|&r| {
+            let first = split.start(r);
+            (first % n, first / n)
+        });
         DistGrid {
             n,
             axis: LineAxis::Axis2,
             parts,
             scratch: Vec::new(),
             plan,
+            hop1_order,
         }
     }
 
@@ -218,34 +265,12 @@ impl ExecutedFft3d {
         assert_eq!(grid.axis, axis, "the grid starts in the wrong layout");
     }
 
-    /// One line-FFT pass over the layout the grid is currently in; every
-    /// rank is charged `dt`.
-    fn fft_pass(
-        &self,
-        sched: &RankScheduler,
-        comm: &mut Comm,
-        grid: &mut DistGrid,
-        inverse: bool,
-        dt: SimTime,
-    ) {
-        let n = self.n;
-        let span = match (grid.axis, inverse) {
-            (LineAxis::Axis2, false) => "fft_lines_axis2",
-            (LineAxis::Axis1, false) => "fft_lines_axis1",
-            (LineAxis::Axis0, false) => "fft_lines_axis0",
-            (LineAxis::Axis2, true) => "ifft_lines_axis2",
-            (LineAxis::Axis1, true) => "ifft_lines_axis1",
-            (LineAxis::Axis0, true) => "ifft_lines_axis0",
-        };
+    /// One line-FFT pass over the layout the grid is currently in, with
+    /// no repartition before it; every rank is charged `pass.dt`.
+    fn fft_pass(&self, sched: &RankScheduler, comm: &mut Comm, grid: &mut DistGrid, pass: Pass) {
+        let (n, axis) = (self.n, grid.axis);
         sched.compute_phase(comm, &mut grid.parts, |ctx, part| {
-            // One batched call over the rank's whole slice: bit-identical
-            // to per-line transforms.
-            if inverse {
-                ifft_batch(part, n);
-            } else {
-                fft_batch(part, n);
-            }
-            ctx.span(span, SpanCat::Kernel, dt);
+            pass.run(ctx, part, n, axis)
         });
     }
 
@@ -256,12 +281,20 @@ impl ExecutedFft3d {
     /// hop and its reverse move the same volumes (swap the two axes they
     /// exchange), so the inverse and the cycle reuse the forward
     /// transposes.
+    ///
+    /// With a `then` pass, each rank runs that line-FFT pass on its slice
+    /// in the same compute phase, right after gathering it, while the
+    /// slice is still in cache. The gather itself charges no virtual
+    /// time, so charging the hop's all-to-all before the phase rather
+    /// than between a gather phase and a pass phase leaves every clock,
+    /// span and [`exa_mpi::CommStats`] tally unchanged.
     fn repartition(
         &self,
         sched: &RankScheduler,
         comm: &mut Comm,
         grid: &mut DistGrid,
         to: LineAxis,
+        then: Option<Pass>,
     ) {
         let n = self.n;
         let ranks = grid.ranks();
@@ -272,6 +305,8 @@ impl ExecutedFft3d {
             (LineAxis::Axis1, LineAxis::Axis0) | (LineAxis::Axis0, LineAxis::Axis1) => 1,
             _ => panic!("no line-plan transpose from {from:?} to {to:?}"),
         };
+        let t = &grid.plan.transposes[hop];
+        comm.alltoallv(t.group, &t.peers);
         let src = std::mem::take(&mut grid.parts);
         let mut dst: Vec<Vec<C64>> = match self.gather {
             // Reference: fresh zeroed buffers every repartition.
@@ -300,7 +335,7 @@ impl ExecutedFft3d {
         };
         let src_ref = &src;
         let gather = self.gather;
-        sched.compute_phase(comm, &mut dst, |ctx, buf| {
+        let fused = |ctx: &mut RankCtx, buf: &mut Vec<C64>| {
             let d = ctx.rank();
             match gather {
                 GatherStrategy::Element => {
@@ -316,9 +351,15 @@ impl ExecutedFft3d {
                 }
                 GatherStrategy::Run => gather_runs(n, &split, from, to, src_ref, d, buf),
             }
-        });
-        let t = &grid.plan.transposes[hop];
-        comm.alltoallv(t.group, &t.peers);
+            if let Some(pass) = then {
+                pass.run(ctx, buf, n, to);
+            }
+        };
+        if hop == 1 {
+            sched.compute_phase_ordered(comm, &mut dst, &grid.hop1_order, fused);
+        } else {
+            sched.compute_phase(comm, &mut dst, fused);
+        }
         if self.gather == GatherStrategy::Run {
             grid.scratch = src;
         }
@@ -356,8 +397,9 @@ impl ExecutedFft3d {
     }
 
     /// The grid plan's passes, reversed for the inverse, with a
-    /// repartition between each two; every rank is charged each pass's
-    /// share of the costed local transform.
+    /// repartition before each pass but the first, fused into the pass's
+    /// compute phase: three phases per transform. Every rank is charged
+    /// each pass's share of the costed local transform.
     fn transform(
         &self,
         sched: &RankScheduler,
@@ -377,11 +419,14 @@ impl ExecutedFft3d {
         if inverse {
             passes.reverse();
         }
+        let pass = |share: f64| Pass {
+            inverse,
+            dt: local * share,
+        };
         let t0 = comm.elapsed();
-        self.fft_pass(sched, comm, grid, inverse, local * passes[0]);
-        for (to, &pass) in path.into_iter().zip(&passes[1..]) {
-            self.repartition(sched, comm, grid, to);
-            self.fft_pass(sched, comm, grid, inverse, local * pass);
+        self.fft_pass(sched, comm, grid, pass(passes[0]));
+        for (to, &share) in path.into_iter().zip(&passes[1..]) {
+            self.repartition(sched, comm, grid, to, Some(pass(share)));
         }
         comm.elapsed() - t0
     }
@@ -402,10 +447,14 @@ impl ExecutedFft3d {
     ) -> SimTime {
         self.check(comm, grid, LineAxis::Axis2);
         let t0 = comm.elapsed();
-        self.repartition(sched, comm, grid, LineAxis::Axis1);
-        self.repartition(sched, comm, grid, LineAxis::Axis0);
-        self.repartition(sched, comm, grid, LineAxis::Axis1);
-        self.repartition(sched, comm, grid, LineAxis::Axis2);
+        for to in [
+            LineAxis::Axis1,
+            LineAxis::Axis0,
+            LineAxis::Axis1,
+            LineAxis::Axis2,
+        ] {
+            self.repartition(sched, comm, grid, to, None);
+        }
         comm.elapsed() - t0
     }
 }
@@ -490,40 +539,21 @@ fn gather_runs(
         && n.is_multiple_of(split.base)
         && probe(start, 0).0.is_multiple_of(split.base)
     {
-        // Uniform split whose per-rank line count divides `n`: every
-        // owner run along the destination lines starts at a rank
-        // boundary and spans the whole segment, for every offset. Walk
-        // offsets in tiles of 8 so destination writes land 8-contiguous
-        // per line (the strided source reads are inherent to this
-        // transition — no destination-local order can make them dense).
-        let base_lines = split.base;
-        let mut l0 = start;
-        let l_end = start + count;
-        while l0 < l_end {
-            let seg_end = ((l0 / n + 1) * n).min(l_end);
-            let seg = seg_end - l0;
-            let (sl_base, so) = probe(l0, 0);
-            let li0 = l0 - start;
-            const T: usize = 8;
-            let mut o0 = 0;
-            while o0 < n {
-                let o1 = (o0 + T).min(n);
-                // Per-offset source run bases for this tile of offsets.
-                let mut bases = [(0usize, 0usize); T];
-                for (k, off) in (o0..o1).enumerate() {
-                    let sl = sl_base + off * off_step;
-                    let s = sl / base_lines;
-                    bases[k] = (s, (sl - split.start(s)) * n + so);
-                }
-                for j in 0..seg {
-                    let db = (li0 + j) * n + o0;
-                    for (k, &(s, b)) in bases[..o1 - o0].iter().enumerate() {
-                        buf[db + k] = src[s][b + j * n];
-                    }
-                }
-                o0 = o1;
+        // Uniform split whose per-rank line count `b` divides `n`: the
+        // rank's lines share `line / n`, and the source line of offset
+        // `o`, `sl0 + o·n`, is the first line of rank `(sl0 + o·n) / b`.
+        // So offset `o` of every destination line comes from one whole
+        // source slice, read at the constant source offset, and those
+        // slices are `n / b` ranks apart: no owner lookup and no
+        // division per offset. Offsets run in order, so each
+        // destination line is written front to back.
+        let b = split.base;
+        let (sl0, so) = probe(start, 0);
+        for (o, s) in (sl0 / b..).step_by(n / b).take(n).enumerate() {
+            let row = &src[s][so..];
+            for j in 0..count {
+                buf[j * n + o] = row[j * n];
             }
-            l0 = seg_end;
         }
     } else {
         // Source lines jump by `n` per offset but advance by 1 per
@@ -602,9 +632,9 @@ mod tests {
             let plan = ExecutedFft3d::new(n);
             // A repartition is a pure permutation: gather must return the
             // same bits from every layout.
-            plan.repartition(&sched, &mut comm, &mut grid, LineAxis::Axis1);
+            plan.repartition(&sched, &mut comm, &mut grid, LineAxis::Axis1, None);
             assert_eq!(bits(&grid.gather_global()), bits(&orig));
-            plan.repartition(&sched, &mut comm, &mut grid, LineAxis::Axis0);
+            plan.repartition(&sched, &mut comm, &mut grid, LineAxis::Axis0, None);
             assert_eq!(bits(&grid.gather_global()), bits(&orig));
             let _ = gpu;
         }
@@ -612,11 +642,10 @@ mod tests {
 
     #[test]
     fn executed_forward_is_bitwise_fft3d() {
-        let n = 8;
-        let orig = signal(n, 11);
-        let mut reference = orig.clone();
-        fft3d(&mut reference, n, n, n);
-        for ranks in [1, 5, 16, 64] {
+        for (n, ranks) in [(8, 1), (8, 5), (8, 16), (8, 64), (16, 256)] {
+            let orig = signal(n, 11);
+            let mut reference = orig.clone();
+            fft3d(&mut reference, n, n, n);
             let sched = RankScheduler::new();
             let (mut comm, gpu) = setup(ranks);
             let mut grid = DistGrid::from_global(n, ranks, &orig);
@@ -626,7 +655,7 @@ mod tests {
             assert_eq!(
                 bits(&grid.gather_global()),
                 bits(&reference),
-                "{ranks} ranks"
+                "n={n}, {ranks} ranks"
             );
         }
     }
@@ -656,8 +685,10 @@ mod tests {
         let n = 8;
         let orig = signal(n, 17);
         // Unaligned rank counts (7, 13, 61) force owner runs that cross
-        // `line % n == 0` segment boundaries in the blocked branch.
-        for ranks in [1, 3, 7, 13, 61, 64] {
+        // `line % n == 0` segment boundaries in the blocked branch; 16, 32
+        // and 64 ranks take the uniform-split branch with 4, 2 and 1
+        // lines per rank.
+        for ranks in [1, 3, 7, 13, 16, 32, 61, 64] {
             let sched = RankScheduler::sequential();
             let (mut comm_e, _) = setup(ranks);
             let (mut comm_r, _) = setup(ranks);
@@ -672,8 +703,8 @@ mod tests {
                 LineAxis::Axis1,
                 LineAxis::Axis2,
             ] {
-                elem.repartition(&sched, &mut comm_e, &mut ge, to);
-                run.repartition(&sched, &mut comm_r, &mut gr, to);
+                elem.repartition(&sched, &mut comm_e, &mut ge, to, None);
+                run.repartition(&sched, &mut comm_r, &mut gr, to, None);
                 assert_eq!(ge.parts, gr.parts, "{ranks} ranks -> {to:?}");
             }
             assert_eq!(
@@ -708,9 +739,10 @@ mod tests {
 
     #[test]
     fn tuned_plan_is_bitwise_equal_to_frozen() {
-        let n = 8;
-        let orig = signal(n, 23);
-        for ranks in [5, 13, 64] {
+        // n = 16 on 64 and 256 ranks are uniform splits whose transpose-1
+        // task order regroups ranks (256 ranks pack four to a pool task).
+        for (n, ranks) in [(8, 5), (8, 13), (8, 64), (16, 64), (16, 256)] {
+            let orig = signal(n, 23);
             let run_plan = |plan: ExecutedFft3d| {
                 let sched = RankScheduler::new();
                 let (mut comm, gpu) = setup(ranks);
@@ -730,7 +762,7 @@ mod tests {
             let tuned = run_plan(ExecutedFft3d::tuned(n));
             assert_eq!(
                 frozen, tuned,
-                "tuned transform must match frozen bit for bit at {ranks} ranks"
+                "tuned transform must match frozen bit for bit at n={n}, {ranks} ranks"
             );
         }
     }
@@ -741,7 +773,7 @@ mod tests {
         let configs = [1, 3, 5, 7, 12, 13, 16, 32, 61, 64]
             .map(|ranks| (8, ranks))
             .into_iter()
-            .chain([(64, 1024)]);
+            .chain([(16, 64), (16, 256), (64, 1024)]);
         for (n, ranks) in configs {
             let orig = signal(n, 7);
             let plan = TransposePlan::lines(n, ranks);
@@ -795,5 +827,31 @@ mod tests {
             assert_eq!(t1, tn, "virtual time differs at {threads} threads");
             assert_eq!(s1, sn, "comm stats differ at {threads} threads");
         }
+    }
+
+    #[test]
+    fn each_repartition_runs_inside_the_pass_that_consumes_it() {
+        let (n, ranks) = (8, 12);
+        let orig = signal(n, 5);
+        let plan = ExecutedFft3d::tuned(n);
+        let collector = exa_telemetry::TelemetryCollector::shared();
+        let mut sched = RankScheduler::with_threads(2);
+        let (mut comm, gpu) = setup(ranks);
+        let mut grid = DistGrid::from_global(n, ranks, &orig);
+        let phases = |sched: &mut RankScheduler, run: &mut dyn FnMut(&RankScheduler)| {
+            sched.attach_observer(&collector, "pool");
+            run(sched);
+            sched.land_observer().expect("observer attached").phases
+        };
+        let fwd = phases(&mut sched, &mut |s| {
+            plan.forward(s, &mut comm, &gpu, &mut grid);
+        });
+        let inv = phases(&mut sched, &mut |s| {
+            plan.inverse(s, &mut comm, &gpu, &mut grid);
+        });
+        let cycle = phases(&mut sched, &mut |s| {
+            plan.transpose_cycle(s, &mut comm, &mut grid);
+        });
+        assert_eq!((fwd, inv, cycle), (3, 3, 4));
     }
 }

@@ -267,7 +267,27 @@ impl RankScheduler {
         S: Send,
         F: Fn(&mut RankCtx, &mut S) + Sync,
     {
-        self.compute_phase_skewed(comm, states, None, f)
+        self.phase(comm, states, None, None, f)
+    }
+
+    /// [`RankScheduler::compute_phase`] with the ranks packed into pool
+    /// tasks in `order` (a permutation of `0..p`) instead of rank order:
+    /// consecutive entries share a task. Only memory locality changes —
+    /// the outcome table stays rank-indexed, so states, clocks, spans and
+    /// [`crate::CommStats`] are identical to the rank-order phase. A
+    /// caller whose ranks read shared inputs lists the ranks that share
+    /// them next to each other.
+    pub fn compute_phase_ordered<S, F>(
+        &self,
+        comm: &mut Comm,
+        states: &mut [S],
+        order: &[usize],
+        f: F,
+    ) where
+        S: Send,
+        F: Fn(&mut RankCtx, &mut S) + Sync,
+    {
+        self.phase(comm, states, None, Some(order), f)
     }
 
     /// [`RankScheduler::compute_phase`] with per-rank clock skew: rank `r`'s
@@ -286,12 +306,48 @@ impl RankScheduler {
         S: Send,
         F: Fn(&mut RankCtx, &mut S) + Sync,
     {
+        self.phase(comm, states, skew, None, f)
+    }
+
+    /// The one compute-phase core: ranks packed into pool tasks in
+    /// `order` (`None` is rank order), outcomes landed positionally, then
+    /// the skew and the deterministic merge.
+    fn phase<S, F>(
+        &self,
+        comm: &mut Comm,
+        states: &mut [S],
+        skew: Option<&[f64]>,
+        order: Option<&[usize]>,
+        f: F,
+    ) where
+        S: Send,
+        F: Fn(&mut RankCtx, &mut S) + Sync,
+    {
         let p = comm.size();
         assert_eq!(states.len(), p, "one state per rank");
         let starts: Vec<SimTime> = (0..p).map(|r| comm.now(r)).collect();
         // Rank-indexed outcome table: (elapsed virtual time, span log).
         let mut outs: Vec<(SimTime, Vec<RankEvent>)> = Vec::new();
         outs.resize_with(p, || (SimTime::ZERO, Vec::new()));
+        // Each rank's state and outcome slot, listed in task order. The
+        // slots point into the positional tables, so the order decides
+        // only which ranks share a pool task, never where a result lands.
+        let rank_order = states
+            .iter_mut()
+            .zip(outs.iter_mut())
+            .enumerate()
+            .map(|(r, (state, out))| (r, state, out));
+        let mut tasks: Vec<_> = match order {
+            None => rank_order.collect(),
+            Some(order) => {
+                assert_eq!(order.len(), p, "task order must list every rank once");
+                let mut slots: Vec<Option<_>> = rank_order.map(Some).collect();
+                order
+                    .iter()
+                    .map(|&r| slots[r].take().expect("task order lists a rank twice"))
+                    .collect()
+            }
+        };
         // Chunk ranks into at most `TASK_CHUNKS` pool tasks; the chunking
         // affects only load balance, never results (the table is
         // positional).
@@ -312,27 +368,19 @@ impl RankScheduler {
             t0
         });
         self.pool().scope(|s| {
-            for ((base, st_chunk), out_chunk) in states
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, c)| (ci * chunk, c))
-                .zip(outs.chunks_mut(chunk))
-            {
+            for task in tasks.chunks_mut(chunk) {
                 let f = &f;
                 let starts = &starts;
                 s.spawn(move || {
-                    for (k, (state, out)) in
-                        st_chunk.iter_mut().zip(out_chunk.iter_mut()).enumerate()
-                    {
-                        let rank = base + k;
+                    for (rank, state, out) in task.iter_mut() {
                         let mut ctx = RankCtx {
-                            rank,
-                            start: starts[rank],
-                            now: starts[rank],
+                            rank: *rank,
+                            start: starts[*rank],
+                            now: starts[*rank],
                             events: Vec::new(),
                         };
                         f(&mut ctx, state);
-                        *out = (ctx.now - ctx.start, std::mem::take(&mut ctx.events));
+                        **out = (ctx.now - ctx.start, std::mem::take(&mut ctx.events));
                     }
                 });
             }
@@ -420,9 +468,14 @@ mod tests {
         SimTime::from_secs(x * 1e-6)
     }
 
+    /// What one run of [`run`] leaves behind: clocks, Chrome trace, state
+    /// digest, communication tally and telemetry snapshot.
+    type Outcome = (Vec<SimTime>, String, u64, crate::CommStats, String);
+
     /// An unbalanced two-phase workload with telemetry and a collective
-    /// between the phases.
-    fn run(threads: usize, ranks: usize) -> (Vec<SimTime>, String, u64) {
+    /// between the phases, its ranks packed into tasks in `order` (`None`
+    /// is rank order).
+    fn run(threads: usize, ranks: usize, order: Option<&[usize]>) -> Outcome {
         let sched = RankScheduler::with_threads(threads);
         let collector = TelemetryCollector::shared();
         let mut comm = Comm::new(
@@ -431,14 +484,18 @@ mod tests {
         );
         comm.attach_telemetry(&collector, "world");
         let mut sums = vec![0.0f64; ranks];
-        sched.compute_phase(&mut comm, &mut sums, |ctx, sum| {
+        let stretch = |ctx: &mut RankCtx, sum: &mut f64| {
             let r = ctx.rank();
             for i in 0..(r + 1) * 50 {
                 *sum += ((r * 1000 + i) as f64).sqrt();
             }
             ctx.span("stretch", SpanCat::Kernel, us((r + 1) as f64));
             ctx.span("relax", SpanCat::Kernel, us(0.5));
-        });
+        };
+        match order {
+            Some(order) => sched.compute_phase_ordered(&mut comm, &mut sums, order, stretch),
+            None => sched.compute_phase(&mut comm, &mut sums, stretch),
+        }
         comm.allreduce(8);
         sched.compute_phase(&mut comm, &mut sums, |ctx, sum| {
             *sum *= 1.5;
@@ -451,18 +508,57 @@ mod tests {
             clocks,
             collector.chrome_trace(),
             u64::from_str_radix(&digest, 16).unwrap(),
+            comm.stats(),
+            collector.snapshot().to_json(),
         )
     }
 
     #[test]
     fn parallel_schedule_is_bit_identical_to_sequential() {
-        let (c1, t1, d1) = run(1, 9);
+        let want = run(1, 9, None);
         for threads in [2, 4] {
-            let (cn, tn, dn) = run(threads, 9);
-            assert_eq!(c1, cn, "clocks differ at {threads} threads");
-            assert_eq!(t1, tn, "chrome trace differs at {threads} threads");
-            assert_eq!(d1, dn, "state digest differs at {threads} threads");
+            let (cn, tn, dn, _, _) = run(threads, 9, None);
+            assert_eq!(want.0, cn, "clocks differ at {threads} threads");
+            assert_eq!(want.1, tn, "chrome trace differs at {threads} threads");
+            assert_eq!(want.2, dn, "state digest differs at {threads} threads");
         }
+    }
+
+    #[test]
+    fn task_order_changes_nothing_but_packing() {
+        // 200 ranks pack four to a pool task, so a shuffled order
+        // regroups ranks across tasks and lanes.
+        let ranks = 200;
+        let want = run(1, ranks, None);
+        for seed in [1u64, 7, 42] {
+            let mut order: Vec<usize> = (0..ranks).collect();
+            let mut s = seed;
+            for i in (1..ranks).rev() {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                order.swap(i, (s >> 33) as usize % (i + 1));
+            }
+            for threads in [1, 2, 4] {
+                let got = run(threads, ranks, Some(&order));
+                assert!(
+                    got == want,
+                    "order seed {seed} at {threads} threads changed an outcome"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lists a rank twice")]
+    fn task_order_must_be_a_permutation() {
+        let sched = RankScheduler::sequential();
+        let mut comm = Comm::new(
+            3,
+            Network::from_machine(&exa_machine::MachineModel::frontier()),
+        );
+        let mut states = vec![(); 3];
+        sched.compute_phase_ordered(&mut comm, &mut states, &[0, 2, 0], |_, _| {});
     }
 
     #[test]

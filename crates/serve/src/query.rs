@@ -69,19 +69,25 @@ impl Query {
     /// The canonical cache key. Knob factors are rendered as the hex of
     /// their IEEE-754 bits so that keys are exact — no two distinct
     /// factors ever collide through decimal formatting. Fields are joined
-    /// by `|`, which [`Query::parse`] rejects inside any value, so the
-    /// separator count fixes the knob count and no scenario tag can spell
-    /// a knob: two distinct parsed queries never share a key.
+    /// by `|`; inside a text field, `\` and `|` are escaped as `\\` and
+    /// `\|`, so every unescaped `|` is a separator, the separator count
+    /// fixes the knob count and no scenario tag can spell a knob: two
+    /// distinct queries, parsed or built, never share a key. A value with
+    /// neither character is copied as is.
     pub fn key(&self) -> String {
-        let mut key = format!("{}|{}|{}", self.app, self.machine, self.nodes);
+        let mut key = String::new();
+        push_escaped(&mut key, &self.app);
+        key.push('|');
+        push_escaped(&mut key, &self.machine);
+        key.push_str(&format!("|{}", self.nodes));
         for (needle, factor) in &self.knobs {
             key.push('|');
-            key.push_str(needle);
+            push_escaped(&mut key, needle);
             key.push('=');
             key.push_str(&format!("{:016x}", factor.to_bits()));
         }
         key.push('|');
-        key.push_str(&self.scenario);
+        push_escaped(&mut key, &self.scenario);
         key
     }
 
@@ -174,6 +180,21 @@ impl Query {
     }
 }
 
+/// Append `value` to a cache key with the key's separator `|` and the
+/// escape character `\` each preceded by `\`.
+fn push_escaped(key: &mut String, value: &str) {
+    if !value.contains(['|', '\\']) {
+        key.push_str(value);
+        return;
+    }
+    for c in value.chars() {
+        if c == '|' || c == '\\' {
+            key.push('\\');
+        }
+        key.push(c);
+    }
+}
+
 fn set_once(slot: &mut Option<String>, value: &str, name: &str) -> Result<(), String> {
     if slot.replace(value.to_string()).is_some() {
         return Err(format!("duplicate field '{name}'"));
@@ -251,6 +272,27 @@ mod tests {
                 "{text}: got '{err}', wanted '{needle}'"
             );
         }
+    }
+
+    /// Builder-made queries skip the parser's `|` check, so the key
+    /// escapes its separator instead.
+    #[test]
+    fn a_built_scenario_tag_cannot_forge_a_knob_key() {
+        let knob = Query::new("GESTS", "Frontier")
+            .with_knob("k", 1.0)
+            .with_scenario("s");
+        let forged = Query::new("GESTS", "Frontier").with_scenario("k=3ff0000000000000|s");
+        assert_eq!(knob.key(), "GESTS|Frontier|0|k=3ff0000000000000|s");
+        assert_ne!(knob.key(), forged.key());
+        // The escape character is escaped too, so a tag ending in it
+        // cannot swallow the separator after it.
+        let a = Query::new("GESTS", "Frontier")
+            .with_knob("x\\", 1.0)
+            .with_scenario("|y");
+        let b = Query::new("GESTS", "Frontier")
+            .with_knob("x\\|", 1.0)
+            .with_scenario("y");
+        assert_ne!(a.key(), b.key());
     }
 
     /// A tag spelling `<needle>=<factor bits>|` would give a clean query

@@ -1,9 +1,10 @@
 //! The bridge between the dependency-free `workpool::PoolObserver` hooks
 //! and the telemetry collector: a [`PoolTelemetry`] attaches to a pool,
-//! accumulates per-lane wall-clock activity locally (lock-light, no
-//! collector traffic while observing), and *lands* the result — worker
-//! occupancy tracks, `pool.*` counters/gauges, and task-runtime /
-//! steal-latency histograms — into a [`TelemetryCollector`] on demand.
+//! accumulates per-lane wall-clock activity locally (one cache-padded
+//! slot per lane, no collector traffic while observing), and *lands* the
+//! result — worker occupancy tracks, `pool.*` counters/gauges, and
+//! task-runtime / steal-latency histograms — into a [`TelemetryCollector`]
+//! on demand.
 //!
 //! Landing is explicit for a reason: the collector's default snapshots
 //! stay **byte-identical across thread counts** (the substrate determinism
@@ -19,13 +20,19 @@ use crate::span::{Span, SpanCat, TrackKind};
 use exa_machine::SimTime;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use workpool::{PoolObserver, CALLER_LANE};
 
 /// Task intervals a lane keeps between lands (the earliest ones), so an
 /// observer that is never landed stays bounded. Task counts, busy time and
 /// the histograms stay exact past the cap.
 pub const MAX_LANE_INTERVALS: usize = 1024;
+
+/// Accumulator slots for pool workers: worker lane `w` records into slot
+/// `w % WORKER_SLOTS`, and every helping caller (`CALLER_LANE`) into one
+/// more slot after them. Up to this many workers, no two lanes share a
+/// slot.
+const WORKER_SLOTS: usize = 64;
 
 #[derive(Debug, Default)]
 struct LaneLog {
@@ -36,6 +43,9 @@ struct LaneLog {
     stolen: u64,
 }
 
+/// What the lanes of one slot observed. Landing merges every slot's
+/// accumulator into one: counts add, histograms merge exactly, and each
+/// lane's log lives in exactly one slot.
 #[derive(Debug, Default)]
 struct Inner {
     lanes: BTreeMap<usize, LaneLog>,
@@ -51,13 +61,49 @@ struct Inner {
     steal_latency_s: Histogram,
 }
 
+impl Inner {
+    /// Fold `other`, a different slot's accumulator, into this one.
+    fn absorb(&mut self, other: Inner) {
+        self.lanes.extend(other.lanes);
+        self.tasks += other.tasks;
+        self.steals += other.steals;
+        self.stolen_jobs += other.stolen_jobs;
+        self.injects += other.injects;
+        self.depth_sum += other.depth_sum;
+        self.depth_max = self.depth_max.max(other.depth_max);
+        self.parks += other.parks;
+        self.parked_ns += other.parked_ns;
+        self.task_run_s.merge(&other.task_run_s);
+        self.steal_latency_s.merge(&other.steal_latency_s);
+    }
+}
+
+/// One slot's accumulator on cache lines of its own, so lanes recording
+/// at the same time neither wait on one lock nor share a line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Slot(Mutex<Inner>);
+
 /// Accumulating [`PoolObserver`]: attach with
 /// `pool.set_observer(Some(obs))`, run work, then [`PoolTelemetry::land`]
 /// the accumulated activity into a collector (which drains the
 /// accumulator, so alternating run/land cycles never double-count).
-#[derive(Debug, Default)]
+///
+/// Each lane records into its own cache-padded slot: `task_run`, `steal`,
+/// `park` and `unpark` into the slot of the lane they fire on, `inject`
+/// into the slot of the queue it fills. The getters and the land merge
+/// the slots.
+#[derive(Debug)]
 pub struct PoolTelemetry {
-    inner: Mutex<Inner>,
+    slots: Box<[Slot]>,
+}
+
+impl Default for PoolTelemetry {
+    fn default() -> Self {
+        PoolTelemetry {
+            slots: (0..=WORKER_SLOTS).map(|_| Slot::default()).collect(),
+        }
+    }
 }
 
 impl PoolTelemetry {
@@ -66,36 +112,55 @@ impl PoolTelemetry {
         Self::default()
     }
 
+    /// The accumulator `lane` records into.
+    fn slot(&self, lane: usize) -> MutexGuard<'_, Inner> {
+        let i = if lane == CALLER_LANE {
+            WORKER_SLOTS
+        } else {
+            lane % WORKER_SLOTS
+        };
+        self.slots[i].0.lock().expect("pool telemetry")
+    }
+
+    /// `f` summed over every slot.
+    fn sum(&self, f: impl Fn(&Inner) -> u64) -> u64 {
+        self.slots
+            .iter()
+            .map(|s| f(&s.0.lock().expect("pool telemetry")))
+            .sum()
+    }
+
     /// Tasks observed so far.
     pub fn tasks(&self) -> u64 {
-        self.inner.lock().expect("pool telemetry").tasks
+        self.sum(|g| g.tasks)
     }
 
     /// Steal operations observed so far.
     pub fn steals(&self) -> u64 {
-        self.inner.lock().expect("pool telemetry").steals
+        self.sum(|g| g.steals)
     }
 
     /// Injects observed so far.
     pub fn injects(&self) -> u64 {
-        self.inner.lock().expect("pool telemetry").injects
+        self.sum(|g| g.injects)
     }
 
     /// Total busy nanoseconds across every lane — the numerator of the
     /// occupancy gate (`busy / (wall × lanes)`).
     pub fn busy_ns(&self) -> u64 {
-        let g = self.inner.lock().expect("pool telemetry");
-        g.lanes.values().map(|l| l.busy_ns).sum()
+        self.sum(|g| g.lanes.values().map(|l| l.busy_ns).sum())
     }
 
     /// Lanes that executed at least one task.
     pub fn active_lanes(&self) -> usize {
-        self.inner.lock().expect("pool telemetry").lanes.len()
+        self.sum(|g| g.lanes.len() as u64) as usize
     }
 
     /// Discard everything accumulated so far.
     pub fn reset(&self) {
-        *self.inner.lock().expect("pool telemetry") = Inner::default();
+        for s in self.slots.iter() {
+            *s.0.lock().expect("pool telemetry") = Inner::default();
+        }
     }
 
     /// Drain the accumulator into `collector` under `namespace`:
@@ -115,7 +180,10 @@ impl PoolTelemetry {
     ///
     /// Returns total busy nanoseconds landed.
     pub fn land(&self, collector: &TelemetryCollector, namespace: &str) -> u64 {
-        let inner = std::mem::take(&mut *self.inner.lock().expect("pool telemetry"));
+        let mut inner = Inner::default();
+        for s in self.slots.iter() {
+            inner.absorb(std::mem::take(&mut *s.0.lock().expect("pool telemetry")));
+        }
         let mut busy_total = 0u64;
         for (lane, log) in &inner.lanes {
             let name = if *lane == CALLER_LANE {
@@ -165,7 +233,7 @@ impl PoolTelemetry {
 
 impl PoolObserver for PoolTelemetry {
     fn task_run(&self, lane: usize, start_ns: u64, end_ns: u64, stolen: bool) {
-        let mut g = self.inner.lock().expect("pool telemetry");
+        let mut g = self.slot(lane);
         g.tasks += 1;
         g.task_run_s
             .record(end_ns.saturating_sub(start_ns) as f64 / 1e9);
@@ -179,26 +247,26 @@ impl PoolObserver for PoolTelemetry {
         }
     }
 
-    fn steal(&self, _thief: usize, _victim: usize, taken: usize, latency_ns: u64) {
-        let mut g = self.inner.lock().expect("pool telemetry");
+    fn steal(&self, thief: usize, _victim: usize, taken: usize, latency_ns: u64) {
+        let mut g = self.slot(thief);
         g.steals += 1;
         g.stolen_jobs += taken as u64;
         g.steal_latency_s.record(latency_ns as f64 / 1e9);
     }
 
-    fn inject(&self, _slot: usize, queue_depth: usize) {
-        let mut g = self.inner.lock().expect("pool telemetry");
+    fn inject(&self, slot: usize, queue_depth: usize) {
+        let mut g = self.slot(slot);
         g.injects += 1;
         g.depth_sum += queue_depth as u64;
         g.depth_max = g.depth_max.max(queue_depth as u64);
     }
 
-    fn park(&self, _worker: usize) {
-        self.inner.lock().expect("pool telemetry").parks += 1;
+    fn park(&self, worker: usize) {
+        self.slot(worker).parks += 1;
     }
 
-    fn unpark(&self, _worker: usize, parked_ns: u64) {
-        self.inner.lock().expect("pool telemetry").parked_ns += parked_ns;
+    fn unpark(&self, worker: usize, parked_ns: u64) {
+        self.slot(worker).parked_ns += parked_ns;
     }
 }
 
