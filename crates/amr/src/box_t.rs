@@ -62,31 +62,6 @@ impl IntBox {
         )
     }
 
-    /// Translate.
-    pub fn shift(&self, di: i64, dj: i64) -> IntBox {
-        IntBox::new(
-            [self.lo[0] + di, self.lo[1] + dj],
-            [self.hi[0] + di, self.hi[1] + dj],
-        )
-    }
-
-    /// Refine by ratio 2 (cell-centred).
-    pub fn refine(&self) -> IntBox {
-        IntBox::new(
-            [2 * self.lo[0], 2 * self.lo[1]],
-            [2 * self.hi[0] + 1, 2 * self.hi[1] + 1],
-        )
-    }
-
-    /// Coarsen by ratio 2 (cell-centred, floor semantics).
-    pub fn coarsen(&self) -> IntBox {
-        let f = |x: i64| x.div_euclid(2);
-        IntBox::new(
-            [f(self.lo[0]), f(self.lo[1])],
-            [f(self.hi[0]), f(self.hi[1])],
-        )
-    }
-
     /// Iterate all cells, row-major.
     pub fn cells(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
         let lo = self.lo;
@@ -138,16 +113,6 @@ mod tests {
         assert!(a.intersect(&b).is_none());
         let overlap = a.grow(1).intersect(&b).unwrap();
         assert_eq!(overlap, IntBox::new([4, 0], [4, 3]));
-    }
-
-    #[test]
-    fn refine_coarsen_round_trip() {
-        let b = IntBox::new([1, 2], [5, 9]);
-        assert_eq!(b.refine().coarsen(), b);
-        assert_eq!(b.refine().num_cells(), 4 * b.num_cells());
-        // Coarsen of a negative-indexed box floors correctly.
-        let neg = IntBox::new([-4, -3], [-1, -1]);
-        assert_eq!(neg.coarsen(), IntBox::new([-2, -2], [-1, -1]));
     }
 
     #[test]

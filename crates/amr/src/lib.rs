@@ -6,23 +6,17 @@
 //! provides the pieces of AMReX the Pele mini-apps lean on, for real:
 //!
 //! * [`IntBox`] — 2-D index-space boxes with the usual algebra (intersect,
-//!   grow, shift, refine/coarsen);
+//!   grow, shift);
 //! * [`BoxArray`] — a domain chopped into max-size boxes with a round-robin
 //!   rank distribution;
 //! * [`MultiFab`] — per-box data with ghost frames, periodic
 //!   `fill_boundary` ghost exchange (real copies + α–β comm charging via
-//!   `exa-mpi`, synchronous or overlapped/asynchronous), and reductions;
-//! * [`coarse_fine`] — conservative restriction and prolongation between
-//!   refinement levels (ratio 2).
+//!   `exa-mpi`, synchronous or overlapped/asynchronous), and reductions.
 
 pub mod box_array;
 pub mod box_t;
-pub mod coarse_fine;
-pub mod level;
 pub mod multifab;
 
 pub use box_array::BoxArray;
 pub use box_t::IntBox;
-pub use coarse_fine::{prolong_constant, restrict_average};
-pub use level::TwoLevel;
 pub use multifab::{GhostPolicy, MultiFab};

@@ -168,14 +168,6 @@ impl MultiFab {
             .sum()
     }
 
-    /// Max |value| over valid cells.
-    pub fn norm_inf(&self) -> f64 {
-        self.fabs
-            .iter()
-            .flat_map(|f| f.valid.cells().map(move |(i, j)| f.data[f.idx(i, j)].abs()))
-            .fold(0.0, f64::max)
-    }
-
     /// Apply a 5-point Laplacian into a fresh MultiFab using only
     /// box-local (valid + ghost) reads — the access pattern ghost cells
     /// exist for. Call [`MultiFab::fill_boundary`] first.
@@ -258,7 +250,7 @@ mod tests {
 
     #[test]
     fn overlapped_exchange_hides_communication() {
-        let work = SimTime::from_millis(5.0);
+        let work = SimTime::from_micros(5e3);
         let mut m1 = mf(64, 8, 2, 16);
         let mut c1 = comm(16);
         m1.fill(|i, j| (i + j) as f64);

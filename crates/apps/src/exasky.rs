@@ -649,9 +649,8 @@ impl PmNbody {
         }
     }
 
-    /// CIC-gather the mesh force at a position.
-    fn gather(&self, force: &[[f64; 3]], p: &[f64; 3]) -> [f64; 3] {
-        let n = self.pm.n;
+    /// CIC-gather the force of an `n³` mesh at a position.
+    fn gather(n: usize, force: &[[f64; 3]], p: &[f64; 3]) -> [f64; 3] {
         let g = [p[0] * n as f64, p[1] * n as f64, p[2] * n as f64];
         let base = [
             g[0].floor() as usize,
@@ -692,45 +691,12 @@ impl PmNbody {
         let phi = self.pm.poisson(&src);
         let force = self.pm.force(&phi);
         for (p, v) in self.pos.iter_mut().zip(self.vel.iter_mut()) {
-            let f = {
-                // inline gather (borrow rules): duplicate of gather()
-                let n = self.pm.n;
-                let gpos = [p[0] * n as f64, p[1] * n as f64, p[2] * n as f64];
-                let base = [
-                    gpos[0].floor() as usize,
-                    gpos[1].floor() as usize,
-                    gpos[2].floor() as usize,
-                ];
-                let frac = [
-                    gpos[0] - base[0] as f64,
-                    gpos[1] - base[1] as f64,
-                    gpos[2] - base[2] as f64,
-                ];
-                let mut out = [0.0; 3];
-                for dz in 0..2 {
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let w = (if dx == 0 { 1.0 - frac[0] } else { frac[0] })
-                                * (if dy == 0 { 1.0 - frac[1] } else { frac[1] })
-                                * (if dz == 0 { 1.0 - frac[2] } else { frac[2] });
-                            let i = (base[0] + dx) % n;
-                            let j = (base[1] + dy) % n;
-                            let k = (base[2] + dz) % n;
-                            let fcell = force[(i * n + j) * n + k];
-                            for x in 0..3 {
-                                out[x] += w * fcell[x];
-                            }
-                        }
-                    }
-                }
-                out
-            };
+            let f = Self::gather(self.pm.n, &force, p);
             for x in 0..3 {
                 v[x] += dt * f[x];
                 p[x] = (p[x] + dt * v[x]).rem_euclid(1.0);
             }
         }
-        let _ = &self.gather(&force, &[0.5, 0.5, 0.5]); // keep gather exercised
     }
 
     /// Density variance on the mesh — the clustering diagnostic (σ² grows

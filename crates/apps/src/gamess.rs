@@ -235,7 +235,6 @@ impl Application for Gamess {
 mod tests {
     use super::*;
     use exa_hal::{ApiSurface, Device};
-    use exa_linalg::device::TuningTable;
     use exa_machine::GpuModel;
 
     fn hip_stream() -> Stream {
@@ -245,7 +244,7 @@ mod tests {
     #[test]
     fn fragment_energy_is_negative_and_deterministic() {
         let mut s = hip_stream();
-        let lib = DeviceBlas::default();
+        let lib = DeviceBlas;
         let frag = Fragment::waters(1);
         let r1 = rimp2_fragment(&mut s, &lib, frag, EigenSolver::DivideConquer, 7);
         let mut s2 = hip_stream();
@@ -262,7 +261,7 @@ mod tests {
     fn solvers_agree_on_the_energy() {
         let mut s1 = hip_stream();
         let mut s2 = hip_stream();
-        let lib = DeviceBlas::default();
+        let lib = DeviceBlas;
         let frag = Fragment::waters(1);
         let ej = rimp2_fragment(&mut s1, &lib, frag, EigenSolver::Jacobi, 3).energy;
         let ed = rimp2_fragment(&mut s2, &lib, frag, EigenSolver::DivideConquer, 3).energy;
@@ -271,7 +270,7 @@ mod tests {
 
     #[test]
     fn dc_solver_is_faster_on_device() {
-        let lib = DeviceBlas::new(TuningTable::for_sizes(&[96]));
+        let lib = DeviceBlas;
         let frag = Fragment::waters(2);
         let mut s1 = hip_stream();
         let t_j = rimp2_fragment(&mut s1, &lib, frag, EigenSolver::Jacobi, 5).device_time;
@@ -479,7 +478,7 @@ mod scf_tests {
     fn scf_converges_to_bound_energy() {
         let prob = ScfProblem::synthetic(10, 3, 17);
         let mut s = hip_stream();
-        let lib = DeviceBlas::default();
+        let lib = DeviceBlas;
         let r = prob.solve(&mut s, &lib, EigenSolver::DivideConquer, 1e-10, 200);
         assert!(
             r.iterations < 200,
@@ -493,7 +492,7 @@ mod scf_tests {
     fn density_traces_to_occupation() {
         let prob = ScfProblem::synthetic(8, 2, 5);
         let mut s = hip_stream();
-        let lib = DeviceBlas::default();
+        let lib = DeviceBlas;
         let r = prob.solve(&mut s, &lib, EigenSolver::DivideConquer, 1e-11, 300);
         let trace: f64 = (0..8).map(|i| r.density[(i, i)]).sum();
         assert!((trace - 2.0).abs() < 1e-6, "tr(D) = nocc, got {trace}");
@@ -509,7 +508,7 @@ mod scf_tests {
     #[test]
     fn both_eigensolvers_reach_the_same_scf_energy() {
         let prob = ScfProblem::synthetic(9, 3, 23);
-        let lib = DeviceBlas::default();
+        let lib = DeviceBlas;
         let mut s1 = hip_stream();
         let ej = prob
             .solve(&mut s1, &lib, EigenSolver::Jacobi, 1e-10, 300)

@@ -74,7 +74,7 @@ impl DeviceBackend {
         Ok(DeviceBackend {
             label: "cuda-v100",
             stream,
-            lib: DeviceBlas::default(),
+            lib: DeviceBlas,
         })
     }
 
@@ -85,7 +85,7 @@ impl DeviceBackend {
         Ok(DeviceBackend {
             label: "hip-mi250x",
             stream,
-            lib: DeviceBlas::default(),
+            lib: DeviceBlas,
         })
     }
 }

@@ -2,14 +2,22 @@
 //!
 //! Regenerates the single-node series across NERSC Cori, ANL Theta, NREL
 //! Eagle, OLCF Summit, and OLCF Frontier, plus the 4,096-node series on
-//! Summit and Frontier, across the project's code states.
+//! Summit and Frontier, across the project's code states. A last row times
+//! the chemistry state's per-step data movement through UVM page migration
+//! against explicit copies (§3.8: "removing the use of UVM was ultimately
+//! necessary"); the gate fails unless the explicit copies win.
 
-use crate::{Gate, header, write_json};
+use crate::{gate, header, write_json, Gate};
 use exa_apps::pele::{
-    time_per_cell_step, time_per_cell_step_at_scale, weak_scaling_efficiency, CodeState,
+    chemistry_data_time, time_per_cell_step, time_per_cell_step_at_scale,
+    weak_scaling_efficiency, CodeState,
 };
 use exa_machine::MachineModel;
 use serde::Serialize;
+
+/// Chemistry cells and steps of the UVM row.
+const UVM_CELLS: usize = 64 * 64;
+const UVM_STEPS: usize = 4;
 
 #[derive(Serialize)]
 struct Fig2Point {
@@ -17,6 +25,30 @@ struct Fig2Point {
     machine: String,
     nodes: u32,
     time_per_cell_step_s: f64,
+}
+
+/// The §3.8 row: one MI250X GCD's chemistry data time both ways.
+#[derive(Serialize)]
+struct UvmRow {
+    cells: u64,
+    steps: u64,
+    explicit_copies_s: f64,
+    uvm_s: f64,
+}
+
+/// One element of the artifact: a Figure 2 point, or the closing UVM row.
+enum Fig2Record {
+    Point(Fig2Point),
+    Uvm(UvmRow),
+}
+
+impl Serialize for Fig2Record {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Fig2Record::Point(p) => p.write_json(out),
+            Fig2Record::Uvm(u) => u.write_json(out),
+        }
+    }
 }
 
 /// The (code state, machine) pairs along the Figure 2 x-axis.
@@ -51,18 +83,18 @@ pub fn run() -> Gate {
             t1.secs(),
             t4096.secs()
         );
-        points.push(Fig2Point {
+        points.push(Fig2Record::Point(Fig2Point {
             code_state: format!("{state:?}"),
             machine: machine.name.clone(),
             nodes: 1,
             time_per_cell_step_s: t1.secs(),
-        });
-        points.push(Fig2Point {
+        }));
+        points.push(Fig2Record::Point(Fig2Point {
             code_state: format!("{state:?}"),
             machine: machine.name.clone(),
             nodes: 4096,
             time_per_cell_step_s: t4096.secs(),
-        });
+        }));
     }
 
     let start = time_per_cell_step(&MachineModel::cori(), CodeState::Baseline2018);
@@ -75,6 +107,28 @@ pub fn run() -> Gate {
         "weak scaling to 4096 Frontier nodes at the 2023 state: {:.1}%  [paper: >80%]",
         weak_scaling_efficiency(&MachineModel::frontier(), CodeState::Async2023, 4096) * 100.0
     );
+
+    let explicit = chemistry_data_time(UVM_CELLS, UVM_STEPS, false);
+    let uvm = chemistry_data_time(UVM_CELLS, UVM_STEPS, true);
+    println!(
+        "chemistry data movement ({UVM_CELLS} cells x {UVM_STEPS} steps, one MI250X GCD): \
+         explicit copies {:.3e} s vs UVM {:.3e} s = {:.1}x  [paper: removing UVM was necessary]",
+        explicit.secs(),
+        uvm.secs(),
+        uvm / explicit
+    );
+    points.push(Fig2Record::Uvm(UvmRow {
+        cells: UVM_CELLS as u64,
+        steps: UVM_STEPS as u64,
+        explicit_copies_s: explicit.secs(),
+        uvm_s: uvm.secs(),
+    }));
     write_json("fig2_pele", &points);
-    Ok(())
+    let mut failures = Vec::new();
+    if explicit >= uvm {
+        failures.push(format!(
+            "explicit copies ({explicit}) must beat UVM page migration ({uvm})"
+        ));
+    }
+    gate(failures)
 }

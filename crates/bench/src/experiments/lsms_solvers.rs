@@ -30,7 +30,7 @@ fn hip_stream() -> Stream {
 
 pub fn run() -> Gate {
     header("LSMS (§3.2): LIZ tau-matrix solver study on an MI250X GCD");
-    let lib = DeviceBlas::default();
+    let lib = DeviceBlas;
 
     // Real correctness demonstration at mini scale.
     let liz = 12;

@@ -6,18 +6,14 @@ use exa_machine::MachineModel;
 
 pub fn run() -> Gate {
     header("Machine catalog (public-spec parameters)");
-    let machines = vec![
+    let mut machines = vec![
         MachineModel::cori(),
         MachineModel::theta(),
         MachineModel::eagle(),
         MachineModel::summit(),
-        MachineModel::poplar(),
-        MachineModel::tulip(),
-        MachineModel::spock(),
-        MachineModel::birch(),
-        MachineModel::crusher(),
-        MachineModel::frontier(),
     ];
+    machines.extend(MachineModel::early_access_timeline());
+    machines.push(MachineModel::frontier());
     println!(
         "{:<10} {:>5} {:>7} {:<28} {:>5} {:>10} {:>10} {:<26}",
         "machine", "year", "nodes", "gpu", "gpus", "FP64/GPU", "peak", "fabric"

@@ -13,9 +13,10 @@
 //!   hotspot table.
 //!
 //! The experiment is its own acceptance gate: it re-parses the trace with
-//! [`exa_telemetry::validate_chrome_trace`] and fails if
-//! the snapshot is empty, the counters disagree with the trace, or the
-//! trace violates Chrome-trace invariants.
+//! [`exa_telemetry::validate_chrome_trace`] and the hotspot CSV with
+//! [`exa_telemetry::validate_hotspot_csv`], and fails if the snapshot is
+//! empty, the counters disagree with the trace, the trace violates
+//! Chrome-trace invariants, or the CSV does not parse as the hotspot table.
 
 use crate::{experiments_dir, gate, header, pretty_json, repo_root, write_file, Gate};
 use exa_apps::e3sm::{step_time_profiled, E3smConfig};
@@ -24,7 +25,10 @@ use exa_apps::pele::{chemistry_kernels, chemistry_step_profiled, fig2_campaign_p
 use exa_fft::Decomp;
 use exa_hal::{ApiSurface, Device, Stream, Tracer};
 use exa_machine::{GpuArch, GpuModel, MachineModel};
-use exa_telemetry::{validate_chrome_trace, RooflineReport, TelemetryCollector, TelemetrySnapshot};
+use exa_telemetry::{
+    validate_chrome_trace, validate_hotspot_csv, RooflineReport, TelemetryCollector,
+    TelemetrySnapshot,
+};
 use serde::Serialize;
 
 const CHEM_CELLS: usize = 4096;
@@ -166,6 +170,10 @@ pub fn run() -> Gate {
             s.events, s.tracks
         ),
         Err(e) => failures.push(format!("chrome trace invalid: {e}")),
+    }
+    match validate_hotspot_csv(&hotspots) {
+        Ok(rows) => println!("hotspot csv: {rows} rows — valid"),
+        Err(e) => failures.push(format!("hotspot csv invalid: {e}")),
     }
     if roofline.points.is_empty() {
         failures.push("roofline has no points".into());

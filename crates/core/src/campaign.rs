@@ -131,15 +131,6 @@ pub struct ReadinessReport {
     pub stages: Vec<CampaignStage>,
 }
 
-impl ReadinessReport {
-    /// Relative error of the measured speed-up against the paper's Table 2
-    /// value, when one exists.
-    pub fn error_vs_paper(&self) -> Option<f64> {
-        self.paper_speedup
-            .map(|p| (self.measured_speedup - p).abs() / p)
-    }
-}
-
 impl fmt::Display for ReadinessReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -224,7 +215,8 @@ mod tests {
         assert_eq!(report.final_machine, "Frontier");
         // Node flop ratio ≈ 4.1: meets the CAAR 4x target.
         assert!(report.target_met, "speedup {}", report.measured_speedup);
-        let err = report.error_vs_paper().unwrap();
+        let paper = report.paper_speedup.unwrap();
+        let err = (report.measured_speedup - paper).abs() / paper;
         assert!(err < 0.1, "error vs paper {err}");
     }
 

@@ -120,16 +120,6 @@ pub struct NetworkScenario {
 }
 
 impl NetworkScenario {
-    /// A calm fabric (all factors neutral).
-    pub fn calm() -> Self {
-        NetworkScenario {
-            alpha_factor: 1.0,
-            beta_factor: 1.0,
-            jitter_amp: 0.0,
-            jitter_seed: 0,
-        }
-    }
-
     /// A contended fabric: α and β scaled, with seeded jitter.
     pub fn contended(alpha_factor: f64, beta_factor: f64, jitter_amp: f64, seed: u64) -> Self {
         assert!(
@@ -259,15 +249,6 @@ impl ScenarioSpec {
     pub fn with_network(mut self, net: NetworkScenario) -> Self {
         self.network = Some(net);
         self
-    }
-
-    /// Whether this scenario perturbs anything (a tagged-but-empty spec
-    /// still counts as clean dynamics).
-    pub fn is_clean(&self) -> bool {
-        self.injections.is_empty()
-            && self.mtbf_s.is_none()
-            && self.stragglers.is_empty()
-            && self.network.is_none()
     }
 
     /// Stretch factor for a span name: the product of every injection
@@ -475,7 +456,7 @@ mod tests {
     #[test]
     fn clean_spec_has_no_failures_or_skew() {
         let spec = ScenarioSpec::clean();
-        assert!(spec.is_clean());
+        assert!(spec.injections.is_empty() && spec.network.is_none());
         assert!(spec
             .failure_schedule(64, SimTime::from_secs(1e6))
             .is_empty());

@@ -6,8 +6,7 @@
 //! cuFFT/rocFFT stand-in they all share:
 //!
 //! * [`fft1d`] — a radix-2² Cooley–Tukey kernel for powers of two and a
-//!   Bluestein chirp-z fallback for general lengths, with inverse and
-//!   real-input helpers;
+//!   Bluestein chirp-z fallback for general lengths, with its inverse;
 //! * [`mod@fft3d`] — in-memory 3-D transforms, thread-parallel over lines;
 //! * [`dist3d`] — the distributed 3-D FFT at the heart of the GESTS PSDNS
 //!   solver, with both domain decompositions the paper compares: **Slabs**
@@ -25,7 +24,6 @@ pub mod executed;
 pub mod fft1d;
 pub mod fft3d;
 pub mod plan;
-pub mod real;
 
 pub use dist3d::{Decomp, DistFft3d};
 pub use exa_linalg::C64;
@@ -33,4 +31,3 @@ pub use executed::{DistGrid, ExecutedFft3d, LineAxis};
 pub use fft1d::{dft_naive, fft, ifft};
 pub use fft3d::{fft3d, ifft3d};
 pub use plan::{Split, TransposePlan};
-pub use real::{irfft, rfft};

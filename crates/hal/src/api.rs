@@ -62,7 +62,8 @@ pub enum Feature {
     /// Peer-to-peer device transfers.
     PeerAccess,
     /// Unified/managed memory (`cudaMallocManaged`/`hipMallocManaged`).
-    /// Supported on both, but see [`Feature::performance_note`].
+    /// Supported on both, but removing it was ultimately necessary for
+    /// performance on Frontier (Pele, §3.8; see [`crate::uvm`]).
     ManagedMemory,
     /// CUDA Graph capture/instantiate API.
     GraphApi,
@@ -94,22 +95,6 @@ impl Feature {
         }
     }
 
-    /// An advisory note for features that work but carry a known performance
-    /// caveat — the kind of content §5's user guides and trainings carried.
-    pub fn performance_note(self) -> Option<&'static str> {
-        match self {
-            Feature::ManagedMemory => Some(
-                "UVM/managed memory eased incremental porting, but removing it was \
-                 ultimately necessary for performance on Frontier (Pele, §3.8)",
-            ),
-            Feature::WarpSyncPrimitives => Some(
-                "wavefront width is 64 on AMD hardware; code assuming 32 lanes \
-                 leaves half the machine idle (ExaSky, §3.4)",
-            ),
-            _ => None,
-        }
-    }
-
     /// All features, for iteration in reports and tests.
     pub fn all() -> &'static [Feature] {
         use Feature::*;
@@ -137,7 +122,7 @@ mod tests {
         assert!(ApiSurface::Cuda.call_overhead().is_zero());
         let hip = ApiSurface::Hip.call_overhead();
         assert!(!hip.is_zero());
-        assert!(hip.nanos() < 100.0);
+        assert!(hip.secs() < 100e-9);
     }
 
     #[test]
@@ -168,8 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn managed_memory_has_a_perf_note() {
+    fn managed_memory_exists_on_both_surfaces() {
         assert!(Feature::ManagedMemory.supported_on(ApiSurface::Hip));
-        assert!(Feature::ManagedMemory.performance_note().is_some());
+        assert!(Feature::ManagedMemory.supported_on(ApiSurface::Cuda));
     }
 }

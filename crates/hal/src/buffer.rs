@@ -5,7 +5,7 @@
 //! all transfer costs are tracked as if it lived on the GPU.
 
 use crate::device::Device;
-use crate::error::{HalError, Result};
+use crate::error::Result;
 use std::sync::Arc;
 
 /// A typed allocation on a simulated device.
@@ -30,14 +30,6 @@ impl<T: Copy + Default> DeviceBuffer<T> {
             device: Arc::clone(device),
             bytes,
         })
-    }
-
-    /// Allocate and fill from a host slice (still untimed; see
-    /// [`crate::stream::Stream::upload`] for the costed path).
-    pub fn from_host(device: &Arc<Device>, host: &[T]) -> Result<Self> {
-        let mut b = Self::zeroed(device, host.len())?;
-        b.data.copy_from_slice(host);
-        Ok(b)
     }
 }
 
@@ -72,19 +64,6 @@ impl<T> DeviceBuffer<T> {
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
-
-    /// Check that `other` lives on the same device, as the real runtimes do
-    /// for non-peer operations.
-    pub fn same_device<U>(&self, other: &DeviceBuffer<U>) -> Result<()> {
-        if Arc::ptr_eq(&self.device, &other.device) {
-            Ok(())
-        } else {
-            Err(HalError::DeviceMismatch {
-                expected: self.device.id,
-                found: other.device.id,
-            })
-        }
-    }
 }
 
 impl<T> Drop for DeviceBuffer<T> {
@@ -96,6 +75,7 @@ impl<T> Drop for DeviceBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::HalError;
     use exa_machine::GpuModel;
 
     #[test]
@@ -111,14 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn from_host_copies_contents() {
-        let d = Device::new(GpuModel::v100(), 0);
-        let host = [1.0f32, 2.0, 3.0];
-        let b = DeviceBuffer::from_host(&d, &host).unwrap();
-        assert_eq!(b.as_slice(), &host);
-    }
-
-    #[test]
     fn kernel_style_mutation() {
         let d = Device::new(GpuModel::mi250x_gcd(), 0);
         let mut b = DeviceBuffer::<u64>::zeroed(&d, 100).unwrap();
@@ -126,17 +98,6 @@ mod tests {
             *x = i as u64 * 2;
         }
         assert_eq!(b.as_slice()[50], 100);
-    }
-
-    #[test]
-    fn device_mismatch_detected() {
-        let d0 = Device::new(GpuModel::v100(), 0);
-        let d1 = Device::new(GpuModel::v100(), 1);
-        let a = DeviceBuffer::<f64>::zeroed(&d0, 8).unwrap();
-        let b = DeviceBuffer::<f64>::zeroed(&d1, 8).unwrap();
-        assert!(a.same_device(&b).is_err());
-        let c = DeviceBuffer::<f32>::zeroed(&d0, 8).unwrap();
-        assert!(a.same_device(&c).is_ok());
     }
 
     #[test]

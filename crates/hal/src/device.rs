@@ -18,8 +18,6 @@ pub struct Device {
     pub model: GpuModel,
     /// Host↔device link.
     pub host_link: LinkModel,
-    /// Device↔device peer link.
-    pub peer_link: LinkModel,
     mem_used: AtomicU64,
 }
 
@@ -28,17 +26,16 @@ impl Device {
     /// default links.
     pub fn new(model: GpuModel, id: u32) -> Arc<Device> {
         use exa_machine::GpuArch::*;
-        let (host_link, peer_link) = match model.arch {
-            Volta => (LinkModel::nvlink2(), LinkModel::nvlink2()),
-            Vega20 => (LinkModel::pcie3(), LinkModel::pcie3()),
-            Cdna1 => (LinkModel::pcie4(), LinkModel::pcie4()),
-            Cdna2 => (LinkModel::infinity_fabric_host(), LinkModel::xgmi_peer()),
+        let host_link = match model.arch {
+            Volta => LinkModel::nvlink2(),
+            Vega20 => LinkModel::pcie3(),
+            Cdna1 => LinkModel::pcie4(),
+            Cdna2 => LinkModel::infinity_fabric_host(),
         };
         Arc::new(Device {
             id,
             model,
             host_link,
-            peer_link,
             mem_used: AtomicU64::new(0),
         })
     }
@@ -54,7 +51,6 @@ impl Device {
             id,
             model: node.gpu().clone(),
             host_link: node.host_link,
-            peer_link: node.peer_link,
             mem_used: AtomicU64::new(0),
         })
     }
@@ -62,11 +58,6 @@ impl Device {
     /// Bytes currently allocated on the device.
     pub fn mem_used(&self) -> u64 {
         self.mem_used.load(Ordering::Relaxed)
-    }
-
-    /// Bytes still free.
-    pub fn mem_free(&self) -> u64 {
-        self.model.mem_capacity.saturating_sub(self.mem_used())
     }
 
     /// Reserve `bytes` of device memory, failing when HBM is exhausted.
@@ -169,30 +160,12 @@ mod tests {
     }
 }
 
-/// All schedulable devices of one node, each with its own stream — the
-/// "one MPI rank per GCD" process model every Frontier application in the
-/// paper uses.
-pub fn node_devices(node: &NodeModel) -> Vec<Arc<Device>> {
-    assert!(node.has_gpus(), "node {} has no GPUs", node.name);
-    (0..node.gpus_per_node)
-        .map(|id| Device::from_node(node, id))
-        .collect()
-}
-
 #[cfg(test)]
 mod node_pool_tests {
     use super::*;
     use crate::api::ApiSurface;
     use crate::stream::Stream;
     use exa_machine::{DType, KernelProfile, LaunchConfig};
-
-    #[test]
-    fn frontier_node_exposes_eight_gcds() {
-        let devices = node_devices(&NodeModel::frontier());
-        assert_eq!(devices.len(), 8);
-        let ids: Vec<u32> = devices.iter().map(|d| d.id).collect();
-        assert_eq!(ids, (0..8).collect::<Vec<_>>());
-    }
 
     #[test]
     fn work_split_across_gcds_scales_node_throughput() {
@@ -211,9 +184,8 @@ mod node_pool_tests {
         };
 
         let split = {
-            let devices = node_devices(&node);
             let mut done = exa_machine::SimTime::ZERO;
-            for d in devices {
+            for d in (0..node.gpus_per_node).map(|id| Device::from_node(&node, id)) {
                 let mut s = Stream::new(d, ApiSurface::Hip).unwrap();
                 let k = KernelProfile::new("shard", LaunchConfig::new(1 << 16, 256))
                     .flops(total_flops / 8.0, DType::F64);

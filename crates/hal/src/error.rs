@@ -22,13 +22,6 @@ pub enum HalError {
         /// The feature that is not available there.
         feature: Feature,
     },
-    /// Buffers from different devices were mixed in one operation.
-    DeviceMismatch {
-        /// Device that owned the first operand.
-        expected: u32,
-        /// Device that owned the offending operand.
-        found: u32,
-    },
     /// Host and device extents disagreed in a copy.
     SizeMismatch {
         /// Element count of the destination.
@@ -62,12 +55,6 @@ impl fmt::Display for HalError {
             }
             HalError::UnsupportedFeature { api, feature } => {
                 write!(f, "{feature:?} is not supported by the {api:?} API surface")
-            }
-            HalError::DeviceMismatch { expected, found } => {
-                write!(
-                    f,
-                    "buffers span devices: expected device {expected}, found {found}"
-                )
             }
             HalError::SizeMismatch { dst, src } => {
                 write!(

@@ -8,7 +8,7 @@
 //!
 //! **Determinism contract:** results are bit-identical for any thread
 //! count. The block decomposition ([`block_ranges`]) depends only on
-//! `(n, min_len)` — never on `num_threads()` — and reduction partials are
+//! `(n, min_len)` — never on the thread count — and reduction partials are
 //! folded in block order, so floating-point rounding does not shift when
 //! `EXA_THREADS` changes. The pool merely executes the fixed blocks in an
 //! arbitrary interleaving.
@@ -29,13 +29,6 @@ pub const PAR_THRESHOLD: usize = 1 << 14;
 /// Default minimum number of elements a single worker must receive; the
 /// `*_with_min_len` variants override it.
 pub const DEFAULT_MIN_LEN: usize = 1 << 12;
-
-/// Execution-lane count: `EXA_THREADS` (0 ⇒ auto-detect), else available
-/// parallelism — the sizing of the
-/// process-wide [`workpool`] pool. Read once per process.
-pub fn num_threads() -> usize {
-    workpool::default_threads()
-}
 
 /// The process-wide persistent pool every `par_*` helper fans out onto.
 fn pool() -> &'static ThreadPool {
@@ -171,43 +164,6 @@ where
             *x = f(base + k);
         }
     });
-}
-
-/// Parallel associative reduction over an index range.
-pub fn par_reduce<T, F, R>(n: usize, identity: T, f: F, reduce: R) -> T
-where
-    T: Send + Sync + Copy,
-    F: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync + Send,
-{
-    par_reduce_with_min_len(n, DEFAULT_MIN_LEN, identity, f, reduce)
-}
-
-/// [`par_reduce`] with an explicit minimum per-worker task length.
-pub fn par_reduce_with_min_len<T, F, R>(n: usize, min_len: usize, identity: T, f: F, reduce: R) -> T
-where
-    T: Send + Sync + Copy,
-    F: Fn(usize) -> T + Sync,
-    R: Fn(T, T) -> T + Sync + Send,
-{
-    if n < PAR_THRESHOLD {
-        return (0..n).fold(identity, |acc, i| reduce(acc, f(i)));
-    }
-    let ranges = blocks(n, min_len);
-    if ranges.len() <= 1 {
-        return (0..n).fold(identity, |acc, i| reduce(acc, f(i)));
-    }
-    // Partials land in block order and are folded in block order: the
-    // rounding of the final fold is fixed by (n, min_len) alone.
-    let mut partials = vec![identity; ranges.len()];
-    pool().scope(|s| {
-        for (slot, r) in partials.iter_mut().zip(ranges) {
-            let f = &f;
-            let reduce = &reduce;
-            s.spawn(move || *slot = r.fold(identity, |acc, i| reduce(acc, f(i))));
-        }
-    });
-    partials.into_iter().fold(identity, reduce)
 }
 
 /// Unrolled sum of one block: four independent accumulator lanes (so the
@@ -433,15 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sums_correctly_both_paths() {
-        let small = par_reduce(100, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(small, 4950);
-        let n = PAR_THRESHOLD * 2;
-        let big = par_reduce(n, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(big, (n as u64 - 1) * n as u64 / 2);
-    }
-
-    #[test]
     fn chunks_cover_everything_once() {
         let n = PAR_THRESHOLD * 2 + 17;
         let mut v = vec![0u32; n];
@@ -475,9 +422,6 @@ mod tests {
         par_map_inplace(&mut a, |i, x| x + i as f64);
         par_map_inplace_with_min_len(&mut b, 1 << 16, |i, x| x + i as f64);
         assert_eq!(a, b);
-        let r1 = par_reduce(n, 0u64, |i| i as u64, |x, y| x + y);
-        let r2 = par_reduce_with_min_len(n, 1, 0u64, |i| i as u64, |x, y| x + y);
-        assert_eq!(r1, r2);
     }
 
     #[test]
@@ -504,26 +448,6 @@ mod tests {
         for (i, &d) in dst.iter().enumerate() {
             assert_eq!(d, (n - 1 - i) as u64);
         }
-    }
-
-    #[test]
-    fn threads_are_positive() {
-        assert!(num_threads() > 0);
-    }
-
-    #[test]
-    fn reduce_fold_order_is_blockwise_and_bit_exact() {
-        // The determinism contract: a parallel fp reduction equals the
-        // sequential fold over block_ranges partials, bit for bit — the
-        // pool's interleaving can never shift rounding.
-        let n = PAR_THRESHOLD * 2 + 123;
-        let f = |i: usize| ((i.wrapping_mul(2654435761)) % 1000) as f64 * 1e-3 - 0.4;
-        let got = par_reduce(n, 0.0f64, f, |a, b| a + b);
-        let mut expect = 0.0f64;
-        for r in block_ranges(n, DEFAULT_MIN_LEN) {
-            expect += r.fold(0.0f64, |acc, i| acc + f(i));
-        }
-        assert_eq!(got.to_bits(), expect.to_bits());
     }
 
     #[test]

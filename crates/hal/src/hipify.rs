@@ -468,41 +468,6 @@ pub fn generate_compat_header() -> String {
     h
 }
 
-/// Apply the compat header's macro table to a source string — the "stay in
-/// CUDA" translation path. Unlike [`hipify_source`] this only touches the
-/// names in the table (macros cannot rewrite `<<<...>>>` launches).
-pub fn apply_compat_header(src: &str) -> String {
-    src.lines()
-        .map(|line| {
-            let mut out = String::with_capacity(line.len());
-            let bytes = line.as_bytes();
-            let mut i = 0;
-            'outer: while i < bytes.len() {
-                let boundary = i == 0 || !is_ident_char(bytes[i - 1]);
-                if boundary {
-                    for name in COMMON_API_CALLS {
-                        if line[i..].starts_with(name)
-                            && !line[i + name.len()..]
-                                .bytes()
-                                .next()
-                                .map(is_ident_char)
-                                .unwrap_or(false)
-                        {
-                            out.push_str(&convert_identifiers(name));
-                            i += name.len();
-                            continue 'outer;
-                        }
-                    }
-                }
-                out.push(bytes[i] as char);
-                i += 1;
-            }
-            out
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod compat_tests {
     use super::*;
@@ -516,39 +481,5 @@ mod compat_tests {
         assert!(h.contains("#define cudaMalloc hipMalloc"));
         assert!(h.contains("#define cudaStream_t hipStream_t"));
         assert!(h.contains("#ifdef BUILD_HIP"));
-    }
-
-    #[test]
-    fn macro_path_agrees_with_hipify_on_runtime_calls() {
-        // For plain runtime calls (no kernel launches) the two §2.1
-        // strategies must produce the same HIP source.
-        let src = "cudaError_t e = cudaMemcpyAsync(d, h, n, cudaMemcpyHostToDevice, s);\n\
-                   cudaStreamSynchronize(s);\ncudaFree(d);";
-        let via_macros = apply_compat_header(src);
-        let via_hipify = hipify_source(src).output;
-        assert_eq!(via_macros, via_hipify);
-        assert!(via_macros.contains("hipMemcpyAsync"));
-    }
-
-    #[test]
-    fn macro_path_cannot_rewrite_kernel_launches() {
-        // The macro strategy's documented limit: triple-chevron launches
-        // need the real tool (or hip's nvcc passthrough).
-        let src = "k<<<g, b>>>(x);";
-        assert_eq!(apply_compat_header(src), src);
-        assert!(hipify_source(src).output.contains("hipLaunchKernelGGL"));
-    }
-
-    #[test]
-    fn macro_path_respects_identifier_boundaries() {
-        let src = "int mycudaMalloc = 0; cudaMallocHost(&p, n);";
-        let out = apply_compat_header(src);
-        assert!(
-            out.contains("mycudaMalloc"),
-            "prefix inside identifier untouched"
-        );
-        // cudaMallocHost is not in the table; boundary check must not match
-        // the shorter cudaMalloc inside it.
-        assert!(out.contains("cudaMallocHost"), "{out}");
     }
 }

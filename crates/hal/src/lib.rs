@@ -15,9 +15,11 @@
 //! * [`hipify`] — a source-to-source translator for a miniature CUDA-flavoured
 //!   API language, reproducing the behaviour of AMD's `hipify` tool
 //!   (automatic conversion of modern syntax, warnings on deprecated syntax);
-//! * [`offload`] — an OpenMP-target-offload analogue with structured and
-//!   unstructured target-data regions, `target update to/from`, and
-//!   `use_device_ptr`, encoding the §2.2 best practices;
+//! * [`offload`] — an OpenMP-target-offload analogue: a structured
+//!   target-data region with `map(tofrom:)` and `map(alloc:)` arrays,
+//!   encoding §2.2's "map persistent arrays once" practice;
+//! * [`uvm`] — managed memory whose pages migrate on first touch, the
+//!   incremental-port path §3.8 says had to be removed;
 //! * [`pool`] — a YAKL-style device pool allocator (E3SM §3.5) with real
 //!   free-list bookkeeping and modelled allocation latencies;
 //! * [`graph`] — a hipGraph/CUDA-Graphs kernel-graph engine: capture a

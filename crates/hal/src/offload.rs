@@ -1,50 +1,38 @@
 //! OpenMP target-offload analogue.
 //!
-//! §2.2 distils the COE's OpenMP guidance into a handful of rules:
+//! §2.2 distils the COE's OpenMP guidance into a handful of rules; the
+//! first is the one that costs the most when ignored: use a **large,
+//! structured `TARGET DATA` region** around key performance regions, with
+//! persistent device arrays mapped once, instead of mapping data around
+//! every loop.
 //!
-//! * use a **large, structured `TARGET DATA` region** around key performance
-//!   regions, with persistent device arrays mapped once;
-//! * synchronise inside the region with `TARGET UPDATE TO/FROM`, using
-//!   `NOWAIT` for concurrent host/device execution;
-//! * use `USE_DEVICE_PTR` to hand the device pointer to function calls and
-//!   GPU-aware MPI;
-//! * use unstructured `TARGET DATA ENTER/EXIT` pairs when data should live
-//!   outside a structured region.
-//!
-//! [`TargetData`] implements those verbs over a [`Stream`], charging real
-//! transfer costs, so the guidance is *measurable*: the tests at the bottom
-//! show the structured-region strategy beating per-loop mapping by exactly
-//! the repeated-transfer cost the paper warns about.
+//! [`TargetData`] is that region over a [`Stream`]: `map(tofrom:)` pays a
+//! host→device transfer at entry and a device→host transfer at the region's
+//! end, and `map(alloc:)` (`OMP_TARGET_ALLOC`) keeps a device-only array
+//! that pays allocation latency and no copies. The transfers are charged at
+//! the stream's link cost, so the guidance is *measurable*: `reproduce
+//! user_guide` times the persistent region against per-loop mapping.
 
-use crate::error::{HalError, Result};
 use crate::stream::Stream;
 use exa_machine::SimTime;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// OpenMP map directions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapDir {
-    /// `map(to:)` — host→device at region entry.
-    To,
-    /// `map(from:)` — device→host at region exit.
-    From,
-    /// `map(tofrom:)` — both.
+    /// `map(tofrom:)` — host→device at entry, device→host at region end.
     ToFrom,
     /// `map(alloc:)` / `omp_target_alloc` — device-resident only, no copies.
     Alloc,
 }
 
-#[derive(Debug, Clone)]
-struct MapEntry {
-    bytes: u64,
-    dir: MapDir,
-}
-
-/// A target-data region tracking which arrays are device-resident.
+/// A structured target-data region tracking which arrays are
+/// device-resident.
 #[derive(Debug, Default)]
 pub struct TargetData {
-    entries: HashMap<String, MapEntry>,
-    closed: bool,
+    /// Mapped arrays by name: bytes and direction. Name order fixes the
+    /// order of the copies back at [`TargetData::end`].
+    entries: BTreeMap<String, (u64, MapDir)>,
 }
 
 impl TargetData {
@@ -53,90 +41,29 @@ impl TargetData {
         TargetData::default()
     }
 
-    /// Map an array into the region. `To`/`ToFrom` pay a host→device
-    /// transfer now; `Alloc` is the `OMP_TARGET_ALLOC` persistent-array path
-    /// and pays only allocation latency.
+    /// Map an array into the region. `ToFrom` pays a host→device transfer
+    /// now; `Alloc` is the `OMP_TARGET_ALLOC` persistent-array path and pays
+    /// only allocation latency.
     pub fn map(&mut self, stream: &mut Stream, name: &str, bytes: u64, dir: MapDir) -> SimTime {
-        assert!(!self.closed, "region already ended");
         let t = match dir {
-            MapDir::To | MapDir::ToFrom => stream.upload_modeled(bytes),
+            MapDir::ToFrom => stream.upload_modeled(bytes),
             MapDir::Alloc => {
                 stream.charge_host(stream.device().model.alloc_latency);
                 stream.device_time()
             }
-            MapDir::From => stream.device_time(),
         };
-        self.entries
-            .insert(name.to_string(), MapEntry { bytes, dir });
+        self.entries.insert(name.to_string(), (bytes, dir));
         t
     }
 
-    /// Is the named array resident on the device?
-    pub fn is_mapped(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
-    }
-
-    /// `TARGET UPDATE TO(name)` — refresh the device copy. Blocking form:
-    /// the host waits for the transfer.
-    pub fn update_to(&mut self, stream: &mut Stream, name: &str) -> Result<SimTime> {
-        let bytes = self.lookup(name)?;
-        stream.upload_modeled(bytes);
-        Ok(stream.synchronize())
-    }
-
-    /// `TARGET UPDATE TO(name) NOWAIT` — queue the transfer and return; the
-    /// host keeps working (the §2.2 concurrency pattern).
-    pub fn update_to_nowait(&mut self, stream: &mut Stream, name: &str) -> Result<SimTime> {
-        let bytes = self.lookup(name)?;
-        Ok(stream.upload_modeled(bytes))
-    }
-
-    /// `TARGET UPDATE FROM(name)` — refresh the host copy (blocking).
-    pub fn update_from(&mut self, stream: &mut Stream, name: &str) -> Result<SimTime> {
-        let bytes = self.lookup(name)?;
-        Ok(stream.download_modeled(bytes))
-    }
-
-    /// `USE_DEVICE_PTR(name)` — obtain the device address for library calls
-    /// and GPU-aware MPI. Costs nothing; it only asserts residency.
-    pub fn use_device_ptr(&self, name: &str) -> Result<u64> {
-        self.lookup(name)
-    }
-
-    /// Unstructured `TARGET EXIT DATA` for one array: pay the `from`-copy if
-    /// its direction requires one, then unmap.
-    pub fn exit_data(&mut self, stream: &mut Stream, name: &str) -> Result<SimTime> {
-        let entry = self
-            .entries
-            .remove(name)
-            .ok_or(HalError::SizeMismatch { dst: 0, src: 0 })?;
-        let t = match entry.dir {
-            MapDir::From | MapDir::ToFrom => stream.download_modeled(entry.bytes),
-            _ => stream.device_time(),
-        };
-        Ok(t)
-    }
-
-    /// Close the structured region: all `from`/`tofrom` arrays copy back.
-    pub fn end(mut self, stream: &mut Stream) -> SimTime {
-        self.closed = true;
-        // Deterministic order for reproducible clocks.
-        let mut names: Vec<_> = self.entries.keys().cloned().collect();
-        names.sort();
-        for name in names {
-            let entry = &self.entries[&name];
-            if matches!(entry.dir, MapDir::From | MapDir::ToFrom) {
-                stream.download_modeled(entry.bytes);
+    /// Close the structured region: all `tofrom` arrays copy back.
+    pub fn end(self, stream: &mut Stream) -> SimTime {
+        for (bytes, dir) in self.entries.into_values() {
+            if dir == MapDir::ToFrom {
+                stream.download_modeled(bytes);
             }
         }
         stream.synchronize()
-    }
-
-    fn lookup(&self, name: &str) -> Result<u64> {
-        self.entries
-            .get(name)
-            .map(|e| e.bytes)
-            .ok_or(HalError::SizeMismatch { dst: 0, src: 0 })
     }
 }
 
@@ -198,52 +125,8 @@ mod tests {
         region.map(&mut s, "scratch", 1 << 30, MapDir::Alloc);
         // No transfer time: only alloc latency on the host clock.
         assert!(s.device_time().is_zero());
-        assert!(s.host_time().micros() < 50.0);
+        assert!(s.synchronize().micros() < 50.0);
         region.end(&mut s);
-        assert!(s.device_time().millis() < 1.0);
-    }
-
-    #[test]
-    fn update_from_syncs_host() {
-        let mut s = hip_stream();
-        let mut region = TargetData::begin();
-        region.map(&mut s, "u", 1 << 26, MapDir::To);
-        region.update_from(&mut s, "u").unwrap();
-        assert_eq!(s.host_time(), s.device_time());
-    }
-
-    #[test]
-    fn nowait_leaves_host_free() {
-        let mut s = hip_stream();
-        let mut region = TargetData::begin();
-        region.map(&mut s, "u", 1 << 28, MapDir::Alloc);
-        let host_before = s.host_time();
-        region.update_to_nowait(&mut s, "u").unwrap();
-        // Host advanced only by the API overhead, not the 7+ms transfer.
-        assert!((s.host_time() - host_before).micros() < 10.0);
-        assert!(s.device_time().millis() > 5.0);
-    }
-
-    #[test]
-    fn use_device_ptr_requires_residency() {
-        let mut s = hip_stream();
-        let mut region = TargetData::begin();
-        assert!(region.use_device_ptr("ghost").is_err());
-        region.map(&mut s, "ghost", 4096, MapDir::Alloc);
-        assert!(region.use_device_ptr("ghost").is_ok());
-    }
-
-    #[test]
-    fn unstructured_exit_copies_back_tofrom_only() {
-        let mut s = hip_stream();
-        let mut region = TargetData::begin();
-        region.map(&mut s, "a", 1 << 26, MapDir::ToFrom);
-        region.map(&mut s, "b", 1 << 26, MapDir::Alloc);
-        let before = s.stats().bytes_d2h;
-        region.exit_data(&mut s, "b").unwrap();
-        assert_eq!(s.stats().bytes_d2h, before, "alloc exit must not copy");
-        region.exit_data(&mut s, "a").unwrap();
-        assert_eq!(s.stats().bytes_d2h, before + (1 << 26));
-        assert!(!region.is_mapped("a") && !region.is_mapped("b"));
+        assert!(s.device_time().secs() < 1e-3);
     }
 }

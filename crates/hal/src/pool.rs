@@ -268,7 +268,7 @@ mod tests {
         for _ in 0..1000 {
             keep.push(s1.alloc::<f64>(128).unwrap());
         }
-        let t_runtime = s1.host_time();
+        let t_runtime = s1.synchronize();
         drop(keep);
 
         // Pool path on a fresh device to keep accounting independent.
@@ -279,7 +279,7 @@ mod tests {
             let b = p.alloc(&mut s2, 1024).unwrap();
             p.free(&mut s2, b).unwrap();
         }
-        let t_pool = s2.host_time();
+        let t_pool = s2.synchronize();
         // §3.5: pool allocations are "very cheap" — order-of-magnitude wins.
         assert!(
             t_runtime / t_pool > 10.0,

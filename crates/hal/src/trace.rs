@@ -8,7 +8,6 @@
 //! roofline classification, and renders hotspot tables and a roofline
 //! report.
 
-use crate::graph::KernelGraph;
 use crate::stream::Stream;
 use exa_machine::{EffCurve, GpuModel, KernelProfile, SimTime};
 use serde::Serialize;
@@ -102,19 +101,6 @@ impl Tracer {
         }
     }
 
-    /// Launch a kernel through a stream while recording it.
-    pub fn launch_traced<F: FnOnce()>(
-        &mut self,
-        stream: &mut Stream,
-        profile: &KernelProfile,
-        body: F,
-    ) -> SimTime {
-        let start = stream.device_time();
-        let end = stream.launch(profile, body);
-        self.record(profile, start, end - start);
-        end
-    }
-
     /// Cost-only traced launch.
     pub fn launch_traced_modeled(
         &mut self,
@@ -124,23 +110,6 @@ impl Tracer {
         let start = stream.device_time();
         let end = stream.launch_modeled(profile);
         self.record(profile, start, end - start);
-        end
-    }
-
-    /// Replay a kernel graph through a stream while recording one event per
-    /// kernel node — so fused and fissioned kernels show up in the hotspot
-    /// table under their graph names ("a+b", "monster[0/4]"). Node start
-    /// times attribute the replay's device span to nodes in launch order
-    /// (queue-dispatch charges are folded into the span, as `rocprof` would
-    /// show them).
-    pub fn replay_traced(&mut self, stream: &mut Stream, graph: &KernelGraph) -> SimTime {
-        let mut start = stream.device_time();
-        let end = stream.replay(graph);
-        for node in graph.kernels() {
-            let dur = self.gpu.kernel_time(&node.profile);
-            self.record(&node.profile, start, dur);
-            start += dur;
-        }
         end
     }
 
@@ -413,17 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_launch_still_runs_the_body() {
-        let (mut tracer, mut stream) = setup();
-        let k = KernelProfile::new("body", big()).flops(1e9, DType::F64);
-        let mut hit = false;
-        tracer.launch_traced(&mut stream, &k, || hit = true);
-        assert!(hit);
-        assert_eq!(tracer.events().len(), 1);
-        assert!(tracer.events()[0].duration.secs() > 0.0);
-    }
-
-    #[test]
     fn spills_are_flagged_in_the_report() {
         let (mut tracer, mut stream) = setup();
         let monster = KernelProfile::new("jacobian", big())
@@ -436,30 +394,6 @@ mod tests {
             report.contains("YES"),
             "spill column must flag the 18k-register kernel:\n{report}"
         );
-    }
-
-    #[test]
-    fn replay_traced_names_fused_nodes() {
-        use crate::graph::{FusionPolicy, GraphCapture};
-        let (mut tracer, mut stream) = setup();
-        let mut cap = GraphCapture::new();
-        cap.kernel_fusable(
-            KernelProfile::new("a", big())
-                .flops(1e9, DType::F64)
-                .bytes(1e9, 1e9),
-        );
-        cap.kernel_fusable(
-            KernelProfile::new("b", big())
-                .flops(1e9, DType::F64)
-                .bytes(1e9, 1e9),
-        );
-        let mut g = cap.end();
-        g.fuse_elementwise(&FusionPolicy::default());
-        tracer.replay_traced(&mut stream, &g);
-        let stats = tracer.hotspots();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].name, "a+b");
-        assert_eq!(stream.stats().graph_replays, 1);
     }
 
     #[test]

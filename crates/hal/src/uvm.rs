@@ -92,11 +92,6 @@ impl<T> ManagedBuffer<T> {
         self.data.is_empty()
     }
 
-    /// Number of pages backing the allocation.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Migration statistics so far.
     pub fn stats(&self) -> UvmStats {
         self.stats
@@ -160,23 +155,6 @@ impl<T> ManagedBuffer<T> {
         }
         &mut self.data[start..start + len]
     }
-
-    /// `hipMemPrefetchAsync`: migrate everything to the device eagerly in
-    /// one DMA (no per-page fault latency) — the halfway optimization
-    /// before UVM removal.
-    pub fn prefetch_to_device(&mut self, stream: &mut Stream) {
-        let mut pending = 0u64;
-        for p in self.pages.iter_mut() {
-            if *p != Residency::Device {
-                *p = Residency::Device;
-                pending += PAGE_BYTES as u64;
-            }
-        }
-        if pending > 0 {
-            self.stats.bytes_migrated += pending;
-            stream.upload_modeled(pending);
-        }
-    }
 }
 
 impl<T> Drop for ManagedBuffer<T> {
@@ -228,22 +206,6 @@ mod tests {
         let (mut buf, mut stream) = setup(n);
         buf.access_device(&mut stream, 0, PAGE_BYTES / 8); // one page of f64s
         assert!(buf.stats().faults_to_device <= 2, "{:?}", buf.stats());
-    }
-
-    #[test]
-    fn prefetch_avoids_fault_latency() {
-        let n = 2_000_000;
-        // Faulting path.
-        let (mut faulting, mut s1) = setup(n);
-        faulting.access_device(&mut s1, 0, n);
-        let t_fault = s1.synchronize();
-        // Prefetching path.
-        let (mut prefetched, mut s2) = setup(n);
-        prefetched.prefetch_to_device(&mut s2);
-        prefetched.access_device(&mut s2, 0, n);
-        let t_prefetch = s2.synchronize();
-        assert!(t_prefetch < t_fault, "{t_prefetch} !< {t_fault}");
-        assert_eq!(prefetched.stats().faults_to_device, 0);
     }
 
     #[test]

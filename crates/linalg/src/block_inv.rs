@@ -80,11 +80,6 @@ pub fn block_lu_flops<S: Scalar>(n: usize, b: usize) -> f64 {
     flops + getrf_flops::<S>(b) + getrs_flops::<S>(b, b)
 }
 
-/// FLOP count of the full-LU route for the same extraction.
-pub fn full_lu_flops<S: Scalar>(n: usize) -> f64 {
-    getrf_flops::<S>(n) + getrs_flops::<S>(n, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +130,7 @@ mod tests {
         // point operation count".
         for (n, b) in [(512, 32), (1024, 64), (2048, 128)] {
             let blk = block_lu_flops::<C64>(n, b);
-            let full = full_lu_flops::<C64>(n);
+            let full = getrf_flops::<C64>(n) + getrs_flops::<C64>(n, n);
             assert!(blk < full, "n={n}: block {blk:.3e} !< full {full:.3e}");
             // ... but not wildly lower: same O(N³) scaling.
             assert!(blk > full * 0.2);

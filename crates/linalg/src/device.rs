@@ -8,10 +8,9 @@
 //! target problem sizes for library developers, such that the libraries were
 //! tuned and ready for these applications when the final system arrived."
 //!
-//! [`DeviceBlas`] is that library: each call executes the real math from
-//! this crate and charges roofline time through an `exa-hal` [`Stream`],
-//! with a [`TuningTable`] deciding whether the size-specialised (tuned) or
-//! generic kernel efficiency applies.
+//! [`DeviceBlas`] is that library's untuned (generic) build: each call
+//! executes the real math from this crate and charges roofline time through
+//! an `exa-hal` [`Stream`] at the generic kernels' efficiencies.
 
 use crate::complex::C64;
 use crate::eigen::{jacobi_eigen, jacobi_flops, tridiag_eigen, tridiag_flops, EigenDecomp};
@@ -19,56 +18,18 @@ use crate::gemm::{gemm_flops, matmul};
 use crate::lu::{getrf, getrf_flops, getrs_flops, LuFactors, Singular};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use exa_hal::{DType, KernelProfile, LaunchConfig, SimTime, Stream};
+use exa_hal::{DType, KernelProfile, LaunchConfig, Stream};
 
-/// Fraction of matrix-unit peak a size-tuned GEMM kernel achieves.
-pub const GEMM_EFF_TUNED: f64 = 0.90;
-/// Fraction for the generic fallback kernel.
+/// Fraction of matrix-unit peak the generic GEMM kernel achieves.
 pub const GEMM_EFF_GENERIC: f64 = 0.62;
-/// Tuned / generic efficiencies for the LU solvers.
-pub const LU_EFF_TUNED: f64 = 0.72;
 /// Generic LU efficiency.
 pub const LU_EFF_GENERIC: f64 = 0.48;
 
-/// Problem sizes the library has size-specialised kernels for.
-#[derive(Debug, Clone, Default)]
-pub struct TuningTable {
-    sizes: Vec<usize>,
-}
-
-impl TuningTable {
-    /// An empty table: everything takes the generic path.
-    pub fn untuned() -> Self {
-        TuningTable::default()
-    }
-
-    /// A table tuned for the given characteristic sizes — what application
-    /// teams handed library developers on the early-access systems.
-    pub fn for_sizes(sizes: &[usize]) -> Self {
-        TuningTable {
-            sizes: sizes.to_vec(),
-        }
-    }
-
-    /// Is dimension `n` covered (within 2× of a tuned size)?
-    pub fn is_tuned(&self, n: usize) -> bool {
-        self.sizes.iter().any(|&s| n >= s / 2 && n <= s * 2)
-    }
-}
-
 /// The device linear-algebra library.
-#[derive(Debug, Clone, Default)]
-pub struct DeviceBlas {
-    /// Size-specialisation table.
-    pub tuning: TuningTable,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DeviceBlas;
 
 impl DeviceBlas {
-    /// Library with a tuning table.
-    pub fn new(tuning: TuningTable) -> Self {
-        DeviceBlas { tuning }
-    }
-
     fn gemm_profile<S: Scalar>(
         &self,
         name: &str,
@@ -77,11 +38,6 @@ impl DeviceBlas {
         k: usize,
         dtype: DType,
     ) -> KernelProfile {
-        let eff = if self.tuning.is_tuned(m.max(n).max(k)) {
-            GEMM_EFF_TUNED
-        } else {
-            GEMM_EFF_GENERIC
-        };
         let elem = dtype.bytes() as f64;
         KernelProfile::new(name, LaunchConfig::cover((m as u64 * n as u64).max(1), 256))
             .flops(gemm_flops::<S>(m, n, k), dtype)
@@ -89,7 +45,7 @@ impl DeviceBlas {
             .bytes(((m * k + k * n) as f64) * elem, (m * n) as f64 * elem)
             .regs(96)
             .lds(32 * 1024)
-            .compute_eff(eff)
+            .compute_eff(GEMM_EFF_GENERIC)
     }
 
     /// `dgemm`: real double GEMM on the device.
@@ -98,51 +54,6 @@ impl DeviceBlas {
         let mut out = None;
         stream.launch(&p, || out = Some(matmul(a, b)));
         out.expect("kernel body ran")
-    }
-
-    /// `zgemm`: complex double GEMM on the device.
-    pub fn zgemm(&self, stream: &mut Stream, a: &Matrix<C64>, b: &Matrix<C64>) -> Matrix<C64> {
-        let p = self.gemm_profile::<C64>("zgemm", a.rows(), b.cols(), a.cols(), DType::C64);
-        let mut out = None;
-        stream.launch(&p, || out = Some(matmul(a, b)));
-        out.expect("kernel body ran")
-    }
-
-    /// Cost-only GEMM at arbitrary scale and precision (CoMet's exaflop runs).
-    pub fn gemm_modeled(
-        &self,
-        stream: &mut Stream,
-        m: u64,
-        n: u64,
-        k: u64,
-        dtype: DType,
-    ) -> SimTime {
-        let eff = if self.tuning.is_tuned(m.max(n).max(k) as usize) {
-            GEMM_EFF_TUNED
-        } else {
-            GEMM_EFF_GENERIC
-        };
-        let elem = dtype.bytes() as f64;
-        let flops_per_muladd = match dtype {
-            DType::C64 | DType::C32 => 8.0,
-            _ => 2.0,
-        };
-        let p = KernelProfile::new("gemm", LaunchConfig::cover(m * n, 256))
-            .flops(m as f64 * n as f64 * k as f64 * flops_per_muladd, dtype)
-            .matrix_units(true)
-            .bytes((m * k + k * n) as f64 * elem, (m * n) as f64 * elem)
-            .regs(96)
-            .lds(32 * 1024)
-            .compute_eff(eff);
-        stream.launch_modeled(&p)
-    }
-
-    fn lu_eff(&self, n: usize) -> f64 {
-        if self.tuning.is_tuned(n) {
-            LU_EFF_TUNED
-        } else {
-            LU_EFF_GENERIC
-        }
     }
 
     /// `zgetrf`: factor a complex matrix on the device (rocSOLVER analogue).
@@ -155,7 +66,7 @@ impl DeviceBlas {
         .flops(getrf_flops::<C64>(n), DType::C64)
         .bytes((n * n * 16) as f64 * 2.0, (n * n * 16) as f64)
         .regs(128)
-        .compute_eff(self.lu_eff(n));
+        .compute_eff(LU_EFF_GENERIC);
         let mut out = None;
         stream.launch(&p, || out = Some(getrf(a)));
         out.expect("kernel body ran")
@@ -172,7 +83,7 @@ impl DeviceBlas {
         .flops(getrs_flops::<C64>(n, nrhs), DType::C64)
         .bytes((n * n * 16 + n * nrhs * 16) as f64, (n * nrhs * 16) as f64)
         .regs(96)
-        .compute_eff(self.lu_eff(n));
+        .compute_eff(LU_EFF_GENERIC);
         stream.launch(&p, || f.getrs(rhs));
     }
 
@@ -214,7 +125,7 @@ impl DeviceBlas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exa_hal::{ApiSurface, Device};
+    use exa_hal::{ApiSurface, Device, SimTime};
     use exa_machine::GpuModel;
 
     fn hip_stream() -> Stream {
@@ -224,7 +135,7 @@ mod tests {
     #[test]
     fn device_gemm_computes_and_charges() {
         let mut s = hip_stream();
-        let lib = DeviceBlas::default();
+        let lib = DeviceBlas;
         let a = Matrix::<f64>::seeded_random(32, 32, 1);
         let b = Matrix::<f64>::seeded_random(32, 32, 2);
         let c = lib.dgemm(&mut s, &a, &b);
@@ -234,44 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn tuned_library_is_faster() {
-        let a = Matrix::<f64>::seeded_random(64, 64, 3);
-        let b = Matrix::<f64>::seeded_random(64, 64, 4);
-
-        let mut s1 = hip_stream();
-        DeviceBlas::new(TuningTable::untuned()).dgemm(&mut s1, &a, &b);
-        let generic = s1.synchronize();
-
-        let mut s2 = hip_stream();
-        DeviceBlas::new(TuningTable::for_sizes(&[64])).dgemm(&mut s2, &a, &b);
-        let tuned = s2.synchronize();
-
-        // Launch latency dominates at n=64; compare at modeled scale too.
-        let mut s3 = hip_stream();
-        DeviceBlas::new(TuningTable::untuned()).gemm_modeled(&mut s3, 8192, 8192, 8192, DType::F64);
-        let generic_big = s3.synchronize();
-        let mut s4 = hip_stream();
-        DeviceBlas::new(TuningTable::for_sizes(&[8192])).gemm_modeled(
-            &mut s4,
-            8192,
-            8192,
-            8192,
-            DType::F64,
-        );
-        let tuned_big = s4.synchronize();
-
-        assert!(tuned <= generic);
-        let speedup = generic_big / tuned_big;
-        assert!(
-            (speedup - GEMM_EFF_TUNED / GEMM_EFF_GENERIC).abs() < 0.1,
-            "speedup {speedup}"
-        );
-    }
-
-    #[test]
     fn zgetrf_zgetrs_solve_on_device() {
         let mut s = hip_stream();
-        let lib = DeviceBlas::default();
+        let lib = DeviceBlas;
         let n = 16;
         let mut a = Matrix::<C64>::seeded_random(n, n, 5);
         for i in 0..n {
@@ -286,20 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn reduced_precision_gemm_is_faster_per_flop() {
-        let lib = DeviceBlas::new(TuningTable::for_sizes(&[16384]));
-        let mut s64 = hip_stream();
-        lib.gemm_modeled(&mut s64, 16384, 16384, 16384, DType::F64);
-        let t64 = s64.synchronize();
-        let mut s16 = hip_stream();
-        lib.gemm_modeled(&mut s16, 16384, 16384, 16384, DType::F16);
-        let t16 = s16.synchronize();
-        // MI250X GCD: f16 matrix 191.5 TF vs f64 matrix 47.9 TF → ~4x.
-        let r = t64 / t16;
-        assert!(r > 3.0 && r < 5.0, "r {r}");
-    }
-
-    #[test]
     fn syevd_beats_jacobi_and_agrees() {
         let a = {
             let r = Matrix::<f64>::seeded_random(24, 24, 9);
@@ -311,7 +173,7 @@ mod tests {
             }
             m
         };
-        let lib = DeviceBlas::default();
+        let lib = DeviceBlas;
         let mut s1 = hip_stream();
         let dj = lib.syev_jacobi(&mut s1, &a);
         let t_jacobi = s1.synchronize();

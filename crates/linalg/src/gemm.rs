@@ -1,10 +1,9 @@
-//! GEMM — blocked, parallel matrix multiply, plus the reduced-precision
-//! variants CoMet (§3.6) computes with.
+//! GEMM — blocked, parallel matrix multiply, plus the Int8 variant CoMet
+//! (§3.6) counts with.
 //!
 //! `C ← α·A·B + β·C`, column-major, parallelised over column panels of `C`
-//! with a k-blocked inner kernel. The reduced-precision paths emulate
-//! tensor-core semantics: FP16 inputs with FP32 accumulation
-//! (`gemm_f16_acc32`) and Int8 inputs with Int32 accumulation (`gemm_i8`).
+//! with a k-blocked inner kernel. `gemm_i8` emulates Int8 inputs with Int32
+//! accumulation (DP4A / int8 MFMA semantics).
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -84,109 +83,6 @@ pub fn matmul<S: Scalar>(a: &Matrix<S>, b: &Matrix<S>) -> Matrix<S> {
 /// FLOPs performed by a GEMM of these dimensions in the given scalar type.
 pub fn gemm_flops<S: Scalar>(m: usize, n: usize, k: usize) -> f64 {
     m as f64 * n as f64 * k as f64 * S::FLOPS_PER_MULADD
-}
-
-// ---- reduced precision ---------------------------------------------------
-
-/// Round an `f32` through IEEE half precision (round-to-nearest-even),
-/// returning the value a tensor core would actually see.
-pub fn f16_round(x: f32) -> f32 {
-    f16_to_f32(f32_to_f16(x))
-}
-
-/// Convert `f32` to IEEE 754 binary16 bits (round-to-nearest-even, with
-/// proper subnormal and overflow handling).
-pub fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let mant = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        // Inf / NaN.
-        return sign | 0x7C00 | if mant != 0 { 0x0200 } else { 0 };
-    }
-    // Rebias 127 -> 15.
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7C00; // overflow to inf
-    }
-    if unbiased >= -14 {
-        // Normal half.
-        let half_exp = (unbiased + 15) as u32;
-        let mut half_mant = mant >> 13;
-        // Round to nearest even on the 13 dropped bits.
-        let rem = mant & 0x1FFF;
-        if rem > 0x1000 || (rem == 0x1000 && (half_mant & 1) == 1) {
-            half_mant += 1;
-        }
-        let combined = (half_exp << 10) + half_mant; // mantissa carry bumps exp
-        return sign | combined as u16;
-    }
-    if unbiased >= -24 {
-        // Subnormal half: value = half_mant · 2⁻²⁴, so shift the 24-bit
-        // full mantissa right by (−e − 1) ∈ [14, 23] with round-to-even.
-        let shift = (-unbiased - 1) as u32;
-        let full = mant | 0x0080_0000; // implicit leading 1
-        let mut half_mant = full >> shift;
-        let rem = full & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        if rem > halfway || (rem == halfway && (half_mant & 1) == 1) {
-            half_mant += 1;
-        }
-        return sign | half_mant as u16;
-    }
-    sign // underflow to zero
-}
-
-/// Convert IEEE 754 binary16 bits to `f32`.
-pub fn f16_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let mant = (h & 0x03FF) as u32;
-    let bits = if exp == 0x1F {
-        sign | 0x7F80_0000 | (mant << 13)
-    } else if exp == 0 {
-        if mant == 0 {
-            sign
-        } else {
-            // Subnormal: normalise.
-            let mut e = -1i32;
-            let mut m = mant;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            m &= 0x03FF;
-            let exp32 = (e + 1 - 15 + 127) as u32;
-            sign | (exp32 << 23) | (m << 13)
-        }
-    } else {
-        sign | ((exp + 127 - 15) << 23) | (mant << 13)
-    };
-    f32::from_bits(bits)
-}
-
-/// GEMM with FP16 inputs and FP32 accumulation (tensor-core semantics):
-/// inputs are rounded through binary16 and products accumulate in `f32`.
-pub fn gemm_f16_acc32(a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
-    let (m, k) = (a.rows(), a.cols());
-    assert_eq!(k, b.rows());
-    let n = b.cols();
-    let ah: Vec<f32> = a.as_slice().iter().map(|&x| f16_round(x)).collect();
-    let bh: Vec<f32> = b.as_slice().iter().map(|&x| f16_round(x)).collect();
-    let mut c = Matrix::zeros(m, n);
-    let c_slice = c.as_mut_slice();
-    exec::par_chunks_mut(c_slice, m, |j, c_col| {
-        for kk in 0..k {
-            let bkj = bh[kk + j * k];
-            let a_col = &ah[kk * m..kk * m + m];
-            for (ci, &aik) in c_col.iter_mut().zip(a_col) {
-                *ci += aik * bkj;
-            }
-        }
-    });
-    c
 }
 
 /// GEMM with Int8 inputs and Int32 accumulation (DP4A / int8 MFMA
@@ -270,46 +166,6 @@ mod tests {
     fn gemm_flop_counts() {
         assert_eq!(gemm_flops::<f64>(10, 20, 30), 12_000.0);
         assert_eq!(gemm_flops::<C64>(10, 20, 30), 48_000.0);
-    }
-
-    #[test]
-    fn f16_round_trip_exact_values() {
-        for x in [0.0f32, 1.0, -1.0, 0.5, 2.0, 65504.0, -65504.0, 6.1035156e-5] {
-            assert_eq!(f16_round(x), x, "{x} should be exactly representable");
-        }
-    }
-
-    #[test]
-    fn f16_rounds_inexact_values() {
-        // 1 + 2^-11 rounds to 1 in half precision (10 mantissa bits).
-        let x = 1.0f32 + 2f32.powi(-11);
-        assert_eq!(f16_round(x), 1.0);
-        // 1 + 2^-10 is representable.
-        let y = 1.0f32 + 2f32.powi(-10);
-        assert_eq!(f16_round(y), y);
-    }
-
-    #[test]
-    fn f16_overflow_and_subnormals() {
-        assert!(f16_round(1e6).is_infinite());
-        assert_eq!(f16_round(f32::INFINITY), f32::INFINITY);
-        // Smallest half subnormal ~5.96e-8 survives; much smaller flushes to 0.
-        let tiny = 5.9604645e-8f32;
-        assert!(f16_round(tiny) > 0.0);
-        assert_eq!(f16_round(1e-9), 0.0);
-        // Sign preserved through zero flush.
-        assert!(f16_round(-1e-9).to_bits() == (-0.0f32).to_bits());
-    }
-
-    #[test]
-    fn f16_gemm_close_but_not_exact() {
-        let a = Matrix::<f32>::seeded_random(32, 32, 7);
-        let b = Matrix::<f32>::seeded_random(32, 32, 8);
-        let full = matmul(&a, &b);
-        let half = gemm_f16_acc32(&a, &b);
-        let diff = full.max_abs_diff(&half);
-        assert!(diff > 0.0, "half precision must actually lose bits");
-        assert!(diff < 0.05, "but stay close: diff {diff}");
     }
 
     #[test]

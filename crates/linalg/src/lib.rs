@@ -8,19 +8,17 @@
 //!
 //! * complex arithmetic ([`complex`]),
 //! * column-major dense matrices ([`matrix`]),
-//! * blocked, thread-parallel GEMM, including the reduced-precision paths
-//!   CoMet computes with ([`gemm`]),
+//! * blocked, thread-parallel GEMM, including the Int8 path CoMet counts
+//!   with ([`gemm`]),
 //! * LU factorisation with partial pivoting and triangular solves ([`lu`]),
 //! * the `zblock_lu` block-inversion algorithm LSMS historically used, for
 //!   the §3.2 "block inversion vs. rocSOLVER LU" comparison ([`block_inv`]),
 //! * symmetric eigensolvers ([`eigen`]),
-//! * batched operations ([`batched`]),
 //! * and [`device`] — wrappers that run these routines "on" a simulated GPU,
 //!   charging roofline time through `exa-hal`, with a problem-size tuning
 //!   table reproducing the §4 story of libraries tuned for application
 //!   problem sizes.
 
-pub mod batched;
 pub mod block_inv;
 pub mod complex;
 pub mod device;

@@ -132,18 +132,6 @@ impl<S: Scalar> LuFactors<S> {
         inv
     }
 
-    /// Determinant (product of U diagonal, sign-corrected for swaps).
-    pub fn det(&self) -> S {
-        let mut d = S::one();
-        for k in 0..self.n() {
-            d = d * self.lu[(k, k)];
-            if self.pivots[k] != k {
-                d = -d;
-            }
-        }
-        d
-    }
-
     /// Reconstruct `P⁻¹·L·U` — should equal the original matrix; the
     /// property tests rely on this.
     pub fn reconstruct(&self) -> Matrix<S> {
@@ -249,16 +237,6 @@ mod tests {
         let inv = getrf(&a).unwrap().inverse();
         let prod = a.matmul_ref(&inv);
         assert!(prod.max_abs_diff(&Matrix::identity(10)) < 1e-9);
-    }
-
-    #[test]
-    fn determinant_of_known_matrix() {
-        let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
-        let d = getrf(&a).unwrap().det();
-        assert!((d - -6.0).abs() < 1e-12);
-        // Identity has det 1 regardless of order.
-        let i = Matrix::<f64>::identity(7);
-        assert!((getrf(&i).unwrap().det() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -35,14 +35,6 @@ impl GpuArch {
             GpuArch::Vega20 | GpuArch::Cdna1 | GpuArch::Cdna2 => 64,
         }
     }
-
-    /// Vendor string, for reports.
-    pub fn vendor(self) -> &'static str {
-        match self {
-            GpuArch::Volta => "NVIDIA",
-            _ => "AMD",
-        }
-    }
 }
 
 /// Analytic model of one GPU device (or one GCD for MI250X).
@@ -295,12 +287,10 @@ mod tests {
     fn catalog_matches_spec_sheets() {
         let v100 = GpuModel::v100();
         assert_eq!(v100.wavefront(), 32);
-        assert_eq!(v100.arch.vendor(), "NVIDIA");
         assert!((v100.peak_f64 - 7.8e12).abs() < 1e9);
 
         let gcd = GpuModel::mi250x_gcd();
         assert_eq!(gcd.wavefront(), 64);
-        assert_eq!(gcd.arch.vendor(), "AMD");
         // Frontier headline: one GCD holds ~3x the FP64 vector peak of a V100.
         assert!(gcd.peak_f64 / v100.peak_f64 > 3.0);
         // And ~1.8x the HBM bandwidth.

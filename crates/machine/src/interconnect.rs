@@ -82,19 +82,6 @@ impl InterconnectModel {
             bisection_factor: 0.5,
         }
     }
-
-    /// Point-to-point message time for `bytes` over `nics` rails, optionally
-    /// staged through the host.
-    pub fn p2p_time(&self, bytes: u64, nics: u32, gpu_aware: bool) -> SimTime {
-        let bw = self.nic_bandwidth * nics.max(1) as f64;
-        let mut t = self.alpha + SimTime::from_secs(bytes as f64 / bw);
-        if !gpu_aware {
-            // Host staging: extra latency plus the payload crossing host
-            // memory once more at (approximately) NIC rate.
-            t += self.host_staging_penalty + SimTime::from_secs(bytes as f64 / bw);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -105,38 +92,7 @@ mod tests {
     fn slingshot11_outruns_slingshot10() {
         let s10 = InterconnectModel::slingshot10();
         let s11 = InterconnectModel::slingshot11();
-        let t10 = s10.p2p_time(1 << 24, 1, true);
-        let t11 = s11.p2p_time(1 << 24, 1, true);
-        assert!(t11 < t10);
-    }
-
-    #[test]
-    fn gpu_aware_beats_host_staging() {
-        let net = InterconnectModel::slingshot11();
-        let aware = net.p2p_time(1 << 20, 4, true);
-        let staged = net.p2p_time(1 << 20, 4, false);
-        assert!(staged > aware);
-        // Roughly 2x bandwidth cost on large messages.
-        let big_aware = net.p2p_time(1 << 30, 4, true);
-        let big_staged = net.p2p_time(1 << 30, 4, false);
-        let r = big_staged / big_aware;
-        assert!(r > 1.8 && r < 2.2, "r {r}");
-    }
-
-    #[test]
-    fn latency_floor_for_small_messages() {
-        let net = InterconnectModel::ib_edr_dual();
-        let t = net.p2p_time(8, 2, true);
-        assert!(t >= net.alpha);
-        assert!(t.micros() < 2.0);
-    }
-
-    #[test]
-    fn multiple_nics_scale_bandwidth() {
-        let net = InterconnectModel::slingshot11();
-        let one = net.p2p_time(1 << 30, 1, true);
-        let four = net.p2p_time(1 << 30, 4, true);
-        let r = one / four;
-        assert!(r > 3.5 && r < 4.1, "r {r}");
+        assert!(s11.nic_bandwidth > s10.nic_bandwidth);
+        assert!(s11.alpha <= s10.alpha);
     }
 }

@@ -295,16 +295,6 @@ impl KernelProfile {
     pub fn total_bytes(&self) -> f64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Arithmetic intensity in FLOP/byte (infinite for pure-compute kernels).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let b = self.total_bytes();
-        if b == 0.0 {
-            f64::INFINITY
-        } else {
-            self.flops / b
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,16 +332,6 @@ mod tests {
     #[should_panic(expected = "block size must be positive")]
     fn zero_block_rejected() {
         LaunchConfig::new(1, 0);
-    }
-
-    #[test]
-    fn arithmetic_intensity() {
-        let k = KernelProfile::new("triad", LaunchConfig::default())
-            .flops(2e9, DType::F64)
-            .bytes(16e9, 8e9);
-        assert!((k.arithmetic_intensity() - 2e9 / 24e9).abs() < 1e-12);
-        let pure = KernelProfile::new("flops", LaunchConfig::default()).flops(1e9, DType::F32);
-        assert!(pure.arithmetic_intensity().is_infinite());
     }
 
     #[test]

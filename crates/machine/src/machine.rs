@@ -138,8 +138,8 @@ impl MachineModel {
         }
     }
 
-    /// The three early-access generations plus the production machines, in
-    /// deployment order — the hardware timeline of §4.
+    /// The three early-access generations (Poplar/Tulip → Spock/Birch →
+    /// Crusher), in deployment order — the hardware timeline of §4.
     pub fn early_access_timeline() -> Vec<MachineModel> {
         vec![
             Self::poplar(),

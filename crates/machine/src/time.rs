@@ -30,12 +30,6 @@ impl SimTime {
         SimTime(s)
     }
 
-    /// Construct from milliseconds.
-    #[inline]
-    pub fn from_millis(ms: f64) -> Self {
-        Self::from_secs(ms * 1e-3)
-    }
-
     /// Construct from microseconds.
     #[inline]
     pub fn from_micros(us: f64) -> Self {
@@ -54,22 +48,10 @@ impl SimTime {
         self.0
     }
 
-    /// The span in milliseconds.
-    #[inline]
-    pub fn millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// The span in microseconds.
     #[inline]
     pub fn micros(self) -> f64 {
         self.0 * 1e6
-    }
-
-    /// The span in nanoseconds.
-    #[inline]
-    pub fn nanos(self) -> f64 {
-        self.0 * 1e9
     }
 
     /// Element-wise maximum — used for roofline `max(compute, memory)` and
@@ -237,11 +219,8 @@ mod tests {
     #[test]
     fn unit_conversions_round_trip() {
         let t = SimTime::from_micros(2.5);
-        assert!((t.nanos() - 2500.0).abs() < 1e-9);
-        assert!((t.millis() - 0.0025).abs() < 1e-12);
         assert!((t.secs() - 2.5e-6).abs() < 1e-18);
         assert_eq!(SimTime::from_nanos(1e9), SimTime::from_secs(1.0));
-        assert_eq!(SimTime::from_millis(1e3), SimTime::from_secs(1.0));
     }
 
     #[test]
@@ -279,7 +258,7 @@ mod tests {
     #[test]
     fn display_picks_sensible_units() {
         assert_eq!(format!("{}", SimTime::from_secs(1.5)), "1.500 s");
-        assert_eq!(format!("{}", SimTime::from_millis(2.0)), "2.000 ms");
+        assert_eq!(format!("{}", SimTime::from_micros(2e3)), "2.000 ms");
         assert_eq!(format!("{}", SimTime::from_micros(3.0)), "3.000 µs");
         assert_eq!(format!("{}", SimTime::from_nanos(4.0)), "4.0 ns");
     }

@@ -15,11 +15,6 @@ pub fn ceil_log2(p: usize) -> u32 {
     (usize::BITS - (p - 1).leading_zeros()).min(63)
 }
 
-/// Barrier: dissemination algorithm, `ceil(log2 p)` rounds of α.
-pub fn barrier_time(net: &Network, p: usize) -> SimTime {
-    net.alpha() * ceil_log2(p) as f64
-}
-
 /// Broadcast of `bytes` from one root: binomial tree.
 pub fn bcast_time(net: &Network, p: usize, bytes: u64) -> SimTime {
     let rounds = ceil_log2(p) as f64;
@@ -37,44 +32,13 @@ pub fn allreduce_time(net: &Network, p: usize, bytes: u64) -> SimTime {
     lat + SimTime::from_secs(vol)
 }
 
-/// Reduce to a root: `log2(p) α + (p-1)/p n β` (Rabenseifner half).
-pub fn reduce_time(net: &Network, p: usize, bytes: u64) -> SimTime {
-    if p <= 1 {
-        return SimTime::ZERO;
-    }
-    let lat = net.alpha() * ceil_log2(p) as f64;
-    let vol = (p as f64 - 1.0) / p as f64 * bytes as f64 * net.beta();
-    lat + SimTime::from_secs(vol)
-}
-
-/// Allgather where each rank contributes `bytes`: ring algorithm,
-/// `(p-1) α + (p-1) n β`.
-pub fn allgather_time(net: &Network, p: usize, bytes: u64) -> SimTime {
-    if p <= 1 {
-        return SimTime::ZERO;
-    }
-    let rounds = p as f64 - 1.0;
-    net.alpha() * rounds + SimTime::from_secs(rounds * bytes as f64 * net.beta())
-}
-
-/// All-to-all where each rank sends `bytes_per_pair` to every other rank:
-/// pairwise exchange, `(p-1) α + (p-1) m β_global` — the β is derated by the
-/// fabric's bisection factor because all-to-all stresses the global links.
-/// This is the transpose cost at the heart of the GESTS PSDNS solver (§3.3).
-pub fn alltoall_time(net: &Network, p: usize, bytes_per_pair: u64) -> SimTime {
-    if p <= 1 {
-        return SimTime::ZERO;
-    }
-    let rounds = p as f64 - 1.0;
-    net.alpha() * rounds + SimTime::from_secs(rounds * bytes_per_pair as f64 * net.beta_global())
-}
-
 /// All-to-all with variable per-pair payloads: pairwise exchange where round
 /// `r` moves `pair_bytes[r]` between this rank and its `r`-th peer, so the
-/// cost is `Σ_r (α + pair_bytes[r] β_global)`. With a uniform payload this
-/// reduces exactly to [`alltoall_time`]; with ragged payloads (non-square
-/// pencil grids) it charges the true volume instead of rounding every round
-/// up to the maximum pair.
+/// cost is `Σ_r (α + pair_bytes[r] β_global)` — the β is derated by the
+/// fabric's bisection factor because all-to-all stresses the global links.
+/// This is the transpose cost at the heart of the GESTS PSDNS solver (§3.3).
+/// With ragged payloads (non-square pencil grids) it charges the true volume
+/// instead of rounding every round up to the maximum pair.
 pub fn alltoallv_time(net: &Network, pair_bytes: &[u64]) -> SimTime {
     if pair_bytes.is_empty() {
         return SimTime::ZERO;
@@ -94,11 +58,6 @@ pub fn gather_time(net: &Network, p: usize, bytes: u64) -> SimTime {
     lat + SimTime::from_secs((p as f64 - 1.0) * bytes as f64 * net.beta())
 }
 
-/// Scatter from a root — same cost structure as gather.
-pub fn scatter_time(net: &Network, p: usize, bytes: u64) -> SimTime {
-    gather_time(net, p, bytes)
-}
-
 /// Exclusive scan (prefix reduction): `log2(p)` rounds of (α + n β).
 pub fn scan_time(net: &Network, p: usize, bytes: u64) -> SimTime {
     if p <= 1 {
@@ -106,12 +65,6 @@ pub fn scan_time(net: &Network, p: usize, bytes: u64) -> SimTime {
     }
     let rounds = ceil_log2(p) as f64;
     (net.alpha() + SimTime::from_secs(bytes as f64 * net.beta())) * rounds
-}
-
-/// Reduce-scatter: `(p-1)/p · n β` volume plus `log2(p)` α — the first half
-/// of Rabenseifner's allreduce.
-pub fn reduce_scatter_time(net: &Network, p: usize, bytes: u64) -> SimTime {
-    reduce_time(net, p, bytes)
 }
 
 /// Nearest-neighbour halo exchange with `neighbors` partners of `bytes`
@@ -145,9 +98,9 @@ mod tests {
     fn single_rank_collectives_are_free() {
         let n = net();
         assert_eq!(allreduce_time(&n, 1, 1 << 20), SimTime::ZERO);
-        assert_eq!(alltoall_time(&n, 1, 1 << 20), SimTime::ZERO);
-        assert_eq!(allgather_time(&n, 1, 1 << 20), SimTime::ZERO);
-        assert_eq!(barrier_time(&n, 1), SimTime::ZERO);
+        assert_eq!(alltoallv_time(&n, &[]), SimTime::ZERO);
+        assert_eq!(gather_time(&n, 1, 1 << 20), SimTime::ZERO);
+        assert_eq!(scan_time(&n, 1, 1 << 20), SimTime::ZERO);
     }
 
     #[test]
@@ -171,37 +124,24 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_grows_linearly_in_ranks() {
+    fn alltoallv_grows_linearly_in_peers() {
         let n = net();
-        let t1 = alltoall_time(&n, 256, 4096);
-        let t2 = alltoall_time(&n, 512, 4096);
+        let t1 = alltoallv_time(&n, &[4096; 255]);
+        let t2 = alltoallv_time(&n, &[4096; 511]);
         let r = t2 / t1;
         assert!(r > 1.9 && r < 2.1, "r {r}");
     }
 
     #[test]
-    fn alltoall_pays_bisection_derating() {
+    fn alltoallv_pays_bisection_derating() {
         let n = net();
-        let p = 128;
-        let bytes = 1 << 20;
-        let derated = alltoall_time(&n, p, bytes);
+        let pairs = [1 << 20; 127];
+        let derated = alltoallv_time(&n, &pairs);
         // Rebuild with full bisection for comparison.
         let mut full = net();
         full.model.bisection_factor = 1.0;
-        let ideal = alltoall_time(&full, p, bytes);
+        let ideal = alltoallv_time(&full, &pairs);
         assert!(derated > ideal);
-    }
-
-    #[test]
-    fn alltoallv_uniform_matches_alltoall() {
-        let n = net();
-        let p = 64;
-        let m = 1 << 16;
-        let pairs = vec![m; p - 1];
-        let v = alltoallv_time(&n, &pairs);
-        let fixed = alltoall_time(&n, p, m);
-        assert!((v.secs() - fixed.secs()).abs() / fixed.secs() < 1e-12);
-        assert_eq!(alltoallv_time(&n, &[]), SimTime::ZERO);
     }
 
     #[test]
@@ -212,15 +152,15 @@ mod tests {
         let mut pairs = vec![1u64 << 10; 63];
         pairs[0] = 1 << 20;
         let v = alltoallv_time(&n, &pairs);
-        let rounded = alltoall_time(&n, 64, 1 << 20);
+        let rounded = alltoallv_time(&n, &[1 << 20; 63]);
         assert!(v < rounded);
     }
 
     #[test]
-    fn bcast_cheaper_than_allgather_for_same_payload() {
+    fn bcast_cheaper_than_gather_for_same_payload() {
         let n = net();
         let p = 512;
-        assert!(bcast_time(&n, p, 1 << 20) < allgather_time(&n, p, 1 << 20));
+        assert!(bcast_time(&n, p, 1 << 20) < gather_time(&n, p, 1 << 20));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Communicators: per-rank virtual clocks plus data-carrying collectives.
+//! Communicators: per-rank virtual clocks and the α–β-priced collectives.
 
 use crate::collectives as coll;
 use crate::network::Network;
@@ -12,7 +12,8 @@ use std::sync::Arc;
 /// Aggregate communication statistics for a communicator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct CommStats {
-    /// Point-to-point messages sent.
+    /// Point-to-point messages sent. The communicator prices collectives
+    /// only, so this stays 0; the field keeps the recorded metric schema.
     pub messages: u64,
     /// Total payload bytes across all operations (logical, per-rank sums).
     pub bytes: u64,
@@ -163,14 +164,14 @@ impl RankTimes {
 /// Every rank owns a virtual clock. Local compute is charged with
 /// [`Comm::advance`]; communication operations synchronise and advance the
 /// clocks of the ranks involved using the α–β formulas in
-/// [`crate::collectives`]. Data-carrying variants also perform the real data
-/// movement on host memory, so numerical code built on top (the distributed
-/// FFT, the APSP solver, QEq CG) is exactly testable.
+/// [`crate::collectives`]. [`Comm::allreduce_sum_f64`] also performs the
+/// real reduction on host memory, so numerical code built on it stays
+/// exactly testable.
 ///
 /// Clocks and waits are `RankTimes`: one value while the ranks are in
 /// lockstep, so balanced phases, blocking collectives and split-phase
 /// operations on all ranks cost O(1); a per-rank vector only after
-/// [`Comm::advance`], a send or skew charges ranks differently. Every
+/// [`Comm::advance`] or skew charges ranks differently. Every
 /// blocking collective returns the clocks to lockstep.
 #[derive(Debug)]
 pub struct Comm {
@@ -209,8 +210,8 @@ impl Comm {
         }
     }
 
-    /// Enable deterministic network jitter: every blocking collective and
-    /// point-to-point cost is scaled by `1 + amp·u`, `u ∈ [0, 1)` drawn
+    /// Enable deterministic network jitter: every blocking collective cost
+    /// is scaled by `1 + amp·u`, `u ∈ [0, 1)` drawn
     /// from a seeded hash sequence in operation order. `amp = 0` disables.
     /// (Nonblocking operations are shaped by [`Network::with_contention`]
     /// instead: their posted costs come straight from the α–β models.)
@@ -241,8 +242,8 @@ impl Comm {
     }
 
     /// Attach a shared telemetry collector: every rank gets a comm-rank
-    /// track named `<name>/rank<r>`, and collectives / point-to-point
-    /// messages are recorded as spans on the ranks they involve.
+    /// track named `<name>/rank<r>`, and every collective is recorded as a
+    /// span on each rank's track.
     pub fn attach_telemetry(&mut self, collector: &Arc<TelemetryCollector>, name: &str) {
         let tracks = (0..self.size())
             .map(|r| collector.track(&format!("{name}/rank{r}"), TrackKind::CommRank))
@@ -251,11 +252,6 @@ impl Comm {
             collector: Arc::clone(collector),
             tracks,
         });
-    }
-
-    /// Drop the collector attachment.
-    pub fn detach_telemetry(&mut self) {
-        self.telemetry = None;
     }
 
     /// Pour this communicator's [`CommStats`] into the attached collector's
@@ -388,36 +384,6 @@ impl Comm {
         t
     }
 
-    /// Point-to-point message of `bytes` from `src` to `dst`.
-    pub fn send(&mut self, src: usize, dst: usize, bytes: u64) -> SimTime {
-        assert!(src != dst, "self-sends are local copies, not messages");
-        let start = self.now(src).max(self.now(dst));
-        // The endpoint that arrived first blocks until the rendezvous.
-        for r in [src, dst] {
-            let dt = start - self.clocks.get(r);
-            self.waits.add(r, dt, self.size);
-            self.stats.wait += dt;
-        }
-        let p2p = self.net.p2p(bytes);
-        let done = start + self.perturb(p2p);
-        self.clocks.set(src, done, self.size);
-        self.clocks.set(dst, done, self.size);
-        self.stats.messages += 1;
-        self.stats.bytes += bytes;
-        if let Some(tel) = self.telemetry.as_ref() {
-            let tracks = [tel.tracks[src], tel.tracks[dst]];
-            tel.collector
-                .complete_on_tracks(&tracks, "send", SpanCat::Message, start, done);
-        }
-        done
-    }
-
-    /// Barrier across all ranks.
-    pub fn barrier(&mut self) -> SimTime {
-        let cost = coll::barrier_time(&self.net, self.size());
-        self.collective("barrier", cost, 0)
-    }
-
     /// Cost-only allreduce of `bytes` per rank.
     pub fn allreduce(&mut self, bytes: u64) -> SimTime {
         let cost = coll::allreduce_time(&self.net, self.size(), bytes);
@@ -430,73 +396,16 @@ impl Comm {
         self.collective("bcast", cost, bytes)
     }
 
-    /// Cost-only allgather (`bytes` contributed per rank).
-    pub fn allgather(&mut self, bytes: u64) -> SimTime {
-        let cost = coll::allgather_time(&self.net, self.size(), bytes);
-        self.collective("allgather", cost, bytes * self.size() as u64)
-    }
-
-    /// Cost-only all-to-all (`bytes_per_pair` between every rank pair).
-    pub fn alltoall(&mut self, bytes_per_pair: u64) -> SimTime {
-        let p = self.size();
-        let cost = coll::alltoall_time(&self.net, p, bytes_per_pair);
-        self.collective(
-            "alltoall",
-            cost,
-            bytes_per_pair * (p as u64) * (p as u64 - 1),
-        )
-    }
-
     /// Cost-only gather of `bytes` per rank to a root.
     pub fn gather(&mut self, bytes: u64) -> SimTime {
         let cost = coll::gather_time(&self.net, self.size(), bytes);
         self.collective("gather", cost, bytes * self.size() as u64)
     }
 
-    /// Cost-only scatter of `bytes` per rank from a root.
-    pub fn scatter(&mut self, bytes: u64) -> SimTime {
-        let cost = coll::scatter_time(&self.net, self.size(), bytes);
-        self.collective("scatter", cost, bytes * self.size() as u64)
-    }
-
-    /// Cost-only reduce of `bytes` per rank to a root.
-    pub fn reduce(&mut self, bytes: u64) -> SimTime {
-        let cost = coll::reduce_time(&self.net, self.size(), bytes);
-        self.collective("reduce", cost, bytes)
-    }
-
     /// Cost-only exclusive scan of `bytes` per rank.
     pub fn scan(&mut self, bytes: u64) -> SimTime {
         let cost = coll::scan_time(&self.net, self.size(), bytes);
         self.collective("scan", cost, bytes)
-    }
-
-    /// Data-carrying broadcast: copy `root`'s vector to every rank, charging
-    /// the binomial-tree cost.
-    pub fn bcast_data<T: Clone>(&mut self, root: usize, per_rank: &mut [Vec<T>]) {
-        assert_eq!(per_rank.len(), self.size());
-        assert!(root < self.size());
-        let payload = per_rank[root].clone();
-        let bytes = (payload.len() * std::mem::size_of::<T>()) as u64;
-        for (r, v) in per_rank.iter_mut().enumerate() {
-            if r != root {
-                *v = payload.clone();
-            }
-        }
-        self.bcast(bytes);
-    }
-
-    /// Data-carrying exclusive scan (sum) over per-rank scalars: rank r ends
-    /// with the sum of ranks 0..r.
-    pub fn exscan_sum_f64(&mut self, values: &mut [f64]) {
-        assert_eq!(values.len(), self.size());
-        let mut acc = 0.0;
-        for v in values.iter_mut() {
-            let mine = *v;
-            *v = acc;
-            acc += mine;
-        }
-        self.scan(8);
     }
 
     /// Broadcast happening concurrently inside disjoint groups of `group`
@@ -550,7 +459,7 @@ impl Comm {
         )
     }
 
-    // ---- data-carrying collectives --------------------------------------
+    // ---- data-carrying collective ---------------------------------------
 
     /// Elementwise sum-allreduce across per-rank vectors (all must share a
     /// length). After the call every rank holds the sum. Charges the α–β
@@ -569,48 +478,6 @@ impl Comm {
             v.copy_from_slice(&acc);
         }
         self.allreduce((n * 8) as u64);
-    }
-
-    /// Data all-to-all: `send[i][j]` is what rank `i` sends to rank `j`;
-    /// returns `recv` with `recv[j][i] = send[i][j]`. Pairwise-exchange
-    /// schedule: in round `r`, rank `i` exchanges with rank `(i + r) % p`,
-    /// and the round finishes when its largest payload lands — so ragged
-    /// payloads cost per-round maxima, not a global max times every round.
-    pub fn alltoallv_data<T: Clone>(&mut self, send: Vec<Vec<Vec<T>>>) -> Vec<Vec<Vec<T>>> {
-        let p = self.size();
-        assert_eq!(send.len(), p);
-        for row in &send {
-            assert_eq!(row.len(), p, "each rank must address every rank");
-        }
-        let elem = std::mem::size_of::<T>() as u64;
-        let mut cost = SimTime::ZERO;
-        let mut volume = 0u64;
-        for r in 1..p {
-            let round_max = (0..p)
-                .map(|i| send[i][(i + r) % p].len() as u64 * elem)
-                .max()
-                .unwrap_or(0);
-            cost += SimTime::from_secs(
-                self.net.alpha().secs() + round_max as f64 * self.net.beta_global(),
-            );
-        }
-        for (i, row) in send.iter().enumerate() {
-            for (j, v) in row.iter().enumerate() {
-                if i != j {
-                    volume += v.len() as u64 * elem;
-                }
-            }
-        }
-        // recv[j][i] = send[i][j]
-        let mut recv: Vec<Vec<Vec<T>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-        let mut columns: Vec<Vec<Vec<T>>> = send.into_iter().collect();
-        for j in 0..p {
-            for row in columns.iter_mut() {
-                recv[j].push(std::mem::take(&mut row[j]));
-            }
-        }
-        self.collective("alltoallv", cost, volume);
-        recv
     }
 
     /// Reset all clocks and statistics (between experiment repetitions).
@@ -637,23 +504,12 @@ mod tests {
     }
 
     #[test]
-    fn p2p_advances_both_endpoints() {
-        let mut c = comm(4);
-        c.advance(0, SimTime::from_micros(100.0));
-        let done = c.send(0, 2, 1 << 20);
-        assert_eq!(c.now(0), done);
-        assert_eq!(c.now(2), done);
-        assert_eq!(c.now(1), SimTime::ZERO);
-        assert_eq!(c.stats().messages, 1);
-    }
-
-    #[test]
     fn collectives_synchronise_stragglers() {
         let mut c = comm(8);
-        c.advance(3, SimTime::from_millis(5.0)); // straggler
+        c.advance(3, SimTime::from_micros(5e3)); // straggler
         c.allreduce(1 << 10);
         let t = c.now(0);
-        assert!(t > SimTime::from_millis(5.0));
+        assert!(t > SimTime::from_micros(5e3));
         for r in 0..8 {
             assert_eq!(c.now(r), t, "rank {r} out of sync");
         }
@@ -670,30 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoallv_is_a_transpose_and_conserves_data() {
-        let mut c = comm(3);
-        // send[i][j] = vec of tagged values i*10 + j
-        let send: Vec<Vec<Vec<u32>>> = (0..3)
-            .map(|i| {
-                (0..3)
-                    .map(|j| vec![(i * 10 + j) as u32; i + j + 1])
-                    .collect()
-            })
-            .collect();
-        let total_in: usize = send.iter().flatten().map(|v| v.len()).sum();
-        let recv = c.alltoallv_data(send);
-        let total_out: usize = recv.iter().flatten().map(|v| v.len()).sum();
-        assert_eq!(total_in, total_out);
-        for (j, row) in recv.iter().enumerate() {
-            for (i, v) in row.iter().enumerate() {
-                assert!(v.iter().all(|&x| x == (i * 10 + j) as u32));
-                assert_eq!(v.len(), i + j + 1);
-            }
-        }
-        assert_eq!(c.stats().collectives, 1);
-    }
-
-    #[test]
     fn grouped_alltoall_cheaper_than_global() {
         let mut a = comm(64);
         let mut b = comm(64);
@@ -707,27 +539,9 @@ mod tests {
         let net = Network::from_machine(&MachineModel::frontier());
         let mut aware = Comm::new(16, net.clone().with_gpu_aware(true));
         let mut staged = Comm::new(16, net.with_gpu_aware(false));
-        aware.alltoall(1 << 20);
-        staged.alltoall(1 << 20);
+        aware.alltoallv(16, &[1 << 20; 15]);
+        staged.alltoallv(16, &[1 << 20; 15]);
         assert!(staged.elapsed() > aware.elapsed() * 1.5);
-    }
-
-    #[test]
-    fn barrier_is_latency_only() {
-        let mut c = comm(1024);
-        c.barrier();
-        let t = c.elapsed();
-        assert!(
-            t.micros() < 100.0,
-            "barrier should be microseconds, got {t}"
-        );
-        assert_eq!(c.stats().bytes, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-sends")]
-    fn self_send_rejected() {
-        comm(2).send(1, 1, 8);
     }
 
     #[test]
@@ -740,31 +554,16 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_reduce_scan_cost_sanely() {
+    fn gather_and_scan_cost_sanely() {
         let mut c = comm(64);
         let t_gather = c.gather(1 << 16);
         c.reset();
         let t_bcast = c.bcast(1 << 16);
         c.reset();
         let t_scan = c.scan(1 << 16);
-        c.reset();
-        let t_reduce = c.reduce(1 << 16);
         // Gather moves (p-1)n through the root: costlier than a tree bcast.
         assert!(t_gather > t_bcast);
-        assert!(t_scan > SimTime::ZERO && t_reduce > SimTime::ZERO);
-        c.reset();
-        assert!(c.scatter(1 << 16) == t_gather);
-    }
-
-    #[test]
-    fn bcast_data_replicates_the_root() {
-        let mut c = comm(4);
-        let mut data: Vec<Vec<u32>> = vec![vec![], vec![7, 8, 9], vec![1], vec![]];
-        c.bcast_data(1, &mut data);
-        for v in &data {
-            assert_eq!(v, &vec![7, 8, 9]);
-        }
-        assert_eq!(c.stats().collectives, 1);
+        assert!(t_scan > SimTime::ZERO);
     }
 
     #[test]
@@ -774,24 +573,17 @@ mod tests {
         c.attach_telemetry(&collector, "world");
         c.advance(1, SimTime::from_micros(50.0)); // skew one rank
         c.allreduce(1 << 12);
-        c.send(0, 3, 1 << 10);
-        c.barrier();
+        c.halo_exchange(6, 1 << 10);
         c.absorb_telemetry();
 
         let snap = collector.snapshot();
         let stats = c.stats();
         assert_eq!(snap.counter("mpi.collectives"), stats.collectives);
-        assert_eq!(snap.counter("mpi.messages"), stats.messages);
         assert_eq!(snap.counter("mpi.bytes"), stats.bytes);
-        // Collectives land on every rank track; the send only on ranks 0, 3.
+        // Collectives land on every rank track.
         assert_eq!(snap.tracks.len(), 4);
         for t in &snap.tracks {
-            let expect = if t.name == "world/rank0" || t.name == "world/rank3" {
-                3
-            } else {
-                2
-            };
-            assert_eq!(t.spans, expect, "track {}", t.name);
+            assert_eq!(t.spans, 2, "track {}", t.name);
         }
         // Per-track spans must be well-formed Chrome trace material.
         let trace = collector.chrome_trace();
@@ -803,7 +595,7 @@ mod tests {
         let collector = TelemetryCollector::shared();
         let mut c = comm(4);
         c.attach_telemetry(&collector, "world");
-        let skew = SimTime::from_millis(5.0);
+        let skew = SimTime::from_micros(5e3);
         c.advance(3, skew); // rank 3 is the straggler
         c.allreduce(1 << 10);
         // The straggler never waited; everyone else waited out the skew.
@@ -813,18 +605,6 @@ mod tests {
         }
         assert_eq!(c.max_wait(), skew);
         assert_eq!(c.stats().wait, skew * 3.0);
-
-        // A rendezvous send also charges the early endpoint.
-        c.advance(0, SimTime::from_micros(40.0));
-        let before = c.wait(1);
-        c.send(0, 1, 1 << 10);
-        assert!(
-            (c.wait(1) - before - SimTime::from_micros(40.0))
-                .secs()
-                .abs()
-                < 1e-12
-        );
-        assert_eq!(c.wait(0), skew, "the late arriver paid nothing extra");
 
         c.absorb_telemetry();
         let snap = collector.snapshot();
@@ -883,7 +663,7 @@ mod tests {
             let mut c = comm(4);
             c.attach_telemetry(&collector, "w");
             c.record_straggler_spans(enabled);
-            c.advance(2, SimTime::from_millis(3.0)); // straggler
+            c.advance(2, SimTime::from_micros(3e3)); // straggler
             c.allreduce(1 << 10);
             c.absorb_telemetry();
             collector.snapshot()
@@ -899,13 +679,5 @@ mod tests {
             let expect = if t.name == "w/rank2" { 1 } else { 2 };
             assert_eq!(t.spans, expect, "track {}", t.name);
         }
-    }
-
-    #[test]
-    fn exscan_is_exclusive_prefix_sum() {
-        let mut c = comm(5);
-        let mut vals = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        c.exscan_sum_f64(&mut vals);
-        assert_eq!(vals, vec![0.0, 1.0, 3.0, 6.0, 10.0]);
     }
 }

@@ -10,14 +10,17 @@
 //! ## Execution model
 //!
 //! Ranks are *simulated*, not spawned: a [`Comm`] owns one virtual clock per
-//! rank and every operation advances the clocks of the ranks involved. Data-
-//! carrying collectives really move the caller's data (so numerics stay
-//! testable); cost-only variants price paper-scale runs (32k ranks) without
-//! allocating paper-scale memory.
+//! rank and every operation advances the clocks. Collectives are priced,
+//! not executed — the one data-carrying collective, `allreduce_sum_f64`,
+//! also sums the caller's vectors — so paper-scale runs (32k ranks) cost
+//! no paper-scale memory; executed runs (the distributed FFT) move their
+//! own data between rank slices and charge the matching collective.
+//! Blocking collectives have split-phase twins ([`nonblocking`]) for the
+//! overlap engine.
 //!
 //! GPU-aware communication is a per-[`Network`] toggle: turning it off makes
-//! every payload stage through host memory, reproducing the §2.2 guidance
-//! that `USE_DEVICE_PTR` + GPU-aware MPI is worth real time.
+//! every payload stage through host memory, reproducing §6's "GPU-aware MPI
+//! + X" lesson that device-direct transfers are worth real time.
 
 pub mod collectives;
 pub mod comm;
@@ -29,7 +32,7 @@ pub mod sched;
 
 pub use comm::{Comm, CommStats};
 pub use network::Network;
-pub use nonblocking::{Overlap, Participants, Request};
+pub use nonblocking::{Overlap, Request};
 pub use sched::{RankCtx, RankScheduler};
 
 pub use exa_machine::SimTime;

@@ -25,16 +25,11 @@ const RANKS: usize = 6;
 enum Op {
     Advance(usize, SimTime),
     AdvanceAll(SimTime),
-    Barrier,
-    Allreduce(u64),
-    Alltoallv(u64),
-    Send(usize, usize, u64),
-    /// `isend(src, dst)` (or `irecv` when the flag is set), then rank `r`
-    /// computes `dt`, then the wait.
-    Pair(usize, usize, bool, u64, usize, SimTime),
-    /// `iallreduce`, every rank computes `dt`, rank `r` computes `extra`
-    /// more, then the wait.
-    Iallreduce(u64, SimTime, usize, SimTime),
+    /// One blocking collective of `bytes`.
+    Blocking(Coll, u64),
+    /// `ihalo`, every rank computes `dt`, rank `r` computes `extra` more,
+    /// then the wait.
+    Ihalo(u64, SimTime, usize, SimTime),
     /// `Overlap::pipeline` of `ialltoallv` over `chunks` chunks.
     Pipeline(usize, SimTime, SimTime, u64),
     Jitter(f64, u64),
@@ -45,6 +40,40 @@ enum Op {
     Reset,
 }
 
+/// The blocking collectives of [`Comm`].
+#[derive(Debug, Clone, Copy)]
+enum Coll {
+    Allreduce,
+    AllreduceSum,
+    Bcast,
+    BcastGrouped,
+    Gather,
+    Scan,
+    Alltoallv,
+    Halo,
+}
+
+const COLLS: [Coll; 8] = [
+    Coll::Allreduce,
+    Coll::AllreduceSum,
+    Coll::Bcast,
+    Coll::BcastGrouped,
+    Coll::Gather,
+    Coll::Scan,
+    Coll::Alltoallv,
+    Coll::Halo,
+];
+
+/// Group size of [`Comm::bcast_grouped`] and neighbour count of a halo
+/// exchange in the sequences.
+const GROUP: usize = 3;
+const NEIGHBORS: usize = 6;
+
+/// Elements per rank of the data-carrying allreduce drawn with `bytes`.
+fn sum_len(bytes: u64) -> usize {
+    1 + (bytes % 64) as usize
+}
+
 fn us(x: f64) -> SimTime {
     SimTime::from_micros(x)
 }
@@ -53,17 +82,12 @@ fn us(x: f64) -> SimTime {
 /// often than diverging ones, so sequences spend time in both regimes.
 fn op((kind, a, b, x, y): (u8, usize, usize, f64, u64)) -> Op {
     let (a, b) = (a % RANKS, b % RANKS);
-    let other = if a == b { (a + 1) % RANKS } else { b };
     let bytes = 1 + y % (1 << 20);
     match kind {
         0 => Op::Advance(a, us(x)),
         1 | 2 => Op::AdvanceAll(us(x)),
-        3 => Op::Barrier,
-        4 => Op::Allreduce(bytes),
-        5 => Op::Alltoallv(bytes),
-        6 => Op::Send(a, other, bytes),
-        7 => Op::Pair(a, other, y % 2 == 0, bytes, b, us(x)),
-        8 | 9 => Op::Iallreduce(bytes, us(x), b, us(x * (y % 3) as f64)),
+        3..=7 => Op::Blocking(COLLS[(a + b) % COLLS.len()], bytes),
+        8 | 9 => Op::Ihalo(bytes, us(x), b, us(x * (y % 3) as f64)),
         10 | 11 => Op::Pipeline(1 + a % 4, us(x), us(x / 2.0), bytes),
         12 => Op::Jitter(if y % 3 == 0 { 0.0 } else { 0.3 }, y),
         13 => Op::StragglerSpans(y % 2 == 0),
@@ -90,9 +114,36 @@ fn pair_bytes(bytes: u64) -> Vec<u64> {
 
 /// A posted split-phase operation of the reference.
 struct Posted {
-    ranks: Vec<usize>,
     finish: SimTime,
     cost: SimTime,
+}
+
+/// Cost and volume of one blocking collective, from the α–β formulas.
+fn priced(net: &Network, coll: Coll, bytes: u64) -> (SimTime, u64) {
+    let r = RANKS as u64;
+    match coll {
+        Coll::Allreduce => (coll::allreduce_time(net, RANKS, bytes), bytes),
+        Coll::AllreduceSum => {
+            let b = (sum_len(bytes) * 8) as u64;
+            (coll::allreduce_time(net, RANKS, b), b)
+        }
+        Coll::Bcast => (coll::bcast_time(net, RANKS, bytes), bytes),
+        Coll::BcastGrouped => (
+            coll::bcast_time(net, GROUP, bytes),
+            bytes * (RANKS / GROUP) as u64,
+        ),
+        Coll::Gather => (coll::gather_time(net, RANKS, bytes), bytes * r),
+        Coll::Scan => (coll::scan_time(net, RANKS, bytes), bytes),
+        Coll::Alltoallv => {
+            let pairs = pair_bytes(bytes);
+            let vol = pairs.iter().sum::<u64>() * r;
+            (coll::alltoallv_time(net, &pairs), vol)
+        }
+        Coll::Halo => (
+            coll::halo_time(net, NEIGHBORS, bytes),
+            bytes * NEIGHBORS as u64 * r,
+        ),
+    }
 }
 
 /// Per-rank clocks and waits, charged rank by rank.
@@ -167,38 +218,13 @@ impl Reference {
         self.net_free = t;
     }
 
-    fn send(&mut self, src: usize, dst: usize, bytes: u64) {
-        let start = self.clocks[src].max(self.clocks[dst]);
-        for r in [src, dst] {
-            let dt = start - self.clocks[r];
-            self.waits[r] += dt;
-            self.stats.wait += dt;
-        }
-        let cost = self.net.p2p(bytes);
-        let done = start + self.perturb(cost);
-        self.clocks[src] = self.clocks[src].max(done);
-        self.clocks[dst] = self.clocks[dst].max(done);
-        self.stats.messages += 1;
-        self.stats.bytes += bytes;
-        self.spans += 2;
-    }
-
-    fn post(&mut self, ranks: Vec<usize>, cost: SimTime, bytes: u64) -> Posted {
-        let issue = ranks.iter().map(|&r| self.clocks[r]).max().unwrap();
-        let start = issue.max(self.net_free);
+    fn post(&mut self, cost: SimTime, bytes: u64) -> Posted {
+        let start = self.elapsed().max(self.net_free);
         let finish = start + cost;
         self.net_free = finish;
         self.stats.bytes += bytes;
-        if ranks.len() == RANKS {
-            self.stats.collectives += 1;
-        } else {
-            self.stats.messages += 1;
-        }
-        Posted {
-            ranks,
-            finish,
-            cost,
-        }
+        self.stats.collectives += 1;
+        Posted { finish, cost }
     }
 
     fn complete(&mut self, req: Posted) {
@@ -210,18 +236,18 @@ impl Reference {
             }
         };
         let first = self.clocks[0];
-        if req.ranks.len() == RANKS && self.clocks.iter().all(|&c| c == first) {
-            let n = req.ranks.len() as f64;
+        if self.clocks.iter().all(|&c| c == first) {
+            let n = RANKS as f64;
             let res = residue(first);
             self.stats.wait += res * n;
             self.stats.hidden += (req.cost - res.min(req.cost)) * n;
             self.stats.inflight += req.cost * n;
-            for &r in &req.ranks {
+            for r in 0..RANKS {
                 self.waits[r] += res;
                 self.clocks[r] = first.max(req.finish);
             }
         } else {
-            for &r in &req.ranks {
+            for r in 0..RANKS {
                 let now = self.clocks[r];
                 let res = residue(now);
                 self.waits[r] += res;
@@ -233,37 +259,21 @@ impl Reference {
         }
         self.stats.nonblocking += 1;
         if !req.cost.is_zero() {
-            self.spans += req.ranks.len() as u64;
+            self.spans += RANKS as u64;
         }
     }
 
     fn apply(&mut self, op: Op) {
-        let all: Vec<usize> = (0..RANKS).collect();
         match op {
             Op::Advance(r, dt) => self.clocks[r] += dt,
             Op::AdvanceAll(dt) => self.clocks.iter_mut().for_each(|c| *c += dt),
-            Op::Barrier => {
-                let cost = coll::barrier_time(&self.net, RANKS);
-                self.collective(cost, 0);
+            Op::Blocking(coll, bytes) => {
+                let (cost, vol) = priced(&self.net, coll, bytes);
+                self.collective(cost, vol);
             }
-            Op::Allreduce(bytes) => {
-                let cost = coll::allreduce_time(&self.net, RANKS, bytes);
-                self.collective(cost, bytes);
-            }
-            Op::Alltoallv(bytes) => {
-                let pairs = pair_bytes(bytes);
-                let cost = coll::alltoallv_time(&self.net, &pairs);
-                self.collective(cost, pairs.iter().sum::<u64>() * RANKS as u64);
-            }
-            Op::Send(src, dst, bytes) => self.send(src, dst, bytes),
-            Op::Pair(src, dst, _, bytes, r, dt) => {
-                let req = self.post(vec![src, dst], self.net.p2p(bytes), bytes);
-                self.clocks[r] += dt;
-                self.complete(req);
-            }
-            Op::Iallreduce(bytes, dt, r, extra) => {
-                let cost = coll::allreduce_time(&self.net, RANKS, bytes);
-                let req = self.post(all, cost, bytes);
+            Op::Ihalo(bytes, dt, r, extra) => {
+                let cost = coll::halo_time(&self.net, NEIGHBORS, bytes);
+                let req = self.post(cost, bytes * NEIGHBORS as u64 * RANKS as u64);
                 self.clocks.iter_mut().for_each(|c| *c += dt);
                 self.clocks[r] += extra;
                 self.complete(req);
@@ -275,7 +285,7 @@ impl Reference {
                     let chunk = &pairs[j * m / chunks..(j + 1) * m / chunks];
                     let cost = coll::alltoallv_time(&me.net, chunk);
                     let vol = chunk.iter().sum::<u64>() * RANKS as u64;
-                    me.post(all.clone(), cost, vol)
+                    me.post(cost, vol)
                 };
                 let charge =
                     |me: &mut Self, dt: SimTime| me.clocks.iter_mut().for_each(|c| *c += dt);
@@ -320,29 +330,25 @@ fn apply(comm: &mut Comm, sched: &RankScheduler, op: Op) {
     match op {
         Op::Advance(r, dt) => comm.advance(r, dt),
         Op::AdvanceAll(dt) => comm.advance_all(dt),
-        Op::Barrier => {
-            comm.barrier();
-        }
-        Op::Allreduce(bytes) => {
-            comm.allreduce(bytes);
-        }
-        Op::Alltoallv(bytes) => {
-            comm.alltoallv(RANKS, &pair_bytes(bytes));
-        }
-        Op::Send(src, dst, bytes) => {
-            comm.send(src, dst, bytes);
-        }
-        Op::Pair(src, dst, recv, bytes, r, dt) => {
-            let req = if recv {
-                comm.irecv(dst, src, bytes)
-            } else {
-                comm.isend(src, dst, bytes)
+        Op::Blocking(coll, bytes) => {
+            match coll {
+                Coll::Allreduce => comm.allreduce(bytes),
+                Coll::AllreduceSum => {
+                    let mut data = vec![vec![1.0; sum_len(bytes)]; RANKS];
+                    comm.allreduce_sum_f64(&mut data);
+                    assert!(data.iter().flatten().all(|&x| x == RANKS as f64));
+                    comm.elapsed()
+                }
+                Coll::Bcast => comm.bcast(bytes),
+                Coll::BcastGrouped => comm.bcast_grouped(GROUP, bytes),
+                Coll::Gather => comm.gather(bytes),
+                Coll::Scan => comm.scan(bytes),
+                Coll::Alltoallv => comm.alltoallv(RANKS, &pair_bytes(bytes)),
+                Coll::Halo => comm.halo_exchange(NEIGHBORS, bytes),
             };
-            comm.advance(r, dt);
-            req.wait(comm);
         }
-        Op::Iallreduce(bytes, dt, r, extra) => {
-            let req = comm.iallreduce(bytes);
+        Op::Ihalo(bytes, dt, r, extra) => {
+            let req = comm.ihalo(NEIGHBORS, bytes);
             comm.advance_all(dt);
             comm.advance(r, extra);
             req.wait(comm);
@@ -448,7 +454,7 @@ fn costed_runs_hold_no_per_rank_state() {
         &mut comm,
         8,
         |c, _| c.advance_all(us(2.0)),
-        |c, _| c.iallreduce(64),
+        |c, _| c.ihalo(NEIGHBORS, 64),
         |c, _| c.advance_all(us(2.0)),
     );
     assert!(matches!(comm.clocks, RankTimes::Lockstep(_)));
@@ -456,7 +462,7 @@ fn costed_runs_hold_no_per_rank_state() {
     // A per-rank charge leaves lockstep; the next collective returns.
     comm.advance(7, us(1.0));
     assert!(matches!(comm.clocks, RankTimes::PerRank(_)));
-    comm.barrier();
+    comm.allreduce(8);
     assert!(matches!(comm.clocks, RankTimes::Lockstep(_)));
     assert!(comm.wait(0) > comm.wait(7), "the others waited for rank 7");
 }

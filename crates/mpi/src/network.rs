@@ -97,11 +97,6 @@ impl Network {
     pub fn beta_global(&self) -> f64 {
         self.beta() / self.model.bisection_factor
     }
-
-    /// Point-to-point message time between two ranks.
-    pub fn p2p(&self, bytes: u64) -> SimTime {
-        self.alpha() + SimTime::from_secs(bytes as f64 * self.beta())
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,6 @@ mod tests {
         let staged = aware.clone().with_gpu_aware(false);
         assert!(staged.alpha() > aware.alpha());
         assert!(staged.beta() > aware.beta() * 1.9);
-        assert!(staged.p2p(1 << 20) > aware.p2p(1 << 20));
     }
 
     #[test]
@@ -148,7 +142,6 @@ mod tests {
         assert_eq!(busy.alpha(), calm.alpha() * 2.0);
         assert!((busy.beta() - calm.beta() * 3.0).abs() < 1e-24);
         assert!((busy.beta_global() - calm.beta_global() * 3.0).abs() < 1e-24);
-        assert!(busy.p2p(1 << 20) > calm.p2p(1 << 20) * 2.0);
         // Default construction is a calm fabric.
         assert_eq!(calm.alpha_contention, 1.0);
         assert_eq!(calm.beta_contention, 1.0);

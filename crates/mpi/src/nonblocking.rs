@@ -8,11 +8,11 @@
 //! bytes, and pay only the residue at `wait` — max(comm, compute). This
 //! module adds that model on the same per-rank virtual clocks:
 //!
-//! * posting is free: the operation's start is the latest participant clock
+//! * posting is free: the operation's start is the latest rank clock
 //!   at issue (or later, if earlier traffic still holds the injection pipe —
 //!   in-flight operations serialise through [`Comm`]'s `net_free` cursor);
 //! * `finish = start + cost` with the same α–β cost the blocking twin uses;
-//! * [`Request::wait`] charges each participant only `max(0, finish − now)`
+//! * [`Request::wait`] charges each rank only `max(0, finish − now)`
 //!   — the *remaining* in-flight time — into the per-rank wait attribution,
 //!   and books the hidden portion into [`crate::CommStats`]`::hidden` so
 //!   `overlap_efficiency()` reports how much communication compute absorbed.
@@ -24,15 +24,6 @@ use crate::comm::{Comm, RankTimes};
 use exa_machine::SimTime;
 use exa_telemetry::SpanCat;
 
-/// Which ranks take part in a split-phase operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Participants {
-    /// Every rank of the communicator (split-phase collectives).
-    All,
-    /// Exactly two endpoints (isend / irecv rendezvous).
-    Pair(usize, usize),
-}
-
 /// A posted but not yet completed split-phase operation.
 ///
 /// Consumed by [`Request::wait`]; dropping a request without waiting leaks
@@ -42,7 +33,6 @@ pub enum Participants {
 #[must_use = "a posted request must be completed with wait()"]
 pub struct Request {
     name: &'static str,
-    participants: Participants,
     start: SimTime,
     finish: SimTime,
     cost: SimTime,
@@ -64,7 +54,7 @@ impl Request {
         self.cost
     }
 
-    /// Complete the operation: each participant blocks for the *remaining*
+    /// Complete the operation: each rank blocks for the *remaining*
     /// in-flight time only. Returns the completion time.
     pub fn wait(self, comm: &mut Comm) -> SimTime {
         comm.complete_request(&self);
@@ -73,44 +63,27 @@ impl Request {
 }
 
 impl Comm {
-    /// Post a split-phase operation: reserve the injection pipe from the
-    /// latest participant clock (posting itself is free) and return the
-    /// handle. All cost/volume accounting that the blocking twin does at
-    /// call time happens here; the *charging* of time happens at `wait`.
-    fn post(
-        &mut self,
-        name: &'static str,
-        participants: Participants,
-        cost: SimTime,
-        bytes: u64,
-    ) -> Request {
-        let issue = match participants {
-            Participants::All => self.elapsed(),
-            Participants::Pair(a, b) => {
-                assert!(a != b, "self-sends are local copies, not messages");
-                self.now(a).max(self.now(b))
-            }
-        };
-        let start = issue.max(self.net_free);
+    /// Post a split-phase operation on every rank: reserve the injection
+    /// pipe from the latest rank clock (posting itself is free) and return
+    /// the handle. All cost/volume accounting that the blocking twin does
+    /// at call time happens here; the *charging* of time happens at `wait`.
+    fn post(&mut self, name: &'static str, cost: SimTime, bytes: u64) -> Request {
+        let start = self.elapsed().max(self.net_free);
         let finish = start + cost;
         self.net_free = finish;
         self.stats.bytes += bytes;
-        match participants {
-            Participants::All => self.stats.collectives += 1,
-            Participants::Pair(..) => self.stats.messages += 1,
-        }
+        self.stats.collectives += 1;
         Request {
             name,
-            participants,
             start,
             finish,
             cost,
         }
     }
 
-    /// Complete a posted request: charge each participant the residue of
-    /// the in-flight window, attribute the hidden remainder, and record the
-    /// operation's span on the participant tracks.
+    /// Complete a posted request: charge each rank the residue of the
+    /// in-flight window, attribute the hidden remainder, and record the
+    /// operation's span on every rank track.
     pub(crate) fn complete_request(&mut self, req: &Request) {
         let residue = |now: SimTime| {
             if req.finish > now {
@@ -120,18 +93,9 @@ impl Comm {
             }
         };
         let size = self.size();
-        let charge = |comm: &mut Comm, r: usize| {
-            let now = comm.clocks.get(r);
-            let res = residue(now);
-            comm.waits.add(r, res, size);
-            comm.stats.wait += res;
-            comm.stats.hidden += req.cost - res.min(req.cost);
-            comm.stats.inflight += req.cost;
-            comm.clocks.set(r, now.max(req.finish), size);
-        };
-        match (req.participants, self.clocks.uniform()) {
+        match self.clocks.uniform() {
             // Lockstep: one residue for every rank, charged `× ranks`.
-            (Participants::All, Some(now)) => {
+            Some(now) => {
                 let (res, n) = (residue(now), size as f64);
                 self.stats.wait += res * n;
                 self.stats.hidden += (req.cost - res.min(req.cost)) * n;
@@ -139,66 +103,40 @@ impl Comm {
                 self.waits.add_all(res);
                 self.clocks = RankTimes::Lockstep(now.max(req.finish));
             }
-            (Participants::All, None) => {
-                (0..size).for_each(|r| charge(self, r));
+            None => {
+                for r in 0..size {
+                    let now = self.clocks.get(r);
+                    let res = residue(now);
+                    self.waits.add(r, res, size);
+                    self.stats.wait += res;
+                    self.stats.hidden += req.cost - res.min(req.cost);
+                    self.stats.inflight += req.cost;
+                    self.clocks.set(r, now.max(req.finish), size);
+                }
                 if let Some(t) = self.clocks.uniform() {
                     self.clocks = RankTimes::Lockstep(t);
                 }
             }
-            (Participants::Pair(a, b), _) => [a, b].into_iter().for_each(|r| charge(self, r)),
         }
         self.stats.nonblocking += 1;
         if let Some(tel) = self.telemetry.as_ref() {
             if !req.cost.is_zero() {
-                let pair;
-                let (tracks, cat): (&[_], _) = match req.participants {
-                    Participants::All => (&tel.tracks, SpanCat::Collective),
-                    Participants::Pair(a, b) => {
-                        pair = [tel.tracks[a], tel.tracks[b]];
-                        (&pair, SpanCat::Message)
-                    }
-                };
-                tel.collector
-                    .complete_on_tracks(tracks, req.name, cat, req.start, req.finish);
+                tel.collector.complete_on_tracks(
+                    &tel.tracks,
+                    req.name,
+                    SpanCat::Collective,
+                    req.start,
+                    req.finish,
+                );
             }
         }
-    }
-
-    /// Nonblocking point-to-point send of `bytes` from `src` to `dst`. The
-    /// simulation represents a matched isend/irecv rendezvous as a single
-    /// request owned by either side — post it once, not once per endpoint.
-    pub fn isend(&mut self, src: usize, dst: usize, bytes: u64) -> Request {
-        let cost = self.net.p2p(bytes);
-        self.post("isend", Participants::Pair(src, dst), cost, bytes)
-    }
-
-    /// Prepost the receive side of a rendezvous — cost-identical to
-    /// [`Comm::isend`]; the distinct name keeps traces honest about which
-    /// side drove the exchange.
-    pub fn irecv(&mut self, dst: usize, src: usize, bytes: u64) -> Request {
-        let cost = self.net.p2p(bytes);
-        self.post("irecv", Participants::Pair(src, dst), cost, bytes)
-    }
-
-    /// Split-phase allreduce of `bytes` per rank.
-    pub fn iallreduce(&mut self, bytes: u64) -> Request {
-        let cost = coll::allreduce_time(&self.net, self.size(), bytes);
-        self.post("iallreduce", Participants::All, cost, bytes)
-    }
-
-    /// Split-phase all-to-all (`bytes_per_pair` between every rank pair).
-    pub fn ialltoall(&mut self, bytes_per_pair: u64) -> Request {
-        let p = self.size();
-        let cost = coll::alltoall_time(&self.net, p, bytes_per_pair);
-        let vol = bytes_per_pair * p as u64 * (p as u64 - 1);
-        self.post("ialltoall", Participants::All, cost, vol)
     }
 
     /// Split-phase variable-size all-to-all ([`Comm::alltoallv`]).
     pub fn ialltoallv(&mut self, group: usize, pair_bytes: &[u64]) -> Request {
         let names = ["ialltoallv", "ialltoallv_grouped"];
         let (name, cost, vol) = self.alltoallv_parts(names, group, pair_bytes);
-        self.post(name, Participants::All, cost, vol)
+        self.post(name, cost, vol)
     }
 
     /// Preposted halo exchange: every rank's `neighbors` partner messages of
@@ -206,7 +144,7 @@ impl Comm {
     pub fn ihalo(&mut self, neighbors: usize, bytes: u64) -> Request {
         let cost = coll::halo_time(&self.net, neighbors, bytes);
         let vol = bytes * neighbors as u64 * self.size() as u64;
-        self.post("ihalo", Participants::All, cost, vol)
+        self.post("ihalo", cost, vol)
     }
 }
 
@@ -268,13 +206,18 @@ mod tests {
         Comm::new(p, Network::from_machine(&MachineModel::frontier()))
     }
 
+    /// Every rank exchanges `bytes` with each of its `p − 1` peers.
+    fn pairs(p: usize, bytes: u64) -> Vec<u64> {
+        vec![bytes; p - 1]
+    }
+
     #[test]
     fn immediate_wait_equals_blocking() {
         let mut nb = comm(16);
         let mut bl = comm(16);
-        let req = nb.iallreduce(1 << 20);
+        let req = nb.ialltoallv(16, &pairs(16, 1 << 20));
         let t_nb = req.wait(&mut nb);
-        let t_bl = bl.allreduce(1 << 20);
+        let t_bl = bl.alltoallv(16, &pairs(16, 1 << 20));
         assert_eq!(t_nb, t_bl);
         assert_eq!(nb.elapsed(), bl.elapsed());
         // Nothing was hidden: the whole cost is residue.
@@ -286,7 +229,7 @@ mod tests {
     #[test]
     fn full_overlap_hides_the_whole_cost() {
         let mut c = comm(16);
-        let req = c.ialltoall(1 << 20);
+        let req = c.ialltoallv(16, &pairs(16, 1 << 20));
         let cost = req.cost();
         assert!(cost > SimTime::ZERO);
         c.advance_all(cost * 2.0); // compute longer than the flight time
@@ -301,7 +244,7 @@ mod tests {
     #[test]
     fn partial_overlap_charges_only_the_residue() {
         let mut c = comm(8);
-        let req = c.iallreduce(8 << 20);
+        let req = c.ihalo(6, 8 << 20);
         let cost = req.cost();
         let compute = cost * 0.25;
         c.advance_all(compute);
@@ -316,8 +259,8 @@ mod tests {
     #[test]
     fn inflight_operations_serialise_on_the_fabric() {
         let mut c = comm(8);
-        let r1 = c.ialltoall(1 << 18);
-        let r2 = c.ialltoall(1 << 18);
+        let r1 = c.ialltoallv(8, &pairs(8, 1 << 18));
+        let r2 = c.ialltoallv(8, &pairs(8, 1 << 18));
         assert_eq!(r2.start(), r1.finish(), "one injection pipe");
         r1.wait(&mut c);
         let done = r2.wait(&mut c);
@@ -327,13 +270,30 @@ mod tests {
     #[test]
     fn blocking_collective_stalls_behind_inflight_traffic() {
         let mut c = comm(8);
-        let req = c.ialltoall(1 << 20);
-        let t_barrier = c.barrier(); // must queue behind the alltoall
-        assert!(t_barrier > req.finish());
+        let req = c.ialltoallv(8, &pairs(8, 1 << 20));
+        let t_allreduce = c.allreduce(8); // must queue behind the alltoallv
+        assert!(t_allreduce > req.finish());
         assert!(c.stats().wait > SimTime::ZERO);
         let cost = req.cost();
-        req.wait(&mut c); // residue is zero: the barrier already out-waited it
+        req.wait(&mut c); // residue is zero: the allreduce already out-waited it
         assert!((c.stats().hidden - cost * 8.0).secs().abs() < 1e-15);
+    }
+
+    #[test]
+    fn skewed_ranks_each_pay_their_own_residue() {
+        let mut c = comm(4);
+        let req = c.ihalo(6, 1 << 20);
+        let cost = req.cost();
+        c.advance(1, cost * 0.5);
+        req.wait(&mut c);
+        assert_eq!(c.wait(0), cost);
+        assert_eq!(c.wait(1), cost * 0.5);
+        assert_eq!(c.elapsed(), cost);
+        assert!(
+            matches!(c.clocks, RankTimes::Lockstep(_)),
+            "all ranks end at finish"
+        );
+        assert_eq!(c.stats().hidden, cost * 0.5);
     }
 
     #[test]
@@ -341,12 +301,12 @@ mod tests {
         let p = 8;
         let chunks = 4;
         let work = SimTime::from_micros(400.0);
-        let bytes = 4 << 20;
+        let bytes = pairs(p, 4 << 20);
 
         let mut serial = comm(p);
         for _ in 0..chunks {
             serial.advance_all(work);
-            serial.alltoall(bytes);
+            serial.alltoallv(p, &bytes);
         }
         let t_serial = serial.elapsed();
 
@@ -355,13 +315,13 @@ mod tests {
             &mut over,
             chunks,
             |c, _| c.advance_all(work),
-            |c, _| c.ialltoall(bytes),
+            |c, _| c.ialltoallv(p, &bytes),
             |_, _| {},
         );
         assert!(t_over < t_serial, "overlap {t_over} vs serial {t_serial}");
 
         // No free lunch: the pipeline can't beat comm-only or compute-only.
-        let comm_only = coll::alltoall_time(serial.network(), p, bytes) * chunks as f64;
+        let comm_only = coll::alltoallv_time(serial.network(), &bytes) * chunks as f64;
         let compute_only = work * chunks as f64;
         assert!(t_over >= comm_only.max(compute_only));
         let eff = over.stats().overlap_efficiency();
@@ -376,12 +336,12 @@ mod tests {
             &mut c,
             1,
             |c, _| c.advance_all(work),
-            |c, _| c.iallreduce(1 << 16),
+            |c, _| c.ihalo(6, 1 << 16),
             |c, _| c.advance_all(work),
         );
         let mut b = comm(4);
         b.advance_all(work);
-        b.allreduce(1 << 16);
+        b.halo_exchange(6, 1 << 16);
         b.advance_all(work);
         assert_eq!(t, b.elapsed());
     }
@@ -408,27 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn isend_charges_endpoints_only() {
-        let mut c = comm(4);
-        let req = c.isend(0, 2, 1 << 16);
-        c.advance(1, SimTime::from_micros(5.0));
-        let finish = req.finish();
-        req.wait(&mut c);
-        assert_eq!(c.now(0), finish);
-        assert_eq!(c.now(2), finish);
-        assert_eq!(c.now(1), SimTime::from_micros(5.0), "bystander untouched");
-        assert_eq!(c.stats().messages, 1);
-        let r = c.irecv(3, 1, 1 << 16);
-        r.wait(&mut c);
-        assert_eq!(c.stats().messages, 2);
-    }
-
-    #[test]
-    fn overlap_spans_land_on_participant_tracks() {
+    fn overlap_spans_land_on_every_rank_track() {
         let collector = exa_telemetry::TelemetryCollector::shared();
         let mut c = comm(4);
         c.attach_telemetry(&collector, "nb");
-        let req = c.ialltoall(1 << 16);
+        let req = c.ialltoallv(4, &pairs(4, 1 << 16));
         c.advance_all(SimTime::from_micros(200.0));
         req.wait(&mut c);
         c.absorb_telemetry();

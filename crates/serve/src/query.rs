@@ -54,12 +54,6 @@ impl Query {
         self
     }
 
-    /// Set the scenario tag.
-    pub fn with_scenario(mut self, scenario: &str) -> Self {
-        self.scenario = scenario.to_string();
-        self
-    }
-
     /// Set the node-count override.
     pub fn with_nodes(mut self, nodes: u32) -> Self {
         self.nodes = nodes;
@@ -229,11 +223,13 @@ mod tests {
 
     #[test]
     fn render_round_trips() {
-        let q = Query::new("CoMet", "Frontier")
-            .with_nodes(74)
-            .with_knob("ccc", 1.25)
-            .with_knob("comm", 0.5)
-            .with_scenario("sweep");
+        let q = Query {
+            scenario: "sweep".into(),
+            ..Query::new("CoMet", "Frontier")
+                .with_nodes(74)
+                .with_knob("ccc", 1.25)
+                .with_knob("comm", 0.5)
+        };
         assert_eq!(Query::parse(&q.render()).unwrap(), q);
         let clean = Query::new("GAMESS", "Summit");
         assert_eq!(Query::parse(&clean.render()).unwrap(), clean);
@@ -278,20 +274,18 @@ mod tests {
     /// escapes its separator instead.
     #[test]
     fn a_built_scenario_tag_cannot_forge_a_knob_key() {
-        let knob = Query::new("GESTS", "Frontier")
-            .with_knob("k", 1.0)
-            .with_scenario("s");
-        let forged = Query::new("GESTS", "Frontier").with_scenario("k=3ff0000000000000|s");
+        let tagged = |q: Query, scenario: &str| Query {
+            scenario: scenario.into(),
+            ..q
+        };
+        let knob = tagged(Query::new("GESTS", "Frontier").with_knob("k", 1.0), "s");
+        let forged = tagged(Query::new("GESTS", "Frontier"), "k=3ff0000000000000|s");
         assert_eq!(knob.key(), "GESTS|Frontier|0|k=3ff0000000000000|s");
         assert_ne!(knob.key(), forged.key());
         // The escape character is escaped too, so a tag ending in it
         // cannot swallow the separator after it.
-        let a = Query::new("GESTS", "Frontier")
-            .with_knob("x\\", 1.0)
-            .with_scenario("|y");
-        let b = Query::new("GESTS", "Frontier")
-            .with_knob("x\\|", 1.0)
-            .with_scenario("y");
+        let a = tagged(Query::new("GESTS", "Frontier").with_knob("x\\", 1.0), "|y");
+        let b = tagged(Query::new("GESTS", "Frontier").with_knob("x\\|", 1.0), "y");
         assert_ne!(a.key(), b.key());
     }
 

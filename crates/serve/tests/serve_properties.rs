@@ -54,9 +54,7 @@ proptest! {
         let mut q = Query::new(app, "Frontier")
             .with_nodes(nodes)
             .with_knob(needle, factor);
-        if !scenario.is_empty() {
-            q = q.with_scenario(scenario);
-        }
+        q.scenario = scenario.to_string();
         let text = vec![q.render()];
         let mut svc = CampaignService::new(ServeConfig { threads: 1, ..ServeConfig::default() });
         let cold = svc.run_batch(&text);
@@ -84,7 +82,7 @@ proptest! {
         for (i, f) in factors.iter().enumerate() {
             q = q.with_knob(&format!("knob{i}"), *f);
         }
-        q = q.with_scenario(["", "sweep", "ckpt_3", "mtbf"][scenario_idx]);
+        q.scenario = ["", "sweep", "ckpt_3", "mtbf"][scenario_idx].to_string();
         let parsed = Query::parse(&q.render()).expect("render always parses");
         prop_assert_eq!(&parsed, &q);
         prop_assert_eq!(parsed.key(), q.key());
@@ -148,6 +146,6 @@ fn forged(text: &str) -> Option<String> {
     for (n, f) in &q.knobs[..q.knobs.len() - 1] {
         forged = forged.with_knob(n, *f);
     }
-    let tag = format!("{needle}={:016x}|{}", factor.to_bits(), q.scenario);
-    Some(forged.with_scenario(&tag).render())
+    forged.scenario = format!("{needle}={:016x}|{}", factor.to_bits(), q.scenario);
+    Some(forged.render())
 }

@@ -90,9 +90,8 @@ impl TelemetryCollector {
         self.lock().timeline.end(id, at);
     }
 
-    /// Open a span guarded by RAII: dropping the guard closes the span (at
-    /// the latest time already recorded on its track), and
-    /// [`SpanGuard::end_at`] closes it at an explicit virtual time.
+    /// Open a span guarded by RAII: dropping the guard closes the span at
+    /// the latest time already recorded on its track.
     pub fn span(
         self: &Arc<Self>,
         track: TrackId,
@@ -157,15 +156,6 @@ impl TelemetryCollector {
 pub struct SpanGuard {
     collector: Arc<TelemetryCollector>,
     id: Option<SpanId>,
-}
-
-impl SpanGuard {
-    /// Close the span at an explicit virtual time.
-    pub fn end_at(mut self, at: SimTime) {
-        if let Some(id) = self.id.take() {
-            self.collector.end(id, at);
-        }
-    }
 }
 
 impl Drop for SpanGuard {

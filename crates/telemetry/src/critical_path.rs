@@ -14,7 +14,7 @@
 //!   the explanation payload the regression sentinel attaches to its
 //!   verdicts.
 
-use crate::span::{Timeline, TrackKind};
+use crate::span::Timeline;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -34,13 +34,6 @@ pub struct PathSegment {
     pub start_s: f64,
     /// Segment end, seconds.
     pub end_s: f64,
-}
-
-impl PathSegment {
-    /// Segment length, seconds.
-    pub fn dur_s(&self) -> f64 {
-        self.end_s - self.start_s
-    }
 }
 
 /// The computed critical path of one profile.
@@ -149,14 +142,6 @@ impl CriticalPath {
             by_span,
         }
     }
-
-    /// The span contributing the most path time, if any.
-    pub fn dominant_span(&self) -> Option<(&str, f64)> {
-        self.by_span
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(k, &v)| (k.as_str(), v))
-    }
 }
 
 /// Where a fault scenario's lost time went, summed from critical-path
@@ -171,13 +156,6 @@ pub struct FaultAttribution {
     pub restart_s: f64,
     /// Seconds in `straggler-wait/` spans (skew-induced collective waits).
     pub straggler_wait_s: f64,
-}
-
-impl FaultAttribution {
-    /// Total scenario-attributed seconds.
-    pub fn total_s(&self) -> f64 {
-        self.fault_s + self.checkpoint_s + self.restart_s + self.straggler_wait_s
-    }
 }
 
 /// Attribute critical-path span seconds to the scenario span families by
@@ -232,16 +210,6 @@ pub fn rank_attribution(timeline: &Timeline) -> Vec<RankAttribution> {
             }
         })
         .collect()
-}
-
-/// Largest idle time among `comm_rank` tracks — the straggler signal the
-/// MPI layer also reports as `mpi.wait_max_s`.
-pub fn max_rank_idle(attribution: &[RankAttribution]) -> f64 {
-    attribution
-        .iter()
-        .filter(|a| a.kind == TrackKind::CommRank.label())
-        .map(|a| a.idle_s)
-        .fold(0.0, f64::max)
 }
 
 /// Aggregate a timeline into `name -> total seconds` over its `top`
@@ -335,7 +303,7 @@ mod tests {
             cp.segments[0].track, "rank0",
             "path goes through the slow rank"
         );
-        assert_eq!(cp.dominant_span(), Some(("compute", 4.0)));
+        assert_eq!(cp.by_span["compute"], 4.0);
     }
 
     #[test]
@@ -348,7 +316,7 @@ mod tests {
         assert_eq!(cp.busy_s, 2.0);
         assert_eq!(cp.idle_s, 2.0); // [0,1] leading + [2,3] gap
         assert_eq!(cp.segments.iter().filter(|g| g.name == "(idle)").count(), 2);
-        let total: f64 = cp.segments.iter().map(|g| g.dur_s()).sum();
+        let total: f64 = cp.segments.iter().map(|g| g.end_s - g.start_s).sum();
         assert!((total - cp.wall_s).abs() < 1e-12, "segments tile the wall");
     }
 
@@ -381,7 +349,6 @@ mod tests {
         let att = rank_attribution(&tl);
         assert_eq!(att[0].idle_s, 0.0);
         assert_eq!(att[1].idle_s, 3.0);
-        assert_eq!(max_rank_idle(&att), 3.0);
         assert!((att[1].busy_share - 0.25).abs() < 1e-12);
     }
 
@@ -421,10 +388,8 @@ mod tests {
         assert_eq!(att.checkpoint_s, 1.5);
         assert_eq!(att.restart_s, 2.5);
         assert_eq!(att.straggler_wait_s, 0.25);
-        assert!(
-            (att.total_s() - 9.25).abs() < 1e-12,
-            "compute spans excluded"
-        );
+        let total = att.fault_s + att.checkpoint_s + att.restart_s + att.straggler_wait_s;
+        assert!((total - 9.25).abs() < 1e-12, "compute spans excluded");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod validate;
 
 pub use collector::{SpanGuard, TelemetryCollector};
 pub use critical_path::{
-    diff_profiles, fault_attribution, max_rank_idle, rank_attribution, span_profile, CriticalPath,
+    diff_profiles, fault_attribution, rank_attribution, span_profile, CriticalPath,
     FaultAttribution, PathSegment, RankAttribution, SpanDelta,
 };
 pub use export::{

@@ -22,11 +22,6 @@ impl Counter {
         self.0 += v;
     }
 
-    /// Increment by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
     /// Current value.
     pub fn get(self) -> u64 {
         self.0
@@ -95,11 +90,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The bucket key for `v`: octave (unbiased exponent) × 16 + the top
     /// four mantissa bits. Key order equals value order for positive
     /// normal values; zero, negatives, and subnormals share the underflow
@@ -312,11 +302,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Read a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Accumulate virtual time under a name.
     pub fn time_add(&mut self, name: &str, t: SimTime) {
         let e = self.times.entry(name.to_string()).or_insert(SimTime::ZERO);
@@ -511,7 +496,7 @@ mod tests {
         let mut m = MetricsRegistry::default();
         m.gauge_max("pool.high_water", 10.0);
         m.gauge_max("pool.high_water", 4.0);
-        assert_eq!(m.gauge("pool.high_water"), Some(10.0));
+        assert_eq!(m.gauges.get("pool.high_water"), Some(&10.0));
     }
 
     #[test]
@@ -588,7 +573,7 @@ mod tests {
         let vals = [
             0.003, 0.0007, 0.014, 0.5, 0.25, 0.0007, 2.0, 0.031, 0.009, 0.125,
         ];
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for v in vals {
             h.record(v);
         }
@@ -625,7 +610,7 @@ mod tests {
 
     #[test]
     fn histogram_underflow_bucket_catches_zero_and_negative() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         h.record(0.0);
         h.record(-3.0);
         assert_eq!(h.count(), 2);
@@ -639,14 +624,14 @@ mod tests {
         let hs: Vec<Histogram> = streams
             .iter()
             .map(|s| {
-                let mut h = Histogram::new();
+                let mut h = Histogram::default();
                 for &v in *s {
                     h.record(v);
                 }
                 h
             })
             .collect();
-        let mut single = Histogram::new();
+        let mut single = Histogram::default();
         for s in streams {
             for &v in s {
                 single.record(v);

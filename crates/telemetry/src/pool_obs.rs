@@ -151,11 +151,6 @@ impl PoolTelemetry {
         self.sum(|g| g.lanes.values().map(|l| l.busy_ns).sum())
     }
 
-    /// Lanes that executed at least one task.
-    pub fn active_lanes(&self) -> usize {
-        self.sum(|g| g.lanes.len() as u64) as usize
-    }
-
     /// Discard everything accumulated so far.
     pub fn reset(&self) {
         for s in self.slots.iter() {

@@ -27,7 +27,7 @@ for threads in 1 4; do
     EXA_THREADS=$threads cargo test --workspace -q
 done
 cargo test --offline -q --manifest-path exabench/Cargo.toml
-cargo run --release -q -p exa-bench --bin reproduce -- paper profile_export fom_ledger comm_overlap sim_throughput autotune
+cargo run --release -q -p exa-bench --bin reproduce -- paper user_guide profile_export fom_ledger comm_overlap sim_throughput autotune
 EXA_THREADS=4 cargo run --release -q -p exa-bench --bin reproduce -- obs_export telemetry_overhead fault_scenarios campaign_load
 for workload in $(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do
     last=$(cargo run --release --offline -q --manifest-path exabench/Cargo.toml -- \

@@ -42,11 +42,12 @@ proptest! {
         bytes in 1u64..(8u64 << 20),
     ) {
         let work = SimTime::from_micros(work_us);
+        let pairs = vec![bytes; p - 1];
 
         let mut serial = frontier_comm(p);
         for _ in 0..chunks {
             serial.advance_all(work);
-            serial.alltoall(bytes);
+            serial.alltoallv(p, &pairs);
         }
         let t_serial = serial.elapsed();
 
@@ -55,12 +56,12 @@ proptest! {
             &mut over,
             chunks,
             |c, _| c.advance_all(work),
-            |c, _| c.ialltoall(bytes),
+            |c, _| c.ialltoallv(p, &pairs),
             |_, _| {},
         );
 
         prop_assert!(t_over <= t_serial, "overlapped {t_over} > serial {t_serial}");
-        let comm_total = collectives::alltoall_time(over.network(), p, bytes) * chunks as f64;
+        let comm_total = collectives::alltoallv_time(over.network(), &pairs) * chunks as f64;
         let compute_total = work * chunks as f64;
         prop_assert!(
             t_over >= comm_total.max(compute_total),

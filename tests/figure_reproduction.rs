@@ -3,7 +3,9 @@
 
 use exaready::apps::coast::Coast;
 use exaready::apps::comet::CoMet;
-use exaready::apps::pele::{time_per_cell_step, weak_scaling_efficiency, CodeState};
+use exaready::apps::pele::{
+    chemistry_data_time, time_per_cell_step, weak_scaling_efficiency, CodeState,
+};
 use exaready::core::Motif;
 use exaready::machine::MachineModel;
 use exaready::shoc::figure1::{run_figure1, summary};
@@ -71,6 +73,18 @@ fn figure2_timeline_shape() {
     // Frontier nodes is over 80%".
     let eff = weak_scaling_efficiency(&MachineModel::frontier(), CodeState::Async2023, 4096);
     assert!(eff > 0.80, "weak scaling {eff}");
+}
+
+/// Figure 2's UVM row (§3.8, "removing the use of UVM was ultimately
+/// necessary"): 64×64 chemistry cells for 4 steps on one MI250X GCD,
+/// explicit copies against UVM page migration, pinned to their bits.
+#[test]
+fn figure2_uvm_row_keeps_its_golden_bits() {
+    let explicit = chemistry_data_time(64 * 64, 4, false);
+    let uvm = chemistry_data_time(64 * 64, 4, true);
+    assert_eq!(explicit.secs().to_bits(), 0x3f12276e35a8a7b0, "{explicit}");
+    assert_eq!(uvm.secs().to_bits(), 0x3f35277e4a257760, "{uvm}");
+    assert!(explicit < uvm);
 }
 
 /// Table 1: the motif matrix covers every entry the paper lists.

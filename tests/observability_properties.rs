@@ -25,7 +25,7 @@ fn oracle_quantile(values: &[f64], q: f64) -> f64 {
 }
 
 fn record_all(values: &[f64]) -> Histogram {
-    let mut h = Histogram::new();
+    let mut h = Histogram::default();
     for &v in values {
         h.record(v);
     }
@@ -179,16 +179,16 @@ proptest! {
             // Child durations always fit inside the parent.
             let outer_us = outer_us + children * child_us + 1;
             let start = cursor;
-            let outer = collector.span(track, "outer", SpanCat::Phase, start);
+            let outer = collector.begin(track, "outer", SpanCat::Phase, start);
             let mut t = start;
             for _ in 0..children {
                 t += SimTime::from_micros(1.0);
-                let g = collector.span(track, "inner", SpanCat::Kernel, t);
+                let inner = collector.begin(track, "inner", SpanCat::Kernel, t);
                 t += SimTime::from_micros(child_us as f64);
-                g.end_at(t);
+                collector.end(inner, t);
             }
             cursor = start + SimTime::from_micros(outer_us as f64);
-            outer.end_at(cursor);
+            collector.end(outer, cursor);
             cursor += SimTime::from_micros(1.0);
             total_us += outer_us as u64;
         }

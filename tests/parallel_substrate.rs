@@ -110,7 +110,7 @@ fn exec_helpers_ride_the_global_pool() {
     // par_* helpers and the rank scheduler share one thread budget:
     // EXA_THREADS (0 = auto) via the vendored pool.
     assert_eq!(
-        exaready::hal::exec::num_threads(),
+        RankScheduler::new().threads(),
         exaready::workpool::default_threads()
     );
     assert!(RankScheduler::new().threads() >= 1);

@@ -137,24 +137,6 @@ proptest! {
         prop_assert_eq!(twice.manual_fix_lines(), 0);
     }
 
-    /// Data all-to-all conserves every element (permutation, no loss).
-    #[test]
-    fn alltoall_conserves_data(p in 1usize..6, payload in 0usize..8) {
-        let mut comm = Comm::new(p, Network::from_machine(&MachineModel::frontier()));
-        let send: Vec<Vec<Vec<u32>>> = (0..p)
-            .map(|i| (0..p).map(|j| vec![(i * 100 + j) as u32; payload]).collect())
-            .collect();
-        let total_in: usize = send.iter().flatten().map(|v| v.len()).sum();
-        let recv = comm.alltoallv_data(send);
-        let total_out: usize = recv.iter().flatten().map(|v| v.len()).sum();
-        prop_assert_eq!(total_in, total_out);
-        for (j, row) in recv.iter().enumerate() {
-            for (i, v) in row.iter().enumerate() {
-                prop_assert!(v.iter().all(|&x| x == (i * 100 + j) as u32));
-            }
-        }
-    }
-
     /// Virtual clocks never go backwards under any operation sequence.
     #[test]
     fn comm_time_is_monotone(ops in prop::collection::vec(0u8..5, 1..40)) {
@@ -163,10 +145,10 @@ proptest! {
         for op in ops {
             match op {
                 0 => { comm.allreduce(1 << 12); }
-                1 => { comm.send(0, 2, 1 << 10); }
-                2 => { comm.barrier(); }
+                1 => { comm.halo_exchange(6, 1 << 10); }
+                2 => { comm.gather(8); }
                 3 => { comm.advance(1, SimTime::from_micros(5.0)); }
-                _ => { comm.alltoall(256); }
+                _ => { comm.alltoallv(4, &[256; 3]); }
             }
             let now = comm.elapsed();
             prop_assert!(now >= last, "time went backwards: {now} < {last}");
@@ -187,8 +169,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Second wave of properties: eigensolvers, block inversion, real FFTs,
-// APSP, and stiff chemistry.
+// Second wave of properties: eigensolvers, block inversion, APSP, and
+// stiff chemistry.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -228,24 +210,6 @@ proptest! {
         let via_block = block_lu_inverse_block(&a, b).expect("nonsingular");
         let via_lu = lu_inverse_block(&a, b).expect("nonsingular");
         prop_assert!(via_block.max_abs_diff(&via_lu) < 1e-7);
-    }
-
-    /// Real FFT round trip is exact for any even length.
-    #[test]
-    fn rfft_round_trips(half in 1usize..100, seed in 0u64..500) {
-        use exaready::fft::{irfft, rfft};
-        let n = 2 * half;
-        let mut s = seed;
-        let x: Vec<f64> = (0..n)
-            .map(|_| {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            })
-            .collect();
-        let back = irfft(&rfft(&x), n);
-        for (a, b) in x.iter().zip(&back) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
     }
 
     /// Blocked Floyd–Warshall satisfies the triangle inequality and agrees
@@ -362,8 +326,6 @@ proptest! {
             _ => prop_assert!(false, "intersection must be symmetric"),
         }
         prop_assert_eq!(a.grow(g).grow(g), a.grow(2 * g));
-        prop_assert_eq!(a.shift(3, -2).shift(-3, 2), a);
-        prop_assert_eq!(a.refine().coarsen(), a);
     }
 
     /// Any chop covers the domain exactly once, for any box size and rank
@@ -404,26 +366,6 @@ proptest! {
             let wi = i.rem_euclid(n);
             let wj = j.rem_euclid(n);
             prop_assert_eq!(mf.get_local(0, i, j), (wi * 37 + wj) as f64);
-        }
-    }
-
-    /// Restriction after prolongation is the identity for any patch.
-    #[test]
-    fn amr_prolong_restrict_identity(lo in -8i64..8, w in 1i64..10, h in 1i64..10, seed in 0u64..100) {
-        use exaready::amr::{prolong_constant, restrict_average};
-        use exaready::amr::coarse_fine::Patch;
-        use exaready::amr::IntBox;
-        let bx = IntBox::new([lo, -lo / 2], [lo + w, -lo / 2 + h]);
-        let coarse = Patch::from_fn(bx, |i, j| {
-            let mut z = seed
-                .wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15))
-                .wrapping_add((j as u64).wrapping_mul(0xD1B54A32D192ED03));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            (z >> 40) as f64
-        });
-        let back = restrict_average(&prolong_constant(&coarse));
-        for (i, j) in bx.cells() {
-            prop_assert_eq!(back.get(i, j), coarse.get(i, j));
         }
     }
 }

@@ -102,9 +102,9 @@ proptest! {
         prop_assert_eq!(summary.unwrap().events as u64, snap.spans_total);
     }
 
-    /// Any mix of collectives and point-to-point sends on an instrumented
-    /// communicator yields matching counters, one span per involved rank,
-    /// and a valid trace.
+    /// Any mix of blocking and split-phase collectives on an instrumented
+    /// communicator yields matching counters, one span per rank, and a
+    /// valid trace.
     #[test]
     fn comm_snapshot_matches_stats(
         ranks in 2usize..9,
@@ -119,13 +119,15 @@ proptest! {
             match op {
                 0 => { comm.allreduce(bytes); expect_spans += ranks as u64; }
                 1 => { comm.bcast(bytes); expect_spans += ranks as u64; }
-                2 => { comm.barrier(); expect_spans += ranks as u64; }
-                3 => { comm.alltoall(bytes); expect_spans += ranks as u64; }
+                2 => { comm.gather(bytes); expect_spans += ranks as u64; }
+                3 => {
+                    comm.alltoallv(ranks, &vec![bytes; ranks - 1]);
+                    expect_spans += ranks as u64;
+                }
                 _ => {
-                    let src = (bytes % ranks as u64) as usize;
-                    let dst = (src + 1) % ranks;
-                    comm.send(src, dst, bytes);
-                    expect_spans += 2;
+                    let req = comm.ihalo(6, bytes);
+                    req.wait(&mut comm);
+                    expect_spans += ranks as u64;
                 }
             }
         }
@@ -133,7 +135,6 @@ proptest! {
 
         let stats = comm.stats();
         let snap = collector.snapshot();
-        prop_assert_eq!(snap.counter("mpi.messages"), stats.messages);
         prop_assert_eq!(snap.counter("mpi.bytes"), stats.bytes);
         prop_assert_eq!(snap.counter("mpi.collectives"), stats.collectives);
         prop_assert_eq!(snap.spans_total, expect_spans);
@@ -143,7 +144,7 @@ proptest! {
         prop_assert!(summary.is_ok(), "invalid trace: {:?}", summary.err());
     }
 
-    /// Arbitrary push/pop nesting through the RAII guard API produces a
+    /// Arbitrary push/pop nesting through `begin`/`end` produces a
     /// structurally sound timeline: depths follow the open-stack, children
     /// are contained in parents (checked independently by the Chrome-trace
     /// validator via `args.depth`), and per-track time is monotonic.
@@ -158,16 +159,15 @@ proptest! {
         for &(action, dt) in &script {
             cursor += SimTime::from_micros(dt as f64);
             if action == 0 || open.is_empty() {
-                open.push(collector.span(track, "phase", SpanCat::Phase, cursor));
+                open.push(collector.begin(track, "phase", SpanCat::Phase, cursor));
             } else {
-                let guard: exaready::telemetry::SpanGuard = open.pop().unwrap();
-                guard.end_at(cursor);
+                collector.end(open.pop().unwrap(), cursor);
             }
         }
         // Close the rest innermost-first.
-        while let Some(g) = open.pop() {
+        while let Some(id) = open.pop() {
             cursor += SimTime::from_micros(1.0);
-            g.end_at(cursor);
+            collector.end(id, cursor);
         }
 
         let snap = collector.snapshot();
