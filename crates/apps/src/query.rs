@@ -125,7 +125,7 @@ pub fn evaluate_query(
         units: fom.units,
         higher_is_better: fom.higher_is_better,
         wall_s: measurement.wall.secs(),
-        spans: collector.snapshot().spans_total,
+        spans: collector.with_timeline(|t| t.total_spans()) as u64,
     })
 }
 

@@ -12,9 +12,11 @@
 //! a local [`crate::fft3d::fft3d`]); *time* is the price of the
 //! decomposition's [`TransposePlan`]: local FFT stages on each rank's device
 //! plus the transpose all-to-alls on the communicator. [`DistFft3d::plan`]
-//! builds the plan in closed form, and [`DistFft3d::charge_plan`] prices
-//! any plan — including the line plan the executed transform runs, whose
-//! virtual time it reproduces bit for bit.
+//! builds the plan in closed form — at most two runs of partner volumes
+//! per transpose, so its cost does not grow with the rank count — and
+//! [`DistFft3d::charge_plan`] prices any plan from its partner counts and
+//! byte totals, including the line plan the executed transform runs,
+//! whose virtual time it reproduces bit for bit.
 
 use crate::fft1d::fft_flops;
 use crate::fft3d::{fft3d, ifft3d};
@@ -148,11 +150,17 @@ impl DistFft3d {
     /// a 2-D FFT stage (2/3 of the work), one global transpose, a 1-D
     /// stage. Pencils: three 1-D stages with two transposes inside
     /// √p-sized row/column groups. Rank 0 carries the remainder shares, so
-    /// its schedule paces every transpose.
+    /// its schedule paces every transpose. Its remote partners are
+    /// [`DistFft3d::transpose_pair_bytes`]`(ranks, group, 0)[1..]`, built
+    /// as at most two runs: partners below the split's remainder get one
+    /// byte more than the rest.
     pub fn plan(&self, ranks: usize) -> TransposePlan {
         let group = self.transpose_group(ranks);
-        let pairs = self.transpose_pair_bytes(ranks, group, 0);
-        let t = Transpose::new(group, pairs.into_iter().skip(1));
+        let local = Split::new(self.total_points() as usize * 16, ranks).count(0);
+        let shares = Split::new(local, group);
+        let fat = shares.rem.saturating_sub(1);
+        let base = shares.base as u64;
+        let t = Transpose::new(group, [(fat, base + 1), (group - 1 - fat, base)]);
         let (passes, transposes) = match self.decomp {
             Decomp::Slabs => (vec![2.0 / 3.0, 1.0 / 3.0], vec![t]),
             Decomp::Pencils => (vec![1.0 / 3.0; 3], vec![t.clone(), t]),
@@ -177,26 +185,28 @@ impl DistFft3d {
     /// Price one transform that runs `plan` on `comm`, with local stages
     /// executing on `gpu`. Returns the elapsed span.
     ///
-    /// Overlapped, each transpose is one pipeline over contiguous runs of
-    /// its partners (chunking by partner keeps the blocking schedule's
-    /// rounds·α; slicing every payload would re-pay α per chunk). Its
-    /// exchanges fly while the pass after it consumes the previous chunk,
-    /// and the first transpose also overlaps the pass before it, which
-    /// produces its payload chunk by chunk; a later transpose's payload
-    /// already exists when its pipeline starts.
+    /// Overlapped, each transpose is one pipeline over contiguous ranges
+    /// `[j·m/k, (j+1)·m/k)` of its `m` partners, each posted as its
+    /// partner count and byte total (chunking by partner keeps the
+    /// blocking schedule's rounds·α; slicing every payload would re-pay α
+    /// per chunk). Its exchanges fly while the pass after it consumes the
+    /// previous chunk, and the first transpose also overlaps the pass
+    /// before it, which produces its payload chunk by chunk; a later
+    /// transpose's payload already exists when its pipeline starts.
     pub fn charge_plan(&self, comm: &mut Comm, gpu: &GpuModel, plan: &TransposePlan) -> SimTime {
         let start = comm.elapsed();
         let local = self.local_time(gpu, comm.size());
         let Some(k) = self.overlap_chunks else {
             comm.advance_all(local * plan.passes[0]);
             for (t, &pass) in plan.transposes.iter().zip(&plan.passes[1..]) {
-                comm.alltoallv(t.group, &t.peers);
+                let (peers, bytes) = t.totals();
+                comm.alltoallv(t.group, peers, bytes);
                 comm.advance_all(local * pass);
             }
             return comm.elapsed() - start;
         };
         for (i, (t, &pass)) in plan.transposes.iter().zip(&plan.passes[1..]).enumerate() {
-            let m = t.peers.len();
+            let m = t.peers();
             let k = k.min(m).max(1);
             let produce = if i == 0 {
                 local * plan.passes[0] / k as f64
@@ -208,7 +218,10 @@ impl DistFft3d {
                 comm,
                 k,
                 |c, _| c.advance_all(produce),
-                |c, j| c.ialltoallv(t.group, &t.peers[j * m / k..(j + 1) * m / k]),
+                |c, j| {
+                    let (peers, bytes) = t.span(j * m / k, (j + 1) * m / k);
+                    c.ialltoallv(t.group, peers, bytes)
+                },
                 |c, _| c.advance_all(consume),
             );
         }

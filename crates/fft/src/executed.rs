@@ -306,7 +306,8 @@ impl ExecutedFft3d {
             _ => panic!("no line-plan transpose from {from:?} to {to:?}"),
         };
         let t = &grid.plan.transposes[hop];
-        comm.alltoallv(t.group, &t.peers);
+        let (peers, bytes) = t.totals();
+        comm.alltoallv(t.group, peers, bytes);
         let src = std::mem::take(&mut grid.parts);
         let mut dst: Vec<Vec<C64>> = match self.gather {
             // Reference: fresh zeroed buffers every repartition.

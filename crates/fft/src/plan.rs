@@ -1,6 +1,9 @@
 //! The transpose plan both distributed 3-D FFTs price (GESTS §3.3): built
 //! once per (n, ranks, layout), in closed form by [`crate::DistFft3d::plan`]
-//! or by walking the executed line layout ([`TransposePlan::lines`]).
+//! or by walking the executed line layout ([`TransposePlan::lines`]). Each
+//! transpose keeps its pacing rank's partner volumes run-length encoded —
+//! the α–β price reads only partner counts and byte totals — so a closed-
+//! form plan holds at most two runs however many ranks it spans.
 
 use crate::executed::LineAxis;
 
@@ -41,19 +44,57 @@ impl Split {
 }
 
 /// One transpose: an all-to-all inside groups of `group` ranks in which the
-/// pacing rank exchanges `peers[j]` bytes with its `j`-th remote partner.
+/// pacing rank exchanges `bytes` with each of `count` remote partners, run
+/// by run, for every `(count, bytes)` in `runs`. Partners that receive
+/// nothing are dropped, so no exchange round is charged for them, and
+/// neighbouring runs never share a volume, so two transposes with the same
+/// partner volumes compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Transpose {
     pub(crate) group: usize,
-    pub(crate) peers: Vec<u64>,
+    pub(crate) runs: Vec<(usize, u64)>,
 }
 
 impl Transpose {
-    /// Partners that receive nothing are dropped, so no exchange round is
-    /// charged for them.
-    pub(crate) fn new(group: usize, remote: impl IntoIterator<Item = u64>) -> Self {
-        let peers = remote.into_iter().filter(|&b| b > 0).collect();
-        Transpose { group, peers }
+    /// The transpose whose pacing rank exchanges `bytes` with each of
+    /// `count` partners, run after run. Empty runs are dropped and
+    /// neighbouring runs of equal volume merged.
+    pub(crate) fn new(group: usize, runs: impl IntoIterator<Item = (usize, u64)>) -> Self {
+        let mut merged: Vec<(usize, u64)> = Vec::new();
+        for (count, bytes) in runs.into_iter().filter(|&(c, b)| c > 0 && b > 0) {
+            match merged.last_mut() {
+                Some((c, b)) if *b == bytes => *c += count,
+                _ => merged.push((count, bytes)),
+            }
+        }
+        Transpose {
+            group,
+            runs: merged,
+        }
+    }
+
+    /// Remote partners of the pacing rank.
+    pub(crate) fn peers(&self) -> usize {
+        self.runs.iter().map(|&(count, _)| count).sum()
+    }
+
+    /// The partner count (exchange rounds) and byte total of partners
+    /// `[lo, hi)`, in partner order.
+    pub(crate) fn span(&self, lo: usize, hi: usize) -> (usize, u64) {
+        let (mut first, mut bytes) = (0, 0u64);
+        for &(count, b) in &self.runs {
+            let (a, z) = (first.max(lo), (first + count).min(hi));
+            if a < z {
+                bytes += (z - a) as u64 * b;
+            }
+            first += count;
+        }
+        (hi - lo, bytes)
+    }
+
+    /// The partner count and byte total of the whole transpose.
+    pub(crate) fn totals(&self) -> (usize, u64) {
+        self.span(0, self.peers())
     }
 }
 
@@ -70,7 +111,8 @@ impl TransposePlan {
     /// The plan [`crate::ExecutedFft3d`] runs on a [`crate::DistGrid`] of
     /// `ranks` ranks: line passes along axes 2, 1, 0 with the repartitions
     /// between them. Each transpose's volumes are rank 0's reads per source
-    /// owner: rank 0 holds the remainder lines, so it paces the transpose.
+    /// owner, run-length encoded: rank 0 holds the remainder lines, so it
+    /// paces the transpose.
     pub fn lines(n: usize, ranks: usize) -> Self {
         assert!(ranks >= 1 && ranks <= n * n, "need 1 <= ranks <= n^2");
         let split = Split::new(n * n, ranks);
@@ -82,7 +124,7 @@ impl TransposePlan {
                     bytes[split.owner(from.index(n, i0, i1, i2).0)] += 16;
                 }
             }
-            Transpose::new(ranks, bytes.into_iter().skip(1))
+            Transpose::new(ranks, bytes.into_iter().skip(1).map(|b| (1, b)))
         };
         TransposePlan {
             passes: vec![1.0 / 3.0; 3],
@@ -107,15 +149,23 @@ mod tests {
     use super::*;
     use crate::{Decomp, DistFft3d};
 
+    /// The per-partner volumes a transpose's runs stand for.
+    fn expand(t: &Transpose) -> Vec<u64> {
+        t.runs
+            .iter()
+            .flat_map(|&(count, bytes)| std::iter::repeat_n(bytes, count))
+            .collect()
+    }
+
     #[test]
     fn slab_line_plans_match_the_closed_form() {
         // p | n, p ≤ n: each rank owns whole i0-planes, so the axis-2 →
         // axis-1 hop stays on-rank and the other is the slab transpose.
         for (n, p) in [(8, 1), (8, 2), (8, 4), (8, 8), (16, 4), (12, 6)] {
             let plan = TransposePlan::lines(n, p);
-            assert!(plan.transposes[0].peers.is_empty(), "n={n} p={p}");
+            assert!(plan.transposes[0].runs.is_empty(), "n={n} p={p}");
             let slab = DistFft3d::new(n, Decomp::Slabs).transpose_pair_bytes(p, p, 0);
-            assert_eq!(plan.transposes[1].peers, slab[1..], "n={n} p={p}");
+            assert_eq!(expand(&plan.transposes[1]), slab[1..], "n={n} p={p}");
         }
     }
 
@@ -129,7 +179,7 @@ mod tests {
             let pencils = DistFft3d::new(n, Decomp::Pencils).plan(p);
             assert_eq!(lines.transposes.len(), pencils.transposes.len());
             for (l, c) in lines.transposes.iter().zip(&pencils.transposes) {
-                assert_eq!(l.peers, c.peers, "n={n}");
+                assert_eq!(l.runs, c.runs, "n={n}");
             }
         }
     }
@@ -139,7 +189,52 @@ mod tests {
         // 64³ over 1024 ranks: rank 0 reads from 16 then 64 owners, itself
         // included, so one transform pays 15 + 63 exchange rounds.
         let plan = TransposePlan::lines(64, 1024);
-        let rounds: Vec<usize> = plan.transposes.iter().map(|t| t.peers.len()).collect();
+        let rounds: Vec<usize> = plan.transposes.iter().map(Transpose::peers).collect();
         assert_eq!(rounds, [15, 63]);
+    }
+
+    #[test]
+    fn closed_form_runs_expand_to_the_pair_bytes_and_chunk_exactly() {
+        // Slabs and pencils over every rank count up to 70, past each
+        // decomposition's limit too: there rank 0's share can hold fewer
+        // bytes than its group has members (`base == 0`), and the partners
+        // left without a byte must be dropped.
+        let mut silent = 0;
+        for n in [2usize, 3, 5, 8, 16] {
+            for decomp in [Decomp::Slabs, Decomp::Pencils] {
+                for p in 1..=70 {
+                    let cost = DistFft3d::new(n, decomp);
+                    let plan = cost.plan(p);
+                    let t = &plan.transposes[0];
+                    assert!(t.runs.len() <= 2, "n={n} {decomp:?} p={p}: {:?}", t.runs);
+                    let pairs = cost.transpose_pair_bytes(p, t.group, 0);
+                    let remote: Vec<u64> = pairs[1..].iter().copied().filter(|&b| b > 0).collect();
+                    silent += pairs.len() - 1 - remote.len();
+                    assert_eq!(expand(t), remote, "n={n} {decomp:?} p={p}");
+                    check_chunks(t, &remote);
+                }
+            }
+        }
+        assert!(silent > 0, "some rank count leaves a partner silent");
+        // Runs from the raw constructor: empty ones dropped, equal
+        // neighbours merged.
+        let t = Transpose::new(8, [(2, 5), (3, 0), (1, 5), (0, 7), (2, 4)]);
+        assert_eq!(t.runs, [(3, 5), (2, 4)]);
+        check_chunks(&t, &[5, 5, 5, 4, 4]);
+    }
+
+    /// Every pipeline chunk `[j·m/k, (j+1)·m/k)` the costed transform posts
+    /// carries the slice sums of the per-partner volumes, for k = 1…8.
+    fn check_chunks(t: &Transpose, remote: &[u64]) {
+        let m = remote.len();
+        assert_eq!(t.peers(), m);
+        assert_eq!(t.totals(), (m, remote.iter().sum()));
+        for k in 1..=8 {
+            for j in 0..k {
+                let (lo, hi) = (j * m / k, (j + 1) * m / k);
+                let want = (hi - lo, remote[lo..hi].iter().sum::<u64>());
+                assert_eq!(t.span(lo, hi), want, "k={k} j={j} {:?}", t.runs);
+            }
+        }
     }
 }

@@ -32,20 +32,20 @@ pub fn allreduce_time(net: &Network, p: usize, bytes: u64) -> SimTime {
     lat + SimTime::from_secs(vol)
 }
 
-/// All-to-all with variable per-pair payloads: pairwise exchange where round
-/// `r` moves `pair_bytes[r]` between this rank and its `r`-th peer, so the
-/// cost is `Σ_r (α + pair_bytes[r] β_global)` — the β is derated by the
-/// fabric's bisection factor because all-to-all stresses the global links.
-/// This is the transpose cost at the heart of the GESTS PSDNS solver (§3.3).
-/// With ragged payloads (non-square pencil grids) it charges the true volume
-/// instead of rounding every round up to the maximum pair.
-pub fn alltoallv_time(net: &Network, pair_bytes: &[u64]) -> SimTime {
-    if pair_bytes.is_empty() {
+/// All-to-all with variable per-pair payloads: pairwise exchange where each
+/// of the pacing rank's `peers` rounds moves that round's payload between
+/// the rank and one remote partner, so the cost is
+/// `peers · α + bytes · β_global`, with `bytes` the rank's total over all
+/// rounds — the β is derated by the fabric's bisection factor because
+/// all-to-all stresses the global links. This is the transpose cost at the
+/// heart of the GESTS PSDNS solver (§3.3). With ragged payloads
+/// (non-square pencil grids) it charges the true volume instead of
+/// rounding every round up to the maximum pair.
+pub fn alltoallv_time(net: &Network, peers: usize, bytes: u64) -> SimTime {
+    if peers == 0 {
         return SimTime::ZERO;
     }
-    let rounds = pair_bytes.len() as f64;
-    let vol: u64 = pair_bytes.iter().sum();
-    net.alpha() * rounds + SimTime::from_secs(vol as f64 * net.beta_global())
+    net.alpha() * peers as f64 + SimTime::from_secs(bytes as f64 * net.beta_global())
 }
 
 /// Gather to a root (each rank contributes `bytes`): binomial tree with
@@ -98,7 +98,7 @@ mod tests {
     fn single_rank_collectives_are_free() {
         let n = net();
         assert_eq!(allreduce_time(&n, 1, 1 << 20), SimTime::ZERO);
-        assert_eq!(alltoallv_time(&n, &[]), SimTime::ZERO);
+        assert_eq!(alltoallv_time(&n, 0, 0), SimTime::ZERO);
         assert_eq!(gather_time(&n, 1, 1 << 20), SimTime::ZERO);
         assert_eq!(scan_time(&n, 1, 1 << 20), SimTime::ZERO);
     }
@@ -126,8 +126,8 @@ mod tests {
     #[test]
     fn alltoallv_grows_linearly_in_peers() {
         let n = net();
-        let t1 = alltoallv_time(&n, &[4096; 255]);
-        let t2 = alltoallv_time(&n, &[4096; 511]);
+        let t1 = alltoallv_time(&n, 255, 255 * 4096);
+        let t2 = alltoallv_time(&n, 511, 511 * 4096);
         let r = t2 / t1;
         assert!(r > 1.9 && r < 2.1, "r {r}");
     }
@@ -135,12 +135,12 @@ mod tests {
     #[test]
     fn alltoallv_pays_bisection_derating() {
         let n = net();
-        let pairs = [1 << 20; 127];
-        let derated = alltoallv_time(&n, &pairs);
+        let (peers, bytes) = (127, 127 << 20);
+        let derated = alltoallv_time(&n, peers, bytes);
         // Rebuild with full bisection for comparison.
         let mut full = net();
         full.model.bisection_factor = 1.0;
-        let ideal = alltoallv_time(&full, &pairs);
+        let ideal = alltoallv_time(&full, peers, bytes);
         assert!(derated > ideal);
     }
 
@@ -149,10 +149,8 @@ mod tests {
         let n = net();
         // 63 pairs, one big and the rest small: the old max-rounding model
         // charged 63 × big.
-        let mut pairs = vec![1u64 << 10; 63];
-        pairs[0] = 1 << 20;
-        let v = alltoallv_time(&n, &pairs);
-        let rounded = alltoallv_time(&n, &[1 << 20; 63]);
+        let v = alltoallv_time(&n, 63, (1 << 20) + 62 * (1 << 10));
+        let rounded = alltoallv_time(&n, 63, 63 << 20);
         assert!(v < rounded);
     }
 

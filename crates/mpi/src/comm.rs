@@ -420,13 +420,13 @@ impl Comm {
     /// Cost-only all-to-all with variable per-pair payloads, running
     /// concurrently inside disjoint groups of `group` ranks: the whole
     /// communicator (`group == size`), or the row/column communicators of a
-    /// 2-D pencil grid. `pair_bytes[r]` is what one rank exchanges with its
-    /// `r`-th remote peer (exclude the resident share). Every rank runs the
+    /// 2-D pencil grid. One rank exchanges `bytes` in total with `peers`
+    /// remote partners (exclude the resident share). Every rank runs the
     /// same schedule and all groups proceed in parallel, so the charge is
-    /// one rank's sum of rounds and the volume is `Σ pair_bytes × size`.
-    pub fn alltoallv(&mut self, group: usize, pair_bytes: &[u64]) -> SimTime {
+    /// one rank's sum of rounds and the volume is `bytes × size`.
+    pub fn alltoallv(&mut self, group: usize, peers: usize, bytes: u64) -> SimTime {
         let names = ["alltoallv", "alltoallv_grouped"];
-        let (name, cost, vol) = self.alltoallv_parts(names, group, pair_bytes);
+        let (name, cost, vol) = self.alltoallv_parts(names, group, peers, bytes);
         self.collective(name, cost, vol)
     }
 
@@ -437,15 +437,13 @@ impl Comm {
         &self,
         names: [&'static str; 2],
         group: usize,
-        pair_bytes: &[u64],
+        peers: usize,
+        bytes: u64,
     ) -> (&'static str, SimTime, u64) {
         assert!(group >= 1 && group <= self.size());
-        assert!(
-            pair_bytes.len() < group,
-            "more peers than remote group members"
-        );
-        let cost = coll::alltoallv_time(&self.net, pair_bytes);
-        let vol = pair_bytes.iter().sum::<u64>() * self.size() as u64;
+        assert!(peers < group, "more peers than remote group members");
+        let cost = coll::alltoallv_time(&self.net, peers, bytes);
+        let vol = bytes * self.size() as u64;
         (names[usize::from(group < self.size())], cost, vol)
     }
 
@@ -529,8 +527,8 @@ mod tests {
     fn grouped_alltoall_cheaper_than_global() {
         let mut a = comm(64);
         let mut b = comm(64);
-        a.alltoallv(64, &[1 << 16; 63]);
-        b.alltoallv(8, &[1 << 16; 7]);
+        a.alltoallv(64, 63, 63 << 16);
+        b.alltoallv(8, 7, 7 << 16);
         assert!(b.elapsed() < a.elapsed());
     }
 
@@ -539,8 +537,8 @@ mod tests {
         let net = Network::from_machine(&MachineModel::frontier());
         let mut aware = Comm::new(16, net.clone().with_gpu_aware(true));
         let mut staged = Comm::new(16, net.with_gpu_aware(false));
-        aware.alltoallv(16, &[1 << 20; 15]);
-        staged.alltoallv(16, &[1 << 20; 15]);
+        aware.alltoallv(16, 15, 15 << 20);
+        staged.alltoallv(16, 15, 15 << 20);
         assert!(staged.elapsed() > aware.elapsed() * 1.5);
     }
 

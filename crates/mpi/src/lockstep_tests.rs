@@ -136,8 +136,8 @@ fn priced(net: &Network, coll: Coll, bytes: u64) -> (SimTime, u64) {
         Coll::Scan => (coll::scan_time(net, RANKS, bytes), bytes),
         Coll::Alltoallv => {
             let pairs = pair_bytes(bytes);
-            let vol = pairs.iter().sum::<u64>() * r;
-            (coll::alltoallv_time(net, &pairs), vol)
+            let total = pairs.iter().sum::<u64>();
+            (coll::alltoallv_time(net, pairs.len(), total), total * r)
         }
         Coll::Halo => (
             coll::halo_time(net, NEIGHBORS, bytes),
@@ -283,9 +283,9 @@ impl Reference {
                 let m = pairs.len();
                 let post = |me: &mut Self, j: usize| {
                     let chunk = &pairs[j * m / chunks..(j + 1) * m / chunks];
-                    let cost = coll::alltoallv_time(&me.net, chunk);
-                    let vol = chunk.iter().sum::<u64>() * RANKS as u64;
-                    me.post(cost, vol)
+                    let total = chunk.iter().sum::<u64>();
+                    let cost = coll::alltoallv_time(&me.net, chunk.len(), total);
+                    me.post(cost, total * RANKS as u64)
                 };
                 let charge =
                     |me: &mut Self, dt: SimTime| me.clocks.iter_mut().for_each(|c| *c += dt);
@@ -343,7 +343,10 @@ fn apply(comm: &mut Comm, sched: &RankScheduler, op: Op) {
                 Coll::BcastGrouped => comm.bcast_grouped(GROUP, bytes),
                 Coll::Gather => comm.gather(bytes),
                 Coll::Scan => comm.scan(bytes),
-                Coll::Alltoallv => comm.alltoallv(RANKS, &pair_bytes(bytes)),
+                Coll::Alltoallv => {
+                    let pairs = pair_bytes(bytes);
+                    comm.alltoallv(RANKS, pairs.len(), pairs.iter().sum())
+                }
                 Coll::Halo => comm.halo_exchange(NEIGHBORS, bytes),
             };
         }
@@ -360,7 +363,10 @@ fn apply(comm: &mut Comm, sched: &RankScheduler, op: Op) {
                 comm,
                 chunks,
                 |c, _| c.advance_all(produce),
-                |c, j| c.ialltoallv(RANKS, &pairs[j * m / chunks..(j + 1) * m / chunks]),
+                |c, j| {
+                    let chunk = &pairs[j * m / chunks..(j + 1) * m / chunks];
+                    c.ialltoallv(RANKS, chunk.len(), chunk.iter().sum())
+                },
                 |c, _| c.advance_all(consume),
             );
         }
@@ -446,8 +452,8 @@ fn costed_runs_hold_no_per_rank_state() {
     let mut comm = Comm::new(1 << 15, net());
     comm.advance_all(us(3.0));
     comm.allreduce(1 << 10);
-    comm.alltoallv(181, &[1 << 12; 180]);
-    let req = comm.ialltoallv(181, &[1 << 12; 90]);
+    comm.alltoallv(181, 180, 180 << 12);
+    let req = comm.ialltoallv(181, 90, 90 << 12);
     comm.advance_all(us(1.0));
     req.wait(&mut comm);
     Overlap::pipeline(

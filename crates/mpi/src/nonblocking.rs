@@ -133,9 +133,9 @@ impl Comm {
     }
 
     /// Split-phase variable-size all-to-all ([`Comm::alltoallv`]).
-    pub fn ialltoallv(&mut self, group: usize, pair_bytes: &[u64]) -> Request {
+    pub fn ialltoallv(&mut self, group: usize, peers: usize, bytes: u64) -> Request {
         let names = ["ialltoallv", "ialltoallv_grouped"];
-        let (name, cost, vol) = self.alltoallv_parts(names, group, pair_bytes);
+        let (name, cost, vol) = self.alltoallv_parts(names, group, peers, bytes);
         self.post(name, cost, vol)
     }
 
@@ -206,18 +206,20 @@ mod tests {
         Comm::new(p, Network::from_machine(&MachineModel::frontier()))
     }
 
-    /// Every rank exchanges `bytes` with each of its `p − 1` peers.
-    fn pairs(p: usize, bytes: u64) -> Vec<u64> {
-        vec![bytes; p - 1]
+    /// Every rank exchanges `bytes` with each of its `p − 1` peers: the
+    /// partner count and one rank's total.
+    fn uniform(p: usize, bytes: u64) -> (usize, u64) {
+        (p - 1, (p as u64 - 1) * bytes)
     }
 
     #[test]
     fn immediate_wait_equals_blocking() {
         let mut nb = comm(16);
         let mut bl = comm(16);
-        let req = nb.ialltoallv(16, &pairs(16, 1 << 20));
+        let (peers, vol) = uniform(16, 1 << 20);
+        let req = nb.ialltoallv(16, peers, vol);
         let t_nb = req.wait(&mut nb);
-        let t_bl = bl.alltoallv(16, &pairs(16, 1 << 20));
+        let t_bl = bl.alltoallv(16, peers, vol);
         assert_eq!(t_nb, t_bl);
         assert_eq!(nb.elapsed(), bl.elapsed());
         // Nothing was hidden: the whole cost is residue.
@@ -229,7 +231,8 @@ mod tests {
     #[test]
     fn full_overlap_hides_the_whole_cost() {
         let mut c = comm(16);
-        let req = c.ialltoallv(16, &pairs(16, 1 << 20));
+        let (peers, vol) = uniform(16, 1 << 20);
+        let req = c.ialltoallv(16, peers, vol);
         let cost = req.cost();
         assert!(cost > SimTime::ZERO);
         c.advance_all(cost * 2.0); // compute longer than the flight time
@@ -259,8 +262,9 @@ mod tests {
     #[test]
     fn inflight_operations_serialise_on_the_fabric() {
         let mut c = comm(8);
-        let r1 = c.ialltoallv(8, &pairs(8, 1 << 18));
-        let r2 = c.ialltoallv(8, &pairs(8, 1 << 18));
+        let (peers, vol) = uniform(8, 1 << 18);
+        let r1 = c.ialltoallv(8, peers, vol);
+        let r2 = c.ialltoallv(8, peers, vol);
         assert_eq!(r2.start(), r1.finish(), "one injection pipe");
         r1.wait(&mut c);
         let done = r2.wait(&mut c);
@@ -270,7 +274,8 @@ mod tests {
     #[test]
     fn blocking_collective_stalls_behind_inflight_traffic() {
         let mut c = comm(8);
-        let req = c.ialltoallv(8, &pairs(8, 1 << 20));
+        let (peers, vol) = uniform(8, 1 << 20);
+        let req = c.ialltoallv(8, peers, vol);
         let t_allreduce = c.allreduce(8); // must queue behind the alltoallv
         assert!(t_allreduce > req.finish());
         assert!(c.stats().wait > SimTime::ZERO);
@@ -301,12 +306,12 @@ mod tests {
         let p = 8;
         let chunks = 4;
         let work = SimTime::from_micros(400.0);
-        let bytes = pairs(p, 4 << 20);
+        let (peers, vol) = uniform(p, 4 << 20);
 
         let mut serial = comm(p);
         for _ in 0..chunks {
             serial.advance_all(work);
-            serial.alltoallv(p, &bytes);
+            serial.alltoallv(p, peers, vol);
         }
         let t_serial = serial.elapsed();
 
@@ -315,13 +320,13 @@ mod tests {
             &mut over,
             chunks,
             |c, _| c.advance_all(work),
-            |c, _| c.ialltoallv(p, &bytes),
+            |c, _| c.ialltoallv(p, peers, vol),
             |_, _| {},
         );
         assert!(t_over < t_serial, "overlap {t_over} vs serial {t_serial}");
 
         // No free lunch: the pipeline can't beat comm-only or compute-only.
-        let comm_only = coll::alltoallv_time(serial.network(), &bytes) * chunks as f64;
+        let comm_only = coll::alltoallv_time(serial.network(), peers, vol) * chunks as f64;
         let compute_only = work * chunks as f64;
         assert!(t_over >= comm_only.max(compute_only));
         let eff = over.stats().overlap_efficiency();
@@ -372,7 +377,8 @@ mod tests {
         let collector = exa_telemetry::TelemetryCollector::shared();
         let mut c = comm(4);
         c.attach_telemetry(&collector, "nb");
-        let req = c.ialltoallv(4, &pairs(4, 1 << 16));
+        let (peers, vol) = uniform(4, 1 << 16);
+        let req = c.ialltoallv(4, peers, vol);
         c.advance_all(SimTime::from_micros(200.0));
         req.wait(&mut c);
         c.absorb_telemetry();

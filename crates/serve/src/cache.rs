@@ -2,38 +2,96 @@
 //!
 //! Keys are canonical query strings ([`crate::Query::key`]); the shard is
 //! picked by FNV-1a over the key so placement is stable across runs and
-//! thread counts. Each shard tracks a per-shard use tick that increments
-//! on every touch, so recency values are unique within a shard and
-//! eviction (drop the minimum tick) is deterministic even though the
-//! backing `HashMap`'s iteration order is not.
+//! thread counts. Each shard keeps its entries on a recency list, least
+//! recently used first, so eviction (drop the head) is deterministic even
+//! though the backing `HashMap`'s iteration order is not. The list is
+//! linked by slot index, so a touch, an insert and an eviction each cost
+//! O(1) whatever the shard's capacity, and the map and the list share one
+//! allocation per key.
 //!
 //! The service probes and inserts serially during batch merge, so the
-//! cache never needs to be shared across threads; sharding exists to
-//! bound eviction-scan cost and to expose per-shard occupancy as a
-//! gauge, mirroring how a production server would partition its lock.
+//! cache never needs to be shared across threads; sharding exposes
+//! per-shard occupancy as a gauge, mirroring how a production server
+//! would partition its lock.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
-struct Entry<V> {
+/// End of a recency list.
+const NIL: usize = usize::MAX;
+
+/// One entry, linked to its neighbours on the shard's recency list.
+struct Slot<V> {
+    key: Arc<str>,
     value: V,
-    last_use: u64,
+    older: usize,
+    newer: usize,
 }
 
 struct Shard<V> {
-    map: HashMap<String, Entry<V>>,
-    tick: u64,
+    /// Key → its slot.
+    map: HashMap<Arc<str>, usize>,
+    /// Grows to the shard's capacity; from then on a new key takes over
+    /// the evicted key's slot. Emptied only by a clear.
+    slots: Vec<Slot<V>>,
+    /// Least and most recently used slots ([`NIL`] when empty).
+    oldest: usize,
+    newest: usize,
+}
+
+impl<V> Shard<V> {
+    fn unlink(&mut self, i: usize) {
+        let (older, newer) = (self.slots[i].older, self.slots[i].newer);
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    fn push_newest(&mut self, i: usize) {
+        self.slots[i].older = self.newest;
+        self.slots[i].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Mark slot `i` most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.newest != i {
+            self.unlink(i);
+            self.push_newest(i);
+        }
+    }
 }
 
 /// Shard count for a service running on `threads` workers: four shards
 /// per worker, rounded up to a power of two and clamped to `[1, 64]` —
 /// enough spread that concurrent batches rarely contend on one shard's
-/// recency clock, without fragmenting capacity at small thread counts.
+/// recency list, without fragmenting capacity at small thread counts.
 ///
 /// Shard count never changes *what* is answered — keys hash to shards
 /// deterministically and eviction is per shard — it only moves the
 /// occupancy/eviction boundaries, which the RED metrics surface.
 pub fn auto_shards(threads: usize) -> usize {
     (threads.max(1) * 4).next_power_of_two().clamp(1, 64)
+}
+
+/// The shard of `key` among `shards`: FNV-1a, 64-bit, so placement is
+/// stable across platforms and runs.
+fn shard_of(key: &str, shards: usize) -> usize {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in key.bytes() {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    (hash % shards as u64) as usize
 }
 
 /// Sharded least-recently-used cache with a fixed per-shard capacity.
@@ -51,66 +109,70 @@ impl<V: Clone> ShardedLru<V> {
             shards: (0..shards)
                 .map(|_| Shard {
                     map: HashMap::new(),
-                    tick: 0,
+                    slots: Vec::new(),
+                    oldest: NIL,
+                    newest: NIL,
                 })
                 .collect(),
             capacity_per_shard: capacity_per_shard.max(1),
         }
     }
 
-    fn shard_index(&self, key: &str) -> usize {
-        // FNV-1a, 64-bit: stable across platforms and runs.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in key.bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        (hash % self.shards.len() as u64) as usize
-    }
-
     /// Look up `key`, bumping its recency on a hit.
     pub fn get(&mut self, key: &str) -> Option<V> {
-        let idx = self.shard_index(key);
+        let idx = shard_of(key, self.shards.len());
         let shard = &mut self.shards[idx];
-        shard.tick += 1;
-        let tick = shard.tick;
-        let entry = shard.map.get_mut(key)?;
-        entry.last_use = tick;
-        Some(entry.value.clone())
+        let i = *shard.map.get(key)?;
+        shard.touch(i);
+        Some(shard.slots[i].value.clone())
     }
 
     /// Insert (or refresh) `key`, evicting the least-recently-used entry
     /// of its shard if the shard is full.
     pub fn insert(&mut self, key: &str, value: V) {
-        let idx = self.shard_index(key);
-        let capacity = self.capacity_per_shard;
+        self.put(key, value);
+    }
+
+    /// [`ShardedLru::insert`], returning the evicted key.
+    fn put(&mut self, key: &str, value: V) -> Option<Arc<str>> {
+        let idx = shard_of(key, self.shards.len());
+        let full = self.shards[idx].slots.len() >= self.capacity_per_shard;
         let shard = &mut self.shards[idx];
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(entry) = shard.map.get_mut(key) {
-            entry.value = value;
-            entry.last_use = tick;
-            return;
-        }
-        if shard.map.len() >= capacity {
-            // Ticks are unique within a shard, so the minimum is unique
-            // and eviction is deterministic.
-            if let Some(victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| k.clone())
-            {
-                shard.map.remove(&victim);
+        // One hash lookup places a new key; a refresh (rare: the service
+        // inserts only after a miss) pays for the key it then drops. A new
+        // key takes the oldest slot when the shard is full.
+        let key: Arc<str> = Arc::from(key);
+        let i = match shard.map.entry(Arc::clone(&key)) {
+            Entry::Occupied(e) => {
+                let i = *e.get();
+                shard.slots[i].value = value;
+                shard.touch(i);
+                return None;
             }
-        }
-        shard.map.insert(
-            key.to_string(),
-            Entry {
+            Entry::Vacant(e) => *e.insert(if full {
+                shard.oldest
+            } else {
+                shard.slots.len()
+            }),
+        };
+        let victim = if full {
+            shard.unlink(i);
+            let slot = &mut shard.slots[i];
+            slot.value = value;
+            let victim = std::mem::replace(&mut slot.key, key);
+            shard.map.remove(&victim);
+            Some(victim)
+        } else {
+            shard.slots.push(Slot {
+                key,
                 value,
-                last_use: tick,
-            },
-        );
+                older: NIL,
+                newer: NIL,
+            });
+            None
+        };
+        shard.push_newest(i);
+        victim
     }
 
     /// Total live entries across all shards.
@@ -133,10 +195,13 @@ impl<V: Clone> ShardedLru<V> {
         self.shards.iter().map(|s| s.map.len()).collect()
     }
 
-    /// Drop every entry, keeping shard structure and recency clocks.
+    /// Drop every entry, keeping the shard structure.
     pub fn clear(&mut self) {
         for shard in &mut self.shards {
             shard.map.clear();
+            shard.slots.clear();
+            shard.oldest = NIL;
+            shard.newest = NIL;
         }
     }
 }
@@ -144,6 +209,118 @@ impl<V: Clone> ShardedLru<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The eviction the recency list replaced, kept as the oracle: each
+    /// touch stamps an entry with its shard's next tick, and a full shard
+    /// scans every entry for the minimum.
+    struct FullScan {
+        shards: Vec<ScanShard>,
+        capacity: usize,
+    }
+
+    /// Value and last-use tick per key, and the shard's tick.
+    #[derive(Default)]
+    struct ScanShard {
+        map: HashMap<String, (u32, u64)>,
+        tick: u64,
+    }
+
+    impl FullScan {
+        fn new(shards: usize, capacity: usize) -> Self {
+            FullScan {
+                shards: (0..shards.max(1)).map(|_| ScanShard::default()).collect(),
+                capacity: capacity.max(1),
+            }
+        }
+
+        fn get(&mut self, key: &str) -> Option<u32> {
+            let idx = shard_of(key, self.shards.len());
+            let shard = &mut self.shards[idx];
+            shard.tick += 1;
+            let entry = shard.map.get_mut(key)?;
+            entry.1 = shard.tick;
+            Some(entry.0)
+        }
+
+        fn put(&mut self, key: &str, value: u32) -> Option<String> {
+            let idx = shard_of(key, self.shards.len());
+            let shard = &mut self.shards[idx];
+            shard.tick += 1;
+            if let Some(entry) = shard.map.get_mut(key) {
+                *entry = (value, shard.tick);
+                return None;
+            }
+            let mut victim = None;
+            if shard.map.len() >= self.capacity {
+                victim = shard
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(k, _)| k.clone());
+                if let Some(v) = &victim {
+                    shard.map.remove(v);
+                }
+            }
+            shard.map.insert(key.to_string(), (value, shard.tick));
+            victim
+        }
+
+        fn clear(&mut self) {
+            self.shards.iter_mut().for_each(|s| s.map.clear());
+        }
+
+        fn occupancy(&self) -> Vec<usize> {
+            self.shards.iter().map(|s| s.map.len()).collect()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Get(u8),
+        Insert(u8, u32),
+        Clear,
+    }
+
+    /// Gets and inserts over 24 keys, one clear in about 17 steps.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..17, 0u8..24, 0u32..1000).prop_map(|(kind, k, v)| match kind {
+            0..8 => Op::Get(k),
+            8..16 => Op::Insert(k, v),
+            _ => Op::Clear,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn recency_list_evicts_what_the_full_scan_did(
+            shards in 1usize..4,
+            capacity in 1usize..6,
+            ops in prop::collection::vec(op(), 1..200),
+        ) {
+            let mut cache: ShardedLru<u32> = ShardedLru::new(shards, capacity);
+            let mut oracle = FullScan::new(shards, capacity);
+            for (i, o) in ops.iter().enumerate() {
+                match *o {
+                    Op::Get(k) => {
+                        let key = format!("k{k}");
+                        prop_assert_eq!(cache.get(&key), oracle.get(&key), "op {}", i);
+                    }
+                    Op::Insert(k, v) => {
+                        let key = format!("k{k}");
+                        let victim = cache.put(&key, v).map(|k| k.to_string());
+                        prop_assert_eq!(victim, oracle.put(&key, v), "op {}", i);
+                    }
+                    Op::Clear => {
+                        cache.clear();
+                        oracle.clear();
+                    }
+                }
+                prop_assert_eq!(cache.len(), oracle.occupancy().iter().sum::<usize>());
+                prop_assert_eq!(cache.shard_occupancy(), oracle.occupancy());
+            }
+        }
+    }
 
     #[test]
     fn get_after_insert_hits() {

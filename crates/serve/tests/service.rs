@@ -177,6 +177,12 @@ fn cached_answer_is_bit_identical_to_cold_evaluation_for_every_table2_app() {
     }
 }
 
+/// Wall samples per app and epoch in the SLO drill. The p99 of `n`
+/// samples is the one of rank ⌈0.99·n⌉, so at 512 the five slowest
+/// samples never set it: a few preempted queries cannot trip an epoch.
+/// At 8 samples the p99 was the maximum, and one preemption tripped it.
+const EPOCH_SAMPLES: usize = 512;
+
 #[test]
 fn slo_drill_flips_the_drilled_app_to_fail_and_names_it() {
     // Epochs use cache-busting dead knobs (matching no span) so every
@@ -190,7 +196,7 @@ fn slo_drill_flips_the_drilled_app_to_fail_and_names_it() {
     let mut p99s: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for epoch in 0..5 {
         for app in apps {
-            for rep in 0..8 {
+            for rep in 0..EPOCH_SAMPLES {
                 let q = vec![format!(
                     "app={app} machine=Frontier knob:__epoch{epoch}_{rep}=1.0"
                 )];
@@ -207,7 +213,7 @@ fn slo_drill_flips_the_drilled_app_to_fail_and_names_it() {
         extra_evals: 32,
     }));
     for app in apps {
-        for rep in 0..8 {
+        for rep in 0..EPOCH_SAMPLES {
             let q = vec![format!("app={app} machine=Frontier knob:__drill_{rep}=1.0")];
             svc.run_batch(&q);
         }

@@ -281,7 +281,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Add to a named counter (creating it at zero).
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        self.counters.entry(name.to_string()).or_default().add(v);
+        slot(&mut self.counters, name, Counter::default).add(v);
     }
 
     /// Read a counter (0 if never touched).
@@ -291,12 +291,12 @@ impl MetricsRegistry {
 
     /// Set a gauge to an explicit value.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        *slot(&mut self.gauges, name, || v) = v;
     }
 
     /// Raise a gauge to at least `v` (high-water marks).
     pub fn gauge_max(&mut self, name: &str, v: f64) {
-        let e = self.gauges.entry(name.to_string()).or_insert(v);
+        let e = slot(&mut self.gauges, name, || v);
         if v > *e {
             *e = v;
         }
@@ -304,8 +304,7 @@ impl MetricsRegistry {
 
     /// Accumulate virtual time under a name.
     pub fn time_add(&mut self, name: &str, t: SimTime) {
-        let e = self.times.entry(name.to_string()).or_insert(SimTime::ZERO);
-        *e += t;
+        *slot(&mut self.times, name, || SimTime::ZERO) += t;
     }
 
     /// Read an accumulated time (zero if never touched).
@@ -320,13 +319,13 @@ impl MetricsRegistry {
 
     /// Record one sample into a named histogram (creating it empty).
     pub fn hist_record(&mut self, name: &str, v: f64) {
-        self.hists.entry(name.to_string()).or_default().record(v);
+        slot(&mut self.hists, name, Histogram::default).record(v);
     }
 
     /// Fold a whole histogram into a named slot — the bulk path observers
     /// use when landing locally-accumulated distributions.
     pub fn hist_merge(&mut self, name: &str, h: &Histogram) {
-        self.hists.entry(name.to_string()).or_default().merge(h);
+        slot(&mut self.hists, name, Histogram::default).merge(h);
     }
 
     /// Read a histogram by name.
@@ -346,6 +345,19 @@ impl MetricsRegistry {
         self.times.clear();
         self.hists.clear();
     }
+}
+
+/// The series `name` of `map`, created by `init` on first use: the name is
+/// copied only then, so touching an existing series allocates nothing.
+fn slot<'a, T>(
+    map: &'a mut BTreeMap<String, T>,
+    name: &str,
+    init: impl FnOnce() -> T,
+) -> &'a mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), init());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 /// Anything that can pour its statistics into a [`MetricsRegistry`].

@@ -42,12 +42,13 @@ proptest! {
         bytes in 1u64..(8u64 << 20),
     ) {
         let work = SimTime::from_micros(work_us);
-        let pairs = vec![bytes; p - 1];
+        // Every rank exchanges `bytes` with each of its p − 1 peers.
+        let (peers, total) = (p - 1, bytes * (p as u64 - 1));
 
         let mut serial = frontier_comm(p);
         for _ in 0..chunks {
             serial.advance_all(work);
-            serial.alltoallv(p, &pairs);
+            serial.alltoallv(p, peers, total);
         }
         let t_serial = serial.elapsed();
 
@@ -56,12 +57,12 @@ proptest! {
             &mut over,
             chunks,
             |c, _| c.advance_all(work),
-            |c, _| c.ialltoallv(p, &pairs),
+            |c, _| c.ialltoallv(p, peers, total),
             |_, _| {},
         );
 
         prop_assert!(t_over <= t_serial, "overlapped {t_over} > serial {t_serial}");
-        let comm_total = collectives::alltoallv_time(over.network(), &pairs) * chunks as f64;
+        let comm_total = collectives::alltoallv_time(over.network(), peers, total) * chunks as f64;
         let compute_total = work * chunks as f64;
         prop_assert!(
             t_over >= comm_total.max(compute_total),

@@ -148,7 +148,7 @@ proptest! {
                 1 => { comm.halo_exchange(6, 1 << 10); }
                 2 => { comm.gather(8); }
                 3 => { comm.advance(1, SimTime::from_micros(5.0)); }
-                _ => { comm.alltoallv(4, &[256; 3]); }
+                _ => { comm.alltoallv(4, 3, 3 * 256); }
             }
             let now = comm.elapsed();
             prop_assert!(now >= last, "time went backwards: {now} < {last}");

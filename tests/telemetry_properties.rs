@@ -121,7 +121,7 @@ proptest! {
                 1 => { comm.bcast(bytes); expect_spans += ranks as u64; }
                 2 => { comm.gather(bytes); expect_spans += ranks as u64; }
                 3 => {
-                    comm.alltoallv(ranks, &vec![bytes; ranks - 1]);
+                    comm.alltoallv(ranks, ranks - 1, bytes * (ranks as u64 - 1));
                     expect_spans += ranks as u64;
                 }
                 _ => {
