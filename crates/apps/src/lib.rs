@@ -40,20 +40,28 @@ pub mod query;
 
 use exa_core::Application;
 
+/// A catalog entry: a name and the constructor of what it names.
+pub(crate) type Named<T> = (&'static str, fn() -> T);
+
+/// The ten applications in paper-section order: each paper name with the
+/// constructor of its model. The one list [`all_applications`],
+/// [`query::APP_NAMES`] and [`query::app_by_name`] read.
+pub(crate) const APPLICATIONS: [Named<Box<dyn Application>>; 10] = [
+    ("GAMESS", || Box::new(gamess::Gamess::default())),
+    ("LSMS", || Box::new(lsms::Lsms::default())),
+    ("GESTS", || Box::new(gests::Gests)),
+    ("ExaSky", || Box::new(exasky::ExaSky::default())),
+    ("E3SM", || Box::new(e3sm::E3sm)),
+    ("CoMet", || Box::new(comet::CoMet::default())),
+    ("NuCCOR", || Box::new(nuccor::Nuccor)),
+    ("Pele", || Box::new(pele::Pele)),
+    ("COAST", || Box::new(coast::Coast::default())),
+    ("LAMMPS", || Box::new(lammps::Lammps)),
+];
+
 /// All ten applications in paper-section order.
 pub fn all_applications() -> Vec<Box<dyn Application>> {
-    vec![
-        Box::new(gamess::Gamess::default()),
-        Box::new(lsms::Lsms::default()),
-        Box::new(gests::Gests),
-        Box::new(exasky::ExaSky::default()),
-        Box::new(e3sm::E3sm),
-        Box::new(comet::CoMet::default()),
-        Box::new(nuccor::Nuccor),
-        Box::new(pele::Pele),
-        Box::new(coast::Coast::default()),
-        Box::new(lammps::Lammps),
-    ]
+    APPLICATIONS.iter().map(|(_, new)| new()).collect()
 }
 
 /// The eight applications of Table 2 (observed speed-ups), in table order.

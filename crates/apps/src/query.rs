@@ -14,13 +14,15 @@ use exa_machine::MachineModel;
 use exa_telemetry::TelemetryCollector;
 use serde::Serialize;
 
-use crate::all_applications;
+use crate::{Named, APPLICATIONS};
 
-/// Construct an application by its paper name (case-insensitive).
+/// Construct an application by its paper name (case-insensitive). Only
+/// the named application is built.
 pub fn app_by_name(name: &str) -> Option<Box<dyn Application>> {
-    all_applications()
-        .into_iter()
-        .find(|a| a.name().eq_ignore_ascii_case(name))
+    APPLICATIONS
+        .iter()
+        .find(|(paper, _)| paper.eq_ignore_ascii_case(name))
+        .map(|(_, new)| new())
 }
 
 /// True when `name` names one of the ten applications. Allocation-free —
@@ -29,32 +31,46 @@ pub fn is_known_app(name: &str) -> bool {
     APP_NAMES.iter().any(|a| a.eq_ignore_ascii_case(name))
 }
 
-/// The ten application names, in paper-section order. Kept in sync with
-/// [`all_applications`] by a test.
-pub const APP_NAMES: [&str; 10] = [
-    "GAMESS", "LSMS", "GESTS", "ExaSky", "E3SM", "CoMet", "NuCCOR", "Pele", "COAST", "LAMMPS",
+/// The ten application names, in paper-section order: the names of
+/// [`crate::all_applications`]'s table.
+pub const APP_NAMES: [&str; 10] = names(&APPLICATIONS);
+
+/// The machine models the query layer resolves, in timeline order: each
+/// model's name with its constructor.
+const MACHINES: [Named<MachineModel>; 10] = [
+    ("Summit", MachineModel::summit),
+    ("Frontier", MachineModel::frontier),
+    ("Poplar", MachineModel::poplar),
+    ("Tulip", MachineModel::tulip),
+    ("Spock", MachineModel::spock),
+    ("Birch", MachineModel::birch),
+    ("Crusher", MachineModel::crusher),
+    ("Cori", MachineModel::cori),
+    ("Theta", MachineModel::theta),
+    ("Eagle", MachineModel::eagle),
 ];
 
 /// The machine-model names the query layer resolves, in timeline order.
-pub const MACHINE_NAMES: [&str; 10] = [
-    "Summit", "Frontier", "Poplar", "Tulip", "Spock", "Birch", "Crusher", "Cori", "Theta", "Eagle",
-];
+pub const MACHINE_NAMES: [&str; 10] = names(&MACHINES);
 
-/// Construct a machine model by name (case-insensitive).
+/// The name column of a constructor table.
+const fn names<T>(table: &[Named<T>; 10]) -> [&'static str; 10] {
+    let mut out = [""; 10];
+    let mut i = 0;
+    while i < out.len() {
+        out[i] = table[i].0;
+        i += 1;
+    }
+    out
+}
+
+/// Construct a machine model by name (case-insensitive). Only the named
+/// model is built.
 pub fn machine_by_name(name: &str) -> Option<MachineModel> {
-    let all = [
-        MachineModel::summit(),
-        MachineModel::frontier(),
-        MachineModel::poplar(),
-        MachineModel::tulip(),
-        MachineModel::spock(),
-        MachineModel::birch(),
-        MachineModel::crusher(),
-        MachineModel::cori(),
-        MachineModel::theta(),
-        MachineModel::eagle(),
-    ];
-    all.into_iter().find(|m| m.name.eq_ignore_ascii_case(name))
+    MACHINES
+        .iter()
+        .find(|(model, _)| model.eq_ignore_ascii_case(name))
+        .map(|(_, new)| new())
 }
 
 /// True when `name` names a known machine model. Allocation-free.
@@ -85,10 +101,11 @@ pub struct QueryAnswer {
     pub spans: u64,
 }
 
-/// Evaluate one query cold: build the app and machine, apply the node
-/// override (0 keeps the model's full scale), run the profiled challenge
-/// problem under a scratch collector and the scenario the knobs and tag
-/// describe (one injection per knob), and return the answer. `None` when
+/// Evaluate one query cold: build the named app and machine (nothing else
+/// from either catalog), apply the node override (0 keeps the model's
+/// full scale), run the profiled challenge problem under a scratch
+/// collector and the scenario the knobs and tag describe (one injection
+/// per knob), and return the answer. `None` when
 /// the app or machine name is unknown, or when the app needs GPUs and the
 /// machine has none (every app but Pele on Cori, Theta and Eagle).
 pub fn evaluate_query(
@@ -133,35 +150,47 @@ pub fn evaluate_query(
 mod tests {
     use super::*;
 
+    /// Every name, as listed and in lower and upper case, looks up the
+    /// entry the catalog holds at its position; unknown names give `None`.
     #[test]
-    fn app_names_match_all_applications() {
-        let apps = all_applications();
+    fn lookups_resolve_every_name_to_its_catalog_entry() {
+        let casings = |name: &str| [name.to_string(), name.to_lowercase(), name.to_uppercase()];
+        let apps = crate::all_applications();
         assert_eq!(apps.len(), APP_NAMES.len());
         for (app, name) in apps.iter().zip(APP_NAMES) {
-            assert_eq!(
-                app.name(),
-                name,
-                "APP_NAMES out of sync with all_applications"
-            );
-            assert!(is_known_app(name));
-            assert!(
-                app_by_name(&name.to_ascii_lowercase()).is_some(),
-                "lookup is case-blind"
-            );
+            assert_eq!(app.name(), name, "APP_NAMES out of order");
+            for spelled in casings(name) {
+                assert!(is_known_app(&spelled), "{spelled}");
+                let found = app_by_name(&spelled).expect("known application");
+                assert_eq!(found.name(), app.name(), "{spelled}");
+            }
         }
-        assert!(!is_known_app("HPL"));
-        assert!(app_by_name("HPL").is_none());
-    }
-
-    #[test]
-    fn machine_names_resolve() {
-        for name in MACHINE_NAMES {
-            let m = machine_by_name(name).expect("known machine");
-            assert_eq!(m.name, name);
-            assert!(is_known_machine(&name.to_ascii_uppercase()));
+        let machines = [
+            MachineModel::summit(),
+            MachineModel::frontier(),
+            MachineModel::poplar(),
+            MachineModel::tulip(),
+            MachineModel::spock(),
+            MachineModel::birch(),
+            MachineModel::crusher(),
+            MachineModel::cori(),
+            MachineModel::theta(),
+            MachineModel::eagle(),
+        ];
+        assert_eq!(machines.len(), MACHINE_NAMES.len());
+        for (machine, name) in machines.iter().zip(MACHINE_NAMES) {
+            assert_eq!(machine.name, name, "MACHINE_NAMES out of order");
+            for spelled in casings(name) {
+                assert!(is_known_machine(&spelled), "{spelled}");
+                let found = machine_by_name(&spelled).expect("known machine");
+                assert_eq!(format!("{found:?}"), format!("{machine:?}"), "{spelled}");
+            }
         }
-        assert!(machine_by_name("Aurora").is_none());
-        assert!(!is_known_machine("Aurora"));
+        for unknown in ["HPL", "Aurora", "", "Frontier2", "GESTS "] {
+            assert!(app_by_name(unknown).is_none(), "{unknown:?}");
+            assert!(machine_by_name(unknown).is_none(), "{unknown:?}");
+            assert!(!is_known_app(unknown) && !is_known_machine(unknown));
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! silently evaluated something else would poison the cache under its
 //! wrong name.
 
+use std::fmt::Write;
+
 use exa_apps::query::{is_known_app, is_known_machine};
 use serde::Serialize;
 
@@ -69,16 +71,15 @@ impl Query {
     /// distinct queries, parsed or built, never share a key. A value with
     /// neither character is copied as is.
     pub fn key(&self) -> String {
-        let mut key = String::new();
+        let mut key = String::with_capacity(64);
         push_escaped(&mut key, &self.app);
         key.push('|');
         push_escaped(&mut key, &self.machine);
-        key.push_str(&format!("|{}", self.nodes));
+        write!(key, "|{}", self.nodes).expect("a String takes any write");
         for (needle, factor) in &self.knobs {
             key.push('|');
             push_escaped(&mut key, needle);
-            key.push('=');
-            key.push_str(&format!("{:016x}", factor.to_bits()));
+            write!(key, "={:016x}", factor.to_bits()).expect("a String takes any write");
         }
         key.push('|');
         push_escaped(&mut key, &self.scenario);

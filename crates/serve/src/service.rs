@@ -16,38 +16,46 @@
 //!    epoch and are drained with [`CampaignService::take_epoch`] for the
 //!    sentinel's rolling-baseline p99 check.
 //!
-//! Concurrency model: a batch is probed serially (hits and in-batch
-//! duplicates resolve immediately; duplicates *coalesce* onto the first
-//! occurrence, single-flight style), unique misses fan out over the owned
-//! work-stealing pool into a positional outcome table, and a serial merge
-//! in batch order lands spans, metrics, and cache inserts. Hit/miss
-//! classification therefore never depends on thread scheduling.
+//! Concurrency model: a batch is one scope on the owned work-stealing
+//! pool. It is probed serially (hits and in-batch duplicates resolve
+//! immediately; duplicates *coalesce* onto the first occurrence,
+//! single-flight style), and each unique miss is spawned as a pool task
+//! the moment it is classified, so evaluation overlaps the rest of the
+//! probe. A serial merge in batch order then waits for each answer,
+//! helping with the batch's queued tasks meanwhile, and lands cache
+//! inserts, spans and metrics. The probe ends before the first insert,
+//! so hit/miss classification never depends on thread scheduling.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::Instant;
 
 use exa_apps::query::{evaluate_query, QueryAnswer};
 use exa_machine::SimTime;
 use exa_telemetry::{
-    labeled_key, Histogram, PoolTelemetry, Span, SpanCat, TelemetryCollector, TrackId, TrackKind,
+    labeled_key, Histogram, MetricsRegistry, PoolTelemetry, Span, SpanCat, TelemetryCollector,
+    TrackId, TrackKind,
 };
 use serde::Serialize;
-use workpool::ThreadPool;
+use workpool::{Scope, ThreadPool};
 
 use crate::cache::ShardedLru;
 use crate::query::Query;
 
-/// An SLO drill: matching queries are re-evaluated `extra_evals` extra
-/// times, inflating their *wall-clock* cost by roughly `1 + extra_evals`
-/// while leaving the virtual answer — and therefore the trace and the
-/// cache key — untouched. This is how the load campaign manufactures a
-/// real latency regression for the sentinel to catch.
+/// An SLO drill: matching queries are re-evaluated until their
+/// evaluation has taken `1 + extra_evals` times the wall of its first run,
+/// inflating their *wall-clock* cost by that factor while leaving the
+/// virtual answer — and therefore the trace and the cache key — untouched.
+/// This is how the load campaign manufactures a real latency regression
+/// for the sentinel to catch.
 #[derive(Debug, Clone, Serialize)]
 pub struct SloDrill {
     /// Application whose evaluations are slowed (case-insensitive).
     pub app: String,
-    /// Extra evaluations per matching query.
+    /// Extra first-run walls each matching evaluation spends re-evaluating.
     pub extra_evals: u32,
 }
 
@@ -159,12 +167,15 @@ impl ServeStats {
 /// Per-query disposition computed in the serial probe phase.
 enum Disposition {
     Error(String),
-    Hit { query: Query, answer: QueryAnswer },
+    Hit {
+        query: Query,
+        answer: Arc<QueryAnswer>,
+    },
     Miss(usize),
     Coalesced(usize),
 }
 
-/// One unique cold evaluation scheduled on the pool.
+/// One unique cold evaluation of a batch.
 struct EvalJob {
     key: String,
     query: Query,
@@ -172,9 +183,42 @@ struct EvalJob {
 
 /// Worker output for one [`EvalJob`].
 struct EvalOut {
-    answer: Option<QueryAnswer>,
+    answer: Option<Arc<QueryAnswer>>,
     eval_wall_s: f64,
 }
+
+/// One miss of a batch: its job, which the probe publishes before it
+/// spawns the task that may evaluate it, and its output, which the task
+/// that claimed it publishes (`None` when the evaluation panicked; the
+/// pool scope re-raises the panic).
+#[derive(Default)]
+struct MissSlot {
+    job: OnceLock<EvalJob>,
+    out: OnceLock<Option<EvalOut>>,
+}
+
+/// A batch's RED metrics, accumulated by the merge and landed under one
+/// registry lock. Labels borrow the batch's parsed queries.
+#[derive(Default)]
+struct RedBatch<'q> {
+    /// Requests per disposition, indexed like [`STATUS_COUNTERS`].
+    by_status: [u64; 4],
+    latency: Histogram,
+    /// `serve.requests{app, cache, scenario}`.
+    requests: BTreeMap<(&'q str, &'static str, &'q str), u64>,
+    /// `serve.latency_s{app}`, which is also the app's epoch latency.
+    app_latency: BTreeMap<&'q str, Histogram>,
+    /// `fom.eval_s{app, scenario}` of the batch's misses.
+    eval: BTreeMap<(&'q str, &'q str), Histogram>,
+}
+
+/// The counter each disposition adds to, in `CacheStatus` order.
+const STATUS_COUNTERS: [&str; 4] = [
+    "serve.cache.hits",
+    "serve.cache.misses",
+    "serve.cache.coalesced",
+    "serve.errors",
+];
 
 /// Virtual duration of the fixed pipeline steps (parse, probe, render)
 /// and of the inter-query gap on a lane — small so the evaluate span
@@ -189,7 +233,8 @@ pub const MAX_TRACED_QUERIES: u64 = 1024;
 /// The memoized, concurrent campaign query engine.
 pub struct CampaignService {
     config: ServeConfig,
-    pool: ThreadPool,
+    /// Shared with the batch's scope while the batch runs.
+    pool: Arc<ThreadPool>,
     pool_obs: Arc<PoolTelemetry>,
     collector: Arc<TelemetryCollector>,
     /// Answers sit behind an `Arc`: each shard's hash table keeps up to
@@ -217,7 +262,7 @@ impl CampaignService {
         } else {
             config.threads
         };
-        let pool = ThreadPool::new(threads);
+        let pool = Arc::new(ThreadPool::new(threads));
         let pool_obs = Arc::new(PoolTelemetry::new());
         pool.set_observer(Some(pool_obs.clone() as Arc<dyn workpool::PoolObserver>));
         let collector = TelemetryCollector::shared();
@@ -283,15 +328,49 @@ impl CampaignService {
         self.collector.chrome_trace()
     }
 
-    /// Answer a batch of textual queries, in order.
+    /// Answer a batch of textual queries, in order. The batch runs as one
+    /// pool scope in three overlapping steps:
+    ///
+    /// 1. **Probe**, serial and in batch order on the calling thread:
+    ///    parse, classify against the cache, coalesce in-batch duplicates
+    ///    onto their first occurrence (single-flight), and spawn one pool
+    ///    task per unique miss as soon as it is classified. The probe ends
+    ///    before the first cache insert, so hit, miss and coalesced
+    ///    dispositions never depend on thread scheduling.
+    /// 2. **Evaluate**, on the pool from the first miss on: each task
+    ///    evaluates the lowest miss no task has claimed yet, so evaluation
+    ///    proceeds in batch order whichever lane runs it.
+    /// 3. **Merge**, serial and in batch order on the calling thread:
+    ///    wait for each answer in turn, running this batch's queued tasks
+    ///    meanwhile; insert misses into the cache; record stats, spans and
+    ///    RED metrics. The metrics land under one registry lock per batch.
+    ///
+    /// A one-thread pool runs every evaluation inline, in batch order,
+    /// when the merge first waits for it.
     pub fn run_batch(&mut self, queries: &[String]) -> Vec<QueryOutcome> {
-        // Phase 1 — serial probe in batch order: parse, classify against
-        // the cache, and coalesce in-batch duplicates onto the first
-        // occurrence. `probe_s[i]` is the wall-clock cost of this phase
-        // for query i.
+        let evals = Evaluations {
+            misses: (0..queries.len()).map(|_| MissSlot::default()).collect(),
+            claimed: AtomicUsize::new(0),
+            drill: self.config.drill.clone(),
+            merger: std::thread::current(),
+        };
+        let pool = Arc::clone(&self.pool);
+        pool.scope(|scope| {
+            let (dispositions, probe_s) = self.probe(queries, scope, &evals);
+            self.merge(&dispositions, &probe_s, scope, &evals)
+        })
+    }
+
+    /// Step 1 of [`Self::run_batch`]: each query's disposition and the
+    /// wall-clock seconds its probe took.
+    fn probe<'env>(
+        &mut self,
+        queries: &[String],
+        scope: &Scope<'_, 'env>,
+        evals: &'env Evaluations,
+    ) -> (Vec<Disposition>, Vec<f64>) {
         let mut dispositions: Vec<Disposition> = Vec::with_capacity(queries.len());
         let mut probe_s: Vec<f64> = Vec::with_capacity(queries.len());
-        let mut jobs: Vec<EvalJob> = Vec::new();
         let mut pending: BTreeMap<String, usize> = BTreeMap::new();
         for text in queries {
             let t0 = Instant::now();
@@ -300,101 +379,85 @@ impl CampaignService {
                 Ok(query) => {
                     let key = query.key();
                     if let Some(answer) = self.cache.get(&key) {
-                        Disposition::Hit {
-                            query,
-                            answer: QueryAnswer::clone(&answer),
-                        }
-                    } else if let Some(&job) = pending.get(&key) {
-                        Disposition::Coalesced(job)
+                        Disposition::Hit { query, answer }
+                    } else if let Some(&m) = pending.get(&key) {
+                        Disposition::Coalesced(m)
                     } else {
-                        let job = jobs.len();
-                        pending.insert(key.clone(), job);
-                        jobs.push(EvalJob { key, query });
-                        Disposition::Miss(job)
+                        let m = pending.len();
+                        pending.insert(key.clone(), m);
+                        let _ = evals.misses[m].job.set(EvalJob { key, query });
+                        scope.spawn(|| evals.run_next());
+                        Disposition::Miss(m)
                     }
                 }
             };
             probe_s.push(t0.elapsed().as_secs_f64());
             dispositions.push(disposition);
         }
+        (dispositions, probe_s)
+    }
 
-        // Phase 2 — parallel cold evaluation into a positional outcome
-        // table. Workers write disjoint slots; completion order is
-        // irrelevant because the merge below re-serializes everything.
-        let mut outs: Vec<Option<EvalOut>> = Vec::new();
-        outs.resize_with(jobs.len(), || None);
-        let drill = self.config.drill.clone();
-        self.pool.scope(|scope| {
-            for (job, slot) in jobs.iter().zip(outs.iter_mut()) {
-                let drill = drill.as_ref();
-                scope.spawn(move || {
-                    *slot = Some(evaluate_job(job, drill));
-                });
-            }
-        });
-        self.collector
-            .metrics(|m| m.gauge_max("serve.inflight.peak", jobs.len() as f64));
-
-        // Phase 3 — serial merge in batch order: cache inserts, RED
-        // metrics, epoch histograms, and virtual-time spans.
+    /// Step 3 of [`Self::run_batch`]: the batch's outcomes, in order.
+    fn merge(
+        &mut self,
+        dispositions: &[Disposition],
+        probe_s: &[f64],
+        scope: &Scope<'_, '_>,
+        evals: &Evaluations,
+    ) -> Vec<QueryOutcome> {
         let mut lane_spans: Vec<Vec<Span>> = vec![Vec::new(); self.lane_tracks.len()];
-        let mut results: Vec<QueryOutcome> = Vec::with_capacity(queries.len());
-        for (i, disposition) in dispositions.into_iter().enumerate() {
+        let mut red = RedBatch::default();
+        let mut results: Vec<QueryOutcome> = Vec::with_capacity(dispositions.len());
+        for (disposition, &probe_s) in dispositions.iter().zip(probe_s) {
             let seq = self.seq;
             self.seq += 1;
             self.stats.requests += 1;
             // (status, query context, answer/error, wall paid on eval)
             let (status, query, answer, error, eval_wall_s): (
                 CacheStatus,
-                Option<Query>,
-                Option<QueryAnswer>,
+                Option<&Query>,
+                Option<Arc<QueryAnswer>>,
                 Option<String>,
                 f64,
             ) = match disposition {
-                Disposition::Error(e) => (CacheStatus::Error, None, None, Some(e), 0.0),
-                Disposition::Hit { query, answer } => {
-                    (CacheStatus::Hit, Some(query), Some(answer), None, 0.0)
-                }
-                Disposition::Miss(j) => {
-                    let job = &jobs[j];
-                    let out = outs[j].as_ref().expect("pool scope completed every job");
+                Disposition::Error(e) => (CacheStatus::Error, None, None, Some(e.clone()), 0.0),
+                Disposition::Hit { query, answer } => (
+                    CacheStatus::Hit,
+                    Some(query),
+                    Some(Arc::clone(answer)),
+                    None,
+                    0.0,
+                ),
+                &Disposition::Miss(m) | &Disposition::Coalesced(m) => {
+                    let Some(out) = evals.wait(m, scope) else {
+                        // The evaluation panicked; the scope re-raises it.
+                        break;
+                    };
+                    let job = evals.misses[m].job.get().expect("probed miss");
                     match &out.answer {
                         None => (
                             CacheStatus::Error,
-                            Some(job.query.clone()),
+                            Some(&job.query),
                             None,
                             Some(format!("evaluation failed for '{}'", job.query.app)),
                             out.eval_wall_s,
                         ),
-                        Some(a) => {
-                            self.cache.insert(&job.key, Arc::new(a.clone()));
+                        Some(a) if matches!(disposition, Disposition::Miss(_)) => {
+                            self.cache.insert(&job.key, Arc::clone(a));
                             (
                                 CacheStatus::Miss,
-                                Some(job.query.clone()),
-                                Some(a.clone()),
+                                Some(&job.query),
+                                Some(Arc::clone(a)),
                                 None,
                                 out.eval_wall_s,
                             )
                         }
-                    }
-                }
-                Disposition::Coalesced(j) => {
-                    let job = &jobs[j];
-                    let out = outs[j].as_ref().expect("pool scope completed every job");
-                    match &out.answer {
-                        None => (
-                            CacheStatus::Error,
-                            Some(job.query.clone()),
-                            None,
-                            Some(format!("evaluation failed for '{}'", job.query.app)),
-                            out.eval_wall_s,
-                        ),
                         // The coalesced copy pays the evaluation wall too —
                         // it waited on the same in-flight work.
                         Some(a) => (
                             CacheStatus::Coalesced,
-                            Some(job.query.clone()),
-                            Some(a.clone()),
+                            Some(&job.query),
+                            Some(Arc::clone(a)),
                             None,
                             out.eval_wall_s,
                         ),
@@ -407,55 +470,8 @@ impl CampaignService {
                 CacheStatus::Coalesced => self.stats.coalesced += 1,
                 CacheStatus::Error => self.stats.errors += 1,
             }
-            let latency_s = probe_s[i] + eval_wall_s;
-
-            // RED metrics: bare aggregates always, labeled series when
-            // the query parsed.
-            let status_label = status.label();
-            self.collector.metrics(|m| {
-                m.counter_add("serve.requests", 1);
-                match status {
-                    CacheStatus::Hit => m.counter_add("serve.cache.hits", 1),
-                    CacheStatus::Miss => m.counter_add("serve.cache.misses", 1),
-                    CacheStatus::Coalesced => m.counter_add("serve.cache.coalesced", 1),
-                    CacheStatus::Error => m.counter_add("serve.errors", 1),
-                }
-                m.hist_record("serve.latency_s", latency_s);
-                if let Some(q) = &query {
-                    m.counter_add(
-                        &labeled_key(
-                            "serve.requests",
-                            &[
-                                ("app", &q.app),
-                                ("cache", status_label),
-                                ("scenario", &q.scenario),
-                            ],
-                        ),
-                        1,
-                    );
-                    m.hist_record(
-                        &labeled_key("serve.latency_s", &[("app", &q.app)]),
-                        latency_s,
-                    );
-                }
-                if status == CacheStatus::Miss {
-                    if let (Some(q), Some(a)) = (&query, &answer) {
-                        m.hist_record(
-                            &labeled_key(
-                                "fom.eval_s",
-                                &[("app", &q.app), ("scenario", &q.scenario)],
-                            ),
-                            a.wall_s,
-                        );
-                    }
-                }
-            });
-            if let Some(q) = &query {
-                self.epoch
-                    .entry(q.app.clone())
-                    .or_default()
-                    .record(latency_s);
-            }
+            let latency_s = probe_s + eval_wall_s;
+            red.record(status, query, answer.as_deref(), latency_s);
 
             // Virtual-time span tree, deterministically sampled.
             if seq.is_multiple_of(self.config.trace_sample.max(1))
@@ -465,6 +481,7 @@ impl CampaignService {
                 let lane = (seq % self.lane_tracks.len() as u64) as usize;
                 let mut t = self.lane_cursor_s[lane];
                 let start = t;
+                let status_label = status.label();
                 let mut children: Vec<Span> = Vec::with_capacity(4);
                 children.push(step_span("parse", t, STEP_S));
                 t += STEP_S;
@@ -487,12 +504,12 @@ impl CampaignService {
                     children.push(step_span("render", t, STEP_S));
                     t += STEP_S;
                 }
-                let parent_name = match (&query, status) {
-                    (Some(q), _) if !q.scenario.is_empty() => {
+                let parent_name = match query {
+                    Some(q) if !q.scenario.is_empty() => {
                         format!("serve {} [{}] @{}", q.app, status_label, q.scenario)
                     }
-                    (Some(q), _) => format!("serve {} [{}]", q.app, status_label),
-                    (None, _) => "serve [error]".to_string(),
+                    Some(q) => format!("serve {} [{}]", q.app, status_label),
+                    None => "serve [error]".to_string(),
                 };
                 lane_spans[lane].push(Span {
                     name: parent_name.into(),
@@ -507,7 +524,7 @@ impl CampaignService {
 
             results.push(QueryOutcome {
                 status,
-                answer,
+                answer: answer.map(|a| QueryAnswer::clone(&a)),
                 error,
             });
         }
@@ -517,13 +534,27 @@ impl CampaignService {
                 self.collector.complete_batch(self.lane_tracks[lane], spans);
             }
         }
+        for (&app, h) in &red.app_latency {
+            match self.epoch.get_mut(app) {
+                Some(epoch) => epoch.merge(h),
+                None => {
+                    self.epoch.insert(app.to_string(), h.clone());
+                }
+            }
+        }
 
-        // Cache/saturation gauges reflect the post-batch state.
+        // RED metrics, then cache/saturation gauges of the post-batch state.
+        let evaluated = dispositions
+            .iter()
+            .filter(|d| matches!(d, Disposition::Miss(_)))
+            .count();
         let hit_ratio = self.stats().hit_ratio();
         let cache_len = self.cache.len() as f64;
         let cache_capacity = self.cache.capacity() as f64;
         let occupancy = self.cache.shard_occupancy();
         self.collector.metrics(|m| {
+            red.land(m);
+            m.gauge_max("serve.inflight.peak", evaluated as f64);
             m.gauge_set("serve.cache.len", cache_len);
             m.gauge_set("serve.cache.capacity", cache_capacity);
             m.gauge_set("serve.cache.hit_ratio", hit_ratio);
@@ -538,6 +569,121 @@ impl CampaignService {
             }
         });
         results
+    }
+}
+
+impl<'q> RedBatch<'q> {
+    /// Count one request: bare aggregates always, labeled series when the
+    /// query parsed.
+    fn record(
+        &mut self,
+        status: CacheStatus,
+        query: Option<&'q Query>,
+        answer: Option<&QueryAnswer>,
+        latency_s: f64,
+    ) {
+        self.by_status[status as usize] += 1;
+        self.latency.record(latency_s);
+        let Some(q) = query else { return };
+        *self
+            .requests
+            .entry((&q.app, status.label(), &q.scenario))
+            .or_default() += 1;
+        self.app_latency
+            .entry(&q.app)
+            .or_default()
+            .record(latency_s);
+        if let (CacheStatus::Miss, Some(a)) = (status, answer) {
+            self.eval
+                .entry((&q.app, &q.scenario))
+                .or_default()
+                .record(a.wall_s);
+        }
+    }
+
+    /// Add the batch to the registry. Counters add and histograms merge
+    /// exactly, so the registry ends as if every request had been recorded
+    /// on its own; a series no request touched is not created.
+    fn land(&self, m: &mut MetricsRegistry) {
+        let requests: u64 = self.by_status.iter().sum();
+        if requests == 0 {
+            return;
+        }
+        m.counter_add("serve.requests", requests);
+        for (name, &n) in STATUS_COUNTERS.iter().zip(&self.by_status) {
+            if n > 0 {
+                m.counter_add(name, n);
+            }
+        }
+        m.hist_merge("serve.latency_s", &self.latency);
+        for (&(app, cache, scenario), &n) in &self.requests {
+            let labels = [("app", app), ("cache", cache), ("scenario", scenario)];
+            m.counter_add(&labeled_key("serve.requests", &labels), n);
+        }
+        for (&app, h) in &self.app_latency {
+            m.hist_merge(&labeled_key("serve.latency_s", &[("app", app)]), h);
+        }
+        for (&(app, scenario), h) in &self.eval {
+            let labels = [("app", app), ("scenario", scenario)];
+            m.hist_merge(&labeled_key("fom.eval_s", &labels), h);
+        }
+    }
+}
+
+/// What a batch's evaluation tasks share with the merge.
+struct Evaluations {
+    /// One slot per query (the most misses a batch can hold).
+    misses: Vec<MissSlot>,
+    /// Misses claimed by a task so far.
+    claimed: AtomicUsize,
+    drill: Option<SloDrill>,
+    /// The thread running the merge, woken when an answer lands.
+    merger: Thread,
+}
+
+impl Evaluations {
+    /// One pool task: evaluate the lowest unclaimed miss and publish its
+    /// output.
+    fn run_next(&self) {
+        // Claims never outnumber spawned tasks, and the probe publishes
+        // miss m before it spawns the m-th task, so the claimed job is
+        // published: some claimer at or before this one in the claim order
+        // was spawned after it, and the AcqRel claims carry that spawn's
+        // ordering to every later claimer.
+        let m = self.claimed.fetch_add(1, Ordering::AcqRel);
+        let slot = &self.misses[m];
+        let job = slot
+            .job
+            .get()
+            .expect("a miss is published before its task is spawned");
+        let result =
+            panic::catch_unwind(AssertUnwindSafe(|| evaluate_job(job, self.drill.as_ref())));
+        let (out, panicked) = match result {
+            Ok(out) => (Some(out), None),
+            Err(payload) => (None, Some(payload)),
+        };
+        let _ = slot.out.set(out);
+        self.merger.unpark();
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
+    }
+
+    /// Miss `m`'s output once its task has published it, running this
+    /// batch's queued tasks while it is outstanding; `None` when its
+    /// evaluation panicked.
+    fn wait(&self, m: usize, scope: &Scope<'_, '_>) -> Option<&EvalOut> {
+        let out = &self.misses[m].out;
+        loop {
+            if let Some(out) = out.get() {
+                return out.as_ref();
+            }
+            // Nothing of this batch is queued, so a lane is evaluating it;
+            // every task unparks the merge when it publishes.
+            if !scope.run_one() {
+                std::thread::park();
+            }
+        }
     }
 }
 
@@ -558,16 +704,18 @@ fn step_span(name: impl Into<std::borrow::Cow<'static, str>>, start_s: f64, dur_
 fn evaluate_job(job: &EvalJob, drill: Option<&SloDrill>) -> EvalOut {
     let t0 = Instant::now();
     let q = &job.query;
-    let answer = evaluate_query(&q.app, &q.machine, q.nodes, &q.knobs, &q.scenario);
-    if let Some(d) = drill {
-        if d.app.eq_ignore_ascii_case(&q.app) {
-            for _ in 0..d.extra_evals {
-                let _ = evaluate_query(&q.app, &q.machine, q.nodes, &q.knobs, &q.scenario);
-            }
+    let evaluate = || evaluate_query(&q.app, &q.machine, q.nodes, &q.knobs, &q.scenario);
+    let answer = evaluate();
+    if let Some(d) = drill.filter(|d| d.app.eq_ignore_ascii_case(&q.app)) {
+        // Repeats run warm and cost a fraction of the first run, so the
+        // drill repeats until a wall target, not a repeat count.
+        let target = t0.elapsed().saturating_mul(d.extra_evals.saturating_add(1));
+        while t0.elapsed() < target {
+            let _ = evaluate();
         }
     }
     EvalOut {
-        answer,
+        answer: answer.map(Arc::new),
         eval_wall_s: t0.elapsed().as_secs_f64(),
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification flow; any failing step fails it.
+# Tier-1 verification flow; any failing step fails it, after every step ran.
 #
 #   1. release build of the workspace;
 #   2. clippy -D warnings over every target (libs, bins, tests, examples);
@@ -16,26 +16,55 @@
 #
 # Each experiment checks the artifacts it writes and makes `reproduce` exit
 # non-zero on a failed check; `reproduce list` names what each one gates.
-set -euo pipefail
+#
+# Every step runs even when an earlier one failed, so one red gate cannot
+# hide the state of the gates after it; the script then lists the failed
+# steps and exits non-zero.
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release
-cargo clippy --workspace --release --all-targets -- -D warnings
-cargo fmt --all -- --check
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-for threads in 1 4; do
-    EXA_THREADS=$threads cargo test --workspace -q
-done
-cargo test --offline -q --manifest-path exabench/Cargo.toml
-cargo run --release -q -p exa-bench --bin reproduce -- paper user_guide profile_export fom_ledger comm_overlap sim_throughput autotune
-EXA_THREADS=4 cargo run --release -q -p exa-bench --bin reproduce -- obs_export telemetry_overhead fault_scenarios campaign_load
-for workload in $(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do
-    last=$(cargo run --release --offline -q --manifest-path exabench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
-    if [[ $last != *'"correct": true'* || $last != *'"failed": 0,'* ]]; then
-        echo "tier1: exabench $workload failed its answer check: $last" >&2
-        exit 1
+failed=()
+
+# Run one step; record it as failed if it exits non-zero.
+step() {
+    echo "tier1: $*" >&2
+    if ! "$@"; then
+        failed+=("$*")
     fi
+}
+
+# One benchmark workload for 1 s, untraced: fails unless it exits zero and
+# its last line reports `"correct": true` and `"failed": 0`.
+answer_check() {
+    local last
+    if ! last=$(cargo run --release --offline -q --manifest-path exabench/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds 1 --trace 0 | tail -n 1); then
+        echo "tier1: exabench $1 exited non-zero" >&2
+        return 1
+    fi
+    if [[ $last != *'"correct": true'* || $last != *'"failed": 0,'* ]]; then
+        echo "tier1: exabench $1 failed its answer check: $last" >&2
+        return 1
+    fi
+}
+
+step cargo build --release
+step cargo clippy --workspace --release --all-targets -- -D warnings
+step cargo fmt --all -- --check
+step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+for threads in 1 4; do
+    step env EXA_THREADS=$threads cargo test --workspace -q
+done
+step cargo test --offline -q --manifest-path exabench/Cargo.toml
+step cargo run --release -q -p exa-bench --bin reproduce -- paper user_guide profile_export fom_ledger comm_overlap sim_throughput autotune
+step env EXA_THREADS=4 cargo run --release -q -p exa-bench --bin reproduce -- obs_export telemetry_overhead fault_scenarios campaign_load
+for workload in $(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do
+    step answer_check "$workload"
 done
 
+if ((${#failed[@]})); then
+    echo "tier1: ${#failed[@]} step(s) failed:" >&2
+    printf 'tier1:   %s\n' "${failed[@]}" >&2
+    exit 1
+fi
 echo "tier1: build + clippy + fmt + rustdoc + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"
