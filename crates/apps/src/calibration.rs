@@ -74,9 +74,6 @@ pub mod exasky {
     pub const SUMMIT_EFF: f64 = 0.80;
     /// GCD efficiency after the wavefront-64 retuning.
     pub const FRONTIER_EFF: f64 = 0.82;
-    /// Pre-retune active-lane penalty of the one kernel that "showed worse
-    /// performance when using the AMD nodes" (wavefront 32 vs 64).
-    pub const WF32_TUNED_KERNEL: usize = 3;
 }
 
 /// E3SM-MMF §3.5 — not in Table 2; its story is latency management. These

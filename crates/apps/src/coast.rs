@@ -189,18 +189,6 @@ impl Coast {
         }
     }
 
-    /// Autotuned kernel throughput per GPU *card* in TFLOP/s (V100 card, or
-    /// a full MI250X = 2 GCDs — the paper quotes per-card numbers).
-    pub fn kernel_tflops_per_card(machine: &MachineModel) -> f64 {
-        let gpu = machine.node.gpu();
-        let (_, tf) = autotune(gpu, Self::eff(gpu.arch));
-        if gpu.arch == GpuArch::Cdna2 {
-            tf * 2.0
-        } else {
-            tf
-        }
-    }
-
     /// Whole-machine sustained rate in PFLOP/s for the Gordon-Bell-style
     /// APSP run (85 % machine-scale efficiency: the broadcast phases of the
     /// distributed Floyd–Warshall cost a little).
@@ -374,8 +362,9 @@ mod tests {
     #[test]
     fn autotuned_kernel_rates_match_the_paper() {
         // §3.9: 5.6 TF on one V100, 30.6 TF on one MI250X (both GCDs).
-        let v100_tf = Coast::kernel_tflops_per_card(&MachineModel::summit());
-        let mi250x_tf = Coast::kernel_tflops_per_card(&MachineModel::frontier());
+        let (_, v100_tf) = autotune(&GpuModel::v100(), cal::SUMMIT_EFF);
+        let (_, gcd_tf) = autotune(&GpuModel::mi250x_gcd(), cal::FRONTIER_EFF);
+        let mi250x_tf = 2.0 * gcd_tf;
         assert!(
             (v100_tf - 5.6).abs() / 5.6 < 0.25,
             "V100 kernel {v100_tf} TF"
@@ -407,132 +396,5 @@ mod tests {
         );
         let speedup = frontier_pf / summit_pf;
         assert!((speedup - 7.4).abs() / 7.4 < 0.2, "COAST speedup {speedup}");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Distributed blocked Floyd–Warshall (§3.9's "parallel, distributed, and
-// GPU accelerated" solver).
-// ---------------------------------------------------------------------------
-
-/// Distributed APSP over a √p × √p process grid: the matrix is tiled into
-/// per-rank blocks; every k-panel does the three blocked phases with the
-/// diagonal tile broadcast along its process column and the row/column
-/// panels broadcast along process rows/columns. The math is performed on
-/// the full matrix (numerically identical to [`floyd_warshall_blocked`]);
-/// the communicator charges the broadcast costs per panel.
-///
-/// Returns the simulated wall time.
-pub fn distributed_apsp(
-    comm: &mut exa_mpi::Comm,
-    gpu: &GpuModel,
-    dist: &mut [f32],
-    n: usize,
-    kernel_eff: f64,
-) -> exa_machine::SimTime {
-    let p = comm.size();
-    let q = (p as f64).sqrt().round() as usize;
-    assert_eq!(q * q, p, "distributed APSP needs a square process grid");
-    assert!(n.is_multiple_of(q), "matrix order must divide the grid");
-    let tile = n / q; // per-rank block edge
-    let start = comm.elapsed();
-
-    // Cost per k-panel: each rank updates its tile with a min-plus product
-    // over a `tile`-deep panel.
-    let panel_profile = Tiling {
-        tile: 64,
-        thread_block: 4,
-    }
-    .profile(tile as u64, kernel_eff);
-    let panel_time = gpu.kernel_time(&panel_profile) + gpu.launch_latency;
-    let tile_bytes = (tile * tile * 4) as u64;
-
-    for _kb in 0..q {
-        // Phase 1 diagonal tile: computed by one rank, others wait.
-        comm.advance_all(panel_time * (1.0 / q as f64));
-        comm.bcast_grouped(q, tile_bytes);
-        // Phase 2 row + column panels, then phase 3 everywhere.
-        comm.advance_all(panel_time);
-        comm.bcast_grouped(q, tile_bytes); // row panels along columns
-        comm.bcast_grouped(q, tile_bytes); // column panels along rows
-        comm.advance_all(panel_time);
-    }
-
-    // The actual numbers: identical to the serial blocked algorithm.
-    floyd_warshall_blocked(dist, n, tile.min(n));
-    comm.elapsed() - start
-}
-
-#[cfg(test)]
-mod dist_tests {
-    use super::*;
-    use exa_mpi::{Comm, Network};
-
-    fn ring_graph(n: usize) -> Vec<f32> {
-        let mut d = vec![INF; n * n];
-        for i in 0..n {
-            d[i * n + i] = 0.0;
-            d[i * n + (i + 1) % n] = 1.0;
-        }
-        d
-    }
-
-    #[test]
-    fn distributed_matches_serial() {
-        let n = 32;
-        let mut serial = ring_graph(n);
-        floyd_warshall_ref(&mut serial, n);
-
-        let mut distributed = ring_graph(n);
-        let mut comm = Comm::new(16, Network::from_machine(&MachineModel::frontier()));
-        distributed_apsp(
-            &mut comm,
-            &GpuModel::mi250x_gcd(),
-            &mut distributed,
-            n,
-            crate::calibration::coast::FRONTIER_EFF,
-        );
-        for (a, b) in distributed.iter().zip(&serial) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn ring_distances_are_directional_hops() {
-        let n = 16;
-        let mut d = ring_graph(n);
-        let mut comm = Comm::new(4, Network::from_machine(&MachineModel::frontier()));
-        distributed_apsp(&mut comm, &GpuModel::mi250x_gcd(), &mut d, n, 0.5);
-        // Directed ring: distance i -> j is (j - i) mod n.
-        assert_eq!(d[3], 3.0);
-        assert_eq!(d[n], (n - 1) as f32);
-    }
-
-    #[test]
-    fn more_ranks_speed_up_large_problems() {
-        let n = 4096;
-        let gpu = GpuModel::mi250x_gcd();
-        let eff = crate::calibration::coast::FRONTIER_EFF;
-        // Cost-only comparison: use a tiny real matrix but the plan's n by
-        // charging through fresh comms (math cost dwarfed at this size).
-        let mut d_small = ring_graph(64);
-        let mut c4 = Comm::new(4, Network::from_machine(&MachineModel::frontier()));
-        let mut c64 = Comm::new(64, Network::from_machine(&MachineModel::frontier()));
-        // Charge with the real n by replicating the cost loop on both comms.
-        let t4 = distributed_apsp(&mut c4, &gpu, &mut d_small, 64, eff);
-        let t64 = distributed_apsp(&mut c64, &gpu, &mut d_small, 64, eff);
-        // At this (small) size the grid overhead dominates; assert the
-        // model stays sane and monotone in comm volume instead.
-        assert!(t4.secs() > 0.0 && t64.secs() > 0.0);
-        let _ = n;
-        assert!(c64.stats().collectives > c4.stats().collectives);
-    }
-
-    #[test]
-    #[should_panic(expected = "square process grid")]
-    fn non_square_grid_rejected() {
-        let mut d = ring_graph(8);
-        let mut comm = Comm::new(3, Network::from_machine(&MachineModel::frontier()));
-        distributed_apsp(&mut comm, &GpuModel::mi250x_gcd(), &mut d, 8, 0.5);
     }
 }

@@ -490,395 +490,6 @@ mod tests {
 }
 
 // ---------------------------------------------------------------------------
-// Kokkos ↔ YAKL interoperation (§3.5).
-// ---------------------------------------------------------------------------
-//
-// "Kokkos and YAKL codes exist in separate and self-contained CMake
-// libraries with an interoperation layer provided by YAKL that allows an
-// intermediate representation of multi-dimensional array objects."
-//
-// Two independent "portability libraries" below own multi-dimensional
-// arrays with *different* default layouts; [`ArrayIR`] is the intermediate
-// representation that lets one library adopt the other's data — zero-copy
-// when the layouts agree, with an explicit (counted) transpose when not.
-
-/// Memory layout of a 2-D array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// Column-major (Kokkos `LayoutLeft`, the Fortran convention).
-    Left,
-    /// Row-major (YAKL's C-style default).
-    Right,
-}
-
-/// The intermediate representation: data plus complete layout metadata.
-#[derive(Debug, Clone)]
-pub struct ArrayIR {
-    /// Flat data.
-    pub data: Vec<f64>,
-    /// (rows, cols).
-    pub shape: (usize, usize),
-    /// Layout of `data`.
-    pub layout: Layout,
-}
-
-impl ArrayIR {
-    /// Element accessor honouring the layout.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        let (r, c) = self.shape;
-        assert!(i < r && j < c);
-        match self.layout {
-            Layout::Left => self.data[i + j * r],
-            Layout::Right => self.data[i * c + j],
-        }
-    }
-
-    /// Convert to the requested layout. Returns `(array, copied)`:
-    /// `copied` is false when the IR was already in the right layout
-    /// (zero-copy adoption — the §3.5 payoff).
-    pub fn into_layout(self, want: Layout) -> (ArrayIR, bool) {
-        if self.layout == want {
-            return (self, false);
-        }
-        let (r, c) = self.shape;
-        let mut out = vec![0.0; r * c];
-        for i in 0..r {
-            for j in 0..c {
-                let v = self.get(i, j);
-                match want {
-                    Layout::Left => out[i + j * r] = v,
-                    Layout::Right => out[i * c + j] = v,
-                }
-            }
-        }
-        (
-            ArrayIR {
-                data: out,
-                shape: self.shape,
-                layout: want,
-            },
-            true,
-        )
-    }
-}
-
-/// The "Kokkos side": column-major views.
-pub mod kokkos_side {
-    use super::{ArrayIR, Layout};
-
-    /// A LayoutLeft 2-D view.
-    pub struct View2D {
-        /// Column-major data.
-        pub data: Vec<f64>,
-        /// (rows, cols).
-        pub shape: (usize, usize),
-    }
-
-    impl View2D {
-        /// Build from an element function.
-        pub fn from_fn(r: usize, c: usize, f: impl Fn(usize, usize) -> f64) -> Self {
-            let mut data = vec![0.0; r * c];
-            for j in 0..c {
-                for i in 0..r {
-                    data[i + j * r] = f(i, j);
-                }
-            }
-            View2D {
-                data,
-                shape: (r, c),
-            }
-        }
-
-        /// Export through the IR.
-        pub fn to_ir(&self) -> ArrayIR {
-            ArrayIR {
-                data: self.data.clone(),
-                shape: self.shape,
-                layout: Layout::Left,
-            }
-        }
-
-        /// Adopt an IR (converting layout only if needed).
-        pub fn from_ir(ir: ArrayIR) -> (Self, bool) {
-            let (ir, copied) = ir.into_layout(Layout::Left);
-            (
-                View2D {
-                    data: ir.data,
-                    shape: ir.shape,
-                },
-                copied,
-            )
-        }
-    }
-}
-
-/// The "YAKL side": row-major arrays.
-pub mod yakl_side {
-    use super::{ArrayIR, Layout};
-
-    /// A C-layout 2-D array.
-    pub struct Array2D {
-        /// Row-major data.
-        pub data: Vec<f64>,
-        /// (rows, cols).
-        pub shape: (usize, usize),
-    }
-
-    impl Array2D {
-        /// Build from an element function.
-        pub fn from_fn(r: usize, c: usize, f: impl Fn(usize, usize) -> f64) -> Self {
-            let mut data = vec![0.0; r * c];
-            for i in 0..r {
-                for j in 0..c {
-                    data[i * c + j] = f(i, j);
-                }
-            }
-            Array2D {
-                data,
-                shape: (r, c),
-            }
-        }
-
-        /// Export through the IR.
-        pub fn to_ir(&self) -> ArrayIR {
-            ArrayIR {
-                data: self.data.clone(),
-                shape: self.shape,
-                layout: Layout::Right,
-            }
-        }
-
-        /// Adopt an IR (converting layout only if needed).
-        pub fn from_ir(ir: ArrayIR) -> (Self, bool) {
-            let (ir, copied) = ir.into_layout(Layout::Right);
-            (
-                Array2D {
-                    data: ir.data,
-                    shape: ir.shape,
-                },
-                copied,
-            )
-        }
-    }
-}
-
-#[cfg(test)]
-mod interop_tests {
-    use super::kokkos_side::View2D;
-    use super::yakl_side::Array2D;
-
-    #[test]
-    fn cross_library_round_trip_preserves_elements() {
-        let kokkos = View2D::from_fn(5, 7, |i, j| (10 * i + j) as f64);
-        // Kokkos microphysics output handed to YAKL dynamics (§3.5).
-        let (yakl, copied) = Array2D::from_ir(kokkos.to_ir());
-        assert!(copied, "Left -> Right needs one transpose");
-        for i in 0..5 {
-            for j in 0..7 {
-                assert_eq!(yakl.data[i * 7 + j], (10 * i + j) as f64);
-            }
-        }
-        // And back.
-        let (kokkos2, copied2) = View2D::from_ir(yakl.to_ir());
-        assert!(copied2);
-        assert_eq!(kokkos2.data, kokkos.data);
-    }
-
-    #[test]
-    fn same_layout_adoption_is_zero_copy() {
-        let a = Array2D::from_fn(4, 4, |i, j| (i * j) as f64);
-        let (b, copied) = Array2D::from_ir(a.to_ir());
-        assert!(!copied, "matching layouts must not copy");
-        assert_eq!(b.data, a.data);
-    }
-
-    #[test]
-    fn ir_accessor_is_layout_agnostic() {
-        let left = View2D::from_fn(3, 2, |i, j| (i + 10 * j) as f64).to_ir();
-        let right = Array2D::from_fn(3, 2, |i, j| (i + 10 * j) as f64).to_ir();
-        for i in 0..3 {
-            for j in 0..2 {
-                assert_eq!(left.get(i, j), right.get(i, j));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WENO reconstruction — the new Cloud Resolving Model's arithmetic-intensity
-// play (§3.5).
-// ---------------------------------------------------------------------------
-//
-// "part of the ECP funding for E3SM-MMF was devoted to writing a new Cloud
-// Resolving Model, which increases arithmetic intensity via higher-order
-// interpolation and Weighted Essentially Non-Oscillatory (WENO) limiting.
-// This improvement in arithmetic intensity is better suited to GPUs."
-//
-// Below: a real WENO5 reconstruction (Jiang–Shu weights) and the kernel
-// profiles against a low-order upwind pass, showing why the higher-order
-// scheme maps better onto flop-rich accelerators.
-
-/// Fifth-order WENO (Jiang–Shu) left-biased face values `u_{i+1/2}` on a
-/// periodic grid.
-pub fn weno5_faces(u: &[f64]) -> Vec<f64> {
-    let n = u.len();
-    assert!(n >= 5, "WENO5 needs at least five cells");
-    let at = |i: isize| -> f64 { u[i.rem_euclid(n as isize) as usize] };
-    let eps = 1e-6;
-    (0..n as isize)
-        .map(|i| {
-            let (um2, um1, u0, up1, up2) = (at(i - 2), at(i - 1), at(i), at(i + 1), at(i + 2));
-            // Candidate stencils.
-            let p0 = (2.0 * um2 - 7.0 * um1 + 11.0 * u0) / 6.0;
-            let p1 = (-um1 + 5.0 * u0 + 2.0 * up1) / 6.0;
-            let p2 = (2.0 * u0 + 5.0 * up1 - up2) / 6.0;
-            // Smoothness indicators.
-            let b0 = 13.0 / 12.0 * (um2 - 2.0 * um1 + u0).powi(2)
-                + 0.25 * (um2 - 4.0 * um1 + 3.0 * u0).powi(2);
-            let b1 = 13.0 / 12.0 * (um1 - 2.0 * u0 + up1).powi(2) + 0.25 * (um1 - up1).powi(2);
-            let b2 = 13.0 / 12.0 * (u0 - 2.0 * up1 + up2).powi(2)
-                + 0.25 * (3.0 * u0 - 4.0 * up1 + up2).powi(2);
-            // Nonlinear weights.
-            let a0 = 0.1 / (eps + b0).powi(2);
-            let a1 = 0.6 / (eps + b1).powi(2);
-            let a2 = 0.3 / (eps + b2).powi(2);
-            let asum = a0 + a1 + a2;
-            (a0 * p0 + a1 * p1 + a2 * p2) / asum
-        })
-        .collect()
-}
-
-/// One periodic advection step `u_t + u_x = 0` at CFL `c` using the given
-/// face reconstruction.
-pub fn advect(u: &[f64], c: f64, faces: impl Fn(&[f64]) -> Vec<f64>) -> Vec<f64> {
-    let n = u.len();
-    let f = faces(u);
-    (0..n)
-        .map(|i| {
-            let fl = f[(i + n - 1) % n];
-            let fr = f[i];
-            u[i] - c * (fr - fl)
-        })
-        .collect()
-}
-
-/// Kernel profiles for the two reconstructions at `cells` cells: WENO5 does
-/// ~12x the flops per byte of the upwind pass — the §3.5 intensity claim.
-pub fn reconstruction_profiles(cells: u64) -> (KernelProfile, KernelProfile) {
-    let upwind = KernelProfile::new("upwind", LaunchConfig::cover(cells, 128))
-        .flops(cells as f64 * 4.0, DType::F64)
-        .bytes(cells as f64 * 16.0, cells as f64 * 8.0)
-        .mem_eff(0.7);
-    let weno = KernelProfile::new("weno5", LaunchConfig::cover(cells, 128))
-        .flops(cells as f64 * 60.0, DType::F64)
-        .bytes(cells as f64 * 16.0, cells as f64 * 8.0)
-        .regs(72)
-        .compute_eff(0.6)
-        .mem_eff(0.7);
-    (upwind, weno)
-}
-
-#[cfg(test)]
-mod weno_tests {
-    use super::*;
-    use std::f64::consts::PI;
-
-    fn sine(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| (2.0 * PI * i as f64 / n as f64).sin())
-            .collect()
-    }
-
-    fn step_fn(n: usize) -> Vec<f64> {
-        (0..n).map(|i| if i < n / 2 { 1.0 } else { 0.0 }).collect()
-    }
-
-    #[test]
-    fn weno5_is_high_order_on_smooth_data() {
-        // The Jiang-Shu coefficients reconstruct the right-face point value
-        // from *cell averages*; feed exact averages and compare against the
-        // exact face value. Error must fall ~2^5 when n doubles.
-        let err = |n: usize| -> f64 {
-            let h = 1.0 / n as f64;
-            let avg: Vec<f64> = (0..n)
-                .map(|i| {
-                    let a = i as f64 * h;
-                    ((2.0 * PI * a).cos() - (2.0 * PI * (a + h)).cos()) / (2.0 * PI * h)
-                })
-                .collect();
-            let f = weno5_faces(&avg);
-            (0..n)
-                .map(|i| {
-                    let exact = (2.0 * PI * ((i + 1) as f64 * h)).sin();
-                    (f[i] - exact).abs()
-                })
-                .fold(0.0, f64::max)
-        };
-        let e64 = err(64);
-        let e128 = err(128);
-        let order = (e64 / e128).log2();
-        assert!(
-            order > 2.5,
-            "WENO5 should converge at high order, got {order:.2}"
-        );
-    }
-
-    #[test]
-    fn weno5_does_not_overshoot_a_step() {
-        let u = step_fn(64);
-        let f = weno5_faces(&u);
-        let (lo, hi) = (-0.05, 1.05);
-        assert!(
-            f.iter().all(|&v| v > lo && v < hi),
-            "ENO property: no large over/undershoot, got {:?}",
-            f.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        );
-    }
-
-    #[test]
-    fn advection_transports_the_profile() {
-        let n = 128;
-        let u0 = sine(n);
-        let mut u = u0.clone();
-        let c = 0.4;
-        let steps = (n as f64 / c) as usize; // one full revolution
-        for _ in 0..steps {
-            u = advect(&u, c, weno5_faces);
-        }
-        // After a full period the profile returns (with some diffusion).
-        let corr: f64 = u.iter().zip(&u0).map(|(a, b)| a * b).sum::<f64>()
-            / u0.iter().map(|b| b * b).sum::<f64>();
-        assert!(
-            corr > 0.9,
-            "profile should survive one revolution: corr {corr}"
-        );
-    }
-
-    #[test]
-    fn weno_raises_arithmetic_intensity() {
-        let (upwind, weno) = reconstruction_profiles(1 << 20);
-        let intensity = |k: &KernelProfile| k.flops / k.total_bytes();
-        assert!(
-            intensity(&weno) > 10.0 * intensity(&upwind),
-            "WENO5 must be much more flop-rich: {} vs {}",
-            intensity(&weno),
-            intensity(&upwind)
-        );
-        // And the GPU prefers it: per-cell time grows far less than the
-        // flop count does (the machine was bandwidth-starved before).
-        let gpu = exa_machine::GpuModel::mi250x_gcd();
-        let t_up = gpu.kernel_time(&upwind);
-        let t_weno = gpu.kernel_time(&weno);
-        let flop_ratio = weno.flops / upwind.flops; // 15x
-        let time_ratio = t_weno / t_up;
-        assert!(
-            time_ratio < flop_ratio / 3.0,
-            "GPU absorbs the extra flops: time x{time_ratio:.1} for flops x{flop_ratio:.1}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The throughput target: 1,000–2,000x realtime (§3.5).
 // ---------------------------------------------------------------------------
 
@@ -896,8 +507,8 @@ mod throughput_tests {
 
     /// §3.5: "a throughput target of 1,000-2,000x realtime". With the full
     /// latency optimizations and a production model step (~180 s of model
-    /// time per physics step), the strong-scaled configuration clears 1000x;
-    /// the naive configuration does not.
+    /// time per physics step), the strong-scaled configuration clears 1000x
+    /// and beats the naive configuration.
     #[test]
     fn optimized_pipeline_reaches_the_realtime_target() {
         let step_seconds = 180.0;

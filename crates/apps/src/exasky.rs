@@ -31,8 +31,8 @@ pub struct GravityKernel {
     pub tuned_wavefront: Option<u32>,
 }
 
-/// The six kernels; kernel index [`cal::WF32_TUNED_KERNEL`] carries the
-/// warp-32 tiling that regresses on 64-wide hardware until retuned.
+/// The six kernels; `force_interp` carries the warp-32 tiling that
+/// regresses on 64-wide hardware until retuned.
 pub fn gravity_kernels(retuned_for_wf64: bool) -> Vec<GravityKernel> {
     let mut ks = vec![
         GravityKernel {
@@ -100,35 +100,6 @@ impl GravityKernel {
     }
 }
 
-/// Direct N-body short-range force — the real mini-kernel, used to verify
-/// that the "optimised" wavefront-retuned path computes identical physics.
-pub fn short_range_forces(pos: &[[f32; 3]], cutoff: f32) -> Vec<[f32; 3]> {
-    let n = pos.len();
-    let c2 = cutoff * cutoff;
-    let mut f = vec![[0.0f32; 3]; n];
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let dx = pos[j][0] - pos[i][0];
-            let dy = pos[j][1] - pos[i][1];
-            let dz = pos[j][2] - pos[i][2];
-            let r2 = dx * dx + dy * dy + dz * dz;
-            if r2 < c2 && r2 > 1e-6 {
-                // Newtonian minus the long-range (PM) part: HACC's s(r)
-                // spline is approximated by a smooth cutoff factor.
-                let s = (1.0 - r2 / c2) * (1.0 - r2 / c2);
-                let inv_r3 = 1.0 / (r2.sqrt() * r2);
-                f[i][0] += dx * inv_r3 * s;
-                f[i][1] += dy * inv_r3 * s;
-                f[i][2] += dz * inv_r3 * s;
-            }
-        }
-    }
-    f
-}
-
 /// The ExaSky application.
 #[derive(Debug, Clone)]
 pub struct ExaSky {
@@ -173,41 +144,6 @@ impl ExaSky {
         let nodes = machine.nodes.min(8_192) as f64;
         let gpus = nodes * machine.node.gpus_per_node as f64;
         gpus / per_particle.secs()
-    }
-
-    /// One particle-mesh step on `comm`: the gravity kernel suite over
-    /// `particles_per_rank` per rank plus a 6-neighbour exchange of the
-    /// overload-zone particles. With `prepost`, the exchange goes in flight
-    /// *before* the kernels (the HACC schedule: neighbours' contributions
-    /// are only needed at the next deposit), so ranks pay only the residue
-    /// at wait; without it the exchange is fully exposed.
-    pub fn pm_step_time(
-        &self,
-        comm: &mut exa_mpi::Comm,
-        machine: &MachineModel,
-        particles_per_rank: u64,
-        prepost: bool,
-    ) -> SimTime {
-        let gpu = machine.node.gpu();
-        let eff = Self::eff(gpu.arch);
-        let per_particle: SimTime = gravity_kernels(Self::retuned(gpu.arch))
-            .iter()
-            .map(|k| k.time_per_particle(gpu, eff))
-            .sum();
-        let compute = per_particle * particles_per_rank as f64;
-        // Overload-zone traffic: ~1% of particles sit in the exchange skin,
-        // 32 bytes (position + velocity + id) each.
-        let bytes = (particles_per_rank / 100).max(1) * 32;
-        let start = comm.elapsed();
-        if prepost {
-            let req = comm.ihalo(6, bytes);
-            comm.advance_all(compute);
-            req.wait(comm);
-        } else {
-            comm.halo_exchange(6, bytes);
-            comm.advance_all(compute);
-        }
-        comm.elapsed() - start
     }
 
     /// Per-kernel speed-up between two machines — the §3.4 kernel study.
@@ -289,38 +225,6 @@ impl Application for ExaSky {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn short_range_forces_are_antisymmetric_for_pairs() {
-        let pos = vec![[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]];
-        let f = short_range_forces(&pos, 2.0);
-        assert!((f[0][0] + f[1][0]).abs() < 1e-6, "Newton's third law");
-        assert!(f[0][0] > 0.0, "attraction toward the neighbour");
-    }
-
-    #[test]
-    fn cutoff_limits_interactions() {
-        let pos = vec![[0.0; 3], [10.0, 0.0, 0.0]];
-        let f = short_range_forces(&pos, 1.0);
-        assert_eq!(f[0], [0.0; 3]);
-    }
-
-    #[test]
-    fn preposted_overload_exchange_hides_behind_gravity_kernels() {
-        let app = ExaSky::default();
-        let m = MachineModel::frontier();
-        let net = exa_mpi::Network::from_machine(&m);
-        let mut exposed = exa_mpi::Comm::new(64, net.clone());
-        let mut preposted = exa_mpi::Comm::new(64, net);
-        let particles = 1 << 24;
-        let t_exposed = app.pm_step_time(&mut exposed, &m, particles, false);
-        let t_preposted = app.pm_step_time(&mut preposted, &m, particles, true);
-        assert!(t_preposted < t_exposed, "{t_preposted} !< {t_exposed}");
-        // The whole exchange hid behind the kernel suite.
-        let eff = preposted.stats().overlap_efficiency();
-        assert!((eff - 1.0).abs() < 1e-12, "eff {eff}");
-        assert!(exposed.stats().overlap_efficiency() == 0.0);
-    }
 
     #[test]
     fn one_kernel_regresses_on_early_amd_hardware() {

@@ -499,86 +499,3 @@ mod tests {
         PsdnsRun::new(1024, 2048, Decomp::Slabs);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Spectral diagnostics.
-// ---------------------------------------------------------------------------
-
-/// Shell-averaged energy spectrum E(k) of a spectral field: bin |û(k)|²
-/// into integer wavenumber shells. This is the quantity DNS campaigns (the
-/// INCITE runs behind §3.3) actually publish.
-pub fn energy_spectrum(u_hat: &[C64], n: usize) -> Vec<f64> {
-    assert_eq!(u_hat.len(), n * n * n);
-    let kmax = (3.0f64).sqrt() * (n as f64 / 2.0);
-    let mut spectrum = vec![0.0f64; kmax.ceil() as usize + 2];
-    let wave = |i: usize| -> f64 {
-        if i <= n / 2 {
-            i as f64
-        } else {
-            i as f64 - n as f64
-        }
-    };
-    let norm = 1.0 / (n as f64).powi(6);
-    for i0 in 0..n {
-        for i1 in 0..n {
-            for i2 in 0..n {
-                let k = (wave(i0).powi(2) + wave(i1).powi(2) + wave(i2).powi(2)).sqrt();
-                let shell = k.round() as usize;
-                spectrum[shell] += u_hat[(i0 * n + i1) * n + i2].norm_sqr() * norm;
-            }
-        }
-    }
-    spectrum
-}
-
-#[cfg(test)]
-mod spectrum_tests {
-    use super::*;
-
-    #[test]
-    fn single_mode_concentrates_in_one_shell() {
-        let n = 16;
-        let mut u = vec![C64::ZERO; n * n * n];
-        // Mode k = (3, 0, 0) and its conjugate partner.
-        u[3 * n * n] = C64::from_re(1.0);
-        u[(n - 3) * n * n] = C64::from_re(1.0);
-        let spec = energy_spectrum(&u, n);
-        let total: f64 = spec.iter().sum();
-        assert!(total > 0.0);
-        assert!(spec[3] / total > 0.999, "all energy in shell 3: {spec:?}");
-    }
-
-    #[test]
-    fn spectrum_total_matches_parseval() {
-        let sim = MiniPsdns::new(8);
-        let spec = energy_spectrum(&sim.u_hat, 8);
-        let total: f64 = spec.iter().sum();
-        // energy() uses Σ|û|²/n³; the spectrum is normalised by n⁶, so the
-        // physical-space mean-square equals the spectrum sum.
-        let energy = sim.energy() / (8f64).powi(3);
-        assert!(
-            (total - energy).abs() < 1e-12 * energy.max(1e-30),
-            "{total} vs {energy}"
-        );
-    }
-
-    #[test]
-    fn viscosity_drains_high_shells_fastest() {
-        let mut sim = MiniPsdns::new(16);
-        // Excite two shells explicitly.
-        let n = 16;
-        sim.u_hat[2 * n * n] += C64::from_re(10.0);
-        sim.u_hat[6 * n * n] += C64::from_re(10.0);
-        let before = energy_spectrum(&sim.u_hat, n);
-        for _ in 0..5 {
-            sim.step(0.02, 0.8);
-        }
-        let after = energy_spectrum(&sim.u_hat, n);
-        let decay_low = after[2] / before[2].max(1e-300);
-        let decay_high = after[6] / before[6].max(1e-300);
-        assert!(
-            decay_high < decay_low,
-            "k=6 must decay faster than k=2: {decay_high} vs {decay_low}"
-        );
-    }
-}

@@ -699,260 +699,3 @@ mod tests {
         );
     }
 }
-
-// ---------------------------------------------------------------------------
-// Angular (3-body) kernel — the second divergent force term of §3.10.2
-// ("This pattern appeared in the evaluation of Angular and Torsional
-// force-field terms in ReaxFF").
-// ---------------------------------------------------------------------------
-
-/// A surviving angular triple.
-pub type Triple = (usize, usize, usize);
-
-fn angular_term(sys: &AtomSystem, t: Triple) -> f64 {
-    let (i, j, k) = t;
-    let a = sys.delta(j, i);
-    let b = sys.delta(j, k);
-    let dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
-    let na = (a[0] * a[0] + a[1] * a[1] + a[2] * a[2]).sqrt().max(1e-12);
-    let nb = (b[0] * b[0] + b[1] * b[1] + b[2] * b[2]).sqrt().max(1e-12);
-    let cos_theta = (dot / (na * nb)).clamp(-1.0, 1.0);
-    let bo = (-na).exp() * (-nb).exp();
-    bo * (1.0 - cos_theta).powi(2)
-}
-
-/// Algorithm-1-style angular evaluation: inline cutoff checks.
-pub fn angular_naive(
-    sys: &AtomSystem,
-    neigh: &[Vec<usize>],
-    bond: &[Vec<usize>],
-    r_cut: f64,
-) -> (f64, usize) {
-    let mut energy = 0.0;
-    let mut evaluated = 0;
-    for j in 0..sys.pos.len() {
-        for &i in &neigh[j] {
-            if sys.dist(j, i) >= r_cut {
-                continue;
-            }
-            for &k in &bond[j] {
-                if k <= i || sys.dist(j, k) >= r_cut {
-                    continue;
-                }
-                energy += angular_term(sys, (i, j, k));
-                evaluated += 1;
-            }
-        }
-    }
-    (energy, evaluated)
-}
-
-/// Preprocessor + dense evaluation for the angular term.
-pub fn build_triples(
-    sys: &AtomSystem,
-    neigh: &[Vec<usize>],
-    bond: &[Vec<usize>],
-    r_cut: f64,
-) -> Vec<Triple> {
-    let mut triples = Vec::new();
-    for j in 0..sys.pos.len() {
-        for &i in &neigh[j] {
-            if sys.dist(j, i) >= r_cut {
-                continue;
-            }
-            for &k in &bond[j] {
-                if k <= i || sys.dist(j, k) >= r_cut {
-                    continue;
-                }
-                triples.push((i, j, k));
-            }
-        }
-    }
-    triples
-}
-
-/// Dense angular evaluation over the precomputed list.
-pub fn angular_dense(sys: &AtomSystem, triples: &[Triple]) -> f64 {
-    triples.iter().map(|&t| angular_term(sys, t)).sum()
-}
-
-// ---------------------------------------------------------------------------
-// Velocity-Verlet MD loop over Lennard-Jones forces (the "simpler
-// force-field styles (e.g., a Lennard-Jones potential)" that "ran without
-// significant issues", §3.10.1).
-// ---------------------------------------------------------------------------
-
-/// Pairwise LJ forces and potential energy from a neighbor list.
-pub fn lj_forces(
-    sys: &AtomSystem,
-    neigh: &[Vec<usize>],
-    epsilon: f64,
-    sigma: f64,
-) -> (Vec<[f64; 3]>, f64) {
-    let n = sys.pos.len();
-    let mut f = vec![[0.0f64; 3]; n];
-    let mut pot = 0.0;
-    for i in 0..n {
-        for &j in &neigh[i] {
-            if j <= i {
-                continue; // each pair once
-            }
-            let d = sys.delta(i, j);
-            let r2 = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).max(1e-6);
-            let s2 = sigma * sigma / r2;
-            let s6 = s2 * s2 * s2;
-            pot += 4.0 * epsilon * (s6 * s6 - s6);
-            let mag = 24.0 * epsilon * (2.0 * s6 * s6 - s6) / r2;
-            for x in 0..3 {
-                f[i][x] -= mag * d[x];
-                f[j][x] += mag * d[x];
-            }
-        }
-    }
-    (f, pot)
-}
-
-/// An MD state advanced with velocity Verlet.
-pub struct MdRun {
-    /// Atom system (positions mutate in place).
-    pub sys: AtomSystem,
-    /// Velocities.
-    pub vel: Vec<[f64; 3]>,
-    /// LJ well depth.
-    pub epsilon: f64,
-    /// LJ diameter.
-    pub sigma: f64,
-    /// Neighbor cutoff.
-    pub cutoff: f64,
-    forces: Vec<[f64; 3]>,
-}
-
-impl MdRun {
-    /// Cold-start an MD run on a crystal.
-    pub fn new(n: usize, seed: u64) -> Self {
-        let sys = AtomSystem::crystal(n, seed);
-        let neigh = sys.neighbor_list(1.6);
-        let (forces, _) = lj_forces(&sys, &neigh, 0.2, 0.9);
-        let natoms = sys.pos.len();
-        MdRun {
-            sys,
-            vel: vec![[0.0; 3]; natoms],
-            epsilon: 0.2,
-            sigma: 0.9,
-            cutoff: 1.6,
-            forces,
-        }
-    }
-
-    /// Total energy (kinetic + potential).
-    pub fn total_energy(&self) -> f64 {
-        let neigh = self.sys.neighbor_list(self.cutoff);
-        let (_, pot) = lj_forces(&self.sys, &neigh, self.epsilon, self.sigma);
-        let kin: f64 = self
-            .vel
-            .iter()
-            .map(|v| 0.5 * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
-            .sum();
-        kin + pot
-    }
-
-    /// Net momentum (conserved exactly by Newton's third law).
-    pub fn momentum(&self) -> [f64; 3] {
-        let mut p = [0.0; 3];
-        for v in &self.vel {
-            for x in 0..3 {
-                p[x] += v[x];
-            }
-        }
-        p
-    }
-
-    /// One velocity-Verlet step.
-    pub fn step(&mut self, dt: f64) {
-        let n = self.sys.pos.len();
-        for i in 0..n {
-            for x in 0..3 {
-                self.vel[i][x] += 0.5 * dt * self.forces[i][x];
-                self.sys.pos[i][x] =
-                    (self.sys.pos[i][x] + dt * self.vel[i][x]).rem_euclid(self.sys.box_len);
-            }
-        }
-        let neigh = self.sys.neighbor_list(self.cutoff);
-        let (new_forces, _) = lj_forces(&self.sys, &neigh, self.epsilon, self.sigma);
-        for (v, f) in self.vel.iter_mut().zip(&new_forces).take(n) {
-            for (vx, fx) in v.iter_mut().zip(f) {
-                *vx += 0.5 * dt * fx;
-            }
-        }
-        self.forces = new_forces;
-    }
-}
-
-#[cfg(test)]
-mod md_tests {
-    use super::*;
-
-    #[test]
-    fn angular_preprocessing_matches_naive() {
-        let sys = AtomSystem::crystal(4, 9);
-        let neigh = sys.neighbor_list(1.4);
-        let bond = sys.bond_list(&neigh, 1.25);
-        let (e_naive, count) = angular_naive(&sys, &neigh, &bond, 1.3);
-        let triples = build_triples(&sys, &neigh, &bond, 1.3);
-        assert_eq!(triples.len(), count);
-        assert!(count > 0, "system must have angles");
-        let e_dense = angular_dense(&sys, &triples);
-        assert!((e_naive - e_dense).abs() < 1e-12 * e_naive.abs().max(1.0));
-    }
-
-    #[test]
-    fn lj_forces_obey_newtons_third_law() {
-        let sys = AtomSystem::crystal(3, 4);
-        let neigh = sys.neighbor_list(1.6);
-        let (f, _) = lj_forces(&sys, &neigh, 0.2, 0.9);
-        let mut net = [0.0f64; 3];
-        for fi in &f {
-            for x in 0..3 {
-                net[x] += fi[x];
-            }
-        }
-        for x in 0..3 {
-            assert!(net[x].abs() < 1e-10, "net force {net:?}");
-        }
-    }
-
-    #[test]
-    fn verlet_conserves_energy_and_momentum() {
-        let mut md = MdRun::new(3, 11);
-        let e0 = md.total_energy();
-        let p0 = md.momentum();
-        for _ in 0..200 {
-            md.step(2e-3);
-        }
-        let e1 = md.total_energy();
-        let p1 = md.momentum();
-        let drift = (e1 - e0).abs() / e0.abs().max(1e-3);
-        assert!(drift < 0.05, "energy drift {drift} (E {e0} -> {e1})");
-        for x in 0..3 {
-            assert!(
-                (p1[x] - p0[x]).abs() < 1e-9,
-                "momentum drift {p1:?} vs {p0:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn crystal_relaxes_rather_than_explodes() {
-        let mut md = MdRun::new(3, 2);
-        for _ in 0..100 {
-            md.step(2e-3);
-        }
-        assert!(md.sys.pos.iter().all(|p| p.iter().all(|c| c.is_finite())));
-        let speed_max = md
-            .vel
-            .iter()
-            .map(|v| (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt())
-            .fold(0.0, f64::max);
-        assert!(speed_max < 10.0, "velocities bounded: {speed_max}");
-    }
-}

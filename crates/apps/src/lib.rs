@@ -13,15 +13,16 @@
 //! | [`exasky`]  | 3.4  | ExaSky/HACC | particle gravity — PM + short-range kernels |
 //! | [`e3sm`]    | 3.5  | E3SM-MMF    | column physics — kernel fusion/fission, pool allocator |
 //! | [`comet`]   | 3.6  | CoMet       | comparative genomics — mixed-precision GEMM |
-//! | [`nuccor`]  | 3.7  | NuCCOR      | coupled cluster — tensor contractions behind plugins |
+//! | [`nuccor`]  | 3.7  | NuCCOR      | coupled cluster — tensor contractions as GEMM |
 //! | [`pele`]    | 3.8  | Pele        | AMR reactive flow — stiff chemistry, CVODE-style |
 //! | [`coast`]   | 3.9  | COAST       | all-pairs shortest path — blocked Floyd–Warshall |
 //! | [`lammps`]  | 3.10 | LAMMPS      | ReaxFF MD — divergence preprocessing, fused dual CG |
 //!
-//! Every module carries a *real*, tested numerical mini-implementation of
-//! its kernel plus a calibrated cost-model path used to run the paper-scale
-//! challenge problems; calibration constants live in [`calibration`] and are
-//! documented against the paper's own statements.
+//! Every module carries a calibrated cost-model path used to run the
+//! paper-scale challenge problems, and most also a *real*, tested numerical
+//! mini-implementation of the kernel an experiment or example runs;
+//! calibration constants live in [`calibration`] and are documented
+//! against the paper's own statements.
 
 pub mod calibration;
 pub mod coast;

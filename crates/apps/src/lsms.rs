@@ -333,95 +333,3 @@ mod tests {
         );
     }
 }
-
-// ---------------------------------------------------------------------------
-// Energy-contour integration — the self-consistency loop around the
-// τ-matrix solves (the "first principles ... density functional theory"
-// outer structure of §3.2).
-// ---------------------------------------------------------------------------
-
-/// Integrate the τ₀₀ trace over a semicircular complex-energy contour —
-/// the KKR route to the integrated density of states. Each contour point is
-/// one full KKR assembly + solve, so the per-GPU work of the production
-/// code is `points × solve`, exactly what the §3.2 port accelerates.
-///
-/// Returns (integrated DOS estimate, per-point trace values).
-pub fn contour_integration(
-    stream: &mut Stream,
-    lib: &DeviceBlas,
-    liz_atoms: usize,
-    points: usize,
-    solver: TauSolver,
-    seed: u64,
-) -> (f64, Vec<C64>) {
-    assert!(points >= 2);
-    let mut traces = Vec::with_capacity(points);
-    // Semicircle in the upper half plane: e(θ) with Im e > 0.
-    for p in 0..points {
-        let theta = std::f64::consts::PI * (p as f64 + 0.5) / points as f64;
-        let im = 0.4 * theta.sin() + 0.05;
-        let kkr = build_kkr_matrix(liz_atoms, im, seed);
-        let (tau, _) = solve_tau00(stream, lib, &kkr, solver);
-        let trace: C64 = (0..BLOCK).map(|i| tau[(i, i)]).sum();
-        traces.push(trace);
-    }
-    // DOS ∝ -Im Tr τ / π, trapezoid over the contour parameter.
-    let dos: f64 = traces
-        .iter()
-        .map(|t| -t.im / std::f64::consts::PI)
-        .sum::<f64>()
-        / points as f64;
-    (dos, traces)
-}
-
-#[cfg(test)]
-mod contour_tests {
-    use super::*;
-    use exa_hal::{ApiSurface, Device};
-    use exa_machine::GpuModel;
-
-    fn hip_stream() -> Stream {
-        Stream::new(Device::new(GpuModel::mi250x_gcd(), 0), ApiSurface::Hip).unwrap()
-    }
-
-    #[test]
-    fn contour_is_deterministic_and_finite() {
-        let lib = DeviceBlas;
-        let mut s1 = hip_stream();
-        let (d1, tr1) = contour_integration(&mut s1, &lib, 4, 6, TauSolver::RocsolverLu, 3);
-        let mut s2 = hip_stream();
-        let (d2, tr2) = contour_integration(&mut s2, &lib, 4, 6, TauSolver::RocsolverLu, 3);
-        assert_eq!(tr1.len(), 6);
-        assert!(d1.is_finite());
-        assert_eq!(d1, d2);
-        for (a, b) in tr1.iter().zip(&tr2) {
-            assert_eq!(a.re, b.re);
-        }
-    }
-
-    #[test]
-    fn both_solvers_integrate_to_the_same_dos() {
-        let lib = DeviceBlas;
-        let mut s1 = hip_stream();
-        let (d_lu, _) = contour_integration(&mut s1, &lib, 4, 4, TauSolver::RocsolverLu, 7);
-        let mut s2 = hip_stream();
-        let (d_blk, _) = contour_integration(&mut s2, &lib, 4, 4, TauSolver::ZBlockLu, 7);
-        assert!(
-            (d_lu - d_blk).abs() < 1e-8 * d_lu.abs().max(1.0),
-            "{d_lu} vs {d_blk}"
-        );
-    }
-
-    #[test]
-    fn per_point_cost_makes_the_solver_choice_matter() {
-        // The contour multiplies the solver advantage by the point count.
-        let lib = DeviceBlas;
-        let mut s1 = hip_stream();
-        contour_integration(&mut s1, &lib, 6, 8, TauSolver::RocsolverLu, 1);
-        let t_lu = s1.device_time();
-        let mut s2 = hip_stream();
-        contour_integration(&mut s2, &lib, 6, 8, TauSolver::ZBlockLu, 1);
-        let t_blk = s2.device_time();
-        assert!(t_lu < t_blk, "{t_lu} !< {t_blk}");
-    }
-}

@@ -864,15 +864,10 @@ pub fn chemistry_kernels(cells: usize) -> Vec<exa_hal::KernelProfile> {
 /// the fixed upload→RHS→download sequence is recorded through
 /// [`exa_hal::Stream::begin_capture`] and each step is one graph
 /// submission, so the per-step launch charge collapses and the host stops
-/// gating the device).
-pub fn chemistry_step_time(cells: usize, steps: usize, graphed: bool) -> SimTime {
-    chemistry_step_profiled(cells, steps, graphed, None)
-}
-
-/// [`chemistry_step_time`] under observation: when a collector is supplied
-/// the stream records every launch, DMA, and graph replay as spans on a
-/// `pele/chem` device-queue track, and pours its [`exa_hal::stream::StreamStats`]
-/// into the collector's metrics before returning.
+/// gating the device). When a collector is supplied the stream records
+/// every launch, DMA, and graph replay as spans on a `pele/chem`
+/// device-queue track, and pours its [`exa_hal::stream::StreamStats`] into
+/// the collector's metrics before returning.
 pub fn chemistry_step_profiled(
     cells: usize,
     steps: usize,
@@ -973,8 +968,8 @@ mod uvm_tests {
     #[test]
     fn graphed_chemistry_beats_per_call_launching() {
         let cells = 4096;
-        let eager = chemistry_step_time(cells, 16, false);
-        let graphed = chemistry_step_time(cells, 16, true);
+        let eager = chemistry_step_profiled(cells, 16, false, None);
+        let graphed = chemistry_step_profiled(cells, 16, true, None);
         assert!(
             graphed < eager,
             "replaying the captured step must beat per-call launches: {graphed} !< {eager}"
@@ -1029,361 +1024,5 @@ mod uvm_tests {
         // Ping-pong never amortises: cost stays ~linear in steps.
         let r = t8 / t2;
         assert!(r > 3.0, "UVM thrash should scale with steps: {r}");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Distributed diffusion on the AMReX substrate (`exa-amr`).
-// ---------------------------------------------------------------------------
-
-/// One explicit diffusion step of a [`exa_amr::MultiFab`] temperature field
-/// using box-local stencils over ghost cells — the AMReX access pattern the
-/// asynchronous ghost exchange of §3.8 serves. Returns the step's wall time
-/// on the communicator.
-pub fn multifab_diffusion_step(
-    field: &mut exa_amr::MultiFab,
-    comm: &mut exa_mpi::Comm,
-    kappa_dt: f64,
-    policy: exa_amr::GhostPolicy,
-    interior_work: SimTime,
-) -> SimTime {
-    assert!(kappa_dt < 0.25, "explicit stability limit");
-    let t = field.fill_boundary(comm, policy, interior_work);
-    let lap = field.laplacian();
-    for (bi, bx) in field.ba.boxes.clone().iter().enumerate() {
-        for (i, j) in bx.cells() {
-            let v = field.get_local(bi, i, j) + kappa_dt * lap.get_local(bi, i, j);
-            field.set(i, j, v);
-        }
-    }
-    t
-}
-
-/// A short diffusion campaign under observation: builds an `n × n` field
-/// chopped into `max_box` boxes over `ranks` ranks, runs `steps` explicit
-/// steps with the given [`exa_amr::GhostPolicy`], records every exchange on
-/// per-rank comm tracks named `pele/ghost/rank<r>`, and absorbs the
-/// communicator stats into `telemetry`. Returns the campaign's wall time.
-/// This is the driver the overlap bench and the critical-path idle
-/// comparison use: same physics, only the ghost-exchange schedule differs.
-pub fn diffusion_campaign_profiled(
-    n: i64,
-    max_box: i64,
-    ranks: usize,
-    steps: usize,
-    policy: exa_amr::GhostPolicy,
-    interior_work: SimTime,
-    telemetry: &Arc<TelemetryCollector>,
-) -> SimTime {
-    let machine = MachineModel::frontier();
-    let ba = exa_amr::BoxArray::chop(exa_amr::IntBox::domain(n, n), max_box, ranks);
-    let mut field = exa_amr::MultiFab::new(ba, 1);
-    field.fill(|i, j| ((i * 7 + j * 3) % 11) as f64);
-    let mut comm = exa_mpi::Comm::new(ranks, exa_mpi::Network::from_machine(&machine));
-    comm.attach_telemetry(telemetry, "pele/ghost");
-    for _ in 0..steps {
-        multifab_diffusion_step(&mut field, &mut comm, 0.2, policy, interior_work);
-    }
-    comm.absorb_telemetry();
-    comm.elapsed()
-}
-
-#[cfg(test)]
-mod amr_tests {
-    use super::*;
-    use exa_amr::{BoxArray, GhostPolicy, IntBox, MultiFab};
-    use exa_machine::MachineModel;
-    use exa_mpi::{Comm, Network};
-
-    fn global_diffusion_step(u: &mut [f64], n: usize, kappa_dt: f64) {
-        let old = u.to_vec();
-        let at = |i: isize, j: isize| -> f64 {
-            let m = n as isize;
-            old[(i.rem_euclid(m) as usize) * n + j.rem_euclid(m) as usize]
-        };
-        for i in 0..n as isize {
-            for j in 0..n as isize {
-                let lap =
-                    at(i - 1, j) + at(i + 1, j) + at(i, j - 1) + at(i, j + 1) - 4.0 * at(i, j);
-                u[i as usize * n + j as usize] += kappa_dt * lap;
-            }
-        }
-    }
-
-    #[test]
-    fn multifab_diffusion_matches_the_global_array() {
-        let n = 16i64;
-        let init = |i: i64, j: i64| ((i * 7 + j * 3) % 11) as f64;
-        let ba = BoxArray::chop(IntBox::domain(n, n), 8, 4);
-        let mut field = MultiFab::new(ba, 1);
-        field.fill(init);
-        let mut comm = Comm::new(4, Network::from_machine(&MachineModel::frontier()));
-
-        let mut global: Vec<f64> = (0..n)
-            .flat_map(|i| (0..n).map(move |j| init(i, j)))
-            .collect();
-
-        for _ in 0..5 {
-            multifab_diffusion_step(
-                &mut field,
-                &mut comm,
-                0.2,
-                GhostPolicy::Synchronous,
-                SimTime::ZERO,
-            );
-            global_diffusion_step(&mut global, n as usize, 0.2);
-        }
-        for i in 0..n {
-            for j in 0..n {
-                let a = field.get(i, j);
-                let b = global[(i * n + j) as usize];
-                assert!((a - b).abs() < 1e-12, "({i},{j}): {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn async_ghost_exchange_saves_time_at_box_scale() {
-        let run = |policy: GhostPolicy| -> SimTime {
-            let ba = BoxArray::chop(IntBox::domain(64, 64), 8, 16);
-            let mut field = MultiFab::new(ba, 1);
-            field.fill(|i, j| (i + j) as f64);
-            let mut comm = Comm::new(16, Network::from_machine(&MachineModel::frontier()));
-            let work = SimTime::from_micros(300.0);
-            for _ in 0..4 {
-                multifab_diffusion_step(&mut field, &mut comm, 0.2, policy, work);
-            }
-            comm.elapsed()
-        };
-        let t_sync = run(GhostPolicy::Synchronous);
-        let t_async = run(GhostPolicy::Overlapped);
-        assert!(t_async < t_sync, "{t_async} !< {t_sync}");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PelePhysics-style chemistry code generation (§3.8).
-// ---------------------------------------------------------------------------
-//
-// "Both applications share a library called PelePhysics which contains a
-// code generator to emit code for thermo-chemistry routines" ... "the
-// unrolled chemistry computation routines can contain upwards of 200k lines
-// of code in a single file, with a single GPU kernel (such as the
-// calculation of a chemical Jacobian) spanning 140k lines of code on its
-// own. These large kernels have been found to use upwards of 18k registers."
-
-/// A generic reaction mechanism: `reactions[r] = (reactant, product, A, Ea, q)`
-/// for first-order steps `reactant -> product`.
-#[derive(Debug, Clone)]
-pub struct GeneralMechanism {
-    /// Species count (temperature is appended as the last unknown).
-    pub nspecies: usize,
-    /// Reactions as (reactant index, product index, prefactor, activation T, heat).
-    pub reactions: Vec<(usize, usize, f64, f64, f64)>,
-}
-
-impl GeneralMechanism {
-    /// A chain mechanism `S0 -> S1 -> ... -> S_{n-1}` with varied rates.
-    pub fn chain(nspecies: usize) -> Self {
-        assert!(nspecies >= 2);
-        let reactions = (0..nspecies - 1)
-            .map(|r| {
-                (
-                    r,
-                    r + 1,
-                    1.0e6 * (1.0 + r as f64),
-                    6.0 + 0.7 * r as f64,
-                    0.4,
-                )
-            })
-            .collect();
-        GeneralMechanism {
-            nspecies,
-            reactions,
-        }
-    }
-
-    /// Interpreted right-hand side (the oracle).
-    pub fn rhs_interpreted(&self, u: &[f64]) -> Vec<f64> {
-        assert_eq!(u.len(), self.nspecies + 1);
-        let t = u[self.nspecies].max(0.05);
-        let mut out = vec![0.0; self.nspecies + 1];
-        for &(re, pr, a, ea, q) in &self.reactions {
-            let rate = a * (-ea / t).exp() * u[re].max(0.0);
-            out[re] -= rate;
-            out[pr] += rate;
-            out[self.nspecies] += q * rate;
-        }
-        out
-    }
-
-    /// "Compile" the mechanism: fully unroll every reaction into a flat op
-    /// list (the PelePhysics strategy), returning the compiled evaluator.
-    pub fn compile(&self) -> CompiledMechanism {
-        let mut ops = Vec::with_capacity(self.reactions.len());
-        for &(re, pr, a, ea, q) in &self.reactions {
-            ops.push(UnrolledOp {
-                src: re,
-                dst: pr,
-                prefactor: a,
-                activation: ea,
-                heat: q,
-            });
-        }
-        CompiledMechanism {
-            nspecies: self.nspecies,
-            ops,
-        }
-    }
-
-    /// Emit the unrolled source text the generator would write — one block
-    /// of straight-line code per reaction, exactly why production
-    /// mechanisms reach 10⁵ lines.
-    pub fn emit_source(&self) -> String {
-        let mut src = String::new();
-        use std::fmt::Write;
-        writeln!(src, "// auto-generated by PelePhysics-mini: do not edit").expect("write");
-        writeln!(src, "fn production_rates(u: &[f64], out: &mut [f64]) {{").expect("write");
-        writeln!(src, "    let t = u[{}].max(0.05);", self.nspecies).expect("write");
-        for (r, &(re, pr, a, ea, q)) in self.reactions.iter().enumerate() {
-            writeln!(src, "    // reaction {r}: S{re} -> S{pr}").expect("write");
-            writeln!(src, "    let k{r} = {a:e} * (-{ea:e} / t).exp();").expect("write");
-            writeln!(src, "    let w{r} = k{r} * u[{re}].max(0.0);").expect("write");
-            writeln!(src, "    out[{re}] -= w{r};").expect("write");
-            writeln!(src, "    out[{pr}] += w{r};").expect("write");
-            writeln!(src, "    out[{}] += {q:e} * w{r};", self.nspecies).expect("write");
-        }
-        writeln!(src, "}}").expect("write");
-        src
-    }
-
-    /// Register-pressure estimate of the unrolled kernel: every reaction's
-    /// rate lives in a register in the fully-unrolled form.
-    pub fn unrolled_registers(&self) -> u32 {
-        (16 + 2 * self.reactions.len()) as u32
-    }
-}
-
-/// One unrolled reaction step.
-#[derive(Debug, Clone, Copy)]
-pub struct UnrolledOp {
-    src: usize,
-    dst: usize,
-    prefactor: f64,
-    activation: f64,
-    heat: f64,
-}
-
-/// The compiled (op-list) evaluator.
-#[derive(Debug, Clone)]
-pub struct CompiledMechanism {
-    /// Species count.
-    pub nspecies: usize,
-    ops: Vec<UnrolledOp>,
-}
-
-impl CompiledMechanism {
-    /// Evaluate the right-hand side through the flat op list.
-    pub fn rhs(&self, u: &[f64]) -> Vec<f64> {
-        let t = u[self.nspecies].max(0.05);
-        let mut out = vec![0.0; self.nspecies + 1];
-        for op in &self.ops {
-            let rate = op.prefactor * (-op.activation / t).exp() * u[op.src].max(0.0);
-            out[op.src] -= rate;
-            out[op.dst] += rate;
-            out[self.nspecies] += op.heat * rate;
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod codegen_tests {
-    use super::*;
-
-    #[test]
-    fn compiled_mechanism_matches_interpreter() {
-        let mech = GeneralMechanism::chain(12);
-        let compiled = mech.compile();
-        let u: Vec<f64> = (0..13).map(|i| 0.05 + 0.07 * i as f64).collect();
-        let a = mech.rhs_interpreted(&u);
-        let b = compiled.rhs(&u);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x, y, "compiled evaluator must be exact");
-        }
-    }
-
-    #[test]
-    fn rhs_conserves_species_mass() {
-        let mech = GeneralMechanism::chain(8);
-        let u: Vec<f64> = (0..9).map(|i| 0.1 + 0.05 * i as f64).collect();
-        let dudt = mech.rhs_interpreted(&u);
-        let mass_rate: f64 = dudt[..8].iter().sum();
-        assert!(
-            mass_rate.abs() < 1e-12,
-            "species source terms must cancel: {mass_rate}"
-        );
-        assert!(dudt[8] >= 0.0, "exothermic chain heats up");
-    }
-
-    #[test]
-    fn emitted_source_scales_like_the_paper_says() {
-        // Our 6-line-per-reaction emitter on a drm19-scale mechanism
-        // (~84 reactions forward+reverse ≈ 168 steps) is hundreds of lines;
-        // production emitters (Jacobian + thermo + QSS) multiply that by
-        // ~1000x — the "200k lines in a single file" of §3.8.
-        let small = GeneralMechanism::chain(8);
-        let src = small.emit_source();
-        assert_eq!(src.lines().count(), 4 + 6 * small.reactions.len());
-        assert!(src.contains("auto-generated"));
-        // Register pressure grows linearly with the unroll.
-        let big = GeneralMechanism::chain(2000);
-        assert!(
-            big.unrolled_registers() > 4000,
-            "fully-unrolled large mechanisms must spill-level register use"
-        );
-        let gpu = exa_machine::GpuModel::mi250x_gcd();
-        let profile = exa_machine::KernelProfile::new(
-            "generated_jacobian",
-            exa_machine::LaunchConfig::new(1 << 12, 128),
-        )
-        .flops(1e10, exa_machine::DType::F64)
-        .regs(big.unrolled_registers());
-        let (_, spilled) = gpu.occupancy(&profile);
-        assert!(
-            spilled,
-            "the generated monster kernel must spill, as §3.8 reports"
-        );
-    }
-
-    #[test]
-    fn generated_code_round_trips_through_bdf() {
-        // The compiled chain mechanism integrates stably with the same BDF
-        // machinery used for the hand-written 3-species model.
-        let mech = GeneralMechanism::chain(4);
-        let compiled = mech.compile();
-        let mut u = vec![1.0, 0.0, 0.0, 0.0, 1.2];
-        let dt = 1e-5;
-        // Simple implicit-ish update: backward Euler fixed point on the
-        // compiled rhs.
-        for _ in 0..2000 {
-            let mut guess = u.clone();
-            for _ in 0..50 {
-                let f = compiled.rhs(&guess);
-                let mut next = u.clone();
-                for i in 0..next.len() {
-                    next[i] = u[i] + dt * f[i];
-                }
-                if next.iter().zip(&guess).all(|(a, b)| (a - b).abs() < 1e-14) {
-                    guess = next;
-                    break;
-                }
-                guess = next;
-            }
-            u = guess;
-        }
-        let mass: f64 = u[..4].iter().sum();
-        assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
-        assert!(u[3] > 0.1, "the chain end product accumulates: {}", u[3]);
     }
 }

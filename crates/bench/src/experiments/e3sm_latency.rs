@@ -1,14 +1,22 @@
 //! §3.5 — E3SM-MMF latency-management ablation grid.
 //!
 //! Sweeps the four mitigation strategies (fusion, fission-on-spill, async
-//! launch, pool allocator) individually and combined, at two strong-scaling
-//! operating points.
+//! launch, pool allocator) individually and combined, at three
+//! strong-scaling operating points. A closing row prices §3.5's throughput
+//! target, "1,000–2,000x realtime", at the strong-scaled operating point:
+//! the gate fails unless the optimised pipeline reaches 1000x realtime and
+//! beats the naive one.
 
-use crate::{Gate, header, write_json};
+use crate::{gate, header, write_json, Gate};
 use exa_apps::calibration::e3sm as cal;
-use exa_apps::e3sm::{step_time, E3smConfig};
+use exa_apps::e3sm::{realtime_ratio, step_time, E3smConfig};
 use exa_machine::GpuArch;
 use serde::Serialize;
+
+/// Model seconds one physics step advances in the realtime row.
+const STEP_SECONDS: f64 = 180.0;
+/// The low end of the paper's realtime target.
+const REALTIME_TARGET: f64 = 1000.0;
 
 #[derive(Serialize)]
 struct AblationRow {
@@ -16,6 +24,21 @@ struct AblationRow {
     columns: usize,
     step_us: f64,
     speedup_vs_naive: f64,
+}
+
+/// The realtime row: model time per wall time at `columns` per GPU.
+#[derive(Serialize)]
+struct RealtimeRow {
+    columns: usize,
+    step_seconds: f64,
+    optimized: f64,
+    naive: f64,
+}
+
+#[derive(Serialize)]
+struct E3smLatency {
+    ablation: Vec<AblationRow>,
+    realtime: RealtimeRow,
 }
 
 pub fn run() -> Gate {
@@ -78,6 +101,32 @@ pub fn run() -> Gate {
         "\n(the latency strategies matter most at low per-GPU workloads — exactly why a \
          1000-2000x-realtime strong-scaled MMF needed them)"
     );
-    write_json("e3sm_latency", &rows);
-    Ok(())
+    let columns = cal::COLUMNS_PER_GPU;
+    let realtime = RealtimeRow {
+        columns,
+        step_seconds: STEP_SECONDS,
+        optimized: realtime_ratio(arch, E3smConfig::optimized(), columns, STEP_SECONDS),
+        naive: realtime_ratio(arch, E3smConfig::naive(), columns, STEP_SECONDS),
+    };
+    println!(
+        "realtime at {columns} columns/GPU, {STEP_SECONDS} s per step: optimized {:.0}x, \
+         naive {:.0}x  [paper: 1,000-2,000x realtime target]",
+        realtime.optimized, realtime.naive
+    );
+    let mut failures = Vec::new();
+    if !(realtime.optimized >= REALTIME_TARGET && realtime.naive < realtime.optimized) {
+        failures.push(format!(
+            "the optimized pipeline must reach {REALTIME_TARGET}x realtime and beat the \
+             naive one: {} vs {}",
+            realtime.optimized, realtime.naive
+        ));
+    }
+    write_json(
+        "e3sm_latency",
+        &E3smLatency {
+            ablation: rows,
+            realtime,
+        },
+    );
+    gate(failures)
 }

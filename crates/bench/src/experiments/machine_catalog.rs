@@ -1,8 +1,13 @@
 //! Print the hardware catalog — every machine model in the simulator with
-//! its public-spec parameters (the §4 early-access timeline included).
+//! its public-spec parameters (the §4 early-access timeline included). The
+//! gate fails unless Frontier's FP64 machine peak is at least 1 EF and
+//! Summit's is below it: the OLCF-5 -> OLCF-6 step the campaign targeted.
 
-use crate::{Gate, header, write_json};
+use crate::{gate, header, write_json, Gate};
 use exa_machine::MachineModel;
+
+/// One exaflop per second.
+const EXAFLOP: f64 = 1e18;
 
 pub fn run() -> Gate {
     header("Machine catalog (public-spec parameters)");
@@ -37,11 +42,20 @@ pub fn run() -> Gate {
             m.interconnect.name
         );
     }
+    let frontier = MachineModel::frontier().machine_peak_f64();
+    let summit = MachineModel::summit().machine_peak_f64();
     println!(
         "\nFrontier FP64 peak {:.2} EF (exascale); Summit {:.0} PF — the OLCF-5 -> OLCF-6 step.",
-        MachineModel::frontier().machine_peak_f64() / 1e18,
-        MachineModel::summit().machine_peak_f64() / 1e15
+        frontier / EXAFLOP,
+        summit / 1e15
     );
     write_json("machine_catalog", &machines);
-    Ok(())
+    let mut failures = Vec::new();
+    if !(frontier >= EXAFLOP && summit < EXAFLOP) {
+        failures.push(format!(
+            "Frontier's FP64 peak ({frontier:e}) must reach 1 EF and Summit's ({summit:e}) \
+             must not"
+        ));
+    }
+    gate(failures)
 }

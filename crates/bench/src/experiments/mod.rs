@@ -37,12 +37,12 @@ macro_rules! registry {
 registry! {
     fig1_shoc: paper "Figure 1: SHOC HIP vs CUDA on Summit (gate: verified, 0.90..=1.05 band)",
     table1_motifs: paper "Table 1: porting-motif matrix (gate: every paper entry present)",
-    table2_speedups: paper "Table 2: Summit -> Frontier speed-ups",
-    fig2_pele: paper "Figure 2: PeleC time per cell per timestep",
+    table2_speedups: paper "Table 2: Summit -> Frontier speed-ups (gate: GDDI >= 95% at 2048 nodes)",
+    fig2_pele: paper "Figure 2: PeleC time per cell per timestep (gate: weak scaling > 80% and above sync, explicit copies < UVM)",
     lsms_solvers: paper "§3.2 LSMS: zblock_lu vs LU route, index rearrangement",
     gests_fom: paper "§3.3 GESTS: FOM, slabs vs pencils",
     exasky_kernels: paper "§3.4 ExaSky/HACC: gravity kernels and FOM",
-    e3sm_latency: paper "§3.5 E3SM-MMF: latency-strategy ablation grid",
+    e3sm_latency: paper "§3.5 E3SM-MMF: latency-strategy ablation grid (gate: optimized >= 1000x realtime, above naive)",
     comet_scaling: paper "§3.6 CoMet: precision sweep and weak scaling",
     coast_apsp: paper "§3.9 COAST: min-plus autotuning and Gordon-Bell runs",
     lammps_reaxff: paper "§3.10 LAMMPS ReaxFF: preprocessing, dual-CG QEq, spill fix",
@@ -50,7 +50,7 @@ registry! {
     roofline_report: extra "§3.2/§3.10 profiler hotspot report",
     user_guide: extra "§5 user guide from the lessons registry",
     campaign_reports: extra "§6 readiness reports over the early-access timeline",
-    machine_catalog: extra "§4 machine catalog",
+    machine_catalog: extra "§4 machine catalog (gate: Frontier >= 1 EF FP64 peak > Summit)",
     profile_export: gates "telemetry export -> PROFILE_pele.json + .trace.json (gated)",
     fom_ledger: gates "FOM ledger + regression sentinel -> FOM_LEDGER.json (gated)",
     comm_overlap: gates "comm/compute overlap >= 1.3x -> BENCH_comm_overlap.json",

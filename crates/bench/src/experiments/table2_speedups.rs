@@ -3,12 +3,20 @@
 //!
 //! Runs every Table 2 application's challenge problem on the Summit and
 //! Frontier machine models and reports the measured speed-up next to the
-//! paper's value.
+//! paper's value. A closing row prices GAMESS's GDDI fragment driver at
+//! 2,048 Frontier nodes (§3.1: "nearly ideal linear scaling up to 2K
+//! nodes"); the gate fails unless its parallel efficiency is at least 95%.
 
-use crate::{Gate, header, vs_paper, write_json};
+use crate::{gate, header, vs_paper, write_json, Gate};
+use exa_apps::gamess::gddi_scaling_efficiency;
 use exa_apps::table2_applications;
 use exa_machine::MachineModel;
 use serde::Serialize;
+
+/// Node count of the GDDI row.
+const GDDI_NODES: u32 = 2048;
+/// The efficiency that counts as "nearly ideal".
+const GDDI_FLOOR: f64 = 0.95;
 
 #[derive(Serialize)]
 struct Table2Row {
@@ -20,6 +28,19 @@ struct Table2Row {
     measured_speedup: f64,
     paper_speedup: f64,
     rel_error: f64,
+}
+
+/// The §3.1 row: GDDI weak-scaling efficiency on Frontier.
+#[derive(Serialize)]
+struct GddiRow {
+    nodes: u32,
+    efficiency: f64,
+}
+
+#[derive(Serialize)]
+struct Table2 {
+    rows: Vec<Table2Row>,
+    gddi: GddiRow,
 }
 
 pub fn run() -> Gate {
@@ -68,6 +89,22 @@ pub fn run() -> Gate {
             .fold(f64::INFINITY, f64::min),
         rows.iter().map(|r| r.measured_speedup).fold(0.0, f64::max),
     );
-    write_json("table2_speedups", &rows);
-    Ok(())
+    let gddi = GddiRow {
+        nodes: GDDI_NODES,
+        efficiency: gddi_scaling_efficiency(&frontier, GDDI_NODES),
+    };
+    println!(
+        "GAMESS GDDI fragment driver on {GDDI_NODES} Frontier nodes: {:.2}% parallel \
+         efficiency  [paper: nearly ideal linear scaling up to 2K nodes]",
+        gddi.efficiency * 100.0
+    );
+    let mut failures = Vec::new();
+    if gddi.efficiency < GDDI_FLOOR {
+        failures.push(format!(
+            "GDDI efficiency at {GDDI_NODES} nodes {} is below {GDDI_FLOOR}",
+            gddi.efficiency
+        ));
+    }
+    write_json("table2_speedups", &Table2 { rows, gddi });
+    gate(failures)
 }

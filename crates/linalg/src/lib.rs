@@ -13,7 +13,6 @@
 //! * LU factorisation with partial pivoting and triangular solves ([`lu`]),
 //! * the `zblock_lu` block-inversion algorithm LSMS historically used, for
 //!   the §3.2 "block inversion vs. rocSOLVER LU" comparison ([`block_inv`]),
-//! * symmetric eigensolvers ([`eigen`]),
 //! * and [`device`] — wrappers that run these routines "on" a simulated GPU,
 //!   charging roofline time through `exa-hal`, with a problem-size tuning
 //!   table reproducing the §4 story of libraries tuned for application
@@ -22,7 +21,6 @@
 pub mod block_inv;
 pub mod complex;
 pub mod device;
-pub mod eigen;
 pub mod gemm;
 pub mod lu;
 pub mod matrix;

@@ -78,11 +78,6 @@ impl<S: Scalar> Matrix<S> {
         &mut self.data
     }
 
-    /// Transpose (new matrix).
-    pub fn transpose(&self) -> Matrix<S> {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
     /// Copy a contiguous block into a new matrix.
     pub fn block(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Matrix<S> {
         assert!(
@@ -204,12 +199,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 0)], 3.0);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::<f64>::seeded_random(4, 7, 1);
-        assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]

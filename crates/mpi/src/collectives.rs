@@ -67,15 +67,6 @@ pub fn scan_time(net: &Network, p: usize, bytes: u64) -> SimTime {
     (net.alpha() + SimTime::from_secs(bytes as f64 * net.beta())) * rounds
 }
 
-/// Nearest-neighbour halo exchange with `neighbors` partners of `bytes`
-/// each, overlapped (all partners in flight at once, NIC serialises bytes).
-pub fn halo_time(net: &Network, neighbors: usize, bytes: u64) -> SimTime {
-    if neighbors == 0 {
-        return SimTime::ZERO;
-    }
-    net.alpha() + SimTime::from_secs(neighbors as f64 * bytes as f64 * net.beta())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,14 +150,5 @@ mod tests {
         let n = net();
         let p = 512;
         assert!(bcast_time(&n, p, 1 << 20) < gather_time(&n, p, 1 << 20));
-    }
-
-    #[test]
-    fn halo_exchange_costs_scale_with_neighbors() {
-        let n = net();
-        let t6 = halo_time(&n, 6, 1 << 16); // 3-D stencil
-        let t26 = halo_time(&n, 26, 1 << 16); // full 3-D corner exchange
-        assert!(t26 > t6);
-        assert_eq!(halo_time(&n, 0, 1 << 16), SimTime::ZERO);
     }
 }

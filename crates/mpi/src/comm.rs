@@ -408,15 +408,6 @@ impl Comm {
         self.collective("scan", cost, bytes)
     }
 
-    /// Broadcast happening concurrently inside disjoint groups of `group`
-    /// ranks (row/column communicators of a 2-D process grid).
-    pub fn bcast_grouped(&mut self, group: usize, bytes: u64) -> SimTime {
-        assert!(group >= 1 && group <= self.size());
-        let cost = coll::bcast_time(&self.net, group, bytes);
-        let groups = (self.size() / group.max(1)) as u64;
-        self.collective("bcast_grouped", cost, bytes * groups)
-    }
-
     /// Cost-only all-to-all with variable per-pair payloads, running
     /// concurrently inside disjoint groups of `group` ranks: the whole
     /// communicator (`group == size`), or the row/column communicators of a
@@ -445,16 +436,6 @@ impl Comm {
         let cost = coll::alltoallv_time(&self.net, peers, bytes);
         let vol = bytes * self.size() as u64;
         (names[usize::from(group < self.size())], cost, vol)
-    }
-
-    /// Nearest-neighbour halo exchange performed by every rank at once.
-    pub fn halo_exchange(&mut self, neighbors: usize, bytes: u64) -> SimTime {
-        let cost = coll::halo_time(&self.net, neighbors, bytes);
-        self.collective(
-            "halo_exchange",
-            cost,
-            bytes * neighbors as u64 * self.size() as u64,
-        )
     }
 
     // ---- data-carrying collective ---------------------------------------
@@ -571,7 +552,7 @@ mod tests {
         c.attach_telemetry(&collector, "world");
         c.advance(1, SimTime::from_micros(50.0)); // skew one rank
         c.allreduce(1 << 12);
-        c.halo_exchange(6, 1 << 10);
+        c.bcast(1 << 10);
         c.absorb_telemetry();
 
         let snap = collector.snapshot();

@@ -27,9 +27,9 @@ enum Op {
     AdvanceAll(SimTime),
     /// One blocking collective of `bytes`.
     Blocking(Coll, u64),
-    /// `ihalo`, every rank computes `dt`, rank `r` computes `extra` more,
-    /// then the wait.
-    Ihalo(u64, SimTime, usize, SimTime),
+    /// `ialltoallv`, every rank computes `dt`, rank `r` computes `extra`
+    /// more, then the wait.
+    Ialltoallv(u64, SimTime, usize, SimTime),
     /// `Overlap::pipeline` of `ialltoallv` over `chunks` chunks.
     Pipeline(usize, SimTime, SimTime, u64),
     Jitter(f64, u64),
@@ -46,28 +46,19 @@ enum Coll {
     Allreduce,
     AllreduceSum,
     Bcast,
-    BcastGrouped,
     Gather,
     Scan,
     Alltoallv,
-    Halo,
 }
 
-const COLLS: [Coll; 8] = [
+const COLLS: [Coll; 6] = [
     Coll::Allreduce,
     Coll::AllreduceSum,
     Coll::Bcast,
-    Coll::BcastGrouped,
     Coll::Gather,
     Coll::Scan,
     Coll::Alltoallv,
-    Coll::Halo,
 ];
-
-/// Group size of [`Comm::bcast_grouped`] and neighbour count of a halo
-/// exchange in the sequences.
-const GROUP: usize = 3;
-const NEIGHBORS: usize = 6;
 
 /// Elements per rank of the data-carrying allreduce drawn with `bytes`.
 fn sum_len(bytes: u64) -> usize {
@@ -87,7 +78,7 @@ fn op((kind, a, b, x, y): (u8, usize, usize, f64, u64)) -> Op {
         0 => Op::Advance(a, us(x)),
         1 | 2 => Op::AdvanceAll(us(x)),
         3..=7 => Op::Blocking(COLLS[(a + b) % COLLS.len()], bytes),
-        8 | 9 => Op::Ihalo(bytes, us(x), b, us(x * (y % 3) as f64)),
+        8 | 9 => Op::Ialltoallv(bytes, us(x), b, us(x * (y % 3) as f64)),
         10 | 11 => Op::Pipeline(1 + a % 4, us(x), us(x / 2.0), bytes),
         12 => Op::Jitter(if y % 3 == 0 { 0.0 } else { 0.3 }, y),
         13 => Op::StragglerSpans(y % 2 == 0),
@@ -128,10 +119,6 @@ fn priced(net: &Network, coll: Coll, bytes: u64) -> (SimTime, u64) {
             (coll::allreduce_time(net, RANKS, b), b)
         }
         Coll::Bcast => (coll::bcast_time(net, RANKS, bytes), bytes),
-        Coll::BcastGrouped => (
-            coll::bcast_time(net, GROUP, bytes),
-            bytes * (RANKS / GROUP) as u64,
-        ),
         Coll::Gather => (coll::gather_time(net, RANKS, bytes), bytes * r),
         Coll::Scan => (coll::scan_time(net, RANKS, bytes), bytes),
         Coll::Alltoallv => {
@@ -139,10 +126,6 @@ fn priced(net: &Network, coll: Coll, bytes: u64) -> (SimTime, u64) {
             let total = pairs.iter().sum::<u64>();
             (coll::alltoallv_time(net, pairs.len(), total), total * r)
         }
-        Coll::Halo => (
-            coll::halo_time(net, NEIGHBORS, bytes),
-            bytes * NEIGHBORS as u64 * r,
-        ),
     }
 }
 
@@ -271,9 +254,9 @@ impl Reference {
                 let (cost, vol) = priced(&self.net, coll, bytes);
                 self.collective(cost, vol);
             }
-            Op::Ihalo(bytes, dt, r, extra) => {
-                let cost = coll::halo_time(&self.net, NEIGHBORS, bytes);
-                let req = self.post(cost, bytes * NEIGHBORS as u64 * RANKS as u64);
+            Op::Ialltoallv(bytes, dt, r, extra) => {
+                let (cost, vol) = priced(&self.net, Coll::Alltoallv, bytes);
+                let req = self.post(cost, vol);
                 self.clocks.iter_mut().for_each(|c| *c += dt);
                 self.clocks[r] += extra;
                 self.complete(req);
@@ -340,18 +323,17 @@ fn apply(comm: &mut Comm, sched: &RankScheduler, op: Op) {
                     comm.elapsed()
                 }
                 Coll::Bcast => comm.bcast(bytes),
-                Coll::BcastGrouped => comm.bcast_grouped(GROUP, bytes),
                 Coll::Gather => comm.gather(bytes),
                 Coll::Scan => comm.scan(bytes),
                 Coll::Alltoallv => {
                     let pairs = pair_bytes(bytes);
                     comm.alltoallv(RANKS, pairs.len(), pairs.iter().sum())
                 }
-                Coll::Halo => comm.halo_exchange(NEIGHBORS, bytes),
             };
         }
-        Op::Ihalo(bytes, dt, r, extra) => {
-            let req = comm.ihalo(NEIGHBORS, bytes);
+        Op::Ialltoallv(bytes, dt, r, extra) => {
+            let pairs = pair_bytes(bytes);
+            let req = comm.ialltoallv(RANKS, pairs.len(), pairs.iter().sum());
             comm.advance_all(dt);
             comm.advance(r, extra);
             req.wait(comm);
@@ -460,7 +442,7 @@ fn costed_runs_hold_no_per_rank_state() {
         &mut comm,
         8,
         |c, _| c.advance_all(us(2.0)),
-        |c, _| c.ihalo(NEIGHBORS, 64),
+        |c, _| c.ialltoallv(181, 90, 90 << 6),
         |c, _| c.advance_all(us(2.0)),
     );
     assert!(matches!(comm.clocks, RankTimes::Lockstep(_)));

@@ -3,10 +3,10 @@
 //!
 //! The blocking collectives in [`crate::comm`] model BSP programs: every
 //! operation synchronises the ranks involved and charges comm + compute.
-//! Frontier-era apps (GESTS' pipelined transposes, Pele's preposted ghost
-//! exchange) instead *post* communication, compute while the fabric moves
-//! bytes, and pay only the residue at `wait` — max(comm, compute). This
-//! module adds that model on the same per-rank virtual clocks:
+//! Frontier-era apps (GESTS' pipelined transposes) instead *post*
+//! communication, compute while the fabric moves bytes, and pay only the
+//! residue at `wait` — max(comm, compute). This module adds that model on
+//! the same per-rank virtual clocks:
 //!
 //! * posting is free: the operation's start is the latest rank clock
 //!   at issue (or later, if earlier traffic still holds the injection pipe —
@@ -19,7 +19,6 @@
 //!   A split-phase collective completed in lockstep charges its one
 //!   residue `× ranks`, so it costs O(1).
 
-use crate::collectives as coll;
 use crate::comm::{Comm, RankTimes};
 use exa_machine::SimTime;
 use exa_telemetry::SpanCat;
@@ -138,14 +137,6 @@ impl Comm {
         let (name, cost, vol) = self.alltoallv_parts(names, group, peers, bytes);
         self.post(name, cost, vol)
     }
-
-    /// Preposted halo exchange: every rank's `neighbors` partner messages of
-    /// `bytes` each go in flight at once.
-    pub fn ihalo(&mut self, neighbors: usize, bytes: u64) -> Request {
-        let cost = coll::halo_time(&self.net, neighbors, bytes);
-        let vol = bytes * neighbors as u64 * self.size() as u64;
-        self.post("ihalo", cost, vol)
-    }
 }
 
 /// The chunked-pipeline overlap scheduler.
@@ -199,6 +190,7 @@ impl Overlap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives as coll;
     use crate::network::Network;
     use exa_machine::MachineModel;
 
@@ -247,7 +239,8 @@ mod tests {
     #[test]
     fn partial_overlap_charges_only_the_residue() {
         let mut c = comm(8);
-        let req = c.ihalo(6, 8 << 20);
+        let (peers, vol) = uniform(8, 8 << 20);
+        let req = c.ialltoallv(8, peers, vol);
         let cost = req.cost();
         let compute = cost * 0.25;
         c.advance_all(compute);
@@ -287,7 +280,8 @@ mod tests {
     #[test]
     fn skewed_ranks_each_pay_their_own_residue() {
         let mut c = comm(4);
-        let req = c.ihalo(6, 1 << 20);
+        let (peers, vol) = uniform(4, 1 << 20);
+        let req = c.ialltoallv(4, peers, vol);
         let cost = req.cost();
         c.advance(1, cost * 0.5);
         req.wait(&mut c);
@@ -336,40 +330,20 @@ mod tests {
     #[test]
     fn single_chunk_pipeline_degenerates_to_blocking_order() {
         let work = SimTime::from_micros(50.0);
+        let (peers, vol) = uniform(4, 1 << 16);
         let mut c = comm(4);
         let t = Overlap::pipeline(
             &mut c,
             1,
             |c, _| c.advance_all(work),
-            |c, _| c.ihalo(6, 1 << 16),
+            |c, _| c.ialltoallv(4, peers, vol),
             |c, _| c.advance_all(work),
         );
         let mut b = comm(4);
         b.advance_all(work);
-        b.halo_exchange(6, 1 << 16);
+        b.alltoallv(4, peers, vol);
         b.advance_all(work);
         assert_eq!(t, b.elapsed());
-    }
-
-    #[test]
-    fn preposted_halo_overlaps_interior_compute() {
-        let mut sync = comm(27);
-        let mut async_ = comm(27);
-        let work = SimTime::from_micros(300.0);
-        let bytes = 1 << 18;
-
-        sync.halo_exchange(6, bytes);
-        sync.advance_all(work);
-        let t_sync = sync.elapsed();
-
-        let req = async_.ihalo(6, bytes);
-        async_.advance_all(work);
-        req.wait(&mut async_);
-        let t_async = async_.elapsed();
-
-        assert!(t_async < t_sync);
-        let halo = coll::halo_time(sync.network(), 6, bytes);
-        assert!((t_async - work.max(halo)).secs().abs() < 1e-15);
     }
 
     #[test]

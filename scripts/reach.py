@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Transitive name scan: which public items of the library crates are reached.
 
-Roots are the non-test code of `exa-apps`, `exa-bench`, the benchmark
-(`exabench/src`) and the examples. An item of one of the ten library crates
-below the apps layer is *reached* when its name occurs as an identifier in
-code that is itself reached; a method is reached by `Type::name`, or by a
-`.name` call once its type is reached. Reaching an item makes its body
+Roots are the non-test code of `exa-bench` (the experiments), the benchmark
+(`exabench/src`) and the examples. An item of one of the eleven library
+crates, `exa-apps` included, is *reached* when its name occurs as an
+identifier in code that is itself reached; a method is reached by
+`Type::name`, or by a `.name` call once its type is reached. Reaching an item makes its body
 reached, and reaching a type makes the bodies of its trait impls reached.
 Test code (`#[cfg(test)]` items, test-only module files, `tests/`
 directories), comments, string literals and `use` lines are never scanned.
@@ -17,6 +17,7 @@ list in DESIGN.md, then the total. Run it from anywhere:
 
     python3 scripts/reach.py            # counts per crate
     python3 scripts/reach.py --list     # plus every unexplained item
+    python3 scripts/reach.py --check    # exit 1 unless the total is 0
 """
 
 import os
@@ -24,9 +25,9 @@ import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LIBRARY_CRATES = ["amr", "core", "fft", "hal", "linalg", "machine", "mpi",
-                  "serve", "shoc", "telemetry"]
-ROOT_DIRS = ["crates/apps/src", "crates/bench/src", "exabench/src", "examples"]
+LIBRARY_CRATES = ["apps", "core", "fft", "hal", "linalg", "machine", "mpi",
+                  "serve", "shoc", "telemetry", "tune"]
+ROOT_DIRS = ["crates/bench/src", "exabench/src", "examples"]
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 METHOD_CALL = re.compile(r"(?<!\.)\.(?!\.)\s*([A-Za-z_][A-Za-z0-9_]*)")
@@ -315,7 +316,7 @@ def main():
         for it in dead:
             rel = os.path.relpath(it.path, ROOT)
             print(f"{rel}:{it.line}: {it.kind} {it.label()}")
-    return 0
+    return 1 if "--check" in sys.argv and dead else 0
 
 
 if __name__ == "__main__":

@@ -6,12 +6,15 @@
 #   3. rustfmt check of the whole workspace;
 #   4. rustdoc of the workspace with warnings as errors, so a moved or
 #      deleted item cannot leave a dangling doc link;
-#   5. every workspace test, at EXA_THREADS=1 and at EXA_THREADS=4;
-#   6. the benchmark's own tests (exabench/), so an API change the benchmark
+#   5. the reachability scan: every public item of the library crates is
+#      reached from an experiment, the benchmark or an example, or is a
+#      listed survivor (scripts/reach.py --check);
+#   6. every workspace test, at EXA_THREADS=1 and at EXA_THREADS=4;
+#   7. the benchmark's own tests (exabench/), so an API change the benchmark
 #      imports fails here rather than in a benchmark run;
-#   7. `reproduce paper` (the eleven paper artifacts) and five gates;
-#   8. the four gates that pin EXA_THREADS=4;
-#   9. every BENCHMARK.json workload for 1 s, untraced: the benchmark's own
+#   8. `reproduce paper` (the eleven paper artifacts) and five gates;
+#   9. the four gates that pin EXA_THREADS=4;
+#  10. every BENCHMARK.json workload for 1 s, untraced: the benchmark's own
 #      answer check must report `"correct": true` and `"failed": 0`.
 #
 # Each experiment checks the artifacts it writes and makes `reproduce` exit
@@ -52,6 +55,7 @@ step cargo build --release
 step cargo clippy --workspace --release --all-targets -- -D warnings
 step cargo fmt --all -- --check
 step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+step python3 scripts/reach.py --check
 for threads in 1 4; do
     step env EXA_THREADS=$threads cargo test --workspace -q
 done
@@ -67,4 +71,4 @@ if ((${#failed[@]})); then
     printf 'tier1:   %s\n' "${failed[@]}" >&2
     exit 1
 fi
-echo "tier1: build + clippy + fmt + rustdoc + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"
+echo "tier1: build + clippy + fmt + rustdoc + reach scan + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"

@@ -19,7 +19,6 @@
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.
 
-pub use exa_amr as amr;
 pub use exa_apps as apps;
 pub use exa_core as core;
 pub use exa_fft as fft;

@@ -3,31 +3,12 @@
 //! unit tests use.
 
 use exaready::apps::comet::{ccc_tables_gemm, ccc_tables_naive};
-use exaready::apps::e3sm::weno5_faces;
 use exaready::apps::exasky::PmSolver;
-use exaready::apps::lammps::{lj_forces, AtomSystem};
+use exaready::apps::lammps::AtomSystem;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// LJ forces obey Newton's third law for any crystal seed/parameters.
-    #[test]
-    fn lj_newton_third_law(seed in 0u64..10_000, eps in 0.05f64..0.5, sigma in 0.6f64..1.1) {
-        let sys = AtomSystem::crystal(3, seed);
-        let neigh = sys.neighbor_list(1.6);
-        let (f, pot) = lj_forces(&sys, &neigh, eps, sigma);
-        let mut net = [0.0f64; 3];
-        for fi in &f {
-            for x in 0..3 {
-                net[x] += fi[x];
-            }
-        }
-        for x in 0..3 {
-            prop_assert!(net[x].abs() < 1e-9, "net force {net:?}");
-        }
-        prop_assert!(pot.is_finite());
-    }
 
     /// Neighbor lists are symmetric: j ∈ N(i) ⇔ i ∈ N(j).
     #[test]
@@ -63,19 +44,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(ccc_tables_gemm(&vectors), ccc_tables_naive(&vectors));
-    }
-
-    /// WENO5 face values stay within (a slightly padded) data range — the
-    /// essentially-non-oscillatory property.
-    #[test]
-    fn weno_is_essentially_non_oscillatory(vals in prop::collection::vec(-10.0f64..10.0, 5..64)) {
-        let faces = weno5_faces(&vals);
-        let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let pad = 0.35 * (hi - lo).max(1e-12);
-        for f in faces {
-            prop_assert!(f >= lo - pad && f <= hi + pad, "overshoot: {f} vs [{lo}, {hi}]");
-        }
     }
 
     /// CIC deposit conserves particle mass and never produces negatives.

@@ -125,7 +125,7 @@ proptest! {
                     expect_spans += ranks as u64;
                 }
                 _ => {
-                    let req = comm.ihalo(6, bytes);
+                    let req = comm.ialltoallv(ranks, ranks - 1, bytes * (ranks as u64 - 1));
                     req.wait(&mut comm);
                     expect_spans += ranks as u64;
                 }
