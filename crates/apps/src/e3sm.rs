@@ -114,7 +114,7 @@ pub fn capture_step_graph(device: &Device, columns: usize, cfg: E3smConfig) -> K
     // block per kernel, so allocation nodes never interleave with (and
     // never break adjacency between) fusable kernels.
     for _ in &pipeline {
-        cap.alloc(SCRATCH_BYTES);
+        cap.alloc();
     }
     for (i, k) in pipeline.iter().enumerate() {
         cap.kernel_fusable(

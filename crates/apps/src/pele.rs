@@ -662,8 +662,11 @@ mod tests {
             a[(i, i)] += n as f64;
         }
         let x_true: Vec<f64> = (0..n).map(|i| i as f64 - 5.0).collect();
-        let b = a.matvec(&x_true);
-        let apply = |v: &[f64]| a.matvec(v);
+        let apply = |v: &[f64]| {
+            let v = Matrix::from_fn(n, 1, |i, _| v[i]);
+            a.matmul_ref(&v).as_slice().to_vec()
+        };
+        let b = apply(&x_true);
         let x = gmres(&apply, &b, 50, 1e-12);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-8, "{xi} vs {ti}");

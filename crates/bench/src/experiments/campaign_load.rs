@@ -27,7 +27,7 @@
 use crate::{gate, header, repo_root, wall_s, write_file, write_root_json, Gate};
 use exa_serve::{CampaignService, Query, ServeConfig, SloDrill};
 use exa_telemetry::{
-    check_slo, prometheus_text, validate_chrome_trace, validate_prometheus, SloConfig, SloReport,
+    check_slo, prometheus_text, validate_chrome_trace, validate_prometheus, SloReport,
     Verdict,
 };
 use serde::Serialize;
@@ -272,7 +272,6 @@ pub fn run() -> Gate {
         extra_evals: DRILL_EXTRA_EVALS,
     }));
     let drilled = slo_epoch(&mut svc, &apps, "drill");
-    let slo_config = SloConfig::default();
     let mut slo_rows: Vec<SloRow> = Vec::new();
     for app in &apps {
         let prior = &p99s[app];
@@ -280,9 +279,8 @@ pub fn run() -> Gate {
             app,
             &prior[..prior.len() - 1],
             *prior.last().expect("baseline epochs ran"),
-            &slo_config,
         );
-        let drill = check_slo(app, prior, drilled[app], &slo_config);
+        let drill = check_slo(app, prior, drilled[app]);
         println!("  pre   {}", pre.summary());
         println!("  drill {}", drill.summary());
         slo_rows.push(SloRow {

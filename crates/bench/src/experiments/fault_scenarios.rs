@@ -32,7 +32,7 @@ use exa_fft::Decomp;
 use exa_machine::{MachineModel, SimTime};
 use exa_mpi::RankScheduler;
 use exa_telemetry::{
-    fault_attribution, run_sentinel, CriticalPath, FomLedger, SentinelConfig, TelemetryCollector,
+    fault_attribution, run_sentinel, CriticalPath, FomLedger, TelemetryCollector,
     Verdict,
 };
 use serde::Serialize;
@@ -363,11 +363,8 @@ pub fn run() -> Gate {
         "regressed",
     ));
 
-    let cfg_s = SentinelConfig::default();
-    let rep_untagged =
-        run_sentinel(&untagged, "GESTS", "Frontier", kind, &cfg_s).expect("untagged report");
-    let rep_tagged =
-        run_sentinel(&tagged, "GESTS", "Frontier", kind, &cfg_s).expect("tagged report");
+    let rep_untagged = run_sentinel(&untagged, "GESTS", "Frontier", kind).expect("untagged report");
+    let rep_tagged = run_sentinel(&tagged, "GESTS", "Frontier", kind).expect("tagged report");
     println!("  untagged: {}", rep_untagged.summary());
     println!("  tagged:   {}", rep_tagged.summary());
     must(

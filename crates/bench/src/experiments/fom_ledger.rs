@@ -25,7 +25,7 @@ use exa_apps::table2_applications;
 use exa_core::{measure_record, RunContext, ScenarioSpec};
 use exa_machine::MachineModel;
 use exa_telemetry::{
-    run_sentinel, run_sentinel_all, FomLedger, SentinelConfig, TelemetryCollector, Verdict,
+    run_sentinel, run_sentinel_all, FomLedger, TelemetryCollector, Verdict,
     LEDGER_FILE,
 };
 use std::process::Command;
@@ -122,12 +122,11 @@ pub fn run() -> Gate {
     let mut failures = Vec::new();
 
     // --- Sentinel gate over the real history -----------------------------
-    let config = SentinelConfig::default();
     println!(
         "\nsentinel ({} series):",
-        run_sentinel_all(&ledger, &config).len()
+        run_sentinel_all(&ledger).len()
     );
-    for report in run_sentinel_all(&ledger, &config) {
+    for report in run_sentinel_all(&ledger) {
         println!("  {}", report.summary());
         if report.verdict == Verdict::Fail {
             failures.push(format!("sentinel fail: {}", report.summary()));
@@ -147,7 +146,7 @@ pub fn run() -> Gate {
     let hurt = measure_record(gests.as_ref(), &frontier, &ctx, &format!("{tag}-injected"));
     let kind = hurt.kind;
     drill.append(hurt);
-    match run_sentinel(&drill, "GESTS", &frontier.name, kind, &config) {
+    match run_sentinel(&drill, "GESTS", &frontier.name, kind) {
         None => failures.push("drill: sentinel produced no report for injected GESTS run".into()),
         Some(report) => {
             println!(

@@ -67,11 +67,6 @@ impl<'a> PortingCampaign<'a> {
         self.run_stage(&MachineModel::frontier(), "full-scale challenge run");
     }
 
-    /// Stages recorded so far.
-    pub fn stages(&self) -> &[CampaignStage] {
-        &self.stages
-    }
-
     /// Produce the final readiness report. Requires at least a baseline and
     /// one later stage.
     pub fn report(&self) -> ReadinessReport {
@@ -206,9 +201,9 @@ mod tests {
         let app = GpuBound;
         let mut c = PortingCampaign::new(&app, SpeedupTarget::caar());
         c.run_standard_timeline();
-        assert_eq!(c.stages().len(), 5);
+        assert_eq!(c.stages.len(), 5);
         // Years are non-decreasing along the timeline.
-        let years: Vec<u32> = c.stages().iter().map(|s| s.year).collect();
+        let years: Vec<u32> = c.stages.iter().map(|s| s.year).collect();
         assert!(years.windows(2).all(|w| w[0] <= w[1]), "{years:?}");
         let report = c.report();
         assert_eq!(report.baseline_machine, "Summit");

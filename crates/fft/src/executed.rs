@@ -173,11 +173,6 @@ impl DistGrid {
         }
     }
 
-    /// Grid size per dimension.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Ranks holding the grid.
     pub fn ranks(&self) -> usize {
         self.parts.len()

@@ -49,11 +49,6 @@ impl<T> DeviceBuffer<T> {
         self.bytes
     }
 
-    /// The owning device.
-    pub fn device(&self) -> &Arc<Device> {
-        &self.device
-    }
-
     /// Immutable view of the (simulated) device memory.
     pub fn as_slice(&self) -> &[T] {
         &self.data
@@ -78,16 +73,28 @@ mod tests {
     use crate::error::HalError;
     use exa_machine::GpuModel;
 
+    /// The bytes a failed allocation reports free.
+    fn available(err: HalError) -> u64 {
+        match err {
+            HalError::OutOfMemory { available, .. } => available,
+            other => panic!("expected OutOfMemory, got {other:?}"),
+        }
+    }
+
     #[test]
     fn alloc_and_drop_balance_accounting() {
-        let d = Device::new(GpuModel::v100(), 0);
+        let mut model = GpuModel::v100();
+        model.mem_capacity = 1 << 20;
+        let d = Device::new(model, 0);
         {
             let b = DeviceBuffer::<f64>::zeroed(&d, 1024).unwrap();
             assert_eq!(b.len(), 1024);
             assert_eq!(b.bytes(), 8192);
-            assert_eq!(d.mem_used(), 8192);
+            let err = DeviceBuffer::<u8>::zeroed(&d, 1 << 20).unwrap_err();
+            assert_eq!(available(err), (1 << 20) - 8192);
         }
-        assert_eq!(d.mem_used(), 0);
+        // Dropping the buffer released its bytes: the whole HBM fits again.
+        DeviceBuffer::<u8>::zeroed(&d, 1 << 20).unwrap();
     }
 
     #[test]
@@ -104,7 +111,9 @@ mod tests {
     fn oversized_alloc_fails_cleanly() {
         let d = Device::new(GpuModel::v100(), 0); // 16 GiB
         let err = DeviceBuffer::<f64>::zeroed(&d, 3 << 30).unwrap_err(); // 24 GiB
-        assert!(matches!(err, HalError::OutOfMemory { .. }));
-        assert_eq!(d.mem_used(), 0);
+        assert_eq!(available(err), 16 << 30);
+        // The failed reservation left nothing behind.
+        let err = DeviceBuffer::<f64>::zeroed(&d, 3 << 30).unwrap_err();
+        assert_eq!(available(err), 16 << 30);
     }
 }

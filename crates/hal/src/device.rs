@@ -55,11 +55,6 @@ impl Device {
         })
     }
 
-    /// Bytes currently allocated on the device.
-    pub fn mem_used(&self) -> u64 {
-        self.mem_used.load(Ordering::Relaxed)
-    }
-
     /// Reserve `bytes` of device memory, failing when HBM is exhausted.
     pub(crate) fn reserve(&self, bytes: u64) -> Result<()> {
         // Optimistic add; back out on overflow. CAS loop keeps accounting
@@ -97,14 +92,18 @@ mod tests {
     use super::*;
     use exa_machine::GpuModel;
 
+    fn mem_used(d: &Device) -> u64 {
+        d.mem_used.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn accounting_tracks_reservations() {
         let d = Device::new(GpuModel::v100(), 0);
-        assert_eq!(d.mem_used(), 0);
+        assert_eq!(mem_used(&d), 0);
         d.reserve(1 << 30).unwrap();
-        assert_eq!(d.mem_used(), 1 << 30);
+        assert_eq!(mem_used(&d), 1 << 30);
         d.release(1 << 30);
-        assert_eq!(d.mem_used(), 0);
+        assert_eq!(mem_used(&d), 0);
     }
 
     #[test]
@@ -155,8 +154,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(d.mem_used(), 0);
-        assert!(d.mem_used() <= cap);
+        assert_eq!(mem_used(&d), 0);
+        assert!(mem_used(&d) <= cap);
     }
 }
 

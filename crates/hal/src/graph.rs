@@ -114,11 +114,9 @@ pub enum GraphOp {
     },
     /// A device allocation. On replay the graph's memory plan is already
     /// instantiated (the runtime pools it), so only node dispatch is charged
-    /// — the same effect the §3.5 pool allocator buys launch-by-launch code.
-    Alloc {
-        /// Bytes reserved.
-        bytes: u64,
-    },
+    /// — the same effect the §3.5 pool allocator buys launch-by-launch code —
+    /// and the size does not enter the price.
+    Alloc,
 }
 
 /// Records a sequence of stream operations into a [`KernelGraph`].
@@ -197,19 +195,9 @@ impl GraphCapture {
     }
 
     /// Record a device allocation.
-    pub fn alloc(&mut self, bytes: u64) -> &mut Self {
-        self.ops.push(GraphOp::Alloc { bytes });
+    pub fn alloc(&mut self) -> &mut Self {
+        self.ops.push(GraphOp::Alloc);
         self
-    }
-
-    /// Number of operations recorded so far.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 
     /// Finish capturing and produce the (unoptimized) graph.
@@ -320,7 +308,7 @@ impl KernelGraph {
                     }
                 }
                 GraphOp::Upload { .. } | GraphOp::Download { .. } => s.transfers += 1,
-                GraphOp::Alloc { .. } => s.allocs += 1,
+                GraphOp::Alloc => s.allocs += 1,
             }
         }
         s
@@ -462,19 +450,18 @@ mod tests {
     #[test]
     fn capture_records_ops_in_order() {
         let mut cap = GraphCapture::new();
-        cap.alloc(4096)
+        cap.alloc()
             .upload(1024)
             .kernel(small("k0"))
             .kernel_fusable(small("k1"))
             .download(512);
-        assert_eq!(cap.len(), 5);
         let g = cap.end();
         let s = g.stats();
         assert_eq!(s.nodes, 5);
         assert_eq!(s.kernels, 2);
         assert_eq!(s.transfers, 2);
         assert_eq!(s.allocs, 1);
-        assert!(matches!(g.ops()[0], GraphOp::Alloc { bytes: 4096 }));
+        assert!(matches!(g.ops()[0], GraphOp::Alloc));
         assert!(matches!(g.ops()[4], GraphOp::Download { bytes: 512 }));
     }
 

@@ -56,7 +56,6 @@ pub use graph::{
     ElementwiseFn, FusionPolicy, GraphCapture, GraphOp, GraphStats, KernelGraph, KernelNode,
 };
 pub use hipify::{hipify_source, ConversionReport};
-pub use offload::TargetData;
 pub use pool::PoolAllocator;
 pub use stream::{Event, Stream};
 pub use trace::Tracer;

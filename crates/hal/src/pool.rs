@@ -81,11 +81,6 @@ impl PoolAllocator {
         })
     }
 
-    /// Arena capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> PoolStats {
         self.stats
@@ -193,10 +188,13 @@ mod tests {
     use crate::api::ApiSurface;
     use exa_machine::GpuModel;
 
+    /// The test arena's size, already a multiple of [`POOL_ALIGN`].
+    const ARENA: u64 = 1 << 20;
+
     fn setup() -> (PoolAllocator, Stream) {
         let d = Device::new(GpuModel::mi250x_gcd(), 0);
         let mut s = Stream::new(Arc::clone(&d), ApiSurface::Hip).unwrap();
-        let p = PoolAllocator::new(d, 1 << 20, &mut s).unwrap();
+        let p = PoolAllocator::new(d, ARENA, &mut s).unwrap();
         (p, s)
     }
 
@@ -209,7 +207,7 @@ mod tests {
         p.free(&mut s, a).unwrap();
         p.free(&mut s, b).unwrap();
         assert!(p.check_invariants());
-        assert_eq!(p.largest_free(), p.capacity());
+        assert_eq!(p.largest_free(), ARENA);
     }
 
     #[test]
@@ -239,7 +237,7 @@ mod tests {
         p.free(&mut s, a).unwrap();
         p.free(&mut s, c).unwrap();
         p.free(&mut s, b).unwrap(); // middle last: must merge all three + tail
-        assert_eq!(p.largest_free(), p.capacity());
+        assert_eq!(p.largest_free(), ARENA);
         assert!(p.check_invariants());
     }
 

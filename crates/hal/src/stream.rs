@@ -53,9 +53,6 @@ pub struct StreamStats {
     pub bytes_h2d: u64,
     /// Device→host bytes copied.
     pub bytes_d2h: u64,
-    /// Device→device bytes copied. No stream operation copies between
-    /// devices, so this stays 0; the field keeps the recorded metric schema.
-    pub bytes_d2d: u64,
     /// Kernel-graph replays submitted ([`Stream::replay`]).
     pub graph_replays: u64,
     /// Kernel nodes executed inside graph replays (not counted in
@@ -71,7 +68,6 @@ impl MetricSource for StreamStats {
         m.counter_add("hal.kernels", self.kernels);
         m.counter_add("hal.bytes_h2d", self.bytes_h2d);
         m.counter_add("hal.bytes_d2h", self.bytes_d2h);
-        m.counter_add("hal.bytes_d2d", self.bytes_d2d);
         m.counter_add("hal.graph_replays", self.graph_replays);
         m.counter_add("hal.graph_kernels", self.graph_kernels);
         m.time_add("hal.device_busy", self.device_busy);
@@ -128,11 +124,6 @@ impl Stream {
     /// Device this stream executes on.
     pub fn device(&self) -> &Arc<Device> {
         &self.device
-    }
-
-    /// API surface the stream was created under.
-    pub fn api(&self) -> ApiSurface {
-        self.api
     }
 
     /// Force every launch to block the host until the kernel completes
@@ -279,7 +270,7 @@ impl Stream {
     pub fn alloc<T: Copy + Default>(&mut self, len: usize) -> Result<DeviceBuffer<T>> {
         if let Some(cap) = self.capture.as_mut() {
             self.host.advance(self.api.call_overhead());
-            cap.alloc((len * std::mem::size_of::<T>()) as u64);
+            cap.alloc();
             return DeviceBuffer::zeroed(&self.device, len);
         }
         self.host
@@ -416,7 +407,7 @@ impl Stream {
                 }
                 // The graph's memory plan is pre-instantiated (pooled):
                 // only the node dispatch above is charged.
-                GraphOp::Alloc { .. } => {}
+                GraphOp::Alloc => {}
             }
         }
         self.stats.graph_replays += 1;
@@ -456,24 +447,13 @@ impl Stream {
                 }
                 GraphOp::Upload { bytes } => t = self.upload_modeled(*bytes),
                 GraphOp::Download { bytes } => t = self.download_modeled(*bytes),
-                GraphOp::Alloc { .. } => {
+                GraphOp::Alloc => {
                     self.host
                         .advance(self.api.call_overhead() + self.device.model.alloc_latency);
                 }
             }
         }
         t
-    }
-
-    /// Reset both clocks and statistics (between benchmark repetitions).
-    /// Abandons any capture in progress. An attached collector stays
-    /// attached; spans recorded so far are flushed first.
-    pub fn reset(&mut self) {
-        self.flush_telemetry();
-        self.host.reset();
-        self.gpu.reset();
-        self.stats = StreamStats::default();
-        self.capture = None;
     }
 }
 
@@ -596,7 +576,7 @@ mod tests {
         let done = s.download(&buf, &mut out).unwrap();
         assert!(out.iter().all(|&x| x == 0.0));
         // The host waited for the copy: a sync adds only the API call.
-        let call = s.api().call_overhead();
+        let call = ApiSurface::Cuda.call_overhead();
         assert_eq!(s.synchronize(), done + call);
     }
 

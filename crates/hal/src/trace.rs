@@ -127,11 +127,6 @@ impl Tracer {
         });
     }
 
-    /// All recorded events in launch order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
     /// Aggregate statistics, hottest kernel first, equal times in name
     /// order. A kernel's reported
     /// `bound` is the **time-weighted dominant** classification across its
@@ -202,8 +197,7 @@ impl Tracer {
     }
 
     /// Roofline report built from the recorded events — the device's f64
-    /// ceilings plus one point per kernel, hottest first. Serializable via
-    /// [`exa_telemetry::RooflineReport::to_json`].
+    /// ceilings plus one point per kernel, hottest first (`Serialize`).
     pub fn roofline(&self) -> exa_telemetry::RooflineReport {
         use exa_machine::DType;
         let peak_gflops = self.gpu.peak_flops(DType::F64, false) / 1e9;
@@ -255,11 +249,6 @@ impl Tracer {
             .expect("write to String");
         }
         s
-    }
-
-    /// Clear recorded events.
-    pub fn reset(&mut self) {
-        self.events.clear();
     }
 }
 
@@ -378,7 +367,6 @@ mod tests {
             "{}",
             p.intensity
         );
-        assert!(exa_telemetry::parse_json(&r.to_json()).is_ok());
     }
 
     #[test]
@@ -394,17 +382,5 @@ mod tests {
             report.contains("YES"),
             "spill column must flag the 18k-register kernel:\n{report}"
         );
-    }
-
-    #[test]
-    fn reset_clears_events() {
-        let (mut tracer, mut stream) = setup();
-        tracer.launch_traced_modeled(
-            &mut stream,
-            &KernelProfile::new("k", big()).flops(1e9, DType::F32),
-        );
-        tracer.reset();
-        assert!(tracer.events().is_empty());
-        assert!(tracer.hotspots().is_empty());
     }
 }

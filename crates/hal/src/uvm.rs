@@ -82,21 +82,6 @@ impl<T: Copy + Default> ManagedBuffer<T> {
 }
 
 impl<T> ManagedBuffer<T> {
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Migration statistics so far.
-    pub fn stats(&self) -> UvmStats {
-        self.stats
-    }
-
     fn page_range(&self, start_elem: usize, len_elems: usize) -> (usize, usize) {
         let esz = std::mem::size_of::<T>().max(1);
         let first = start_elem * esz / PAGE_BYTES;
@@ -167,6 +152,7 @@ impl<T> Drop for ManagedBuffer<T> {
 mod tests {
     use super::*;
     use crate::api::ApiSurface;
+    use crate::error::HalError;
     use exa_machine::GpuModel;
 
     fn setup(len: usize) -> (ManagedBuffer<f64>, Stream) {
@@ -180,11 +166,11 @@ mod tests {
         let n = 100_000; // ~800 KB -> 13 pages
         let (mut buf, mut stream) = setup(n);
         buf.access_device(&mut stream, 0, n);
-        let s1 = buf.stats();
+        let s1 = buf.stats;
         assert!(s1.faults_to_device >= 12, "{s1:?}");
         // Second device touch: already resident, no new faults.
         buf.access_device(&mut stream, 0, n);
-        assert_eq!(buf.stats().faults_to_device, s1.faults_to_device);
+        assert_eq!(buf.stats.faults_to_device, s1.faults_to_device);
     }
 
     #[test]
@@ -195,7 +181,7 @@ mod tests {
             buf.access_device(&mut stream, 0, n);
             buf.access_host(&mut stream, 0, n);
         }
-        let s = buf.stats();
+        let s = buf.stats;
         assert_eq!(s.faults_to_device, s.faults_to_host);
         assert!(s.bytes_migrated >= 8 * 13 * PAGE_BYTES as u64 / 2, "{s:?}");
     }
@@ -205,7 +191,7 @@ mod tests {
         let n = 1_000_000; // ~122 pages
         let (mut buf, mut stream) = setup(n);
         buf.access_device(&mut stream, 0, PAGE_BYTES / 8); // one page of f64s
-        assert!(buf.stats().faults_to_device <= 2, "{:?}", buf.stats());
+        assert!(buf.stats.faults_to_device <= 2, "{:?}", buf.stats);
     }
 
     #[test]
@@ -223,11 +209,21 @@ mod tests {
 
     #[test]
     fn accounting_released_on_drop() {
-        let device = Device::new(GpuModel::mi250x_gcd(), 0);
+        let mut model = GpuModel::mi250x_gcd();
+        model.mem_capacity = 16_000;
+        let device = Device::new(model, 0);
         {
             let _buf = ManagedBuffer::<f64>::new(&device, 1000).unwrap();
-            assert_eq!(device.mem_used(), 8000);
+            let err = ManagedBuffer::<f64>::new(&device, 2000).unwrap_err();
+            assert!(matches!(
+                err,
+                HalError::OutOfMemory {
+                    available: 8000,
+                    ..
+                }
+            ));
         }
-        assert_eq!(device.mem_used(), 0);
+        // Dropping the buffer released its 8000 bytes: 2000 elements fit.
+        ManagedBuffer::<f64>::new(&device, 2000).unwrap();
     }
 }

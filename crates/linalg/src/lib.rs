@@ -28,4 +28,3 @@ pub mod scalar;
 
 pub use complex::C64;
 pub use matrix::Matrix;
-pub use scalar::Scalar;

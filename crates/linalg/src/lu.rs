@@ -212,9 +212,10 @@ mod tests {
         let n = 24;
         let a = well_conditioned::<f64>(n, 5);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - 10.0).collect();
-        let b = a.matvec(&x_true);
+        let b = a.matmul_ref(&Matrix::from_fn(n, 1, |i, _| x_true[i]));
+        let b = b.as_slice();
         let f = getrf(&a).unwrap();
-        let x = f.solve_vec(&b);
+        let x = f.solve_vec(b);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9);
         }

@@ -114,19 +114,6 @@ impl<S: Scalar> Matrix<S> {
         out
     }
 
-    /// Matrix–vector product.
-    pub fn matvec(&self, x: &[S]) -> Vec<S> {
-        assert_eq!(self.cols, x.len());
-        let mut y = vec![S::zero(); self.rows];
-        for (j, &xj) in x.iter().enumerate() {
-            for i in 0..self.rows {
-                let prod = self[(i, j)] * xj;
-                y[i] += prod;
-            }
-        }
-        y
-    }
-
     /// Deterministic pseudo-random matrix (splitmix64 driven), useful in
     /// tests and benches without threading an RNG through.
     pub fn seeded_random(rows: usize, cols: usize, seed: u64) -> Matrix<S> {
@@ -210,18 +197,6 @@ mod tests {
             for i in 0..3 {
                 assert_eq!(b[(i, j)], a[(1 + i, 2 + j)]);
             }
-        }
-    }
-
-    #[test]
-    fn matvec_agrees_with_matmul() {
-        let a = Matrix::<f64>::seeded_random(4, 3, 7);
-        let x = vec![1.0, -2.0, 0.5];
-        let xm = Matrix::<f64>::from_fn(3, 1, |i, _| x[i]);
-        let y = a.matvec(&x);
-        let ym = a.matmul_ref(&xm);
-        for i in 0..4 {
-            assert!((y[i] - ym[(i, 0)]).abs() < 1e-14);
         }
     }
 

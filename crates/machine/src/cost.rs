@@ -64,13 +64,6 @@ impl CpuWork {
         }
     }
 
-    /// Set the parallelisable fraction (Amdahl).
-    pub fn parallel_frac(mut self, f: f64) -> Self {
-        assert!((0.0..=1.0).contains(&f));
-        self.parallel_frac = f;
-        self
-    }
-
     /// Override achieved compute efficiency.
     pub fn compute_eff(mut self, eff: f64) -> Self {
         assert!(eff > 0.0 && eff <= 1.0);
@@ -98,15 +91,6 @@ pub fn graph_node_dispatch(launch_latency: SimTime) -> SimTime {
     launch_latency * GRAPH_NODE_DISPATCH_FRAC
 }
 
-/// Roofline time: the longer of the compute and memory phases.
-#[inline]
-pub fn roofline(flops: f64, peak_flops: f64, bytes: f64, peak_bw: f64) -> SimTime {
-    debug_assert!(peak_flops > 0.0 && peak_bw > 0.0);
-    let tc = flops / peak_flops;
-    let tm = bytes / peak_bw;
-    SimTime::from_secs(tc.max(tm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,16 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn roofline_takes_the_max() {
-        // Compute bound: 1e12 flops at 1e12 F/s = 1 s vs 1e9 B at 1e11 B/s = 10 ms.
-        let t = roofline(1e12, 1e12, 1e9, 1e11);
-        assert_eq!(t, SimTime::from_secs(1.0));
-        // Memory bound.
-        let t = roofline(1e9, 1e12, 1e12, 1e11);
-        assert_eq!(t, SimTime::from_secs(10.0));
-    }
-
-    #[test]
     fn graph_dispatch_is_a_small_fraction_of_a_launch() {
         let latency = SimTime::from_micros(4.0);
         let d = graph_node_dispatch(latency);
@@ -147,10 +121,8 @@ mod tests {
     #[test]
     fn cpu_work_builder() {
         let w = CpuWork::new("halo pack", 1e9, 2e9)
-            .parallel_frac(0.95)
             .compute_eff(0.5)
             .mem_eff(0.9);
-        assert_eq!(w.parallel_frac, 0.95);
         assert_eq!(w.compute_eff, 0.5);
         assert_eq!(w.mem_eff, 0.9);
     }

@@ -151,8 +151,11 @@ mod tests {
     #[test]
     fn amdahl_serial_fraction_dominates() {
         let cpu = CpuModel::epyc_trento();
-        let all_par = CpuWork::new("w", 1e12, 0.0).parallel_frac(1.0);
-        let half_ser = CpuWork::new("w", 1e12, 0.0).parallel_frac(0.5);
+        let all_par = CpuWork::new("w", 1e12, 0.0);
+        let half_ser = CpuWork {
+            parallel_frac: 0.5,
+            ..CpuWork::new("w", 1e12, 0.0)
+        };
         let t1 = cpu.work_time(&all_par);
         let t2 = cpu.work_time(&half_ser);
         // Serial half runs on one of 64 cores: enormous slowdown.

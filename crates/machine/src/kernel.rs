@@ -44,18 +44,6 @@ pub enum DType {
 }
 
 impl DType {
-    /// Storage size of one element in bytes.
-    pub fn bytes(self) -> usize {
-        match self {
-            DType::F64 => 8,
-            DType::F32 => 4,
-            DType::F16 | DType::BF16 => 2,
-            DType::I8 => 1,
-            DType::C64 => 16,
-            DType::C32 => 8,
-        }
-    }
-
     /// The real scalar type whose peak rate governs this type's arithmetic.
     pub fn compute_class(self) -> DType {
         match self {
@@ -300,17 +288,6 @@ impl KernelProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dtype_sizes() {
-        assert_eq!(DType::F64.bytes(), 8);
-        assert_eq!(DType::F32.bytes(), 4);
-        assert_eq!(DType::F16.bytes(), 2);
-        assert_eq!(DType::BF16.bytes(), 2);
-        assert_eq!(DType::I8.bytes(), 1);
-        assert_eq!(DType::C64.bytes(), 16);
-        assert_eq!(DType::C32.bytes(), 8);
-    }
 
     #[test]
     fn complex_maps_to_real_compute_class() {

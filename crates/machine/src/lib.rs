@@ -31,7 +31,6 @@ pub mod node;
 pub mod time;
 
 pub use cost::{graph_node_dispatch, CpuWork, EffCurve, GRAPH_NODE_DISPATCH_FRAC};
-pub use cpu::CpuModel;
 pub use gpu::{GpuArch, GpuModel};
 pub use interconnect::InterconnectModel;
 pub use kernel::{DType, KernelProfile, LaunchConfig, FUSION_REG_OVERHEAD};

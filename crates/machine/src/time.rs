@@ -61,12 +61,6 @@ impl SimTime {
         SimTime(self.0.max(other.0))
     }
 
-    /// Element-wise minimum.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
-
     /// True if this is exactly zero.
     #[inline]
     pub fn is_zero(self) -> bool {
@@ -205,11 +199,6 @@ impl Clock {
         self.now = self.now.max(t);
         self.now
     }
-
-    /// Reset to zero. Used between independent experiment repetitions.
-    pub fn reset(&mut self) {
-        self.now = SimTime::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +222,6 @@ mod tests {
         assert_eq!(a / 4.0, b);
         assert!((a / b - 4.0).abs() < 1e-12);
         assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
     }
 
     #[test]
@@ -251,8 +239,6 @@ mod tests {
         assert_eq!(c.now(), SimTime::from_secs(1.0));
         c.sync_to(SimTime::from_secs(2.0));
         assert_eq!(c.now(), SimTime::from_secs(2.0));
-        c.reset();
-        assert_eq!(c.now(), SimTime::ZERO);
     }
 
     #[test]

@@ -48,25 +48,6 @@ pub fn alltoallv_time(net: &Network, peers: usize, bytes: u64) -> SimTime {
     net.alpha() * peers as f64 + SimTime::from_secs(bytes as f64 * net.beta_global())
 }
 
-/// Gather to a root (each rank contributes `bytes`): binomial tree with
-/// doubling payloads, `log2(p) α + (p-1) n β` volume at the root link.
-pub fn gather_time(net: &Network, p: usize, bytes: u64) -> SimTime {
-    if p <= 1 {
-        return SimTime::ZERO;
-    }
-    let lat = net.alpha() * ceil_log2(p) as f64;
-    lat + SimTime::from_secs((p as f64 - 1.0) * bytes as f64 * net.beta())
-}
-
-/// Exclusive scan (prefix reduction): `log2(p)` rounds of (α + n β).
-pub fn scan_time(net: &Network, p: usize, bytes: u64) -> SimTime {
-    if p <= 1 {
-        return SimTime::ZERO;
-    }
-    let rounds = ceil_log2(p) as f64;
-    (net.alpha() + SimTime::from_secs(bytes as f64 * net.beta())) * rounds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,8 +71,6 @@ mod tests {
         let n = net();
         assert_eq!(allreduce_time(&n, 1, 1 << 20), SimTime::ZERO);
         assert_eq!(alltoallv_time(&n, 0, 0), SimTime::ZERO);
-        assert_eq!(gather_time(&n, 1, 1 << 20), SimTime::ZERO);
-        assert_eq!(scan_time(&n, 1, 1 << 20), SimTime::ZERO);
     }
 
     #[test]
@@ -143,12 +122,5 @@ mod tests {
         let v = alltoallv_time(&n, 63, (1 << 20) + 62 * (1 << 10));
         let rounded = alltoallv_time(&n, 63, 63 << 20);
         assert!(v < rounded);
-    }
-
-    #[test]
-    fn bcast_cheaper_than_gather_for_same_payload() {
-        let n = net();
-        let p = 512;
-        assert!(bcast_time(&n, p, 1 << 20) < gather_time(&n, p, 1 << 20));
     }
 }

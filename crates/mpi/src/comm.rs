@@ -279,11 +279,6 @@ impl Comm {
         self.size
     }
 
-    /// The network view.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> CommStats {
         self.stats
@@ -309,12 +304,6 @@ impl Comm {
     /// Charge the same local time to every rank (perfectly balanced phase).
     pub fn advance_all(&mut self, dt: SimTime) {
         self.clocks.add_all(dt);
-    }
-
-    /// Time `rank` has spent blocked waiting for peers so far.
-    pub fn wait(&self, rank: usize) -> SimTime {
-        assert!(rank < self.size, "rank {rank} out of {}", self.size);
-        self.waits.get(rank)
     }
 
     /// The worst per-rank wait — the straggler's victims.
@@ -394,18 +383,6 @@ impl Comm {
     pub fn bcast(&mut self, bytes: u64) -> SimTime {
         let cost = coll::bcast_time(&self.net, self.size(), bytes);
         self.collective("bcast", cost, bytes)
-    }
-
-    /// Cost-only gather of `bytes` per rank to a root.
-    pub fn gather(&mut self, bytes: u64) -> SimTime {
-        let cost = coll::gather_time(&self.net, self.size(), bytes);
-        self.collective("gather", cost, bytes * self.size() as u64)
-    }
-
-    /// Cost-only exclusive scan of `bytes` per rank.
-    pub fn scan(&mut self, bytes: u64) -> SimTime {
-        let cost = coll::scan_time(&self.net, self.size(), bytes);
-        self.collective("scan", cost, bytes)
     }
 
     /// Cost-only all-to-all with variable per-pair payloads, running
@@ -533,19 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_scan_cost_sanely() {
-        let mut c = comm(64);
-        let t_gather = c.gather(1 << 16);
-        c.reset();
-        let t_bcast = c.bcast(1 << 16);
-        c.reset();
-        let t_scan = c.scan(1 << 16);
-        // Gather moves (p-1)n through the root: costlier than a tree bcast.
-        assert!(t_gather > t_bcast);
-        assert!(t_scan > SimTime::ZERO);
-    }
-
-    #[test]
     fn telemetry_records_per_rank_spans_and_matching_counters() {
         let collector = TelemetryCollector::shared();
         let mut c = comm(4);
@@ -578,9 +542,9 @@ mod tests {
         c.advance(3, skew); // rank 3 is the straggler
         c.allreduce(1 << 10);
         // The straggler never waited; everyone else waited out the skew.
-        assert_eq!(c.wait(3), SimTime::ZERO);
+        assert_eq!(c.waits.get(3), SimTime::ZERO);
         for r in 0..3 {
-            assert_eq!(c.wait(r), skew, "rank {r}");
+            assert_eq!(c.waits.get(r), skew, "rank {r}");
         }
         assert_eq!(c.max_wait(), skew);
         assert_eq!(c.stats().wait, skew * 3.0);

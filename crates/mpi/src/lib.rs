@@ -34,5 +34,3 @@ pub use comm::{Comm, CommStats};
 pub use network::Network;
 pub use nonblocking::{Overlap, Request};
 pub use sched::{RankCtx, RankScheduler};
-
-pub use exa_machine::SimTime;

@@ -15,7 +15,7 @@ use crate::network::Network;
 use crate::nonblocking::Overlap;
 use crate::sched::RankScheduler;
 use exa_machine::{MachineModel, SimTime};
-use exa_telemetry::TelemetryCollector;
+use exa_telemetry::{SpanCat, TelemetryCollector};
 use proptest::prelude::*;
 
 const RANKS: usize = 6;
@@ -34,7 +34,7 @@ enum Op {
     Pipeline(usize, SimTime, SimTime, u64),
     Jitter(f64, u64),
     StragglerSpans(bool),
-    /// A scheduler phase where rank `r` computes `dt × (1 + r % 3)`,
+    /// A scheduler phase where rank `r` records a `dt × (1 + r % 3)` span,
     /// rank `slow` stretched by `skew`.
     SkewPhase(SimTime, usize, f64),
     Reset,
@@ -46,17 +46,13 @@ enum Coll {
     Allreduce,
     AllreduceSum,
     Bcast,
-    Gather,
-    Scan,
     Alltoallv,
 }
 
-const COLLS: [Coll; 6] = [
+const COLLS: [Coll; 4] = [
     Coll::Allreduce,
     Coll::AllreduceSum,
     Coll::Bcast,
-    Coll::Gather,
-    Coll::Scan,
     Coll::Alltoallv,
 ];
 
@@ -119,8 +115,6 @@ fn priced(net: &Network, coll: Coll, bytes: u64) -> (SimTime, u64) {
             (coll::allreduce_time(net, RANKS, b), b)
         }
         Coll::Bcast => (coll::bcast_time(net, RANKS, bytes), bytes),
-        Coll::Gather => (coll::gather_time(net, RANKS, bytes), bytes * r),
-        Coll::Scan => (coll::scan_time(net, RANKS, bytes), bytes),
         Coll::Alltoallv => {
             let pairs = pair_bytes(bytes);
             let total = pairs.iter().sum::<u64>();
@@ -295,6 +289,7 @@ impl Reference {
                     }
                     self.clocks[r] += elapsed;
                 }
+                self.spans += RANKS as u64;
             }
             Op::Reset => {
                 self.clocks.fill(SimTime::ZERO);
@@ -323,8 +318,6 @@ fn apply(comm: &mut Comm, sched: &RankScheduler, op: Op) {
                     comm.elapsed()
                 }
                 Coll::Bcast => comm.bcast(bytes),
-                Coll::Gather => comm.gather(bytes),
-                Coll::Scan => comm.scan(bytes),
                 Coll::Alltoallv => {
                     let pairs = pair_bytes(bytes);
                     comm.alltoallv(RANKS, pairs.len(), pairs.iter().sum())
@@ -360,7 +353,7 @@ fn apply(comm: &mut Comm, sched: &RankScheduler, op: Op) {
                 .collect();
             let mut states = vec![(); RANKS];
             sched.compute_phase_skewed(comm, &mut states, Some(&skews), |ctx, _| {
-                ctx.advance(dt * (1 + ctx.rank() % 3) as f64);
+                ctx.span("work", SpanCat::Kernel, dt * (1 + ctx.rank() % 3) as f64);
             });
         }
         Op::Reset => comm.reset(),
@@ -381,7 +374,7 @@ fn stats_bits(s: &CommStats) -> [u64; 7] {
 
 fn clock_bits(c: &Comm) -> Vec<(u64, u64)> {
     (0..c.size())
-        .map(|r| (c.now(r).secs().to_bits(), c.wait(r).secs().to_bits()))
+        .map(|r| (c.now(r).secs().to_bits(), c.waits.get(r).secs().to_bits()))
         .collect()
 }
 
@@ -452,5 +445,8 @@ fn costed_runs_hold_no_per_rank_state() {
     assert!(matches!(comm.clocks, RankTimes::PerRank(_)));
     comm.allreduce(8);
     assert!(matches!(comm.clocks, RankTimes::Lockstep(_)));
-    assert!(comm.wait(0) > comm.wait(7), "the others waited for rank 7");
+    assert!(
+        comm.waits.get(0) > comm.waits.get(7),
+        "the others waited for rank 7"
+    );
 }

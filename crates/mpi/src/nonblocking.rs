@@ -38,21 +38,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// When the fabric begins moving this operation's bytes.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
-    /// When the operation's payload is fully delivered.
-    pub fn finish(&self) -> SimTime {
-        self.finish
-    }
-
-    /// The α–β cost of the operation (identical to its blocking twin).
-    pub fn cost(&self) -> SimTime {
-        self.cost
-    }
-
     /// Complete the operation: each rank blocks for the *remaining*
     /// in-flight time only. Returns the completion time.
     pub fn wait(self, comm: &mut Comm) -> SimTime {
@@ -225,7 +210,7 @@ mod tests {
         let mut c = comm(16);
         let (peers, vol) = uniform(16, 1 << 20);
         let req = c.ialltoallv(16, peers, vol);
-        let cost = req.cost();
+        let cost = req.cost;
         assert!(cost > SimTime::ZERO);
         c.advance_all(cost * 2.0); // compute longer than the flight time
         let before_wait = c.elapsed();
@@ -241,13 +226,13 @@ mod tests {
         let mut c = comm(8);
         let (peers, vol) = uniform(8, 8 << 20);
         let req = c.ialltoallv(8, peers, vol);
-        let cost = req.cost();
+        let cost = req.cost;
         let compute = cost * 0.25;
         c.advance_all(compute);
         req.wait(&mut c);
         let residue = cost - compute;
         assert!((c.elapsed() - cost).secs().abs() < 1e-15);
-        assert!((c.wait(0) - residue).secs().abs() < 1e-15);
+        assert!((c.waits.get(0) - residue).secs().abs() < 1e-15);
         let eff = c.stats().overlap_efficiency();
         assert!((eff - 0.25).abs() < 1e-9, "eff {eff}");
     }
@@ -258,7 +243,7 @@ mod tests {
         let (peers, vol) = uniform(8, 1 << 18);
         let r1 = c.ialltoallv(8, peers, vol);
         let r2 = c.ialltoallv(8, peers, vol);
-        assert_eq!(r2.start(), r1.finish(), "one injection pipe");
+        assert_eq!(r2.start, r1.finish, "one injection pipe");
         r1.wait(&mut c);
         let done = r2.wait(&mut c);
         assert_eq!(done, c.elapsed());
@@ -270,9 +255,9 @@ mod tests {
         let (peers, vol) = uniform(8, 1 << 20);
         let req = c.ialltoallv(8, peers, vol);
         let t_allreduce = c.allreduce(8); // must queue behind the alltoallv
-        assert!(t_allreduce > req.finish());
+        assert!(t_allreduce > req.finish);
         assert!(c.stats().wait > SimTime::ZERO);
-        let cost = req.cost();
+        let cost = req.cost;
         req.wait(&mut c); // residue is zero: the allreduce already out-waited it
         assert!((c.stats().hidden - cost * 8.0).secs().abs() < 1e-15);
     }
@@ -282,11 +267,11 @@ mod tests {
         let mut c = comm(4);
         let (peers, vol) = uniform(4, 1 << 20);
         let req = c.ialltoallv(4, peers, vol);
-        let cost = req.cost();
+        let cost = req.cost;
         c.advance(1, cost * 0.5);
         req.wait(&mut c);
-        assert_eq!(c.wait(0), cost);
-        assert_eq!(c.wait(1), cost * 0.5);
+        assert_eq!(c.waits.get(0), cost);
+        assert_eq!(c.waits.get(1), cost * 0.5);
         assert_eq!(c.elapsed(), cost);
         assert!(
             matches!(c.clocks, RankTimes::Lockstep(_)),
@@ -320,7 +305,7 @@ mod tests {
         assert!(t_over < t_serial, "overlap {t_over} vs serial {t_serial}");
 
         // No free lunch: the pipeline can't beat comm-only or compute-only.
-        let comm_only = coll::alltoallv_time(serial.network(), peers, vol) * chunks as f64;
+        let comm_only = coll::alltoallv_time(&serial.net, peers, vol) * chunks as f64;
         let compute_only = work * chunks as f64;
         assert!(t_over >= comm_only.max(compute_only));
         let eff = over.stats().overlap_efficiency();

@@ -60,16 +60,6 @@ impl RankCtx {
         self.rank
     }
 
-    /// The rank's current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Charge local compute time.
-    pub fn advance(&mut self, dt: SimTime) {
-        self.now += dt;
-    }
-
     /// Charge local compute time and record it as a named span on this
     /// rank's telemetry track.
     pub fn span(&mut self, name: impl Into<Cow<'static, str>>, cat: SpanCat, dt: SimTime) {
@@ -570,7 +560,7 @@ mod tests {
         );
         let mut states = vec![(); 4];
         sched.compute_phase(&mut comm, &mut states, |ctx, _| {
-            ctx.advance(us((ctx.rank() + 1) as f64));
+            ctx.now += us((ctx.rank() + 1) as f64);
         });
         for r in 0..4 {
             assert_eq!(comm.now(r), us((r + 1) as f64));

@@ -60,7 +60,7 @@ pub struct SloDrill {
 }
 
 /// Service configuration. `Default` gives a pool sized by `EXA_THREADS`,
-/// an 8×512 cache, 4 trace lanes, and full trace sampling.
+/// an 8×512 cache, and full trace sampling.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads for miss evaluation; 0 picks
@@ -71,16 +71,10 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Entries per cache shard.
     pub capacity_per_shard: usize,
-    /// Virtual trace lanes (`serve/lane{k}` tracks). Fixed at
-    /// construction and independent of `threads`, so traces do not vary
-    /// with pool size.
-    pub lanes: usize,
     /// Trace every `trace_sample`-th query (1 = all), up to
     /// [`MAX_TRACED_QUERIES`] span trees. Sampling is by query sequence
     /// number, hence deterministic.
     pub trace_sample: u64,
-    /// Active latency drill, if any.
-    pub drill: Option<SloDrill>,
 }
 
 impl Default for ServeConfig {
@@ -89,9 +83,7 @@ impl Default for ServeConfig {
             threads: 0,
             shards: 0,
             capacity_per_shard: 512,
-            lanes: 4,
             trace_sample: 1,
-            drill: None,
         }
     }
 }
@@ -230,6 +222,10 @@ const STEP_S: f64 = 1e-6;
 /// 2²⁰-query campaign sampled 1 in 4 096 lands 256.
 pub const MAX_TRACED_QUERIES: u64 = 1024;
 
+/// Virtual trace lanes (`serve/lane{k}` tracks). Independent of the pool
+/// size, so traces do not vary with it.
+const LANES: usize = 4;
+
 /// The memoized, concurrent campaign query engine.
 pub struct CampaignService {
     config: ServeConfig,
@@ -243,7 +239,9 @@ pub struct CampaignService {
     cache: ShardedLru<Arc<QueryAnswer>>,
     lane_tracks: Vec<TrackId>,
     /// Virtual-time cursor per lane, seconds.
-    lane_cursor_s: Vec<f64>,
+    lane_cursor_s: [f64; LANES],
+    /// Active latency drill, if any.
+    drill: Option<SloDrill>,
     /// Global query sequence number (drives lane choice and sampling).
     seq: u64,
     /// Span trees landed so far (at most [`MAX_TRACED_QUERIES`]).
@@ -266,8 +264,7 @@ impl CampaignService {
         let pool_obs = Arc::new(PoolTelemetry::new());
         pool.set_observer(Some(pool_obs.clone() as Arc<dyn workpool::PoolObserver>));
         let collector = TelemetryCollector::shared();
-        let lanes = config.lanes.max(1);
-        let lane_tracks = (0..lanes)
+        let lane_tracks = (0..LANES)
             .map(|k| collector.track(&format!("serve/lane{k}"), TrackKind::Worker))
             .collect();
         let shards = if config.shards == 0 {
@@ -283,7 +280,8 @@ impl CampaignService {
             collector,
             cache,
             lane_tracks,
-            lane_cursor_s: vec![0.0; lanes],
+            lane_cursor_s: [0.0; LANES],
+            drill: None,
             seq: 0,
             traced: 0,
             stats: ServeStats::default(),
@@ -306,7 +304,7 @@ impl CampaignService {
 
     /// Install or clear the latency drill for subsequent batches.
     pub fn set_drill(&mut self, drill: Option<SloDrill>) {
-        self.config.drill = drill;
+        self.drill = drill;
     }
 
     /// Drain the per-app epoch latency histograms (for SLO checks).
@@ -351,7 +349,7 @@ impl CampaignService {
         let evals = Evaluations {
             misses: (0..queries.len()).map(|_| MissSlot::default()).collect(),
             claimed: AtomicUsize::new(0),
-            drill: self.config.drill.clone(),
+            drill: self.drill.clone(),
             merger: std::thread::current(),
         };
         let pool = Arc::clone(&self.pool);

@@ -5,7 +5,7 @@
 
 use exa_apps::query::{APP_NAMES, MACHINE_NAMES};
 use exa_serve::{CacheStatus, CampaignService, Query, ServeConfig, SloDrill, MAX_TRACED_QUERIES};
-use exa_telemetry::{check_slo, SloConfig, Verdict};
+use exa_telemetry::{check_slo, Verdict};
 
 /// A workload that exercises every disposition: misses, repeats (hits),
 /// in-batch duplicates (coalesced), knobs, scenarios, scale overrides,
@@ -124,16 +124,15 @@ fn red_accounting_matches_the_workload() {
     // The coalesced duplicate got the same bits as its leader.
     assert_eq!(outcomes[0][0].1, outcomes[0][2].1);
     // Counters surfaced through the registry.
-    svc.collector().metrics(|m| {
-        assert_eq!(m.counter("serve.requests"), 11);
-        assert_eq!(m.counter("serve.errors"), 2);
-        assert_eq!(m.counter("serve.cache.hits"), 3);
-        assert_eq!(m.counter("serve.cache.misses"), 5);
-        assert_eq!(m.counter("serve.cache.coalesced"), 1);
-        let hist = m.hist("serve.latency_s").expect("latency histogram");
-        assert_eq!(hist.count(), 11);
-    });
-    let gauges = svc.collector().snapshot().gauges;
+    let snap = svc.collector().snapshot();
+    assert_eq!(snap.counter("serve.requests"), 11);
+    assert_eq!(snap.counter("serve.errors"), 2);
+    assert_eq!(snap.counter("serve.cache.hits"), 3);
+    assert_eq!(snap.counter("serve.cache.misses"), 5);
+    assert_eq!(snap.counter("serve.cache.coalesced"), 1);
+    let hist = snap.hist("serve.latency_s").expect("latency histogram");
+    assert_eq!(hist.count(), 11);
+    let gauges = snap.gauges;
     assert!(gauges.contains_key("serve.cache.hit_ratio"));
     assert!(gauges["serve.cache.len"] >= 4.0);
 }
@@ -219,20 +218,18 @@ fn slo_drill_flips_the_drilled_app_to_fail_and_names_it() {
         }
     }
     let drilled = svc.take_epoch();
-    let config = SloConfig::default();
     let comet_prior = &p99s["CoMet"];
     let pre = check_slo(
         "CoMet",
         &comet_prior[..comet_prior.len() - 1],
         *comet_prior.last().unwrap(),
-        &config,
     );
     assert_ne!(
         pre.verdict,
         Verdict::Fail,
         "baseline epochs must not trip the SLO"
     );
-    let report = check_slo("CoMet", comet_prior, drilled["CoMet"].p99(), &config);
+    let report = check_slo("CoMet", comet_prior, drilled["CoMet"].p99());
     assert_eq!(
         report.verdict,
         Verdict::Fail,
@@ -243,7 +240,7 @@ fn slo_drill_flips_the_drilled_app_to_fail_and_names_it() {
         report.summary().contains("CoMet"),
         "report names the culprit class"
     );
-    let clean = check_slo("LSMS", &p99s["LSMS"], drilled["LSMS"].p99(), &config);
+    let clean = check_slo("LSMS", &p99s["LSMS"], drilled["LSMS"].p99());
     assert_ne!(
         clean.verdict,
         Verdict::Fail,

@@ -23,6 +23,5 @@ pub mod figure1;
 pub mod kernels;
 pub mod result;
 
-pub use figure1::{run_figure1, Figure1Row};
 pub use kernels::all_benchmarks;
 pub use result::{BenchResult, Scale, ShocBenchmark};

@@ -18,7 +18,7 @@ struct Inner {
 /// One profiling session. Share it as `Arc<TelemetryCollector>` and attach
 /// it to streams (`exa-hal`'s `Stream::attach_telemetry`) and
 /// communicators (`Comm::attach_telemetry`); drivers add host-phase spans
-/// through [`TelemetryCollector::span`] RAII guards.
+/// with [`TelemetryCollector::begin`]/[`TelemetryCollector::end`].
 #[derive(Debug, Default)]
 pub struct TelemetryCollector {
     inner: Mutex<Inner>,
@@ -90,22 +90,6 @@ impl TelemetryCollector {
         self.lock().timeline.end(id, at);
     }
 
-    /// Open a span guarded by RAII: dropping the guard closes the span at
-    /// the latest time already recorded on its track.
-    pub fn span(
-        self: &Arc<Self>,
-        track: TrackId,
-        name: impl Into<Cow<'static, str>>,
-        cat: SpanCat,
-        at: SimTime,
-    ) -> SpanGuard {
-        let id = self.begin(track, name, cat, at);
-        SpanGuard {
-            collector: Arc::clone(self),
-            id: Some(id),
-        }
-    }
-
     /// Pour a stats source into the metrics registry (add semantics —
     /// absorb each stats snapshot exactly once).
     pub fn absorb(&self, source: &dyn MetricSource) {
@@ -151,50 +135,12 @@ impl TelemetryCollector {
     }
 }
 
-/// RAII handle for an open span (see [`TelemetryCollector::span`]).
-#[derive(Debug)]
-pub struct SpanGuard {
-    collector: Arc<TelemetryCollector>,
-    id: Option<SpanId>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(id) = self.id.take() {
-            // No explicit end time: close at the latest time the track has
-            // seen (covers children recorded meanwhile), never before start.
-            let at = self
-                .collector
-                .with_timeline(|tl| tl.tracks()[id.track].end());
-            self.collector.end(id, at);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn s(x: f64) -> SimTime {
         SimTime::from_secs(x)
-    }
-
-    #[test]
-    fn guard_closes_on_drop_covering_children() {
-        let c = TelemetryCollector::shared();
-        let h = c.track("host", TrackKind::Host);
-        {
-            let _g = c.span(h, "step", SpanCat::Phase, s(0.0));
-            c.complete(h, "kernel", SpanCat::Kernel, s(0.5), s(2.0));
-        }
-        let snap = c.snapshot();
-        assert_eq!(snap.spans_total, 2);
-        c.with_timeline(|tl| {
-            let spans = tl.tracks()[0].spans();
-            assert_eq!(spans[0].name, "step");
-            assert_eq!(spans[0].end, s(2.0));
-            assert_eq!(spans[1].depth, 1);
-        });
     }
 
     #[test]

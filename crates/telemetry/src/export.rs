@@ -453,13 +453,6 @@ pub struct RooflineReport {
     pub points: Vec<RooflinePoint>,
 }
 
-impl RooflineReport {
-    /// Serialize to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("roofline serializes")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,10 +567,19 @@ mod tests {
         let summary = crate::validate::validate_prometheus(&text).expect("valid exposition");
         assert!(summary.families >= 5);
         let doc = crate::validate::parse_prometheus(&text).unwrap();
-        assert_eq!(doc.value("exa_pool_tasks_total"), Some(7.0));
-        assert_eq!(doc.value("exa_mpi_overlap_efficiency"), Some(0.8));
-        assert_eq!(doc.value("exa_mpi_wait_seconds_total"), Some(0.25));
-        assert_eq!(doc.value("exa_pool_task_run_s_count"), Some(4.0));
+        assert_eq!(doc.value_labeled("exa_pool_tasks_total", &[]), Some(7.0));
+        assert_eq!(
+            doc.value_labeled("exa_mpi_overlap_efficiency", &[]),
+            Some(0.8)
+        );
+        assert_eq!(
+            doc.value_labeled("exa_mpi_wait_seconds_total", &[]),
+            Some(0.25)
+        );
+        assert_eq!(
+            doc.value_labeled("exa_pool_task_run_s_count", &[]),
+            Some(4.0)
+        );
         let inf = doc
             .samples
             .iter()
@@ -725,7 +727,7 @@ mod tests {
                 bound: "Memory".into(),
             }],
         };
-        let v = parse_json(&r.to_json()).expect("valid json");
+        let v = parse_json(&serde_json::to_string_pretty(&r).unwrap()).expect("valid json");
         assert_eq!(v.get("points").unwrap().as_array().unwrap().len(), 1);
     }
 }

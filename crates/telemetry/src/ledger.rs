@@ -115,7 +115,7 @@ pub struct FomRecord {
 }
 
 impl FomRecord {
-    /// Identity key used for merge/append deduplication: two records with
+    /// Identity key used for append deduplication: two records with
     /// the same identity describe the same run of the same code state
     /// under the same scenario (a clean run and an MTBF drill of the same
     /// tag are distinct history entries).
@@ -187,9 +187,8 @@ impl FomRecord {
 
 /// The append-only ledger: a versioned list of [`FomRecord`]s ordered by
 /// `seq`. Mutation goes through [`FomLedger::append`] (deduplicating by
-/// record identity, so re-running the same code state is idempotent),
-/// [`FomLedger::merge`] (union of two ledgers), and [`FomLedger::compact`]
-/// (bound each series' history).
+/// record identity, so re-running the same code state is idempotent) and
+/// [`FomLedger::compact`] (bound each series' history).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct FomLedger {
     /// Schema version.
@@ -237,20 +236,6 @@ impl FomLedger {
         record.seq = seq;
         self.records.push(record);
         seq
-    }
-
-    /// Union with another ledger: records whose identity is unknown here
-    /// are appended (in the other ledger's seq order). Merging the same
-    /// ledger twice is a no-op.
-    pub fn merge(&mut self, other: &FomLedger) {
-        let mut incoming: Vec<&FomRecord> = other.records.iter().collect();
-        incoming.sort_by_key(|r| r.seq);
-        for r in incoming {
-            let id = r.identity();
-            if !self.records.iter().any(|mine| mine.identity() == id) {
-                self.append(r.clone());
-            }
-        }
     }
 
     /// Keep only the newest `keep` records (by `seq`) of every
@@ -384,20 +369,6 @@ mod tests {
         assert_eq!(l.len(), 2);
         assert_eq!(l.append(rec("A", "v2", 12.0)), 2);
         assert_eq!(l.series("A", "Frontier", FomKind::Throughput).len(), 2);
-    }
-
-    #[test]
-    fn merge_is_a_union_and_idempotent() {
-        let mut a = FomLedger::new();
-        a.append(rec("A", "v1", 10.0));
-        let mut b = FomLedger::new();
-        b.append(rec("A", "v1", 10.0));
-        b.append(rec("B", "v1", 5.0));
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        let once = a.to_json();
-        a.merge(&b);
-        assert_eq!(a.to_json(), once, "second merge must be a no-op");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! * **spans** — named, nested intervals of virtual time on per-resource
 //!   tracks ([`Timeline`]): host phases, device queues (one per `Stream`),
-//!   per-rank communication; recorded directly, via RAII [`SpanGuard`]s,
-//!   or batched by instrumented subsystems;
+//!   per-rank communication; recorded directly or batched by instrumented
+//!   subsystems;
 //! * **metrics** — a namespaced [`MetricsRegistry`] of counters, gauges,
 //!   and time accumulators, fed by the [`MetricSource`] impls on
 //!   `StreamStats` / `GraphStats` / `PoolStats` / `UvmStats` / `CommStats`;
@@ -36,7 +36,7 @@ pub mod sentinel;
 pub mod span;
 pub mod validate;
 
-pub use collector::{SpanGuard, TelemetryCollector};
+pub use collector::TelemetryCollector;
 pub use critical_path::{
     diff_profiles, fault_attribution, rank_attribution, span_profile, CriticalPath,
     FaultAttribution, PathSegment, RankAttribution, SpanDelta,
@@ -50,10 +50,7 @@ pub use metrics::{
     Counter, Histogram, MetricSource, MetricsRegistry, TelemetrySnapshot, TrackSummary,
 };
 pub use pool_obs::{PoolTelemetry, MAX_LANE_INTERVALS};
-pub use sentinel::{
-    check_slo, run_sentinel, run_sentinel_all, SentinelConfig, SentinelReport, SloConfig,
-    SloReport, Verdict,
-};
+pub use sentinel::{check_slo, run_sentinel, run_sentinel_all, SentinelReport, SloReport, Verdict};
 pub use span::{Span, SpanCat, SpanId, Timeline, Track, TrackId, TrackKind};
 pub use validate::{
     parse_csv, parse_json, parse_prometheus, validate_chrome_trace, validate_folded,

@@ -56,9 +56,9 @@ const HIST_UNDERFLOW: i64 = i64::MIN;
 /// Everything inside is integer arithmetic over sparse buckets, so
 /// [`Histogram::merge`] is **exactly** associative and commutative — the
 /// serialized form of a merged histogram is byte-identical to recording
-/// the union stream into one histogram, which is what lets histograms ride
-/// inside [`TelemetrySnapshot::merge`] without breaking the concurrent-
-/// emission byte-identity property.
+/// the union stream into one histogram, which is what lets per-lane
+/// histograms fold into one (`MetricsRegistry::hist_merge`) without
+/// breaking the concurrent-emission byte-identity property.
 ///
 /// Quantiles are *exact over bucketized values*: `quantile(q)` returns the
 /// upper edge of the bucket holding the rank-⌈q·count⌉ value, i.e.
@@ -155,11 +155,6 @@ impl Histogram {
         } else {
             self.sum() / self.count as f64
         }
-    }
-
-    /// Exact minimum (`INFINITY` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
     }
 
     /// Exact maximum (`NEG_INFINITY` when empty).
@@ -284,11 +279,6 @@ impl MetricsRegistry {
         slot(&mut self.counters, name, Counter::default).add(v);
     }
 
-    /// Read a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or_default().get()
-    }
-
     /// Set a gauge to an explicit value.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
         *slot(&mut self.gauges, name, || v) = v;
@@ -307,16 +297,6 @@ impl MetricsRegistry {
         *slot(&mut self.times, name, || SimTime::ZERO) += t;
     }
 
-    /// Read an accumulated time (zero if never touched).
-    pub fn time(&self, name: &str) -> SimTime {
-        self.times.get(name).copied().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v.get()))
-    }
-
     /// Record one sample into a named histogram (creating it empty).
     pub fn hist_record(&mut self, name: &str, v: f64) {
         slot(&mut self.hists, name, Histogram::default).record(v);
@@ -331,11 +311,6 @@ impl MetricsRegistry {
     /// Read a histogram by name.
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
-    }
-
-    /// Iterate histograms in name order.
-    pub fn hists(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Drop every metric.
@@ -447,42 +422,6 @@ impl TelemetrySnapshot {
         self.hists.get(name)
     }
 
-    /// Aggregate another snapshot into this one — the multi-run /
-    /// multi-rank union. Additive quantities add exactly once: counters,
-    /// accumulated times, and span counts sum, while same-named tracks
-    /// are folded together (spans and busy time summed, end maxed)
-    /// instead of being duplicated, and `wall_s` takes the maximum
-    /// (concurrent timelines share a wall; they do not stack). Gauges are
-    /// high-water marks, so the merge keeps the larger value.
-    pub fn merge(&mut self, other: &TelemetrySnapshot) {
-        self.spans_total += other.spans_total;
-        self.wall_s = self.wall_s.max(other.wall_s);
-        for t in &other.tracks {
-            if let Some(mine) = self.tracks.iter_mut().find(|m| m.name == t.name) {
-                mine.spans += t.spans;
-                mine.busy_s += t.busy_s;
-                mine.end_s = mine.end_s.max(t.end_s);
-            } else {
-                self.tracks.push(t.clone());
-            }
-        }
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k.clone()).or_insert(*v);
-            if *v > *e {
-                *e = *v;
-            }
-        }
-        for (k, v) in &other.times_s {
-            *self.times_s.entry(k.clone()).or_insert(0.0) += v;
-        }
-        for (k, h) in &other.hists {
-            self.hists.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("snapshot serializes")
@@ -499,8 +438,8 @@ mod tests {
         let mut m = MetricsRegistry::default();
         m.counter_add("hal.kernels", 3);
         m.counter_add("hal.kernels", 4);
-        assert_eq!(m.counter("hal.kernels"), 7);
-        assert_eq!(m.counter("never.touched"), 0);
+        assert_eq!(m.counters["hal.kernels"].get(), 7);
+        assert!(!m.counters.contains_key("never.touched"));
     }
 
     #[test]
@@ -509,75 +448,6 @@ mod tests {
         m.gauge_max("pool.high_water", 10.0);
         m.gauge_max("pool.high_water", 4.0);
         assert_eq!(m.gauges.get("pool.high_water"), Some(&10.0));
-    }
-
-    #[test]
-    fn merge_sums_counters_and_folds_same_named_tracks() {
-        let mut tl = Timeline::default();
-        let h = tl.track("rank0", TrackKind::CommRank);
-        tl.complete(
-            h,
-            "bcast",
-            SpanCat::Collective,
-            SimTime::ZERO,
-            SimTime::from_secs(1.0),
-        );
-        let mut m = MetricsRegistry::default();
-        m.counter_add("mpi.collectives", 1);
-        m.gauge_set("mpi.wait_max_s", 0.5);
-        m.time_add("mpi.wait", SimTime::from_secs(0.25));
-        let a = TelemetrySnapshot::build(&tl, &m);
-
-        let mut merged = a.clone();
-        merged.merge(&a); // same rank, second run
-        assert_eq!(merged.spans_total, 2);
-        assert_eq!(
-            merged.counter("mpi.collectives"),
-            2,
-            "counters add exactly once per merge"
-        );
-        assert_eq!(
-            merged.tracks.len(),
-            1,
-            "same-named track folds instead of duplicating"
-        );
-        assert_eq!(merged.tracks[0].spans, 2);
-        assert_eq!(merged.tracks[0].busy_s, 2.0);
-        assert_eq!(merged.wall_s, 1.0, "concurrent walls max, not stack");
-        assert_eq!(
-            merged.gauges["mpi.wait_max_s"], 0.5,
-            "gauges are high-water marks"
-        );
-        assert_eq!(merged.times_s["mpi.wait"], 0.5);
-    }
-
-    #[test]
-    fn merge_unions_disjoint_ranks() {
-        let mut tl0 = Timeline::default();
-        let r0 = tl0.track("rank0", TrackKind::CommRank);
-        tl0.complete(
-            r0,
-            "work",
-            SpanCat::Phase,
-            SimTime::ZERO,
-            SimTime::from_secs(2.0),
-        );
-        let mut tl1 = Timeline::default();
-        let r1 = tl1.track("rank1", TrackKind::CommRank);
-        tl1.complete(
-            r1,
-            "work",
-            SpanCat::Phase,
-            SimTime::ZERO,
-            SimTime::from_secs(3.0),
-        );
-        let m = MetricsRegistry::default();
-        let mut a = TelemetrySnapshot::build(&tl0, &m);
-        let b = TelemetrySnapshot::build(&tl1, &m);
-        a.merge(&b);
-        assert_eq!(a.tracks.len(), 2);
-        assert_eq!(a.wall_s, 3.0);
-        assert_eq!(a.spans_total, 2);
     }
 
     #[test]
@@ -604,7 +474,7 @@ mod tests {
             );
         }
         assert_eq!(h.max(), 2.0, "max is exact");
-        assert_eq!(h.min(), 0.0007, "min is exact");
+        assert_eq!(h.min, 0.0007, "min is exact");
         assert_eq!(h.count(), 10);
     }
 
@@ -627,7 +497,7 @@ mod tests {
         h.record(-3.0);
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.min(), -3.0);
+        assert_eq!(h.min, -3.0);
     }
 
     #[test]
@@ -666,15 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_histograms_flow_into_snapshot_and_merge() {
+    fn registry_histograms_flow_into_snapshot() {
         let mut m = MetricsRegistry::default();
         m.hist_record("task.run_s", 0.002);
         m.hist_record("task.run_s", 0.004);
         let tl = Timeline::default();
-        let mut a = TelemetrySnapshot::build(&tl, &m);
-        let b = a.clone();
-        a.merge(&b);
-        assert_eq!(a.hist("task.run_s").unwrap().count(), 4);
+        let a = TelemetrySnapshot::build(&tl, &m);
+        assert_eq!(a.hist("task.run_s").unwrap().count(), 2);
         assert!(a.to_json().contains("\"task.run_s\""));
         assert!(a.to_json().contains("\"buckets\""));
     }

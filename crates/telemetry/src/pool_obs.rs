@@ -145,19 +145,6 @@ impl PoolTelemetry {
         self.sum(|g| g.injects)
     }
 
-    /// Total busy nanoseconds across every lane — the numerator of the
-    /// occupancy gate (`busy / (wall × lanes)`).
-    pub fn busy_ns(&self) -> u64 {
-        self.sum(|g| g.lanes.values().map(|l| l.busy_ns).sum())
-    }
-
-    /// Discard everything accumulated so far.
-    pub fn reset(&self) {
-        for s in self.slots.iter() {
-            *s.0.lock().expect("pool telemetry") = Inner::default();
-        }
-    }
-
     /// Drain the accumulator into `collector` under `namespace`:
     ///
     /// * one `TrackKind::Worker` track per active lane —
@@ -271,6 +258,11 @@ mod tests {
     use std::sync::Arc;
     use workpool::ThreadPool;
 
+    /// Busy nanoseconds summed over every lane.
+    fn busy_ns(obs: &PoolTelemetry) -> u64 {
+        obs.sum(|g| g.lanes.values().map(|l| l.busy_ns).sum())
+    }
+
     fn run_observed(threads: usize) -> (Arc<PoolTelemetry>, TelemetryCollector) {
         let pool = ThreadPool::new(threads);
         let obs = Arc::new(PoolTelemetry::new());
@@ -291,7 +283,7 @@ mod tests {
         for threads in [1, 4] {
             let (obs, collector) = run_observed(threads);
             assert_eq!(obs.tasks(), 32);
-            let busy = obs.busy_ns();
+            let busy = busy_ns(&obs);
             assert!(busy > 0);
             let landed = obs.land(&collector, "pool");
             assert_eq!(landed, busy);
@@ -339,7 +331,7 @@ mod tests {
             obs.task_run((i % 2) as usize, 10 * i, 10 * i + 3, i % 7 == 0);
         }
         assert_eq!(obs.tasks(), tasks);
-        assert_eq!(obs.busy_ns(), 3 * tasks);
+        assert_eq!(busy_ns(&obs), 3 * tasks);
         let collector = TelemetryCollector::new();
         assert_eq!(obs.land(&collector, "pool"), 3 * tasks);
         let snap = collector.snapshot();

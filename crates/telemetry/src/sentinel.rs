@@ -5,9 +5,9 @@
 //! This mechanizes the practice behind the paper's Figure 2 (§6): FOMs
 //! were recorded continuously and "this quantitative approach permitted
 //! early detection of software bugs and performance regressions". The
-//! baseline is the *median* of the last N prior runs — robust to a single
-//! noisy outlier either way — and the verdict thresholds default to the
-//! conventional 15% warn / 50% fail bands.
+//! baseline is the *median* of the last 8 prior runs — robust to a single
+//! noisy outlier either way — and the verdict bands are the conventional
+//! 15% warn / 50% fail.
 //!
 //! Scenario awareness: records produced under a fault scenario carry a
 //! non-empty `scenario` tag. Tagged records never feed the baseline (an
@@ -41,24 +41,52 @@ impl Verdict {
     }
 }
 
-/// Sentinel tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct SentinelConfig {
-    /// How many prior records feed the rolling baseline.
-    pub window: usize,
-    /// Regression factor at which the verdict becomes [`Verdict::Warn`].
-    pub warn_ratio: f64,
-    /// Regression factor at which the verdict becomes [`Verdict::Fail`].
-    pub fail_ratio: f64,
+/// How many prior values feed a rolling baseline's median.
+const WINDOW: usize = 8;
+
+/// The regression factors at which a rolling-baseline verdict turns to
+/// [`Verdict::Warn`] and [`Verdict::Fail`].
+struct Bands {
+    warn: f64,
+    fail: f64,
 }
 
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        SentinelConfig {
-            window: 8,
-            warn_ratio: 1.15,
-            fail_ratio: 1.5,
-        }
+/// The ledger sentinel's bands.
+const SENTINEL: Bands = Bands {
+    warn: 1.15,
+    fail: 1.5,
+};
+
+/// The serve-tier SLO sentinel's bands. Wall-clock latency is noisier than
+/// the virtual-time FOMs the ledger sentinel watches, so they are wider.
+const SLO: Bands = Bands {
+    warn: 2.0,
+    fail: 4.0,
+};
+
+/// Absolute p99 floor, seconds: a newest epoch under it always passes,
+/// since any ratio of cache-hit microseconds is measurement noise.
+const SLO_FLOOR_S: f64 = 1e-6;
+
+impl Bands {
+    /// The one rolling-baseline judge: the regression factor of `newest`
+    /// against the window `median`, oriented so that > 1 is always worse,
+    /// and the verdict the bands give it.
+    fn judge(&self, newest: f64, median: f64, higher_is_better: bool) -> (f64, Verdict) {
+        const EPS: f64 = 1e-300;
+        let regression = if higher_is_better {
+            (median + EPS) / (newest + EPS)
+        } else {
+            (newest + EPS) / (median + EPS)
+        };
+        let verdict = if regression >= self.fail {
+            Verdict::Fail
+        } else if regression >= self.warn {
+            Verdict::Warn
+        } else {
+            Verdict::Pass
+        };
+        (regression, verdict)
     }
 }
 
@@ -119,11 +147,12 @@ impl SentinelReport {
     }
 }
 
-/// Median-by-value record of a slice (upper median; the slice is cloned
-/// and sorted by FOM value so the pick is deterministic).
-fn median_record<'a>(records: &[&'a FomRecord]) -> &'a FomRecord {
-    let mut sorted: Vec<&FomRecord> = records.to_vec();
-    sorted.sort_by(|a, b| a.value.total_cmp(&b.value).then(a.seq.cmp(&b.seq)));
+/// The upper median of a non-empty window by `value`. The sort is stable,
+/// so among equal values the earlier one (a record's lower `seq`) sorts
+/// first and the pick is deterministic.
+fn upper_median<T: Copy>(window: &[T], value: impl Fn(T) -> f64) -> T {
+    let mut sorted = window.to_vec();
+    sorted.sort_by(|a, b| value(*a).total_cmp(&value(*b)));
     sorted[sorted.len() / 2]
 }
 
@@ -135,9 +164,7 @@ pub fn run_sentinel(
     app: &str,
     machine: &str,
     kind: FomKind,
-    config: &SentinelConfig,
 ) -> Option<SentinelReport> {
-    const EPS: f64 = 1e-300;
     let series = ledger.series(app, machine, kind);
     let (newest, priors) = series.split_last()?;
     // Scenario-tagged priors are not baselines: a run that survived an MTBF
@@ -153,24 +180,13 @@ pub fn run_sentinel(
     } else {
         &clean_priors
     };
-    let window_start = pool.len().saturating_sub(config.window);
     let baseline = if pool.is_empty() {
         newest
     } else {
-        median_record(&pool[window_start..])
+        upper_median(&pool[pool.len().saturating_sub(WINDOW)..], |r| r.value)
     };
-    let regression = if kind.higher_is_better() {
-        (baseline.value + EPS) / (newest.value + EPS)
-    } else {
-        (newest.value + EPS) / (baseline.value + EPS)
-    };
-    let mut verdict = if regression >= config.fail_ratio {
-        Verdict::Fail
-    } else if regression >= config.warn_ratio {
-        Verdict::Warn
-    } else {
-        Verdict::Pass
-    };
+    let (regression, mut verdict) =
+        SENTINEL.judge(newest.value, baseline.value, kind.higher_is_better());
     // An unlucky run is not a code regression: under a fault scenario the
     // sentinel flags, it never gates.
     if !newest.scenario.is_empty() && verdict == Verdict::Fail {
@@ -196,37 +212,6 @@ pub fn run_sentinel(
         culprit_span,
         explanation,
     })
-}
-
-/// Tuning for the serve-tier SLO sentinel: wall-clock p99 latency per
-/// query class, judged against a rolling baseline of prior epochs.
-///
-/// Wall-clock latency is noisier than the virtual-time FOMs the ledger
-/// sentinel watches, so the default bands are wider (2× warn / 4× fail),
-/// and `floor_s` suppresses verdicts on epochs whose p99 is so small
-/// (cache-hit microseconds) that any ratio is measurement noise.
-#[derive(Debug, Clone, Copy)]
-pub struct SloConfig {
-    /// How many prior epochs feed the rolling baseline.
-    pub window: usize,
-    /// p99 ratio at which the verdict becomes [`Verdict::Warn`].
-    pub warn_ratio: f64,
-    /// p99 ratio at which the verdict becomes [`Verdict::Fail`].
-    pub fail_ratio: f64,
-    /// Absolute p99 floor, seconds: a newest epoch under the floor always
-    /// passes, whatever the ratio says.
-    pub floor_s: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            window: 8,
-            warn_ratio: 2.0,
-            fail_ratio: 4.0,
-            floor_s: 1e-6,
-        }
-    }
 }
 
 /// The SLO sentinel's judgement on one query class (one application's
@@ -267,31 +252,20 @@ impl SloReport {
 /// Judge the newest epoch's p99 latency for one query class against the
 /// median of the prior epochs' p99s (the same median-of-window shape as
 /// [`run_sentinel`], oriented for lower-is-better latency). With no prior
-/// history the newest epoch is its own baseline and passes.
-pub fn check_slo(
-    class: &str,
-    prior_p99s: &[f64],
-    newest_p99: f64,
-    config: &SloConfig,
-) -> SloReport {
-    const EPS: f64 = 1e-300;
-    let window = &prior_p99s[prior_p99s.len().saturating_sub(config.window)..];
+/// history the newest epoch is its own baseline and passes; so does an
+/// epoch whose p99 is under the 1 µs floor.
+pub fn check_slo(class: &str, prior_p99s: &[f64], newest_p99: f64) -> SloReport {
+    let window = &prior_p99s[prior_p99s.len().saturating_sub(WINDOW)..];
     let baseline = if window.is_empty() {
         newest_p99
     } else {
-        let mut sorted = window.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        sorted[sorted.len() / 2]
+        upper_median(window, |v| v)
     };
-    let regression = (newest_p99 + EPS) / (baseline + EPS);
-    let verdict = if newest_p99 < config.floor_s || window.is_empty() {
+    let (regression, verdict) = SLO.judge(newest_p99, baseline, false);
+    let verdict = if newest_p99 < SLO_FLOOR_S {
         Verdict::Pass
-    } else if regression >= config.fail_ratio {
-        Verdict::Fail
-    } else if regression >= config.warn_ratio {
-        Verdict::Warn
     } else {
-        Verdict::Pass
+        verdict
     };
     SloReport {
         class: class.to_string(),
@@ -304,7 +278,7 @@ pub fn check_slo(
 }
 
 /// Judge every series in the ledger; reports come back in series order.
-pub fn run_sentinel_all(ledger: &FomLedger, config: &SentinelConfig) -> Vec<SentinelReport> {
+pub fn run_sentinel_all(ledger: &FomLedger) -> Vec<SentinelReport> {
     let mut keys: Vec<(String, String, &'static str)> =
         ledger.records.iter().map(|r| r.series_key()).collect();
     keys.sort();
@@ -312,7 +286,7 @@ pub fn run_sentinel_all(ledger: &FomLedger, config: &SentinelConfig) -> Vec<Sent
     keys.into_iter()
         .filter_map(|(app, machine, kind_label)| {
             let kind = FomKind::from_label(kind_label)?;
-            run_sentinel(ledger, &app, &machine, kind, config)
+            run_sentinel(ledger, &app, &machine, kind)
         })
         .collect()
 }
@@ -351,14 +325,7 @@ mod tests {
                 &[("k", 1.0)],
             ));
         }
-        let r = run_sentinel(
-            &l,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let r = run_sentinel(&l, "A", "Frontier", FomKind::Throughput).unwrap();
         assert_eq!(r.verdict, Verdict::Pass);
         assert!((r.regression - 1.0).abs() < 1e-9);
         assert!(
@@ -372,14 +339,7 @@ mod tests {
     fn single_record_is_its_own_baseline() {
         let mut l = FomLedger::new();
         l.append(rec("A", "v0", FomKind::Throughput, 100.0, &[]));
-        let r = run_sentinel(
-            &l,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let r = run_sentinel(&l, "A", "Frontier", FomKind::Throughput).unwrap();
         assert_eq!(r.verdict, Verdict::Pass);
         assert_eq!(r.baseline_run_tag, "v0");
     }
@@ -387,14 +347,7 @@ mod tests {
     #[test]
     fn empty_series_yields_none() {
         let l = FomLedger::new();
-        assert!(run_sentinel(
-            &l,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default()
-        )
-        .is_none());
+        assert!(run_sentinel(&l, "A", "Frontier", FomKind::Throughput).is_none());
     }
 
     #[test]
@@ -417,14 +370,7 @@ mod tests {
             50.0,
             &[("kernel", 0.8), ("comm", 1.2)],
         ));
-        let r = run_sentinel(
-            &l,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let r = run_sentinel(&l, "A", "Frontier", FomKind::Throughput).unwrap();
         assert_eq!(r.verdict, Verdict::Fail);
         assert!((r.regression - 2.0).abs() < 1e-9);
         assert_eq!(r.culprit_span.as_deref(), Some("comm"));
@@ -447,14 +393,7 @@ mod tests {
         }
         // Time per cell per step *rose* — that's the regression.
         l.append(rec("P", "v9", FomKind::TimePerCellStep, 2.5e-9, &[]));
-        let r = run_sentinel(
-            &l,
-            "P",
-            "Frontier",
-            FomKind::TimePerCellStep,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let r = run_sentinel(&l, "P", "Frontier", FomKind::TimePerCellStep).unwrap();
         assert_eq!(r.verdict, Verdict::Warn);
         assert!((r.regression - 1.25).abs() < 1e-9);
     }
@@ -466,14 +405,7 @@ mod tests {
         l.append(rec("A", "v1", FomKind::Throughput, 5.0, &[])); // bad day
         l.append(rec("A", "v2", FomKind::Throughput, 100.0, &[]));
         l.append(rec("A", "v3", FomKind::Throughput, 98.0, &[]));
-        let r = run_sentinel(
-            &l,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let r = run_sentinel(&l, "A", "Frontier", FomKind::Throughput).unwrap();
         assert_eq!(
             r.verdict,
             Verdict::Pass,
@@ -486,14 +418,7 @@ mod tests {
         let mut l = FomLedger::new();
         l.append(rec("A", "v0", FomKind::Throughput, 100.0, &[]));
         l.append(rec("A", "v1", FomKind::Throughput, 300.0, &[]));
-        let r = run_sentinel(
-            &l,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let r = run_sentinel(&l, "A", "Frontier", FomKind::Throughput).unwrap();
         assert_eq!(r.verdict, Verdict::Pass);
         assert!(r.regression < 1.0);
     }
@@ -515,27 +440,13 @@ mod tests {
         unlucky.scenario = "mtbf-seed42".into();
         let mut tagged = l.clone();
         tagged.append(unlucky);
-        let rt = run_sentinel(
-            &tagged,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let rt = run_sentinel(&tagged, "A", "Frontier", FomKind::Throughput).unwrap();
         assert_eq!(rt.verdict, Verdict::Warn, "unlucky run must not gate");
         assert_eq!(rt.scenario, "mtbf-seed42");
         assert!(rt.summary().contains("[scenario: mtbf-seed42]"));
 
         l.append(rec("A", "v9", FomKind::Throughput, 50.0, &[("k", 2.0)]));
-        let rc = run_sentinel(
-            &l,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let rc = run_sentinel(&l, "A", "Frontier", FomKind::Throughput).unwrap();
         assert_eq!(
             rc.verdict,
             Verdict::Fail,
@@ -558,49 +469,40 @@ mod tests {
         // baseline (100) this is a 2x fail; against the drill-polluted
         // median (20) it would pass as an improvement.
         l.append(rec("A", "v1", FomKind::Throughput, 50.0, &[]));
-        let r = run_sentinel(
-            &l,
-            "A",
-            "Frontier",
-            FomKind::Throughput,
-            &SentinelConfig::default(),
-        )
-        .unwrap();
+        let r = run_sentinel(&l, "A", "Frontier", FomKind::Throughput).unwrap();
         assert_eq!(r.verdict, Verdict::Fail);
         assert_eq!(r.baseline_run_tag, "v0");
     }
 
     #[test]
     fn slo_flags_p99_regressions_and_names_the_class() {
-        let cfg = SloConfig::default();
         let priors = [1.1e-3, 0.9e-3, 1.0e-3, 1.05e-3];
-        let steady = check_slo("Pele", &priors, 1.2e-3, &cfg);
+        let steady = check_slo("Pele", &priors, 1.2e-3);
         assert_eq!(steady.verdict, Verdict::Pass);
         assert!(
             (steady.baseline_p99_s - 1.05e-3).abs() < 1e-12,
             "upper median of priors"
         );
-        let drilled = check_slo("Pele", &priors, 9.0e-3, &cfg);
+        let drilled = check_slo("Pele", &priors, 9.0e-3);
         assert_eq!(drilled.verdict, Verdict::Fail);
-        assert!(drilled.regression > cfg.fail_ratio);
+        assert!(drilled.regression > SLO.fail);
         assert!(
             drilled.summary().contains("[Pele]"),
             "{}",
             drilled.summary()
         );
         assert!(drilled.summary().contains("fail"));
-        let warned = check_slo("Pele", &priors, 2.5e-3, &cfg);
+        let warned = check_slo("Pele", &priors, 2.5e-3);
         assert_eq!(warned.verdict, Verdict::Warn);
     }
 
     #[test]
     fn slo_floor_and_empty_history_never_flag() {
-        let cfg = SloConfig::default();
         // Sub-floor epochs are cache-hit noise: a 100x ratio still passes.
-        let noisy = check_slo("CoMet", &[5e-9, 4e-9], 5e-7, &cfg);
+        let noisy = check_slo("CoMet", &[5e-9, 4e-9], 5e-7);
         assert_eq!(noisy.verdict, Verdict::Pass, "below floor_s never flags");
         // First epoch is its own baseline.
-        let first = check_slo("CoMet", &[], 3.0, &cfg);
+        let first = check_slo("CoMet", &[], 3.0);
         assert_eq!(first.verdict, Verdict::Pass);
         assert_eq!(first.baseline_epochs, 0);
         assert!((first.regression - 1.0).abs() < 1e-9);
@@ -608,16 +510,14 @@ mod tests {
 
     #[test]
     fn slo_window_slides_over_old_epochs() {
-        let cfg = SloConfig {
-            window: 3,
-            ..SloConfig::default()
-        };
-        // Ancient fast epochs age out of the window; the recent (slower)
-        // regime is the baseline, so the newest epoch passes.
-        let priors = [1e-4, 1e-4, 1e-4, 1e-2, 1.1e-2, 0.9e-2];
-        let r = check_slo("GESTS", &priors, 1.2e-2, &cfg);
+        // Ancient fast epochs age out of the 8-epoch window; the recent
+        // (slower) regime is the baseline, so the newest epoch passes.
+        let priors = [
+            1e-4, 1e-4, 1e-4, 1e-2, 1.1e-2, 0.9e-2, 1e-2, 1.1e-2, 0.9e-2, 1e-2, 1.1e-2,
+        ];
+        let r = check_slo("GESTS", &priors, 1.2e-2);
         assert_eq!(r.verdict, Verdict::Pass);
-        assert_eq!(r.baseline_epochs, 3);
+        assert_eq!(r.baseline_epochs, 8);
         assert!((r.baseline_p99_s - 1e-2).abs() < 1e-12);
     }
 
@@ -626,7 +526,7 @@ mod tests {
         let mut l = FomLedger::new();
         l.append(rec("A", "v0", FomKind::Throughput, 100.0, &[]));
         l.append(rec("B", "v0", FomKind::TimePerCellStep, 1e-9, &[]));
-        let reports = run_sentinel_all(&l, &SentinelConfig::default());
+        let reports = run_sentinel_all(&l);
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.verdict == Verdict::Pass));
     }

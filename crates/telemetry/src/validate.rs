@@ -423,14 +423,6 @@ pub struct PromDoc {
 }
 
 impl PromDoc {
-    /// The value of the first unlabelled sample called `name`.
-    pub fn value(&self, name: &str) -> Option<f64> {
-        self.samples
-            .iter()
-            .find(|s| s.name == name && s.labels.is_empty())
-            .map(|s| s.value)
-    }
-
     /// The value of the first sample called `name` whose labels equal
     /// `labels` exactly (same pairs, same order).
     pub fn value_labeled(&self, name: &str, labels: &[(String, String)]) -> Option<f64> {
@@ -1014,8 +1006,8 @@ mod tests {
         let summary = validate_prometheus(text).expect("valid document");
         assert_eq!(summary.families, 3);
         let doc = parse_prometheus(text).unwrap();
-        assert_eq!(doc.value("exa_tasks_total"), Some(42.0));
-        assert_eq!(doc.value("exa_occupancy"), Some(0.93));
+        assert_eq!(doc.value_labeled("exa_tasks_total", &[]), Some(42.0));
+        assert_eq!(doc.value_labeled("exa_occupancy", &[]), Some(0.93));
         let buckets: Vec<_> = doc
             .samples
             .iter()

@@ -1,257 +1,208 @@
 #!/usr/bin/env python3
-"""Transitive name scan: which public items of the library crates are reached.
+"""Compiler-judged reachability: which public items of the library crates are reached.
 
-Roots are the non-test code of `exa-bench` (the experiments), the benchmark
-(`exabench/src`) and the examples. An item of one of the eleven library
-crates, `exa-apps` included, is *reached* when its name occurs as an
-identifier in code that is itself reached; a method is reached by
-`Type::name`, or by a `.name` call once its type is reached. Reaching an item makes its body
-reached, and reaching a type makes the bodies of its trait impls reached.
-Test code (`#[cfg(test)]` items, test-only module files, `tests/`
-directories), comments, string literals and `use` lines are never scanned.
-
-The scan matches names, not types, so it is a heuristic: a `.len()` call on
-any receiver reaches the `len` of every reached type. It prints, per crate,
-the public items that nothing reaches and that are not on the "Survivors"
-list in DESIGN.md, then the total. Run it from anywhere:
+Roots are the non-test code of `exa-bench` (the experiments), the umbrella
+crate, the examples and the benchmark (`exabench/`). The script copies the
+sources to `target/reach/src`, demotes every `pub` item and `pub use` of the
+eleven library crates, `exa-apps` included, to `pub(crate)` (each name of a
+`pub use a::{B, C}` list is re-exported on its own), and runs `cargo check`
+on the workspace's libs, bins and examples and on `exabench/Cargo.toml`, with
+its own target dir `target/reach/target` (the checkout and its builds are
+never written). Each privacy error points at the definition it could not
+reach, and the item whose `pub` starts at or before that span gets it
+back; a re-export of a demoted item (E0364/E0365) names no definition, so
+its `use` path is followed to the module that defines it. A type in the
+signature of a restored item (`private_interfaces`) is restored too. The
+check reruns until it is clean; the `dead_code` warnings then left in the
+library crates are the items that nothing but tests reaches, with the
+private helpers and fields only they use. Those not on the "Survivors" list
+in DESIGN.md are printed per crate, then the total. Run it from anywhere:
 
     python3 scripts/reach.py            # counts per crate
     python3 scripts/reach.py --list     # plus every unexplained item
     python3 scripts/reach.py --check    # exit 1 unless the total is 0
 """
 
+import bisect
+import json
 import os
 import re
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRATCH = os.path.join(ROOT, "target", "reach")
+SRC = os.path.join(SCRATCH, "src")
 LIBRARY_CRATES = ["apps", "core", "fft", "hal", "linalg", "machine", "mpi",
                   "serve", "shoc", "telemetry", "tune"]
-ROOT_DIRS = ["crates/bench/src", "exabench/src", "examples"]
-
-IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-METHOD_CALL = re.compile(r"(?<!\.)\.(?!\.)\s*([A-Za-z_][A-Za-z0-9_]*)")
-# `Type::name` and `Type::<T>::name`; the lookahead lets `a::B::c` yield
-# both (a, B) and (B, c).
-PATH = re.compile(
-    r"([A-Za-z_][A-Za-z0-9_]*)\s*(?=(?:::\s*<[^;{}]*?>\s*)?::\s*([A-Za-z_][A-Za-z0-9_]*))")
-ITEM = re.compile(r"\b(fn|struct|enum|union|trait|type|const|static|impl|mod)\b")
-
-
-def blank_comments_and_strings(src):
-    """Replace comments, string and char literals by spaces (offsets kept)."""
-    out = list(src)
-    i, n = 0, len(src)
-
-    def blank(a, b):
-        for k in range(a, b):
-            if out[k] != "\n":
-                out[k] = " "
-
-    while i < n:
-        c = src[i]
-        if src.startswith("//", i):
-            j = src.find("\n", i)
-            j = n if j < 0 else j
-            blank(i, j)
-            i = j
-        elif src.startswith("/*", i):
-            depth, j = 1, i + 2
-            while j < n and depth:
-                if src.startswith("/*", j):
-                    depth, j = depth + 1, j + 2
-                elif src.startswith("*/", j):
-                    depth, j = depth - 1, j + 2
-                else:
-                    j += 1
-            blank(i, j)
-            i = j
-        elif c == "r" and re.match(r'r#*"', src[i:i + 8]) and (
-                i == 0 or not (src[i - 1].isalnum() or src[i - 1] == "_")):
-            hashes = len(re.match(r'r(#*)"', src[i:]).group(1))
-            end = src.find('"' + "#" * hashes, i + 2 + hashes)
-            j = n if end < 0 else end + 1 + hashes
-            blank(i, j)
-            i = j
-        elif c == '"':
-            j = i + 1
-            while j < n and src[j] != '"':
-                j += 2 if src[j] == "\\" else 1
-            blank(i, j + 1)
-            i = j + 1
-        elif c == "'":
-            m = re.match(r"'(\\.|\\u\{[0-9a-fA-F]+\}|\\x..|[^\\'])'", src[i:])
-            if m:
-                blank(i, i + m.end())
-                i += m.end()
-            else:
-                i += 1  # a lifetime
-        else:
-            i += 1
-    return "".join(out)
+SOURCE_DIRS = ("crates/", "vendor/", "src/", "examples/", "tests/", "exabench/")
+CHECKS = [["--workspace", "--lib", "--bins", "--examples"],
+          ["--manifest-path", "exabench/Cargo.toml"]]
+# The `pub` of an item, at the start of a line or after a `;` (a split list).
+PUB_ITEM = re.compile(
+    r"(?m)(?:^|;)[ \t]*(pub)(?=\s+(?:(?:unsafe|async|const|extern(?:\s+\"\w+\")?)\s+)*"
+    r"(?:fn|struct|enum|union|trait|type|const|static|mod|use)\b)")
+# Diagnostics whose secondary spans and notes point at the definition of an
+# item they could not reach.
+PRIVACY = ("E0603", "E0624", "E0616", "E0451", "private_interfaces", "private_bounds")
+USE_LIST = re.compile(r"\bpub use ([\w:]+)::\{([^{}]*)\};")
+IMPL_TYPE = re.compile(r"\bimpl\b(?:\s*<.*?>)?\s+(?:.*\bfor\s+)?(\w+)")
 
 
-def match_close(text, open_at):
-    """Index just past the bracket that closes the one at `open_at`."""
-    pairs = {"{": "}", "(": ")", "[": "]"}
-    stack = [pairs[text[open_at]]]
-    i = open_at + 1
-    while i < len(text) and stack:
-        c = text[i]
-        if c in pairs:
-            stack.append(pairs[c])
-        elif stack and c == stack[-1]:
-            stack.pop()
-        i += 1
-    return i
+def sources():
+    """Every tracked or new, unignored file the builds read, relative to the
+    root."""
+    out = subprocess.run(["git", "ls-files", "-co", "--exclude-standard"],
+                         cwd=ROOT, capture_output=True, text=True, check=True)
+    return [f for f in out.stdout.splitlines()
+            if (f in ("Cargo.toml", "Cargo.lock") or f.startswith(SOURCE_DIRS))
+            and os.path.isfile(os.path.join(ROOT, f))]
 
 
-def item_end(text, start):
-    """End of the item whose keyword is at `start`: its body's `}` or `;`."""
-    i, depth = start, 0
-    while i < len(text):
-        c = text[i]
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        elif depth == 0 and c == "{":
-            return match_close(text, i)
-        elif depth == 0 and c == ";":
-            return i + 1
-        i += 1
-    return len(text)
+def library_file(rel):
+    parts = rel.split("/")
+    return len(parts) > 3 and parts[0] == "crates" and parts[1] in LIBRARY_CRATES \
+        and parts[2] == "src" and rel.endswith(".rs")
 
 
-def attr_start(text, kw_at):
-    """Start of the item whose keyword is at `kw_at`, with its attributes
-    and visibility."""
-    i = kw_at
-    while True:
-        head = text[:i].rstrip()
-        m = re.search(r"(pub(\s*\([^)]*\))?|unsafe|async|const|extern|default)$",
-                      head)
-        if m:
-            i = m.start()
-            continue
-        if head.endswith("]"):
-            j = head.rfind("#[")
-            if j >= 0:
-                i = j
+def demote(text, keep):
+    """`text` with each name of a `pub use` list re-exported by a statement
+    of its own on the name's line, and the `pub` of every item but the
+    `keep`-th ones turned into `pub(crate)`; plus the (line, column) at which
+    each item's `pub` stands in the result. A re-export named like a module
+    of the same file stays `pub`: a use of the demoted name would resolve to
+    the module, and rustc would report no privacy error to restore it by."""
+    text = USE_LIST.sub(lambda m: re.sub(
+        r"[\w:]+(?:\s+as\s+\w+)?", lambda leaf: f"pub use {m.group(1)}::{leaf.group(0)};",
+        m.group(2)).replace(",", ""), text)
+    mods = set(re.findall(r"(?m)^[ \t]*(?:pub(?:\([^)]*\))?\s+)?mod\s+(\w+)", text))
+    sites, out, at, shifted = [], [], 0, (0, 0)
+    for k, m in enumerate(PUB_ITEM.finditer(text)):
+        start = m.start(1)
+        line = text.count("\n", 0, start) + 1
+        shift = shifted[1] if shifted[0] == line else 0
+        sites.append((line, start - text.rfind("\n", 0, start) + shift))
+        out.append(text[at:m.end(1)])
+        at = m.end(1)
+        named = re.match(r"pub\s+use\s+[\w:]*?(\w+)\s*;", text[start:])
+        if k not in keep and not (named and named.group(1) in mods):
+            out.append("(crate)")
+            shifted = (line, shift + len("(crate)"))
+    return "".join(out) + text[at:], sites
+
+
+def sync(files, restored):
+    """Write the demoted copy, touching only files whose content changed so
+    cargo stays incremental; returns {file: sites of its `pub` items}."""
+    items = {}
+    for rel in files:
+        with open(os.path.join(ROOT, rel), encoding="utf-8") as f:
+            text = f.read()
+        if library_file(rel):
+            text, items[rel] = demote(text, restored.get(rel, set()))
+        dst = os.path.join(SRC, rel)
+        try:
+            with open(dst, encoding="utf-8") as f:
+                if f.read() == text:
+                    continue
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+        with open(dst, "w", encoding="utf-8") as f:
+            f.write(text)
+    keep = set(files)
+    for d, _, names in os.walk(SRC):
+        for name in names:
+            path = os.path.join(d, name)
+            if os.path.relpath(path, SRC) not in keep:
+                os.remove(path)
+    return items
+
+
+def check():
+    """Compiler messages of every check, each with its spans resolved to
+    paths relative to the copy."""
+    env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(SCRATCH, "target"))
+    msgs = []
+    for args in CHECKS:
+        out = subprocess.run(["cargo", "check", "--offline", "--keep-going", "-q",
+                              "--message-format=json"] + args,
+                             cwd=SRC, env=env, capture_output=True, text=True)
+        base = os.path.dirname(os.path.join(SRC, args[-1])) if "--manifest-path" in args else SRC
+        for line in out.stdout.splitlines():
+            m = json.loads(line)
+            if m.get("reason") != "compiler-message":
                 continue
-        return len(head)
+            m = m["message"]
+            stack = [m]
+            while stack:
+                node = stack.pop()
+                for span in node["spans"]:
+                    span["rel"] = os.path.relpath(
+                        os.path.realpath(os.path.join(base, span["file_name"])), SRC)
+                stack += node["children"]
+            msgs.append(m)
+        if out.returncode and not any(m["level"] == "error" for m in msgs):
+            sys.exit(f"reach: cargo check {' '.join(args)} failed:\n{out.stderr}")
+    return msgs
 
 
-def strip_test_code(text):
-    """Blank every `#[cfg(test)]` / `#[test]` item. Returns the text and the
-    names of test-only `mod x;` declarations."""
-    test_mods = []
-    for m in reversed(list(re.finditer(r"#\[(cfg\(test\)|test)\]", text))):
-        k = ITEM.search(text, m.end())
-        if not k:
-            continue
-        end = item_end(text, k.start())
-        if k.group(1) == "mod":
-            name = IDENT.match(text, text.find(" ", k.start()) + 1)
-            if name and text[end - 1] == ";":
-                test_mods.append(name.group(0))
-        text = text[:m.start()] + re.sub(r"[^\n]", " ", text[m.start():end]) + text[end:]
-    return text, test_mods
+def code(m):
+    return (m.get("code") or {}).get("code")
 
 
-def rust_files(rel):
-    base = os.path.join(ROOT, rel)
-    if os.path.isfile(base):
-        return [base]
-    files = []
-    for d, _, names in os.walk(base):
-        files += [os.path.join(d, f) for f in sorted(names) if f.endswith(".rs")]
-    return sorted(files)
+def highlighted(span):
+    t = span["text"][0]
+    return t["text"][t["highlight_start"] - 1:t["highlight_end"] - 1]
 
 
-def load(path):
-    with open(path, encoding="utf-8") as f:
-        return blank_comments_and_strings(f.read())
+def definition_spans(m):
+    """The spans of a privacy error that point at a definition: its secondary
+    spans and its notes' spans, never the use site it is reported at."""
+    yield from (span for span in m["spans"] if not span["is_primary"])
+    for child in m["children"]:
+        yield from child["spans"]
 
 
-def drop_use_lines(text):
-    return re.sub(r"(?m)^\s*(pub(\([^)]*\))?\s+)?use\s[^;]*;", "", text)
+def site(items, rel, line, col):
+    """(file, k) of the `k`-th `pub` item of `rel`, the last one starting at
+    or before (line, col); None outside the library crates."""
+    k = bisect.bisect_right(items.get(rel, []), (line, col)) - 1
+    return (rel, k) if k >= 0 else None
 
 
-def library_files():
-    """(crate, path, non-test text) for every library source file."""
-    out = []
-    for crate in LIBRARY_CRATES:
-        texts, test_only = {}, set()
-        for path in rust_files(f"crates/{crate}/src"):
-            text, mods = strip_test_code(load(path))
-            texts[path] = text
-            test_only |= {os.path.join(os.path.dirname(path), m + ".rs")
-                          for m in mods}
-        out += [(crate, p, t) for p, t in texts.items() if p not in test_only]
-    return out
+def module_file(rel, path):
+    """The file of module `path` (`a::b`, from a `use`) as seen from `rel`."""
+    segs = path.split("::")
+    crate = re.fullmatch(r"exa_(\w+)", segs[0])
+    if crate and crate.group(1) in LIBRARY_CRATES:
+        rel, segs = f"crates/{crate.group(1)}/src/lib.rs", segs[1:]
+    for seg in segs:
+        base = os.path.dirname(rel) if os.path.basename(rel) in ("lib.rs", "mod.rs") \
+            else rel[:-3]
+        rel = next((f for f in (f"{base}/{seg}.rs", f"{base}/{seg}/mod.rs")
+                    if os.path.isfile(os.path.join(SRC, f))), None)
+        if rel is None:
+            return None
+    return rel
 
 
-class Item:
-    def __init__(self, crate, path, line, kind, name, owner, public, body):
-        self.crate, self.path, self.line, self.kind = crate, path, line, kind
-        self.name, self.owner, self.public, self.body = name, owner, public, body
-
-    def label(self):
-        return f"{self.owner}::{self.name}" if self.owner else self.name
-
-
-def impl_self_type(header):
-    """`impl<T> Trait for Foo<T>` -> ("Trait", "Foo"); `impl Foo` -> (None, "Foo")."""
-    header = re.sub(r"^impl\s*(<[^{]*?>)?", "", header.strip())
-    header = re.split(r"\bwhere\b", header)[0]
-    trait = None
-    if re.search(r"\bfor\b", header):
-        trait, header = re.split(r"\bfor\b", header, maxsplit=1)
-        names = IDENT.findall(re.sub(r"<.*", "", trait))
-        trait = names[-1] if names else None
-    names = IDENT.findall(re.sub(r"<.*", "", header.strip()))
-    return trait, (names[-1] if names else "?")
-
-
-def scan_items(crate, path, text, lo, hi, owner, out, impls):
-    """Collect items of text[lo:hi]; recurse into impl, mod and trait bodies."""
-    i = lo
-    while True:
-        m = ITEM.search(text, i, hi)
-        if not m:
-            return
-        kind, kw = m.group(1), m.start()
-        start = attr_start(text, kw)
-        end = min(item_end(text, kw), hi)
-        head = text[start:kw]
-        public = bool(re.search(r"\bpub\b(?!\s*\((crate|super|self|in)\b)", head))
-        brace = text.find("{", kw, end)
-        if kind == "impl":
-            header = text[kw:brace if brace >= 0 else end]
-            trait, ty = impl_self_type(header)
-            if trait:
-                impls.append((ty, text[kw:end]))
-            else:
-                scan_items(crate, path, text, brace + 1, end - 1, ty, out, impls)
-        elif kind == "mod":
-            if brace >= 0:
-                scan_items(crate, path, text, brace + 1, end - 1, owner, out, impls)
-        else:
-            name = IDENT.search(text, m.end())
-            if name is None:
-                return
-            if kind == "const" and name.group(0) == "fn":
-                name = IDENT.search(text, name.end())
-            line = text.count("\n", 0, kw) + 1
-            out.append(Item(crate, path, line, kind, name.group(0), owner, public,
-                            text[kw:end]))
-        i = end if end > m.end() else m.end()
+def reexported(items, span):
+    """(file, k) of the item the `pub use a::B` at `span` re-exports: the
+    demoted item called `B` in module `a`'s file, which a module defines
+    once."""
+    path, name = re.split(r"\s+as\s+", highlighted(span))[0].rsplit("::", 1)
+    target = module_file(span["rel"], path)
+    if target is None:
+        return None
+    with open(os.path.join(SRC, target), encoding="utf-8") as f:
+        text = f.read()
+    m = re.search(rf"(?m)^pub\(crate\)\s+(?:use\s[^;]*\b|(?:[\w\"]+\s+)*?){name}\b", text)
+    return m and site(items, target, text.count("\n", 0, m.start()) + 1, 1)
 
 
 def survivors():
-    """Names in backticks before the ` — ` of each bullet under DESIGN.md's
-    "Survivors" heading."""
+    """Labels (`name` or `Type::name`) in backticks before the ` — ` of each
+    bullet under DESIGN.md's "Survivors" heading."""
     with open(os.path.join(ROOT, "DESIGN.md"), encoding="utf-8") as f:
         design = f.read()
     m = re.search(r"(?m)^#+ .*Survivors.*$", design)
@@ -265,57 +216,60 @@ def survivors():
     return names
 
 
+def unreached(msgs):
+    """(file, line, label) of every unused item in a library crate; a method
+    is labelled with the type of its impl block."""
+    found = set()
+    for m in msgs:
+        if m["level"] != "warning" or code(m) != "dead_code":
+            continue
+        owner = None
+        for span in m["spans"]:
+            impl = IMPL_TYPE.search(span["text"][0]["text"]) if span["text"] else None
+            if not span["is_primary"] and impl:
+                owner = impl.group(1)
+        for span in m["spans"]:
+            if span["is_primary"] and library_file(span["rel"]):
+                label = f"{owner}::{highlighted(span)}" if owner else highlighted(span)
+                found.add((span["rel"], span["line_start"], label))
+    return sorted(found)
+
+
 def main():
-    items, impls = [], []
-    for crate, path, text in library_files():
-        scan_items(crate, path, text, 0, len(text), None, items, impls)
-    names, calls, paths = set(), set(), set()
-
-    def reach(text, owner=None):
-        text = drop_use_lines(text)
-        if owner:
-            text = re.sub(r"\bSelf\b", owner, text)
-        names.update(IDENT.findall(text))
-        calls.update(METHOD_CALL.findall(text))
-        paths.update(PATH.findall(text))
-
-    def is_reached(it):
-        if not it.owner:
-            return it.name in names
-        # A method is reached by `Type::name`, or by a `.name` call once its
-        # type is reached: `new` alone must not reach every constructor.
-        return (it.owner, it.name) in paths or (it.name in calls and it.owner in names)
-
-    for rel in ROOT_DIRS:
-        for path in rust_files(rel):
-            reach(strip_test_code(load(path))[0])
-    reached, impls_done = set(), set()
-    changed = True
-    while changed:
-        changed = False
-        for it in items:
-            if id(it) not in reached and is_reached(it):
-                reached.add(id(it))
-                reach(it.body, it.owner)
-                changed = True
-        for k, (ty, body) in enumerate(impls):
-            if k not in impls_done and ty in names:
-                impls_done.add(k)
-                reach(body, ty)
-                changed = True
+    files = sources()
+    restored = {}
+    while True:
+        items = sync(files, restored)
+        msgs = check()
+        errors = [m for m in msgs if m["level"] == "error"]
+        found = set()
+        for m in msgs:
+            if code(m) in ("E0364", "E0365"):
+                found |= {reexported(items, s) for s in m["spans"] if s["is_primary"]}
+            if code(m) in PRIVACY:
+                found |= {site(items, s["rel"], s["line_start"], s["column_start"])
+                          for s in definition_spans(m)}
+        grew = False
+        for rel, k in filter(None, found):
+            if k not in restored.setdefault(rel, set()):
+                restored[rel].add(k)
+                grew = True
+        if not grew and errors:
+            sys.exit("reach: errors no restored `pub` explains:\n"
+                     + "".join(m["rendered"] for m in errors))
+        if not grew:
+            break
 
     keep = survivors()
-    dead = [it for it in items if it.public and id(it) not in reached
-            and it.label() not in keep and it.name not in keep]
-    dead.sort(key=lambda it: (it.crate, it.path, it.line))
+    dead = [(f, n, label) for f, n, label in unreached(msgs) if label not in keep]
     print("unexplained unreached pub items per crate:")
     for crate in LIBRARY_CRATES:
-        print(f"  exa-{crate:<10} {sum(it.crate == crate for it in dead):4d}")
+        count = sum(f.split("/")[1] == crate for f, _, _ in dead)
+        print(f"  exa-{crate:<10} {count:4d}")
     print(f"  total          {len(dead):4d}")
     if "--list" in sys.argv:
-        for it in dead:
-            rel = os.path.relpath(it.path, ROOT)
-            print(f"{rel}:{it.line}: {it.kind} {it.label()}")
+        for f, n, label in dead:
+            print(f"{f}:{n}: {label}")
     return 1 if "--check" in sys.argv and dead else 0
 
 

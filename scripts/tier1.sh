@@ -6,9 +6,10 @@
 #   3. rustfmt check of the whole workspace;
 #   4. rustdoc of the workspace with warnings as errors, so a moved or
 #      deleted item cannot leave a dangling doc link;
-#   5. the reachability scan: every public item of the library crates is
-#      reached from an experiment, the benchmark or an example, or is a
-#      listed survivor (scripts/reach.py --check);
+#   5. the reachability check: with every library `pub` demoted, the
+#      compiler shows each public item of the library crates reached from
+#      an experiment, the benchmark or an example, or it is a listed
+#      survivor (scripts/reach.py --check, about 50 s);
 #   6. every workspace test, at EXA_THREADS=1 and at EXA_THREADS=4;
 #   7. the benchmark's own tests (exabench/), so an API change the benchmark
 #      imports fails here rather than in a benchmark run;
@@ -71,4 +72,4 @@ if ((${#failed[@]})); then
     printf 'tier1:   %s\n' "${failed[@]}" >&2
     exit 1
 fi
-echo "tier1: build + clippy + fmt + rustdoc + reach scan + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"
+echo "tier1: build + clippy + fmt + rustdoc + reach check + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"

@@ -61,7 +61,8 @@ proptest! {
         );
 
         prop_assert!(t_over <= t_serial, "overlapped {t_over} > serial {t_serial}");
-        let comm_total = collectives::alltoallv_time(over.network(), peers, total) * chunks as f64;
+        let net = Network::from_machine(&MachineModel::frontier());
+        let comm_total = collectives::alltoallv_time(&net, peers, total) * chunks as f64;
         let compute_total = work * chunks as f64;
         prop_assert!(
             t_over >= comm_total.max(compute_total),

@@ -1,5 +1,5 @@
 //! Property and integration tests for the longitudinal FOM ledger and the
-//! regression sentinel (ISSUE PR 4): append/merge/compact are idempotent
+//! regression sentinel: append and compact are idempotent
 //! under arbitrary record streams, the JSON round-trips through the
 //! vendored parser, and the sentinel catches an injected slowdown in a
 //! real Table-2 application with the correct culprit span.
@@ -8,7 +8,7 @@ use exaready::apps::table2_applications;
 use exaready::core::{measure_record, RunContext, ScenarioSpec};
 use exaready::machine::MachineModel;
 use exaready::telemetry::{
-    run_sentinel, FomKind, FomLedger, FomRecord, SentinelConfig, TelemetryCollector, Verdict,
+    run_sentinel, FomKind, FomLedger, FomRecord, TelemetryCollector, Verdict,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -73,30 +73,6 @@ proptest! {
         prop_assert_eq!(once.to_json(), twice.to_json());
     }
 
-    /// Merging a ledger into itself is a no-op, and merging two ledgers
-    /// yields the identity-union regardless of order.
-    #[test]
-    fn merge_is_idempotent_and_unions(
-        a in prop::collection::vec(rec_strategy(), 1..20),
-        b in prop::collection::vec(rec_strategy(), 1..20),
-    ) {
-        let la = ledger_of(&a);
-        let mut self_merged = la.clone();
-        self_merged.merge(&la);
-        prop_assert_eq!(la.to_json(), self_merged.to_json());
-
-        let mut ab = la.clone();
-        ab.merge(&ledger_of(&b));
-        let mut ids: Vec<_> = la.records.iter().map(|r| r.identity()).collect();
-        ids.extend(ledger_of(&b).records.iter().map(|r| r.identity()));
-        ids.sort();
-        ids.dedup();
-        prop_assert_eq!(ab.len(), ids.len());
-        // Merging again adds nothing.
-        let mut abb = ab.clone();
-        abb.merge(&ledger_of(&b));
-        prop_assert_eq!(ab.to_json(), abb.to_json());
-    }
 
     /// Compacting twice with the same keep-depth equals compacting once,
     /// and never keeps more than `keep` records per (app, machine, kind).
@@ -157,14 +133,8 @@ fn sentinel_catches_injected_gests_regression() {
     let ctx = RunContext::for_scenario(&hurt_c, &injected);
     ledger.append(measure_record(gests.as_ref(), &frontier, &ctx, "regressed"));
 
-    let report = run_sentinel(
-        &ledger,
-        "GESTS",
-        "Frontier",
-        kind,
-        &SentinelConfig::default(),
-    )
-    .expect("two-entry series produces a report");
+    let report = run_sentinel(&ledger, "GESTS", "Frontier", kind)
+        .expect("two-entry series produces a report");
     assert_eq!(
         report.verdict,
         Verdict::Fail,
@@ -204,14 +174,7 @@ fn sentinel_passes_on_a_stable_series() {
         kind = rec.kind;
         ledger.append(rec);
     }
-    let report = run_sentinel(
-        &ledger,
-        "GESTS",
-        "Frontier",
-        kind,
-        &SentinelConfig::default(),
-    )
-    .expect("report");
+    let report = run_sentinel(&ledger, "GESTS", "Frontier", kind).expect("report");
     assert_eq!(
         report.verdict,
         Verdict::Pass,

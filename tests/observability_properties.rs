@@ -140,27 +140,27 @@ proptest! {
 
         for (i, &v) in counters.iter().enumerate() {
             let name = format!("{}_total", prometheus_name(&format!("prop.c{i}")));
-            prop_assert_eq!(doc.value(&name), Some(v as f64));
+            prop_assert_eq!(doc.value_labeled(&name, &[]), Some(v as f64));
         }
         for (i, &v) in gauges.iter().enumerate() {
             let name = prometheus_name(&format!("prop.g{i}"));
-            prop_assert_eq!(doc.value(&name), Some(v));
+            prop_assert_eq!(doc.value_labeled(&name, &[]), Some(v));
         }
         for (i, &v) in times.iter().enumerate() {
             let name = format!("{}_seconds_total", prometheus_name(&format!("prop.t{i}")));
-            let got = doc.value(&name).unwrap();
+            let got = doc.value_labeled(&name, &[]).unwrap();
             prop_assert!((got - SimTime::from_secs(v).secs()).abs() <= 1e-12 * v.abs(),
                 "{name}: {got} vs {v}");
         }
         let h = snap.hist("prop.h").unwrap();
         let base = prometheus_name("prop.h");
-        prop_assert_eq!(doc.value(&format!("{base}_count")), Some(h.count() as f64));
+        prop_assert_eq!(doc.value_labeled(&format!("{base}_count"), &[]), Some(h.count() as f64));
         let inf = doc.samples.iter()
             .find(|s| s.name == format!("{base}_bucket")
                 && s.labels.iter().any(|(k, v)| k == "le" && v == "+Inf"))
             .map(|s| s.value);
         prop_assert_eq!(inf, Some(h.count() as f64));
-        let sum = doc.value(&format!("{base}_sum")).unwrap();
+        let sum = doc.value_labeled(&format!("{base}_sum"), &[]).unwrap();
         prop_assert!((sum - h.sum()).abs() <= 1e-9 * h.sum().abs().max(1.0));
     }
 

@@ -84,7 +84,7 @@ fn campaigns_improve_across_early_access_generations() {
     for app in all_applications() {
         let mut campaign = PortingCampaign::new(app.as_ref(), SpeedupTarget::caar());
         campaign.run_standard_timeline();
-        let stages = campaign.stages();
+        let stages = campaign.report().stages;
         assert_eq!(stages.len(), 5);
         // The AMD generations broadly improve. Mild wobbles are allowed —
         // and physical: an underfilled launch can run faster on the MI60's

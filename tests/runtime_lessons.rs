@@ -4,9 +4,10 @@
 
 use exaready::core::{lessons, render_user_guide, IssueClass};
 use exaready::hal::offload::MapDir;
+use exaready::hal::offload::TargetData;
 use exaready::hal::trace::{Bound, Tracer};
 use exaready::hal::uvm::ManagedBuffer;
-use exaready::hal::{hipify_source, ApiSurface, Device, Feature, Stream, TargetData};
+use exaready::hal::{hipify_source, ApiSurface, Device, Feature, Stream};
 use exaready::machine::{DType, GpuModel, KernelProfile, LaunchConfig, MachineModel, NodeModel};
 use exaready::mpi::{Comm, Network};
 

@@ -64,9 +64,10 @@ proptest! {
             a[(i, i)] += n as f64 + 1.0;
         }
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - n as f64 / 2.0).collect();
-        let b = a.matvec(&x_true);
+        let b = a.matmul_ref(&Matrix::from_fn(n, 1, |i, _| x_true[i]));
+        let b = b.as_slice();
         let f = getrf(&a).expect("diagonally dominant");
-        let x = f.solve_vec(&b);
+        let x = f.solve_vec(b);
         for (xi, ti) in x.iter().zip(&x_true) {
             prop_assert!((xi - ti).abs() < 1e-7);
         }
@@ -115,7 +116,7 @@ proptest! {
         for block in live {
             pool.free(&mut stream, block).unwrap();
         }
-        prop_assert_eq!(pool.largest_free(), pool.capacity());
+        prop_assert_eq!(pool.largest_free(), 1 << 24);
     }
 
     /// hipify is idempotent: converting converted source changes nothing.
@@ -146,7 +147,7 @@ proptest! {
             match op {
                 0 => { comm.allreduce(1 << 12); }
                 1 => { comm.bcast(1 << 10); }
-                2 => { comm.gather(8); }
+                2 => { comm.ialltoallv(4, 3, 3 * 256).wait(&mut comm); }
                 3 => { comm.advance(1, SimTime::from_micros(5.0)); }
                 _ => { comm.alltoallv(4, 3, 3 * 256); }
             }

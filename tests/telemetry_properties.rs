@@ -119,7 +119,11 @@ proptest! {
             match op {
                 0 => { comm.allreduce(bytes); expect_spans += ranks as u64; }
                 1 => { comm.bcast(bytes); expect_spans += ranks as u64; }
-                2 => { comm.gather(bytes); expect_spans += ranks as u64; }
+                2 => {
+                    let len = 1 + (bytes % 64) as usize;
+                    comm.allreduce_sum_f64(&mut vec![vec![1.0; len]; ranks]);
+                    expect_spans += ranks as u64;
+                }
                 3 => {
                     comm.alltoallv(ranks, ranks - 1, bytes * (ranks as u64 - 1));
                     expect_spans += ranks as u64;
@@ -232,7 +236,7 @@ proptest! {
                 bound: if intensity > 14.6 { "Compute" } else { "Memory" }.to_string(),
             }).collect(),
         };
-        let doc = parse_json(&report.to_json());
+        let doc = parse_json(&serde_json::to_string_pretty(&report).unwrap());
         prop_assert!(doc.is_ok(), "roofline JSON unparsable: {:?}", doc.err());
         let doc = doc.unwrap();
         prop_assert_eq!(doc.get("device").and_then(JsonValue::as_str), Some("MI250X GCD"));
