@@ -64,13 +64,12 @@ const fn names<T>(table: &[Named<T>; 10]) -> [&'static str; 10] {
     out
 }
 
-/// Construct a machine model by name (case-insensitive). Only the named
-/// model is built.
-pub fn machine_by_name(name: &str) -> Option<MachineModel> {
+/// The catalog entry — name and constructor — of the machine `name`
+/// names (case-insensitive).
+fn machine_entry(name: &str) -> Option<&'static Named<MachineModel>> {
     MACHINES
         .iter()
         .find(|(model, _)| model.eq_ignore_ascii_case(name))
-        .map(|(_, new)| new())
 }
 
 /// True when `name` names a known machine model. Allocation-free.
@@ -79,19 +78,20 @@ pub fn is_known_machine(name: &str) -> bool {
 }
 
 /// The bit-comparable answer of one query evaluation: the FOM, its
-/// orientation, the simulated wall, and span-count provenance.
+/// orientation, the simulated wall, and span-count provenance. Its names
+/// come from the catalogs, so an answer owns no heap memory.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueryAnswer {
     /// Application name (paper casing).
-    pub app: String,
-    /// Machine model name.
-    pub machine: String,
+    pub app: &'static str,
+    /// Machine model name (catalog casing).
+    pub machine: &'static str,
     /// Node count the evaluation ran at.
     pub nodes: u32,
     /// Figure-of-merit value.
     pub fom_value: f64,
     /// FOM units.
-    pub units: String,
+    pub units: &'static str,
     /// FOM orientation.
     pub higher_is_better: bool,
     /// Simulated (virtual) wall time of the challenge run, seconds.
@@ -116,7 +116,8 @@ pub fn evaluate_query(
     scenario: &str,
 ) -> Option<QueryAnswer> {
     let app = app_by_name(app_name)?;
-    let mut machine = machine_by_name(machine_name)?;
+    let &(machine_name, new_machine) = machine_entry(machine_name)?;
+    let mut machine = new_machine();
     if app.needs_gpus() && !machine.node.has_gpus() {
         return None;
     }
@@ -135,8 +136,8 @@ pub fn evaluate_query(
     let measurement = app.run_profiled(&machine, &RunContext::for_scenario(&collector, &spec));
     let fom = app.fom();
     Some(QueryAnswer {
-        app: app.name().to_string(),
-        machine: machine.name.clone(),
+        app: app.name(),
+        machine: machine_name,
         nodes: machine.nodes,
         fom_value: measurement.value,
         units: fom.units,
@@ -182,13 +183,14 @@ mod tests {
             assert_eq!(machine.name, name, "MACHINE_NAMES out of order");
             for spelled in casings(name) {
                 assert!(is_known_machine(&spelled), "{spelled}");
-                let found = machine_by_name(&spelled).expect("known machine");
-                assert_eq!(format!("{found:?}"), format!("{machine:?}"), "{spelled}");
+                let (listed, new) = machine_entry(&spelled).expect("known machine");
+                assert_eq!(*listed, name, "{spelled}");
+                assert_eq!(format!("{:?}", new()), format!("{machine:?}"), "{spelled}");
             }
         }
         for unknown in ["HPL", "Aurora", "", "Frontier2", "GESTS "] {
             assert!(app_by_name(unknown).is_none(), "{unknown:?}");
-            assert!(machine_by_name(unknown).is_none(), "{unknown:?}");
+            assert!(machine_entry(unknown).is_none(), "{unknown:?}");
             assert!(!is_known_app(unknown) && !is_known_machine(unknown));
         }
     }

@@ -20,7 +20,7 @@
 //!   file's only writer.
 //!
 //! Gates: ≥ 1M replayed queries, cache hit-ratio ≥ 0.9, aggregate
-//! p99 ≤ 50 ms, ≥ 25k queries/s, byte-valid Prometheus text carrying the
+//! p99 ≤ 20 µs, ≥ 300k queries/s, byte-valid Prometheus text carrying the
 //! pool and serve families (`PROM_LINE_PREFIXES`), a valid Chrome trace,
 //! and the pass→fail SLO flip described above.
 
@@ -58,11 +58,14 @@ const EPOCH_BUDGET_S: f64 = 0.02;
 const DRILL_APP: &str = "CoMet";
 const DRILL_EXTRA_EVALS: u32 = 31;
 
-/// Explicit gates (also recorded in the artifact).
+/// Explicit gates (also recorded in the artifact). The p99 and rate gates
+/// come from five replays on a 2-vCPU Xeon host, which read 2.4–2.5 µs
+/// and 818–922 k q/s: the p99 bound sits 8× above that band and the rate
+/// bound 2.7× below it, outside the 2–3× slowdowns a shared host shows.
 const MIN_QUERIES: u64 = 1_000_000;
 const MIN_HIT_RATIO: f64 = 0.9;
-const MAX_P99_S: f64 = 0.05;
-const MIN_QPS: f64 = 25_000.0;
+const MAX_P99_S: f64 = 20e-6;
+const MIN_QPS: f64 = 300_000.0;
 
 /// `METRICS.prom` must carry a line starting with each of these: the pool
 /// task counter family, the serve latency histogram family, the bare

@@ -65,7 +65,7 @@ pub fn run() -> Gate {
         rows.push(Table2Row {
             application: app.name().to_string(),
             section: app.paper_section().to_string(),
-            fom: fom.name.clone(),
+            fom: fom.name.to_string(),
             summit_fom: s.value,
             frontier_fom: f.value,
             measured_speedup: measured,

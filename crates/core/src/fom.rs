@@ -11,28 +11,28 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FigureOfMerit {
     /// Name, e.g. "grid points per second".
-    pub name: String,
+    pub name: &'static str,
     /// Units for display.
-    pub units: String,
+    pub units: &'static str,
     /// `true` when larger values are better (throughput-style FOMs).
     pub higher_is_better: bool,
 }
 
 impl FigureOfMerit {
     /// A throughput-style FOM (higher is better).
-    pub fn throughput(name: impl Into<String>, units: impl Into<String>) -> Self {
+    pub fn throughput(name: &'static str, units: &'static str) -> Self {
         FigureOfMerit {
-            name: name.into(),
-            units: units.into(),
+            name,
+            units,
             higher_is_better: true,
         }
     }
 
     /// A time-style FOM (lower is better), e.g. time per cell per step.
-    pub fn time(name: impl Into<String>, units: impl Into<String>) -> Self {
+    pub fn time(name: &'static str, units: &'static str) -> Self {
         FigureOfMerit {
-            name: name.into(),
-            units: units.into(),
+            name,
+            units,
             higher_is_better: false,
         }
     }

@@ -143,9 +143,9 @@ pub fn measure_record(
         app: app.name().to_string(),
         machine: machine.name.clone(),
         nodes: machine.nodes,
-        kind: FomKind::classify(&fom.units, fom.higher_is_better),
+        kind: FomKind::classify(fom.units, fom.higher_is_better),
         value: measurement.value,
-        units: fom.units,
+        units: fom.units.to_string(),
         wall_s: measurement.wall.secs(),
         run_tag: run_tag.to_string(),
         scenario: ctx.scenario.tag.clone(),

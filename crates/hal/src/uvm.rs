@@ -16,8 +16,6 @@ use crate::device::Device;
 use crate::error::Result;
 use crate::stream::Stream;
 use exa_machine::SimTime;
-use exa_telemetry::{MetricSource, MetricsRegistry};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Where a page currently lives.
@@ -36,25 +34,6 @@ pub fn fault_latency() -> SimTime {
     SimTime::from_micros(18.0)
 }
 
-/// Migration statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct UvmStats {
-    /// Page faults serviced (host→device).
-    pub faults_to_device: u64,
-    /// Page faults serviced (device→host).
-    pub faults_to_host: u64,
-    /// Bytes migrated in either direction.
-    pub bytes_migrated: u64,
-}
-
-impl MetricSource for UvmStats {
-    fn export_metrics(&self, m: &mut MetricsRegistry) {
-        m.counter_add("hal.uvm.faults_to_device", self.faults_to_device);
-        m.counter_add("hal.uvm.faults_to_host", self.faults_to_host);
-        m.counter_add("hal.uvm.bytes_migrated", self.bytes_migrated);
-    }
-}
-
 /// A managed (page-migrating) allocation of `T`s.
 #[derive(Debug)]
 pub struct ManagedBuffer<T> {
@@ -62,7 +41,6 @@ pub struct ManagedBuffer<T> {
     device: Arc<Device>,
     pages: Vec<Residency>,
     bytes: u64,
-    stats: UvmStats,
 }
 
 impl<T: Copy + Default> ManagedBuffer<T> {
@@ -76,7 +54,6 @@ impl<T: Copy + Default> ManagedBuffer<T> {
             device: Arc::clone(device),
             pages: vec![Residency::Host; n_pages],
             bytes,
-            stats: UvmStats::default(),
         })
     }
 }
@@ -102,11 +79,6 @@ impl<T> ManagedBuffer<T> {
         if faults == 0 {
             return;
         }
-        match to {
-            Residency::Device => self.stats.faults_to_device += faults,
-            Residency::Host => self.stats.faults_to_host += faults,
-        }
-        self.stats.bytes_migrated += pending;
         // Each fault pays the driver latency on the host; the pages then
         // DMA over the host link.
         stream.charge_host(fault_latency() * faults as f64);
@@ -161,16 +133,24 @@ mod tests {
         (ManagedBuffer::<f64>::new(&device, len).unwrap(), stream)
     }
 
+    /// Pages migrated host→device and device→host so far: each fault
+    /// moves one whole page over the host link.
+    fn pages_moved(stream: &Stream) -> (u64, u64) {
+        let s = stream.stats();
+        let page = PAGE_BYTES as u64;
+        (s.bytes_h2d / page, s.bytes_d2h / page)
+    }
+
     #[test]
     fn first_touch_faults_then_stays_resident() {
         let n = 100_000; // ~800 KB -> 13 pages
         let (mut buf, mut stream) = setup(n);
         buf.access_device(&mut stream, 0, n);
-        let s1 = buf.stats;
-        assert!(s1.faults_to_device >= 12, "{s1:?}");
+        let (to_device, _) = pages_moved(&stream);
+        assert!(to_device >= 12, "{to_device}");
         // Second device touch: already resident, no new faults.
         buf.access_device(&mut stream, 0, n);
-        assert_eq!(buf.stats.faults_to_device, s1.faults_to_device);
+        assert_eq!(pages_moved(&stream).0, to_device);
     }
 
     #[test]
@@ -181,9 +161,9 @@ mod tests {
             buf.access_device(&mut stream, 0, n);
             buf.access_host(&mut stream, 0, n);
         }
-        let s = buf.stats;
-        assert_eq!(s.faults_to_device, s.faults_to_host);
-        assert!(s.bytes_migrated >= 8 * 13 * PAGE_BYTES as u64 / 2, "{s:?}");
+        let (to_device, to_host) = pages_moved(&stream);
+        assert_eq!(to_device, to_host);
+        assert!(to_device >= 4 * 13, "{to_device}");
     }
 
     #[test]
@@ -191,7 +171,7 @@ mod tests {
         let n = 1_000_000; // ~122 pages
         let (mut buf, mut stream) = setup(n);
         buf.access_device(&mut stream, 0, PAGE_BYTES / 8); // one page of f64s
-        assert!(buf.stats.faults_to_device <= 2, "{:?}", buf.stats);
+        assert!(pages_moved(&stream).0 <= 2, "{:?}", pages_moved(&stream));
     }
 
     #[test]

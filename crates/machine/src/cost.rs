@@ -33,7 +33,7 @@ impl EffCurve {
 }
 
 /// Work performed on a CPU (host-side phases, and the CPU-only machines of
-/// Figure 2). Timed with a roofline plus an Amdahl serial fraction.
+/// Figure 2). Timed with a roofline over the whole socket.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CpuWork {
     /// Descriptive label.
@@ -42,8 +42,6 @@ pub struct CpuWork {
     pub flops: f64,
     /// Bytes moved to/from DRAM.
     pub bytes: f64,
-    /// Fraction of the work that parallelises across cores, in [0, 1].
-    pub parallel_frac: f64,
     /// Fraction of per-core peak the scalar/vector code achieves.
     pub compute_eff: f64,
     /// Fraction of STREAM bandwidth the access pattern achieves.
@@ -58,7 +56,6 @@ impl CpuWork {
             name: name.into(),
             flops,
             bytes,
-            parallel_frac: 1.0,
             compute_eff: 0.60,
             mem_eff: 0.75,
         }

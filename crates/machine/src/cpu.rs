@@ -102,23 +102,12 @@ impl CpuModel {
         }
     }
 
-    /// Simulated time of a [`CpuWork`] item on this CPU: a roofline with an
-    /// Amdahl split (the serial fraction runs on one core).
+    /// Simulated time of a [`CpuWork`] item on this CPU: a roofline over
+    /// the whole socket.
     pub fn work_time(&self, w: &CpuWork) -> SimTime {
         let peak = self.peak_f64 * w.compute_eff;
         let bw = self.mem_bw * w.mem_eff;
-        let per_core_peak = peak / self.cores as f64;
-
-        let par_flops = w.flops * w.parallel_frac;
-        let ser_flops = w.flops - par_flops;
-        let par_bytes = w.bytes * w.parallel_frac;
-        let ser_bytes = w.bytes - par_bytes;
-
-        // Parallel phase uses the whole socket; serial phase one core (but
-        // still the full memory system).
-        let t_par = (par_flops / peak).max(par_bytes / bw);
-        let t_ser = (ser_flops / per_core_peak).max(ser_bytes / bw);
-        SimTime::from_secs(t_par + t_ser)
+        SimTime::from_secs((w.flops / peak).max(w.bytes / bw))
     }
 }
 
@@ -146,20 +135,6 @@ mod tests {
         let t = cpu.work_time(&w);
         // Compute bound: 1e12 / 3.05e12.
         assert!((t.secs() - 1e12 / 3.05e12).abs() < 1e-4);
-    }
-
-    #[test]
-    fn amdahl_serial_fraction_dominates() {
-        let cpu = CpuModel::epyc_trento();
-        let all_par = CpuWork::new("w", 1e12, 0.0);
-        let half_ser = CpuWork {
-            parallel_frac: 0.5,
-            ..CpuWork::new("w", 1e12, 0.0)
-        };
-        let t1 = cpu.work_time(&all_par);
-        let t2 = cpu.work_time(&half_ser);
-        // Serial half runs on one of 64 cores: enormous slowdown.
-        assert!(t2 / t1 > 20.0);
     }
 
     #[test]

@@ -1,69 +1,225 @@
 //! A sharded LRU answer cache.
 //!
-//! Keys are canonical query strings ([`crate::Query::key`]); the shard is
-//! picked by FNV-1a over the key so placement is stable across runs and
-//! thread counts. Each shard keeps its entries on a recency list, least
-//! recently used first, so eviction (drop the head) is deterministic even
-//! though the backing `HashMap`'s iteration order is not. The list is
-//! linked by slot index, so a touch, an insert and an eviction each cost
-//! O(1) whatever the shard's capacity, and the map and the list share one
-//! allocation per key.
+//! Keys are canonical query strings ([`crate::Query::key`]), hashed once
+//! with FNV-1a: the hash picks the shard, so placement is stable across
+//! runs and thread counts, and then finds the key in that shard's map.
+//! Each shard keeps its entries in slots on a recency list, least
+//! recently used first, so eviction (drop the head) is deterministic. The
+//! list is linked by slot number, so a touch, an insert and an eviction
+//! each cost O(1) whatever the shard's capacity. A full shard reuses the
+//! evicted key's slot for the new key.
 //!
-//! The service probes and inserts serially during batch merge, so the
-//! cache never needs to be shared across threads; sharding exposes
-//! per-shard occupancy as a gauge, mirroring how a production server
-//! would partition its lock.
+//! Shards share nothing, so the service gives each shard's probes and
+//! inserts of a batch to one pool task; the per-shard occupancy gauge
+//! shows how evenly keys spread.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// End of a recency list.
-const NIL: usize = usize::MAX;
+/// End of a recency list or of a same-hash chain.
+const NIL: u32 = u32::MAX;
 
-/// One entry, linked to its neighbours on the shard's recency list.
-struct Slot<V> {
-    key: Arc<str>,
-    value: V,
-    older: usize,
-    newer: usize,
+/// The FNV-1a (64-bit) hash of a key: the one hash the cache uses.
+pub(crate) fn key_hash(key: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in key.bytes() {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
 }
 
-struct Shard<V> {
-    /// Key → its slot.
-    map: HashMap<Arc<str>, usize>,
-    /// Grows to the shard's capacity; from then on a new key takes over
-    /// the evicted key's slot. Emptied only by a clear.
-    slots: Vec<Slot<V>>,
-    /// Least and most recently used slots ([`NIL`] when empty).
-    oldest: usize,
-    newest: usize,
+/// Bytes a key keeps inline. Every key of the `serve_cold`, `serve_hot`
+/// and `campaign_load` workloads fits (the longest is 52 bytes).
+const INLINE_KEY: usize = 62;
+
+/// A key's text, inline when it is short, so that a probe finds it in the
+/// slot's own cache lines and a new key or an eviction allocates nothing.
+pub(crate) enum Key {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Heap(Box<str>),
 }
 
-impl<V> Shard<V> {
-    fn unlink(&mut self, i: usize) {
-        let (older, newer) = (self.slots[i].older, self.slots[i].newer);
-        match older {
-            NIL => self.oldest = newer,
-            o => self.slots[o].newer = newer,
-        }
-        match newer {
-            NIL => self.newest = older,
-            n => self.slots[n].older = older,
+impl Key {
+    fn new(text: &str) -> Self {
+        match text.len() {
+            len @ 0..=INLINE_KEY => {
+                let mut bytes = [0; INLINE_KEY];
+                bytes[..len].copy_from_slice(text.as_bytes());
+                Key::Inline {
+                    len: len as u8,
+                    bytes,
+                }
+            }
+            _ => Key::Heap(text.into()),
         }
     }
 
-    fn push_newest(&mut self, i: usize) {
-        self.slots[i].older = self.newest;
-        self.slots[i].newer = NIL;
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Key::Inline { len, bytes } => &bytes[..*len as usize],
+            Key::Heap(text) => text.as_bytes(),
+        }
+    }
+}
+
+/// Hands a shard's map the key hash it is given, so the key is not hashed
+/// again. Rotated, as the hash's low bits picked the shard and so are the
+/// same for every key of a shard. FNV-1a is not keyed, so clients could
+/// craft keys whose hashes collide in the bits the map reads; a shard's
+/// capacity bounds the probe run that builds.
+#[derive(Default)]
+struct KeyHash(u64);
+
+impl Hasher for KeyHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a shard's map is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash.rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One entry, linked to its neighbours on the shard's recency list.
+struct Slot<V> {
+    hash: u64,
+    key: Key,
+    value: V,
+    older: u32,
+    newer: u32,
+    /// The next slot whose key has the same hash (almost always [`NIL`]).
+    same_hash: u32,
+}
+
+/// One shard: its slots, their map and their recency list.
+pub(crate) struct Shard<V> {
+    /// Hash → the newest slot with that hash; the rest follow on its
+    /// same-hash chain.
+    map: HashMap<u64, u32, BuildHasherDefault<KeyHash>>,
+    /// Grows to the shard's capacity; from then on a new key takes over
+    /// the evicted key's slot.
+    slots: Vec<Slot<V>>,
+    /// Least and most recently used slots ([`NIL`] when empty).
+    oldest: u32,
+    newest: u32,
+    capacity: usize,
+}
+
+impl<V> Shard<V> {
+    fn new(capacity: usize) -> Self {
+        Shard {
+            map: HashMap::default(),
+            slots: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            capacity,
+        }
+    }
+
+    fn find(&self, key: &str, hash: u64) -> Option<u32> {
+        let mut i = *self.map.get(&hash)?;
+        while self.slots[i as usize].key.as_bytes() != key.as_bytes() {
+            i = self.slots[i as usize].same_hash;
+            if i == NIL {
+                return None;
+            }
+        }
+        Some(i)
+    }
+
+    /// The value of `key` (whose hash is `hash`), bumping its recency.
+    pub(crate) fn get(&mut self, key: &str, hash: u64) -> Option<&V> {
+        let i = self.find(key, hash)?;
+        self.touch(i);
+        Some(&self.slots[i as usize].value)
+    }
+
+    /// Insert (or refresh) `key`, whose hash is `hash`, evicting the least
+    /// recently used entry if the shard is full; returns the evicted key.
+    pub(crate) fn insert(&mut self, key: &str, hash: u64, value: V) -> Option<Key> {
+        if let Some(i) = self.find(key, hash) {
+            self.slots[i as usize].value = value;
+            self.touch(i);
+            return None;
+        }
+        let (i, victim) = if self.slots.len() >= self.capacity {
+            let i = self.oldest;
+            self.unlink(i);
+            self.unmap(i);
+            let slot = &mut self.slots[i as usize];
+            slot.hash = hash;
+            slot.value = value;
+            (i, Some(std::mem::replace(&mut slot.key, Key::new(key))))
+        } else {
+            self.slots.push(Slot {
+                hash,
+                key: Key::new(key),
+                value,
+                older: NIL,
+                newer: NIL,
+                same_hash: NIL,
+            });
+            (self.slots.len() as u32 - 1, None)
+        };
+        self.slots[i as usize].same_hash = self.map.insert(hash, i).unwrap_or(NIL);
+        self.push_newest(i);
+        victim
+    }
+
+    /// Take slot `i` off its same-hash chain.
+    fn unmap(&mut self, i: u32) {
+        let (hash, next) = (
+            self.slots[i as usize].hash,
+            self.slots[i as usize].same_hash,
+        );
+        let head = self.map.get_mut(&hash).expect("a slot's hash is mapped");
+        if *head == i {
+            match next {
+                NIL => self.map.remove(&hash),
+                next => Some(std::mem::replace(head, next)),
+            };
+            return;
+        }
+        let mut prev = *head;
+        while self.slots[prev as usize].same_hash != i {
+            prev = self.slots[prev as usize].same_hash;
+        }
+        self.slots[prev as usize].same_hash = next;
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let (older, newer) = (self.slots[i as usize].older, self.slots[i as usize].newer);
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+    }
+
+    fn push_newest(&mut self, i: u32) {
+        self.slots[i as usize].older = self.newest;
+        self.slots[i as usize].newer = NIL;
         match self.newest {
             NIL => self.oldest = i,
-            n => self.slots[n].newer = i,
+            n => self.slots[n as usize].newer = i,
         }
         self.newest = i;
     }
 
     /// Mark slot `i` most recently used.
-    fn touch(&mut self, i: usize) {
+    fn touch(&mut self, i: u32) {
         if self.newest != i {
             self.unlink(i);
             self.push_newest(i);
@@ -73,8 +229,8 @@ impl<V> Shard<V> {
 
 /// Shard count for a service running on `threads` workers: four shards
 /// per worker, rounded up to a power of two and clamped to `[1, 64]` —
-/// enough spread that concurrent batches rarely contend on one shard's
-/// recency list, without fragmenting capacity at small thread counts.
+/// enough shards that a batch's per-shard tasks keep every worker busy,
+/// without fragmenting capacity at small thread counts.
 ///
 /// Shard count never changes *what* is answered — keys hash to shards
 /// deterministically and eviction is per shard — it only moves the
@@ -83,48 +239,30 @@ pub fn auto_shards(threads: usize) -> usize {
     (threads.max(1) * 4).next_power_of_two().clamp(1, 64)
 }
 
-/// The shard of `key` among `shards`: FNV-1a, 64-bit, so placement is
-/// stable across platforms and runs.
-fn shard_of(key: &str, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    (hash % shards as u64) as usize
-}
-
 /// Sharded least-recently-used cache with a fixed per-shard capacity.
 pub struct ShardedLru<V> {
     shards: Vec<Shard<V>>,
-    capacity_per_shard: usize,
 }
 
-impl<V: Clone> ShardedLru<V> {
+impl<V> ShardedLru<V> {
     /// Create a cache with `shards` shards of `capacity_per_shard`
-    /// entries each. Both are clamped to at least 1.
+    /// entries each. Both are clamped to at least 1, and the capacity
+    /// to fewer than 2³² entries.
     pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
-        let shards = shards.max(1);
+        let capacity = capacity_per_shard.clamp(1, NIL as usize - 1);
         ShardedLru {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    map: HashMap::new(),
-                    slots: Vec::new(),
-                    oldest: NIL,
-                    newest: NIL,
-                })
-                .collect(),
-            capacity_per_shard: capacity_per_shard.max(1),
+            shards: (0..shards.max(1)).map(|_| Shard::new(capacity)).collect(),
         }
     }
 
     /// Look up `key`, bumping its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<V> {
-        let idx = shard_of(key, self.shards.len());
-        let shard = &mut self.shards[idx];
-        let i = *shard.map.get(key)?;
-        shard.touch(i);
-        Some(shard.slots[i].value.clone())
+    pub fn get(&mut self, key: &str) -> Option<V>
+    where
+        V: Clone,
+    {
+        let hash = key_hash(key);
+        let shard = self.shard_of(hash);
+        self.shards[shard].get(key, hash).cloned()
     }
 
     /// Insert (or refresh) `key`, evicting the least-recently-used entry
@@ -134,50 +272,25 @@ impl<V: Clone> ShardedLru<V> {
     }
 
     /// [`ShardedLru::insert`], returning the evicted key.
-    fn put(&mut self, key: &str, value: V) -> Option<Arc<str>> {
-        let idx = shard_of(key, self.shards.len());
-        let full = self.shards[idx].slots.len() >= self.capacity_per_shard;
-        let shard = &mut self.shards[idx];
-        // One hash lookup places a new key; a refresh (rare: the service
-        // inserts only after a miss) pays for the key it then drops. A new
-        // key takes the oldest slot when the shard is full.
-        let key: Arc<str> = Arc::from(key);
-        let i = match shard.map.entry(Arc::clone(&key)) {
-            Entry::Occupied(e) => {
-                let i = *e.get();
-                shard.slots[i].value = value;
-                shard.touch(i);
-                return None;
-            }
-            Entry::Vacant(e) => *e.insert(if full {
-                shard.oldest
-            } else {
-                shard.slots.len()
-            }),
-        };
-        let victim = if full {
-            shard.unlink(i);
-            let slot = &mut shard.slots[i];
-            slot.value = value;
-            let victim = std::mem::replace(&mut slot.key, key);
-            shard.map.remove(&victim);
-            Some(victim)
-        } else {
-            shard.slots.push(Slot {
-                key,
-                value,
-                older: NIL,
-                newer: NIL,
-            });
-            None
-        };
-        shard.push_newest(i);
-        victim
+    fn put(&mut self, key: &str, value: V) -> Option<Key> {
+        let hash = key_hash(key);
+        let shard = self.shard_of(hash);
+        self.shards[shard].insert(key, hash, value)
+    }
+
+    /// The shard a key with `hash` lives in.
+    pub(crate) fn shard_of(&self, hash: u64) -> usize {
+        (hash % self.shards.len() as u64) as usize
+    }
+
+    /// The shards, in shard order.
+    pub(crate) fn shards_mut(&mut self) -> &mut [Shard<V>] {
+        &mut self.shards
     }
 
     /// Total live entries across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.len()).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// True when no shard holds an entry.
@@ -187,12 +300,12 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Total capacity (shards × per-shard capacity).
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.capacity_per_shard
+        self.shards.len() * self.shards[0].capacity
     }
 
     /// Per-shard live entry counts, in shard order.
     pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.map.len()).collect()
+        self.shards.iter().map(Shard::len).collect()
     }
 }
 
@@ -200,6 +313,11 @@ impl<V: Clone> ShardedLru<V> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    fn shard_of(key: &str, shards: usize) -> usize {
+        (key_hash(key) % shards as u64) as usize
+    }
 
     /// The eviction the recency list replaced, kept as the oracle: each
     /// touch stamps an entry with its shard's next tick, and a full shard
@@ -267,9 +385,22 @@ mod tests {
         Insert(u8, u32),
     }
 
-    /// Gets and inserts over 24 keys, half each.
+    /// Key `k`'s text: every third too long to keep inline.
+    fn key_text(k: u8) -> String {
+        match k % 3 {
+            0 => format!("{k:0>70}"),
+            _ => format!("k{k}"),
+        }
+    }
+
+    /// The text of a key the cache returned.
+    fn text(key: Key) -> String {
+        String::from_utf8(key.as_bytes().to_vec()).expect("UTF-8 key")
+    }
+
+    /// Gets and inserts over 96 keys, half each.
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..2, 0u8..24, 0u32..1000).prop_map(|(kind, k, v)| {
+        (0u8..2, 0u8..96, 0u32..1000).prop_map(|(kind, k, v)| {
             if kind == 0 {
                 Op::Get(k)
             } else {
@@ -282,25 +413,51 @@ mod tests {
         #[test]
         fn recency_list_evicts_what_the_full_scan_did(
             shards in 1usize..4,
-            capacity in 1usize..6,
-            ops in prop::collection::vec(op(), 1..200),
+            capacity in 1usize..40,
+            ops in prop::collection::vec(op(), 1..400),
         ) {
             let mut cache: ShardedLru<u32> = ShardedLru::new(shards, capacity);
             let mut oracle = FullScan::new(shards, capacity);
             for (i, o) in ops.iter().enumerate() {
                 match *o {
                     Op::Get(k) => {
-                        let key = format!("k{k}");
+                        let key = key_text(k);
                         prop_assert_eq!(cache.get(&key), oracle.get(&key), "op {}", i);
                     }
                     Op::Insert(k, v) => {
-                        let key = format!("k{k}");
-                        let victim = cache.put(&key, v).map(|k| k.to_string());
+                        let key = key_text(k);
+                        let victim = cache.put(&key, v).map(text);
                         prop_assert_eq!(victim, oracle.put(&key, v), "op {}", i);
                     }
                 }
                 prop_assert_eq!(cache.len(), oracle.occupancy().iter().sum::<usize>());
                 prop_assert_eq!(cache.shard_occupancy(), oracle.occupancy());
+            }
+        }
+
+        /// One shard given hashes that collide (key `k` hashes to `k % 4`),
+        /// so its same-hash chains grow long and lose links at any place.
+        #[test]
+        fn same_hash_chains_evict_what_the_full_scan_did(
+            capacity in 1usize..40,
+            ops in prop::collection::vec(op(), 1..400),
+        ) {
+            let mut shard: Shard<u32> = Shard::new(capacity);
+            let mut oracle = FullScan::new(1, capacity);
+            for (i, o) in ops.iter().enumerate() {
+                match *o {
+                    Op::Get(k) => {
+                        let key = key_text(k);
+                        let got = shard.get(&key, k as u64 % 4).copied();
+                        prop_assert_eq!(got, oracle.get(&key), "op {}", i);
+                    }
+                    Op::Insert(k, v) => {
+                        let key = key_text(k);
+                        let victim = shard.insert(&key, k as u64 % 4, v).map(text);
+                        prop_assert_eq!(victim, oracle.put(&key, v), "op {}", i);
+                    }
+                }
+                prop_assert_eq!(shard.len(), oracle.occupancy()[0]);
             }
         }
     }

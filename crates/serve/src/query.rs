@@ -72,17 +72,15 @@ impl Query {
     /// neither character is copied as is.
     pub fn key(&self) -> String {
         let mut key = String::with_capacity(64);
-        push_escaped(&mut key, &self.app);
-        key.push('|');
-        push_escaped(&mut key, &self.machine);
-        write!(key, "|{}", self.nodes).expect("a String takes any write");
-        for (needle, factor) in &self.knobs {
-            key.push('|');
-            push_escaped(&mut key, needle);
-            write!(key, "={:016x}", factor.to_bits()).expect("a String takes any write");
-        }
-        key.push('|');
-        push_escaped(&mut key, &self.scenario);
+        let knobs = self.knobs.iter().map(|(n, f)| (n.as_str(), *f));
+        write_key(
+            &mut key,
+            &self.app,
+            &self.machine,
+            self.nodes,
+            knobs,
+            &self.scenario,
+        );
         key
     }
 
@@ -107,11 +105,38 @@ impl Query {
     /// offending token; a `|` anywhere in a token is an error, because
     /// it separates the fields of the cache key.
     pub fn parse(text: &str) -> Result<Query, String> {
-        let mut app: Option<String> = None;
-        let mut machine: Option<String> = None;
+        let q = QueryRef::parse(text)?;
+        Ok(Query {
+            app: q.app.to_string(),
+            machine: q.machine.to_string(),
+            nodes: q.nodes,
+            knobs: q.knobs.iter().map(|&(n, f)| (n.to_string(), f)).collect(),
+            scenario: q.scenario.to_string(),
+        })
+    }
+}
+
+/// A [`Query`] whose text fields borrow the query text: what the service
+/// parses each request into, so that parsing allocates only the knob
+/// list.
+#[derive(Debug)]
+pub(crate) struct QueryRef<'a> {
+    pub app: &'a str,
+    pub machine: &'a str,
+    pub nodes: u32,
+    /// Sorted by needle.
+    pub knobs: Vec<(&'a str, f64)>,
+    pub scenario: &'a str,
+}
+
+impl<'a> QueryRef<'a> {
+    /// The grammar, in one pass over the tokens; see [`Query::parse`].
+    pub fn parse(text: &'a str) -> Result<Self, String> {
+        let mut app: Option<&str> = None;
+        let mut machine: Option<&str> = None;
         let mut nodes: Option<u32> = None;
-        let mut scenario: Option<String> = None;
-        let mut knobs: Vec<(String, f64)> = Vec::new();
+        let mut scenario: Option<&str> = None;
+        let mut knobs: Vec<(&str, f64)> = Vec::new();
         for token in text.split_whitespace() {
             let (field, value) = token
                 .split_once('=')
@@ -149,23 +174,23 @@ impl Query {
                     if !factor.is_finite() || factor <= 0.0 {
                         return Err(format!("knob factor {factor} must be finite and positive"));
                     }
-                    if knobs.iter().any(|(n, _)| n == needle) {
+                    if knobs.iter().any(|&(n, _)| n == needle) {
                         return Err(format!("duplicate knob '{needle}'"));
                     }
-                    knobs.push((needle.to_string(), factor));
+                    knobs.push((needle, factor));
                 }
             }
         }
         let app = app.ok_or("missing required field 'app'")?;
         let machine = machine.ok_or("missing required field 'machine'")?;
-        if !is_known_app(&app) {
+        if !is_known_app(app) {
             return Err(format!("unknown application '{app}'"));
         }
-        if !is_known_machine(&machine) {
+        if !is_known_machine(machine) {
             return Err(format!("unknown machine '{machine}'"));
         }
-        knobs.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(Query {
+        knobs.sort_by(|a, b| a.0.cmp(b.0));
+        Ok(QueryRef {
             app,
             machine,
             nodes: nodes.unwrap_or(0),
@@ -173,6 +198,42 @@ impl Query {
             scenario: scenario.unwrap_or_default(),
         })
     }
+
+    /// Append the canonical cache key (see [`Query::key`]) to `key`.
+    pub fn write_key(&self, key: &mut String) {
+        let knobs = self.knobs.iter().copied();
+        write_key(
+            key,
+            self.app,
+            self.machine,
+            self.nodes,
+            knobs,
+            self.scenario,
+        );
+    }
+}
+
+/// Append the key [`Query::key`] describes, from a query's fields (knobs
+/// sorted by needle), to `key`.
+fn write_key<'k>(
+    key: &mut String,
+    app: &str,
+    machine: &str,
+    nodes: u32,
+    knobs: impl Iterator<Item = (&'k str, f64)>,
+    scenario: &str,
+) {
+    push_escaped(key, app);
+    key.push('|');
+    push_escaped(key, machine);
+    write!(key, "|{nodes}").expect("a String takes any write");
+    for (needle, factor) in knobs {
+        key.push('|');
+        push_escaped(key, needle);
+        write!(key, "={:016x}", factor.to_bits()).expect("a String takes any write");
+    }
+    key.push('|');
+    push_escaped(key, scenario);
 }
 
 /// Append `value` to a cache key with the key's separator `|` and the
@@ -190,8 +251,8 @@ fn push_escaped(key: &mut String, value: &str) {
     }
 }
 
-fn set_once(slot: &mut Option<String>, value: &str, name: &str) -> Result<(), String> {
-    if slot.replace(value.to_string()).is_some() {
+fn set_once<'a>(slot: &mut Option<&'a str>, value: &'a str, name: &str) -> Result<(), String> {
+    if slot.replace(value).is_some() {
         return Err(format!("duplicate field '{name}'"));
     }
     Ok(())

@@ -4,9 +4,10 @@
 //! observability guarantees:
 //!
 //! 1. **Deterministic answers and traces.** Evaluation is pure virtual-time
-//!    simulation, cache probes and merges run serially in batch order, and
-//!    every span on the `serve/` tracks carries *virtual* timestamps driven
-//!    by per-lane cursors — so the Chrome trace is byte-identical at any
+//!    simulation, each cache shard sees its keys' probes and inserts in
+//!    batch order, and every span on the `serve/` tracks carries *virtual*
+//!    timestamps driven by per-lane cursors that a serial pass in batch
+//!    order advances — so the Chrome trace is byte-identical at any
 //!    `EXA_THREADS`. Wall-clock time flows only into metrics.
 //! 2. **RED metrics.** `serve.requests` / `serve.errors` counters and the
 //!    `serve.latency_s` histogram (bare aggregate plus per-app labeled
@@ -16,21 +17,23 @@
 //!    epoch and are drained with [`CampaignService::take_epoch`] for the
 //!    sentinel's rolling-baseline p99 check.
 //!
-//! Concurrency model: a batch is one scope on the owned work-stealing
-//! pool. It is probed serially (hits and in-batch duplicates resolve
-//! immediately; duplicates *coalesce* onto the first occurrence,
-//! single-flight style), and each unique miss is spawned as a pool task
-//! the moment it is classified, so evaluation overlaps the rest of the
-//! probe. A serial merge in batch order then waits for each answer,
-//! helping with the batch's queued tasks meanwhile, and lands cache
-//! inserts, spans and metrics. The probe ends before the first insert,
-//! so hit/miss classification never depends on thread scheduling.
+//! Concurrency model: the calling thread parses each query of a batch
+//! straight to its cache key, whose one hash picks the key's cache shard.
+//! Each shard with queries in the batch then runs as one task on the owned
+//! work-stealing pool: it probes its queries in batch order, coalesces a
+//! repeat of an earlier miss onto it (single-flight: duplicates share a
+//! key, hence a shard), evaluates its misses, and inserts the answers, in
+//! batch order and only after its last probe. A batch that touches fewer
+//! shards than the pool has lanes evaluates its misses as pool tasks of
+//! their own, so the shard count never caps how many lanes evaluate.
+//! Shards share nothing, so the tasks need no lock, and hit/miss
+//! classification is what a serial probe of the whole batch before its
+//! first insert would give, whatever the thread schedule. A final serial
+//! pass lands RED metrics, stats, and spans in batch order.
 
 use std::collections::BTreeMap;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use exa_apps::query::{evaluate_query, QueryAnswer};
@@ -40,10 +43,10 @@ use exa_telemetry::{
     TrackId, TrackKind,
 };
 use serde::Serialize;
-use workpool::{Scope, ThreadPool};
+use workpool::ThreadPool;
 
-use crate::cache::ShardedLru;
-use crate::query::Query;
+use crate::cache::{key_hash, Shard, ShardedLru};
+use crate::query::QueryRef;
 
 /// An SLO drill: matching queries are re-evaluated until their
 /// evaluation has taken `1 + extra_evals` times the wall of its first run,
@@ -124,6 +127,16 @@ pub struct QueryOutcome {
     pub error: Option<String>,
 }
 
+impl QueryOutcome {
+    /// The placeholder a batch's outcome slot holds until its query is
+    /// answered or rejected.
+    const UNANSWERED: QueryOutcome = QueryOutcome {
+        status: CacheStatus::Error,
+        answer: None,
+        error: None,
+    };
+}
+
 /// Cumulative service counters.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ServeStats {
@@ -156,53 +169,61 @@ impl ServeStats {
     }
 }
 
-/// Per-query disposition computed in the serial probe phase.
-enum Disposition {
-    Error(String),
-    Hit {
-        query: Query,
-        answer: Arc<QueryAnswer>,
-    },
-    Miss(usize),
-    Coalesced(usize),
+/// One parsed query of a batch, on its way through its shard's task.
+/// Small, as the parse sorts the batch's items by shard.
+struct Item<'r> {
+    shard: usize,
+    /// Its query, as an index into the batch's parsed queries.
+    parsed: usize,
+    /// Its cache key, as a range of the batch's key text.
+    key: Range<usize>,
+    /// Its `(app, scenario)` label pair, as an index into the batch's.
+    pair: usize,
+    hash: u64,
+    /// The cache's disposition: hit, miss or coalesced, also when the
+    /// evaluation it paid for or waited on failed.
+    status: CacheStatus,
+    /// Its slot among the batch's outcomes, which the task fills in.
+    out: &'r mut QueryOutcome,
+    /// Wall-clock seconds of its parse, then of its probe too.
+    wall_s: f64,
+    /// Wall-clock seconds of the evaluation it paid for or waited on.
+    eval_s: f64,
 }
 
-/// One unique cold evaluation of a batch.
-struct EvalJob {
-    key: String,
-    query: Query,
-}
-
-/// Worker output for one [`EvalJob`].
-struct EvalOut {
-    answer: Option<Arc<QueryAnswer>>,
-    eval_wall_s: f64,
-}
-
-/// One miss of a batch: its job, which the probe publishes before it
-/// spawns the task that may evaluate it, and its output, which the task
-/// that claimed it publishes (`None` when the evaluation panicked; the
-/// pool scope re-raises the panic).
+/// A batch's RED metrics: counts and histograms, landed under one
+/// registry lock.
 #[derive(Default)]
-struct MissSlot {
-    job: OnceLock<EvalJob>,
-    out: OnceLock<Option<EvalOut>>,
-}
-
-/// A batch's RED metrics, accumulated by the merge and landed under one
-/// registry lock. Labels borrow the batch's parsed queries.
-#[derive(Default)]
-struct RedBatch<'q> {
+struct RedBatch {
     /// Requests per disposition, indexed like [`STATUS_COUNTERS`].
     by_status: [u64; 4],
+    /// Distinct misses evaluated (those whose evaluation failed too).
+    evaluated: u64,
     latency: Histogram,
-    /// `serve.requests{app, cache, scenario}`.
-    requests: BTreeMap<(&'q str, &'static str, &'q str), u64>,
-    /// `serve.latency_s{app}`, which is also the app's epoch latency.
-    app_latency: BTreeMap<&'q str, Histogram>,
-    /// `fom.eval_s{app, scenario}` of the batch's misses.
-    eval: BTreeMap<(&'q str, &'q str), Histogram>,
+    /// Indexed like the batch's label pairs.
+    pairs: Vec<PairTally>,
 }
+
+/// The labeled series of one `(app, scenario)` label pair.
+#[derive(Default)]
+struct PairTally {
+    /// `serve.requests{app, cache, scenario}`, indexed like
+    /// [`STATUS_COUNTERS`].
+    requests: [u64; 4],
+    /// Part of `serve.latency_s{app}`, which is also the app's epoch
+    /// latency.
+    latency: Histogram,
+    /// `fom.eval_s{app, scenario}` of the pair's misses.
+    eval: Histogram,
+}
+
+/// Each disposition, in `CacheStatus` order.
+const STATUSES: [CacheStatus; 4] = [
+    CacheStatus::Hit,
+    CacheStatus::Miss,
+    CacheStatus::Coalesced,
+    CacheStatus::Error,
+];
 
 /// The counter each disposition adds to, in `CacheStatus` order.
 const STATUS_COUNTERS: [&str; 4] = [
@@ -233,10 +254,9 @@ pub struct CampaignService {
     pool: Arc<ThreadPool>,
     pool_obs: Arc<PoolTelemetry>,
     collector: Arc<TelemetryCollector>,
-    /// Answers sit behind an `Arc`: each shard's hash table keeps up to
-    /// twice its capacity in buckets, and pointer-sized values keep the
-    /// empty ones small (about 25% less memory per entry).
-    cache: ShardedLru<Arc<QueryAnswer>>,
+    cache: ShardedLru<QueryAnswer>,
+    /// `serve.cache.shard_occupancy{shard}`, in shard order.
+    shard_gauges: Vec<String>,
     lane_tracks: Vec<TrackId>,
     /// Virtual-time cursor per lane, seconds.
     lane_cursor_s: [f64; LANES],
@@ -273,12 +293,19 @@ impl CampaignService {
             config.shards
         };
         let cache = ShardedLru::new(shards, config.capacity_per_shard);
+        let shard_gauges = (0..shards.max(1))
+            .map(|shard| {
+                let shard = shard.to_string();
+                labeled_key("serve.cache.shard_occupancy", &[("shard", &shard)])
+            })
+            .collect();
         CampaignService {
             config,
             pool,
             pool_obs,
             collector,
             cache,
+            shard_gauges,
             lane_tracks,
             lane_cursor_s: [0.0; LANES],
             drill: None,
@@ -326,283 +353,366 @@ impl CampaignService {
         self.collector.chrome_trace()
     }
 
-    /// Answer a batch of textual queries, in order. The batch runs as one
-    /// pool scope in three overlapping steps:
+    /// Answer a batch of textual queries, in order, in three steps:
     ///
-    /// 1. **Probe**, serial and in batch order on the calling thread:
-    ///    parse, classify against the cache, coalesce in-batch duplicates
-    ///    onto their first occurrence (single-flight), and spawn one pool
-    ///    task per unique miss as soon as it is classified. The probe ends
-    ///    before the first cache insert, so hit, miss and coalesced
-    ///    dispositions never depend on thread scheduling.
-    /// 2. **Evaluate**, on the pool from the first miss on: each task
-    ///    evaluates the lowest miss no task has claimed yet, so evaluation
-    ///    proceeds in batch order whichever lane runs it.
-    /// 3. **Merge**, serial and in batch order on the calling thread:
-    ///    wait for each answer in turn, running this batch's queued tasks
-    ///    meanwhile; insert misses into the cache; record stats, spans and
-    ///    RED metrics. The metrics land under one registry lock per batch.
+    /// 1. **Parse**, serial on the calling thread: each query text, in one
+    ///    pass, to its cache key and the key's hash, which picks its
+    ///    shard. A query that does not parse is answered here.
+    /// 2. **Resolve**, one pool task per shard the batch touches: probe
+    ///    the shard's queries in batch order, coalescing a repeat of an
+    ///    earlier miss onto it (single-flight); evaluate the misses (as
+    ///    pool tasks of their own when the batch touches fewer shards than
+    ///    the pool has lanes); then insert the answered misses in batch
+    ///    order. Every
+    ///    probe of a shard precedes its first insert, so hit, miss and
+    ///    coalesced dispositions never depend on thread scheduling. Each
+    ///    task writes its queries' outcomes into their batch positions.
+    ///    The calling thread runs tasks too while it waits.
+    /// 3. **Land**, serial on the calling thread: RED metrics, sequence
+    ///    numbers and spans in batch order, stats, and the metrics under
+    ///    one registry lock.
     ///
-    /// A one-thread pool runs every evaluation inline, in batch order,
-    /// when the merge first waits for it.
+    /// A one-thread pool runs the shard tasks inline, in shard order.
     pub fn run_batch(&mut self, queries: &[String]) -> Vec<QueryOutcome> {
-        let evals = Evaluations {
-            misses: (0..queries.len()).map(|_| MissSlot::default()).collect(),
-            claimed: AtomicUsize::new(0),
-            drill: self.drill.clone(),
-            merger: std::thread::current(),
-        };
-        let pool = Arc::clone(&self.pool);
-        pool.scope(|scope| {
-            let (dispositions, probe_s) = self.probe(queries, scope, &evals);
-            self.merge(&dispositions, &probe_s, scope, &evals)
-        })
-    }
-
-    /// Step 1 of [`Self::run_batch`]: each query's disposition and the
-    /// wall-clock seconds its probe took.
-    fn probe<'env>(
-        &mut self,
-        queries: &[String],
-        scope: &Scope<'_, 'env>,
-        evals: &'env Evaluations,
-    ) -> (Vec<Disposition>, Vec<f64>) {
-        let mut dispositions: Vec<Disposition> = Vec::with_capacity(queries.len());
-        let mut probe_s: Vec<f64> = Vec::with_capacity(queries.len());
-        let mut pending: BTreeMap<String, usize> = BTreeMap::new();
-        for text in queries {
-            let t0 = Instant::now();
-            let disposition = match Query::parse(text) {
-                Err(e) => Disposition::Error(e),
-                Ok(query) => {
-                    let key = query.key();
-                    if let Some(answer) = self.cache.get(&key) {
-                        Disposition::Hit { query, answer }
-                    } else if let Some(&m) = pending.get(&key) {
-                        Disposition::Coalesced(m)
-                    } else {
-                        let m = pending.len();
-                        pending.insert(key.clone(), m);
-                        let _ = evals.misses[m].job.set(EvalJob { key, query });
-                        scope.spawn(|| evals.run_next());
-                        Disposition::Miss(m)
-                    }
-                }
-            };
-            probe_s.push(t0.elapsed().as_secs_f64());
-            dispositions.push(disposition);
-        }
-        (dispositions, probe_s)
-    }
-
-    /// Step 3 of [`Self::run_batch`]: the batch's outcomes, in order.
-    fn merge(
-        &mut self,
-        dispositions: &[Disposition],
-        probe_s: &[f64],
-        scope: &Scope<'_, '_>,
-        evals: &Evaluations,
-    ) -> Vec<QueryOutcome> {
-        let mut lane_spans: Vec<Vec<Span>> = vec![Vec::new(); self.lane_tracks.len()];
+        let mut outcomes = vec![QueryOutcome::UNANSWERED; queries.len()];
         let mut red = RedBatch::default();
-        let mut results: Vec<QueryOutcome> = Vec::with_capacity(dispositions.len());
-        for (disposition, &probe_s) in dispositions.iter().zip(probe_s) {
-            let seq = self.seq;
-            self.seq += 1;
-            self.stats.requests += 1;
-            // (status, query context, answer/error, wall paid on eval)
-            let (status, query, answer, error, eval_wall_s): (
-                CacheStatus,
-                Option<&Query>,
-                Option<Arc<QueryAnswer>>,
-                Option<String>,
-                f64,
-            ) = match disposition {
-                Disposition::Error(e) => (CacheStatus::Error, None, None, Some(e.clone()), 0.0),
-                Disposition::Hit { query, answer } => (
-                    CacheStatus::Hit,
-                    Some(query),
-                    Some(Arc::clone(answer)),
-                    None,
-                    0.0,
-                ),
-                &Disposition::Miss(m) | &Disposition::Coalesced(m) => {
-                    let Some(out) = evals.wait(m, scope) else {
-                        // The evaluation panicked; the scope re-raises it.
-                        break;
-                    };
-                    let job = evals.misses[m].job.get().expect("probed miss");
-                    match &out.answer {
-                        None => (
-                            CacheStatus::Error,
-                            Some(&job.query),
-                            None,
-                            Some(format!("evaluation failed for '{}'", job.query.app)),
-                            out.eval_wall_s,
-                        ),
-                        Some(a) if matches!(disposition, Disposition::Miss(_)) => {
-                            self.cache.insert(&job.key, Arc::clone(a));
-                            (
-                                CacheStatus::Miss,
-                                Some(&job.query),
-                                Some(Arc::clone(a)),
-                                None,
-                                out.eval_wall_s,
-                            )
-                        }
-                        // The coalesced copy pays the evaluation wall too —
-                        // it waited on the same in-flight work.
-                        Some(a) => (
-                            CacheStatus::Coalesced,
-                            Some(&job.query),
-                            Some(Arc::clone(a)),
-                            None,
-                            out.eval_wall_s,
-                        ),
-                    }
+        let mut batch = parse(&self.cache, queries, &mut outcomes, &mut red);
+        let drill = self.drill.as_ref();
+        let pool = &*self.pool;
+        let shards = self.cache.shards_mut();
+        // A batch that leaves a lane without a shard task splits its
+        // shards' misses into tasks of their own, so that no lane idles.
+        // Otherwise the shard tasks keep the lanes busy, and a task per
+        // miss would cost more than it balances: each spawn wakes the
+        // pool, and the extra spawns cost a cold batch about a fifth of
+        // its rate on a 2-lane pool.
+        let split = batch.items.chunk_by(|a, b| a.shard == b.shard).count() < pool.threads();
+        pool.scope(|scope| {
+            let mut runs = batch
+                .items
+                .chunk_by_mut(|a, b| a.shard == b.shard)
+                .peekable();
+            let (parsed, keys) = (&batch.parsed, batch.keys.as_str());
+            for (s, shard) in shards.iter_mut().enumerate() {
+                if let Some(run) = runs.next_if(|run| run[0].shard == s) {
+                    scope.spawn(move || resolve(pool, split, shard, run, parsed, keys, drill));
                 }
-            };
-            match status {
-                CacheStatus::Hit => self.stats.hits += 1,
-                CacheStatus::Miss => self.stats.misses += 1,
-                CacheStatus::Coalesced => self.stats.coalesced += 1,
-                CacheStatus::Error => self.stats.errors += 1,
             }
-            let latency_s = probe_s + eval_wall_s;
-            red.record(status, query, answer.as_deref(), latency_s);
-
-            // Virtual-time span tree, deterministically sampled.
-            if seq.is_multiple_of(self.config.trace_sample.max(1))
-                && self.traced < MAX_TRACED_QUERIES
-            {
-                self.traced += 1;
-                let lane = (seq % self.lane_tracks.len() as u64) as usize;
-                let mut t = self.lane_cursor_s[lane];
-                let start = t;
-                let status_label = status.label();
-                let mut children: Vec<Span> = Vec::with_capacity(4);
-                children.push(step_span("parse", t, STEP_S));
-                t += STEP_S;
-                if status != CacheStatus::Error {
-                    children.push(step_span(format!("probe [{status_label}]"), t, STEP_S));
-                    t += STEP_S;
-                }
-                if status == CacheStatus::Miss {
-                    let a = answer.as_ref().expect("miss carries an answer");
-                    children.push(Span {
-                        name: format!("evaluate {}", a.app).into(),
-                        cat: SpanCat::Task,
-                        start: SimTime::from_secs(t),
-                        end: SimTime::from_secs(t + a.wall_s),
-                        depth: 1,
-                    });
-                    t += a.wall_s;
-                }
-                if status != CacheStatus::Error {
-                    children.push(step_span("render", t, STEP_S));
-                    t += STEP_S;
-                }
-                let parent_name = match query {
-                    Some(q) if !q.scenario.is_empty() => {
-                        format!("serve {} [{}] @{}", q.app, status_label, q.scenario)
-                    }
-                    Some(q) => format!("serve {} [{}]", q.app, status_label),
-                    None => "serve [error]".to_string(),
-                };
-                lane_spans[lane].push(Span {
-                    name: parent_name.into(),
-                    cat: SpanCat::Phase,
-                    start: SimTime::from_secs(start),
-                    end: SimTime::from_secs(t),
-                    depth: 0,
-                });
-                lane_spans[lane].extend(children);
-                self.lane_cursor_s[lane] = t + STEP_S;
-            }
-
-            results.push(QueryOutcome {
-                status,
-                answer: answer.map(|a| QueryAnswer::clone(&a)),
-                error,
-            });
+        });
+        for item in &batch.items {
+            red.record(item);
         }
+        let Batch { pairs, pair_of, .. } = batch;
+        self.land(&outcomes, &pairs, &pair_of, &red);
+        outcomes
+    }
 
+    /// Step 3 of [`Self::run_batch`].
+    fn land(
+        &mut self,
+        outcomes: &[QueryOutcome],
+        pairs: &[(&str, &str)],
+        pair_of: &[Option<usize>],
+        red: &RedBatch,
+    ) {
+        let n = outcomes.len() as u64;
+        self.stats.requests += n;
+        self.stats.hits += red.by_status[CacheStatus::Hit as usize];
+        self.stats.misses += red.by_status[CacheStatus::Miss as usize];
+        self.stats.coalesced += red.by_status[CacheStatus::Coalesced as usize];
+        self.stats.errors += red.by_status[CacheStatus::Error as usize];
+
+        // Virtual-time span trees of the sampled queries, in batch order.
+        let sample = self.config.trace_sample.max(1);
+        let mut lane_spans: Vec<Vec<Span>> = vec![Vec::new(); self.lane_tracks.len()];
+        let first = (sample - self.seq % sample) % sample;
+        for seq in (self.seq + first..self.seq + n).step_by(sample as usize) {
+            if self.traced >= MAX_TRACED_QUERIES {
+                break;
+            }
+            self.traced += 1;
+            let i = (seq - self.seq) as usize;
+            let query = pair_of[i].map(|pair| pairs[pair]);
+            let lane = (seq % self.lane_tracks.len() as u64) as usize;
+            let (spans, end) = span_tree(&outcomes[i], query, self.lane_cursor_s[lane]);
+            lane_spans[lane].extend(spans);
+            self.lane_cursor_s[lane] = end + STEP_S;
+        }
+        self.seq += n;
         for (lane, spans) in lane_spans.into_iter().enumerate() {
             if !spans.is_empty() {
                 self.collector.complete_batch(self.lane_tracks[lane], spans);
             }
         }
-        for (&app, h) in &red.app_latency {
+        for (&(app, _), tally) in pairs.iter().zip(&red.pairs) {
             match self.epoch.get_mut(app) {
-                Some(epoch) => epoch.merge(h),
+                Some(epoch) => epoch.merge(&tally.latency),
                 None => {
-                    self.epoch.insert(app.to_string(), h.clone());
+                    self.epoch.insert(app.to_string(), tally.latency.clone());
                 }
             }
         }
 
         // RED metrics, then cache/saturation gauges of the post-batch state.
-        let evaluated = dispositions
-            .iter()
-            .filter(|d| matches!(d, Disposition::Miss(_)))
-            .count();
         let hit_ratio = self.stats().hit_ratio();
         let cache_len = self.cache.len() as f64;
         let cache_capacity = self.cache.capacity() as f64;
         let occupancy = self.cache.shard_occupancy();
+        let shard_gauges = &self.shard_gauges;
         self.collector.metrics(|m| {
-            red.land(m);
-            m.gauge_max("serve.inflight.peak", evaluated as f64);
+            red.land(pairs, m);
+            m.gauge_max("serve.inflight.peak", red.evaluated as f64);
             m.gauge_set("serve.cache.len", cache_len);
             m.gauge_set("serve.cache.capacity", cache_capacity);
             m.gauge_set("serve.cache.hit_ratio", hit_ratio);
-            for (shard, occ) in occupancy.iter().enumerate() {
-                m.gauge_set(
-                    &labeled_key(
-                        "serve.cache.shard_occupancy",
-                        &[("shard", &shard.to_string())],
-                    ),
-                    *occ as f64,
-                );
+            for (gauge, &occ) in shard_gauges.iter().zip(&occupancy) {
+                m.gauge_set(gauge, occ as f64);
             }
         });
-        results
     }
 }
 
-impl<'q> RedBatch<'q> {
-    /// Count one request: bare aggregates always, labeled series when the
-    /// query parsed.
-    fn record(
-        &mut self,
-        status: CacheStatus,
-        query: Option<&'q Query>,
-        answer: Option<&QueryAnswer>,
-        latency_s: f64,
-    ) {
+/// Step 1 of [`CampaignService::run_batch`]: the batch's queries parsed
+/// and grouped by their shard in `cache`. A query that does not parse is
+/// answered in `outcomes` and counted in `red`, which gets a tally for
+/// each label pair of the batch.
+fn parse<'q, 'r>(
+    cache: &ShardedLru<QueryAnswer>,
+    queries: &'q [String],
+    outcomes: &'r mut [QueryOutcome],
+    red: &mut RedBatch,
+) -> Batch<'q, 'r> {
+    let mut batch = Batch {
+        parsed: Vec::with_capacity(queries.len()),
+        keys: String::with_capacity(64 * queries.len()),
+        items: Vec::with_capacity(queries.len()),
+        pairs: Vec::new(),
+        pair_of: Vec::with_capacity(queries.len()),
+    };
+    let mut pair_index: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+    let mut t0 = Instant::now();
+    for (text, out) in queries.iter().zip(outcomes) {
+        let query = QueryRef::parse(text).map(|query| {
+            let start = batch.keys.len();
+            query.write_key(&mut batch.keys);
+            (start..batch.keys.len(), query)
+        });
+        let t1 = Instant::now();
+        let parse_s = (t1 - t0).as_secs_f64();
+        t0 = t1;
+        let (key, query) = match query {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                red.record_error(parse_s);
+                batch.pair_of.push(None);
+                out.error = Some(e);
+                continue;
+            }
+        };
+        let pairs = batch.pairs.len();
+        let pair = *pair_index
+            .entry((query.app, query.scenario))
+            .or_insert_with(|| {
+                batch.pairs.push((query.app, query.scenario));
+                red.pairs.push(PairTally::default());
+                pairs
+            });
+        let hash = key_hash(&batch.keys[key.clone()]);
+        batch.pair_of.push(Some(pair));
+        batch.items.push(Item {
+            shard: cache.shard_of(hash),
+            parsed: batch.parsed.len(),
+            key,
+            pair,
+            hash,
+            // Until its probe finds it cached or pending.
+            status: CacheStatus::Miss,
+            out,
+            wall_s: parse_s,
+            eval_s: 0.0,
+        });
+        batch.parsed.push(query);
+    }
+    // A stable sort keeps each shard's items in batch order.
+    batch.items.sort_by_key(|item| item.shard);
+    batch
+}
+
+/// A batch between its parse and its land.
+struct Batch<'q, 'r> {
+    /// The queries that parsed, in batch order.
+    parsed: Vec<QueryRef<'q>>,
+    /// Their cache keys, back to back.
+    keys: String,
+    /// Those queries, grouped by shard, each shard's in batch order.
+    items: Vec<Item<'r>>,
+    /// The batch's `(app, scenario)` label pairs, as spelled, in order of
+    /// first appearance.
+    pairs: Vec<(&'q str, &'q str)>,
+    /// Each query's label pair; `None` for a query that did not parse.
+    pair_of: Vec<Option<usize>>,
+}
+
+/// The span tree of one traced query, from `start_s` on its lane: the
+/// spans and the virtual time it ends.
+fn span_tree(
+    outcome: &QueryOutcome,
+    query: Option<(&str, &str)>,
+    start_s: f64,
+) -> (Vec<Span>, f64) {
+    let status = outcome.status;
+    let status_label = status.label();
+    let mut t = start_s;
+    let mut spans: Vec<Span> = Vec::with_capacity(5);
+    spans.push(step_span("parse", t, STEP_S));
+    t += STEP_S;
+    if status != CacheStatus::Error {
+        spans.push(step_span(format!("probe [{status_label}]"), t, STEP_S));
+        t += STEP_S;
+    }
+    if status == CacheStatus::Miss {
+        let a = outcome.answer.as_ref().expect("miss carries an answer");
+        spans.push(Span {
+            name: format!("evaluate {}", a.app).into(),
+            cat: SpanCat::Task,
+            start: SimTime::from_secs(t),
+            end: SimTime::from_secs(t + a.wall_s),
+            depth: 1,
+        });
+        t += a.wall_s;
+    }
+    if status != CacheStatus::Error {
+        spans.push(step_span("render", t, STEP_S));
+        t += STEP_S;
+    }
+    let parent_name = match query {
+        Some((app, scenario)) if !scenario.is_empty() => {
+            format!("serve {app} [{status_label}] @{scenario}")
+        }
+        Some((app, _)) => format!("serve {app} [{status_label}]"),
+        None => "serve [error]".to_string(),
+    };
+    spans.insert(
+        0,
+        Span {
+            name: parent_name.into(),
+            cat: SpanCat::Phase,
+            start: SimTime::from_secs(start_s),
+            end: SimTime::from_secs(t),
+            depth: 0,
+        },
+    );
+    (spans, t)
+}
+
+/// Step 2 of [`CampaignService::run_batch`] for one shard: its `items`,
+/// in batch order, probed, evaluated and inserted, their outcomes written.
+fn resolve(
+    pool: &ThreadPool,
+    split: bool,
+    shard: &mut Shard<QueryAnswer>,
+    items: &mut [Item<'_>],
+    parsed: &[QueryRef<'_>],
+    keys: &str,
+    drill: Option<&SloDrill>,
+) {
+    // Probe in batch order. The shard's misses so far, by key, to the
+    // position of their item: a tree, as clients pick the keys.
+    let mut pending: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut t0 = Instant::now();
+    for (i, item) in items.iter_mut().enumerate() {
+        let key = &keys[item.key.clone()];
+        if let Some(answer) = shard.get(key, item.hash) {
+            item.status = CacheStatus::Hit;
+            item.out.answer = Some(answer.clone());
+        } else if pending.contains_key(key) {
+            item.status = CacheStatus::Coalesced;
+        } else {
+            pending.insert(key, i);
+        }
+        let t1 = Instant::now();
+        item.wall_s += (t1 - t0).as_secs_f64();
+        t0 = t1;
+    }
+    // Evaluate the misses: in place, or, when `split`, as pool tasks of
+    // their own.
+    let misses = items
+        .iter_mut()
+        .filter(|item| item.status == CacheStatus::Miss);
+    if split {
+        pool.scope(|scope| {
+            for item in misses {
+                scope.spawn(move || item.evaluate(parsed, drill));
+            }
+        });
+    } else {
+        misses.for_each(|item| item.evaluate(parsed, drill));
+    }
+    // Answer the coalesced copies, then insert the answered misses, in
+    // batch order. The coalesced copy pays the evaluation wall too — it
+    // waited on the same work.
+    for i in 0..items.len() {
+        let key = &keys[items[i].key.clone()];
+        if items[i].status == CacheStatus::Coalesced {
+            let first = &items[pending[key]];
+            let (answer, eval_s) = (first.out.answer.clone(), first.eval_s);
+            items[i].out.answer = answer;
+            items[i].eval_s = eval_s;
+        }
+        let item = &mut items[i];
+        match &item.out.answer {
+            Some(answer) => {
+                item.out.status = item.status;
+                if item.status == CacheStatus::Miss {
+                    shard.insert(key, item.hash, answer.clone());
+                }
+            }
+            None => {
+                let app = parsed[item.parsed].app;
+                item.out.error = Some(format!("evaluation failed for '{app}'"));
+            }
+        }
+    }
+}
+
+impl Item<'_> {
+    /// Evaluate this item's query, a miss, into its outcome.
+    fn evaluate(&mut self, parsed: &[QueryRef<'_>], drill: Option<&SloDrill>) {
+        let t0 = Instant::now();
+        let (answer, t1) = evaluate(&parsed[self.parsed], drill, t0);
+        self.out.answer = answer;
+        self.eval_s = (t1 - t0).as_secs_f64();
+    }
+}
+
+impl RedBatch {
+    /// Count a query that did not parse: bare aggregates only.
+    fn record_error(&mut self, latency_s: f64) {
+        self.by_status[CacheStatus::Error as usize] += 1;
+        self.latency.record(latency_s);
+    }
+
+    /// Count a query that parsed, now answered or failed: bare aggregates
+    /// and its label pair's series.
+    fn record(&mut self, item: &Item<'_>) {
+        let (status, latency_s) = (item.out.status, item.wall_s + item.eval_s);
         self.by_status[status as usize] += 1;
         self.latency.record(latency_s);
-        let Some(q) = query else { return };
-        *self
-            .requests
-            .entry((&q.app, status.label(), &q.scenario))
-            .or_default() += 1;
-        self.app_latency
-            .entry(&q.app)
-            .or_default()
-            .record(latency_s);
-        if let (CacheStatus::Miss, Some(a)) = (status, answer) {
-            self.eval
-                .entry((&q.app, &q.scenario))
-                .or_default()
-                .record(a.wall_s);
+        if item.status == CacheStatus::Miss {
+            self.evaluated += 1;
+        }
+        let tally = &mut self.pairs[item.pair];
+        tally.requests[status as usize] += 1;
+        tally.latency.record(latency_s);
+        if let (CacheStatus::Miss, Some(a)) = (status, &item.out.answer) {
+            tally.eval.record(a.wall_s);
         }
     }
 
     /// Add the batch to the registry. Counters add and histograms merge
     /// exactly, so the registry ends as if every request had been recorded
     /// on its own; a series no request touched is not created.
-    fn land(&self, m: &mut MetricsRegistry) {
+    fn land(&self, pairs: &[(&str, &str)], m: &mut MetricsRegistry) {
         let requests: u64 = self.by_status.iter().sum();
         if requests == 0 {
             return;
@@ -614,72 +724,24 @@ impl<'q> RedBatch<'q> {
             }
         }
         m.hist_merge("serve.latency_s", &self.latency);
-        for (&(app, cache, scenario), &n) in &self.requests {
-            let labels = [("app", app), ("cache", cache), ("scenario", scenario)];
-            m.counter_add(&labeled_key("serve.requests", &labels), n);
-        }
-        for (&app, h) in &self.app_latency {
-            m.hist_merge(&labeled_key("serve.latency_s", &[("app", app)]), h);
-        }
-        for (&(app, scenario), h) in &self.eval {
-            let labels = [("app", app), ("scenario", scenario)];
-            m.hist_merge(&labeled_key("fom.eval_s", &labels), h);
-        }
-    }
-}
-
-/// What a batch's evaluation tasks share with the merge.
-struct Evaluations {
-    /// One slot per query (the most misses a batch can hold).
-    misses: Vec<MissSlot>,
-    /// Misses claimed by a task so far.
-    claimed: AtomicUsize,
-    drill: Option<SloDrill>,
-    /// The thread running the merge, woken when an answer lands.
-    merger: Thread,
-}
-
-impl Evaluations {
-    /// One pool task: evaluate the lowest unclaimed miss and publish its
-    /// output.
-    fn run_next(&self) {
-        // Claims never outnumber spawned tasks, and the probe publishes
-        // miss m before it spawns the m-th task, so the claimed job is
-        // published: some claimer at or before this one in the claim order
-        // was spawned after it, and the AcqRel claims carry that spawn's
-        // ordering to every later claimer.
-        let m = self.claimed.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.misses[m];
-        let job = slot
-            .job
-            .get()
-            .expect("a miss is published before its task is spawned");
-        let result =
-            panic::catch_unwind(AssertUnwindSafe(|| evaluate_job(job, self.drill.as_ref())));
-        let (out, panicked) = match result {
-            Ok(out) => (Some(out), None),
-            Err(payload) => (None, Some(payload)),
-        };
-        let _ = slot.out.set(out);
-        self.merger.unpark();
-        if let Some(payload) = panicked {
-            panic::resume_unwind(payload);
-        }
-    }
-
-    /// Miss `m`'s output once its task has published it, running this
-    /// batch's queued tasks while it is outstanding; `None` when its
-    /// evaluation panicked.
-    fn wait(&self, m: usize, scope: &Scope<'_, '_>) -> Option<&EvalOut> {
-        let out = &self.misses[m].out;
-        loop {
-            if let Some(out) = out.get() {
-                return out.as_ref();
+        for (&(app, scenario), tally) in pairs.iter().zip(&self.pairs) {
+            for (status, &n) in STATUSES.iter().zip(&tally.requests) {
+                if n > 0 {
+                    let labels = [
+                        ("app", app),
+                        ("cache", status.label()),
+                        ("scenario", scenario),
+                    ];
+                    m.counter_add(&labeled_key("serve.requests", &labels), n);
+                }
             }
-            // Nothing of this batch is queued, so a lane is evaluating it;
-            // every task unparks the merge when it publishes.
-            if !scope.run_one() {
-                std::thread::park();
+            m.hist_merge(
+                &labeled_key("serve.latency_s", &[("app", app)]),
+                &tally.latency,
+            );
+            if !tally.eval.is_empty() {
+                let labels = [("app", app), ("scenario", scenario)];
+                m.hist_merge(&labeled_key("fom.eval_s", &labels), &tally.eval);
             }
         }
     }
@@ -696,15 +758,19 @@ fn step_span(name: impl Into<std::borrow::Cow<'static, str>>, start_s: f64, dur_
     }
 }
 
-/// Evaluate one job, honoring the drill. Wall-clock time spans every
-/// repeat; the answer comes from the first run (all runs are identical —
-/// the evaluation is pure).
-fn evaluate_job(job: &EvalJob, drill: Option<&SloDrill>) -> EvalOut {
-    let t0 = Instant::now();
-    let q = &job.query;
-    let evaluate = || evaluate_query(&q.app, &q.machine, q.nodes, &q.knobs, &q.scenario);
+/// Evaluate one query, starting at `t0`, honoring the drill: its answer
+/// (`None` when the evaluation fails) and when it finished. Wall-clock
+/// time spans every repeat; the answer comes from the first run (all runs
+/// are identical — the evaluation is pure).
+fn evaluate(
+    q: &QueryRef<'_>,
+    drill: Option<&SloDrill>,
+    t0: Instant,
+) -> (Option<QueryAnswer>, Instant) {
+    let knobs: Vec<(String, f64)> = q.knobs.iter().map(|&(n, f)| (n.to_string(), f)).collect();
+    let evaluate = || evaluate_query(q.app, q.machine, q.nodes, &knobs, q.scenario);
     let answer = evaluate();
-    if let Some(d) = drill.filter(|d| d.app.eq_ignore_ascii_case(&q.app)) {
+    if let Some(d) = drill.filter(|d| d.app.eq_ignore_ascii_case(q.app)) {
         // Repeats run warm and cost a fraction of the first run, so the
         // drill repeats until a wall target, not a repeat count.
         let target = t0.elapsed().saturating_mul(d.extra_evals.saturating_add(1));
@@ -712,8 +778,5 @@ fn evaluate_job(job: &EvalJob, drill: Option<&SloDrill>) -> EvalOut {
             let _ = evaluate();
         }
     }
-    EvalOut {
-        answer: answer.map(Arc::new),
-        eval_wall_s: t0.elapsed().as_secs_f64(),
-    }
+    (answer, Instant::now())
 }

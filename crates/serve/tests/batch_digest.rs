@@ -2,9 +2,10 @@
 //! a fixed batch sequence with cold misses, repeats that hit, in-batch
 //! duplicates that coalesce, malformed queries, a GPU application on a
 //! CPU-only machine and an SLO drill, replayed on a 1-, 2- and 4-thread
-//! service. Everything the service reports that does not read a wall
-//! clock is folded into one FNV-1a digest: every outcome, `ServeStats`
-//! after each batch, the Chrome trace bytes, every counter and gauge, each
+//! service with one small shard and again with four. Everything the
+//! service reports that does not read a wall clock is folded into one
+//! FNV-1a digest per cache shape: every outcome, `ServeStats` after each
+//! batch, the Chrome trace bytes, every counter and gauge, each
 //! histogram's name and count, the bucket keys of the virtual-time
 //! `fom.eval_s` histograms, and the per-app epoch histograms' names and
 //! counts. Latency histograms hold wall-clock samples, so only their
@@ -68,6 +69,37 @@ fn batches() -> Vec<(Option<&'static str>, Vec<&'static str>)> {
                 "app=COAST machine=Tulip nodes=2 knob:block=1.5 scenario=sweep",
             ],
         ),
+        // More misses than a shard holds, each duplicated: their inserts
+        // evict keys this batch probed earlier (hits included), so a key
+        // probed again after them must still hit, because every probe
+        // precedes every insert. On four shards the duplicates land in
+        // every shard and shard 2 alone takes four misses.
+        (
+            None,
+            vec![
+                "app=ExaSky machine=Summit nodes=50", // hit
+                "app=COAST machine=Tulip nodes=2 knob:block=1.5 scenario=sweep", // hit
+                "app=Pele machine=Theta",             // hit
+                "app=LSMS machine=Spock nodes=8",
+                "app=CoMet machine=Crusher nodes=16",
+                "app=LSMS machine=Spock nodes=8", // coalesces
+                "app=GAMESS machine=Frontier nodes=24",
+                "app=CoMet machine=Summit nodes=12",
+                "app=LSMS machine=Eagle", // GPU application, CPU-only machine
+                "app=E3SM machine=Summit nodes=64",
+                "app=CoMet machine=Crusher nodes=16", // coalesces
+                "app=NuCCOR machine=Frontier nodes=32 knob:comm=0.5",
+                "app=LAMMPS machine=Birch",
+                "app=LSMS machine=Eagle", // a failed evaluation coalesces
+                "app=GAMESS machine=Frontier nodes=24", // coalesces
+                "app=LAMMPS machine=Birch", // coalesces
+                "app=CoMet machine=Summit nodes=12", // coalesces
+                "app=NuCCOR machine=Frontier nodes=32 knob:comm=0.5", // coalesces
+                "app=ExaSky machine=Summit nodes=50", // hit again: probed before any insert
+                "app=COAST machine=Tulip nodes=2 knob:block=1.5 scenario=sweep",
+                "app=GESTS machine=Frontier nodes=1024 knob:transform=1.5",
+            ],
+        ),
     ]
 }
 
@@ -89,16 +121,16 @@ impl Fnv {
     }
 }
 
-/// Digest of the batch sequence replayed on a `threads`-thread service.
-fn digest(threads: usize) -> u64 {
+/// Digest of the batch sequence replayed on a `threads`-thread service
+/// whose cache has `shards` shards of `capacity` entries. The shape is
+/// fixed, not derived from the pool size: batches evict, so which answers
+/// stay depends on the order of every insert and lookup.
+fn digest(threads: usize, shards: usize, capacity: usize) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let mut svc = CampaignService::new(ServeConfig {
         threads,
-        // One small shard, fixed so the cache's shape does not follow the
-        // pool size: batches evict, so which answers stay depends on the
-        // order of every insert and lookup.
-        shards: 1,
-        capacity_per_shard: 4,
+        shards,
+        capacity_per_shard: capacity,
         ..ServeConfig::default()
     });
     for (drill, texts) in batches() {
@@ -115,11 +147,11 @@ fn digest(threads: usize) -> u64 {
             match &o.answer {
                 None => h.u64(0),
                 Some(a) => {
-                    h.str(&a.app);
-                    h.str(&a.machine);
+                    h.str(a.app);
+                    h.str(a.machine);
                     h.u64(a.nodes.into());
                     h.u64(a.fom_value.to_bits());
-                    h.str(&a.units);
+                    h.str(a.units);
                     h.u64(a.higher_is_better.into());
                     h.u64(a.wall_s.to_bits());
                     h.u64(a.spans);
@@ -160,17 +192,19 @@ fn digest(threads: usize) -> u64 {
     h.0
 }
 
-/// Recorded from the service that ran the probe, the evaluations and the
-/// merge as three separate phases.
-const GOLDEN: u64 = 0xae3560ff00fd0fa2;
+/// `(shards, capacity per shard, digest)`, recorded from the service that
+/// probed and merged every batch serially on the calling thread.
+const GOLDEN: [(usize, usize, u64); 2] = [(1, 4, 0x17f0f663f4739b1e), (4, 2, 0x9b09714b56db4be5)];
 
 #[test]
 fn pipelined_batches_keep_their_digest_at_every_pool_size() {
-    for threads in [1, 2, 4] {
-        let got = digest(threads);
-        assert_eq!(
-            got, GOLDEN,
-            "threads = {threads}: digest {got:#018x}, want {GOLDEN:#018x}"
-        );
+    for (shards, capacity, want) in GOLDEN {
+        for threads in [1, 2, 4] {
+            let got = digest(threads, shards, capacity);
+            assert_eq!(
+                got, want,
+                "{shards} x {capacity} cache, threads = {threads}: digest {got:#018x}, want {want:#018x}"
+            );
+        }
     }
 }

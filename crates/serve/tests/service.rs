@@ -5,7 +5,7 @@
 
 use exa_apps::query::{APP_NAMES, MACHINE_NAMES};
 use exa_serve::{CacheStatus, CampaignService, Query, ServeConfig, SloDrill, MAX_TRACED_QUERIES};
-use exa_telemetry::{check_slo, Verdict};
+use exa_telemetry::{check_slo, labeled_key, Verdict};
 
 /// A workload that exercises every disposition: misses, repeats (hits),
 /// in-batch duplicates (coalesced), knobs, scenarios, scale overrides,
@@ -317,4 +317,35 @@ fn every_app_machine_pair_is_answered_or_rejected() {
     assert!(rejected.iter().all(
         |q| !q.contains("app=Pele") && ["Cori", "Theta", "Eagle"].iter().any(|m| q.contains(m))
     ));
+}
+
+#[test]
+fn a_batch_of_distinct_scenarios_lands_one_series_each() {
+    // Clients pick scenario tags freely, so a batch may carry as many
+    // label pairs as queries; each must still land its own series.
+    let tags = 1024;
+    let batch: Vec<String> = (0..tags)
+        .map(|i| format!("app=CoMet machine=Frontier scenario=s{i}"))
+        .collect();
+    let mut svc = CampaignService::new(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let outcomes = svc.run_batch(&batch);
+    assert!(outcomes.iter().all(|o| o.status == CacheStatus::Miss));
+    let snap = svc.collector().snapshot();
+    for i in 0..tags {
+        let scenario = format!("s{i}");
+        let labels = [
+            ("app", "CoMet"),
+            ("cache", "miss"),
+            ("scenario", &*scenario),
+        ];
+        let requests = labeled_key("serve.requests", &labels);
+        assert_eq!(snap.counter(&requests), 1, "{requests}");
+        let eval = labeled_key("fom.eval_s", &[("app", "CoMet"), ("scenario", &*scenario)]);
+        assert_eq!(snap.hist(&eval).map(|h| h.count()), Some(1), "{eval}");
+    }
+    let latency = labeled_key("serve.latency_s", &[("app", "CoMet")]);
+    assert_eq!(snap.hist(&latency).map(|h| h.count()), Some(tags as u64));
 }

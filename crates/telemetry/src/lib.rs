@@ -12,7 +12,7 @@
 //!   subsystems;
 //! * **metrics** — a namespaced [`MetricsRegistry`] of counters, gauges,
 //!   and time accumulators, fed by the [`MetricSource`] impls on
-//!   `StreamStats` / `GraphStats` / `PoolStats` / `UvmStats` / `CommStats`;
+//!   `StreamStats` / `GraphStats` / `PoolStats` / `CommStats`;
 //! * **exports** — Chrome Trace Event JSON (open in Perfetto or
 //!   `chrome://tracing`), a rocprof-style hotspot CSV, roofline-report
 //!   JSON, and the single serializable [`TelemetrySnapshot`].

@@ -1,7 +1,7 @@
 //! Typed counters/gauges and the unified [`TelemetrySnapshot`].
 //!
 //! Subsystem statistics (`StreamStats`, `GraphStats`, `PoolStats`,
-//! `UvmStats`, `CommStats`) stay where they are; they flow into one
+//! `CommStats`) stay where they are; they flow into one
 //! registry through the [`MetricSource`] trait, which each stats type
 //! implements in its own crate. A snapshot is the serializable union of
 //! the registry and the timeline's per-track summaries.
@@ -72,9 +72,12 @@ pub struct Histogram {
     sum_ns: u128,
     min: f64,
     max: f64,
-    /// Sparse bucket table: key → occupancy. Keys order identically to
-    /// the values they cover.
-    buckets: BTreeMap<i64, u64>,
+    /// Sparse bucket table: `(key, occupancy)`, sorted by key. Keys order
+    /// identically to the values they cover. An octave spans 16 buckets,
+    /// so latencies from 1 µs to 1 s fill at most 320: a lookup is a
+    /// binary search over contiguous memory, and a new bucket, rare once
+    /// a series has warmed up, shifts a few kilobytes at most.
+    buckets: Vec<(i64, u64)>,
 }
 
 impl Default for Histogram {
@@ -84,7 +87,7 @@ impl Default for Histogram {
             sum_ns: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
         }
     }
 }
@@ -130,7 +133,15 @@ impl Histogram {
         if v > self.max {
             self.max = v;
         }
-        *self.buckets.entry(Self::bucket_key(v)).or_insert(0) += 1;
+        self.add(Self::bucket_key(v), 1);
+    }
+
+    /// Add `n` to bucket `key`'s occupancy.
+    fn add(&mut self, key: i64, n: u64) {
+        match self.buckets.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.buckets[i].1 += n,
+            Err(i) => self.buckets.insert(i, (key, n)),
+        }
     }
 
     /// Recorded sample count.
@@ -172,19 +183,13 @@ impl Histogram {
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (&key, &n) in &self.buckets {
+        for &(key, n) in &self.buckets {
             seen += n;
             if seen >= rank {
                 return Self::bucket_edge(key);
             }
         }
-        Self::bucket_edge(
-            *self
-                .buckets
-                .keys()
-                .next_back()
-                .expect("non-empty histogram"),
-        )
+        Self::bucket_edge(self.buckets.last().expect("non-empty histogram").0)
     }
 
     /// Shorthand for the median.
@@ -213,23 +218,21 @@ impl Histogram {
         if other.max > self.max {
             self.max = other.max;
         }
-        for (&k, &n) in &other.buckets {
-            *self.buckets.entry(k).or_insert(0) += n;
+        for &(k, n) in &other.buckets {
+            self.add(k, n);
         }
     }
 
     /// Iterate `(upper_edge, count)` pairs in ascending edge order — the
     /// shape Prometheus `le`-bucket emission wants.
     pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .map(|(&k, &n)| (Self::bucket_edge(k), n))
+        self.buckets.iter().map(|&(k, n)| (Self::bucket_edge(k), n))
     }
 }
 
 impl Serialize for Histogram {
     fn write_json(&self, out: &mut String) {
-        // Hand-rolled: the serde shim has no BTreeMap<i64, _> support.
+        // Hand-rolled: the serde shim has no `(i64, u64)` support.
         // Buckets serialize as [[key, count], ...] in key order; `sum_ns`
         // is emitted as exact decimal digits (JSON numbers are unbounded).
         out.push_str("{\"count\":");
@@ -336,8 +339,8 @@ fn slot<'a, T>(
 }
 
 /// Anything that can pour its statistics into a [`MetricsRegistry`].
-/// Implemented by `exa-hal` for `StreamStats`/`GraphStats`/`PoolStats`/
-/// `UvmStats` and by `exa-mpi` for `CommStats`.
+/// Implemented by `exa-hal` for `StreamStats`/`GraphStats`/`PoolStats`
+/// and by `exa-mpi` for `CommStats`.
 pub trait MetricSource {
     /// Add this source's metrics (namespaced, e.g. `hal.kernels`) to `m`.
     fn export_metrics(&self, m: &mut MetricsRegistry);
