@@ -39,6 +39,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Resolve the output root first, so a run outside a checkout stops
+    // before its first experiment rather than when that one writes.
+    let _ = exa_bench::repo_root();
     let mut failed = Vec::new();
     for e in plan {
         if let Err(failures) = (e.run)() {

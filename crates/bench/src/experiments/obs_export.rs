@@ -5,8 +5,8 @@
 //! device queues in simulated seconds), this experiment captures the
 //! **wall-clock substrate** underneath it: a
 //! [`PoolTelemetry`](exa_telemetry::PoolTelemetry) observer on
-//! the rank scheduler's work-stealing pool records per-worker occupancy
-//! intervals, steal events, and queue depths while the 256-rank Pele
+//! the rank scheduler's work-stealing pool records per-worker task
+//! intervals (stolen ones marked) while the 256-rank Pele
 //! chemistry campaign executes on 4 lanes; the scheduler lands fan-out /
 //! merge / idle phase spans next to them. Both stories share one
 //! [`TelemetryCollector`], so the exported trace holds simulated rank
@@ -74,8 +74,6 @@ struct SubstrateRecord {
     cells_per_rank: u64,
     substeps: u64,
     pool_tasks: u64,
-    pool_steals: u64,
-    pool_injects: u64,
     busy_s: f64,
     fanout_wall_s: f64,
     occupancy: f64,
@@ -120,7 +118,7 @@ pub fn run() -> Gate {
     let wall0 = Instant::now();
     let result = chemistry_campaign_observed(&sched, ChemKernel::FusedLu, &cfg, &collector);
     let campaign_wall = wall0.elapsed().as_secs_f64();
-    let (tasks, steals, injects) = (pool_tel.tasks(), pool_tel.steals(), pool_tel.injects());
+    let tasks = pool_tel.tasks();
     let landing = sched.land_observer().expect("observer attached above");
     let occupancy = landing.occupancy();
 
@@ -133,7 +131,7 @@ pub fn run() -> Gate {
         campaign_wall * 1e3
     );
     println!(
-        "pool: {tasks} tasks ({steals} steals, {injects} injects); busy {:.1} ms over {:.1} ms fan-out wall -> occupancy {:.3}",
+        "pool: {tasks} tasks; busy {:.1} ms over {:.1} ms fan-out wall -> occupancy {:.3}",
         landing.busy_ns as f64 / 1e6,
         landing.fanout_wall_ns as f64 / 1e6,
         occupancy
@@ -256,8 +254,6 @@ pub fn run() -> Gate {
         cells_per_rank: cfg.cells_per_rank as u64,
         substeps: cfg.substeps as u64,
         pool_tasks: tasks,
-        pool_steals: steals,
-        pool_injects: injects,
         busy_s: landing.busy_ns as f64 / 1e9,
         fanout_wall_s: landing.fanout_wall_ns as f64 / 1e9,
         occupancy,

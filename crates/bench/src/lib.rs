@@ -28,9 +28,31 @@ pub fn gate(failures: Vec<String>) -> Gate {
     }
 }
 
-/// The repository root, where the `BENCH_*`/`PROFILE_*` artifacts live.
+/// The repository root, where the `BENCH_*`/`PROFILE_*` artifacts live:
+/// the nearest ancestor of the current directory whose `Cargo.toml`
+/// declares `[workspace]`. It is resolved at run time, so a binary built
+/// in one checkout and run in another writes into the one it runs in.
+/// Panics when the current directory is outside a workspace.
 pub fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+    let cwd = std::env::current_dir().expect("the current directory is readable");
+    workspace_root(&cwd).unwrap_or_else(|| {
+        panic!(
+            "no Cargo.toml declaring [workspace] in {} or any parent: \
+             run inside the repository checkout",
+            cwd.display()
+        )
+    })
+}
+
+/// The nearest ancestor of `dir`, `dir` included, whose `Cargo.toml`
+/// declares `[workspace]`.
+fn workspace_root(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors()
+        .find(|d| {
+            fs::read_to_string(d.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Where experiment JSON records land.
@@ -225,6 +247,35 @@ mod tests {
     }
 
     #[test]
+    fn workspace_root_is_the_nearest_workspace_ancestor() {
+        let tree = std::env::temp_dir().join(format!("exa-bench-root-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = tree.join(rel);
+            fs::create_dir_all(path.parent().expect("has a parent")).expect("mkdir");
+            fs::write(path, text).expect("write");
+        };
+        write("ws/Cargo.toml", "[workspace]\nmembers = [\"crates/a\"]\n");
+        write("ws/crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write("ws/crates/a/src/lib.rs", "");
+        write("ws/inner/Cargo.toml", "[package]\n\n[workspace]\n");
+        write("ws/inner/src/main.rs", "");
+        write("loose/Cargo.toml", "[package]\n[workspace.package]\n");
+        let ws = tree.join("ws");
+        assert_eq!(workspace_root(&ws.join("crates/a/src")), Some(ws.clone()));
+        assert_eq!(workspace_root(&ws), Some(ws.clone()));
+        assert_eq!(
+            workspace_root(&ws.join("inner/src")),
+            Some(ws.join("inner")),
+            "the nearest workspace wins"
+        );
+        // A package without `[workspace]` is not a root; whatever lies
+        // above the temporary tree is not this test's to judge.
+        let loose = workspace_root(&tree.join("loose"));
+        assert!(loose.is_none_or(|r| !r.starts_with(&tree)), "{tree:?}");
+        fs::remove_dir_all(&tree).expect("clean up");
+    }
+
+    #[test]
     fn vs_paper_formats_error() {
         let s = vs_paper(5.0, 4.0);
         assert!(s.contains("25.0% off"), "{s}");
@@ -268,7 +319,7 @@ mod tests {
             )),
             "{body}"
         );
-        let doc = exa_telemetry::parse_json(body).expect("valid JSON");
+        let doc = exa_telemetry::validate::parse_json(body).expect("valid JSON");
         assert_eq!(doc.get("ts").and_then(|v| v.as_u64()), Some(ts));
         assert_eq!(
             doc.get("artifact").and_then(|v| v.as_str()),

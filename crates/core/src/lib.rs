@@ -33,12 +33,12 @@ pub mod profiled;
 pub mod scenario;
 
 pub use app::Application;
-pub use campaign::{CampaignStage, PortingCampaign, ReadinessReport};
+pub use campaign::PortingCampaign;
 pub use fom::{FigureOfMerit, FomMeasurement, SpeedupTarget};
-pub use lessons::{lessons, render_user_guide, IssueClass, Lesson, Topic};
+pub use lessons::{lessons, render_user_guide, IssueClass};
 pub use motif::Motif;
 pub use profiled::{measure_record, perturb_measurement, record_phases, Phase, RunContext};
 pub use scenario::{
     best_interval, daly_interval, expected_wall, sweep_intervals, young_interval, CheckpointSpec,
-    FailureEvent, Injection, NetworkScenario, ScenarioSpec, StragglerSpec, SweepPoint,
+    Injection, NetworkScenario, ScenarioSpec, SweepPoint,
 };

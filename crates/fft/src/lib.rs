@@ -30,4 +30,4 @@ pub use exa_linalg::C64;
 pub use executed::{DistGrid, ExecutedFft3d, LineAxis};
 pub use fft1d::{dft_naive, fft, ifft};
 pub use fft3d::{fft3d, ifft3d};
-pub use plan::{Split, TransposePlan};
+pub use plan::TransposePlan;

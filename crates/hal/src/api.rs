@@ -10,7 +10,7 @@
 //! 2. Not every CUDA feature is (or will be) provided by HIP, and
 //!    "careful and repeated messaging to developers is needed" about which.
 //!    The [`Feature`] parity table makes that queryable, and the runtime
-//!    returns [`crate::HalError::UnsupportedFeature`] when code assumes
+//!    returns [`crate::error::HalError::UnsupportedFeature`] when code assumes
 //!    otherwise.
 
 use exa_machine::{GpuArch, SimTime};

@@ -37,8 +37,8 @@ fn pool() -> &'static ThreadPool {
 
 /// Attach a fresh [`PoolTelemetry`](exa_telemetry::PoolTelemetry) observer
 /// to the process-wide pool and return it. Every subsequent `par_*` fan-out
-/// (from any thread) is recorded — per-lane task intervals, steal traffic,
-/// inject backlog — until [`unobserve_global_pool`] detaches it. The
+/// (from any thread) is recorded — each task's lane and interval, and
+/// whether it was stolen — until [`unobserve_global_pool`] detaches it. The
 /// accumulated activity only reaches a collector when the caller `land`s
 /// it, so simulation outputs stay byte-identical while observed.
 pub fn observe_global_pool() -> std::sync::Arc<exa_telemetry::PoolTelemetry> {
@@ -289,11 +289,18 @@ where
 /// may call `emit(pos, value)` to write `dst[pos] = value`.
 ///
 /// This is the stable-radix-sort scatter shape: each block walks its source
-/// slice in order and emits to destination cursors it owns. The caller must
-/// guarantee that concurrent blocks emit to **disjoint** destination
-/// positions (e.g. a permutation partitioned by block); positions are
-/// bounds-checked, disjointness is the caller's contract.
-pub fn par_scatter_blocks<T, F>(dst: &mut [T], n: usize, min_len: usize, f: F)
+/// slice in order and emits to destination cursors it owns. Positions are
+/// bounds-checked (an out-of-bounds `emit` panics); disjointness is not.
+///
+/// # Safety
+///
+/// No destination position may be emitted by two different blocks of the
+/// decomposition [`block_ranges`]`(n, min_len)` returns (e.g. a permutation
+/// partitioned by block). The blocks run concurrently and write through
+/// one raw pointer, so a position two blocks emit is a data race. On that
+/// path a written position's old value is overwritten without being
+/// dropped.
+pub unsafe fn par_scatter_blocks<T, F>(dst: &mut [T], n: usize, min_len: usize, f: F)
 where
     T: Send + Sync,
     F: Fn(usize, Range<usize>, &mut dyn FnMut(usize, T)) + Sync,
@@ -327,8 +334,8 @@ where
             s.spawn(move || {
                 let mut emit = |pos: usize, val: T| {
                     assert!(pos < len, "scatter position {pos} out of bounds ({len})");
-                    // SAFETY: pos is in bounds (checked above) and the caller
-                    // guarantees concurrent blocks emit disjoint positions.
+                    // SAFETY: pos is in bounds (checked above) and, by this
+                    // function's contract, no other block emits it.
                     unsafe { ptr.0.add(pos).write(val) };
                 };
                 f(bi, r, &mut emit);
@@ -440,11 +447,15 @@ mod tests {
         let n = PAR_THRESHOLD * 2;
         let src: Vec<u64> = (0..n as u64).collect();
         let mut dst = vec![0u64; n];
-        par_scatter_blocks(&mut dst, n, 1 << 10, |_b, range, emit| {
-            for i in range {
-                emit(n - 1 - i, src[i]);
-            }
-        });
+        // SAFETY: `i -> n - 1 - i` is a bijection, so each position has
+        // exactly one source index and hence one emitting block.
+        unsafe {
+            par_scatter_blocks(&mut dst, n, 1 << 10, |_b, range, emit| {
+                for i in range {
+                    emit(n - 1 - i, src[i]);
+                }
+            });
+        }
         for (i, &d) in dst.iter().enumerate() {
             assert_eq!(d, (n - 1 - i) as u64);
         }

@@ -51,20 +51,18 @@ pub mod uvm;
 pub use api::{ApiSurface, Feature};
 pub use buffer::DeviceBuffer;
 pub use device::Device;
-pub use error::{HalError, Result};
-pub use graph::{
-    ElementwiseFn, FusionPolicy, GraphCapture, GraphOp, GraphStats, KernelGraph, KernelNode,
-};
-pub use hipify::{hipify_source, ConversionReport};
+pub use error::Result;
+pub use graph::{FusionPolicy, GraphCapture, KernelGraph};
+pub use hipify::hipify_source;
 pub use pool::PoolAllocator;
-pub use stream::{Event, Stream};
+pub use stream::Stream;
 pub use trace::Tracer;
 pub use uvm::ManagedBuffer;
 
 // Re-export the model types callers need to build kernels.
-pub use exa_machine::{DType, GpuModel, KernelProfile, LaunchConfig, SimTime};
+pub use exa_machine::{DType, KernelProfile, LaunchConfig, SimTime};
 
 // Re-export the telemetry surface streams plug into (see
 // `Stream::attach_telemetry`): every stats struct here implements
 // `exa_telemetry::MetricSource`.
-pub use exa_telemetry::{SpanCat, TelemetryCollector, TrackId, TrackKind};
+pub use exa_telemetry::TelemetryCollector;

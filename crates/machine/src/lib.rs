@@ -30,10 +30,10 @@ pub mod machine;
 pub mod node;
 pub mod time;
 
-pub use cost::{graph_node_dispatch, CpuWork, EffCurve, GRAPH_NODE_DISPATCH_FRAC};
+pub use cost::{graph_node_dispatch, CpuWork, EffCurve};
 pub use gpu::{GpuArch, GpuModel};
 pub use interconnect::InterconnectModel;
-pub use kernel::{DType, KernelProfile, LaunchConfig, FUSION_REG_OVERHEAD};
+pub use kernel::{DType, KernelProfile, LaunchConfig};
 pub use machine::MachineModel;
 pub use node::{LinkModel, NodeModel};
 pub use time::{Clock, SimTime};

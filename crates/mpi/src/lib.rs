@@ -32,5 +32,5 @@ pub mod sched;
 
 pub use comm::{Comm, CommStats};
 pub use network::Network;
-pub use nonblocking::{Overlap, Request};
+pub use nonblocking::Overlap;
 pub use sched::{RankCtx, RankScheduler};

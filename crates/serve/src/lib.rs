@@ -27,7 +27,4 @@ pub mod service;
 
 pub use cache::{auto_shards, ShardedLru};
 pub use query::Query;
-pub use service::{
-    CacheStatus, CampaignService, QueryOutcome, ServeConfig, ServeStats, SloDrill,
-    MAX_TRACED_QUERIES,
-};
+pub use service::{CacheStatus, CampaignService, QueryOutcome, ServeConfig, ServeStats, SloDrill};

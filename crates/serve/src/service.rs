@@ -7,8 +7,12 @@
 //!    simulation, each cache shard sees its keys' probes and inserts in
 //!    batch order, and every span on the `serve/` tracks carries *virtual*
 //!    timestamps driven by per-lane cursors that a serial pass in batch
-//!    order advances — so the Chrome trace is byte-identical at any
-//!    `EXA_THREADS`. Wall-clock time flows only into metrics.
+//!    order advances — so for a fixed cache shape (shard count and
+//!    capacity) the Chrome trace is byte-identical at any `EXA_THREADS`
+//!    (`tests/batch_digest.rs` pins it). The default shard count is
+//!    `auto_shards(threads)`, so once a campaign evicts, the default
+//!    cache's hits and misses, and with them the trace, follow the thread
+//!    count. Wall-clock time flows only into metrics.
 //! 2. **RED metrics.** `serve.requests` / `serve.errors` counters and the
 //!    `serve.latency_s` histogram (bare aggregate plus per-app labeled
 //!    series), alongside cache hit/miss/coalesced counters, shard-occupancy

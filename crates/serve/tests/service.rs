@@ -4,7 +4,8 @@
 //! coalescing, RED accounting, and the SLO drill.
 
 use exa_apps::query::{APP_NAMES, MACHINE_NAMES};
-use exa_serve::{CacheStatus, CampaignService, Query, ServeConfig, SloDrill, MAX_TRACED_QUERIES};
+use exa_serve::service::MAX_TRACED_QUERIES;
+use exa_serve::{CacheStatus, CampaignService, Query, ServeConfig, SloDrill};
 use exa_telemetry::{check_slo, labeled_key, Verdict};
 
 /// A workload that exercises every disposition: misses, repeats (hits),

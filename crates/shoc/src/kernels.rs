@@ -538,14 +538,28 @@ impl ShocBenchmark for Sort {
                     }
                 }
                 let mut tmp = vec![0u32; data.len()];
-                exec::par_scatter_blocks(&mut tmp, n, exec::DEFAULT_MIN_LEN, |b, range, emit| {
-                    let mut cur = cursors[b];
-                    for &k in &data_ref[range] {
-                        let d = digit(k);
-                        emit(cur[d], k);
-                        cur[d] += 1;
-                    }
-                });
+                // SAFETY: the scatter splits `0..n` into the same `ranges`
+                // the histograms counted. Block `b`'s digit-`d` cursor starts
+                // at `cursors[b][d]` and advances once per digit-`d` key of
+                // its block, `hists[b][d]` times in all, so it emits exactly
+                // `cursors[b][d]..cursors[b][d] + hists[b][d]`. The running
+                // total above lays those spans end to end without overlap,
+                // so no position is emitted by two blocks.
+                unsafe {
+                    exec::par_scatter_blocks(
+                        &mut tmp,
+                        n,
+                        exec::DEFAULT_MIN_LEN,
+                        |b, range, emit| {
+                            let mut cur = cursors[b];
+                            for &k in &data_ref[range] {
+                                let d = digit(k);
+                                emit(cur[d], k);
+                                cur[d] += 1;
+                            }
+                        },
+                    );
+                }
                 data.copy_from_slice(&tmp);
             });
         }

@@ -24,4 +24,4 @@ pub mod kernels;
 pub mod result;
 
 pub use kernels::all_benchmarks;
-pub use result::{BenchResult, Scale, ShocBenchmark};
+pub use result::Scale;

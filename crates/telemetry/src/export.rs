@@ -9,21 +9,6 @@ use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
 
-fn push_escaped(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("write to String");
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Render a timeline as a Chrome Trace Event JSON array: one `pid`, one
 /// `tid` per track (named via `M` thread-name metadata events), and one
 /// complete (`"ph":"X"`) event per span with `ts`/`dur` in microseconds of
@@ -53,11 +38,12 @@ pub fn chrome_trace(timeline: &Timeline) -> String {
         sep(&mut out, &mut first);
         write!(
             out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\""
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":"
         )
         .expect("write to String");
-        push_escaped(&mut out, &track.name);
-        write!(out, " [{}]\"}}}}", track.kind.label()).expect("write to String");
+        let label = format!("{} [{}]", track.name, track.kind.label());
+        serde::write_escaped(&mut out, &label);
+        out.push_str("}}");
     }
     // (ts_us, depth, name, tid, dur_us, cat) — the stable global order.
     let mut events: Vec<(f64, usize, &str, usize, f64, &'static str)> = Vec::new();
@@ -81,11 +67,11 @@ pub fn chrome_trace(timeline: &Timeline) -> String {
     });
     for (ts, depth, name, tid, dur, cat) in events {
         sep(&mut out, &mut first);
-        write!(out, "{{\"name\":\"").expect("write to String");
-        push_escaped(&mut out, name);
+        out.push_str("{\"name\":");
+        serde::write_escaped(&mut out, name);
         write!(
             out,
-            "\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":1,\
+            ",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":1,\
              \"tid\":{tid},\"args\":{{\"depth\":{depth}}}}}"
         )
         .expect("write to String");
@@ -473,6 +459,23 @@ mod tests {
         let summary = validate_chrome_trace(&json).expect("valid trace");
         assert_eq!(summary.events, 2);
         assert_eq!(summary.tracks, 1);
+    }
+
+    #[test]
+    fn chrome_trace_escapes_track_and_span_names() {
+        let mut tl = Timeline::default();
+        let g = tl.track("q\"\\", TrackKind::DeviceQueue);
+        tl.complete(g, "a\nb\tc\u{1}d\re", SpanCat::Kernel, s(0.0), s(1e-6));
+        let json = chrome_trace(&tl);
+        assert!(
+            json.contains(r#""args":{"name":"q\"\\ [device_queue]"}}"#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#"{"name":"a\nb\tc\u0001d\re","cat":"#),
+            "{json}"
+        );
+        validate_chrome_trace(&json).expect("valid trace");
     }
 
     #[test]

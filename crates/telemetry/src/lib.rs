@@ -7,9 +7,9 @@
 //! few key bottlenecks"). One [`TelemetryCollector`] gathers:
 //!
 //! * **spans** — named, nested intervals of virtual time on per-resource
-//!   tracks ([`Timeline`]): host phases, device queues (one per `Stream`),
-//!   per-rank communication; recorded directly or batched by instrumented
-//!   subsystems;
+//!   tracks ([`Timeline`](span::Timeline)): host phases, device queues
+//!   (one per `Stream`), per-rank communication; recorded directly or
+//!   batched by instrumented subsystems;
 //! * **metrics** — a namespaced [`MetricsRegistry`] of counters, gauges,
 //!   and time accumulators, fed by the [`MetricSource`] impls on
 //!   `StreamStats` / `GraphStats` / `PoolStats` / `CommStats`;
@@ -38,22 +38,14 @@ pub mod validate;
 
 pub use collector::TelemetryCollector;
 pub use critical_path::{
-    diff_profiles, fault_attribution, rank_attribution, span_profile, CriticalPath,
-    FaultAttribution, PathSegment, RankAttribution, SpanDelta,
+    fault_attribution, rank_attribution, span_profile, CriticalPath, RankAttribution,
 };
-pub use export::{
-    chrome_trace, folded_stacks, hotspot_csv, labeled_key, prometheus_name, prometheus_text,
-    RooflinePoint, RooflineReport,
-};
-pub use ledger::{digest64, FomKind, FomLedger, FomRecord, LEDGER_FILE, LEDGER_VERSION};
-pub use metrics::{
-    Counter, Histogram, MetricSource, MetricsRegistry, TelemetrySnapshot, TrackSummary,
-};
-pub use pool_obs::{PoolTelemetry, MAX_LANE_INTERVALS};
-pub use sentinel::{check_slo, run_sentinel, run_sentinel_all, SentinelReport, SloReport, Verdict};
-pub use span::{Span, SpanCat, SpanId, Timeline, Track, TrackId, TrackKind};
+pub use export::{folded_stacks, labeled_key, prometheus_text, RooflinePoint, RooflineReport};
+pub use ledger::{digest64, FomKind, FomLedger, FomRecord, LEDGER_FILE};
+pub use metrics::{Histogram, MetricSource, MetricsRegistry, TelemetrySnapshot};
+pub use pool_obs::PoolTelemetry;
+pub use sentinel::{check_slo, run_sentinel, run_sentinel_all, SloReport, Verdict};
+pub use span::{Span, SpanCat, TrackId, TrackKind};
 pub use validate::{
-    parse_csv, parse_json, parse_prometheus, validate_chrome_trace, validate_folded,
-    validate_hotspot_csv, validate_prometheus, ChromeTraceSummary, JsonValue, PromDoc, PromSample,
-    PromSummary,
+    validate_chrome_trace, validate_folded, validate_hotspot_csv, validate_prometheus,
 };

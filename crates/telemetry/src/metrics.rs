@@ -377,8 +377,8 @@ pub struct TelemetrySnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Accumulated virtual times, seconds.
     pub times_s: BTreeMap<String, f64>,
-    /// Distribution metrics (task runtimes, steal latencies, rank compute
-    /// times, FOM evaluation times, ...).
+    /// Distribution metrics (task runtimes, rank compute times, FOM
+    /// evaluation times, ...).
     pub hists: BTreeMap<String, Histogram>,
 }
 

@@ -1,10 +1,9 @@
-//! The bridge between the dependency-free `workpool::PoolObserver` hooks
-//! and the telemetry collector: a [`PoolTelemetry`] attaches to a pool,
-//! accumulates per-lane wall-clock activity locally (one cache-padded
-//! slot per lane, no collector traffic while observing), and *lands* the
-//! result — worker occupancy tracks, `pool.*` counters/gauges, and
-//! task-runtime / steal-latency histograms — into a [`TelemetryCollector`]
-//! on demand.
+//! The bridge between the dependency-free `workpool::PoolObserver` and the
+//! telemetry collector: a [`PoolTelemetry`] attaches to a pool, accumulates
+//! each lane's task intervals locally (one cache-padded slot per lane, no
+//! collector traffic while observing), and *lands* the result — worker
+//! occupancy tracks, `pool.*` counters and gauges, and the task-runtime
+//! histogram — into a [`TelemetryCollector`] on demand.
 //!
 //! Landing is explicit for a reason: the collector's default snapshots
 //! stay **byte-identical across thread counts** (the substrate determinism
@@ -25,7 +24,7 @@ use workpool::{PoolObserver, CALLER_LANE};
 
 /// Task intervals a lane keeps between lands (the earliest ones), so an
 /// observer that is never landed stays bounded. Task counts, busy time and
-/// the histograms stay exact past the cap.
+/// the task-runtime histogram stay exact past the cap.
 pub const MAX_LANE_INTERVALS: usize = 1024;
 
 /// Accumulator slots for pool workers: worker lane `w` records into slot
@@ -50,15 +49,7 @@ struct LaneLog {
 struct Inner {
     lanes: BTreeMap<usize, LaneLog>,
     tasks: u64,
-    steals: u64,
-    stolen_jobs: u64,
-    injects: u64,
-    depth_sum: u64,
-    depth_max: u64,
-    parks: u64,
-    parked_ns: u64,
     task_run_s: Histogram,
-    steal_latency_s: Histogram,
 }
 
 impl Inner {
@@ -66,15 +57,7 @@ impl Inner {
     fn absorb(&mut self, other: Inner) {
         self.lanes.extend(other.lanes);
         self.tasks += other.tasks;
-        self.steals += other.steals;
-        self.stolen_jobs += other.stolen_jobs;
-        self.injects += other.injects;
-        self.depth_sum += other.depth_sum;
-        self.depth_max = self.depth_max.max(other.depth_max);
-        self.parks += other.parks;
-        self.parked_ns += other.parked_ns;
         self.task_run_s.merge(&other.task_run_s);
-        self.steal_latency_s.merge(&other.steal_latency_s);
     }
 }
 
@@ -89,10 +72,8 @@ struct Slot(Mutex<Inner>);
 /// the accumulated activity into a collector (which drains the
 /// accumulator, so alternating run/land cycles never double-count).
 ///
-/// Each lane records into its own cache-padded slot: `task_run`, `steal`,
-/// `park` and `unpark` into the slot of the lane they fire on, `inject`
-/// into the slot of the queue it fills. The getters and the land merge
-/// the slots.
+/// Each lane records its tasks into its own cache-padded slot; the getter
+/// and the land merge the slots.
 #[derive(Debug)]
 pub struct PoolTelemetry {
     slots: Box<[Slot]>,
@@ -135,16 +116,6 @@ impl PoolTelemetry {
         self.sum(|g| g.tasks)
     }
 
-    /// Steal operations observed so far.
-    pub fn steals(&self) -> u64 {
-        self.sum(|g| g.steals)
-    }
-
-    /// Injects observed so far.
-    pub fn injects(&self) -> u64 {
-        self.sum(|g| g.injects)
-    }
-
     /// Drain the accumulator into `collector` under `namespace`:
     ///
     /// * one `TrackKind::Worker` track per active lane —
@@ -154,11 +125,10 @@ impl PoolTelemetry {
     ///   `task:stolen`), interval-sorted so track
     ///   timestamps are monotone even when a lane's events arrived from
     ///   several threads (nested-scope callers);
-    /// * `pool.*` counters (tasks, stolen tasks, steals, stolen jobs,
-    ///   injects, parks) and gauges (busy seconds, parked seconds, queue
-    ///   depth mean/max, active lanes);
-    /// * `pool.task_run_s` / `pool.steal_latency_s` histograms, merged
-    ///   into the registry (exact, associative).
+    /// * the `pool.tasks` and `pool.tasks_stolen` counters and the
+    ///   `pool.busy_s` and `pool.active_lanes` gauges;
+    /// * the `pool.task_run_s` histogram, merged into the registry (exact,
+    ///   associative).
     ///
     /// Returns total busy nanoseconds landed.
     pub fn land(&self, collector: &TelemetryCollector, namespace: &str) -> u64 {
@@ -192,22 +162,9 @@ impl PoolTelemetry {
                 "pool.tasks_stolen",
                 inner.lanes.values().map(|l| l.stolen).sum::<u64>(),
             );
-            m.counter_add("pool.steals", inner.steals);
-            m.counter_add("pool.stolen_jobs", inner.stolen_jobs);
-            m.counter_add("pool.injects", inner.injects);
-            m.counter_add("pool.parks", inner.parks);
             m.gauge_set("pool.busy_s", busy_total as f64 / 1e9);
-            m.gauge_set("pool.parked_s", inner.parked_ns as f64 / 1e9);
-            m.gauge_max("pool.queue_depth_max", inner.depth_max as f64);
-            if inner.injects > 0 {
-                m.gauge_set(
-                    "pool.queue_depth_mean",
-                    inner.depth_sum as f64 / inner.injects as f64,
-                );
-            }
             m.gauge_max("pool.active_lanes", inner.lanes.len() as f64);
             m.hist_merge("pool.task_run_s", &inner.task_run_s);
-            m.hist_merge("pool.steal_latency_s", &inner.steal_latency_s);
         });
         busy_total
     }
@@ -227,28 +184,6 @@ impl PoolObserver for PoolTelemetry {
         if stolen {
             log.stolen += 1;
         }
-    }
-
-    fn steal(&self, thief: usize, _victim: usize, taken: usize, latency_ns: u64) {
-        let mut g = self.slot(thief);
-        g.steals += 1;
-        g.stolen_jobs += taken as u64;
-        g.steal_latency_s.record(latency_ns as f64 / 1e9);
-    }
-
-    fn inject(&self, slot: usize, queue_depth: usize) {
-        let mut g = self.slot(slot);
-        g.injects += 1;
-        g.depth_sum += queue_depth as u64;
-        g.depth_max = g.depth_max.max(queue_depth as u64);
-    }
-
-    fn park(&self, worker: usize) {
-        self.slot(worker).parks += 1;
-    }
-
-    fn unpark(&self, worker: usize, parked_ns: u64) {
-        self.slot(worker).parked_ns += parked_ns;
     }
 }
 
@@ -289,7 +224,6 @@ mod tests {
             assert_eq!(landed, busy);
             let snap = collector.snapshot();
             assert_eq!(snap.counter("pool.tasks"), 32);
-            assert_eq!(snap.counter("pool.injects"), 32);
             let h = snap
                 .hist("pool.task_run_s")
                 .expect("task runtime histogram");
@@ -300,7 +234,11 @@ mod tests {
             let track_busy: f64 = worker_tracks.iter().map(|t| t.busy_s).sum();
             assert!((track_busy - busy as f64 / 1e9).abs() < 1e-9);
             if threads == 1 {
-                assert_eq!(snap.counter("pool.steals"), 0, "inline path cannot steal");
+                assert_eq!(
+                    snap.counter("pool.tasks_stolen"),
+                    0,
+                    "inline path cannot steal"
+                );
                 assert!(worker_tracks.iter().all(|t| t.name == "pool/caller"));
             }
             // Worker tracks render into a valid, monotone Chrome trace.
@@ -345,6 +283,49 @@ mod tests {
             .tracks
             .iter()
             .all(|t| t.spans == MAX_LANE_INTERVALS as u64));
+    }
+
+    /// `(pool.tasks_stolen, landed task:stolen spans, landed task spans)`.
+    fn land_stolen(obs: &PoolTelemetry) -> (u64, u64, u64) {
+        let collector = TelemetryCollector::new();
+        obs.land(&collector, "pool");
+        let (stolen, all) = collector.with_timeline(|tl| {
+            let spans = || tl.tracks().iter().flat_map(|t| t.spans());
+            let stolen = spans().filter(|s| s.name == "task:stolen").count();
+            (stolen as u64, spans().count() as u64)
+        });
+        (
+            collector.snapshot().counter("pool.tasks_stolen"),
+            stolen,
+            all,
+        )
+    }
+
+    #[test]
+    fn stolen_count_matches_stolen_spans_below_the_cap() {
+        // Fed directly: 1000 tasks over two lanes, every seventh stolen.
+        let obs = PoolTelemetry::new();
+        for i in 0..1000u64 {
+            obs.task_run((i % 2) as usize, 10 * i, 10 * i + 3, i % 7 == 0);
+        }
+        assert_eq!(land_stolen(&obs), (143, 143, 1000));
+        // Observed on a real pool, where the helping caller steals.
+        let pool = ThreadPool::new(4);
+        let obs = Arc::new(PoolTelemetry::new());
+        pool.set_observer(Some(obs.clone()));
+        for _ in 0..4 {
+            pool.scope(|s| {
+                for _ in 0..64 {
+                    s.spawn(|| {
+                        std::hint::black_box((0..2000).sum::<u64>());
+                    });
+                }
+            });
+        }
+        pool.set_observer(None);
+        let (counter, spans, all) = land_stolen(&obs);
+        assert_eq!(all, 256);
+        assert_eq!(counter, spans);
     }
 
     #[test]

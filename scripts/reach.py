@@ -15,8 +15,10 @@ its `use` path is followed to the module that defines it. A type in the
 signature of a restored item (`private_interfaces`) is restored too. The
 check reruns until it is clean; the `dead_code` warnings then left in the
 library crates are the items that nothing but tests reaches, with the
-private helpers and fields only they use. Those not on the "Survivors" list
-in DESIGN.md are printed per crate, then the total. Run it from anywhere:
+private helpers and fields only they use, and the `unused_imports` warnings
+on a demoted `pub use` are the re-exports no root names. Those not on the
+"Survivors" list in DESIGN.md are printed per crate, then the total. Run it
+from anywhere:
 
     python3 scripts/reach.py            # counts per crate
     python3 scripts/reach.py --list     # plus every unexplained item
@@ -216,10 +218,27 @@ def survivors():
     return names
 
 
-def unreached(msgs):
-    """(file, line, label) of every unused item in a library crate; a method
-    is labelled with the type of its impl block."""
+def unused_reexports(msgs):
+    """(file, line, label) of every demoted `pub use` in a library crate that
+    nothing reaches, labelled with the name it re-exports."""
     found = set()
+    for m in msgs:
+        if m["level"] != "warning" or code(m) != "unused_imports":
+            continue
+        for span in m["spans"]:
+            t = span["text"][0] if span["text"] else {"text": "", "highlight_start": 1}
+            before = t["text"][:t["highlight_start"] - 1]
+            if span["is_primary"] and library_file(span["rel"]) \
+                    and re.search(r"\bpub\(crate\) use\s+$", before):
+                name = re.split(r"\s+as\s+", highlighted(span))[-1].rsplit("::", 1)[-1]
+                found.add((span["rel"], span["line_start"], name))
+    return found
+
+
+def unreached(msgs):
+    """(file, line, label) of every unused item or re-export in a library
+    crate; a method is labelled with the type of its impl block."""
+    found = unused_reexports(msgs)
     for m in msgs:
         if m["level"] != "warning" or code(m) != "dead_code":
             continue

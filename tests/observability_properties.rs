@@ -5,9 +5,11 @@
 //! dependency-free parsers.
 
 use exaready::machine::SimTime;
+use exaready::telemetry::export::prometheus_name;
+use exaready::telemetry::validate::{parse_csv, parse_prometheus};
 use exaready::telemetry::{
-    folded_stacks, parse_csv, parse_prometheus, prometheus_name, prometheus_text, validate_folded,
-    validate_hotspot_csv, validate_prometheus, Histogram, SpanCat, TelemetryCollector, TrackKind,
+    folded_stacks, prometheus_text, validate_folded, validate_hotspot_csv, validate_prometheus,
+    Histogram, SpanCat, TelemetryCollector, TrackKind,
 };
 use proptest::prelude::*;
 

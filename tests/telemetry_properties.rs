@@ -15,8 +15,9 @@ use exaready::hal::{
 };
 use exaready::machine::{GpuModel, MachineModel, SimTime};
 use exaready::mpi::{Comm, Network};
+use exaready::telemetry::validate::{parse_json, JsonValue};
 use exaready::telemetry::{
-    parse_json, validate_chrome_trace, JsonValue, RooflinePoint, RooflineReport, SpanCat, TrackKind,
+    validate_chrome_trace, RooflinePoint, RooflineReport, SpanCat, TrackKind,
 };
 use proptest::prelude::*;
 
