@@ -1,13 +1,16 @@
 //! Query adapters for the campaign service: construct applications and
 //! machine models by name, and evaluate one "app × machine × scale ×
 //! knobs × scenario" what-if question through [`Application::run_profiled`]
-//! under a scratch collector.
+//! on the calling thread's evaluation scratch.
 //!
 //! This is the cost-model back end of the `exa-serve` crate: everything
 //! here is pure virtual-time simulation, so an evaluation is a
 //! deterministic function of its arguments — which is what makes the
 //! service's answers cacheable and its cached answers provably
 //! bit-identical to cold evaluations.
+
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use exa_core::{Application, Injection, RunContext, ScenarioSpec};
 use exa_machine::MachineModel;
@@ -103,53 +106,109 @@ pub struct QueryAnswer {
 
 /// Evaluate one query cold: build the named app and machine (nothing else
 /// from either catalog), apply the node override (0 keeps the model's
-/// full scale), run the profiled challenge problem under a scratch
-/// collector and the scenario the knobs and tag describe (one injection
-/// per knob), and return the answer. `None` when
-/// the app or machine name is unknown, or when the app needs GPUs and the
-/// machine has none (every app but Pele on Cori, Theta and Eagle).
-pub fn evaluate_query(
+/// full scale), run the profiled challenge problem under the scenario the
+/// knobs and tag describe (one injection per knob), and return the
+/// answer. `None` when the app or machine name is unknown, or when the
+/// app needs GPUs and the machine has none (every app but Pele on Cori,
+/// Theta and Eagle).
+///
+/// The run records into the calling thread's evaluation scratch: a
+/// collector cleared before each query, not rebuilt, so its track
+/// registrations and span capacity carry over, and a scenario whose
+/// knobs are overwritten in place. The answer reads only the spans of
+/// its own run, so it is the same bits a fresh collector gives. What the
+/// scratch retains is bounded by the largest query the thread has
+/// evaluated: the union of the apps' tracks (tens), the most spans one
+/// run recorded (about 300, a GESTS step) and the most knobs one query
+/// carried, a few kilobytes, never growing with the number of queries.
+pub fn evaluate_query<K: AsRef<str>>(
     app_name: &str,
     machine_name: &str,
     nodes: u32,
-    knobs: &[(String, f64)],
+    knobs: &[(K, f64)],
     scenario: &str,
 ) -> Option<QueryAnswer> {
-    let app = app_by_name(app_name)?;
-    let &(machine_name, new_machine) = machine_entry(machine_name)?;
-    let mut machine = new_machine();
-    if app.needs_gpus() && !machine.node.has_gpus() {
-        return None;
+    SCRATCH
+        .with_borrow_mut(|scratch| scratch.evaluate(app_name, machine_name, nodes, knobs, scenario))
+}
+
+/// What [`evaluate_query`] reuses from one query to the next on a thread.
+struct Scratch {
+    /// The collector each profiled run records into.
+    collector: Arc<TelemetryCollector>,
+    /// The run's scenario: a clean spec whose tag and injections each
+    /// query overwrites.
+    spec: ScenarioSpec,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch {
+            collector: TelemetryCollector::shared(),
+            spec: ScenarioSpec::clean(),
+        }
     }
-    if nodes > 0 {
-        machine.nodes = nodes;
+
+    /// [`evaluate_query`] on this scratch.
+    fn evaluate<K: AsRef<str>>(
+        &mut self,
+        app_name: &str,
+        machine_name: &str,
+        nodes: u32,
+        knobs: &[(K, f64)],
+        scenario: &str,
+    ) -> Option<QueryAnswer> {
+        let app = app_by_name(app_name)?;
+        let &(machine_name, new_machine) = machine_entry(machine_name)?;
+        let mut machine = new_machine();
+        if app.needs_gpus() && !machine.node.has_gpus() {
+            return None;
+        }
+        if nodes > 0 {
+            machine.nodes = nodes;
+        }
+        let Scratch { collector, spec } = self;
+        collector.clear();
+        spec.tag.clear();
+        spec.tag.push_str(scenario);
+        spec.injections.truncate(knobs.len());
+        for (i, (needle, factor)) in knobs.iter().enumerate() {
+            match spec.injections.get_mut(i) {
+                Some(injection) => {
+                    injection.needle.clear();
+                    injection.needle.push_str(needle.as_ref());
+                    injection.factor = *factor;
+                }
+                None => spec
+                    .injections
+                    .push(Injection::new(needle.as_ref(), *factor)),
+            }
+        }
+        let measurement = app.run_profiled(&machine, &RunContext::for_scenario(collector, spec));
+        let fom = app.fom();
+        Some(QueryAnswer {
+            app: app.name(),
+            machine: machine_name,
+            nodes: machine.nodes,
+            fom_value: measurement.value,
+            units: fom.units,
+            higher_is_better: fom.higher_is_better,
+            wall_s: measurement.wall.secs(),
+            spans: collector.with_timeline(|t| t.total_spans()) as u64,
+        })
     }
-    let collector = TelemetryCollector::shared();
-    let spec = ScenarioSpec {
-        tag: scenario.to_string(),
-        injections: knobs
-            .iter()
-            .map(|(needle, factor)| Injection::new(needle.clone(), *factor))
-            .collect(),
-        ..ScenarioSpec::clean()
-    };
-    let measurement = app.run_profiled(&machine, &RunContext::for_scenario(&collector, &spec));
-    let fom = app.fom();
-    Some(QueryAnswer {
-        app: app.name(),
-        machine: machine_name,
-        nodes: machine.nodes,
-        fom_value: measurement.value,
-        units: fom.units,
-        higher_is_better: fom.higher_is_better,
-        wall_s: measurement.wall.secs(),
-        spans: collector.with_timeline(|t| t.total_spans()) as u64,
-    })
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// No knobs: a clean query.
+    const CLEAN: [(&str, f64); 0] = [];
 
     /// Every name, as listed and in lower and upper case, looks up the
     /// entry the catalog holds at its position; unknown names give `None`.
@@ -197,13 +256,13 @@ mod tests {
 
     #[test]
     fn evaluation_is_deterministic_and_honors_the_scale_override() {
-        let a = evaluate_query("CoMet", "Frontier", 0, &[], "").expect("valid query");
-        let b = evaluate_query("CoMet", "Frontier", 0, &[], "").expect("valid query");
+        let a = evaluate_query("CoMet", "Frontier", 0, &CLEAN, "").expect("valid query");
+        let b = evaluate_query("CoMet", "Frontier", 0, &CLEAN, "").expect("valid query");
         assert_eq!(a, b, "same query, same bits");
         assert_eq!(a.nodes, MachineModel::frontier().nodes);
         assert!(a.fom_value.is_finite() && a.fom_value > 0.0);
         assert!(a.spans > 0, "profiled run must record spans");
-        let half = evaluate_query("CoMet", "Frontier", 4704, &[], "").expect("valid query");
+        let half = evaluate_query("CoMet", "Frontier", 4704, &CLEAN, "").expect("valid query");
         assert_eq!(half.nodes, 4704);
     }
 
@@ -332,9 +391,126 @@ mod tests {
         assert_eq!(golden, table2, "one golden row per Table-2 app");
     }
 
+    /// One query of a scratch sweep: app, machine, nodes, knobs, tag.
+    type SweepQuery = (
+        &'static str,
+        &'static str,
+        u32,
+        Vec<(&'static str, f64)>,
+        &'static str,
+    );
+
+    /// Every app × machine, each query with zero to two knobs, so that a
+    /// scratch's injections grow and shrink from one query to the next,
+    /// and every other one tagged. The needles match spans of every app,
+    /// so a knob left over from an earlier query would move the answer.
+    fn sweep() -> Vec<SweepQuery> {
+        let knobs = [("e", 1.25), ("a", 1.5)];
+        let pairs = APP_NAMES
+            .iter()
+            .flat_map(|&app| MACHINE_NAMES.iter().map(move |&machine| (app, machine)));
+        pairs
+            .enumerate()
+            .map(|(i, (app, machine))| {
+                let nodes = [0, 1024, 128][i % 3];
+                let tag = ["", "drill"][i % 2];
+                (app, machine, nodes, knobs[..i % 3].to_vec(), tag)
+            })
+            .collect()
+    }
+
+    /// An answer's fields, its numbers as bits.
+    type Bits = Option<(&'static str, &'static str, u32, u64, u64, u64)>;
+
+    fn bits(answer: Option<QueryAnswer>) -> Bits {
+        answer.map(|a| {
+            let (fom, wall) = (a.fom_value.to_bits(), a.wall_s.to_bits());
+            (a.app, a.machine, a.nodes, fom, wall, a.spans)
+        })
+    }
+
+    /// `q` evaluated on the calling thread's scratch.
+    fn on_scratch(q: &SweepQuery) -> Bits {
+        bits(evaluate_query(q.0, q.1, q.2, &q.3, q.4))
+    }
+
+    /// Tracks the calling thread's scratch has registered.
+    fn scratch_tracks() -> usize {
+        SCRATCH.with_borrow(|s| s.collector.with_timeline(|t| t.tracks().len()))
+    }
+
+    /// Forward, reversed, interleaved with another app's query and on two
+    /// threads at once, the scratch answers every query with the bits a
+    /// fresh collector gives, and a second pass over the queries
+    /// registers no track the first did not.
+    #[test]
+    fn the_scratch_answers_what_a_fresh_collector_answers() {
+        let sweep = sweep();
+        let n = sweep.len();
+        let fresh: Vec<Bits> = sweep
+            .iter()
+            .map(|q| bits(Scratch::new().evaluate(q.0, q.1, q.2, &q.3, q.4)))
+            .collect();
+        assert!(fresh.iter().any(Option::is_none) && fresh.iter().any(Option::is_some));
+        for (q, want) in sweep.iter().zip(&fresh) {
+            if want.is_some() && !q.3.is_empty() {
+                let clean = bits(Scratch::new().evaluate(q.0, q.1, q.2, &CLEAN, q.4));
+                assert_ne!(&clean, want, "the knobs of {q:?} move its answer");
+            }
+        }
+        let forward: Vec<Bits> = sweep.iter().map(on_scratch).collect();
+        assert_eq!(forward, fresh, "forward app order");
+        let tracks = scratch_tracks();
+        let mut reverse: Vec<Bits> = sweep.iter().rev().map(on_scratch).collect();
+        reverse.reverse();
+        assert_eq!(reverse, fresh, "reverse app order");
+        for (i, want) in fresh.iter().enumerate() {
+            // The query before is another app's on another machine.
+            on_scratch(&sweep[(i + 37) % n]);
+            assert_eq!(&on_scratch(&sweep[i]), want, "interleaved: {:?}", sweep[i]);
+        }
+        assert_eq!(
+            scratch_tracks(),
+            tracks,
+            "the scratch's tracks stop growing"
+        );
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let forward = scope.spawn(|| {
+                start.wait();
+                sweep.iter().map(on_scratch).collect::<Vec<_>>()
+            });
+            let reverse = scope.spawn(|| {
+                start.wait();
+                let mut out: Vec<Bits> = sweep.iter().rev().map(on_scratch).collect();
+                out.reverse();
+                out
+            });
+            assert_eq!(forward.join().expect("forward thread"), fresh, "thread 1");
+            assert_eq!(reverse.join().expect("reverse thread"), fresh, "thread 2");
+        });
+    }
+
+    /// A drilled evaluation repeats the query on one thread; every repeat
+    /// reports the first run's bits, span count included.
+    #[test]
+    fn a_repeated_evaluation_reports_the_same_spans() {
+        let knobs = [("transform", 1.5)];
+        for app in APP_NAMES {
+            let first = evaluate_query(app, "Frontier", 0, &knobs, "drill");
+            let fresh = Scratch::new().evaluate(app, "Frontier", 0, &knobs, "drill");
+            assert!(first.as_ref().is_some_and(|a| a.spans > 0), "{app}");
+            assert_eq!(bits(first.clone()), bits(fresh), "{app}");
+            for _ in 0..3 {
+                let again = evaluate_query(app, "Frontier", 0, &knobs, "drill");
+                assert_eq!(bits(again), bits(first.clone()), "{app} repeated");
+            }
+        }
+    }
+
     #[test]
     fn knob_injections_perturb_the_answer() {
-        let clean = evaluate_query("COAST", "Frontier", 0, &[], "").expect("valid");
+        let clean = evaluate_query("COAST", "Frontier", 0, &CLEAN, "").expect("valid");
         let knobs = vec![("block".to_string(), 2.0)];
         let slowed = evaluate_query("COAST", "Frontier", 0, &knobs, "drill").expect("valid");
         // The knob stretches matching spans; a knob matching nothing

@@ -117,8 +117,7 @@ pub fn record_phases(
         let clean = SimTime::from_secs(wall.secs() * p.weight / total_weight);
         let observed = SimTime::from_secs(clean.secs() * ctx.scenario.stretch(p.name));
         let end = cursor + observed;
-        ctx.telemetry
-            .complete(track, p.name.to_string(), p.cat, cursor, end);
+        ctx.telemetry.complete(track, p.name, p.cat, cursor, end);
         cursor = end;
     }
     cursor

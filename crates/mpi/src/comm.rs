@@ -7,6 +7,7 @@ use exa_telemetry::{
     MetricSource, MetricsRegistry, SpanCat, TelemetryCollector, TrackId, TrackKind,
 };
 use serde::Serialize;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// Aggregate communication statistics for a communicator.
@@ -245,8 +246,13 @@ impl Comm {
     /// track named `<name>/rank<r>`, and every collective is recorded as a
     /// span on each rank's track.
     pub fn attach_telemetry(&mut self, collector: &Arc<TelemetryCollector>, name: &str) {
+        let mut track = String::new();
         let tracks = (0..self.size())
-            .map(|r| collector.track(&format!("{name}/rank{r}"), TrackKind::CommRank))
+            .map(|r| {
+                track.clear();
+                write!(track, "{name}/rank{r}").expect("a String takes any write");
+                collector.track(&track, TrackKind::CommRank)
+            })
             .collect();
         self.telemetry = Some(CommTelemetry {
             collector: Arc::clone(collector),

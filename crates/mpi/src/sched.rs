@@ -11,9 +11,11 @@
 //!    rank-indexed table, so the pool's interleaving is invisible;
 //! 2. clocks are charged in rank order, exactly as the sequential
 //!    scheduler would;
-//! 3. span logs are merged by `(virtual start time, rank, per-rank
-//!    sequence)` and emitted to the communicator's telemetry tracks in
-//!    that order.
+//! 3. each rank's spans land on its own telemetry track in the order it
+//!    recorded them, which is their virtual start order (a rank's clock
+//!    only advances). Ranks never share a track, so the order in which
+//!    ranks land is invisible, and the tracks are those a merge by
+//!    `(virtual start time, rank, per-rank sequence)` would give.
 //!
 //! The result: traces, FOM records and [`crate::CommStats`] are
 //! bit-identical to the sequential schedule regardless of thread count.
@@ -37,6 +39,7 @@ const TASK_CHUNKS: usize = 64;
 /// virtual time.
 #[derive(Debug, Clone)]
 struct RankEvent {
+    rank: usize,
     name: Cow<'static, str>,
     cat: SpanCat,
     start: SimTime,
@@ -45,12 +48,15 @@ struct RankEvent {
 
 /// Per-rank execution context handed to the phase closure. Tracks the
 /// rank's virtual clock locally (the shared [`Comm`] clocks are only
-/// touched during the merge) and accumulates the rank's span log.
+/// touched during the merge) and appends the rank's spans to the span log
+/// of the pool task it runs in.
 #[derive(Debug)]
 pub struct RankCtx {
     rank: usize,
     start: SimTime,
     now: SimTime,
+    /// The task's span log: the spans of each rank it ran so far, rank
+    /// after rank, each rank's in record order.
     events: Vec<RankEvent>,
 }
 
@@ -66,6 +72,7 @@ impl RankCtx {
         let start = self.now;
         self.now += dt;
         self.events.push(RankEvent {
+            rank: self.rank,
             name: name.into(),
             cat,
             start,
@@ -316,15 +323,14 @@ impl RankScheduler {
         let p = comm.size();
         assert_eq!(states.len(), p, "one state per rank");
         let starts: Vec<SimTime> = (0..p).map(|r| comm.now(r)).collect();
-        // Rank-indexed outcome table: (elapsed virtual time, span log).
-        let mut outs: Vec<(SimTime, Vec<RankEvent>)> = Vec::new();
-        outs.resize_with(p, || (SimTime::ZERO, Vec::new()));
-        // Each rank's state and outcome slot, listed in task order. The
+        // Rank-indexed table of elapsed virtual time.
+        let mut elapsed = vec![SimTime::ZERO; p];
+        // Each rank's state and elapsed slot, listed in task order. The
         // slots point into the positional tables, so the order decides
         // only which ranks share a pool task, never where a result lands.
         let rank_order = states
             .iter_mut()
-            .zip(outs.iter_mut())
+            .zip(elapsed.iter_mut())
             .enumerate()
             .map(|(r, (state, out))| (r, state, out));
         let mut tasks: Vec<_> = match order {
@@ -340,8 +346,11 @@ impl RankScheduler {
         };
         // Chunk ranks into at most `TASK_CHUNKS` pool tasks; the chunking
         // affects only load balance, never results (the table is
-        // positional).
+        // positional, and each span lands on its own rank's track).
         let chunk = p.div_ceil(TASK_CHUNKS).max(1);
+        // One span log per task, which its ranks append to in turn.
+        let mut logs: Vec<Vec<RankEvent>> = Vec::new();
+        logs.resize_with(p.div_ceil(chunk), Vec::new);
         // Wall-clock phase marking (observer attached only): the window
         // from here to the end of the scope is the fan-out (ranks in
         // flight); the gap since the previous phase ended is idle.
@@ -358,20 +367,24 @@ impl RankScheduler {
             t0
         });
         self.pool().scope(|s| {
-            for task in tasks.chunks_mut(chunk) {
+            for (task, log) in tasks.chunks_mut(chunk).zip(logs.iter_mut()) {
                 let f = &f;
                 let starts = &starts;
                 s.spawn(move || {
+                    let mut ctx = RankCtx {
+                        rank: 0,
+                        start: SimTime::ZERO,
+                        now: SimTime::ZERO,
+                        events: std::mem::take(log),
+                    };
                     for (rank, state, out) in task.iter_mut() {
-                        let mut ctx = RankCtx {
-                            rank: *rank,
-                            start: starts[*rank],
-                            now: starts[*rank],
-                            events: Vec::new(),
-                        };
+                        ctx.rank = *rank;
+                        ctx.start = starts[*rank];
+                        ctx.now = ctx.start;
                         f(&mut ctx, state);
-                        **out = (ctx.now - ctx.start, std::mem::take(&mut ctx.events));
+                        **out = ctx.now - ctx.start;
                     }
+                    *log = ctx.events;
                 });
             }
         });
@@ -389,49 +402,49 @@ impl RankScheduler {
             t1
         });
         // Straggler skew: stretch each rank's virtual outcome about its
-        // phase start. Done positionally on the outcome table, before any
-        // clock or telemetry merge, so skewed runs stay thread-count
+        // phase start. Done on the rank-indexed table and the spans, before
+        // any clock or telemetry merge, so skewed runs stay thread-count
         // deterministic for exactly the same reason unskewed runs do.
         if let Some(skew) = skew {
             assert_eq!(skew.len(), p, "one skew factor per rank");
-            for (r, (elapsed, events)) in outs.iter_mut().enumerate() {
-                let s = skew[r];
+            for (r, (elapsed, &s)) in elapsed.iter_mut().zip(skew).enumerate() {
                 assert!(s.is_finite() && s > 0.0, "rank {r} skew {s} invalid");
-                if s == 1.0 {
-                    continue;
+                if s != 1.0 {
+                    *elapsed = *elapsed * s;
                 }
-                *elapsed = *elapsed * s;
-                for e in events.iter_mut() {
-                    e.start = starts[r] + (e.start - starts[r]) * s;
-                    e.end = starts[r] + (e.end - starts[r]) * s;
+            }
+            for e in logs.iter_mut().flatten() {
+                let (s, start) = (skew[e.rank], starts[e.rank]);
+                if s != 1.0 {
+                    e.start = start + (e.start - start) * s;
+                    e.end = start + (e.end - start) * s;
                 }
             }
         }
         // Merge step 1: clocks, in rank order — identical to the
         // sequential scheduler's charging order.
-        for (r, (elapsed, _)) in outs.iter().enumerate() {
-            comm.advance(r, *elapsed);
+        for (r, &dt) in elapsed.iter().enumerate() {
+            comm.advance(r, dt);
         }
-        // Merge step 2: span logs, by (virtual start, rank, sequence).
+        // Merge step 2: the rank-compute-time distribution and the span
+        // logs, under one collector lock. Each rank's spans sit in one log
+        // in record order, which is their start order (skew stretches a
+        // rank's spans about one point, keeping it), and go to the rank's
+        // own track.
         if let Some(tel) = comm.telemetry.as_ref() {
-            // Rank-compute-time distribution, recorded in rank order from
-            // *virtual* elapsed times — deterministic at any thread count,
-            // so it can feed the registry on every telemetry-attached
-            // phase without breaking cross-thread byte-identity.
-            tel.collector.metrics(|m| {
-                for (elapsed, _) in outs.iter() {
-                    m.hist_record("sched.rank_compute_s", elapsed.secs());
+            tel.collector.with_parts(|timeline, metrics| {
+                // Recorded from *virtual* elapsed times — deterministic at
+                // any thread count, so it can feed the registry on every
+                // telemetry-attached phase without breaking cross-thread
+                // byte-identity.
+                let hist = metrics.hist_mut("sched.rank_compute_s");
+                for dt in &elapsed {
+                    hist.record(dt.secs());
+                }
+                for e in logs.into_iter().flatten() {
+                    timeline.complete(tel.tracks[e.rank], e.name, e.cat, e.start, e.end);
                 }
             });
-            let mut merged: Vec<(usize, RankEvent)> = Vec::new();
-            for (r, (_, events)) in outs.into_iter().enumerate() {
-                merged.extend(events.into_iter().map(|e| (r, e)));
-            }
-            merged.sort_by(|a, b| a.1.start.cmp(&b.1.start).then(a.0.cmp(&b.0)));
-            for (r, e) in merged {
-                tel.collector
-                    .complete(tel.tracks[r], e.name, e.cat, e.start, e.end);
-            }
         }
         if let Some(obs) = self.observer.as_ref() {
             let t2 = self.pool().now_ns();
@@ -534,6 +547,73 @@ mod tests {
                 assert!(
                     got == want,
                     "order seed {seed} at {threads} threads changed an outcome"
+                );
+            }
+        }
+    }
+
+    /// Ranks with zero to three spans each, several starting at the same
+    /// virtual time, packed two to a task in reversed and shuffled orders:
+    /// the timeline, the histogram and the clocks are those of the
+    /// rank-order phase, and each rank's track keeps its spans in the
+    /// order the rank recorded them.
+    #[test]
+    fn ordered_phase_lands_what_the_rank_order_phase_lands() {
+        let ranks = 70;
+        let run = |threads: usize, order: Option<&[usize]>| {
+            let sched = RankScheduler::with_threads(threads);
+            let collector = TelemetryCollector::shared();
+            let mut comm = Comm::new(
+                ranks,
+                Network::from_machine(&exa_machine::MachineModel::frontier()),
+            );
+            comm.attach_telemetry(&collector, "w");
+            let mut states = vec![(); ranks];
+            let phase = |ctx: &mut RankCtx, _: &mut ()| {
+                let r = ctx.rank();
+                for k in 0..r % 4 {
+                    let name = ["a", "b", "c"][k];
+                    ctx.span(name, SpanCat::Kernel, us(((r + k) % 3) as f64));
+                }
+            };
+            for _ in 0..2 {
+                match order {
+                    Some(order) => {
+                        sched.compute_phase_ordered(&mut comm, &mut states, order, phase)
+                    }
+                    None => sched.compute_phase(&mut comm, &mut states, phase),
+                }
+            }
+            let clocks: Vec<SimTime> = (0..ranks).map(|r| comm.now(r)).collect();
+            let names: Vec<Vec<String>> = collector.with_timeline(|tl| {
+                tl.tracks()
+                    .iter()
+                    .map(|t| t.spans().iter().map(|s| s.name.to_string()).collect())
+                    .collect()
+            });
+            (
+                clocks,
+                collector.snapshot().to_json(),
+                collector.chrome_trace(),
+                names,
+            )
+        };
+        let want = run(1, None);
+        for (r, names) in want.3.iter().enumerate() {
+            let phase: Vec<String> = ["a", "b", "c"][..r % 4]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert_eq!(names, &[phase.clone(), phase].concat(), "rank {r}'s spans");
+        }
+        let reversed: Vec<usize> = (0..ranks).rev().collect();
+        let shuffled: Vec<usize> = (0..ranks).map(|i| (i * 17) % ranks).collect();
+        for order in [&reversed, &shuffled] {
+            for threads in [1, 3] {
+                assert!(
+                    run(threads, Some(order)) == want,
+                    "order {:?}.. at {threads} threads landed something else",
+                    &order[..4]
                 );
             }
         }

@@ -21,8 +21,13 @@ const NIL: u32 = u32::MAX;
 
 /// The FNV-1a (64-bit) hash of a key: the one hash the cache uses.
 pub(crate) fn key_hash(key: &str) -> u64 {
+    fnv1a(key.bytes())
+}
+
+/// FNV-1a (64-bit) over `bytes`.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.bytes() {
+    for byte in bytes {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }

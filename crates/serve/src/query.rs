@@ -15,7 +15,7 @@
 //! silently evaluated something else would poison the cache under its
 //! wrong name.
 
-use std::fmt::Write;
+use std::ops::Range;
 
 use exa_apps::query::{is_known_app, is_known_machine};
 use serde::Serialize;
@@ -105,38 +105,56 @@ impl Query {
     /// offending token; a `|` anywhere in a token is an error, because
     /// it separates the fields of the cache key.
     pub fn parse(text: &str) -> Result<Query, String> {
-        let q = QueryRef::parse(text)?;
+        let mut knobs = Vec::new();
+        let q = QueryRef::parse(text, &mut knobs)?;
         Ok(Query {
             app: q.app.to_string(),
             machine: q.machine.to_string(),
             nodes: q.nodes,
-            knobs: q.knobs.iter().map(|&(n, f)| (n.to_string(), f)).collect(),
+            knobs: knobs.iter().map(|&(n, f)| (n.to_string(), f)).collect(),
             scenario: q.scenario.to_string(),
         })
     }
 }
 
-/// A [`Query`] whose text fields borrow the query text: what the service
-/// parses each request into, so that parsing allocates only the knob
-/// list.
+/// A [`Query`] whose text fields borrow the query text and whose knobs
+/// sit in a buffer shared with the other queries of its batch: what the
+/// service parses each request into, so that parsing allocates nothing
+/// per query.
 #[derive(Debug)]
 pub(crate) struct QueryRef<'a> {
     pub app: &'a str,
     pub machine: &'a str,
     pub nodes: u32,
-    /// Sorted by needle.
-    pub knobs: Vec<(&'a str, f64)>,
+    /// Its knobs, sorted by needle, as a range of the knob buffer it was
+    /// parsed into.
+    pub knobs: Range<usize>,
     pub scenario: &'a str,
 }
 
 impl<'a> QueryRef<'a> {
     /// The grammar, in one pass over the tokens; see [`Query::parse`].
-    pub fn parse(text: &'a str) -> Result<Self, String> {
+    /// The query's knobs are appended to `knobs`, sorted by needle; on an
+    /// error `knobs` is left as it was.
+    pub fn parse(text: &'a str, knobs: &mut Vec<(&'a str, f64)>) -> Result<Self, String> {
+        let start = knobs.len();
+        let parsed = Self::fields(text, knobs, start);
+        if parsed.is_err() {
+            knobs.truncate(start);
+        }
+        parsed
+    }
+
+    /// [`QueryRef::parse`], its knobs appended to `knobs` from `start`.
+    fn fields(
+        text: &'a str,
+        knobs: &mut Vec<(&'a str, f64)>,
+        start: usize,
+    ) -> Result<Self, String> {
         let mut app: Option<&str> = None;
         let mut machine: Option<&str> = None;
         let mut nodes: Option<u32> = None;
         let mut scenario: Option<&str> = None;
-        let mut knobs: Vec<(&str, f64)> = Vec::new();
         for token in text.split_whitespace() {
             let (field, value) = token
                 .split_once('=')
@@ -174,7 +192,7 @@ impl<'a> QueryRef<'a> {
                     if !factor.is_finite() || factor <= 0.0 {
                         return Err(format!("knob factor {factor} must be finite and positive"));
                     }
-                    if knobs.iter().any(|&(n, _)| n == needle) {
+                    if knobs[start..].iter().any(|&(n, _)| n == needle) {
                         return Err(format!("duplicate knob '{needle}'"));
                     }
                     knobs.push((needle, factor));
@@ -189,19 +207,22 @@ impl<'a> QueryRef<'a> {
         if !is_known_machine(machine) {
             return Err(format!("unknown machine '{machine}'"));
         }
-        knobs.sort_by(|a, b| a.0.cmp(b.0));
+        // Needles are distinct, so the unstable sort, which allocates
+        // nothing, gives the one sorted order.
+        knobs[start..].sort_unstable_by(|a, b| a.0.cmp(b.0));
         Ok(QueryRef {
             app,
             machine,
             nodes: nodes.unwrap_or(0),
-            knobs,
+            knobs: start..knobs.len(),
             scenario: scenario.unwrap_or_default(),
         })
     }
 
-    /// Append the canonical cache key (see [`Query::key`]) to `key`.
-    pub fn write_key(&self, key: &mut String) {
-        let knobs = self.knobs.iter().copied();
+    /// Append the canonical cache key (see [`Query::key`]) to `key`;
+    /// `knobs` is the buffer the query was parsed into.
+    pub fn write_key(&self, key: &mut String, knobs: &[(&str, f64)]) {
+        let knobs = knobs[self.knobs.clone()].iter().copied();
         write_key(
             key,
             self.app,
@@ -214,7 +235,8 @@ impl<'a> QueryRef<'a> {
 }
 
 /// Append the key [`Query::key`] describes, from a query's fields (knobs
-/// sorted by needle), to `key`.
+/// sorted by needle), to `key`. Numbers are written digit by digit, as
+/// `fmt` would spell them but without its machinery.
 fn write_key<'k>(
     key: &mut String,
     app: &str,
@@ -226,14 +248,41 @@ fn write_key<'k>(
     push_escaped(key, app);
     key.push('|');
     push_escaped(key, machine);
-    write!(key, "|{nodes}").expect("a String takes any write");
+    key.push('|');
+    push_decimal(key, nodes);
     for (needle, factor) in knobs {
         key.push('|');
         push_escaped(key, needle);
-        write!(key, "={:016x}", factor.to_bits()).expect("a String takes any write");
+        key.push('=');
+        push_hex16(key, factor.to_bits());
     }
     key.push('|');
     push_escaped(key, scenario);
+}
+
+/// Append `n` in decimal, as `{n}` spells it.
+fn push_decimal(key: &mut String, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    key.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Append `bits` as 16 lowercase hex digits, as `{bits:016x}` spells it.
+fn push_hex16(key: &mut String, bits: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+    }
+    key.push_str(std::str::from_utf8(&digits).expect("ASCII digits"));
 }
 
 /// Append `value` to a cache key with the key's separator `|` and the
@@ -281,6 +330,21 @@ mod tests {
         // ...but a different factor does.
         let c = Query::parse("app=LSMS machine=Summit knob:a=3.0000000001 knob:b=2").unwrap();
         assert_ne!(a.key(), c.key());
+    }
+
+    /// The key spells numbers exactly as `fmt` does.
+    #[test]
+    fn key_numbers_match_their_fmt_spelling() {
+        for n in [0, 1, 9, 10, 99, 100, 128, 1024, 4_294_967_295] {
+            let mut key = String::new();
+            push_decimal(&mut key, n);
+            assert_eq!(key, format!("{n}"));
+        }
+        for bits in [0, 1, 0xf, 0x10, 0x3ff0_0000_0000_0001, u64::MAX] {
+            let mut key = String::new();
+            push_hex16(&mut key, bits);
+            assert_eq!(key, format!("{bits:016x}"));
+        }
     }
 
     #[test]

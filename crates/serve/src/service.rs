@@ -35,7 +35,7 @@
 //! first insert would give, whatever the thread schedule. A final serial
 //! pass lands RED metrics, stats, and spans in batch order.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,13 +43,13 @@ use std::time::Instant;
 use exa_apps::query::{evaluate_query, QueryAnswer};
 use exa_machine::SimTime;
 use exa_telemetry::{
-    labeled_key, Histogram, MetricsRegistry, PoolTelemetry, Span, SpanCat, TelemetryCollector,
-    TrackId, TrackKind,
+    labeled_key, push_labeled_key, Histogram, MetricsRegistry, PoolTelemetry, Span, SpanCat,
+    TelemetryCollector, TrackId, TrackKind,
 };
 use serde::Serialize;
 use workpool::ThreadPool;
 
-use crate::cache::{key_hash, Shard, ShardedLru};
+use crate::cache::{fnv1a, key_hash, Shard, ShardedLru};
 use crate::query::QueryRef;
 
 /// An SLO drill: matching queries are re-evaluated until their
@@ -181,7 +181,8 @@ struct Item<'r> {
     parsed: usize,
     /// Its cache key, as a range of the batch's key text.
     key: Range<usize>,
-    /// Its `(app, scenario)` label pair, as an index into the batch's.
+    /// Its `(app, scenario)` label pair, as an index into the RED
+    /// tally's.
     pair: usize,
     hash: u64,
     /// The cache's disposition: hit, miss or coalesced, also when the
@@ -195,22 +196,33 @@ struct Item<'r> {
     eval_s: f64,
 }
 
-/// A batch's RED metrics: counts and histograms, landed under one
-/// registry lock.
+/// The RED metrics of the batch in flight: counts and histograms, landed
+/// under one registry lock. The service keeps one and resets it when a
+/// batch starts, so its label-pair tallies, their histograms' bucket
+/// tables and their rendered label keys are reused, not rebuilt. It
+/// keeps as many tallies as the batch with the most label pairs needed,
+/// never one per pair the service has seen.
 #[derive(Default)]
-struct RedBatch {
+struct RedTally {
     /// Requests per disposition, indexed like [`STATUS_COUNTERS`].
     by_status: [u64; 4],
     /// Distinct misses evaluated (those whose evaluation failed too).
     evaluated: u64,
     latency: Histogram,
-    /// Indexed like the batch's label pairs.
+    /// The batch's label pairs, in order of first appearance, in
+    /// `pairs[..live]`; the tallies after them wait for a later batch.
     pairs: Vec<PairTally>,
+    live: usize,
+    /// The first live tally of each pair hash.
+    index: HashMap<u64, usize>,
 }
 
 /// The labeled series of one `(app, scenario)` label pair.
 #[derive(Default)]
 struct PairTally {
+    /// The pair, as spelled.
+    app: String,
+    scenario: String,
     /// `serve.requests{app, cache, scenario}`, indexed like
     /// [`STATUS_COUNTERS`].
     requests: [u64; 4],
@@ -219,6 +231,44 @@ struct PairTally {
     latency: Histogram,
     /// `fom.eval_s{app, scenario}` of the pair's misses.
     eval: Histogram,
+    /// The series' registry keys, rendered for `(app, scenario)`:
+    /// `serve.requests` per disposition, then `serve.latency_s` and
+    /// `fom.eval_s`.
+    keys: [String; 6],
+}
+
+impl PairTally {
+    fn is(&self, app: &str, scenario: &str) -> bool {
+        self.app == app && same(&self.scenario, scenario)
+    }
+
+    /// Take this tally, empty, for `(app, scenario)`, rendering its keys
+    /// again only when the pair differs from the one it last served.
+    fn claim(&mut self, app: &str, scenario: &str) {
+        self.requests = [0; 4];
+        self.latency.clear();
+        self.eval.clear();
+        if self.is(app, scenario) && !self.keys[0].is_empty() {
+            return;
+        }
+        self.app.clear();
+        self.app.push_str(app);
+        self.scenario.clear();
+        self.scenario.push_str(scenario);
+        self.keys.iter_mut().for_each(String::clear);
+        let [requests @ .., latency, eval] = &mut self.keys;
+        for (key, status) in requests.iter_mut().zip(STATUSES) {
+            let labels = [
+                ("app", app),
+                ("cache", status.label()),
+                ("scenario", scenario),
+            ];
+            push_labeled_key(key, "serve.requests", &labels);
+        }
+        push_labeled_key(latency, "serve.latency_s", &[("app", app)]);
+        let labels = [("app", app), ("scenario", scenario)];
+        push_labeled_key(eval, "fom.eval_s", &labels);
+    }
 }
 
 /// Each disposition, in `CacheStatus` order.
@@ -273,6 +323,7 @@ pub struct CampaignService {
     stats: ServeStats,
     /// Per-app wall-clock latency for the current epoch.
     epoch: BTreeMap<String, Histogram>,
+    red: RedTally,
 }
 
 impl CampaignService {
@@ -317,6 +368,7 @@ impl CampaignService {
             traced: 0,
             stats: ServeStats::default(),
             epoch: BTreeMap::new(),
+            red: RedTally::default(),
         }
     }
 
@@ -379,8 +431,7 @@ impl CampaignService {
     /// A one-thread pool runs the shard tasks inline, in shard order.
     pub fn run_batch(&mut self, queries: &[String]) -> Vec<QueryOutcome> {
         let mut outcomes = vec![QueryOutcome::UNANSWERED; queries.len()];
-        let mut red = RedBatch::default();
-        let mut batch = parse(&self.cache, queries, &mut outcomes, &mut red);
+        let mut batch = parse(&self.cache, queries, &mut outcomes, &mut self.red);
         let drill = self.drill.as_ref();
         let pool = &*self.pool;
         let shards = self.cache.shards_mut();
@@ -396,35 +447,35 @@ impl CampaignService {
                 .items
                 .chunk_by_mut(|a, b| a.shard == b.shard)
                 .peekable();
-            let (parsed, keys) = (&batch.parsed, batch.keys.as_str());
+            let parsed = Parsed {
+                queries: &batch.parsed,
+                knobs: &batch.knobs,
+                keys: &batch.keys,
+            };
             for (s, shard) in shards.iter_mut().enumerate() {
                 if let Some(run) = runs.next_if(|run| run[0].shard == s) {
-                    scope.spawn(move || resolve(pool, split, shard, run, parsed, keys, drill));
+                    scope.spawn(move || resolve(pool, split, shard, run, parsed, drill));
                 }
             }
         });
         for item in &batch.items {
-            red.record(item);
+            self.red.record(item);
         }
-        let Batch { pairs, pair_of, .. } = batch;
-        self.land(&outcomes, &pairs, &pair_of, &red);
+        let Batch { pair_of, .. } = batch;
+        self.land(&outcomes, &pair_of);
         outcomes
     }
 
     /// Step 3 of [`Self::run_batch`].
-    fn land(
-        &mut self,
-        outcomes: &[QueryOutcome],
-        pairs: &[(&str, &str)],
-        pair_of: &[Option<usize>],
-        red: &RedBatch,
-    ) {
+    fn land(&mut self, outcomes: &[QueryOutcome], pair_of: &[Option<usize>]) {
+        let red = &self.red;
         let n = outcomes.len() as u64;
         self.stats.requests += n;
         self.stats.hits += red.by_status[CacheStatus::Hit as usize];
         self.stats.misses += red.by_status[CacheStatus::Miss as usize];
         self.stats.coalesced += red.by_status[CacheStatus::Coalesced as usize];
         self.stats.errors += red.by_status[CacheStatus::Error as usize];
+        let pairs = &red.pairs[..red.live];
 
         // Virtual-time span trees of the sampled queries, in batch order.
         let sample = self.config.trace_sample.max(1);
@@ -436,7 +487,7 @@ impl CampaignService {
             }
             self.traced += 1;
             let i = (seq - self.seq) as usize;
-            let query = pair_of[i].map(|pair| pairs[pair]);
+            let query = pair_of[i].map(|pair| (&*pairs[pair].app, &*pairs[pair].scenario));
             let lane = (seq % self.lane_tracks.len() as u64) as usize;
             let (spans, end) = span_tree(&outcomes[i], query, self.lane_cursor_s[lane]);
             lane_spans[lane].extend(spans);
@@ -448,11 +499,11 @@ impl CampaignService {
                 self.collector.complete_batch(self.lane_tracks[lane], spans);
             }
         }
-        for (&(app, _), tally) in pairs.iter().zip(&red.pairs) {
-            match self.epoch.get_mut(app) {
+        for tally in pairs {
+            match self.epoch.get_mut(&tally.app) {
                 Some(epoch) => epoch.merge(&tally.latency),
                 None => {
-                    self.epoch.insert(app.to_string(), tally.latency.clone());
+                    self.epoch.insert(tally.app.clone(), tally.latency.clone());
                 }
             }
         }
@@ -464,7 +515,7 @@ impl CampaignService {
         let occupancy = self.cache.shard_occupancy();
         let shard_gauges = &self.shard_gauges;
         self.collector.metrics(|m| {
-            red.land(pairs, m);
+            red.land(m);
             m.gauge_max("serve.inflight.peak", red.evaluated as f64);
             m.gauge_set("serve.cache.len", cache_len);
             m.gauge_set("serve.cache.capacity", cache_capacity);
@@ -478,27 +529,27 @@ impl CampaignService {
 
 /// Step 1 of [`CampaignService::run_batch`]: the batch's queries parsed
 /// and grouped by their shard in `cache`. A query that does not parse is
-/// answered in `outcomes` and counted in `red`, which gets a tally for
-/// each label pair of the batch.
+/// answered in `outcomes`. `red` is reset for the batch, then counts the
+/// queries that did not parse and gets a tally for each label pair.
 fn parse<'q, 'r>(
     cache: &ShardedLru<QueryAnswer>,
     queries: &'q [String],
     outcomes: &'r mut [QueryOutcome],
-    red: &mut RedBatch,
+    red: &mut RedTally,
 ) -> Batch<'q, 'r> {
+    red.reset();
     let mut batch = Batch {
         parsed: Vec::with_capacity(queries.len()),
+        knobs: Vec::with_capacity(queries.len()),
         keys: String::with_capacity(64 * queries.len()),
         items: Vec::with_capacity(queries.len()),
-        pairs: Vec::new(),
         pair_of: Vec::with_capacity(queries.len()),
     };
-    let mut pair_index: BTreeMap<(&str, &str), usize> = BTreeMap::new();
     let mut t0 = Instant::now();
     for (text, out) in queries.iter().zip(outcomes) {
-        let query = QueryRef::parse(text).map(|query| {
+        let query = QueryRef::parse(text, &mut batch.knobs).map(|query| {
             let start = batch.keys.len();
-            query.write_key(&mut batch.keys);
+            query.write_key(&mut batch.keys, &batch.knobs);
             (start..batch.keys.len(), query)
         });
         let t1 = Instant::now();
@@ -513,14 +564,7 @@ fn parse<'q, 'r>(
                 continue;
             }
         };
-        let pairs = batch.pairs.len();
-        let pair = *pair_index
-            .entry((query.app, query.scenario))
-            .or_insert_with(|| {
-                batch.pairs.push((query.app, query.scenario));
-                red.pairs.push(PairTally::default());
-                pairs
-            });
+        let pair = red.pair(query.app, query.scenario);
         let hash = key_hash(&batch.keys[key.clone()]);
         batch.pair_of.push(Some(pair));
         batch.items.push(Item {
@@ -546,15 +590,23 @@ fn parse<'q, 'r>(
 struct Batch<'q, 'r> {
     /// The queries that parsed, in batch order.
     parsed: Vec<QueryRef<'q>>,
+    /// Their knobs, back to back.
+    knobs: Vec<(&'q str, f64)>,
     /// Their cache keys, back to back.
     keys: String,
     /// Those queries, grouped by shard, each shard's in batch order.
     items: Vec<Item<'r>>,
-    /// The batch's `(app, scenario)` label pairs, as spelled, in order of
-    /// first appearance.
-    pairs: Vec<(&'q str, &'q str)>,
-    /// Each query's label pair; `None` for a query that did not parse.
+    /// Each query's label pair, as an index into the RED tally's; `None`
+    /// for a query that did not parse.
     pair_of: Vec<Option<usize>>,
+}
+
+/// What a shard task reads of the batch's parse.
+#[derive(Clone, Copy)]
+struct Parsed<'b, 'q> {
+    queries: &'b [QueryRef<'q>],
+    knobs: &'b [(&'q str, f64)],
+    keys: &'b str,
 }
 
 /// The span tree of one traced query, from `start_s` on its lane: the
@@ -616,10 +668,10 @@ fn resolve(
     split: bool,
     shard: &mut Shard<QueryAnswer>,
     items: &mut [Item<'_>],
-    parsed: &[QueryRef<'_>],
-    keys: &str,
+    parsed: Parsed<'_, '_>,
     drill: Option<&SloDrill>,
 ) {
+    let keys = parsed.keys;
     // Probe in batch order. The shard's misses so far, by key, to the
     // position of their item: a tree, as clients pick the keys.
     let mut pending: BTreeMap<&str, usize> = BTreeMap::new();
@@ -672,7 +724,7 @@ fn resolve(
                 }
             }
             None => {
-                let app = parsed[item.parsed].app;
+                let app = parsed.queries[item.parsed].app;
                 item.out.error = Some(format!("evaluation failed for '{app}'"));
             }
         }
@@ -681,15 +733,50 @@ fn resolve(
 
 impl Item<'_> {
     /// Evaluate this item's query, a miss, into its outcome.
-    fn evaluate(&mut self, parsed: &[QueryRef<'_>], drill: Option<&SloDrill>) {
+    fn evaluate(&mut self, parsed: Parsed<'_, '_>, drill: Option<&SloDrill>) {
         let t0 = Instant::now();
-        let (answer, t1) = evaluate(&parsed[self.parsed], drill, t0);
+        let query = &parsed.queries[self.parsed];
+        let knobs = &parsed.knobs[query.knobs.clone()];
+        let (answer, t1) = evaluate(query, knobs, drill, t0);
         self.out.answer = answer;
         self.eval_s = (t1 - t0).as_secs_f64();
     }
 }
 
-impl RedBatch {
+impl RedTally {
+    /// Empty the tally for a new batch, keeping its memory.
+    fn reset(&mut self) {
+        self.by_status = [0; 4];
+        self.evaluated = 0;
+        self.latency.clear();
+        self.live = 0;
+        self.index.clear();
+    }
+
+    /// The tally of the label pair `(app, scenario)`, claimed on the
+    /// pair's first query of the batch.
+    fn pair(&mut self, app: &str, scenario: &str) -> usize {
+        let hash = pair_hash(app, scenario);
+        if let Some(&first) = self.index.get(&hash) {
+            if self.pairs[first].is(app, scenario) {
+                return first;
+            }
+            // Two pairs share a hash: the later ones are found by a scan.
+            let live = &self.pairs[..self.live];
+            if let Some(pair) = live.iter().position(|p| p.is(app, scenario)) {
+                return pair;
+            }
+        }
+        let pair = self.live;
+        if pair == self.pairs.len() {
+            self.pairs.push(PairTally::default());
+        }
+        self.pairs[pair].claim(app, scenario);
+        self.live += 1;
+        self.index.entry(hash).or_insert(pair);
+        pair
+    }
+
     /// Count a query that did not parse: bare aggregates only.
     fn record_error(&mut self, latency_s: f64) {
         self.by_status[CacheStatus::Error as usize] += 1;
@@ -716,7 +803,7 @@ impl RedBatch {
     /// Add the batch to the registry. Counters add and histograms merge
     /// exactly, so the registry ends as if every request had been recorded
     /// on its own; a series no request touched is not created.
-    fn land(&self, pairs: &[(&str, &str)], m: &mut MetricsRegistry) {
+    fn land(&self, m: &mut MetricsRegistry) {
         let requests: u64 = self.by_status.iter().sum();
         if requests == 0 {
             return;
@@ -728,27 +815,33 @@ impl RedBatch {
             }
         }
         m.hist_merge("serve.latency_s", &self.latency);
-        for (&(app, scenario), tally) in pairs.iter().zip(&self.pairs) {
-            for (status, &n) in STATUSES.iter().zip(&tally.requests) {
+        for tally in &self.pairs[..self.live] {
+            let [requests @ .., latency, eval] = &tally.keys;
+            for (key, &n) in requests.iter().zip(&tally.requests) {
                 if n > 0 {
-                    let labels = [
-                        ("app", app),
-                        ("cache", status.label()),
-                        ("scenario", scenario),
-                    ];
-                    m.counter_add(&labeled_key("serve.requests", &labels), n);
+                    m.counter_add(key, n);
                 }
             }
-            m.hist_merge(
-                &labeled_key("serve.latency_s", &[("app", app)]),
-                &tally.latency,
-            );
+            m.hist_merge(latency, &tally.latency);
             if !tally.eval.is_empty() {
-                let labels = [("app", app), ("scenario", scenario)];
-                m.hist_merge(&labeled_key("fom.eval_s", &labels), &tally.eval);
+                m.hist_merge(eval, &tally.eval);
             }
         }
     }
+}
+
+/// `a == b`, without comparing bytes when both are empty, as a clean
+/// query's scenario is: an empty string's pointer dangles, and the C
+/// library's `bcmp` of zero bytes at a dangling pointer took about 150 ns
+/// on an AVX-512 host, against 3 ns for five bytes.
+fn same(a: &str, b: &str) -> bool {
+    a.len() == b.len() && (a.is_empty() || a == b)
+}
+
+/// The hash a label pair is indexed by: FNV-1a over the app, a byte no
+/// UTF-8 text holds, and the scenario.
+fn pair_hash(app: &str, scenario: &str) -> u64 {
+    fnv1a(app.bytes().chain([0xff]).chain(scenario.bytes()))
 }
 
 /// A fixed-duration depth-1 pipeline step span.
@@ -768,11 +861,11 @@ fn step_span(name: impl Into<std::borrow::Cow<'static, str>>, start_s: f64, dur_
 /// are identical — the evaluation is pure).
 fn evaluate(
     q: &QueryRef<'_>,
+    knobs: &[(&str, f64)],
     drill: Option<&SloDrill>,
     t0: Instant,
 ) -> (Option<QueryAnswer>, Instant) {
-    let knobs: Vec<(String, f64)> = q.knobs.iter().map(|&(n, f)| (n.to_string(), f)).collect();
-    let evaluate = || evaluate_query(q.app, q.machine, q.nodes, &knobs, q.scenario);
+    let evaluate = || evaluate_query(q.app, q.machine, q.nodes, knobs, q.scenario);
     let answer = evaluate();
     if let Some(d) = drill.filter(|d| d.app.eq_ignore_ascii_case(q.app)) {
         // Repeats run warm and cost a fraction of the first run, so the
@@ -783,4 +876,37 @@ fn evaluate(
         }
     }
     (answer, Instant::now())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Batches of three label pairs each, every batch with tags no
+    /// earlier batch used: the service keeps three tallies, not one per
+    /// pair it has seen, and each batch's series land under their own
+    /// labels.
+    #[test]
+    fn the_red_tally_keeps_what_the_largest_batch_needs() {
+        let mut svc = CampaignService::new(ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        });
+        for round in 0..20 {
+            let batch: Vec<String> = ["a", "b", "c", "a"]
+                .iter()
+                .map(|tag| format!("app=CoMet machine=Frontier scenario={tag}{round}"))
+                .collect();
+            svc.run_batch(&batch);
+            assert_eq!(svc.red.pairs.len(), 3, "round {round}");
+            let requests = |tag: &str| {
+                let labels = [("app", "CoMet"), ("cache", "miss"), ("scenario", tag)];
+                svc.collector()
+                    .snapshot()
+                    .counter(&labeled_key("serve.requests", &labels))
+            };
+            assert_eq!(requests(&format!("a{round}")), 1, "round {round}");
+            assert_eq!(requests(&format!("c{round}")), 1, "round {round}");
+        }
+    }
 }

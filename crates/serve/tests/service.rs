@@ -166,8 +166,9 @@ fn cached_answer_is_bit_identical_to_cold_evaluation_for_every_table2_app() {
             "{name}: cached answer differs from the evaluated one"
         );
         // And both match a direct evaluation outside the service.
+        let clean: [(&str, f64); 0] = [];
         let direct =
-            exa_apps::query::evaluate_query(name, "Frontier", 0, &[], "").expect("evaluates");
+            exa_apps::query::evaluate_query(name, "Frontier", 0, &clean, "").expect("evaluates");
         assert_eq!(
             direct.fom_value.to_bits(),
             warm.fom_value.to_bits(),

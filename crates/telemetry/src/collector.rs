@@ -101,6 +101,14 @@ impl TelemetryCollector {
         f(&mut self.lock().metrics)
     }
 
+    /// Run `f` against the timeline and the metrics registry under one
+    /// lock: the path of a caller landing many spans and samples at once.
+    pub fn with_parts<R>(&self, f: impl FnOnce(&mut Timeline, &mut MetricsRegistry) -> R) -> R {
+        let mut g = self.lock();
+        let Inner { timeline, metrics } = &mut *g;
+        f(timeline, metrics)
+    }
+
     /// Run `f` against the timeline (read access for exporters/tests).
     pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> R {
         f(&self.lock().timeline)

@@ -163,31 +163,35 @@ pub fn prometheus_name(name: &str) -> String {
 /// empty values are dropped — a clean run's `scenario=""` never clutters
 /// the series — and an all-empty label list yields the bare base name.
 pub fn labeled_key(base: &str, labels: &[(&str, &str)]) -> String {
-    let live: Vec<&(&str, &str)> = labels.iter().filter(|(_, v)| !v.is_empty()).collect();
-    if live.is_empty() {
-        return base.to_string();
-    }
     let mut s = String::with_capacity(base.len() + 16);
-    s.push_str(base);
-    s.push('{');
-    for (i, (k, v)) in live.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(k);
-        s.push_str("=\"");
+    push_labeled_key(&mut s, base, labels);
+    s
+}
+
+/// Append [`labeled_key`]`(base, labels)` to `out`, allocating nothing
+/// when `out` has room: the form a caller that re-renders keys into
+/// buffers it keeps uses.
+pub fn push_labeled_key(out: &mut String, base: &str, labels: &[(&str, &str)]) {
+    out.push_str(base);
+    let mut sep = '{';
+    for (k, v) in labels.iter().filter(|(_, v)| !v.is_empty()) {
+        out.push(sep);
+        sep = ',';
+        out.push_str(k);
+        out.push_str("=\"");
         for ch in v.chars() {
             match ch {
-                '\\' => s.push_str("\\\\"),
-                '"' => s.push_str("\\\""),
-                '\n' => s.push_str("\\n"),
-                c => s.push(c),
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
             }
         }
-        s.push('"');
+        out.push('"');
     }
-    s.push('}');
-    s
+    if sep == ',' {
+        out.push('}');
+    }
 }
 
 /// Split a registry key into `(base, label_block)`: the block includes its

@@ -40,7 +40,9 @@ pub use collector::TelemetryCollector;
 pub use critical_path::{
     fault_attribution, rank_attribution, span_profile, CriticalPath, RankAttribution,
 };
-pub use export::{folded_stacks, labeled_key, prometheus_text, RooflinePoint, RooflineReport};
+pub use export::{
+    folded_stacks, labeled_key, prometheus_text, push_labeled_key, RooflinePoint, RooflineReport,
+};
 pub use ledger::{digest64, FomKind, FomLedger, FomRecord, LEDGER_FILE};
 pub use metrics::{Histogram, MetricSource, MetricsRegistry, TelemetrySnapshot};
 pub use pool_obs::PoolTelemetry;

@@ -144,6 +144,17 @@ impl Histogram {
         }
     }
 
+    /// Empty the histogram, keeping its bucket table's memory: the form
+    /// a tally reused batch after batch resets with.
+    pub fn clear(&mut self) {
+        let mut buckets = std::mem::take(&mut self.buckets);
+        buckets.clear();
+        *self = Histogram {
+            buckets,
+            ..Histogram::default()
+        };
+    }
+
     /// Recorded sample count.
     pub fn count(&self) -> u64 {
         self.count
@@ -303,6 +314,12 @@ impl MetricsRegistry {
     /// Record one sample into a named histogram (creating it empty).
     pub fn hist_record(&mut self, name: &str, v: f64) {
         slot(&mut self.hists, name, Histogram::default).record(v);
+    }
+
+    /// The named histogram (created empty), for a caller recording many
+    /// samples into one series with one lookup.
+    pub fn hist_mut(&mut self, name: &str) -> &mut Histogram {
+        slot(&mut self.hists, name, Histogram::default)
     }
 
     /// Fold a whole histogram into a named slot — the bulk path observers

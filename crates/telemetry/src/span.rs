@@ -4,6 +4,7 @@
 
 use exa_machine::SimTime;
 use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// What resource a track represents. Drives the Perfetto track naming and
 /// lets exporters group device queues away from host phases.
@@ -160,17 +161,28 @@ impl Track {
 #[derive(Debug, Default)]
 pub struct Timeline {
     tracks: Vec<Track>,
+    /// Each track's index in `tracks`, by name: a communicator registers
+    /// one track per rank, so a scan per registration would make
+    /// attaching one quadratic in its rank count.
+    by_name: HashMap<String, usize>,
 }
 
 impl Timeline {
     /// Find-or-create a track by name. Re-registering an existing name
-    /// returns the original id (streams and communicators can re-attach).
+    /// returns the original id (streams and communicators can re-attach);
+    /// it must name the kind the track was registered with.
     pub fn track(&mut self, name: &str, kind: TrackKind) -> TrackId {
-        if let Some(i) = self.tracks.iter().position(|t| t.name == name) {
+        if let Some(&i) = self.by_name.get(name) {
+            debug_assert_eq!(
+                self.tracks[i].kind, kind,
+                "track '{name}' re-registered as another kind"
+            );
             return TrackId(i);
         }
+        let i = self.tracks.len();
         self.tracks.push(Track::new(name.to_string(), kind));
-        TrackId(self.tracks.len() - 1)
+        self.by_name.insert(name.to_string(), i);
+        TrackId(i)
     }
 
     /// All tracks in registration order.
@@ -304,6 +316,37 @@ mod tests {
         let b = tl.track("gpu0", TrackKind::DeviceQueue);
         assert_eq!(a, b);
         assert_eq!(tl.tracks().len(), 1);
+    }
+
+    /// Ids and order are those of first registration, however many
+    /// tracks there are and however often each is looked up again.
+    #[test]
+    fn track_ids_follow_first_registration() {
+        let mut tl = Timeline::default();
+        let names: Vec<String> = (0..100).map(|r| format!("world/rank{r}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(tl.track(name, TrackKind::CommRank), TrackId(i));
+        }
+        for (i, name) in names.iter().enumerate().rev() {
+            assert_eq!(tl.track(name, TrackKind::CommRank), TrackId(i));
+        }
+        let host = tl.track("host", TrackKind::Host);
+        assert_eq!(host, TrackId(names.len()));
+        let listed: Vec<&str> = tl.tracks().iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(
+            listed[..names.len()],
+            names.iter().map(String::as_str).collect::<Vec<_>>()[..]
+        );
+        assert_eq!(listed[names.len()], "host");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "re-registered as another kind")]
+    fn re_registering_a_name_as_another_kind_is_a_bug() {
+        let mut tl = Timeline::default();
+        tl.track("gpu0", TrackKind::DeviceQueue);
+        tl.track("gpu0", TrackKind::Host);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 #   6. every workspace test, at EXA_THREADS=1 and at EXA_THREADS=4;
 #   7. the benchmark's own tests (exabench/), so an API change the benchmark
 #      imports fails here rather than in a benchmark run;
-#   8. `reproduce paper` (the eleven paper artifacts) and five gates;
-#   9. the four gates that pin EXA_THREADS=4;
-#  10. every BENCHMARK.json workload for 1 s, untraced: the benchmark's own
+#   8. each example (examples/*.rs), one step apiece, so that its `assert!`s
+#      check something: an example that panics exits non-zero;
+#   9. `reproduce paper` (the eleven paper artifacts) and five gates;
+#  10. the four gates that pin EXA_THREADS=4;
+#  11. every BENCHMARK.json workload for 1 s, untraced: the benchmark's own
 #      answer check must report `"correct": true` and `"failed": 0`.
 #
 # Each experiment checks the artifacts it writes and makes `reproduce` exit
@@ -61,6 +63,9 @@ for threads in 1 4; do
     step env EXA_THREADS=$threads cargo test --workspace -q
 done
 step cargo test --offline -q --manifest-path exabench/Cargo.toml
+for example in examples/*.rs; do
+    step cargo run --release -q --example "$(basename "$example" .rs)"
+done
 step cargo run --release -q -p exa-bench --bin reproduce -- paper user_guide profile_export fom_ledger comm_overlap sim_throughput autotune
 step env EXA_THREADS=4 cargo run --release -q -p exa-bench --bin reproduce -- obs_export telemetry_overhead fault_scenarios campaign_load
 for workload in $(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do
@@ -72,4 +77,4 @@ if ((${#failed[@]})); then
     printf 'tier1:   %s\n' "${failed[@]}" >&2
     exit 1
 fi
-echo "tier1: build + clippy + fmt + rustdoc + reach check + workspace tests (EXA_THREADS=1,4) + exabench tests + paper experiments + gates + benchmark answer checks all green"
+echo "tier1: build + clippy + fmt + rustdoc + reach check + workspace tests (EXA_THREADS=1,4) + exabench tests + examples + paper experiments + gates + benchmark answer checks all green"
