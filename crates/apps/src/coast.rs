@@ -212,14 +212,6 @@ impl Application for Coast {
         vec![Motif::CudaHipPorting, Motif::AlgorithmicOptimizations]
     }
 
-    fn challenge_problem(&self) -> String {
-        format!(
-            "All-pairs shortest path on a {}-vertex SPOKE-like knowledge graph, \
-             distributed blocked Floyd-Warshall",
-            self.vertices
-        )
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::throughput("sustained rate", "PFLOP/s (machine)")
     }

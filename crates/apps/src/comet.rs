@@ -175,13 +175,6 @@ impl Application for CoMet {
         ]
     }
 
-    fn challenge_problem(&self) -> String {
-        format!(
-            "2-way CCC over {} vectors/GPU x {} samples, mixed FP16/FP32 GEMM",
-            self.vectors_per_gpu, self.vector_len
-        )
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::throughput("comparisons", "vector-pair comparisons/s/card")
     }

@@ -274,13 +274,6 @@ impl Application for E3sm {
         ]
     }
 
-    fn challenge_problem(&self) -> String {
-        format!(
-            "MMF cloud-resolving physics at {} columns/GPU, 1000-2000x realtime target",
-            cal::COLUMNS_PER_GPU
-        )
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::throughput("column throughput", "column-steps/s/GPU")
     }

@@ -180,12 +180,6 @@ impl Application for ExaSky {
         ]
     }
 
-    fn challenge_problem(&self) -> String {
-        "HACC gravity-only weak-scaling benchmark: six short-range kernels + PM solve \
-         across the full machine"
-            .into()
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::throughput("particle-steps", "particle-steps/s (machine)")
     }
@@ -289,405 +283,6 @@ mod tests {
         assert!(
             ratio > 120.0 && ratio < 400.0,
             "Frontier/Theta FOM ratio {ratio} should be in the ~230x regime"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Particle-mesh long-range solver (the PM half of HACC's gravity split).
-// ---------------------------------------------------------------------------
-
-use exa_fft::{fft3d, ifft3d, C64};
-
-/// A periodic particle-mesh Poisson solver on an n³ grid: deposit with
-/// cloud-in-cell, solve ∇²φ = ρ spectrally, difference for the force.
-pub struct PmSolver {
-    /// Grid edge.
-    pub n: usize,
-}
-
-impl PmSolver {
-    /// New solver for an `n³` periodic grid (unit box).
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 4 && n.is_power_of_two());
-        PmSolver { n }
-    }
-
-    /// Cloud-in-cell deposit of unit-mass particles (positions in [0, 1)³).
-    pub fn deposit(&self, particles: &[[f64; 3]]) -> Vec<f64> {
-        let n = self.n;
-        let mut rho = vec![0.0f64; n * n * n];
-        for p in particles {
-            let g = [p[0] * n as f64, p[1] * n as f64, p[2] * n as f64];
-            let base = [
-                g[0].floor() as usize,
-                g[1].floor() as usize,
-                g[2].floor() as usize,
-            ];
-            let frac = [
-                g[0] - base[0] as f64,
-                g[1] - base[1] as f64,
-                g[2] - base[2] as f64,
-            ];
-            for dz in 0..2 {
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        let w = (if dx == 0 { 1.0 - frac[0] } else { frac[0] })
-                            * (if dy == 0 { 1.0 - frac[1] } else { frac[1] })
-                            * (if dz == 0 { 1.0 - frac[2] } else { frac[2] });
-                        let i = (base[0] + dx) % n;
-                        let j = (base[1] + dy) % n;
-                        let k = (base[2] + dz) % n;
-                        rho[(i * n + j) * n + k] += w;
-                    }
-                }
-            }
-        }
-        rho
-    }
-
-    /// Spectral Poisson solve: returns the potential φ with ∇²φ = ρ − ρ̄
-    /// (the mean is projected out, as in any periodic cosmology solver).
-    pub fn poisson(&self, rho: &[f64]) -> Vec<f64> {
-        let n = self.n;
-        assert_eq!(rho.len(), n * n * n);
-        let mut hat: Vec<C64> = rho.iter().map(|&r| C64::from_re(r)).collect();
-        fft3d(&mut hat, n, n, n);
-        let wave = |i: usize| -> f64 {
-            let k = if i <= n / 2 {
-                i as f64
-            } else {
-                i as f64 - n as f64
-            };
-            2.0 * std::f64::consts::PI * k
-        };
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    let idx = (i * n + j) * n + k;
-                    let k2 = wave(i).powi(2) + wave(j).powi(2) + wave(k).powi(2);
-                    hat[idx] = if k2 == 0.0 {
-                        C64::ZERO
-                    } else {
-                        hat[idx].scale(-1.0 / k2)
-                    };
-                }
-            }
-        }
-        ifft3d(&mut hat, n, n, n);
-        hat.into_iter().map(|z| z.re).collect()
-    }
-
-    /// Central-difference force field `-∇φ` per grid cell, per axis.
-    pub fn force(&self, phi: &[f64]) -> Vec<[f64; 3]> {
-        let n = self.n;
-        let h = 1.0 / n as f64;
-        let at = |i: isize, j: isize, k: isize| -> f64 {
-            let m = n as isize;
-            let (i, j, k) = (
-                i.rem_euclid(m) as usize,
-                j.rem_euclid(m) as usize,
-                k.rem_euclid(m) as usize,
-            );
-            phi[(i * n + j) * n + k]
-        };
-        let mut f = vec![[0.0f64; 3]; n * n * n];
-        for i in 0..n as isize {
-            for j in 0..n as isize {
-                for k in 0..n as isize {
-                    let idx = ((i as usize * n) + j as usize) * n + k as usize;
-                    f[idx] = [
-                        -(at(i + 1, j, k) - at(i - 1, j, k)) / (2.0 * h),
-                        -(at(i, j + 1, k) - at(i, j - 1, k)) / (2.0 * h),
-                        -(at(i, j, k + 1) - at(i, j, k - 1)) / (2.0 * h),
-                    ];
-                }
-            }
-        }
-        f
-    }
-}
-
-#[cfg(test)]
-mod pm_tests {
-    use super::*;
-    use std::f64::consts::PI;
-
-    #[test]
-    fn deposit_conserves_mass() {
-        let pm = PmSolver::new(8);
-        let particles: Vec<[f64; 3]> = (0..50)
-            .map(|i| {
-                [
-                    (i as f64 * 0.137) % 1.0,
-                    (i as f64 * 0.311) % 1.0,
-                    (i as f64 * 0.533) % 1.0,
-                ]
-            })
-            .collect();
-        let rho = pm.deposit(&particles);
-        let total: f64 = rho.iter().sum();
-        assert!(
-            (total - 50.0).abs() < 1e-9,
-            "CIC must conserve mass: {total}"
-        );
-        assert!(rho.iter().all(|&r| r >= 0.0));
-    }
-
-    #[test]
-    fn poisson_is_exact_on_a_plane_wave() {
-        // ρ = cos(2π x) has the analytic solution φ = -cos(2π x)/(2π)².
-        let n = 16;
-        let pm = PmSolver::new(n);
-        let mut rho = vec![0.0f64; n * n * n];
-        for i in 0..n {
-            let v = (2.0 * PI * i as f64 / n as f64).cos();
-            for j in 0..n {
-                for k in 0..n {
-                    rho[(i * n + j) * n + k] = v;
-                }
-            }
-        }
-        let phi = pm.poisson(&rho);
-        let k2 = (2.0 * PI).powi(2);
-        for i in 0..n {
-            let expect = -(2.0 * PI * i as f64 / n as f64).cos() / k2;
-            let got = phi[(i * n) * n];
-            assert!((got - expect).abs() < 1e-10, "i={i}: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn uniform_density_exerts_no_force() {
-        let n = 8;
-        let pm = PmSolver::new(n);
-        let rho = vec![1.0f64; n * n * n];
-        let phi = pm.poisson(&rho);
-        let f = pm.force(&phi);
-        for cell in &f {
-            for component in cell {
-                assert!(component.abs() < 1e-9, "uniform box must be force-free");
-            }
-        }
-    }
-
-    #[test]
-    fn force_points_toward_an_overdensity() {
-        let n = 16;
-        let pm = PmSolver::new(n);
-        // A blob of particles at the box centre.
-        let particles: Vec<[f64; 3]> = (0..64)
-            .map(|i| {
-                let t = i as f64 * 0.097;
-                [
-                    0.5 + 0.02 * t.sin(),
-                    0.5 + 0.02 * t.cos(),
-                    0.5 + 0.015 * (2.0 * t).sin(),
-                ]
-            })
-            .collect();
-        let rho = pm.deposit(&particles);
-        let phi = pm.poisson(&rho);
-        let f = pm.force(&phi);
-        // Sample a probe on the +x side: gravity (with our sign convention,
-        // attraction for positive mass) must pull it in -x, toward centre.
-        let probe = ((n * 3 / 4) * n + n / 2) * n + n / 2;
-        assert!(f[probe][0] != 0.0, "finite force at probe");
-        // The x-component on opposite sides points in opposite directions.
-        let left = ((n / 4) * n + n / 2) * n + n / 2;
-        assert!(
-            f[probe][0] * f[left][0] < 0.0,
-            "opposite sides must attract oppositely: {} vs {}",
-            f[probe][0],
-            f[left][0]
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PM N-body loop: kick–drift–kick over the spectral Poisson solve — HACC's
-// long-range integrator in miniature.
-// ---------------------------------------------------------------------------
-
-/// A periodic particle-mesh N-body system (unit box, unit masses).
-pub struct PmNbody {
-    /// The mesh solver.
-    pub pm: PmSolver,
-    /// Particle positions in [0, 1)³.
-    pub pos: Vec<[f64; 3]>,
-    /// Particle velocities.
-    pub vel: Vec<[f64; 3]>,
-    /// Gravitational coupling.
-    pub g: f64,
-}
-
-impl PmNbody {
-    /// Cold start: particles on a jittered lattice, zero velocities.
-    pub fn cold_lattice(grid: usize, particles_per_dim: usize, jitter: f64, seed: u64) -> Self {
-        let mut s = seed;
-        let mut rand = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let mut pos = Vec::new();
-        let h = 1.0 / particles_per_dim as f64;
-        for i in 0..particles_per_dim {
-            for j in 0..particles_per_dim {
-                for k in 0..particles_per_dim {
-                    pos.push([
-                        ((i as f64 + 0.5) * h + jitter * h * rand()).rem_euclid(1.0),
-                        ((j as f64 + 0.5) * h + jitter * h * rand()).rem_euclid(1.0),
-                        ((k as f64 + 0.5) * h + jitter * h * rand()).rem_euclid(1.0),
-                    ]);
-                }
-            }
-        }
-        let n = pos.len();
-        PmNbody {
-            pm: PmSolver::new(grid),
-            pos,
-            vel: vec![[0.0; 3]; n],
-            g: 1.0,
-        }
-    }
-
-    /// CIC-gather the force of an `n³` mesh at a position.
-    fn gather(n: usize, force: &[[f64; 3]], p: &[f64; 3]) -> [f64; 3] {
-        let g = [p[0] * n as f64, p[1] * n as f64, p[2] * n as f64];
-        let base = [
-            g[0].floor() as usize,
-            g[1].floor() as usize,
-            g[2].floor() as usize,
-        ];
-        let frac = [
-            g[0] - base[0] as f64,
-            g[1] - base[1] as f64,
-            g[2] - base[2] as f64,
-        ];
-        let mut out = [0.0; 3];
-        for dz in 0..2 {
-            for dy in 0..2 {
-                for dx in 0..2 {
-                    let w = (if dx == 0 { 1.0 - frac[0] } else { frac[0] })
-                        * (if dy == 0 { 1.0 - frac[1] } else { frac[1] })
-                        * (if dz == 0 { 1.0 - frac[2] } else { frac[2] });
-                    let i = (base[0] + dx) % n;
-                    let j = (base[1] + dy) % n;
-                    let k = (base[2] + dz) % n;
-                    let f = force[(i * n + j) * n + k];
-                    for x in 0..3 {
-                        out[x] += w * f[x];
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// One kick–drift–kick step.
-    pub fn step(&mut self, dt: f64) {
-        let rho = self.pm.deposit(&self.pos);
-        // Mean-removed density sources the potential; the coupling scales it.
-        let mean = self.pos.len() as f64 / rho.len() as f64;
-        let src: Vec<f64> = rho.iter().map(|r| self.g * (r - mean)).collect();
-        let phi = self.pm.poisson(&src);
-        let force = self.pm.force(&phi);
-        for (p, v) in self.pos.iter_mut().zip(self.vel.iter_mut()) {
-            let f = Self::gather(self.pm.n, &force, p);
-            for x in 0..3 {
-                v[x] += dt * f[x];
-                p[x] = (p[x] + dt * v[x]).rem_euclid(1.0);
-            }
-        }
-    }
-
-    /// Density variance on the mesh — the clustering diagnostic (σ² grows
-    /// under gravitational instability).
-    pub fn density_variance(&self) -> f64 {
-        let rho = self.pm.deposit(&self.pos);
-        let mean = self.pos.len() as f64 / rho.len() as f64;
-        rho.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / rho.len() as f64
-    }
-
-    /// Net momentum (conserved up to mesh interpolation error).
-    pub fn momentum(&self) -> [f64; 3] {
-        let mut m = [0.0; 3];
-        for v in &self.vel {
-            for x in 0..3 {
-                m[x] += v[x];
-            }
-        }
-        m
-    }
-}
-
-#[cfg(test)]
-mod nbody_tests {
-    use super::*;
-
-    #[test]
-    fn gravitational_instability_grows_structure() {
-        // One particle per mesh cell (the standard PM loading): collective
-        // gravity dominates the CIC self-force artifact.
-        let mut sim = PmNbody::cold_lattice(16, 16, 0.3, 11);
-        sim.g = 30.0;
-        let var0 = sim.density_variance();
-        for _ in 0..20 {
-            sim.step(0.02);
-        }
-        let var1 = sim.density_variance();
-        assert!(
-            var1 > 1.3 * var0,
-            "perturbations must grow under gravity: {var0} -> {var1}"
-        );
-        assert!(sim
-            .pos
-            .iter()
-            .all(|p| p.iter().all(|c| c.is_finite() && (0.0..1.0).contains(c))));
-    }
-
-    #[test]
-    fn momentum_stays_near_zero() {
-        let mut sim = PmNbody::cold_lattice(16, 16, 0.3, 5);
-        sim.g = 20.0;
-        for _ in 0..10 {
-            sim.step(0.02);
-        }
-        let m = sim.momentum();
-        let speed_scale: f64 = sim
-            .vel
-            .iter()
-            .map(|v| v.iter().map(|x| x.abs()).sum::<f64>())
-            .sum::<f64>()
-            .max(1e-12);
-        for x in 0..3 {
-            assert!(
-                m[x].abs() < 0.05 * speed_scale,
-                "net momentum {m:?} vs speed scale {speed_scale}"
-            );
-        }
-    }
-
-    #[test]
-    fn perfect_lattice_stays_put() {
-        // Zero jitter: the force field is symmetric; nothing moves much.
-        let mut sim = PmNbody::cold_lattice(16, 16, 0.0, 1);
-        sim.g = 30.0;
-        let p0 = sim.pos.clone();
-        for _ in 0..5 {
-            sim.step(0.02);
-        }
-        let max_drift = sim
-            .pos
-            .iter()
-            .zip(&p0)
-            .map(|(a, b)| (0..3).map(|x| (a[x] - b[x]).abs()).fold(0.0, f64::max))
-            .fold(0.0, f64::max);
-        assert!(
-            max_drift < 1e-9,
-            "symmetric lattice must be an equilibrium: {max_drift}"
         );
     }
 }

@@ -101,14 +101,6 @@ impl Application for Gamess {
         vec![Motif::CudaHipPorting, Motif::LibraryTuning]
     }
 
-    fn challenge_problem(&self) -> String {
-        format!(
-            "Many-Body Expansion over a 935-water cluster, {} waters per fragment, \
-             fragment-level RI-MP2 on one GPU",
-            self.molecules_per_fragment
-        )
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::throughput("fragment RI-MP2 rate", "fragments/s/GPU")
     }

@@ -14,8 +14,7 @@ use exa_core::{
     perturb_measurement, Application, FigureOfMerit, FomMeasurement, Motif, RunContext,
     ScenarioSpec,
 };
-use exa_fft::{fft3d, ifft3d, Decomp, DistFft3d};
-use exa_linalg::C64;
+use exa_fft::{Decomp, DistFft3d};
 use exa_machine::{GpuArch, MachineModel, SimTime};
 use exa_mpi::Network;
 use exa_telemetry::{SpanCat, TelemetryCollector, TrackKind};
@@ -150,74 +149,6 @@ impl PsdnsRun {
     }
 }
 
-/// Data-carrying mini-PSDNS used by tests and the quickstart example:
-/// advances Taylor–Green-like velocity modes with a real spectral step.
-pub struct MiniPsdns {
-    /// Grid edge (small power of two).
-    pub n: usize,
-    /// Spectral velocity field (one component, C order).
-    pub u_hat: Vec<C64>,
-}
-
-impl MiniPsdns {
-    /// Initialise with a deterministic smooth field.
-    pub fn new(n: usize) -> Self {
-        assert!(n.is_power_of_two() && n >= 4);
-        let mut u: Vec<C64> = (0..n * n * n)
-            .map(|idx| {
-                let i0 = idx / (n * n);
-                let i1 = (idx / n) % n;
-                let i2 = idx % n;
-                let x = 2.0 * std::f64::consts::PI * i0 as f64 / n as f64;
-                let y = 2.0 * std::f64::consts::PI * i1 as f64 / n as f64;
-                let z = 2.0 * std::f64::consts::PI * i2 as f64 / n as f64;
-                C64::from_re(x.sin() * y.cos() * z.cos())
-            })
-            .collect();
-        fft3d(&mut u, n, n, n);
-        MiniPsdns { n, u_hat: u }
-    }
-
-    /// Kinetic-energy proxy (Parseval sum over modes).
-    pub fn energy(&self) -> f64 {
-        self.u_hat.iter().map(|z| z.norm_sqr()).sum::<f64>() / (self.n as f64).powi(3)
-    }
-
-    /// One viscous spectral step: transform to physical space, square the
-    /// field (nonlinear-term surrogate), transform back, apply viscous decay
-    /// and 2/3-rule dealiasing.
-    pub fn step(&mut self, dt: f64, nu: f64) {
-        let n = self.n;
-        let mut phys = self.u_hat.clone();
-        ifft3d(&mut phys, n, n, n);
-        for z in phys.iter_mut() {
-            // Mild quadratic transfer keeps the cascade surrogate stable.
-            *z += C64::from_re(0.05 * dt * z.re * z.re);
-        }
-        fft3d(&mut phys, n, n, n);
-        let kmax = (n as f64) / 3.0;
-        for (idx, z) in phys.iter_mut().enumerate() {
-            let i0 = idx / (n * n);
-            let i1 = (idx / n) % n;
-            let i2 = idx % n;
-            let wave = |i: usize| -> f64 {
-                if i <= n / 2 {
-                    i as f64
-                } else {
-                    i as f64 - n as f64
-                }
-            };
-            let k2 = wave(i0).powi(2) + wave(i1).powi(2) + wave(i2).powi(2);
-            if wave(i0).abs() > kmax || wave(i1).abs() > kmax || wave(i2).abs() > kmax {
-                *z = C64::ZERO; // dealias
-            } else {
-                *z = z.scale((-nu * k2 * dt).exp()); // viscous decay
-            }
-        }
-        self.u_hat = phys;
-    }
-}
-
 /// The GESTS application.
 #[derive(Debug, Clone, Default)]
 pub struct Gests;
@@ -251,12 +182,6 @@ impl Application for Gests {
 
     fn motifs(&self) -> Vec<Motif> {
         vec![Motif::LibraryTuning, Motif::PerformancePortability]
-    }
-
-    fn challenge_problem(&self) -> String {
-        "PSDNS turbulence: 32,768³ grid on 4,096 Frontier nodes vs the 18,432³ \
-         Summit INCITE-2019 reference"
-            .into()
     }
 
     fn fom(&self) -> FigureOfMerit {
@@ -378,32 +303,6 @@ mod tests {
             (adv - 1.0).abs() < 1e-9,
             "untargeted phases must not move: {adv}"
         );
-    }
-
-    #[test]
-    fn mini_psdns_energy_decays_smoothly() {
-        let mut sim = MiniPsdns::new(8);
-        let e0 = sim.energy();
-        assert!(e0 > 0.0);
-        let mut last = e0;
-        for _ in 0..5 {
-            sim.step(0.01, 0.5);
-            let e = sim.energy();
-            assert!(e <= last * 1.02, "energy must not blow up: {e} vs {last}");
-            assert!(e > 0.0);
-            last = e;
-        }
-        assert!(last < e0, "viscosity must dissipate energy");
-    }
-
-    #[test]
-    fn dealiasing_zeroes_high_modes() {
-        let mut sim = MiniPsdns::new(8);
-        sim.step(0.01, 0.1);
-        let n = sim.n;
-        // Mode (4,0,0) is |k|=4 > 8/3: must be zero.
-        let idx = 4 * n * n;
-        assert_eq!(sim.u_hat[idx].abs(), 0.0);
     }
 
     #[test]

@@ -534,10 +534,6 @@ impl Application for Lammps {
         vec![LibraryTuning, KernelFusionFission, AlgorithmicOptimizations]
     }
 
-    fn challenge_problem(&self) -> String {
-        "ReaxFF simulation of crystalline hexanitrostilbene (HNS), Kokkos/HIP backend".into()
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::throughput("atom-steps", "atom-steps/s/GPU")
     }

@@ -221,14 +221,6 @@ impl Application for Lsms {
         vec![Motif::LibraryTuning, Motif::AlgorithmicOptimizations]
     }
 
-    fn challenge_problem(&self) -> String {
-        format!(
-            "FePt first-principles DFT, {}-atom LIZ τ-matrix solves (order {}) per GPU",
-            self.liz_atoms,
-            self.liz_atoms * BLOCK
-        )
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::throughput("atom rate", "atoms/s/GPU")
     }

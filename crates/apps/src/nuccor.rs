@@ -41,12 +41,6 @@ impl Application for Nuccor {
         vec![Motif::CudaHipPorting, Motif::PerformancePortability]
     }
 
-    fn challenge_problem(&self) -> String {
-        "Coupled-cluster ground state of a medium-mass nucleus: T2 ladder contractions \
-         per GPU through the plugin backend"
-            .into()
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::throughput("contraction rate", "T2-updates/s/GPU")
     }

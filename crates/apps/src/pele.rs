@@ -10,9 +10,8 @@
 //!   ... In PeleLM(eX), batched linear algebra from the MAGMA library is
 //!   employed". Both linear-solver routes are implemented, for real, on a
 //!   miniature stiff ignition mechanism, and verified against each other.
-//! * **AMR with ghost exchange.** A two-level block-structured mesh with
-//!   refinement on temperature gradients; the "asynchronous ghost cell
-//!   exchange" of March 2021 is a measurable knob.
+//! * **AMR with ghost exchange.** The "asynchronous ghost cell exchange"
+//!   of March 2021 is a measurable knob of the Figure 2 cost model.
 //! * **Kernel fusion** for small boxes, and the UVM-removal knob.
 //! * **Figure 2**: the time-per-cell-per-timestep history across Cori,
 //!   Theta, Eagle, Summit, and Frontier, at one node and 4,096 nodes, with
@@ -291,150 +290,6 @@ pub fn gmres(apply: &dyn Fn(&[f64]) -> Vec<f64>, b: &[f64], m: usize, tol: f64) 
 }
 
 // ---------------------------------------------------------------------------
-// AMR reactive-flow mini-solver.
-// ---------------------------------------------------------------------------
-
-/// A two-level block-structured AMR reactive-flow field (2-D).
-pub struct AmrFlow {
-    /// Base grid edge.
-    pub n: usize,
-    /// Mass fractions and temperature, base level (row-major n×n).
-    pub state: Vec<[f64; NSPEC]>,
-    /// Mechanism.
-    pub mech: Mechanism,
-    /// Thermal diffusivity of the explicit diffusion step.
-    pub kappa: f64,
-    /// Embedded-boundary mask: `true` cells are solid and skipped.
-    pub eb_mask: Vec<bool>,
-    /// Refinement flags from the last regrid.
-    pub refined: Vec<bool>,
-}
-
-impl AmrFlow {
-    /// A hot-spot ignition problem: cold fuel everywhere, a hot kernel in
-    /// the centre, an embedded solid disc in one corner.
-    pub fn hot_spot(n: usize) -> Self {
-        let mut state = vec![[1.0, 0.0, 0.0, 0.12]; n * n];
-        let c = n as f64 / 2.0;
-        for i in 0..n {
-            for j in 0..n {
-                let dx = i as f64 - c;
-                let dy = j as f64 - c;
-                let r2 = (dx * dx + dy * dy) / (n as f64 * 0.08).powi(2);
-                if r2 < 1.0 {
-                    state[i * n + j][3] = 0.12 + 1.1 * (1.0 - r2);
-                }
-            }
-        }
-        let eb_mask = (0..n * n)
-            .map(|idx| {
-                let (i, j) = (idx / n, idx % n);
-                let dx = i as f64 - n as f64 * 0.1;
-                let dy = j as f64 - n as f64 * 0.1;
-                (dx * dx + dy * dy).sqrt() < n as f64 * 0.07
-            })
-            .collect();
-        AmrFlow {
-            n,
-            state,
-            mech: Mechanism::ignition(),
-            kappa: 0.18,
-            eb_mask,
-            refined: vec![false; n * n],
-        }
-    }
-
-    /// Regrid: flag cells whose temperature gradient exceeds `tol`.
-    pub fn regrid(&mut self, tol: f64) -> usize {
-        let n = self.n;
-        let mut count = 0;
-        for i in 0..n {
-            for j in 0..n {
-                let here = self.state[i * n + j][3];
-                let mut grad: f64 = 0.0;
-                if i + 1 < n {
-                    grad = grad.max((self.state[(i + 1) * n + j][3] - here).abs());
-                }
-                if j + 1 < n {
-                    grad = grad.max((self.state[i * n + j + 1][3] - here).abs());
-                }
-                let flag = grad > tol && !self.eb_mask[i * n + j];
-                self.refined[i * n + j] = flag;
-                count += flag as usize;
-            }
-        }
-        count
-    }
-
-    /// One operator-split step: explicit diffusion of temperature, then the
-    /// stiff chemistry per cell (refined cells integrate with 2 substeps —
-    /// the AMR subcycling).
-    pub fn step(&mut self, dt: f64, solver: ChemLinearSolver) {
-        let n = self.n;
-        // Temperature diffusion (5-point), species advection omitted.
-        let kappa = self.kappa;
-        assert!(kappa * dt < 0.25, "explicit diffusion stability limit");
-        let old: Vec<f64> = self.state.iter().map(|u| u[3]).collect();
-        for i in 0..n {
-            for j in 0..n {
-                if self.eb_mask[i * n + j] {
-                    continue;
-                }
-                let c = old[i * n + j];
-                let mut lap = -4.0 * c;
-                lap += if i > 0 { old[(i - 1) * n + j] } else { c };
-                lap += if i + 1 < n { old[(i + 1) * n + j] } else { c };
-                lap += if j > 0 { old[i * n + j - 1] } else { c };
-                lap += if j + 1 < n { old[i * n + j + 1] } else { c };
-                self.state[i * n + j][3] += dt * kappa * lap;
-            }
-        }
-        // Chemistry.
-        for idx in 0..n * n {
-            if self.eb_mask[idx] {
-                continue;
-            }
-            let substeps = if self.refined[idx] { 2 } else { 1 };
-            let sub_dt = dt / substeps as f64;
-            let mut u = self.state[idx];
-            for _ in 0..substeps {
-                u = bdf1_step(&self.mech, &u, sub_dt, solver).0;
-            }
-            self.state[idx] = u;
-        }
-    }
-
-    /// Total mass of A+B+C over fluid cells (conserved by chemistry).
-    pub fn total_mass(&self) -> f64 {
-        self.state
-            .iter()
-            .zip(&self.eb_mask)
-            .filter(|(_, &solid)| !solid)
-            .map(|(u, _)| u[0] + u[1] + u[2])
-            .sum()
-    }
-
-    /// Peak temperature.
-    pub fn max_temp(&self) -> f64 {
-        self.state
-            .iter()
-            .zip(&self.eb_mask)
-            .filter(|(_, &solid)| !solid)
-            .map(|(u, _)| u[3])
-            .fold(0.0, f64::max)
-    }
-
-    /// Count of burned cells (product-dominated).
-    pub fn burned_cells(&self) -> usize {
-        self.state
-            .iter()
-            .zip(&self.eb_mask)
-            .filter(|(u, &solid)| !solid && u[2] > 0.5)
-            .count()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Figure 2 cost model.
 // ---------------------------------------------------------------------------
 
@@ -583,10 +438,6 @@ impl Application for Pele {
         ]
     }
 
-    fn challenge_problem(&self) -> String {
-        "PMF flame with drm19-class chemistry: cells/s per node at the 2023 code state".into()
-    }
-
     fn fom(&self) -> FigureOfMerit {
         FigureOfMerit::time("time per cell per timestep", "s/cell/step")
     }
@@ -718,37 +569,6 @@ mod tests {
         let (u, _) = bdf1_step(&mech, &hot, dt, ChemLinearSolver::BatchedLu);
         assert!(u[0] >= -1e-9 && u[0] <= 1.0 + 1e-9, "yA = {}", u[0]);
         assert!(u.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn flame_ignites_and_spreads_on_the_amr_grid() {
-        let mut flow = AmrFlow::hot_spot(24);
-        let mass0 = flow.total_mass();
-        flow.regrid(0.05);
-        let burned0 = flow.burned_cells();
-        for _ in 0..30 {
-            flow.step(2e-3, ChemLinearSolver::BatchedLu);
-            flow.regrid(0.05);
-        }
-        assert!(
-            (flow.total_mass() - mass0).abs() < 1e-6 * mass0,
-            "mass conservation"
-        );
-        assert!(flow.burned_cells() > burned0, "flame must consume fuel");
-        assert!(flow.max_temp() > 1.0, "heat release");
-    }
-
-    #[test]
-    fn regrid_tracks_the_flame_front_not_the_eb() {
-        let mut flow = AmrFlow::hot_spot(32);
-        let flagged = flow.regrid(0.05);
-        assert!(flagged > 0, "the hot-spot edge must be refined");
-        // No refined cells inside the embedded boundary.
-        for idx in 0..flow.state.len() {
-            assert!(!(flow.refined[idx] && flow.eb_mask[idx]));
-        }
-        // Flags concentrate near the kernel edge, not everywhere.
-        assert!(flagged < flow.state.len() / 2);
     }
 
     #[test]

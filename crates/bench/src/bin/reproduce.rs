@@ -3,7 +3,7 @@
 //! ```text
 //! reproduce list              name every experiment
 //! reproduce <name>...         run the named experiments, in order
-//! reproduce paper             the eleven paper-artifact experiments
+//! reproduce paper             the thirteen paper-artifact experiments
 //! reproduce gates             the gated experiments tier 1 runs
 //! ```
 //!

@@ -6,9 +6,10 @@
 //!   step on the new substrate (work-stealing rank scheduler + the fused
 //!   allocation-free BDF1 kernel) versus the pre-substrate schedule (the
 //!   sequential rank loop driving the matrix-free GMRES route PeleC's
-//!   production integrator uses, §3.8). Gate: ≥ 4× on medians of 5 reps.
-//!   The batched-LU baseline ratio (PeleLM(eX)'s direct route) is
-//!   recorded alongside for transparency.
+//!   production integrator uses, §3.8). Gate: ≥ 4× on the median pair
+//!   ratio of [`crate::time_pairs`] over 3 pairs. The batched-LU
+//!   baseline ratio (PeleLM(eX)'s direct route) is recorded alongside from
+//!   its own `time_pairs` call.
 //! * **Executed 1024-rank distributed FFT** — the costed-only GESTS
 //!   milestone now actually runs: a 64³ pseudo-spectral step over 1024
 //!   simulated ranks (forward transform, spectral advance, inverse) with
@@ -20,14 +21,17 @@
 //! buys wall-clock only, never different answers. Results land in
 //! `BENCH_sim_throughput.json` at the repo root.
 
-use crate::{median, wall_s, write_root_json, Gate};
+use crate::{time_pairs, wall_s, write_root_json, Gate};
 use exa_apps::gests_exec::{costed_dns_step, executed_dns_step, DnsStep};
 use exa_apps::pele_exec::{chemistry_campaign, ChemCampaign, ChemKernel};
 use exa_mpi::RankScheduler;
 use serde::Serialize;
 use std::time::Instant;
 
-const REPS: usize = 5;
+/// Pairs per `time_pairs` call. Each pair runs both sides twice, so the two
+/// calls take about 3 × 2 × (0.63 + 0.24 + 2 × 0.06) s ≈ 6 s on a 2-vCPU
+/// host (GMRES 0.63 s, batched LU 0.24 s, fused 0.06 s per campaign).
+const PAIRS: usize = 3;
 const SPEEDUP_REQUIRED: f64 = 4.0;
 /// Wall budget of the executed 1024-rank FFT milestone (one cold
 /// `executed_dns_step` at 4 threads). Five runs on a 2-vCPU AVX2 host
@@ -76,16 +80,21 @@ pub fn run() -> Gate {
     time_campaign(&substrate, ChemKernel::FusedLu, &cfg);
     time_campaign(&baseline, ChemKernel::MatrixFreeGmres, &cfg);
 
-    // Interleaved reps so drift hits every kernel equally; gate on medians.
-    let (mut tg, mut tl, mut tf) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..REPS {
-        tg.push(time_campaign(&baseline, ChemKernel::MatrixFreeGmres, &cfg));
-        tl.push(time_campaign(&baseline, ChemKernel::BatchedLu, &cfg));
-        tf.push(time_campaign(&substrate, ChemKernel::FusedLu, &cfg));
-    }
-    let (gmres_s, lu_s, fused_s) = (median(&mut tg), median(&mut tl), median(&mut tf));
-    let speedup_vs_gmres = gmres_s / fused_s;
-    let speedup_vs_batched_lu = lu_s / fused_s;
+    // Each baseline against the fused substrate path in order-fair pairs.
+    let fused = || time_campaign(&substrate, ChemKernel::FusedLu, &cfg);
+    let gmres = time_pairs(
+        PAIRS,
+        || time_campaign(&baseline, ChemKernel::MatrixFreeGmres, &cfg),
+        fused,
+    );
+    let lu = time_pairs(
+        PAIRS,
+        || time_campaign(&baseline, ChemKernel::BatchedLu, &cfg),
+        fused,
+    );
+    let (gmres_s, lu_s, fused_s) = (gmres.a_s, lu.a_s, gmres.b_s);
+    let speedup_vs_gmres = gmres.ratio;
+    let speedup_vs_batched_lu = lu.ratio;
 
     // Determinism: the substrate's multi-threaded campaign must equal the
     // sequential schedule in every artifact (checksums, virtual times,
@@ -144,7 +153,7 @@ pub fn run() -> Gate {
             cfg.ranks, cfg.cells_per_rank, cfg.substeps, cfg.dt
         ),
         threads: substrate.threads(),
-        reps: REPS,
+        reps: PAIRS,
         gmres_median_s: gmres_s,
         batched_lu_median_s: lu_s,
         fused_median_s: fused_s,

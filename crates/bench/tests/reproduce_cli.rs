@@ -39,7 +39,7 @@ fn list_names_are_unique_and_cover_every_former_target() {
     let names = listed();
     let unique: BTreeSet<&String> = names.iter().collect();
     assert_eq!(unique.len(), names.len(), "duplicate names in {names:?}");
-    assert_eq!(names.len(), 26);
+    assert_eq!(names.len(), 23);
 }
 
 /// Every experiment name a text passes to `reproduce`: the words after

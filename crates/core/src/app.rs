@@ -9,8 +9,7 @@ use exa_machine::MachineModel;
 ///
 /// Each of the ten mini-apps in `exa-apps` implements this trait: it names
 /// its paper section, declares which Table 1 motifs its port exercised,
-/// defines a challenge problem and FOM, and can run that challenge problem
-/// on any machine model.
+/// defines its FOM, and can run its challenge problem on any machine model.
 pub trait Application {
     /// Application name as it appears in the paper.
     fn name(&self) -> &'static str;
@@ -20,9 +19,6 @@ pub trait Application {
 
     /// The Table 1 motifs this application's port exercised.
     fn motifs(&self) -> Vec<Motif>;
-
-    /// Human-readable challenge-problem description.
-    fn challenge_problem(&self) -> String;
 
     /// The project-specific figure of merit.
     fn fom(&self) -> FigureOfMerit;
@@ -92,9 +88,6 @@ mod tests {
         }
         fn motifs(&self) -> Vec<Motif> {
             vec![Motif::CudaHipPorting]
-        }
-        fn challenge_problem(&self) -> String {
-            "saturate one device with FMAs".into()
         }
         fn fom(&self) -> FigureOfMerit {
             FigureOfMerit::throughput("flops", "FLOP/s")

@@ -1,4 +1,4 @@
-//! Figures of merit and speed-up targets.
+//! Figures of merit.
 //!
 //! Every CAAR/ECP team defined a project-specific FOM — GESTS used
 //! `N³/t_wall` (§3.3), ExaSky a weak-scaling particle throughput (§3.4) —
@@ -79,34 +79,6 @@ impl FomMeasurement {
     }
 }
 
-/// A stated acceleration target: "reach `factor`× the `baseline_machine`
-/// FOM on `target_machine`".
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SpeedupTarget {
-    /// Baseline system (Summit for CAAR).
-    pub baseline_machine: String,
-    /// Target system (Frontier).
-    pub target_machine: String,
-    /// Required factor.
-    pub factor: f64,
-}
-
-impl SpeedupTarget {
-    /// The standard CAAR target: 4× Summit on Frontier.
-    pub fn caar() -> Self {
-        SpeedupTarget {
-            baseline_machine: "Summit".into(),
-            target_machine: "Frontier".into(),
-            factor: 4.0,
-        }
-    }
-
-    /// Is a measured speed-up sufficient?
-    pub fn met_by(&self, measured: f64) -> bool {
-        measured >= self.factor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,14 +94,6 @@ mod tests {
         let fom = FigureOfMerit::time("time/cell", "s");
         // Time dropped 10x -> speedup 10x.
         assert!((fom.speedup(1.0, 0.1) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn caar_target_is_4x_summit_to_frontier() {
-        let t = SpeedupTarget::caar();
-        assert_eq!(t.factor, 4.0);
-        assert!(t.met_by(5.0));
-        assert!(!t.met_by(3.9));
     }
 
     #[test]

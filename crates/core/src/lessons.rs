@@ -251,153 +251,3 @@ mod tests {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Support-ticket flow (§5: "any questions or issues encountered by the
-// users were addressed through OLCF support tickets").
-// ---------------------------------------------------------------------------
-
-/// One support ticket from an early-access user.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Ticket {
-    /// Sequential id.
-    pub id: u64,
-    /// Reporting team.
-    pub team: String,
-    /// Classification.
-    pub class: IssueClass,
-    /// One-line summary.
-    pub summary: String,
-    /// Resolved yet?
-    pub resolved: bool,
-}
-
-/// The COE issue tracker.
-#[derive(Debug, Default)]
-pub struct IssueTracker {
-    tickets: Vec<Ticket>,
-}
-
-impl IssueTracker {
-    /// Empty tracker.
-    pub fn new() -> Self {
-        IssueTracker::default()
-    }
-
-    /// File a ticket; returns its id.
-    pub fn file(&mut self, team: &str, class: IssueClass, summary: &str) -> u64 {
-        let id = self.tickets.len() as u64 + 1;
-        self.tickets.push(Ticket {
-            id,
-            team: team.to_string(),
-            class,
-            summary: summary.to_string(),
-            resolved: false,
-        });
-        id
-    }
-
-    /// Resolve a ticket. Returns false for unknown ids.
-    pub fn resolve(&mut self, id: u64) -> bool {
-        match self.tickets.iter_mut().find(|t| t.id == id) {
-            Some(t) => {
-                t.resolved = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Open tickets, triage-ordered (§6: functionality first) then FIFO.
-    pub fn triage_queue(&self) -> Vec<&Ticket> {
-        let mut open: Vec<&Ticket> = self.tickets.iter().filter(|t| !t.resolved).collect();
-        open.sort_by_key(|t| (t.class, t.id));
-        open
-    }
-
-    /// Counts per class (open, resolved).
-    pub fn stats(&self) -> Vec<(IssueClass, usize, usize)> {
-        [
-            IssueClass::Functionality,
-            IssueClass::MissingFeature,
-            IssueClass::Performance,
-        ]
-        .iter()
-        .map(|&c| {
-            let open = self
-                .tickets
-                .iter()
-                .filter(|t| t.class == c && !t.resolved)
-                .count();
-            let done = self
-                .tickets
-                .iter()
-                .filter(|t| t.class == c && t.resolved)
-                .count();
-            (c, open, done)
-        })
-        .collect()
-    }
-}
-
-#[cfg(test)]
-mod tracker_tests {
-    use super::*;
-
-    #[test]
-    fn triage_orders_functionality_first() {
-        let mut tr = IssueTracker::new();
-        tr.file(
-            "GESTS",
-            IssueClass::Performance,
-            "FFT transpose slow at 4096 nodes",
-        );
-        tr.file(
-            "LAMMPS",
-            IssueClass::Functionality,
-            "intermittent segfault in ReaxFF",
-        );
-        tr.file(
-            "GAMESS",
-            IssueClass::MissingFeature,
-            "need D&C eigensolver in rocSOLVER",
-        );
-        let q = tr.triage_queue();
-        assert_eq!(q.len(), 3);
-        assert_eq!(q[0].team, "LAMMPS");
-        assert_eq!(q[1].team, "GAMESS");
-        assert_eq!(q[2].team, "GESTS");
-    }
-
-    #[test]
-    fn resolution_updates_stats() {
-        let mut tr = IssueTracker::new();
-        let id = tr.file(
-            "Pele",
-            IssueClass::Functionality,
-            "HIP+OpenMP same TU fails",
-        );
-        tr.file("Pele", IssueClass::Performance, "UVM paging slow");
-        assert!(tr.resolve(id));
-        assert!(!tr.resolve(99));
-        let stats = tr.stats();
-        assert_eq!(stats[0], (IssueClass::Functionality, 0, 1));
-        assert_eq!(stats[2], (IssueClass::Performance, 1, 0));
-        assert_eq!(tr.triage_queue().len(), 1);
-    }
-
-    #[test]
-    fn guide_covers_every_ticket_class() {
-        let reg = lessons();
-        for class in [
-            IssueClass::Functionality,
-            IssueClass::MissingFeature,
-            IssueClass::Performance,
-        ] {
-            assert!(
-                reg.iter().any(|l| l.class == class),
-                "{class:?} has no distilled lessons"
-            );
-        }
-    }
-}

@@ -15,17 +15,16 @@
 //! The pieces:
 //!
 //! * [`motif::Motif`] — the porting-motif taxonomy of Table 1;
-//! * [`fom`] — figures of merit, measurements, and speed-up targets;
-//! * [`app::Application`] — the contract every mini-app implements: a
-//!   challenge problem, an FOM, and a `run(machine)` entry point;
-//! * [`campaign`] — porting campaigns over the early-access timeline with
-//!   stage-by-stage measurements and readiness reports;
+//! * [`fom`] — figures of merit and measurements;
+//! * [`app::Application`] — the contract every mini-app implements: an
+//!   FOM and a `run(machine)` entry point for its challenge problem;
+//! * [`mod@lessons`] — the §5 lessons registry and the user guide it renders;
+//! * [`profiled`] — the span telemetry a profiled run records;
 //! * [`scenario`] — the fault/contention scenario engine: deterministic
 //!   MTBF failure schedules, checkpoint/restart cost models, stragglers,
 //!   network degradation, and the Young/Daly checkpoint-interval theory.
 
 pub mod app;
-pub mod campaign;
 pub mod fom;
 pub mod lessons;
 pub mod motif;
@@ -33,9 +32,8 @@ pub mod profiled;
 pub mod scenario;
 
 pub use app::Application;
-pub use campaign::PortingCampaign;
-pub use fom::{FigureOfMerit, FomMeasurement, SpeedupTarget};
-pub use lessons::{lessons, render_user_guide, IssueClass};
+pub use fom::{FigureOfMerit, FomMeasurement};
+pub use lessons::{lessons, render_user_guide};
 pub use motif::Motif;
 pub use profiled::{measure_record, perturb_measurement, record_phases, Phase, RunContext};
 pub use scenario::{

@@ -188,9 +188,6 @@ mod tests {
         fn motifs(&self) -> Vec<Motif> {
             vec![Motif::CudaHipPorting]
         }
-        fn challenge_problem(&self) -> String {
-            "toy".into()
-        }
         fn fom(&self) -> FigureOfMerit {
             FigureOfMerit::throughput("flops", "FLOP/s")
         }

@@ -29,5 +29,5 @@ pub use dist3d::{Decomp, DistFft3d};
 pub use exa_linalg::C64;
 pub use executed::{DistGrid, ExecutedFft3d, LineAxis};
 pub use fft1d::{dft_naive, fft, ifft};
-pub use fft3d::{fft3d, ifft3d};
+pub use fft3d::fft3d;
 pub use plan::TransposePlan;

@@ -1,4 +1,4 @@
-//! API surfaces and the CUDA↔HIP feature-parity table.
+//! API surfaces: the CUDA and HIP runtimes and what each can drive.
 //!
 //! §2.1 of the paper makes two points this module encodes:
 //!
@@ -9,9 +9,9 @@
 //!    zero on CUDA.
 //! 2. Not every CUDA feature is (or will be) provided by HIP, and
 //!    "careful and repeated messaging to developers is needed" about which.
-//!    The [`Feature`] parity table makes that queryable, and the runtime
-//!    returns [`crate::error::HalError::UnsupportedFeature`] when code assumes
-//!    otherwise.
+//!    [`crate::hipify`] flags the CUDA-only constructs it cannot convert, and
+//!    the runtime returns [`crate::error::HalError::UnsupportedArch`] when a
+//!    surface cannot drive the device at all.
 
 use exa_machine::{GpuArch, SimTime};
 use serde::{Deserialize, Serialize};
@@ -48,54 +48,6 @@ impl ApiSurface {
     }
 }
 
-/// Runtime/compiler features with asymmetric support between the surfaces.
-///
-/// The list follows the pain points the paper names or that the COE had to
-/// message about: newest-CUDA-version features, textures, graphs, and managed
-/// memory (the Pele §3.8 UVM story).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Feature {
-    /// Basic kernel launches, streams, events, memcpy.
-    CoreRuntime,
-    /// Asynchronous memory copies on streams.
-    AsyncCopy,
-    /// Peer-to-peer device transfers.
-    PeerAccess,
-    /// Unified/managed memory (`cudaMallocManaged`/`hipMallocManaged`).
-    /// Supported on both, but removing it was ultimately necessary for
-    /// performance on Frontier (Pele, §3.8; see [`crate::uvm`]).
-    ManagedMemory,
-    /// CUDA Graph capture/instantiate API.
-    GraphApi,
-    /// Device-side kernel launches (dynamic parallelism).
-    DynamicParallelism,
-    /// Legacy texture *references* (deprecated CUDA API).
-    LegacyTextureRefs,
-    /// Cooperative groups with multi-device sync.
-    MultiDeviceCooperativeGroups,
-    /// Warp-level primitives with explicit masks (`__shfl_sync`).
-    WarpSyncPrimitives,
-    /// Hardware FP64 atomics on global memory.
-    Fp64Atomics,
-}
-
-impl Feature {
-    /// Is the feature available on a surface (as of the campaign's ROCm
-    /// generation)?
-    pub fn supported_on(self, api: ApiSurface) -> bool {
-        use Feature::*;
-        match api {
-            // The table is written from the porting direction that mattered:
-            // every listed feature exists in CUDA.
-            ApiSurface::Cuda => true,
-            ApiSurface::Hip => !matches!(
-                self,
-                GraphApi | DynamicParallelism | LegacyTextureRefs | MultiDeviceCooperativeGroups
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,26 +66,5 @@ mod tests {
         assert!(!ApiSurface::Cuda.supports_arch(GpuArch::Cdna2));
         assert!(ApiSurface::Hip.supports_arch(GpuArch::Volta));
         assert!(ApiSurface::Hip.supports_arch(GpuArch::Cdna2));
-    }
-
-    #[test]
-    fn core_features_exist_everywhere() {
-        for api in [ApiSurface::Cuda, ApiSurface::Hip] {
-            assert!(Feature::CoreRuntime.supported_on(api));
-            assert!(Feature::AsyncCopy.supported_on(api));
-        }
-    }
-
-    #[test]
-    fn hip_lacks_some_cuda_features() {
-        // §2.1: expectations must be set that not every CUDA feature exists.
-        assert!(Feature::GraphApi.supported_on(ApiSurface::Cuda));
-        assert!(!Feature::GraphApi.supported_on(ApiSurface::Hip));
-    }
-
-    #[test]
-    fn managed_memory_exists_on_both_surfaces() {
-        assert!(Feature::ManagedMemory.supported_on(ApiSurface::Hip));
-        assert!(Feature::ManagedMemory.supported_on(ApiSurface::Cuda));
     }
 }

@@ -1,6 +1,7 @@
 //! Error types for the device runtime.
 
-use crate::api::{ApiSurface, Feature};
+use crate::api::ApiSurface;
+use exa_machine::GpuArch;
 use std::fmt;
 
 /// Errors returned by the simulated device runtime.
@@ -13,14 +14,13 @@ pub enum HalError {
         /// Bytes free on the device at the time of the request.
         available: u64,
     },
-    /// A feature was used on an API surface that does not provide it — the
-    /// §2.1 lesson ("it can foster the incorrect assumption among developers
-    /// that *every* CUDA feature ... is, or will be, provided by HIP").
-    UnsupportedFeature {
+    /// An API surface was used on hardware it cannot drive (CUDA on an AMD
+    /// GPU) — the error an unported code hits on an early-access system.
+    UnsupportedArch {
         /// API surface the call was made against.
         api: ApiSurface,
-        /// The feature that is not available there.
-        feature: Feature,
+        /// Architecture of the device it was made on.
+        arch: GpuArch,
     },
     /// Host and device extents disagreed in a copy.
     SizeMismatch {
@@ -53,8 +53,8 @@ impl fmt::Display for HalError {
                     "device out of memory: requested {requested} B, {available} B free"
                 )
             }
-            HalError::UnsupportedFeature { api, feature } => {
-                write!(f, "{feature:?} is not supported by the {api:?} API surface")
+            HalError::UnsupportedArch { api, arch } => {
+                write!(f, "the {api:?} API surface cannot drive {arch:?} hardware")
             }
             HalError::SizeMismatch { dst, src } => {
                 write!(

@@ -415,71 +415,3 @@ mod tests {
             .any(|d| d.kind == DiagnosticKind::PerformanceWarning && d.note.contains("64")));
     }
 }
-
-// ---------------------------------------------------------------------------
-// The macro-header strategy (§2.1's alternative to converting the codebase).
-// ---------------------------------------------------------------------------
-
-/// API call names known to both runtimes (the macro table's rows).
-pub const COMMON_API_CALLS: &[&str] = &[
-    "cudaMalloc",
-    "cudaFree",
-    "cudaMemcpy",
-    "cudaMemcpyAsync",
-    "cudaMemcpyHostToDevice",
-    "cudaMemcpyDeviceToHost",
-    "cudaMemcpyDeviceToDevice",
-    "cudaMemset",
-    "cudaDeviceSynchronize",
-    "cudaGetDevice",
-    "cudaSetDevice",
-    "cudaGetDeviceCount",
-    "cudaStreamCreate",
-    "cudaStreamDestroy",
-    "cudaStreamSynchronize",
-    "cudaStreamWaitEvent",
-    "cudaEventCreate",
-    "cudaEventDestroy",
-    "cudaEventRecord",
-    "cudaEventSynchronize",
-    "cudaEventElapsedTime",
-    "cudaGetLastError",
-    "cudaGetErrorString",
-    "cudaError_t",
-    "cudaStream_t",
-    "cudaEvent_t",
-    "cudaSuccess",
-];
-
-/// Emit the single compatibility header of §2.1: "a single header file with
-/// macros to convert between CUDA and HIP calls depending on the build
-/// environment. The application code may remain in CUDA and evolve using
-/// either CUDA or HIP, as long as the functionality exists in both APIs."
-pub fn generate_compat_header() -> String {
-    let mut h = String::new();
-    use std::fmt::Write;
-    writeln!(h, "// gpu_compat.h — generated; see exa-hal::hipify").expect("write");
-    writeln!(h, "#ifdef BUILD_HIP").expect("write");
-    for name in COMMON_API_CALLS {
-        let hip = convert_identifiers(name);
-        writeln!(h, "#define {name} {hip}").expect("write");
-    }
-    writeln!(h, "#endif // BUILD_HIP").expect("write");
-    h
-}
-
-#[cfg(test)]
-mod compat_tests {
-    use super::*;
-
-    #[test]
-    fn header_defines_every_common_call() {
-        let h = generate_compat_header();
-        for name in COMMON_API_CALLS {
-            assert!(h.contains(&format!("#define {name} ")), "missing {name}");
-        }
-        assert!(h.contains("#define cudaMalloc hipMalloc"));
-        assert!(h.contains("#define cudaStream_t hipStream_t"));
-        assert!(h.contains("#ifdef BUILD_HIP"));
-    }
-}

@@ -48,7 +48,7 @@ pub mod stream;
 pub mod trace;
 pub mod uvm;
 
-pub use api::{ApiSurface, Feature};
+pub use api::ApiSurface;
 pub use buffer::DeviceBuffer;
 pub use device::Device;
 pub use error::Result;

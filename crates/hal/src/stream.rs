@@ -99,14 +99,14 @@ pub struct Stream {
 impl Stream {
     /// Create a stream on `device` using API surface `api`.
     ///
-    /// Returns [`HalError::UnsupportedFeature`] when the surface cannot drive
+    /// Returns [`HalError::UnsupportedArch`] when the surface cannot drive
     /// the device's architecture (CUDA on AMD hardware) — the error an
     /// unported application hits on day one of an early-access system.
     pub fn new(device: Arc<Device>, api: ApiSurface) -> Result<Self> {
         if !api.supports_arch(device.model.arch) {
-            return Err(HalError::UnsupportedFeature {
+            return Err(HalError::UnsupportedArch {
                 api,
-                feature: crate::api::Feature::CoreRuntime,
+                arch: device.model.arch,
             });
         }
         Ok(Stream {

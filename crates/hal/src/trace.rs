@@ -5,14 +5,13 @@
 //! "Initial profiling on AMD Instinct GPUs found a few key bottlenecks".
 //! The COE workflow starts from a profile, so the simulator provides one:
 //! a [`Tracer`] records every kernel launch with its modelled duration and
-//! roofline classification, and renders hotspot tables and a roofline
-//! report.
+//! roofline classification, and builds hotspot tables and a roofline
+//! report from them.
 
 use crate::stream::Stream;
 use exa_machine::{EffCurve, GpuModel, KernelProfile, SimTime};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::fmt;
 
 /// What limits a kernel on a given device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -222,34 +221,6 @@ impl Tracer {
             points,
         }
     }
-
-    /// Render the hotspot table the way a profiler summary prints.
-    pub fn report(&self) -> String {
-        let mut s = String::new();
-        use fmt::Write;
-        writeln!(
-            s,
-            "{:<24} {:>6} {:>12} {:>7} {:>10} {:>6} {:>8} {:>6}",
-            "kernel", "calls", "time", "share", "GFLOP/s", "occ", "bound", "spill"
-        )
-        .expect("write to String");
-        for k in self.hotspots() {
-            writeln!(
-                s,
-                "{:<24} {:>6} {:>12} {:>6.1}% {:>10.1} {:>6.2} {:>8} {:>6}",
-                k.name,
-                k.calls,
-                format!("{}", k.total_time),
-                k.time_share * 100.0,
-                k.gflops,
-                k.occupancy,
-                format!("{:?}", k.bound),
-                if k.spills { "YES" } else { "-" }
-            )
-            .expect("write to String");
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -370,17 +341,14 @@ mod tests {
     }
 
     #[test]
-    fn spills_are_flagged_in_the_report() {
+    fn spills_are_flagged_in_the_hotspots() {
         let (mut tracer, mut stream) = setup();
         let monster = KernelProfile::new("jacobian", big())
             .flops(1e11, DType::F64)
             .regs(18_000);
         tracer.launch_traced_modeled(&mut stream, &monster);
-        let report = tracer.report();
-        assert!(report.contains("jacobian"));
-        assert!(
-            report.contains("YES"),
-            "spill column must flag the 18k-register kernel:\n{report}"
-        );
+        let stats = tracer.hotspots();
+        assert_eq!(stats[0].name, "jacobian");
+        assert!(stats[0].spills, "the 18k-register kernel must spill");
     }
 }

@@ -167,7 +167,11 @@ impl FomRecord {
                 .ok_or("record missing 'seq'")?,
             app: str_field("app")?,
             machine: str_field("machine")?,
-            nodes: num_field("nodes")? as u32,
+            nodes: v
+                .get("nodes")
+                .and_then(JsonValue::as_u64)
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or("record field 'nodes' is not a node count in 0..=u32::MAX")?,
             kind,
             value: num_field("value")?,
             units: str_field("units")?,

@@ -15,7 +15,7 @@
 #      imports fails here rather than in a benchmark run;
 #   8. each example (examples/*.rs), one step apiece, so that its `assert!`s
 #      check something: an example that panics exits non-zero;
-#   9. `reproduce paper` (the eleven paper artifacts) and five gates;
+#   9. `reproduce paper` (the thirteen paper artifacts) and five gates;
 #  10. the four gates that pin EXA_THREADS=4;
 #  11. every BENCHMARK.json workload for 1 s, untraced: the benchmark's own
 #      answer check must report `"correct": true` and `"failed": 0`.
@@ -66,7 +66,7 @@ step cargo test --offline -q --manifest-path exabench/Cargo.toml
 for example in examples/*.rs; do
     step cargo run --release -q --example "$(basename "$example" .rs)"
 done
-step cargo run --release -q -p exa-bench --bin reproduce -- paper user_guide profile_export fom_ledger comm_overlap sim_throughput autotune
+step cargo run --release -q -p exa-bench --bin reproduce -- paper profile_export fom_ledger comm_overlap sim_throughput autotune
 step env EXA_THREADS=4 cargo run --release -q -p exa-bench --bin reproduce -- obs_export telemetry_overhead fault_scenarios campaign_load
 for workload in $(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": "\([^"]*\)".*/\1/p' BENCHMARK.json); do
     step answer_check "$workload"

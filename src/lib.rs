@@ -14,7 +14,7 @@
 //! * [`linalg`] — dense linear algebra substrate
 //! * [`fft`] — 1-D and distributed 3-D FFTs
 //! * [`shoc`] — the SHOC-style microbenchmark suite (Figure 1)
-//! * [`core`] — the application-readiness framework (FOMs, campaigns)
+//! * [`core`] — the application-readiness framework (FOMs, motifs, scenarios)
 //! * [`apps`] — the ten mini-applications (Table 1/Table 2)
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory.

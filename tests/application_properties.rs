@@ -3,7 +3,6 @@
 //! unit tests use.
 
 use exaready::apps::comet::{ccc_tables_gemm, ccc_tables_naive};
-use exaready::apps::exasky::PmSolver;
 use exaready::apps::lammps::AtomSystem;
 use proptest::prelude::*;
 
@@ -44,62 +43,5 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(ccc_tables_gemm(&vectors), ccc_tables_naive(&vectors));
-    }
-
-    /// CIC deposit conserves particle mass and never produces negatives.
-    #[test]
-    fn pm_deposit_conserves_mass(
-        count in 1usize..64,
-        seed in 0u64..10_000,
-    ) {
-        let pm = PmSolver::new(8);
-        let particles: Vec<[f64; 3]> = (0..count)
-            .map(|i| {
-                let mut z = seed.wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                let mut next = || {
-                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                    (z >> 11) as f64 / (1u64 << 53) as f64
-                };
-                [next(), next(), next()]
-            })
-            .collect();
-        let rho = pm.deposit(&particles);
-        let total: f64 = rho.iter().sum();
-        prop_assert!((total - count as f64).abs() < 1e-9);
-        prop_assert!(rho.iter().all(|&r| r >= -1e-12));
-    }
-
-    /// The spectral Poisson solve returns a zero-mean potential whose
-    /// Laplacian reproduces the (mean-removed) density.
-    #[test]
-    fn poisson_inverts_the_laplacian(seed in 0u64..1_000) {
-        let n = 8;
-        let pm = PmSolver::new(n);
-        let mut z = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(12345);
-        let rho: Vec<f64> = (0..n * n * n)
-            .map(|_| {
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                ((z >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-            })
-            .collect();
-        let phi = pm.poisson(&rho);
-        let mean_phi: f64 = phi.iter().sum::<f64>() / phi.len() as f64;
-        prop_assert!(mean_phi.abs() < 1e-9, "potential must be zero-mean");
-        // Spectral Laplacian check via second differences is inexact; use
-        // the exact spectral identity instead: poisson(laplacian-free field)
-        // round-trips through two applications of the solver with k² and
-        // 1/k² cancelling. Verify ∇²φ ≈ ρ - ρ̄ in the L2 sense by applying
-        // the forward operator spectrally: re-solve with the *negated*
-        // output and compare norms.
-        let rho_mean: f64 = rho.iter().sum::<f64>() / rho.len() as f64;
-        // Compute ∇²φ via the solver's own convention: poisson(∇²φ) = φ.
-        // So poisson(rho - mean) must equal phi (it does by construction);
-        // instead assert linearity: poisson(2ρ) = 2 poisson(ρ).
-        let rho2: Vec<f64> = rho.iter().map(|r| 2.0 * r).collect();
-        let phi2 = pm.poisson(&rho2);
-        for (a, b) in phi.iter().zip(&phi2) {
-            prop_assert!((2.0 * a - b).abs() < 1e-9);
-        }
-        let _ = rho_mean;
     }
 }

@@ -1,8 +1,9 @@
 //! Property and integration tests for the longitudinal FOM ledger and the
 //! regression sentinel: append and compact are idempotent
 //! under arbitrary record streams, the JSON round-trips through the
-//! vendored parser, and the sentinel catches an injected slowdown in a
-//! real Table-2 application with the correct culprit span.
+//! vendored parser, a damaged ledger is a typed error, and the sentinel
+//! catches an injected slowdown in a real Table-2 application with the
+//! correct culprit span.
 
 use exaready::apps::table2_applications;
 use exaready::core::{measure_record, RunContext, ScenarioSpec};
@@ -181,4 +182,74 @@ fn sentinel_passes_on_a_stable_series() {
         "stable series must pass: {}",
         report.summary()
     );
+}
+
+/// A damaged ledger file is a typed error, never a panic or a silently
+/// coerced record: every truncation of a real ledger, a wrong-typed or
+/// missing field, a wrong version and deep nesting all make
+/// `FomLedger::parse` return `Err`.
+#[test]
+fn damaged_ledgers_are_errors_not_panics() {
+    let frontier = MachineModel::frontier();
+    let mut ledger = FomLedger::new();
+    for app in table2_applications().iter().take(2) {
+        let c = TelemetryCollector::shared();
+        ledger.append(measure_record(
+            app.as_ref(),
+            &frontier,
+            &RunContext::new(&c),
+            "real",
+        ));
+    }
+    let good = ledger.to_json();
+    assert!(FomLedger::parse(&good).is_ok());
+
+    for end in (0..good.len()).filter(|&i| good.is_char_boundary(i)) {
+        assert!(
+            FomLedger::parse(&good[..end]).is_err(),
+            "a {end}-byte prefix parsed"
+        );
+    }
+
+    let first = &ledger.records[0];
+    let nodes = format!("\"nodes\": {},", first.nodes);
+    let app = format!("\"app\": \"{}\",", first.app);
+    let machine = format!("\"machine\": \"{}\",", first.machine);
+    let edits = [
+        // Wrong-typed or out-of-range fields.
+        (nodes.as_str(), "\"nodes\": -3,"),
+        (&nodes, "\"nodes\": 2.5,"),
+        (&nodes, "\"nodes\": 1e12,"),
+        (&nodes, "\"nodes\": \"4096\","),
+        (&app, "\"app\": 7,"),
+        ("\"seq\": 0,", "\"seq\": -1,"),
+        ("\"kind\": \"", "\"kind\": \"Unknown"),
+        ("\"span_profile\": {", "\"span_profile\": {\"bad\": \"x\","),
+        // A missing field.
+        (&machine, ""),
+        // A wrong version.
+        ("\"version\": 1,", "\"version\": 2,"),
+    ];
+    for (from, to) in edits {
+        assert!(good.contains(from), "ledger has no {from:?}");
+        let bad = good.replacen(from, to, 1);
+        assert!(FomLedger::parse(&bad).is_err(), "{from:?} -> {to:?} parsed");
+    }
+
+    let deep = |open: &str, close: &str| {
+        format!(
+            "{{\"version\": 1, \"records\": [{}{}]}}",
+            open.repeat(100_000),
+            close.repeat(100_000)
+        )
+    };
+    for bad in [
+        deep("[", "]"),
+        deep("{\"a\": ", "}"),
+        "[".repeat(1_000_000),
+        "{\"version\": 1, \"records\": {}}".to_string(),
+        "{\"version\": 1, \"records\": [7]}".to_string(),
+    ] {
+        assert!(FomLedger::parse(&bad).is_err());
+    }
 }

@@ -1,9 +1,7 @@
-//! End-to-end integration: the full readiness campaign across all ten
-//! applications, asserting the Table 2 shape — who wins, by what factor —
-//! plus the structural invariants of the campaign machinery.
+//! End-to-end integration: all ten applications across the early-access
+//! timeline, asserting the Table 2 shape — who wins, by what factor.
 
 use exaready::apps::{all_applications, table2_applications};
-use exaready::core::{PortingCampaign, SpeedupTarget};
 use exaready::machine::MachineModel;
 
 /// Every Table 2 application reproduces its paper speed-up to within 15 %
@@ -77,68 +75,44 @@ fn speedup_ordering_matches_table2() {
     );
 }
 
-/// Campaigns across the early-access timeline are monotone: each hardware
+/// Runs across the early-access timeline are monotone: each hardware
 /// generation gets every application closer to (or past) its target.
 #[test]
 fn campaigns_improve_across_early_access_generations() {
+    let timeline = [
+        MachineModel::summit(),
+        MachineModel::poplar(),
+        MachineModel::spock(),
+        MachineModel::crusher(),
+        MachineModel::frontier(),
+    ];
     for app in all_applications() {
-        let mut campaign = PortingCampaign::new(app.as_ref(), SpeedupTarget::caar());
-        campaign.run_standard_timeline();
-        let stages = campaign.report().stages;
-        assert_eq!(stages.len(), 5);
+        let foms: Vec<f64> = timeline.iter().map(|m| app.run(m).value).collect();
         // The AMD generations broadly improve. Mild wobbles are allowed —
         // and physical: an underfilled launch can run faster on the MI60's
         // higher-clocked CUs than on the MI100's wider array, the same kind
-        // of surprise early access exists to surface (§4).
+        // of surprise early access exists to surface (§4). The final
+        // Frontier run is the best AMD run for every app.
         let fom = app.fom();
-        for w in stages[1..].windows(2) {
-            let gain = fom.speedup(w[0].measurement.value, w[1].measurement.value);
+        for w in 1..4 {
+            let gain = fom.speedup(foms[w], foms[w + 1]);
             assert!(
                 gain >= 0.85,
                 "{}: {} -> {} regressed badly ({gain:.3})",
                 app.name(),
-                w[0].machine,
-                w[1].machine
+                timeline[w].name,
+                timeline[w + 1].name
             );
-        }
-        // The final Frontier stage is the best AMD stage for every app.
-        let frontier_fom = stages.last().expect("five stages").measurement.value;
-        for s in &stages[1..4] {
-            let gain = fom.speedup(s.measurement.value, frontier_fom);
+            let gain = fom.speedup(foms[w], foms[4]);
             assert!(
                 gain >= 1.0,
-                "{}: Frontier ({frontier_fom:.3e}) must beat {} ({:.3e})",
+                "{}: Frontier ({:.3e}) must beat {} ({:.3e})",
                 app.name(),
-                s.machine,
-                s.measurement.value
+                foms[4],
+                timeline[w].name,
+                foms[w]
             );
         }
-        // Crusher (stage 3) is the Frontier node: per-device FOMs match the
-        // Frontier run for per-device-basis apps.
-        let report = campaign.report();
-        assert_eq!(report.stages.len(), 5);
-        assert_eq!(report.final_machine, "Frontier");
-    }
-}
-
-/// Readiness reports serialize and render.
-#[test]
-fn readiness_reports_are_complete() {
-    for app in all_applications() {
-        let mut campaign = PortingCampaign::new(app.as_ref(), SpeedupTarget::caar());
-        campaign.run_stage(&MachineModel::summit(), "baseline");
-        campaign.run_stage(&MachineModel::frontier(), "final");
-        let report = campaign.report();
-        let text = format!("{report}");
-        assert!(text.contains(app.name()));
-        assert!(text.contains("Summit") && text.contains("Frontier"));
-        assert!(
-            !report.motifs.is_empty(),
-            "{} declares no motifs",
-            app.name()
-        );
-        let json = serde_json::to_string(&report).expect("report serializes");
-        assert!(json.contains("measured_speedup"));
     }
 }
 

@@ -2,18 +2,19 @@
 //! test walks a small "porting session" through several crates at once —
 //! hipify → parity check → execution → profiling → optimization.
 
-use exaready::core::{lessons, render_user_guide, IssueClass};
+use exaready::core::lessons::IssueClass;
+use exaready::core::{lessons, render_user_guide};
+use exaready::hal::error::HalError;
 use exaready::hal::offload::MapDir;
 use exaready::hal::offload::TargetData;
 use exaready::hal::trace::{Bound, Tracer};
 use exaready::hal::uvm::ManagedBuffer;
-use exaready::hal::{hipify_source, ApiSurface, Device, Feature, Stream};
+use exaready::hal::{hipify_source, ApiSurface, Device, Stream};
 use exaready::machine::{DType, GpuModel, KernelProfile, LaunchConfig, MachineModel, NodeModel};
 use exaready::mpi::{Comm, Network};
 
-/// A full mini porting session: take a CUDA snippet, hipify it, check the
-/// features it needs against the parity table, then run the ported kernel
-/// on the Frontier node under HIP.
+/// A full mini porting session: take a CUDA snippet, hipify it, then run
+/// the ported kernel on the Frontier node under HIP.
 #[test]
 fn porting_session_end_to_end() {
     let cuda_src = "\
@@ -25,11 +26,7 @@ cudaStreamSynchronize(stream);";
     let report = hipify_source(cuda_src);
     assert_eq!(report.manual_fix_lines(), 0);
     assert!(report.output.contains("hipLaunchKernelGGL"));
-    // 2. Feature audit: everything this code needs exists in HIP.
-    for f in [Feature::CoreRuntime, Feature::AsyncCopy] {
-        assert!(f.supported_on(ApiSurface::Hip));
-    }
-    // 3. Run on the target node.
+    // 2. Run on the target node.
     let node = NodeModel::frontier();
     let device = Device::from_node(&node, 0);
     let mut stream = Stream::new(device, ApiSurface::Hip).expect("ported code runs");
@@ -50,14 +47,20 @@ cudaStreamSynchronize(stream);";
     assert_eq!(out[100], 201.0);
 }
 
-/// A code that *does* use a CUDA-only feature gets stopped twice: by the
-/// hipify diagnostics and by the runtime parity check.
+/// An unported code gets stopped twice: a CUDA-only feature by the hipify
+/// diagnostics, and the CUDA surface itself by the runtime on AMD hardware.
 #[test]
 fn unsupported_features_are_caught_at_both_layers() {
     let report = hipify_source("cudaGraphInstantiate(&exec, graph, 0);");
     assert_eq!(report.manual_fix_lines(), 1);
-    assert!(!Feature::GraphApi.supported_on(ApiSurface::Hip));
-    assert!(Feature::GraphApi.supported_on(ApiSurface::Cuda));
+    let device = Device::from_node(&NodeModel::frontier(), 0);
+    assert!(matches!(
+        Stream::new(device, ApiSurface::Cuda),
+        Err(HalError::UnsupportedArch {
+            api: ApiSurface::Cuda,
+            ..
+        })
+    ));
 }
 
 /// §2.2 + §3.8 together: persistent target-data regions and explicit
